@@ -65,13 +65,16 @@ def load_bundle(path: str | Path) -> tuple[ClusterModel, TermClassWeights, Token
         payload = json.loads(Path(path).read_text(encoding="utf-8"))
     except (OSError, json.JSONDecodeError) as exc:
         raise DataError(f"cannot read model bundle {path}: {exc}") from exc
-    if payload.get("format") != _BUNDLE_FORMAT:
+    if not isinstance(payload, dict) or payload.get("format") != _BUNDLE_FORMAT:
         raise DataError(f"{path} is not a model bundle")
-    return (
-        model_from_dict(payload["model"]),
-        weights_from_dict(payload["weights"]),
-        TokenizerConfig.from_dict(payload["tokenizer"]),
-    )
+    try:
+        return (
+            model_from_dict(payload["model"]),
+            weights_from_dict(payload["weights"]),
+            TokenizerConfig.from_dict(payload["tokenizer"]),
+        )
+    except (KeyError, TypeError, ValueError) as exc:
+        raise DataError(f"malformed model bundle {path}: {type(exc).__name__}: {exc}") from exc
 
 
 def _tokenizer_from_args(args) -> TokenizerConfig:
@@ -171,7 +174,11 @@ def cmd_classify(args) -> int:
 
 
 def _read_label_tsv(path: str | Path) -> dict[str, str]:
-    """doc_id -> class name from the first two tab-separated columns."""
+    """doc_id -> class name from the first two tab-separated columns.
+
+    A doc id listed twice is a DataError: which line should count is not
+    knowable.
+    """
     out: dict[str, str] = {}
     for lineno, line in enumerate(Path(path).read_text(encoding="utf-8").splitlines(), 1):
         if not line.strip() or line.startswith("#"):
@@ -179,6 +186,8 @@ def _read_label_tsv(path: str | Path) -> dict[str, str]:
         fields = line.split("\t")
         if len(fields) < 2:
             raise DataError(f"{path}:{lineno}: expected doc_id<TAB>class, got {line!r}")
+        if fields[0] in out:
+            raise DataError(f"{path}:{lineno}: doc id {fields[0]!r} listed twice")
         out[fields[0]] = fields[1]
     return out
 
@@ -198,6 +207,12 @@ def cmd_eval(args) -> int:
         if doc_id not in truth:
             raise DataError(f"prediction for unknown doc id {doc_id!r}")
         pred_objs.append(Prediction(doc_id, index[name], -1, 0.0))
+    missing = sorted(set(truth) - set(preds))
+    if missing:
+        raise DataError(
+            f"no prediction for {len(missing)} of {len(truth)} truth doc ids, "
+            f"e.g. {missing[:5]}"
+        )
     cm = confusion(pred_objs, {k: index[v] for k, v in truth.items()}, len(class_names))
     report = score(cm)
     sys.stdout.write(format_report(report, class_names))

@@ -32,7 +32,7 @@ from .corpus import (
     split_train_test,
     write_split_manifest,
 )
-from .errors import DataError
+from .errors import DataError, InvariantError
 from .evaluation import EvalReport, confusion, score
 from .representation import embed_corpus, fit_term_weights
 from .rkmeans import ClusterModel, KMeansConfig, RecursiveConfig, build_model
@@ -270,7 +270,11 @@ def aggregate_rows(records: list[TrialRecord]) -> list[SweepRow]:
 
 
 def run_sweep(corpus: Corpus | str | Path, config: SweepConfig = SweepConfig()) -> SweepTable:
-    """Run the full ratio grid; individual trial failures are recorded, not raised."""
+    """Run the full ratio grid; individual trial failures are recorded, not raised.
+
+    An ``InvariantError`` is a bug in the program rather than a failed trial,
+    so it propagates.
+    """
     if not isinstance(corpus, Corpus):
         corpus = load_directory_corpus(corpus, config.tokenizer)
     train, test = split_train_test(
@@ -294,6 +298,8 @@ def run_sweep(corpus: Corpus | str | Path, config: SweepConfig = SweepConfig()) 
                         labeled_doc_ids=result.labeled_doc_ids,
                     )
                 )
+            except InvariantError:
+                raise
             except Exception as exc:  # a failed trial is recorded, never dropped
                 records.append(
                     TrialRecord(

@@ -1,62 +1,61 @@
 """Hot numeric kernels: nearest-centroid assignment and centroid accumulation.
 
-Every kernel exists twice: a numba ``@njit`` build of the explicit loop and a
-pure-numpy vectorized twin. The active implementation is chosen once at import
-time; set ``TEXTRKM_NO_NUMBA=1`` to force the numpy path (the same fallback is
-used automatically when numba is not installed). ``benchmarks/bench_kernels.py``
-times the two side by side.
+One numpy implementation per kernel. Assignment ties break by lowest
+centroid index. Euclidean kernels return *squared* distances; callers take the
+square root where a true distance is reported.
 
-Both paths break assignment ties by lowest centroid index. Euclidean kernels
-return *squared* distances; callers take the square root where a true distance
-is reported.
+Euclidean assignment works through the points in row blocks so that its
+``(rows, centroids, dimension)`` difference tensor stays under
+``ASSIGN_BLOCK_BYTES``. Each row's distances are computed on their own, so
+the result is the same bit for bit whatever the block size.
 """
 from __future__ import annotations
 
-import os
-
 import numpy as np
 
-ENV_FLAG = "TEXTRKM_NO_NUMBA"
-
-
-def _numba_disabled_by_env() -> bool:
-    return os.environ.get(ENV_FLAG, "").strip().lower() in {"1", "true", "yes", "on"}
-
-
-_HAVE_NUMBA = False
-if not _numba_disabled_by_env():
-    try:
-        from numba import njit
-
-        _HAVE_NUMBA = True
-    except ImportError:
-        _HAVE_NUMBA = False
+# Memory budget for one block's difference tensor. Without blocks, 5000
+# documents against ~1100 centroids of dimension 20 would take ~900 MB.
+ASSIGN_BLOCK_BYTES = 64 * 2**20
 
 
 def backend() -> str:
-    """Name of the active kernel backend: ``"numba"`` or ``"numpy"``."""
-    return "numba" if _HAVE_NUMBA else "numpy"
+    """Name of the kernel implementation recorded in run metadata."""
+    return "numpy"
 
 
-# ---------------------------------------------------------------------------
-# pure-numpy implementations
-# ---------------------------------------------------------------------------
+def _squared_distances(x, centroids):
+    # a function of its own, so that one block's difference tensor is freed
+    # before the next block allocates its own
+    diff = x[:, None, :] - centroids[None, :, :]
+    return np.einsum("ijk,ijk->ij", diff, diff)
 
-def assign_euclidean_numpy(x, centroids):
+
+def assign_euclidean(x, centroids):
     """Nearest centroid per row under squared euclidean distance.
 
     Returns ``(assignment, squared_distance)`` arrays of length ``len(x)``.
     """
-    diff = x[:, None, :] - centroids[None, :, :]
-    d2 = np.einsum("ijk,ijk->ij", diff, diff)
-    assign = d2.argmin(axis=1).astype(np.int64)
-    return assign, d2[np.arange(x.shape[0]), assign]
+    n = x.shape[0]
+    row_bytes = centroids.shape[0] * centroids.shape[1] * x.itemsize
+    rows = max(1, ASSIGN_BLOCK_BYTES // max(1, row_bytes))
+    assign = np.empty(n, dtype=np.int64)
+    best = np.empty(n, dtype=np.float64)
+    for start in range(0, n, rows):
+        block = x[start:start + rows]
+        d2 = _squared_distances(block, centroids)
+        a = d2.argmin(axis=1)
+        assign[start:start + rows] = a
+        best[start:start + rows] = d2[np.arange(block.shape[0]), a]
+    return assign, best
 
 
-def assign_cosine_numpy(x, centroids):
+def assign_cosine(x, centroids):
     """Nearest centroid per row under cosine distance (1 - cosine similarity).
 
     A zero-norm vector on either side yields similarity 0, i.e. distance 1.
+    The ``(n, centroids)`` similarity matrix is built in one product: a
+    blocked product changes the last bits, because BLAS tiles each block
+    size differently.
     """
     xn = np.sqrt((x * x).sum(axis=1))
     cn = np.sqrt((centroids * centroids).sum(axis=1))
@@ -68,100 +67,17 @@ def assign_cosine_numpy(x, centroids):
     return assign, dist[np.arange(x.shape[0]), assign]
 
 
-def centroid_sums_numpy(x, assign, n_clusters):
-    """Per-cluster componentwise sums and member counts."""
-    sums = np.zeros((n_clusters, x.shape[1]), dtype=np.float64)
-    np.add.at(sums, assign, x)
+def centroid_sums(x, assign, n_clusters):
+    """Per-cluster componentwise sums and member counts.
+
+    Each column is one weighted ``bincount``, which adds the points in row
+    order, as a loop over the rows would.
+    """
+    sums = np.empty((n_clusters, x.shape[1]), dtype=np.float64)
+    for t in range(x.shape[1]):
+        sums[:, t] = np.bincount(assign, weights=x[:, t], minlength=n_clusters)
     counts = np.bincount(assign, minlength=n_clusters).astype(np.int64)
     return sums, counts
-
-
-# ---------------------------------------------------------------------------
-# loop implementations (numba-compiled when available)
-# ---------------------------------------------------------------------------
-
-def _assign_euclidean_loop(x, centroids):
-    n, d = x.shape
-    m = centroids.shape[0]
-    assign = np.empty(n, dtype=np.int64)
-    dist = np.empty(n, dtype=np.float64)
-    for i in range(n):
-        best = 0
-        best_d = np.inf
-        for j in range(m):
-            acc = 0.0
-            for t in range(d):
-                diff = x[i, t] - centroids[j, t]
-                acc += diff * diff
-            if acc < best_d:
-                best_d = acc
-                best = j
-        assign[i] = best
-        dist[i] = best_d
-    return assign, dist
-
-
-def _assign_cosine_loop(x, centroids):
-    n, d = x.shape
-    m = centroids.shape[0]
-    cn = np.empty(m, dtype=np.float64)
-    for j in range(m):
-        acc = 0.0
-        for t in range(d):
-            acc += centroids[j, t] * centroids[j, t]
-        cn[j] = np.sqrt(acc)
-    assign = np.empty(n, dtype=np.int64)
-    dist = np.empty(n, dtype=np.float64)
-    for i in range(n):
-        acc = 0.0
-        for t in range(d):
-            acc += x[i, t] * x[i, t]
-        xn = np.sqrt(acc)
-        best = 0
-        best_d = np.inf
-        for j in range(m):
-            dot = 0.0
-            for t in range(d):
-                dot += x[i, t] * centroids[j, t]
-            denom = xn * cn[j]
-            if denom > 0.0:
-                dij = 1.0 - dot / denom
-            else:
-                dij = 1.0
-            if dij < best_d:
-                best_d = dij
-                best = j
-        assign[i] = best
-        dist[i] = best_d
-    return assign, dist
-
-
-def _centroid_sums_loop(x, assign, n_clusters):
-    n, d = x.shape
-    sums = np.zeros((n_clusters, d), dtype=np.float64)
-    counts = np.zeros(n_clusters, dtype=np.int64)
-    for i in range(n):
-        j = assign[i]
-        counts[j] += 1
-        for t in range(d):
-            sums[j, t] += x[i, t]
-    return sums, counts
-
-
-if _HAVE_NUMBA:
-    assign_euclidean_numba = njit(cache=True)(_assign_euclidean_loop)
-    assign_cosine_numba = njit(cache=True)(_assign_cosine_loop)
-    centroid_sums_numba = njit(cache=True)(_centroid_sums_loop)
-    assign_euclidean = assign_euclidean_numba
-    assign_cosine = assign_cosine_numba
-    centroid_sums = centroid_sums_numba
-else:
-    assign_euclidean_numba = None
-    assign_cosine_numba = None
-    centroid_sums_numba = None
-    assign_euclidean = assign_euclidean_numpy
-    assign_cosine = assign_cosine_numpy
-    centroid_sums = centroid_sums_numpy
 
 
 METRICS = ("euclidean", "cosine")
@@ -178,7 +94,7 @@ def as_points(a):
 
 
 def nearest_centroids(x, centroids, metric):
-    """Dispatch to the active assignment kernel for the given metric.
+    """Dispatch to the assignment kernel for the given metric.
 
     Euclidean distances come back squared; cosine distances come back as
     1 - similarity. Ties always resolve to the lowest centroid index.

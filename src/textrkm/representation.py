@@ -51,6 +51,8 @@ class TermClassWeights:
             raise DataError("weight matrix shape does not match vocabulary/classes")
         if not np.all(np.isfinite(self.weights)) or np.any(self.weights < 0):
             raise DataError("weights must be finite and non-negative")
+        if self.oov_weight.shape != (len(self.class_names),):
+            raise DataError("oov weight length does not match classes")
         if not np.all(np.isfinite(self.oov_weight)) or np.any(self.oov_weight < 0):
             raise DataError("oov weights must be finite and non-negative")
 
@@ -215,15 +217,19 @@ def weights_to_dict(w: TermClassWeights) -> dict:
 
 
 def weights_from_dict(d: dict) -> TermClassWeights:
-    w = TermClassWeights(
-        vocabulary={t: i for i, t in enumerate(d["terms"])},
-        weights=np.array(d["weights"], dtype=np.float64).reshape(
-            len(d["terms"]), len(d["class_names"])
-        ),
-        oov_weight=np.array(d["oov_weight"], dtype=np.float64),
-        smoothing=float(d["smoothing"]),
-        class_names=tuple(d["class_names"]),
-    )
+    """Inverse of ``weights_to_dict``; a malformed payload raises DataError."""
+    try:
+        w = TermClassWeights(
+            vocabulary={t: i for i, t in enumerate(d["terms"])},
+            weights=np.array(d["weights"], dtype=np.float64).reshape(
+                len(d["terms"]), len(d["class_names"])
+            ),
+            oov_weight=np.array(d["oov_weight"], dtype=np.float64),
+            smoothing=float(d["smoothing"]),
+            class_names=tuple(d["class_names"]),
+        )
+    except (KeyError, TypeError, ValueError) as exc:
+        raise DataError(f"malformed weight table: {type(exc).__name__}: {exc}") from exc
     w.validate()
     return w
 

@@ -494,44 +494,50 @@ def load_model(path: str | Path) -> ClusterModel:
 
 
 def model_from_dict(payload: dict) -> ClusterModel:
-    if payload.get("format") != _MODEL_FORMAT:
+    """Inverse of ``model_to_dict``; a malformed payload raises DataError."""
+    if not isinstance(payload, dict) or payload.get("format") != _MODEL_FORMAT:
         raise DataError("not a cluster model file")
-    clusters = [
-        FinalCluster(
-            member_indices=np.array(c["member_indices"], dtype=np.int64),
-            member_doc_ids=list(c["member_doc_ids"]),
-            centroid=np.array(c["centroid"], dtype=np.float64),
-            label=int(c["label"]),
-            acceptance=c["acceptance"],
-            depth=int(c["depth"]),
+    try:
+        clusters = [
+            FinalCluster(
+                member_indices=np.array(c["member_indices"], dtype=np.int64),
+                member_doc_ids=list(c["member_doc_ids"]),
+                centroid=np.array(c["centroid"], dtype=np.float64),
+                label=int(c["label"]),
+                acceptance=c["acceptance"],
+                depth=int(c["depth"]),
+            )
+            for c in payload["clusters"]
+        ]
+        s = payload["stats"]
+        stats = RunStats(
+            th_percent=s["th_percent"],
+            rng_seed=s["rng_seed"],
+            distance=s["distance"],
+            backend=s["backend"],
+            max_depth_reached=s["max_depth_reached"],
+            recursion_calls=s["recursion_calls"],
+            kmeans_runs=s["kmeans_runs"],
+            fallback_counts=dict(s["fallback_counts"]),
+            orphan_count=s["orphan_count"],
         )
-        for c in payload["clusters"]
-    ]
-    s = payload["stats"]
-    stats = RunStats(
-        th_percent=s["th_percent"],
-        rng_seed=s["rng_seed"],
-        distance=s["distance"],
-        backend=s["backend"],
-        max_depth_reached=s["max_depth_reached"],
-        recursion_calls=s["recursion_calls"],
-        kmeans_runs=s["kmeans_runs"],
-        fallback_counts=dict(s["fallback_counts"]),
-        orphan_count=s["orphan_count"],
-    )
-    model = ClusterModel(
-        centroids=np.vstack([c.centroid for c in clusters]),
-        labels=np.array([c.label for c in clusters], dtype=np.int64),
-        clusters=clusters,
-        distance=payload["distance"],
-        class_names=tuple(payload["class_names"]),
-        n_training_points=int(payload["n_training_points"]),
-        training_label_assignments={
-            k: int(v) for k, v in payload["training_label_assignments"].items()
-        },
-        stats=stats,
-    )
-    model.validate()
+        model = ClusterModel(
+            centroids=np.vstack([c.centroid for c in clusters]),
+            labels=np.array([c.label for c in clusters], dtype=np.int64),
+            clusters=clusters,
+            distance=payload["distance"],
+            class_names=tuple(payload["class_names"]),
+            n_training_points=int(payload["n_training_points"]),
+            training_label_assignments={
+                k: int(v) for k, v in payload["training_label_assignments"].items()
+            },
+            stats=stats,
+        )
+        model.validate()
+    except (KeyError, TypeError, ValueError, AttributeError) as exc:
+        raise DataError(f"malformed cluster model: {type(exc).__name__}: {exc}") from exc
+    except InvariantError as exc:  # the file is at fault, not the program
+        raise DataError(f"inconsistent cluster model: {exc}") from exc
     return model
 
 

@@ -2,7 +2,9 @@ import json
 
 import pytest
 
+from textrkm import harness
 from textrkm.cli import load_bundle, main
+from textrkm.errors import InvariantError
 
 from synthdata import make_text_corpus, write_corpus_tree
 
@@ -131,6 +133,94 @@ def test_eval_rejects_unknown_predicted_class(tmp_path):
         ["eval", "--predictions", str(tmp_path / "preds.tsv"), "--truth", str(tmp_path / "truth.tsv")]
     )
     assert rc == 2
+
+
+def write_label_tsv(path, pairs):
+    path.write_text("".join(f"{doc_id}\t{name}\n" for doc_id, name in pairs))
+    return str(path)
+
+
+def test_eval_rejects_predictions_missing_truth_docs(tmp_path, capsys):
+    truth = [(f"doc{i}", "a" if i % 2 else "b") for i in range(5)]
+    rc = main([
+        "eval",
+        "--predictions", write_label_tsv(tmp_path / "preds.tsv", truth[:2]),
+        "--truth", write_label_tsv(tmp_path / "truth.tsv", truth),
+    ])
+    assert rc == 2
+    captured = capsys.readouterr()
+    assert "accuracy" not in captured.out
+    assert "3 of 5" in captured.err
+
+
+@pytest.mark.parametrize("side", ["predictions", "truth"])
+def test_eval_rejects_duplicate_doc_ids(tmp_path, capsys, side):
+    truth = [("doc0", "a"), ("doc1", "b")]
+    files = {"predictions": truth, "truth": truth}
+    files[side] = truth + [("doc1", "a")]
+    rc = main([
+        "eval",
+        "--predictions", write_label_tsv(tmp_path / "preds.tsv", files["predictions"]),
+        "--truth", write_label_tsv(tmp_path / "truth.tsv", files["truth"]),
+    ])
+    assert rc == 2
+    assert "doc1" in capsys.readouterr().err
+
+
+@pytest.fixture()
+def trained_bundle(tmp_path, corpus_tree):
+    _, tree = corpus_tree
+    model_path = tmp_path / "model.json"
+    assert main([
+        "train", "--corpus", str(tree), "--labeled-frac", "0.3", "--model-out", str(model_path),
+    ]) == 0
+    return json.loads(model_path.read_text()), tree
+
+
+def _drop(d, key):
+    return {k: v for k, v in d.items() if k != key}
+
+
+BROKEN_BUNDLES = {
+    "format only": lambda b: {"format": "textrkm-bundle"},
+    "not an object": lambda b: [b],
+    "model without clusters": lambda b: {**b, "model": _drop(b["model"], "clusters")},
+    "model stats not an object": lambda b: {**b, "model": {**b["model"], "stats": [1]}},
+    "label out of range": lambda b: {**b, "model": {
+        **b["model"], "clusters": [{**b["model"]["clusters"][0], "label": 99}] + b["model"]["clusters"][1:]
+    }},
+    "weights without terms": lambda b: {**b, "weights": _drop(b["weights"], "terms")},
+    "weights wrong size": lambda b: {**b, "weights": {**b["weights"], "weights": [[0.5]]}},
+    "oov weight wrong length": lambda b: {**b, "weights": {**b["weights"], "oov_weight": [0.5]}},
+    "tokenizer without pattern": lambda b: {**b, "tokenizer": _drop(b["tokenizer"], "strip_pattern")},
+}
+
+
+@pytest.mark.parametrize("case", sorted(BROKEN_BUNDLES))
+def test_classify_malformed_bundle_exits_two(tmp_path, capsys, trained_bundle, case):
+    bundle, tree = trained_bundle
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(BROKEN_BUNDLES[case](bundle)))
+    capsys.readouterr()
+    rc = main(["classify", "--model", str(bad), "--input", str(tree), "--out", str(tmp_path / "p.tsv")])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.startswith("data error:")
+    assert "Traceback" not in err
+
+
+def test_sweep_exits_three_on_invariant_error(tmp_path, corpus_tree, monkeypatch, capsys):
+    def broken_build_model(*args, **kwargs):
+        raise InvariantError("partition lost a point")
+
+    monkeypatch.setattr(harness, "build_model", broken_build_model)
+    _, tree = corpus_tree
+    rc = main([
+        "sweep", "--corpus", str(tree), "--trials", "1", "--ratios", "10:40",
+        "--out", str(tmp_path / "sweep"),
+    ])
+    assert rc == 3
+    assert "partition lost a point" in capsys.readouterr().err
 
 
 def test_help_exits_zero(capsys):

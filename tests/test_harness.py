@@ -1,8 +1,9 @@
 import numpy as np
 import pytest
 
+from textrkm import harness
 from textrkm.corpus import Corpus, Document, SplitSpec, mask_labels, split_train_test
-from textrkm.errors import DataError
+from textrkm.errors import DataError, InvariantError
 from textrkm.harness import (
     SWEEP_METRICS,
     SweepConfig,
@@ -200,6 +201,17 @@ def test_failed_trials_recorded_not_dropped():
     assert by_ratio[(20, 30)].error is not None
     failed_rows = [r for r in table.rows if r.ratio == (20, 30)]
     assert all(r.n_trials == 0 and np.isnan(r.mean) for r in failed_rows)
+
+
+def test_invariant_error_propagates_out_of_sweep(monkeypatch):
+    def broken_build_model(*args, **kwargs):
+        raise InvariantError("partition lost a point")
+
+    monkeypatch.setattr(harness, "build_model", broken_build_model)
+    corpus = make_text_corpus(n_classes=3, docs_per_class=10, seed=12)
+    cfg = SweepConfig(ratio_grid=((10, 40),), trials_per_ratio=2)
+    with pytest.raises(InvariantError, match="partition lost a point"):
+        run_sweep(corpus, cfg)
 
 
 def test_sweep_config_dict_round_trip():
