@@ -29,7 +29,6 @@ from .harness import (
 )
 from .representation import (
     TermClassWeights,
-    embed,
     embed_corpus,
     embed_tokens,
     fit_term_weights,
@@ -77,7 +76,6 @@ __all__ = [
     "classify_batch",
     "cluster_class_stats",
     "confusion",
-    "embed",
     "embed_corpus",
     "embed_tokens",
     "emit_results",

@@ -63,7 +63,7 @@ def save_bundle(
 def load_bundle(path: str | Path) -> tuple[ClusterModel, TermClassWeights, TokenizerConfig]:
     try:
         payload = json.loads(Path(path).read_text(encoding="utf-8"))
-    except (OSError, json.JSONDecodeError) as exc:
+    except (OSError, UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise DataError(f"cannot read model bundle {path}: {exc}") from exc
     if not isinstance(payload, dict) or payload.get("format") != _BUNDLE_FORMAT:
         raise DataError(f"{path} is not a model bundle")

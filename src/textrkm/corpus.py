@@ -376,7 +376,13 @@ def read_split_manifest(path: str | Path) -> tuple[dict[str, str], list[tuple[st
         fields = line.split("\t")
         if len(fields) != 3 or fields[1] not in (SIDE_TRAIN, SIDE_TEST):
             raise DataError(f"{path}:{lineno}: malformed manifest line {line!r}")
-        entries.append((fields[0], fields[1], int(fields[2])))
+        try:
+            flag = int(fields[2])
+        except ValueError:
+            raise DataError(
+                f"{path}:{lineno}: labeled flag {fields[2]!r} is not an integer"
+            ) from None
+        entries.append((fields[0], fields[1], flag))
     return meta, entries
 
 

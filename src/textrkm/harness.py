@@ -90,33 +90,37 @@ class SweepConfig:
 
     @staticmethod
     def from_dict(d: Mapping) -> "SweepConfig":
-        return SweepConfig(
-            ratio_grid=tuple((int(a), int(b)) for a, b in d["ratio_grid"]),
-            trials_per_ratio=int(d["trials_per_ratio"]),
-            base_seed=int(d["base_seed"]),
-            test_fraction=float(d["test_fraction"]),
-            smoothing=float(d["smoothing"]),
-            recursive=RecursiveConfig(
-                th_percent=float(d["th_percent"]),
-                max_recursion_depth=int(d["max_recursion_depth"]),
-                min_cluster_size_for_recursion=(
-                    None
-                    if d["min_cluster_size_for_recursion"] is None
-                    else int(d["min_cluster_size_for_recursion"])
+        """Inverse of ``to_dict``; a malformed payload raises DataError."""
+        try:
+            return SweepConfig(
+                ratio_grid=tuple((int(a), int(b)) for a, b in d["ratio_grid"]),
+                trials_per_ratio=int(d["trials_per_ratio"]),
+                base_seed=int(d["base_seed"]),
+                test_fraction=float(d["test_fraction"]),
+                smoothing=float(d["smoothing"]),
+                recursive=RecursiveConfig(
+                    th_percent=float(d["th_percent"]),
+                    max_recursion_depth=int(d["max_recursion_depth"]),
+                    min_cluster_size_for_recursion=(
+                        None
+                        if d["min_cluster_size_for_recursion"] is None
+                        else int(d["min_cluster_size_for_recursion"])
+                    ),
+                    kmeans=KMeansConfig(
+                        distance=str(d["distance"]),
+                        max_iterations=int(d["max_iterations"]),
+                        centroid_shift_tolerance=float(d["centroid_shift_tolerance"]),
+                        empty_cluster_policy=str(d["empty_cluster_policy"]),
+                    ),
                 ),
-                kmeans=KMeansConfig(
-                    distance=str(d["distance"]),
-                    max_iterations=int(d["max_iterations"]),
-                    centroid_shift_tolerance=float(d["centroid_shift_tolerance"]),
-                    empty_cluster_policy=str(d["empty_cluster_policy"]),
+                tokenizer=TokenizerConfig.from_dict(d["tokenizer"]),
+                unlabeled_pool_size=(
+                    None if d["unlabeled_pool_size"] is None else int(d["unlabeled_pool_size"])
                 ),
-            ),
-            tokenizer=TokenizerConfig.from_dict(d["tokenizer"]),
-            unlabeled_pool_size=(
-                None if d["unlabeled_pool_size"] is None else int(d["unlabeled_pool_size"])
-            ),
-            transductive=bool(d["transductive"]),
-        )
+                transductive=bool(d["transductive"]),
+            )
+        except (KeyError, TypeError, ValueError) as exc:
+            raise DataError(f"malformed sweep config: {type(exc).__name__}: {exc}") from exc
 
 
 @dataclass
@@ -432,9 +436,19 @@ def replay_trial(
     for key in ("ratio", "seed"):
         if key not in meta:
             raise DataError(f"manifest {manifest_path} is missing the {key!r} header")
-    a, b = meta["ratio"].split(":")
-    ratio = (int(a), int(b))
-    seed = int(meta["seed"])
+    try:
+        a, b = meta["ratio"].split(":")
+        ratio = (int(a), int(b))
+    except ValueError:
+        raise DataError(
+            f"{manifest_path}: header '# ratio {meta['ratio']}' is not <labeled>:<unlabeled>"
+        ) from None
+    try:
+        seed = int(meta["seed"])
+    except ValueError:
+        raise DataError(
+            f"{manifest_path}: header '# seed {meta['seed']}' is not an integer"
+        ) from None
     train, test, flags = apply_split_manifest(corpus, entries)
     d_labeled, d_unlabeled, _hidden = mask_from_flags(train, flags)
     return _run_pipeline(d_labeled, d_unlabeled, test, ratio, seed, config, keep_model)

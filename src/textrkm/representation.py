@@ -10,8 +10,9 @@ via a callable that maps the raw term/class count matrix to a weight matrix.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain, repeat
 from pathlib import Path
-from typing import Callable, Sequence
+from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
@@ -21,6 +22,11 @@ from .errors import DataError
 # A weighting scheme maps the (V, K) term/class count matrix to a (V, K)
 # non-negative weight matrix.
 WeightScheme = Callable[[np.ndarray], np.ndarray]
+
+# Most tokens ``embed_corpus`` handles at once. A block costs about 40 bytes
+# per token (ids, document keys, one gathered weight column); gathering all
+# K weight columns of a 750k-token corpus at once would take 120 MB at K=20.
+EMBED_BLOCK_TOKENS = 2**13
 
 
 @dataclass
@@ -58,19 +64,27 @@ class TermClassWeights:
 
 
 def term_class_counts(corpus: Corpus) -> tuple[dict[str, int], np.ndarray]:
-    """Vocabulary (sorted terms) and the (V, K) token count matrix."""
-    vocab: dict[str, int] = {}
-    for doc in corpus.documents:
-        for tok in doc.tokens:
-            if tok not in vocab:
-                vocab[tok] = 0
-    vocabulary = {term: i for i, term in enumerate(sorted(vocab))}
-    tf = np.zeros((len(vocabulary), corpus.n_classes), dtype=np.float64)
+    """Vocabulary (sorted terms) and the (V, K) token count matrix.
+
+    Each class column is one ``bincount`` over the token ids of that class's
+    documents, so at most one class's ids are held at a time.
+    """
+    by_class: list[list[Document]] = [[] for _ in range(corpus.n_classes)]
     for doc, label in zip(corpus.documents, corpus.labels):
         if label is None:
             raise DataError(f"document {doc.doc_id!r} is unlabeled")
-        for tok in doc.tokens:
-            tf[vocabulary[tok], label] += 1.0
+        by_class[label].append(doc)
+    vocabulary = {
+        term: i for i, term in enumerate(sorted(set(_all_tokens(corpus.documents))))
+    }
+    tf = np.empty((len(vocabulary), corpus.n_classes), dtype=np.float64)
+    for c, docs in enumerate(by_class):
+        ids = np.fromiter(
+            map(vocabulary.__getitem__, _all_tokens(docs)),
+            dtype=np.intp,
+            count=sum(len(doc.tokens) for doc in docs),
+        )
+        tf[:, c] = np.bincount(ids, minlength=len(vocabulary))
     return vocabulary, tf
 
 
@@ -144,31 +158,59 @@ def embed_tokens(tokens: Sequence[str], w: TermClassWeights) -> np.ndarray:
     return vec / len(tokens)
 
 
-def embed(doc: Document, w: TermClassWeights) -> np.ndarray:
-    return embed_tokens(doc.tokens, w)
-
-
 def embed_corpus(
     corpus: Corpus, w: TermClassWeights
 ) -> tuple[np.ndarray, list[str], list[str]]:
     """Embed every document, preserving order.
 
     Returns ``(matrix, kept_ids, dropped_ids)``; documents with zero tokens
-    are dropped and reported rather than raising.
+    are dropped and reported rather than raising. Each row equals
+    ``embed_tokens`` of its document bit for bit: a weighted ``bincount``
+    adds a document's token weights in token order, as that loop does.
+    Documents go in runs of at most ``EMBED_BLOCK_TOKENS`` tokens; a longer
+    document is a run of its own, since splitting it would change the order
+    of its additions.
     """
-    vectors = []
-    kept: list[str] = []
-    dropped: list[str] = []
-    for doc in corpus.documents:
-        if not doc.tokens:
-            dropped.append(doc.doc_id)
-            continue
-        vectors.append(embed_tokens(doc.tokens, w))
-        kept.append(doc.doc_id)
-    matrix = (
-        np.vstack(vectors) if vectors else np.zeros((0, w.n_classes), dtype=np.float64)
+    kept = [doc for doc in corpus.documents if doc.tokens]
+    dropped = [doc.doc_id for doc in corpus.documents if not doc.tokens]
+    v = w.vocab_size
+    # row c holds class c's weights; column v, the id of every
+    # out-of-vocabulary token, adds 0 (the OOV floor is added per document)
+    table = np.zeros((w.n_classes, v + 1), dtype=np.float64)
+    table[:, :v] = w.weights.T
+    lengths = np.fromiter((len(doc.tokens) for doc in kept), dtype=np.int64, count=len(kept))
+    ends = np.cumsum(lengths)
+    matrix = np.empty((len(kept), w.n_classes), dtype=np.float64)
+    start = 0
+    while start < len(kept):
+        limit = ends[start] - lengths[start] + EMBED_BLOCK_TOKENS
+        stop = max(start + 1, int(np.searchsorted(ends, limit, side="right")))
+        matrix[start:stop] = _embed_block(kept[start:stop], lengths[start:stop], w, table)
+        start = stop
+    return matrix, [doc.doc_id for doc in kept], dropped
+
+
+def _all_tokens(docs: Sequence[Document]) -> Iterator[str]:
+    return chain.from_iterable(doc.tokens for doc in docs)
+
+
+def _embed_block(
+    docs: list[Document], lengths: np.ndarray, w: TermClassWeights, table: np.ndarray
+) -> np.ndarray:
+    v = w.vocab_size
+    ids = np.fromiter(
+        map(w.vocabulary.get, _all_tokens(docs), repeat(v)),
+        dtype=np.intp,
+        count=int(lengths.sum()),
     )
-    return matrix, kept, dropped
+    doc_of = np.repeat(np.arange(len(docs)), lengths)
+    sums = np.empty((len(docs), w.n_classes), dtype=np.float64)
+    for c, row in enumerate(table):
+        sums[:, c] = np.bincount(doc_of, weights=row.take(ids), minlength=len(docs))
+    n_oov = np.bincount(doc_of[ids == v], minlength=len(docs))
+    has_oov = n_oov > 0
+    sums[has_oov] += n_oov[has_oov, None] * w.oov_weight
+    return sums / lengths[:, None]
 
 
 # ---------------------------------------------------------------------------

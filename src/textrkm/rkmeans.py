@@ -489,7 +489,10 @@ def save_model(model: ClusterModel, path: str | Path) -> None:
 
 
 def load_model(path: str | Path) -> ClusterModel:
-    payload = json.loads(Path(path).read_text(encoding="utf-8"))
+    try:
+        payload = json.loads(Path(path).read_text(encoding="utf-8"))
+    except (OSError, UnicodeDecodeError, json.JSONDecodeError) as exc:
+        raise DataError(f"cannot read cluster model {path}: {exc}") from exc
     return model_from_dict(payload)
 
 

@@ -209,6 +209,16 @@ def test_classify_malformed_bundle_exits_two(tmp_path, capsys, trained_bundle, c
     assert "Traceback" not in err
 
 
+def test_classify_non_utf8_bundle_exits_two(tmp_path, capsys, trained_bundle):
+    _, tree = trained_bundle
+    bad = tmp_path / "bad.json"
+    bad.write_bytes(b"\xff\xfe not utf-8")
+    capsys.readouterr()
+    rc = main(["classify", "--model", str(bad), "--input", str(tree), "--out", str(tmp_path / "p.tsv")])
+    assert rc == 2
+    assert capsys.readouterr().err.startswith("data error: cannot read model bundle")
+
+
 def test_sweep_exits_three_on_invariant_error(tmp_path, corpus_tree, monkeypatch, capsys):
     def broken_build_model(*args, **kwargs):
         raise InvariantError("partition lost a point")

@@ -1,4 +1,5 @@
 import collections
+import re
 
 import numpy as np
 import pytest
@@ -223,3 +224,10 @@ def test_label_array_uses_minus_one():
         class_names=("a", "b"),
     )
     assert np.array_equal(corpus.label_array(), np.array([1, -1]))
+
+
+def test_manifest_rejects_non_integer_flag(tmp_path):
+    path = tmp_path / "bad.tsv"
+    path.write_text("# seed 1\na\ttrain\tx\n")
+    with pytest.raises(DataError, match=re.escape(f"{path}:2: labeled flag 'x'")):
+        read_split_manifest(path)

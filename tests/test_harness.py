@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -225,3 +227,23 @@ def test_sweep_config_dict_round_trip():
     )
     back = SweepConfig.from_dict(cfg.to_dict())
     assert back == cfg
+
+
+def test_sweep_config_from_dict_rejects_missing_field():
+    with pytest.raises(DataError, match="KeyError: 'trials_per_ratio'"):
+        SweepConfig.from_dict({"ratio_grid": [[1, 49]]})
+
+
+@pytest.mark.parametrize(
+    "header, bad", [("# ratio", "# ratio 10-40"), ("# seed", "# seed three")]
+)
+def test_replay_rejects_malformed_header(tmp_path, header, bad):
+    corpus = make_text_corpus(n_classes=3, docs_per_class=6, seed=11)
+    cfg = SweepConfig(ratio_grid=((10, 40),), trials_per_ratio=1)
+    paths = emit_results(run_sweep(corpus, cfg), tmp_path / "out")
+    manifest = paths["manifests"] / manifest_filename((10, 40), 0)
+    lines = manifest.read_text().splitlines()
+    lines = [bad if line.startswith(header + " ") else line for line in lines]
+    manifest.write_text("\n".join(lines) + "\n")
+    with pytest.raises(DataError, match=re.escape(f"{manifest}: header '{bad}'")):
+        replay_trial(corpus, manifest, cfg)

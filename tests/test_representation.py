@@ -1,9 +1,15 @@
+import tracemalloc
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from textrkm import representation
 from textrkm.corpus import Corpus, Document
 from textrkm.errors import DataError
 from textrkm.representation import (
+    TermClassWeights,
     embed_corpus,
     embed_tokens,
     fit_term_weights,
@@ -196,3 +202,135 @@ def test_load_weights_rejects_garbage(tmp_path):
     path.write_text("not a weight table\n")
     with pytest.raises(DataError):
         load_weights(path)
+
+
+# ---------------------------------------------------------------------------
+# the array code against per-token loops
+# ---------------------------------------------------------------------------
+
+def loop_term_class_counts(corpus):
+    """Oracle: one increment per labeled token."""
+    terms = sorted({tok for doc in corpus.documents for tok in doc.tokens})
+    vocabulary = {t: i for i, t in enumerate(terms)}
+    tf = np.zeros((len(terms), corpus.n_classes))
+    for doc, label in zip(corpus.documents, corpus.labels):
+        for tok in doc.tokens:
+            tf[vocabulary[tok], label] += 1.0
+    return vocabulary, tf
+
+
+def loop_embed_corpus(corpus, w):
+    """Oracle: ``embed_tokens`` document by document."""
+    rows = [embed_tokens(doc.tokens, w) for doc in corpus.documents if doc.tokens]
+    return np.vstack(rows) if rows else np.zeros((0, w.n_classes))
+
+
+def random_weights(terms, n_classes, rng):
+    # arbitrary mantissas, so that any change in the order of additions shows
+    return TermClassWeights(
+        vocabulary={t: i for i, t in enumerate(terms)},
+        weights=rng.random((len(terms), n_classes)),
+        oov_weight=rng.random(n_classes),
+        smoothing=1.0,
+        class_names=tuple(f"c{i}" for i in range(n_classes)),
+    )
+
+
+def assert_embeds_like_loop(corpus, w):
+    x, kept, dropped = embed_corpus(corpus, w)
+    want = loop_embed_corpus(corpus, w)
+    assert x.shape == want.shape and x.tobytes() == want.tobytes()
+    assert kept == [d.doc_id for d in corpus.documents if d.tokens]
+    assert dropped == [d.doc_id for d in corpus.documents if not d.tokens]
+
+
+EDGE_DOCS = [
+    Document("oov-only", ("never", "seen", "never")),
+    Document("empty-1", ()),
+    Document("single", ("common3",)),
+    Document("repeated", ("common1",) * 9 + ("common2", "common1", "unseen")),
+    Document("single-oov", ("unseen",)),
+    Document("empty-2", ()),
+]
+
+
+@pytest.mark.parametrize("block_tokens", [representation.EMBED_BLOCK_TOKENS, 1, 3])
+def test_embed_corpus_is_bit_identical_to_per_token_loop(monkeypatch, block_tokens):
+    monkeypatch.setattr(representation, "EMBED_BLOCK_TOKENS", block_tokens)
+    corpus = make_text_corpus(n_classes=4, docs_per_class=10, doc_len=23, seed=14)
+    mixed = Corpus(
+        documents=EDGE_DOCS[:3] + corpus.documents[:17] + EDGE_DOCS[3:]
+        + corpus.documents[17:],
+        labels=[None] * (corpus.n_docs + len(EDGE_DOCS)),
+        class_names=corpus.class_names,
+    )
+    for smoothing in (0.0, 0.7):
+        assert_embeds_like_loop(mixed, fit_term_weights(corpus, smoothing=smoothing))
+    one_class = random_weights(["common1", "common2", "common3"], 1, np.random.default_rng(15))
+    assert_embeds_like_loop(mixed, one_class)
+    only_empty = Corpus(
+        documents=[EDGE_DOCS[1]], labels=[None], class_names=corpus.class_names
+    )
+    assert_embeds_like_loop(only_empty, fit_term_weights(corpus))
+
+
+def test_term_class_counts_match_per_token_loop():
+    corpus = make_text_corpus(n_classes=5, docs_per_class=9, doc_len=31, seed=16)
+    corpus.documents[3] = Document(corpus.documents[3].doc_id, ("solo",))
+    vocabulary, tf = term_class_counts(corpus)
+    want_vocabulary, want_tf = loop_term_class_counts(corpus)
+    assert vocabulary == want_vocabulary
+    assert list(vocabulary) == sorted(vocabulary)
+    assert tf.dtype == np.float64 and np.array_equal(tf, want_tf)
+
+
+tokens_st = st.lists(st.sampled_from(["a", "b", "c", "dd", "e", "oov1", "oov2"]), max_size=9)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    n_classes=st.integers(1, 4),
+    docs=st.lists(st.tuples(tokens_st, st.integers(0, 3)), min_size=1, max_size=12),
+    block_tokens=st.sampled_from([1, 2, 5, representation.EMBED_BLOCK_TOKENS]),
+    seed=st.integers(0, 2**16),
+)
+def test_counts_and_embedding_match_loops_on_random_corpora(n_classes, docs, block_tokens, seed):
+    documents = [Document(f"d{i}", tuple(toks)) for i, (toks, _) in enumerate(docs)]
+    labeled = Corpus(
+        documents=documents,
+        labels=[lab % n_classes for _, lab in docs],
+        class_names=tuple(f"c{i}" for i in range(n_classes)),
+    )
+    vocabulary, tf = term_class_counts(labeled)
+    want_vocabulary, want_tf = loop_term_class_counts(labeled)
+    assert vocabulary == want_vocabulary and np.array_equal(tf, want_tf)
+
+    terms = [t for t in vocabulary if not t.startswith("oov")]
+    w = random_weights(terms, n_classes, np.random.default_rng(seed))
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(representation, "EMBED_BLOCK_TOKENS", block_tokens)
+        assert_embeds_like_loop(labeled, w)
+
+
+def test_embed_corpus_memory_is_bounded():
+    # 10k documents, 1M tokens, K=20; gathering every token's weight row at
+    # once would take 160 MB
+    n_docs, doc_len, n_classes = 10_000, 100, 20
+    rng = np.random.default_rng(17)
+    terms = [f"term{i}" for i in range(3000)]
+    w = random_weights(terms[:2500], n_classes, rng)  # the last 500 are OOV
+    picks = rng.integers(len(terms), size=(n_docs, doc_len))
+    corpus = Corpus(
+        documents=[Document(f"d{i}", tuple(terms[j] for j in row)) for i, row in enumerate(picks)],
+        labels=[None] * n_docs,
+        class_names=w.class_names,
+    )
+    tracemalloc.start()
+    try:
+        x, _, _ = embed_corpus(corpus, w)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    # the result, the lookup table, a few 8-byte arrays per block token
+    budget = x.nbytes + (w.vocab_size + 1) * n_classes * 8 + 64 * representation.EMBED_BLOCK_TOKENS
+    assert peak < budget + 2 * 2**20

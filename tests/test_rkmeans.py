@@ -407,3 +407,17 @@ def test_model_save_load_round_trip(tmp_path):
     assert [c.member_doc_ids for c in loaded.clusters] == [
         c.member_doc_ids for c in model.clusters
     ]
+
+
+
+@pytest.mark.parametrize(
+    "content",
+    [b'{"format": ', b"\xff\xfe not utf-8", None],
+    ids=["bad json", "not utf-8", "missing"],
+)
+def test_load_model_rejects_unreadable_file(tmp_path, content):
+    path = tmp_path / "model.json"
+    if content is not None:
+        path.write_bytes(content)
+    with pytest.raises(DataError, match="cannot read cluster model"):
+        load_model(path)
