@@ -365,7 +365,11 @@ def read_split_manifest(path: str | Path) -> tuple[dict[str, str], list[tuple[st
     """Parse a split manifest back into (meta, [(doc_id, side, labeled_flag)])."""
     meta: dict[str, str] = {}
     entries: list[tuple[str, str, int]] = []
-    for lineno, line in enumerate(Path(path).read_text(encoding="utf-8").splitlines(), 1):
+    try:
+        text = Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise DataError(f"{path} is not UTF-8: {exc}") from exc
+    for lineno, line in enumerate(text.splitlines(), 1):
         if not line.strip():
             continue
         if line.startswith("#"):

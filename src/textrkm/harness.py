@@ -394,27 +394,33 @@ def emit_results(table: SweepTable, out_dir: str | Path) -> dict[str, Path]:
 
 def read_aggregate_csv(path: str | Path) -> list[SweepRow]:
     """Parse an aggregate CSV back into rows (exact float round trip)."""
-    lines = Path(path).read_text(encoding="utf-8").splitlines()
+    try:
+        lines = Path(path).read_text(encoding="utf-8").splitlines()
+    except UnicodeDecodeError as exc:
+        raise DataError(f"{path} is not UTF-8: {exc}") from exc
     if not lines or lines[0] != "ratio,metric,max,min,mean,std":
         raise DataError(f"{path} is not an aggregate results file")
     rows = []
-    for line in lines[1:]:
+    for lineno, line in enumerate(lines[1:], 2):
         if not line.strip():
             continue
-        ratio_part, metric, vmax, vmin, mean, std = line.split(",")
-        a, b = ratio_part.split(":")
-        rows.append(
-            SweepRow(
-                ratio=(int(a), int(b)),
-                metric=metric,
-                vmax=float(vmax),
-                vmin=float(vmin),
-                mean=float(mean),
-                std=float(std),
-                n_trials=-1,  # not stored in the file
-                fallback_acceptances=-1,
+        try:
+            ratio_part, metric, vmax, vmin, mean, std = line.split(",")
+            a, b = ratio_part.split(":")
+            rows.append(
+                SweepRow(
+                    ratio=(int(a), int(b)),
+                    metric=metric,
+                    vmax=float(vmax),
+                    vmin=float(vmin),
+                    mean=float(mean),
+                    std=float(std),
+                    n_trials=-1,  # not stored in the file
+                    fallback_acceptances=-1,
+                )
             )
-        )
+        except ValueError as exc:  # wrong field count, bad ratio or float
+            raise DataError(f"{path}:{lineno}: malformed aggregate row {line!r}") from exc
     return rows
 
 

@@ -2,20 +2,35 @@
 
 One numpy implementation per kernel. Assignment ties break by lowest
 centroid index. Euclidean kernels return *squared* distances; callers take the
-square root where a true distance is reported.
+square root where a true distance is reported. The kernels require finite
+inputs: the rounding bound below assumes them, and model loading rejects
+non-finite centroids.
 
-Euclidean assignment works through the points in row blocks so that its
-``(rows, centroids, dimension)`` difference tensor stays under
-``ASSIGN_BLOCK_BYTES``. Each row's distances are computed on their own, so
-the result is the same bit for bit whatever the block size.
+Euclidean assignment works through the points in row blocks. In each block
+it ranks the centroids by one BLAS product, ``|c|^2 - 2 x.c`` (the row
+constant ``|x|^2`` dropped), keeps as candidates the centroids whose ranking
+value lies within a proven rounding bound of the row minimum, and computes
+the distance of only those candidates exactly, as the sum of the squared
+components of the difference vector ``x - c``. The bound holds for any
+summation order, with or without FMA, on any number of threads, so the
+exact nearest centroid and every centroid tied with it are always
+candidates. The product only picks candidates and never supplies a returned
+value, so the result is the same bit for bit whatever the BLAS does and
+whatever the block size: it equals the argmin over the full
+``(points, centroids)`` matrix of exact distances.
 """
 from __future__ import annotations
 
 import numpy as np
 
-# Memory budget for one block's difference tensor. Without blocks, 5000
-# documents against ~1100 centroids of dimension 20 would take ~900 MB.
+# Memory budget for one block of euclidean assignment. Blocks are sized so
+# that even when every centroid is a candidate for every row (all centroids
+# equal, say) the gathered pair arrays stay under it; usually a row has one
+# candidate and a block needs a small fraction of it.
 ASSIGN_BLOCK_BYTES = 64 * 2**20
+
+_UNIT_ROUNDOFF = 2.0**-53
+_SMALLEST_SUBNORMAL = 2.0**-1074
 
 
 def backend() -> str:
@@ -23,11 +38,69 @@ def backend() -> str:
     return "numpy"
 
 
-def _squared_distances(x, centroids):
-    # a function of its own, so that one block's difference tensor is freed
+def _candidate_slack(x_norm, max_centroid_norm, d):
+    """How far above the row minimum a ranking value may lie and still be
+    the exact nearest centroid.
+
+    With u = 2**-53, gamma_n = n u / (1 - n u) and R = |x| + max_j |c_j|,
+    rounding in the standard model fl(a op b) = (a op b)(1 + delta) + eta,
+    |delta| <= u, where eta (at most half the smallest subnormal) only
+    arises when a product or square underflows:
+
+    - the ranking value A_j = fl(fl(|c_j|^2) + fl((-2x).c_j)): scaling by
+      -2 is exact, and a dot product summed in any order, with or without
+      FMA, is off by at most gamma_d times the sum of the absolute products
+      (as long as the BLAS adds up the d products of each entry, as every
+      classical matrix product does), which is at most |x||c_j| by
+      Cauchy-Schwarz; the final addition adds one more u. So A_j is within
+      gamma_{d+1} (|c_j|^2 + 2|x||c_j|) <= gamma_{d+1} R^2 of
+      |c_j|^2 - 2 x.c_j, plus 3d underflow terms;
+    - the exact distance E_j = sum_k fl(fl(x_k - c_jk)^2), in any order, is
+      within gamma_{d+2} |x - c_j|^2 <= gamma_{d+2} R^2 of |x - c_j|^2,
+      plus d underflow terms;
+    - |x - c_j|^2 - |x|^2 = |c_j|^2 - 2 x.c_j exactly, so
+      |A_j - (E_j - |x|^2)| <= B = 2 gamma_{d+3} R^2 + 4d (1 + gamma) eta.
+
+    Let i minimise A and j* minimise E. Then
+    A_j* <= E_j* - |x|^2 + B <= E_i - |x|^2 + B <= A_i + 2B, and the same
+    holds for every j with E_j = E_j*. So every centroid at the exact
+    minimum distance is within 2B of min A. The slack returned is 2B with
+    the underflow terms doubled; the rounding of the slack itself (relative
+    order d u times a term of order gamma) and of min A + slack (at most
+    u (R^2 + slack)) are covered by the bound using gamma_{d+3} where
+    gamma_{d+2} would do, which leaves 4 u R^2 spare. Without the absolute
+    term, inputs near 1e-160 (squares in the subnormal range) pick the wrong
+    centroid. Non-finite values (an overflowing square or product) make the
+    threshold NaN or infinite, and then every centroid is a candidate.
+    """
+    n = d + 3
+    gamma = n * _UNIT_ROUNDOFF / (1.0 - n * _UNIT_ROUNDOFF)
+    r = x_norm + max_centroid_norm
+    return 4.0 * gamma * (r * r) + 8.0 * n * _SMALLEST_SUBNORMAL
+
+
+def _assign_block(x, centroids, centroid_sq, slack):
+    # a function of its own, so that one block's temporaries are freed
     # before the next block allocates its own
-    diff = x[:, None, :] - centroids[None, :, :]
-    return np.einsum("ijk,ijk->ij", diff, diff)
+    rank = (-2.0 * x) @ centroids.T
+    rank += centroid_sq
+    # not (rank > threshold) rather than rank <= threshold: a NaN threshold
+    # keeps every centroid of its row
+    keep = np.flatnonzero(~(rank > (rank.min(axis=1) + slack)[:, None]))
+    del rank
+    # row-major order: centroid indices ascend within each row
+    rows, cols = np.divmod(keep, centroids.shape[0])
+    del keep
+    diff = x[rows]
+    diff -= centroids[cols]
+    d2 = np.einsum("ij,ij->i", diff, diff)
+    if rows.size > x.shape[0]:  # some row kept more than one candidate
+        # lexsort is stable, so equal distances stay in centroid order and
+        # the first pair of each row is its lowest-index nearest centroid
+        order = np.lexsort((d2, rows))
+        first = order[np.flatnonzero(np.r_[True, rows[1:] != rows[:-1]])]
+        cols, d2 = cols[first], d2[first]
+    return cols, d2
 
 
 def assign_euclidean(x, centroids):
@@ -35,17 +108,23 @@ def assign_euclidean(x, centroids):
 
     Returns ``(assignment, squared_distance)`` arrays of length ``len(x)``.
     """
-    n = x.shape[0]
-    row_bytes = centroids.shape[0] * centroids.shape[1] * x.itemsize
-    rows = max(1, ASSIGN_BLOCK_BYTES // max(1, row_bytes))
+    n, d = x.shape
+    m = centroids.shape[0]
+    centroid_sq = np.einsum("ij,ij->i", centroids, centroids)
+    slack = _candidate_slack(
+        np.sqrt(np.einsum("ij,ij->i", x, x)), np.sqrt(centroid_sq.max()), d
+    )
+    # worst case per kept pair: the gathered point and centroid rows, plus
+    # a few per-pair index and distance vectors
+    pair_bytes = 8 * (2 * d + 4)
+    rows = max(1, ASSIGN_BLOCK_BYTES // (m * pair_bytes))
     assign = np.empty(n, dtype=np.int64)
     best = np.empty(n, dtype=np.float64)
     for start in range(0, n, rows):
-        block = x[start:start + rows]
-        d2 = _squared_distances(block, centroids)
-        a = d2.argmin(axis=1)
-        assign[start:start + rows] = a
-        best[start:start + rows] = d2[np.arange(block.shape[0]), a]
+        stop = start + rows
+        assign[start:stop], best[start:stop] = _assign_block(
+            x[start:stop], centroids, centroid_sq, slack[start:stop]
+        )
     return assign, best
 
 

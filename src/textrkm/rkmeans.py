@@ -415,6 +415,8 @@ class ClusterModel:
             raise InvariantError("cluster/centroid/label counts disagree")
         if m == 0:
             raise InvariantError("model has no clusters")
+        if not np.isfinite(self.centroids).all():
+            raise InvariantError("centroids must be finite")
         if np.any(self.labels < 0) or np.any(self.labels >= self.n_classes):
             raise InvariantError("cluster label out of class range")
         all_members = np.concatenate([c.member_indices for c in self.clusters])

@@ -181,6 +181,13 @@ def _drop(d, key):
     return {k: v for k, v in d.items() if k != key}
 
 
+def _with_centroid_value(b, value):
+    # json.dumps writes NaN / Infinity tokens, and json.loads accepts them
+    first = b["model"]["clusters"][0]
+    clusters = [{**first, "centroid": [value] * len(first["centroid"])}] + b["model"]["clusters"][1:]
+    return {**b, "model": {**b["model"], "clusters": clusters}}
+
+
 BROKEN_BUNDLES = {
     "format only": lambda b: {"format": "textrkm-bundle"},
     "not an object": lambda b: [b],
@@ -193,6 +200,8 @@ BROKEN_BUNDLES = {
     "weights wrong size": lambda b: {**b, "weights": {**b["weights"], "weights": [[0.5]]}},
     "oov weight wrong length": lambda b: {**b, "weights": {**b["weights"], "oov_weight": [0.5]}},
     "tokenizer without pattern": lambda b: {**b, "tokenizer": _drop(b["tokenizer"], "strip_pattern")},
+    "NaN centroid": lambda b: _with_centroid_value(b, float("nan")),
+    "infinite centroid": lambda b: _with_centroid_value(b, float("inf")),
 }
 
 
@@ -217,6 +226,28 @@ def test_classify_non_utf8_bundle_exits_two(tmp_path, capsys, trained_bundle):
     rc = main(["classify", "--model", str(bad), "--input", str(tree), "--out", str(tmp_path / "p.tsv")])
     assert rc == 2
     assert capsys.readouterr().err.startswith("data error: cannot read model bundle")
+
+
+def test_eval_non_utf8_file_exits_two(tmp_path, capsys):
+    bad = tmp_path / "bad.tsv"
+    bad.write_bytes(b"doc0\ta\xff\n")
+    rc = main(["eval", "--predictions", str(bad), "--truth", str(bad)])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.startswith("data error:")
+    assert "Traceback" not in err
+
+
+def test_train_non_utf8_stopwords_exits_two(tmp_path, capsys, corpus_tree):
+    _, tree = corpus_tree
+    bad = tmp_path / "stop.txt"
+    bad.write_bytes(b"the\n\xff\n")
+    rc = main([
+        "train", "--corpus", str(tree), "--labeled-frac", "0.3",
+        "--stopwords", str(bad), "--model-out", str(tmp_path / "m.json"),
+    ])
+    assert rc == 2
+    assert capsys.readouterr().err.startswith("data error:")
 
 
 def test_sweep_exits_three_on_invariant_error(tmp_path, corpus_tree, monkeypatch, capsys):

@@ -226,6 +226,13 @@ def test_label_array_uses_minus_one():
     assert np.array_equal(corpus.label_array(), np.array([1, -1]))
 
 
+def test_manifest_rejects_non_utf8_bytes(tmp_path):
+    path = tmp_path / "bad.tsv"
+    path.write_bytes(b"# seed 1\na\ttrain\t1\xff\n")
+    with pytest.raises(DataError, match=re.escape(f"{path} is not UTF-8")):
+        read_split_manifest(path)
+
+
 def test_manifest_rejects_non_integer_flag(tmp_path):
     path = tmp_path / "bad.tsv"
     path.write_text("# seed 1\na\ttrain\tx\n")

@@ -229,6 +229,32 @@ def test_sweep_config_dict_round_trip():
     assert back == cfg
 
 
+AGGREGATE_HEADER = "ratio,metric,max,min,mean,std\n"
+
+
+def test_read_aggregate_csv_rejects_non_utf8_bytes(tmp_path):
+    path = tmp_path / "aggregate.csv"
+    path.write_bytes(AGGREGATE_HEADER.encode() + b"5:45,accuracy,1,0,0.5,0.1\xff\n")
+    with pytest.raises(DataError, match=re.escape(f"{path} is not UTF-8")):
+        read_aggregate_csv(path)
+
+
+@pytest.mark.parametrize(
+    "row",
+    [
+        "5:45,accuracy,1,0,0.5",  # a field missing
+        "5:45,accuracy,1,0,0.5,0.1,7",  # a field too many
+        "5:45,accuracy,1,0,half,0.1",  # not a float
+        "5-45,accuracy,1,0,0.5,0.1",  # ratio without ':'
+    ],
+)
+def test_read_aggregate_csv_rejects_malformed_row(tmp_path, row):
+    path = tmp_path / "aggregate.csv"
+    path.write_text(AGGREGATE_HEADER + "5:45,recall,1,0,0.5,0.1\n" + row + "\n")
+    with pytest.raises(DataError, match=re.escape(f"{path}:3: malformed aggregate row")):
+        read_aggregate_csv(path)
+
+
 def test_sweep_config_from_dict_rejects_missing_field():
     with pytest.raises(DataError, match="KeyError: 'trials_per_ratio'"):
         SweepConfig.from_dict({"ratio_grid": [[1, 49]]})

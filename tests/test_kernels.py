@@ -2,8 +2,12 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from textrkm import kernels
+
+BUDGETS = [kernels.ASSIGN_BLOCK_BYTES, 1, 2000]  # 1 byte: one row per block
 
 
 def unblocked_euclidean(x, centroids):
@@ -42,16 +46,86 @@ def random_instances(seed, count=60):
         yield kernels.as_points(x), kernels.as_points(c)
 
 
-@pytest.mark.parametrize("budget", [kernels.ASSIGN_BLOCK_BYTES, 1, 2000])
+def adversarial_instances(seed, count=200):
+    """Inputs on which ranking by |c|^2 - 2 x.c rounds to the wrong order or
+    ties: exact ties, 1-ulp near ties, cancellation and subnormal squares."""
+    rng = np.random.default_rng(seed)
+    for case in range(count):
+        n = int(rng.integers(1, 40))
+        m = int(rng.integers(2, 40))
+        d = int(rng.integers(1, 10))
+        kind = case % 5
+        if kind == 0:  # integer lattice: many exact ties
+            x = rng.integers(-2, 3, size=(n, d)).astype(float)
+            c = rng.integers(-2, 3, size=(m, d)).astype(float)
+        elif kind == 1:  # points 1 ulp from a centroid, two centroids 1 ulp apart
+            c = rng.normal(size=(m, d))
+            c[1] = np.nextafter(c[0], np.inf)
+            x = c[rng.integers(m, size=n)]
+            x = np.nextafter(x, rng.choice([-np.inf, np.inf], size=x.shape))
+        elif kind == 2:  # a 1e6 common offset: the ranking cancels ~12 digits
+            spread = 10.0 ** rng.uniform(-3, 0)
+            x = 1e6 + spread * rng.normal(size=(n, d))
+            c = 1e6 + spread * rng.normal(size=(m, d))
+        elif kind == 3:  # near 1e-160: every square is subnormal
+            x = 1e-160 * rng.normal(size=(n, d))
+            c = 1e-160 * rng.normal(size=(m, d))
+        else:  # all centroids equal but one, nudged by 1 ulp
+            c = np.repeat(rng.normal(size=(1, d)), m, axis=0)
+            j, k = rng.integers(m), rng.integers(d)
+            c[j, k] = np.nextafter(c[j, k], rng.choice([-np.inf, np.inf]))
+            x = np.vstack([c[:1], rng.normal(size=(n, d))])
+        yield kernels.as_points(x), kernels.as_points(c)
+
+
+def assert_matches_unblocked(x, c):
+    assign, d2 = kernels.nearest_centroids(x, c, "euclidean")
+    ref_assign, ref_d2 = unblocked_euclidean(x, c)
+    assert assign.dtype == np.int64
+    assert np.array_equal(assign, ref_assign)
+    assert np.array_equal(d2.view(np.int64), ref_d2.view(np.int64))
+
+
+@pytest.mark.parametrize("budget", BUDGETS)
 def test_euclidean_is_bit_identical_to_unblocked(monkeypatch, budget):
-    # budget 1 gives one row per block; 2000 bytes a few rows per block
     monkeypatch.setattr(kernels, "ASSIGN_BLOCK_BYTES", budget)
     for x, c in random_instances(seed=0):
-        assign, d2 = kernels.nearest_centroids(x, c, "euclidean")
-        ref_assign, ref_d2 = unblocked_euclidean(x, c)
-        assert assign.dtype == np.int64
-        assert np.array_equal(assign, ref_assign)
-        assert np.array_equal(d2, ref_d2)
+        assert_matches_unblocked(x, c)
+
+
+@pytest.mark.parametrize("budget", BUDGETS)
+def test_euclidean_is_bit_identical_on_adversarial_inputs(monkeypatch, budget):
+    monkeypatch.setattr(kernels, "ASSIGN_BLOCK_BYTES", budget)
+    misranked = 0
+    for x, c in adversarial_instances(seed=3):
+        assert_matches_unblocked(x, c)
+        rank = (c * c).sum(axis=1) - 2.0 * (x @ c.T)
+        misranked += int(np.sum(rank.argmin(axis=1) != unblocked_euclidean(x, c)[0]))
+    # the inputs do reach the exact re-check: ranking alone gets rows wrong
+    assert misranked > 100
+
+
+@pytest.mark.parametrize("budget", BUDGETS)
+@settings(max_examples=150, deadline=None)
+@given(
+    shape=st.tuples(st.integers(1, 25), st.integers(1, 25), st.integers(0, 6)),
+    scale=st.sampled_from([1e-160, 1e-3, 1.0, 1e6, 1e100, 1e160]),
+    offset=st.sampled_from([0.0, 1.0, 1e6]),
+    lattice=st.booleans(),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_euclidean_matches_unblocked_on_random_shapes_and_scales(
+    budget, shape, scale, offset, lattice, seed
+):
+    n, m, d = shape
+    rng = np.random.default_rng(seed)
+    draw = (lambda size: rng.integers(-2, 3, size=size)) if lattice else rng.normal
+    x = offset + scale * draw(size=(n, d))
+    c = offset + scale * draw(size=(m, d))
+    # scale 1e160 overflows the squares to inf; the result must still match
+    with pytest.MonkeyPatch.context() as mp, np.errstate(over="ignore", invalid="ignore"):
+        mp.setattr(kernels, "ASSIGN_BLOCK_BYTES", budget)
+        assert_matches_unblocked(kernels.as_points(x), kernels.as_points(c))
 
 
 def test_centroid_sums_are_bit_identical_to_add_at():
@@ -66,19 +140,37 @@ def test_centroid_sums_are_bit_identical_to_add_at():
         assert sums.tobytes() == ref_sums.tobytes()  # signed zeros included
 
 
-def test_euclidean_assignment_memory_is_bounded():
-    # the size of classifying 5000 test documents against 1124 clusters;
-    # one unblocked difference tensor would take ~900 MB
-    rng = np.random.default_rng(2)
-    x = rng.random((5000, 20))
-    c = rng.random((1124, 20))
+def traced_peak(f, *args):
     tracemalloc.start()
     try:
-        kernels.nearest_centroids(x, c, "euclidean")
-        _, peak = tracemalloc.get_traced_memory()
+        f(*args)
+        return tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < kernels.ASSIGN_BLOCK_BYTES + 16 * 2**20
+
+
+def test_euclidean_assignment_memory_is_bounded():
+    # the size of classifying 5000 test documents against 1124 clusters;
+    # the (n, m) product takes 45 MB, a (rows, m, d) difference tensor per
+    # block 64 MiB and one unblocked tensor ~900 MB
+    n, m, d = 5000, 1124, 20
+    rng = np.random.default_rng(2)
+    x = rng.random((n, d))
+    c = rng.random((m, d))
+    peak = traced_peak(kernels.nearest_centroids, x, c, "euclidean")
+    # a block has rows = budget // (m * 8 * (2d + 4)) rows; with one
+    # candidate per row it holds little beyond its (rows, m) ranking matrix
+    rank_bytes = kernels.ASSIGN_BLOCK_BYTES // (2 * d + 4)
+    assert peak < 2 * rank_bytes + 2**20
+
+
+def test_euclidean_assignment_memory_is_bounded_when_all_centroids_tie():
+    # 1124 equal centroids: every centroid is a candidate for every row
+    rng = np.random.default_rng(2)
+    x = rng.random((1000, 20))
+    c = np.repeat(rng.random((1, 20)), 1124, axis=0)
+    peak = traced_peak(kernels.nearest_centroids, x, c, "euclidean")
+    assert peak < kernels.ASSIGN_BLOCK_BYTES + 2**20
 
 
 def test_tie_breaks_to_lowest_index():
