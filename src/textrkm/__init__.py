@@ -23,6 +23,7 @@ from .harness import (
     SweepConfig,
     SweepTable,
     emit_results,
+    fit,
     replay_trial,
     run_sweep,
     run_trial,
@@ -32,8 +33,6 @@ from .representation import (
     embed_corpus,
     embed_tokens,
     fit_term_weights,
-    load_weights,
-    save_weights,
 )
 from .rkmeans import (
     ClusterModel,
@@ -44,11 +43,9 @@ from .rkmeans import (
     choose_initial_seeds,
     cluster_class_stats,
     kmeans,
-    load_model,
     majority_label,
     recursive_kmeans,
     relative_percentage,
-    save_model,
 )
 
 __version__ = "0.1.0"
@@ -79,12 +76,11 @@ __all__ = [
     "embed_corpus",
     "embed_tokens",
     "emit_results",
+    "fit",
     "fit_term_weights",
     "format_report",
     "kmeans",
     "load_directory_corpus",
-    "load_model",
-    "load_weights",
     "majority_label",
     "make_training_collection",
     "mask_labels",
@@ -93,8 +89,6 @@ __all__ = [
     "replay_trial",
     "run_sweep",
     "run_trial",
-    "save_model",
-    "save_weights",
     "score",
     "split_train_test",
     "tokenize",

@@ -12,35 +12,22 @@ from pathlib import Path
 
 from . import kernels
 from .classifier import classify_batch
-from .corpus import (
-    Corpus,
-    Document,
-    TokenizerConfig,
-    load_directory_corpus,
-    make_training_collection,
-    mask_labels,
-    tokenize,
-)
+from .corpus import Corpus, Document, TokenizerConfig, load_directory_corpus, mask_labels, tokenize
 from .errors import DataError, InvariantError
 from .evaluation import confusion, format_report, score
-from .harness import SweepConfig, default_ratio_grid, emit_results, ratio_str, run_sweep
-from .representation import (
-    TermClassWeights,
-    embed_corpus,
-    fit_term_weights,
-    weights_from_dict,
-    weights_to_dict,
-)
+from .harness import SweepConfig, default_ratio_grid, emit_results, fit, ratio_str, run_sweep
+from .representation import TermClassWeights, embed_corpus, weights_from_dict, weights_to_dict
 from .rkmeans import (
     ClusterModel,
     KMeansConfig,
     RecursiveConfig,
-    build_model,
     model_from_dict,
+    model_from_v1_dict,
     model_to_dict,
 )
 
 _BUNDLE_FORMAT = "textrkm-bundle"
+_BUNDLE_VERSION = 2
 
 
 def save_bundle(
@@ -52,7 +39,7 @@ def save_bundle(
     """One self-contained JSON file: tokenizer + weight table + cluster model."""
     payload = {
         "format": _BUNDLE_FORMAT,
-        "version": 1,
+        "version": _BUNDLE_VERSION,
         "tokenizer": tokenizer.to_dict(),
         "weights": weights_to_dict(weights),
         "model": model_to_dict(model),
@@ -61,20 +48,27 @@ def save_bundle(
 
 
 def load_bundle(path: str | Path) -> tuple[ClusterModel, TermClassWeights, TokenizerConfig]:
+    """Read a version-2 bundle, or a version-1 one; anything else raises DataError."""
     try:
         payload = json.loads(Path(path).read_text(encoding="utf-8"))
     except (OSError, UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise DataError(f"cannot read model bundle {path}: {exc}") from exc
     if not isinstance(payload, dict) or payload.get("format") != _BUNDLE_FORMAT:
         raise DataError(f"{path} is not a model bundle")
+    version = payload.get("version")
+    if version not in (1, 2):
+        raise DataError(f"{path}: unsupported bundle version {version!r}")
+    read_model = model_from_v1_dict if version == 1 else model_from_dict
     try:
         return (
-            model_from_dict(payload["model"]),
+            read_model(payload["model"]),
             weights_from_dict(payload["weights"]),
             TokenizerConfig.from_dict(payload["tokenizer"]),
         )
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, AttributeError, OverflowError) as exc:
         raise DataError(f"malformed model bundle {path}: {type(exc).__name__}: {exc}") from exc
+    except InvariantError as exc:  # the file is at fault, not the program
+        raise DataError(f"inconsistent model bundle {path}: {exc}") from exc
 
 
 def _tokenizer_from_args(args) -> TokenizerConfig:
@@ -85,33 +79,27 @@ def _tokenizer_from_args(args) -> TokenizerConfig:
     return TokenizerConfig(min_token_len=args.min_token_len, stopwords=stopwords)
 
 
-def _recursive_config_from_args(args, seed: int) -> RecursiveConfig:
-    return RecursiveConfig(
-        th_percent=args.th,
-        kmeans=KMeansConfig(distance=args.distance, rng_seed=seed),
-    )
+def _recursive_config_from_args(args) -> RecursiveConfig:
+    return RecursiveConfig(th_percent=args.th, kmeans=KMeansConfig(distance=args.distance))
 
 
 def cmd_train(args) -> int:
     tokenizer = _tokenizer_from_args(args)
     corpus = load_directory_corpus(args.corpus, tokenizer)
     d_labeled, d_unlabeled, _hidden = mask_labels(corpus, args.labeled_frac, args.seed)
-    training = make_training_collection(d_labeled, d_unlabeled, args.pool_size, args.seed)
-    weights = fit_term_weights(d_labeled, args.smoothing)
-    x, kept_ids, dropped = embed_corpus(training, weights)
-    if dropped:
-        raise DataError(f"training documents with zero tokens: {dropped[:5]}")
-    model = build_model(
-        x,
-        training.label_array(),
-        kept_ids,
-        training.class_names,
-        _recursive_config_from_args(args, args.seed),
+    weights, model = fit(
+        d_labeled,
+        d_unlabeled,
+        args.smoothing,
+        _recursive_config_from_args(args),
+        args.seed,
+        args.pool_size,
     )
     save_bundle(args.model_out, model, weights, tokenizer)
+    n_docs = model.n_training_points
     print(
-        f"trained on {training.n_docs} docs "
-        f"({d_labeled.n_docs} labeled, {training.n_docs - d_labeled.n_docs} unlabeled), "
+        f"trained on {n_docs} docs "
+        f"({d_labeled.n_docs} labeled, {n_docs - d_labeled.n_docs} unlabeled), "
         f"{model.n_classes} classes -> {model.n_clusters} clusters "
         f"(fallback acceptances: {model.stats.fallback_total}, "
         f"orphans: {model.stats.orphan_count}, backend: {kernels.backend()})"
@@ -222,8 +210,13 @@ def cmd_eval(args) -> int:
 def _parse_ratio_grid(text: str) -> tuple[tuple[int, int], ...]:
     pairs = []
     for part in text.split(","):
-        a, b = part.strip().split(":")
-        pairs.append((int(a), int(b)))
+        try:
+            a, b = part.strip().split(":")
+            pairs.append((int(a), int(b)))
+        except ValueError:
+            raise _UsageError(
+                f"--ratios: {part.strip()!r} is not <labeled>:<unlabeled> in integers"
+            ) from None
     return tuple(pairs)
 
 
@@ -235,7 +228,7 @@ def cmd_sweep(args) -> int:
         base_seed=args.base_seed,
         test_fraction=args.test_fraction,
         smoothing=args.smoothing,
-        recursive=_recursive_config_from_args(args, args.base_seed),
+        recursive=_recursive_config_from_args(args),
         tokenizer=_tokenizer_from_args(args),
         unlabeled_pool_size=args.pool_size,
         transductive=args.transductive,

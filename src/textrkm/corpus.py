@@ -47,10 +47,16 @@ class TokenizerConfig:
 
     @staticmethod
     def from_dict(d: Mapping) -> "TokenizerConfig":
+        """Inverse of ``to_dict``; a pattern that does not compile raises DataError."""
+        pattern = str(d["strip_pattern"])
+        try:
+            re.compile(pattern)
+        except re.error as exc:
+            raise DataError(f"strip_pattern {pattern!r} does not compile: {exc}") from exc
         return TokenizerConfig(
             min_token_len=int(d["min_token_len"]),
             stopwords=frozenset(d["stopwords"]),
-            strip_pattern=str(d["strip_pattern"]),
+            strip_pattern=pattern,
         )
 
 

@@ -34,7 +34,7 @@ from .corpus import (
 )
 from .errors import DataError, InvariantError
 from .evaluation import EvalReport, confusion, score
-from .representation import embed_corpus, fit_term_weights
+from .representation import TermClassWeights, embed_corpus, fit_term_weights
 from .rkmeans import ClusterModel, KMeansConfig, RecursiveConfig, build_model
 
 SWEEP_METRICS = ("accuracy", "macro_precision", "macro_recall", "macro_f", "micro_f")
@@ -125,16 +125,23 @@ class SweepConfig:
 
 @dataclass
 class TrialResult:
+    """One trial. A failed sweep trial has ``report=None`` and ``error`` set.
+
+    ``trial`` is the trial's position within its ratio in a sweep.
+    """
+
     ratio: tuple[int, int]
     seed: int
-    report: EvalReport
-    metrics: dict[str, float]
-    n_clusters: int
-    fallback_acceptances: int
-    orphan_count: int
-    max_depth_reached: int
-    labeled_doc_ids: tuple[str, ...]
+    trial: int = 0
+    report: EvalReport | None = None
+    metrics: dict[str, float] = field(default_factory=dict)
+    n_clusters: int = 0
+    fallback_acceptances: int = 0
+    orphan_count: int = 0
+    max_depth_reached: int = 0
+    labeled_doc_ids: tuple[str, ...] = ()
     model: ClusterModel | None = None
+    error: str | None = None
 
 
 def metrics_from_report(report: EvalReport) -> dict[str, float]:
@@ -145,6 +152,32 @@ def metrics_from_report(report: EvalReport) -> dict[str, float]:
         "macro_f": report.macro[2],
         "micro_f": report.micro[2],
     }
+
+
+def fit(
+    d_labeled: Corpus,
+    pool: Corpus,
+    smoothing: float,
+    recursive: RecursiveConfig,
+    seed: int,
+    pool_size: int | None = None,
+) -> tuple[TermClassWeights, ClusterModel]:
+    """The train pipeline of ``textrkm train``, sweep trials and replays.
+
+    Draws the unlabeled pool into the training collection, fits the weight
+    table on the labeled documents, embeds the collection and clusters it.
+    ``seed`` drives the pool draw and the k-means seed choice.
+    """
+    training = make_training_collection(d_labeled, pool, pool_size, rng_seed=seed)
+    weights = fit_term_weights(d_labeled, smoothing)
+    x, kept_ids, dropped = embed_corpus(training, weights)
+    if dropped:
+        raise DataError(f"training documents with zero tokens: {dropped[:5]}")
+    config = dataclasses.replace(
+        recursive, kmeans=dataclasses.replace(recursive.kmeans, rng_seed=seed)
+    )
+    model = build_model(x, training.label_array(), kept_ids, training.class_names, config)
+    return weights, model
 
 
 def _run_pipeline(
@@ -160,20 +193,9 @@ def _run_pipeline(
     pool = d_unlabeled
     if config.transductive:
         pool = concat_corpora(pool, test.subset(range(test.n_docs), drop_labels=True))
-    training = make_training_collection(
-        d_labeled, pool, config.unlabeled_pool_size, rng_seed=trial_seed
+    weights, model = fit(
+        d_labeled, pool, config.smoothing, config.recursive, trial_seed, config.unlabeled_pool_size
     )
-    weights = fit_term_weights(d_labeled, config.smoothing)
-    x, kept_ids, dropped = embed_corpus(training, weights)
-    if dropped:
-        raise DataError(f"training documents with zero tokens: {dropped[:5]}")
-    labels = training.label_array()
-    rkm_config = dataclasses.replace(
-        config.recursive,
-        kmeans=dataclasses.replace(config.recursive.kmeans, rng_seed=trial_seed),
-    )
-    model = build_model(x, labels, kept_ids, training.class_names, rkm_config)
-
     test_x, test_ids, dropped = embed_corpus(test, weights)
     if dropped:
         raise DataError(f"test documents with zero tokens: {dropped[:5]}")
@@ -209,19 +231,6 @@ def run_trial(
 
 
 @dataclass
-class TrialRecord:
-    ratio: tuple[int, int]
-    trial: int
-    seed: int
-    metrics: dict[str, float]
-    fallback_acceptances: int
-    orphan_count: int
-    n_clusters: int
-    labeled_doc_ids: tuple[str, ...]
-    error: str | None = None
-
-
-@dataclass
 class SweepRow:
     ratio: tuple[int, int]
     metric: str
@@ -236,13 +245,13 @@ class SweepRow:
 @dataclass
 class SweepTable:
     rows: list[SweepRow]
-    records: list[TrialRecord]
+    records: list[TrialResult]
     train_doc_ids: tuple[str, ...]
     test_doc_ids: tuple[str, ...]
     config: SweepConfig
 
 
-def aggregate_rows(records: list[TrialRecord]) -> list[SweepRow]:
+def aggregate_rows(records: list[TrialResult]) -> list[SweepRow]:
     """One row per (ratio, metric): max/min/mean/std over successful trials."""
     rows: list[SweepRow] = []
     ratios: list[tuple[int, int]] = []
@@ -284,40 +293,18 @@ def run_sweep(corpus: Corpus | str | Path, config: SweepConfig = SweepConfig()) 
     train, test = split_train_test(
         corpus, SplitSpec(test_fraction=config.test_fraction, rng_seed=config.base_seed)
     )
-    records: list[TrialRecord] = []
+    records: list[TrialResult] = []
     for ratio in config.ratio_grid:
         for t in range(config.trials_per_ratio):
             seed = config.base_seed + t
             try:
                 result = run_trial(train, test, ratio, seed, config)
-                records.append(
-                    TrialRecord(
-                        ratio=ratio,
-                        trial=t,
-                        seed=seed,
-                        metrics=result.metrics,
-                        fallback_acceptances=result.fallback_acceptances,
-                        orphan_count=result.orphan_count,
-                        n_clusters=result.n_clusters,
-                        labeled_doc_ids=result.labeled_doc_ids,
-                    )
-                )
             except InvariantError:
                 raise
             except Exception as exc:  # a failed trial is recorded, never dropped
-                records.append(
-                    TrialRecord(
-                        ratio=ratio,
-                        trial=t,
-                        seed=seed,
-                        metrics={},
-                        fallback_acceptances=0,
-                        orphan_count=0,
-                        n_clusters=0,
-                        labeled_doc_ids=(),
-                        error=f"{type(exc).__name__}: {exc}",
-                    )
-                )
+                result = TrialResult(ratio=ratio, seed=seed, error=f"{type(exc).__name__}: {exc}")
+            result.trial = t
+            records.append(result)
     return SweepTable(
         rows=aggregate_rows(records),
         records=records,

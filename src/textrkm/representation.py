@@ -11,7 +11,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import chain, repeat
-from pathlib import Path
 from typing import Callable, Iterator, Sequence
 
 import numpy as np
@@ -214,40 +213,11 @@ def _embed_block(
 
 
 # ---------------------------------------------------------------------------
-# persistence: line-oriented text artifact, bit-exact round trip
+# the weight table's part of the bundle (JSON; float repr round-trips exactly)
 # ---------------------------------------------------------------------------
 
-_MAGIC = "textrkm-weights 1"
-
-
-def save_weights(w: TermClassWeights, path: str | Path) -> None:
-    """Write the weight table as text.
-
-    Layout: magic line; ``classes``/``vocab``/``smoothing`` header fields;
-    one tab-joined class-name line; V vocabulary lines; V weight rows of K
-    space-joined ``%.17g`` floats; one ``oov`` row. 17 significant digits
-    round-trip float64 exactly.
-    """
-    for name in w.class_names:
-        if "\t" in name or "\n" in name:
-            raise DataError(f"class name {name!r} cannot contain tab/newline")
-    terms = sorted(w.vocabulary, key=w.vocabulary.get)
-    lines = [
-        _MAGIC,
-        f"classes\t{w.n_classes}",
-        f"vocab\t{w.vocab_size}",
-        f"smoothing\t{w.smoothing:.17g}",
-        "\t".join(w.class_names),
-    ]
-    lines.extend(terms)
-    for row in w.weights:
-        lines.append(" ".join(f"{v:.17g}" for v in row))
-    lines.append("oov " + " ".join(f"{v:.17g}" for v in w.oov_weight))
-    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
-
-
 def weights_to_dict(w: TermClassWeights) -> dict:
-    """JSON-ready payload (floats round-trip exactly via repr)."""
+    """The ``weights`` object of a bundle."""
     terms = sorted(w.vocabulary, key=w.vocabulary.get)
     return {
         "class_names": list(w.class_names),
@@ -259,50 +229,19 @@ def weights_to_dict(w: TermClassWeights) -> dict:
 
 
 def weights_from_dict(d: dict) -> TermClassWeights:
-    """Inverse of ``weights_to_dict``; a malformed payload raises DataError."""
-    try:
-        w = TermClassWeights(
-            vocabulary={t: i for i, t in enumerate(d["terms"])},
-            weights=np.array(d["weights"], dtype=np.float64).reshape(
-                len(d["terms"]), len(d["class_names"])
-            ),
-            oov_weight=np.array(d["oov_weight"], dtype=np.float64),
-            smoothing=float(d["smoothing"]),
-            class_names=tuple(d["class_names"]),
-        )
-    except (KeyError, TypeError, ValueError) as exc:
-        raise DataError(f"malformed weight table: {type(exc).__name__}: {exc}") from exc
-    w.validate()
-    return w
+    """Inverse of ``weights_to_dict``.
 
-
-def load_weights(path: str | Path) -> TermClassWeights:
-    lines = Path(path).read_text(encoding="utf-8").splitlines()
-    if not lines or lines[0] != _MAGIC:
-        raise DataError(f"{path} is not a weight table (bad magic line)")
-    try:
-        n_classes = int(lines[1].split("\t")[1])
-        vocab_size = int(lines[2].split("\t")[1])
-        smoothing = float(lines[3].split("\t")[1])
-        class_names = tuple(lines[4].split("\t"))
-        terms = lines[5 : 5 + vocab_size]
-        rows = lines[5 + vocab_size : 5 + 2 * vocab_size]
-        oov_line = lines[5 + 2 * vocab_size]
-    except (IndexError, ValueError) as exc:
-        raise DataError(f"{path} is truncated or malformed: {exc}") from exc
-    if len(class_names) != n_classes or len(terms) != vocab_size or len(rows) != vocab_size:
-        raise DataError(f"{path} header does not match body")
-    if not oov_line.startswith("oov "):
-        raise DataError(f"{path} missing oov row")
-    weights = np.array([[float(v) for v in row.split()] for row in rows], dtype=np.float64)
-    weights = weights.reshape(vocab_size, n_classes)
-    oov = np.array([float(v) for v in oov_line.split()[1:]], dtype=np.float64)
+    A malformed payload raises ``DataError``, or ``KeyError``, ``TypeError``
+    or ``ValueError``, which the bundle loader turns into ``DataError``.
+    """
     w = TermClassWeights(
-        vocabulary={t: i for i, t in enumerate(terms)},
-        weights=weights,
-        oov_weight=oov,
-        smoothing=smoothing,
-        class_names=class_names,
+        vocabulary={t: i for i, t in enumerate(d["terms"])},
+        weights=np.array(d["weights"], dtype=np.float64).reshape(
+            len(d["terms"]), len(d["class_names"])
+        ),
+        oov_weight=np.array(d["oov_weight"], dtype=np.float64),
+        smoothing=float(d["smoothing"]),
+        class_names=tuple(d["class_names"]),
     )
     w.validate()
     return w

@@ -17,9 +17,7 @@ the same partition.
 """
 from __future__ import annotations
 
-import json
-from dataclasses import dataclass, field
-from pathlib import Path
+from dataclasses import asdict, dataclass, field, fields
 from typing import Sequence
 
 import numpy as np
@@ -217,7 +215,6 @@ def relative_percentage(lsp: np.ndarray, majority: int, other: int) -> float:
 @dataclass
 class FinalCluster:
     member_indices: np.ndarray  # positions in the training matrix
-    member_doc_ids: list[str]
     centroid: np.ndarray
     label: int
     acceptance: str
@@ -229,7 +226,6 @@ class RunStats:
     th_percent: float
     rng_seed: int
     distance: str
-    backend: str
     max_depth_reached: int = 0
     recursion_calls: int = 0
     kmeans_runs: int = 0
@@ -240,18 +236,6 @@ class RunStats:
     def fallback_total(self) -> int:
         return sum(self.fallback_counts.values())
 
-    def to_dict(self) -> dict:
-        return {
-            "th_percent": self.th_percent,
-            "rng_seed": self.rng_seed,
-            "distance": self.distance,
-            "backend": self.backend,
-            "max_depth_reached": self.max_depth_reached,
-            "recursion_calls": self.recursion_calls,
-            "kmeans_runs": self.kmeans_runs,
-            "fallback_counts": dict(self.fallback_counts),
-            "orphan_count": self.orphan_count,
-        }
 
 
 def _sibling_distance(a: np.ndarray, b: np.ndarray, metric: str) -> float:
@@ -268,7 +252,6 @@ def _recurse(
     depth: int,
     rng: np.random.Generator,
     stats: RunStats,
-    doc_ids: Sequence[str],
 ) -> list[FinalCluster]:
     stats.max_depth_reached = max(stats.max_depth_reached, depth)
     sub_x = np.ascontiguousarray(x[idx])
@@ -301,7 +284,6 @@ def _recurse(
             finals.append(
                 FinalCluster(
                     member_indices=members,
-                    member_doc_ids=[doc_ids[i] for i in members],
                     centroid=centroid,
                     label=label,
                     acceptance=ACCEPT_ORPHAN,
@@ -328,7 +310,7 @@ def _recurse(
             else:
                 stats.recursion_calls += 1
                 finals.extend(
-                    _recurse(x, labels, members, n_classes, config, depth + 1, rng, stats, doc_ids)
+                    _recurse(x, labels, members, n_classes, config, depth + 1, rng, stats)
                 )
                 continue
             stats.fallback_counts[acceptance] = stats.fallback_counts.get(acceptance, 0) + 1
@@ -337,7 +319,6 @@ def _recurse(
         finals.append(
             FinalCluster(
                 member_indices=members,
-                member_doc_ids=[doc_ids[i] for i in members],
                 centroid=centroid,
                 label=majority,
                 acceptance=acceptance,
@@ -352,7 +333,6 @@ def recursive_kmeans(
     labels: np.ndarray,
     n_classes: int,
     config: RecursiveConfig,
-    doc_ids: Sequence[str] | None = None,
 ) -> tuple[list[FinalCluster], RunStats]:
     """Run the recursive clustering pass over one point set.
 
@@ -365,18 +345,13 @@ def recursive_kmeans(
         raise DataError("labels and points length mismatch")
     if not (labels >= 0).any():
         raise DataError("recursive clustering needs at least one labeled point")
-    if doc_ids is None:
-        doc_ids = [str(i) for i in range(x.shape[0])]
     stats = RunStats(
         th_percent=config.th_percent,
         rng_seed=config.kmeans.rng_seed,
         distance=config.kmeans.distance,
-        backend=kernels.backend(),
     )
     rng = np.random.default_rng(config.kmeans.rng_seed)
-    finals = _recurse(
-        x, labels, np.arange(x.shape[0]), n_classes, config, 0, rng, stats, list(doc_ids)
-    )
+    finals = _recurse(x, labels, np.arange(x.shape[0]), n_classes, config, 0, rng, stats)
     return finals, stats
 
 
@@ -384,8 +359,9 @@ def recursive_kmeans(
 class ClusterModel:
     """The learned knowledgebase: final clusters, centroids and labels.
 
-    ``training_label_assignments`` maps every unlabeled training doc id to
-    the class index it inherited from its final cluster.
+    The training partition is stored once: ``training_doc_ids[i]`` and
+    ``labeled[i]`` describe training point i, and each cluster lists the
+    positions of its members.
     """
 
     centroids: np.ndarray
@@ -393,8 +369,8 @@ class ClusterModel:
     clusters: list[FinalCluster]
     distance: str
     class_names: tuple[str, ...]
-    n_training_points: int
-    training_label_assignments: dict[str, int]
+    training_doc_ids: tuple[str, ...]
+    labeled: np.ndarray  # bool, one flag per training point
     stats: RunStats
 
     @property
@@ -409,6 +385,20 @@ class ClusterModel:
     def dimension(self) -> int:
         return self.centroids.shape[1]
 
+    @property
+    def n_training_points(self) -> int:
+        return len(self.training_doc_ids)
+
+    @property
+    def training_label_assignments(self) -> dict[str, int]:
+        """Every unlabeled training doc id -> the label of its final cluster."""
+        return {
+            self.training_doc_ids[i]: c.label
+            for c in self.clusters
+            for i in c.member_indices
+            if not self.labeled[i]
+        }
+
     def validate(self) -> None:
         m = self.n_clusters
         if len(self.clusters) != m or self.labels.shape[0] != m:
@@ -419,8 +409,15 @@ class ClusterModel:
             raise InvariantError("centroids must be finite")
         if np.any(self.labels < 0) or np.any(self.labels >= self.n_classes):
             raise InvariantError("cluster label out of class range")
-        all_members = np.concatenate([c.member_indices for c in self.clusters])
-        if all_members.size != self.n_training_points or np.unique(all_members).size != all_members.size:
+        if self.distance not in kernels.METRICS:
+            raise InvariantError(f"unknown distance {self.distance!r}")
+        n = self.n_training_points
+        if not all(isinstance(d, str) for d in self.training_doc_ids):
+            raise InvariantError("training doc ids must be strings")
+        if self.labeled.shape != (n,):
+            raise InvariantError("labeled mask length does not match the training points")
+        all_members = np.sort(np.concatenate([c.member_indices for c in self.clusters]))
+        if not np.array_equal(all_members, np.arange(n)):
             raise InvariantError("final clusters do not partition the training set")
         for c in self.clusters:
             if not 0 <= c.label < self.n_classes:
@@ -449,125 +446,99 @@ def build_model(
     if len(doc_ids) != x.shape[0]:
         raise DataError("doc_ids and points length mismatch")
 
-    finals, stats = recursive_kmeans(x, labels, n_classes, config, doc_ids)
-    centroids = np.vstack([c.centroid for c in finals])
-    cluster_labels = np.array([c.label for c in finals], dtype=np.int64)
-    assignments: dict[str, int] = {}
-    for c in finals:
-        for i in c.member_indices:
-            if labels[i] < 0:
-                assignments[doc_ids[i]] = c.label
-
+    finals, stats = recursive_kmeans(x, labels, n_classes, config)
     model = ClusterModel(
-        centroids=np.ascontiguousarray(centroids),
-        labels=cluster_labels,
+        centroids=np.ascontiguousarray(np.vstack([c.centroid for c in finals])),
+        labels=np.array([c.label for c in finals], dtype=np.int64),
         clusters=finals,
         distance=config.kmeans.distance,
         class_names=tuple(class_names),
-        n_training_points=x.shape[0],
-        training_label_assignments=assignments,
+        training_doc_ids=tuple(doc_ids),
+        labeled=labels >= 0,
         stats=stats,
     )
     model.validate()
-    n_unlabeled = int((labels < 0).sum())
-    if len(assignments) != n_unlabeled:
-        raise InvariantError(
-            f"{n_unlabeled} unlabeled points but {len(assignments)} label assignments"
-        )
     return model
 
 
 # ---------------------------------------------------------------------------
-# model persistence (JSON; float repr round-trips exactly)
+# the model's part of the bundle (JSON; float repr round-trips exactly)
 # ---------------------------------------------------------------------------
-
-_MODEL_FORMAT = "textrkm-model"
-_MODEL_VERSION = 1
-
-
-def save_model(model: ClusterModel, path: str | Path) -> None:
-    """Serialize the model; ``load_model`` restores it bit-exactly."""
-    Path(path).write_text(json.dumps(model_to_dict(model)), encoding="utf-8")
-
-
-def load_model(path: str | Path) -> ClusterModel:
-    try:
-        payload = json.loads(Path(path).read_text(encoding="utf-8"))
-    except (OSError, UnicodeDecodeError, json.JSONDecodeError) as exc:
-        raise DataError(f"cannot read cluster model {path}: {exc}") from exc
-    return model_from_dict(payload)
-
-
-def model_from_dict(payload: dict) -> ClusterModel:
-    """Inverse of ``model_to_dict``; a malformed payload raises DataError."""
-    if not isinstance(payload, dict) or payload.get("format") != _MODEL_FORMAT:
-        raise DataError("not a cluster model file")
-    try:
-        clusters = [
-            FinalCluster(
-                member_indices=np.array(c["member_indices"], dtype=np.int64),
-                member_doc_ids=list(c["member_doc_ids"]),
-                centroid=np.array(c["centroid"], dtype=np.float64),
-                label=int(c["label"]),
-                acceptance=c["acceptance"],
-                depth=int(c["depth"]),
-            )
-            for c in payload["clusters"]
-        ]
-        s = payload["stats"]
-        stats = RunStats(
-            th_percent=s["th_percent"],
-            rng_seed=s["rng_seed"],
-            distance=s["distance"],
-            backend=s["backend"],
-            max_depth_reached=s["max_depth_reached"],
-            recursion_calls=s["recursion_calls"],
-            kmeans_runs=s["kmeans_runs"],
-            fallback_counts=dict(s["fallback_counts"]),
-            orphan_count=s["orphan_count"],
-        )
-        model = ClusterModel(
-            centroids=np.vstack([c.centroid for c in clusters]),
-            labels=np.array([c.label for c in clusters], dtype=np.int64),
-            clusters=clusters,
-            distance=payload["distance"],
-            class_names=tuple(payload["class_names"]),
-            n_training_points=int(payload["n_training_points"]),
-            training_label_assignments={
-                k: int(v) for k, v in payload["training_label_assignments"].items()
-            },
-            stats=stats,
-        )
-        model.validate()
-    except (KeyError, TypeError, ValueError, AttributeError) as exc:
-        raise DataError(f"malformed cluster model: {type(exc).__name__}: {exc}") from exc
-    except InvariantError as exc:  # the file is at fault, not the program
-        raise DataError(f"inconsistent cluster model: {exc}") from exc
-    return model
-
 
 def model_to_dict(model: ClusterModel) -> dict:
-    """The JSON payload ``save_model`` writes, for embedding in bundles."""
+    """The ``model`` object of a version-2 bundle."""
     return {
-        "format": _MODEL_FORMAT,
-        "version": _MODEL_VERSION,
-        "n_classes": model.n_classes,
         "class_names": list(model.class_names),
-        "n_clusters": model.n_clusters,
-        "dimension": model.dimension,
         "distance": model.distance,
-        "n_training_points": model.n_training_points,
+        "training_doc_ids": list(model.training_doc_ids),
+        "labeled": model.labeled.astype(int).tolist(),
         "clusters": [
             {
                 "label": int(c.label),
                 "centroid": [float(v) for v in c.centroid],
                 "member_indices": [int(i) for i in c.member_indices],
-                "member_doc_ids": list(c.member_doc_ids),
                 "acceptance": c.acceptance,
                 "depth": c.depth,
             }
             for c in model.clusters
         ],
-        "training_label_assignments": model.training_label_assignments,
-        "stats": model.stats.to_dict(),
+        "stats": asdict(model.stats),
     }
+
+
+def model_from_dict(payload: dict) -> ClusterModel:
+    """Inverse of ``model_to_dict``.
+
+    A malformed payload raises ``KeyError``, ``TypeError``, ``ValueError``,
+    ``OverflowError`` or ``InvariantError``; the bundle loader turns them
+    into ``DataError``.
+    """
+    clusters = [
+        FinalCluster(
+            member_indices=np.array(c["member_indices"], dtype=np.int64),
+            centroid=np.array(c["centroid"], dtype=np.float64),
+            label=int(c["label"]),
+            acceptance=c["acceptance"],
+            depth=int(c["depth"]),
+        )
+        for c in payload["clusters"]
+    ]
+    flags = list(payload["labeled"])
+    if not set(flags) <= {0, 1}:
+        raise ValueError("labeled mask entries must be 0 or 1")
+    s = payload["stats"]
+    model = ClusterModel(
+        centroids=np.vstack([c.centroid for c in clusters]),
+        labels=np.array([c.label for c in clusters], dtype=np.int64),
+        clusters=clusters,
+        distance=payload["distance"],
+        class_names=tuple(payload["class_names"]),
+        training_doc_ids=tuple(payload["training_doc_ids"]),
+        labeled=np.array(flags, dtype=bool),
+        stats=RunStats(**{f.name: s[f.name] for f in fields(RunStats)}),
+    )
+    model.validate()
+    return model
+
+
+def model_from_v1_dict(payload: dict) -> ClusterModel:
+    """``model_from_dict`` for the model of a version-1 bundle.
+
+    Version 1 listed each cluster's member doc ids next to its member
+    positions and stored the labels inherited by the unlabeled docs; a doc
+    absent from those labels was labeled. Stored labels that disagree with
+    the clusters raise ``DataError``.
+    """
+    doc_ids = [None] * int(payload["n_training_points"])
+    for c in payload["clusters"]:
+        for i, doc_id in zip(c["member_indices"], c["member_doc_ids"], strict=True):
+            doc_ids[i] = doc_id
+    assigned = {k: int(v) for k, v in payload["training_label_assignments"].items()}
+    model = model_from_dict({
+        **payload,
+        "training_doc_ids": doc_ids,
+        "labeled": [int(doc_id not in assigned) for doc_id in doc_ids],
+    })
+    if model.training_label_assignments != assigned:
+        raise DataError("training_label_assignments disagree with the clusters")
+    return model

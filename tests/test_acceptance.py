@@ -14,6 +14,7 @@ import numpy as np
 import pytest
 
 from textrkm.classifier import classify_batch
+from textrkm.cli import load_bundle, save_bundle
 from textrkm.corpus import Corpus, SplitSpec, load_directory_corpus, split_train_test
 from textrkm.evaluation import score
 from textrkm.harness import (
@@ -36,10 +37,8 @@ from textrkm.rkmeans import (
     RunStats,
     cluster_class_stats,
     kmeans,
-    load_model,
     majority_label,
     relative_percentage,
-    save_model,
 )
 
 from synthdata import make_point_cloud, make_text_corpus
@@ -94,10 +93,11 @@ def test_criterion_1_cluster_purity_and_termination():
                 labeled = set(result.labeled_doc_ids)
                 max_depth = max(max_depth, model.stats.max_depth_reached)
                 for cluster in model.clusters:
+                    member_ids = [model.training_doc_ids[i] for i in cluster.member_indices]
                     member_labels = np.array(
                         [
                             train_labels[doc_id] if doc_id in labeled else -1
-                            for doc_id in cluster.member_doc_ids
+                            for doc_id in member_ids
                         ],
                         dtype=np.int64,
                     )
@@ -136,7 +136,7 @@ def _toy_model(centroids, labels):
     centroids = np.asarray(centroids, dtype=np.float64)
     labels = np.asarray(labels, dtype=np.int64)
     clusters = [
-        FinalCluster(np.array([i]), [f"m{i}"], centroids[i], int(labels[i]), "pure", 0)
+        FinalCluster(np.array([i]), centroids[i], int(labels[i]), "pure", 0)
         for i in range(len(labels))
     ]
     return ClusterModel(
@@ -145,9 +145,9 @@ def _toy_model(centroids, labels):
         clusters=clusters,
         distance="euclidean",
         class_names=tuple(f"c{i}" for i in range(int(labels.max()) + 1)),
-        n_training_points=len(labels),
-        training_label_assignments={},
-        stats=RunStats(5.0, 0, "euclidean", "oracle-test"),
+        training_doc_ids=tuple(f"m{i}" for i in range(len(labels))),
+        labeled=np.ones(len(labels), dtype=bool),
+        stats=RunStats(5.0, 0, "euclidean"),
     )
 
 
@@ -374,7 +374,7 @@ def test_criterion_5_balanced_macro_micro(synthetic_trend_results):
 
 
 # ---------------------------------------------------------------------------
-# criterion 6: determinism, manifest replay, model save/load
+# criterion 6: determinism, manifest replay, bundle save/load
 # ---------------------------------------------------------------------------
 
 def test_criterion_6_determinism_and_replay(tmp_path):
@@ -396,8 +396,6 @@ def test_criterion_6_determinism_and_replay(tmp_path):
 
     train, test = _split(corpus, cfg.base_seed)
     result = run_trial(train, test, (15, 35), 11, cfg, keep_model=True)
-    save_model(result.model, tmp_path / "model.json")
-    loaded = load_model(tmp_path / "model.json")
     weights = fit_term_weights(
         Corpus(
             documents=[d for d in train.documents if d.doc_id in set(result.labeled_doc_ids)],
@@ -410,10 +408,18 @@ def test_criterion_6_determinism_and_replay(tmp_path):
         ),
         cfg.smoothing,
     )
+    save_bundle(tmp_path / "model.json", result.model, weights, cfg.tokenizer)
+    loaded, loaded_weights, _ = load_bundle(tmp_path / "model.json")
     test_x = np.vstack([embed_tokens(d.tokens, weights) for d in test.documents])
     before = classify_batch(test_x, result.model, test.doc_ids())
     after = classify_batch(test_x, loaded, test.doc_ids())
-    model_exact = before == after
+    model_exact = (
+        before == after
+        and np.array_equal(loaded.centroids, result.model.centroids)
+        and np.array_equal(loaded.labels, result.model.labels)
+        and loaded.training_label_assignments == result.model.training_label_assignments
+        and np.array_equal(loaded_weights.weights, weights.weights)
+    )
     _report(
         6,
         "determinism and replay",

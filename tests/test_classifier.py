@@ -12,7 +12,6 @@ def toy_model(centroids, labels, distance="euclidean"):
     clusters = [
         FinalCluster(
             member_indices=np.array([i]),
-            member_doc_ids=[f"m{i}"],
             centroid=centroids[i],
             label=int(labels[i]),
             acceptance="pure",
@@ -26,9 +25,9 @@ def toy_model(centroids, labels, distance="euclidean"):
         clusters=clusters,
         distance=distance,
         class_names=tuple(f"c{i}" for i in range(int(labels.max()) + 1)),
-        n_training_points=len(labels),
-        training_label_assignments={},
-        stats=RunStats(5.0, 0, distance, "test"),
+        training_doc_ids=tuple(f"m{i}" for i in range(len(labels))),
+        labeled=np.ones(len(labels), dtype=bool),
+        stats=RunStats(5.0, 0, distance),
     )
 
 

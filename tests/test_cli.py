@@ -1,10 +1,14 @@
 import json
+from pathlib import Path
 
+import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from textrkm import harness
 from textrkm.cli import load_bundle, main
-from textrkm.errors import InvariantError
+from textrkm.errors import DataError, InvariantError
 
 from synthdata import make_text_corpus, write_corpus_tree
 
@@ -110,6 +114,16 @@ def test_usage_errors_exit_one(capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("ratios", ["1-49", "1:49,a:b"])
+def test_sweep_malformed_ratios_exit_one(tmp_path, corpus_tree, capsys, ratios):
+    _, tree = corpus_tree
+    rc = main(["sweep", "--corpus", str(tree), "--ratios", ratios, "--out", str(tmp_path / "s")])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: --ratios")
+    assert "Traceback" not in err
+
+
 def test_data_errors_exit_two(tmp_path):
     rc = main(
         [
@@ -202,6 +216,21 @@ BROKEN_BUNDLES = {
     "tokenizer without pattern": lambda b: {**b, "tokenizer": _drop(b["tokenizer"], "strip_pattern")},
     "NaN centroid": lambda b: _with_centroid_value(b, float("nan")),
     "infinite centroid": lambda b: _with_centroid_value(b, float("inf")),
+    "strip pattern does not compile": lambda b: {
+        **b, "tokenizer": {**b["tokenizer"], "strip_pattern": "("}
+    },
+    "member index overflows": lambda b: {**b, "model": {
+        **b["model"], "clusters": [{**b["model"]["clusters"][0], "member_indices": [10**30]}]
+        + b["model"]["clusters"][1:]
+    }},
+    "unknown version": lambda b: {**b, "version": 99},
+    "member indices not a partition": lambda b: {**b, "model": {
+        **b["model"], "clusters": [{**c, "member_indices": [0]} for c in b["model"]["clusters"]]
+    }},
+    "labeled mask too short": lambda b: {**b, "model": {
+        **b["model"], "labeled": b["model"]["labeled"][1:]
+    }},
+    "unknown distance": lambda b: {**b, "model": {**b["model"], "distance": "manhattan"}},
 }
 
 
@@ -226,6 +255,134 @@ def test_classify_non_utf8_bundle_exits_two(tmp_path, capsys, trained_bundle):
     rc = main(["classify", "--model", str(bad), "--input", str(tree), "--out", str(tmp_path / "p.tsv")])
     assert rc == 2
     assert capsys.readouterr().err.startswith("data error: cannot read model bundle")
+
+
+@pytest.mark.parametrize(
+    "content",
+    [b'{"format": ', b"\xff\xfe not utf-8", None],
+    ids=["bad json", "not utf-8", "missing"],
+)
+def test_load_bundle_rejects_unreadable_file(tmp_path, content):
+    path = tmp_path / "model.json"
+    if content is not None:
+        path.write_bytes(content)
+    with pytest.raises(DataError, match="cannot read model bundle"):
+        load_bundle(path)
+
+
+V1_BUNDLE = Path(__file__).parent / "data" / "bundle_v1.json"
+
+
+def test_version_one_bundle_loads_to_the_model_train_writes_today(tmp_path, capsys):
+    # tests/data/bundle_v1.json was written by the version-1 writer with
+    # these exact train arguments on this corpus
+    corpus = make_text_corpus(
+        n_classes=3, docs_per_class=20, doc_len=6, class_words=10, shared_words=40,
+        signal=0.2, seed=5,
+    )
+    tree = tmp_path / "corpus"
+    write_corpus_tree(corpus, tree)
+    v2 = tmp_path / "model.json"
+    assert main(["train", "--corpus", str(tree), "--labeled-frac", "0.4", "--model-out", str(v2)]) == 0
+    assert json.loads(v2.read_text())["version"] == 2
+    old, new = load_bundle(V1_BUNDLE)[0], load_bundle(v2)[0]
+    assert old.training_doc_ids == new.training_doc_ids
+    assert np.array_equal(old.labeled, new.labeled)
+    assert old.training_label_assignments == new.training_label_assignments
+    assert old.training_label_assignments == json.loads(V1_BUNDLE.read_text())["model"][
+        "training_label_assignments"
+    ]
+    assert np.array_equal(old.centroids, new.centroids)
+    assert np.array_equal(old.labels, new.labels)
+    assert old.stats == new.stats
+    outputs = []
+    for bundle in (V1_BUNDLE, v2):
+        out = tmp_path / f"{bundle.stem}.tsv"
+        assert main(["classify", "--model", str(bundle), "--input", str(tree), "--out", str(out)]) == 0
+        outputs.append(out.read_bytes())
+    assert outputs[0] == outputs[1]
+    capsys.readouterr()
+
+
+def test_version_one_bundle_with_inconsistent_labels_exits_two(tmp_path, capsys, corpus_tree):
+    _, tree = corpus_tree
+    bundle = json.loads(V1_BUNDLE.read_text())
+    assigned = bundle["model"]["training_label_assignments"]
+    doc_id = sorted(assigned)[0]
+    assigned[doc_id] = (assigned[doc_id] + 1) % 3
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(bundle))
+    rc = main(["classify", "--model", str(bad), "--input", str(tree), "--out", str(tmp_path / "p.tsv")])
+    assert rc == 2
+    assert "disagree" in capsys.readouterr().err
+
+
+def _draw_path(node, data) -> tuple:
+    """A position in a JSON tree, drawn one level at a time (None stops),
+    so that a schema key is as likely as a single centroid coordinate."""
+    path = ()
+    while isinstance(node, (dict, list)) and node:
+        keys = sorted(node) if isinstance(node, dict) else range(len(node))
+        key = data.draw(st.sampled_from([None, *keys]))
+        if key is None:
+            break
+        path += (key,)
+        node = node[key]
+    return path
+
+
+def _at(node, path):
+    for key in path:
+        node = node[key]
+    return node
+
+
+def _mutated_bundle_bytes(bundle: dict, data) -> bytes:
+    kind = data.draw(st.sampled_from(["drop a key", "replace a value", "truncate"]))
+    if kind == "truncate":
+        raw = json.dumps(bundle).encode()
+        return raw[: data.draw(st.integers(0, len(raw) - 1))]
+    bundle = json.loads(json.dumps(bundle))  # a fresh copy to edit
+    path = _draw_path(bundle, data)
+    if kind == "drop a key":
+        # the deepest non-empty object on the path; the bundle itself is one
+        target = next(
+            node for node in (_at(bundle, path[:i]) for i in range(len(path), -1, -1))
+            if isinstance(node, dict) and node
+        )
+        del target[data.draw(st.sampled_from(sorted(target)))]
+    else:
+        value = data.draw(st.sampled_from([None, "", -1, 1e308, 10**30, [], {}]))
+        if not path:
+            return json.dumps(value).encode()
+        _at(bundle, path[:-1])[path[-1]] = value
+    return json.dumps(bundle).encode()
+
+
+@pytest.fixture(scope="module")
+def small_bundle(tmp_path_factory):
+    tmp = tmp_path_factory.mktemp("small_bundle")
+    corpus = make_text_corpus(n_classes=3, docs_per_class=6, doc_len=10, seed=4)
+    tree = tmp / "corpus"
+    write_corpus_tree(corpus, tree)
+    path = tmp / "model.json"
+    assert main(["train", "--corpus", str(tree), "--labeled-frac", "0.5", "--model-out", str(path)]) == 0
+    return json.loads(path.read_text()), tree, tmp
+
+
+@settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(data=st.data())
+def test_classify_mutated_bundle_exits_zero_or_two(small_bundle, capsys, data):
+    bundle, tree, tmp = small_bundle
+    bad = tmp / "mutated.json"
+    bad.write_bytes(_mutated_bundle_bytes(bundle, data))
+    capsys.readouterr()
+    rc = main(["classify", "--model", str(bad), "--input", str(tree), "--out", str(tmp / "p.tsv")])
+    err = capsys.readouterr().err
+    assert rc in (0, 2), err
+    assert "Traceback" not in err
+    if rc == 2:  # after any "skipping empty document" warnings
+        assert err.splitlines()[-1].startswith("data error:")
 
 
 def test_eval_non_utf8_file_exits_two(tmp_path, capsys):

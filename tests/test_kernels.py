@@ -205,5 +205,5 @@ def test_dimension_mismatch_raises():
 
 
 def test_backend_reports_active_path():
-    # run metadata (RunStats.backend) records this name
+    # `textrkm train` reports this name in its status line
     assert kernels.backend() == "numpy"

@@ -1,3 +1,4 @@
+import json
 import tracemalloc
 
 import numpy as np
@@ -6,19 +7,20 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from textrkm import representation
-from textrkm.corpus import Corpus, Document
+from textrkm.cli import load_bundle, save_bundle
+from textrkm.corpus import Corpus, Document, TokenizerConfig
 from textrkm.errors import DataError
+from textrkm.harness import fit
 from textrkm.representation import (
     TermClassWeights,
     embed_corpus,
     embed_tokens,
     fit_term_weights,
-    load_weights,
-    save_weights,
     term_class_counts,
     weights_from_dict,
     weights_to_dict,
 )
+from textrkm.rkmeans import RecursiveConfig
 
 from synthdata import make_text_corpus
 
@@ -177,11 +179,13 @@ def test_custom_weight_scheme_plug_in():
 
 
 def test_save_load_weights_bit_exact(tmp_path):
+    # the weight table's file route is the model bundle
     corpus = make_text_corpus(n_classes=4, docs_per_class=7, doc_len=18, seed=8)
-    w = fit_term_weights(corpus, smoothing=0.7)
-    path = tmp_path / "weights.txt"
-    save_weights(w, path)
-    loaded = load_weights(path)
+    w, model = fit(corpus, Corpus([], [], corpus.class_names), smoothing=0.7,
+                   recursive=RecursiveConfig(), seed=0)
+    path = tmp_path / "bundle.json"
+    save_bundle(path, model, w, TokenizerConfig())
+    _, loaded, _ = load_bundle(path)
     assert loaded.vocabulary == w.vocabulary
     assert loaded.class_names == w.class_names
     assert loaded.smoothing == w.smoothing
@@ -192,16 +196,12 @@ def test_save_load_weights_bit_exact(tmp_path):
 def test_weights_dict_round_trip():
     corpus = make_text_corpus(n_classes=3, docs_per_class=5, seed=9)
     w = fit_term_weights(corpus, smoothing=1.5)
-    back = weights_from_dict(weights_to_dict(w))
-    assert np.array_equal(back.weights, w.weights)
+    back = weights_from_dict(json.loads(json.dumps(weights_to_dict(w))))
     assert back.vocabulary == w.vocabulary
-
-
-def test_load_weights_rejects_garbage(tmp_path):
-    path = tmp_path / "junk.txt"
-    path.write_text("not a weight table\n")
-    with pytest.raises(DataError):
-        load_weights(path)
+    assert back.class_names == w.class_names
+    assert back.smoothing == w.smoothing
+    assert np.array_equal(back.weights, w.weights)
+    assert np.array_equal(back.oov_weight, w.oov_weight)
 
 
 # ---------------------------------------------------------------------------

@@ -1,9 +1,15 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from textrkm.cli import load_bundle, save_bundle
+from textrkm.corpus import TokenizerConfig
 from textrkm.errors import DataError
+from textrkm.representation import TermClassWeights
 from textrkm.rkmeans import (
     ACCEPT_NO_SPLIT,
+    ACCEPT_ORPHAN,
     ACCEPT_PURE,
     ACCEPT_THRESHOLD,
     FALLBACK_REASONS,
@@ -13,11 +19,9 @@ from textrkm.rkmeans import (
     choose_initial_seeds,
     cluster_class_stats,
     kmeans,
-    load_model,
     majority_label,
     recursive_kmeans,
     relative_percentage,
-    save_model,
 )
 
 from synthdata import make_point_cloud
@@ -212,9 +216,9 @@ def one_dimensional_mixed_instance():
 
 def test_recursive_matches_partition_oracle_one_dimensional():
     x, labels, ids = one_dimensional_mixed_instance()
-    finals, stats = recursive_kmeans(x, labels, 2, RecursiveConfig(th_percent=5.0), ids)
+    finals, stats = recursive_kmeans(x, labels, 2, RecursiveConfig(th_percent=5.0))
     assert len(finals) == 2
-    by_label = {f.label: sorted(f.member_doc_ids) for f in finals}
+    by_label = {f.label: sorted(ids[i] for i in f.member_indices) for f in finals}
     assert by_label[0] == ["a1", "a2", "u1"]
     assert by_label[1] == ["b1", "b2", "u2"]
     # oracle: the exhaustive minimum-SSE 2-partition separates the same sets
@@ -357,6 +361,71 @@ def test_acceptance_rule_recount_on_random_instances():
         assert fallback_seen == stats.fallback_total
 
 
+@st.composite
+def labeled_point_sets(draw):
+    """Small point sets on a coarse lattice (so duplicates and ties occur),
+    each class with at least one labeled point, plus a clustering config."""
+    k = draw(st.integers(1, 4))
+    n = draw(st.integers(k, 30))
+    d = draw(st.integers(1, 3))
+    coords = draw(st.lists(st.integers(-3, 3), min_size=n * d, max_size=n * d))
+    labels = np.array(draw(st.lists(st.integers(-1, k - 1), min_size=n, max_size=n)))
+    labels[draw(st.permutations(range(n)))[:k]] = np.arange(k)  # every class labeled
+    config = RecursiveConfig(
+        th_percent=draw(st.sampled_from([0.0, 5.0, 15.0, 50.0, 100.0])),
+        max_recursion_depth=draw(st.integers(1, 4)),
+        min_cluster_size_for_recursion=draw(st.sampled_from([None, 1, 4])),
+        kmeans=KMeansConfig(
+            distance=draw(st.sampled_from(["euclidean", "cosine"])),
+            rng_seed=draw(st.integers(0, 2**32 - 1)),
+        ),
+    )
+    return np.array(coords, dtype=np.float64).reshape(n, d) / 2.0, labels, k, config
+
+
+@settings(max_examples=200, deadline=None)
+@given(labeled_point_sets())
+def test_build_model_partition_and_acceptance_properties(instance):
+    x, labels, k, config = instance
+    ids = [f"p{i}" for i in range(len(labels))]
+    model = build_model(x, labels, ids, tuple(f"c{c}" for c in range(k)), config)
+
+    # the final clusters partition the points exactly
+    members = np.concatenate([c.member_indices for c in model.clusters])
+    assert sorted(members.tolist()) == list(range(len(labels)))
+
+    # every accepted cluster passes a recount of the Th rule
+    fallbacks: dict[str, int] = {}
+    orphans = 0
+    for c in model.clusters:
+        ncp, lsp = cluster_class_stats(labels[c.member_indices], k)
+        if c.acceptance == ACCEPT_ORPHAN:
+            assert ncp == 0
+            orphans += 1
+            continue
+        maj = majority_label(lsp)
+        assert c.label == maj
+        over = [o for o in range(k) if o != maj and lsp[o] > 0
+                and relative_percentage(lsp, maj, o) > config.th_percent]
+        if c.acceptance in (ACCEPT_PURE, ACCEPT_THRESHOLD):
+            assert over == []
+            assert (ncp == 1) == (c.acceptance == ACCEPT_PURE)
+        else:
+            assert c.acceptance in FALLBACK_REASONS and over
+            fallbacks[c.acceptance] = fallbacks.get(c.acceptance, 0) + 1
+
+    # fallback and orphan counts equal RunStats
+    assert fallbacks == model.stats.fallback_counts
+    assert orphans == model.stats.orphan_count
+
+    # the derived label map covers exactly the unlabeled points, each with
+    # the label of the cluster that holds it
+    label_of = {i: c.label for c in model.clusters for i in c.member_indices.tolist()}
+    assert model.training_label_assignments == {
+        ids[i]: label_of[i] for i in range(len(labels)) if labels[i] < 0
+    }
+
+
 def test_build_model_deterministic():
     x, truth, _ = make_point_cloud(n_classes=3, points_per_class=20, dim=3, seed=8)
     labels = truth.copy()
@@ -397,27 +466,23 @@ def test_model_save_load_round_trip(tmp_path):
             labels[np.flatnonzero(truth == c)[0]] = c
     ids = [f"doc{i}" for i in range(len(labels))]
     model = build_model(x, labels, ids, ("a", "b", "c"), RecursiveConfig())
+    weights = TermClassWeights(
+        vocabulary={"t": 0},
+        weights=np.full((1, 3), 0.5),
+        oov_weight=np.zeros(3),
+        smoothing=1.0,
+        class_names=("a", "b", "c"),
+    )
     path = tmp_path / "model.json"
-    save_model(model, path)
-    loaded = load_model(path)
+    save_bundle(path, model, weights, TokenizerConfig())
+    loaded, _, _ = load_bundle(path)
     assert np.array_equal(loaded.centroids, model.centroids)
     assert np.array_equal(loaded.labels, model.labels)
     assert loaded.distance == model.distance
     assert loaded.training_label_assignments == model.training_label_assignments
-    assert [c.member_doc_ids for c in loaded.clusters] == [
-        c.member_doc_ids for c in model.clusters
+    assert loaded.training_doc_ids == model.training_doc_ids
+    assert np.array_equal(loaded.labeled, model.labeled)
+    assert [c.member_indices.tolist() for c in loaded.clusters] == [
+        c.member_indices.tolist() for c in model.clusters
     ]
-
-
-
-@pytest.mark.parametrize(
-    "content",
-    [b'{"format": ', b"\xff\xfe not utf-8", None],
-    ids=["bad json", "not utf-8", "missing"],
-)
-def test_load_model_rejects_unreadable_file(tmp_path, content):
-    path = tmp_path / "model.json"
-    if content is not None:
-        path.write_bytes(content)
-    with pytest.raises(DataError, match="cannot read cluster model"):
-        load_model(path)
+    assert loaded.stats == model.stats
