@@ -28,7 +28,7 @@ def classify_batch(
 
     Distances use the metric the model was trained with; ties go to the
     lowest cluster index. Order-preserving and equivalent to one
-    ``classify`` call per row.
+    ``classify`` call per row. A row that is not finite raises DataError.
     """
     x = np.asarray(vectors, dtype=np.float64)
     if x.ndim == 1:
@@ -45,6 +45,9 @@ def classify_batch(
         doc_ids = [str(i) for i in range(x.shape[0])]
     if len(doc_ids) != x.shape[0]:
         raise DataError("doc_ids and vectors length mismatch")
+    bad = np.flatnonzero(~np.isfinite(x).all(axis=1))
+    if bad.size:
+        raise DataError(f"document {doc_ids[bad[0]]!r} has a non-finite vector")
     assign, dist = kernels.nearest_centroids(x, model.centroids, model.distance)
     if model.distance == "euclidean":
         dist = np.sqrt(dist)

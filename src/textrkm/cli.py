@@ -27,7 +27,7 @@ from .rkmeans import (
 )
 
 _BUNDLE_FORMAT = "textrkm-bundle"
-_BUNDLE_VERSION = 2
+_BUNDLE_VERSION = 3
 
 
 def save_bundle(
@@ -36,7 +36,7 @@ def save_bundle(
     weights: TermClassWeights,
     tokenizer: TokenizerConfig,
 ) -> None:
-    """One self-contained JSON file: tokenizer + weight table + cluster model."""
+    """One self-contained JSON file: tokenizer + term/class counts + cluster model."""
     payload = {
         "format": _BUNDLE_FORMAT,
         "version": _BUNDLE_VERSION,
@@ -48,7 +48,7 @@ def save_bundle(
 
 
 def load_bundle(path: str | Path) -> tuple[ClusterModel, TermClassWeights, TokenizerConfig]:
-    """Read a version-2 bundle, or a version-1 one; anything else raises DataError."""
+    """Read a version-3 bundle, or a version-1 or -2 one; anything else raises DataError."""
     try:
         payload = json.loads(Path(path).read_text(encoding="utf-8"))
     except (OSError, UnicodeDecodeError, json.JSONDecodeError) as exc:
@@ -56,13 +56,13 @@ def load_bundle(path: str | Path) -> tuple[ClusterModel, TermClassWeights, Token
     if not isinstance(payload, dict) or payload.get("format") != _BUNDLE_FORMAT:
         raise DataError(f"{path} is not a model bundle")
     version = payload.get("version")
-    if version not in (1, 2):
+    if version not in (1, 2, 3):
         raise DataError(f"{path}: unsupported bundle version {version!r}")
     read_model = model_from_v1_dict if version == 1 else model_from_dict
     try:
         return (
             read_model(payload["model"]),
-            weights_from_dict(payload["weights"]),
+            weights_from_dict(payload["weights"], version),
             TokenizerConfig.from_dict(payload["tokenizer"]),
         )
     except (KeyError, TypeError, ValueError, AttributeError, OverflowError) as exc:

@@ -2,9 +2,11 @@
 
 A corpus is an ordered list of tokenized documents with an optional class
 label per document. All randomized operations take an explicit seed and are
-bitwise deterministic for fixed inputs; per-class document order is always
-normalized to sorted doc-id order before shuffling, so results do not depend
-on load order.
+bitwise deterministic for fixed inputs. A directory-loaded corpus is sorted
+by doc id, so its results do not depend on filesystem enumeration order. For
+an in-memory ``Corpus`` the document order is part of the input: the seeded
+draws run over sorted doc ids, but ``split_train_test``, ``mask_labels`` and
+``make_training_collection`` return documents in input-index order.
 """
 from __future__ import annotations
 
@@ -62,18 +64,14 @@ class TokenizerConfig:
 
 @dataclass(frozen=True)
 class SplitSpec:
-    """How to carve a labeled corpus into train/test and labeled/unlabeled."""
+    """How to carve a labeled corpus into train and test halves."""
 
     test_fraction: float = 0.5
-    labeled_fraction: float = 0.1
-    unlabeled_pool_size: int | None = None
     rng_seed: int = 0
 
     def __post_init__(self):
         if not 0.0 < self.test_fraction < 1.0:
             raise DataError(f"test_fraction must be in (0,1), got {self.test_fraction}")
-        if not 0.0 < self.labeled_fraction < 1.0:
-            raise DataError(f"labeled_fraction must be in (0,1), got {self.labeled_fraction}")
 
 
 @dataclass
@@ -98,10 +96,6 @@ class Corpus:
     @property
     def n_labeled(self) -> int:
         return sum(1 for v in self.labels if v is not None)
-
-    @property
-    def n_unlabeled(self) -> int:
-        return self.n_docs - self.n_labeled
 
     @property
     def n_classes(self) -> int:
@@ -386,13 +380,9 @@ def read_split_manifest(path: str | Path) -> tuple[dict[str, str], list[tuple[st
         fields = line.split("\t")
         if len(fields) != 3 or fields[1] not in (SIDE_TRAIN, SIDE_TEST):
             raise DataError(f"{path}:{lineno}: malformed manifest line {line!r}")
-        try:
-            flag = int(fields[2])
-        except ValueError:
-            raise DataError(
-                f"{path}:{lineno}: labeled flag {fields[2]!r} is not an integer"
-            ) from None
-        entries.append((fields[0], fields[1], flag))
+        if fields[2] not in ("0", "1"):
+            raise DataError(f"{path}:{lineno}: labeled flag {fields[2]!r} is not 0 or 1")
+        entries.append((fields[0], fields[1], int(fields[2])))
     return meta, entries
 
 
@@ -403,16 +393,16 @@ def apply_split_manifest(
 
     Returns ``(train, test, labeled_flags)`` where ``labeled_flags`` maps
     train doc ids to the manifest's labeled flag. Every manifest doc id must
-    exist in the corpus.
+    exist in the corpus and be listed once.
     """
     by_id = {d.doc_id: i for i, d in enumerate(corpus.documents)}
     train_idx: list[int] = []
     test_idx: list[int] = []
     flags: dict[str, int] = {}
     for doc_id, side, flag in entries:
-        i = by_id.get(doc_id)
+        i = by_id.pop(doc_id, None)
         if i is None:
-            raise DataError(f"manifest doc id {doc_id!r} not present in corpus")
+            raise DataError(f"manifest doc id {doc_id!r} not present in corpus or listed twice")
         if side == SIDE_TRAIN:
             train_idx.append(i)
             flags[doc_id] = flag

@@ -436,12 +436,11 @@ def replay_trial(
         raise DataError(
             f"{manifest_path}: header '# ratio {meta['ratio']}' is not <labeled>:<unlabeled>"
         ) from None
-    try:
-        seed = int(meta["seed"])
-    except ValueError:
+    if not meta["seed"].isdecimal():  # numpy seeds are non-negative
         raise DataError(
-            f"{manifest_path}: header '# seed {meta['seed']}' is not an integer"
-        ) from None
+            f"{manifest_path}: header '# seed {meta['seed']}' is not a non-negative integer"
+        )
+    seed = int(meta["seed"])
     train, test, flags = apply_split_manifest(corpus, entries)
     d_labeled, d_unlabeled, _hidden = mask_from_flags(train, flags)
     return _run_pipeline(d_labeled, d_unlabeled, test, ratio, seed, config, keep_model)

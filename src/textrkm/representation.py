@@ -2,25 +2,21 @@
 
 Instead of a full bag-of-words matrix, every document becomes a K-vector
 whose j-th component is the average relevance of its tokens to class j. The
-relevance table is fitted on labeled documents only. The default weighting is
-a smoothed class-conditional term frequency (each class column is a
-probability distribution over the vocabulary); alternative schemes plug in
-via a callable that maps the raw term/class count matrix to a weight matrix.
+relevance table is fitted on labeled documents only: the multinomial
+naive-Bayes estimate ``(tf + s) / (tf.sum(0) + s * V)``, so each class column
+is a probability distribution over the vocabulary. It is a pure function of
+the integer term/class counts and ``s``; a bundle stores the counts.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import chain, repeat
-from typing import Callable, Iterator, Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
 from .corpus import Corpus, Document
 from .errors import DataError
-
-# A weighting scheme maps the (V, K) term/class count matrix to a (V, K)
-# non-negative weight matrix.
-WeightScheme = Callable[[np.ndarray], np.ndarray]
 
 # Most tokens ``embed_corpus`` handles at once. A block costs about 40 bytes
 # per token (ids, document keys, one gathered weight column); gathering all
@@ -34,7 +30,8 @@ class TermClassWeights:
 
     ``weights[t, c]`` is the relevance of vocabulary term t to class c;
     ``oov_weight[c]`` is what an out-of-vocabulary token contributes to
-    component c (the smoothed floor, 0 for unsmoothed or custom schemes).
+    component c (the smoothed floor). ``counts`` is the (V, K) term/class
+    count matrix they derive from; a version-1 or -2 bundle stored none.
     """
 
     vocabulary: dict[str, int]
@@ -42,6 +39,7 @@ class TermClassWeights:
     oov_weight: np.ndarray
     smoothing: float
     class_names: tuple[str, ...]
+    counts: np.ndarray | None = None
 
     @property
     def n_classes(self) -> int:
@@ -71,7 +69,7 @@ def term_class_counts(corpus: Corpus) -> tuple[dict[str, int], np.ndarray]:
     by_class: list[list[Document]] = [[] for _ in range(corpus.n_classes)]
     for doc, label in zip(corpus.documents, corpus.labels):
         if label is None:
-            raise DataError(f"document {doc.doc_id!r} is unlabeled")
+            raise DataError(f"term weights are fitted on labeled documents only: {doc.doc_id!r}")
         by_class[label].append(doc)
     vocabulary = {
         term: i for i, term in enumerate(sorted(set(_all_tokens(corpus.documents))))
@@ -87,52 +85,36 @@ def term_class_counts(corpus: Corpus) -> tuple[dict[str, int], np.ndarray]:
     return vocabulary, tf
 
 
-def fit_term_weights(
-    d_labeled: Corpus,
-    smoothing: float = 1.0,
-    scheme: WeightScheme | None = None,
+def weights_from_counts(
+    vocabulary: dict[str, int], counts: np.ndarray, smoothing: float, class_names: Sequence[str]
 ) -> TermClassWeights:
-    """Fit the relevance table on a fully labeled corpus.
-
-    Default scheme: ``w[t, c] = (tf[t, c] + s) / (sum_t tf[t, c] + s * V)``,
-    so every class column sums to 1. With a custom ``scheme`` the column
-    normalization is whatever the scheme produces and the OOV floor is 0.
-    """
-    if not d_labeled.fully_labeled():
-        raise DataError("term weights are fitted on labeled documents only")
-    if smoothing < 0:
+    """``w[t, c] = (tf[t, c] + s) / (sum_t tf[t, c] + s * V)`` and the OOV
+    floor ``s / (sum_t tf[t, c] + s * V)``: the one formula of the fit and of
+    the bundle reader."""
+    smoothing = float(smoothing)
+    if not smoothing >= 0:
         raise DataError(f"smoothing must be >= 0, got {smoothing}")
-    present = set(lab for lab in d_labeled.labels)
-    missing = [n for i, n in enumerate(d_labeled.class_names) if i not in present]
-    if missing:
-        raise DataError(f"classes without any labeled document: {missing}")
-    vocabulary, tf = term_class_counts(d_labeled)
-    if not vocabulary:
-        raise DataError("empty vocabulary: no tokens in the labeled corpus")
-    v = len(vocabulary)
-    if scheme is not None:
-        weights = np.asarray(scheme(tf), dtype=np.float64)
-        if weights.shape != tf.shape:
-            raise DataError(
-                f"weight scheme returned shape {weights.shape}, expected {tf.shape}"
-            )
-        oov = np.zeros(tf.shape[1], dtype=np.float64)
-    else:
-        mass = tf.sum(axis=0)
-        denom = mass + smoothing * v
-        if np.any(denom <= 0):
-            raise DataError("a class has zero token mass and zero smoothing")
-        weights = (tf + smoothing) / denom
-        oov = smoothing / denom
+    mass = counts.sum(axis=0)
+    if not np.all(mass > 0):
+        missing = [name for name, m in zip(class_names, mass) if not m > 0]
+        raise DataError(f"classes without any labeled token: {missing}")
+    denom = mass + smoothing * len(vocabulary)
     w = TermClassWeights(
         vocabulary=vocabulary,
-        weights=weights,
-        oov_weight=oov,
-        smoothing=float(smoothing),
-        class_names=d_labeled.class_names,
+        weights=(counts + smoothing) / denom,
+        oov_weight=smoothing / denom,
+        smoothing=smoothing,
+        class_names=tuple(class_names),
+        counts=counts,
     )
     w.validate()
     return w
+
+
+def fit_term_weights(d_labeled: Corpus, smoothing: float = 1.0) -> TermClassWeights:
+    """Fit the relevance table (``weights_from_counts``) on a fully labeled corpus."""
+    vocabulary, tf = term_class_counts(d_labeled)
+    return weights_from_counts(vocabulary, tf, smoothing, d_labeled.class_names)
 
 
 def embed_tokens(tokens: Sequence[str], w: TermClassWeights) -> np.ndarray:
@@ -213,35 +195,56 @@ def _embed_block(
 
 
 # ---------------------------------------------------------------------------
-# the weight table's part of the bundle (JSON; float repr round-trips exactly)
+# the weight table's part of the bundle (JSON)
 # ---------------------------------------------------------------------------
 
 def weights_to_dict(w: TermClassWeights) -> dict:
-    """The ``weights`` object of a bundle."""
-    terms = sorted(w.vocabulary, key=w.vocabulary.get)
+    """The ``weights`` object of a version-3 bundle: for each class, the
+    increasing ids of the terms it counts and their integer counts."""
+    if w.counts is None:
+        raise DataError("a weight table read from a version-1 or -2 bundle has no counts")
     return {
         "class_names": list(w.class_names),
         "smoothing": w.smoothing,
-        "terms": terms,
-        "weights": [[float(v) for v in row] for row in w.weights],
-        "oov_weight": [float(v) for v in w.oov_weight],
+        "terms": sorted(w.vocabulary, key=w.vocabulary.get),
+        "counts": [
+            {"term_ids": ids.tolist(), "counts": w.counts[ids, c].astype(np.int64).tolist()}
+            for c, ids in enumerate(map(np.flatnonzero, w.counts.T))
+        ],
     }
 
 
-def weights_from_dict(d: dict) -> TermClassWeights:
-    """Inverse of ``weights_to_dict``.
+def weights_from_dict(d: dict, version: int = 3) -> TermClassWeights:
+    """Inverse of ``weights_to_dict``: rebuild the counts, derive the table.
 
-    A malformed payload raises ``DataError``, or ``KeyError``, ``TypeError``
-    or ``ValueError``, which the bundle loader turns into ``DataError``.
+    Counts must be integers in ``[1, 2**53)``, which float64 holds exactly.
+    Versions 1 and 2 stored the table itself and no counts. A malformed
+    payload raises ``DataError``, or ``KeyError``, ``TypeError``,
+    ``ValueError`` or ``OverflowError``, which the bundle loader turns into
+    ``DataError``.
     """
-    w = TermClassWeights(
-        vocabulary={t: i for i, t in enumerate(d["terms"])},
-        weights=np.array(d["weights"], dtype=np.float64).reshape(
-            len(d["terms"]), len(d["class_names"])
-        ),
-        oov_weight=np.array(d["oov_weight"], dtype=np.float64),
-        smoothing=float(d["smoothing"]),
-        class_names=tuple(d["class_names"]),
-    )
-    w.validate()
-    return w
+    terms, class_names = d["terms"], tuple(d["class_names"])
+    vocabulary = {t: i for i, t in enumerate(terms)}
+    if version < 3:
+        weights = np.array(d["weights"], dtype=np.float64).reshape(len(terms), len(class_names))
+        oov = np.array(d["oov_weight"], dtype=np.float64)
+        w = TermClassWeights(vocabulary, weights, oov, float(d["smoothing"]), class_names)
+        w.validate()
+        return w
+    if len(d["counts"]) != len(class_names):
+        raise DataError("one counts entry per class expected")
+    counts = np.zeros((len(terms), len(class_names)), dtype=np.float64)
+    for c, entry in enumerate(d["counts"]):
+        ids, n = entry["term_ids"], entry["counts"]
+        if not (isinstance(ids, list) and isinstance(n, list) and set(map(type, ids + n)) <= {int}):
+            raise DataError(f"class {c}: term ids and counts must be lists of integers")
+        ids, n = np.array(ids, dtype=np.int64), np.array(n, dtype=np.int64)
+        if not (
+            ids.shape == n.shape
+            and np.all(ids[1:] > ids[:-1]) and np.all((ids >= 0) & (ids < len(terms)))
+            and np.all((n >= 1) & (n < 2**53))
+        ):
+            raise DataError(f"class {c}: term ids must increase in [0, {len(terms)}), "
+                            "with one count in [1, 2**53) each")
+        counts[ids, c] = n
+    return weights_from_counts(vocabulary, counts, d["smoothing"], class_names)

@@ -466,7 +466,7 @@ def build_model(
 # ---------------------------------------------------------------------------
 
 def model_to_dict(model: ClusterModel) -> dict:
-    """The ``model`` object of a version-2 bundle."""
+    """The ``model`` object of a version-2 or -3 bundle."""
     return {
         "class_names": list(model.class_names),
         "distance": model.distance,

@@ -3,7 +3,8 @@
 Documents of class c draw most tokens from that class's private word list and
 the rest from a shared pool, which gives well-separated class-count embeddings
 while still exercising vocabulary overlap, OOV handling and stratified splits.
-Everything is seeded and deterministic.
+Everything is seeded and deterministic. ``mutate_lines`` draws broken
+copies of line-based files for the hypothesis properties.
 """
 from __future__ import annotations
 
@@ -78,3 +79,37 @@ def make_point_cloud(
         points.append(pts)
         labels.extend([c] * points_per_class)
     return np.vstack(points), np.array(labels, dtype=np.int64), centers
+
+
+def mutate_lines(text: str, data, values: list[str]) -> tuple[bytes, str | None]:
+    """One drawn mutation of a line-based file, and the line it repeated, if any.
+
+    Drops or repeats a line, replaces one field (tab-separated, or
+    space-separated on a ``#`` line) with one of ``values``, truncates the
+    bytes or inserts a byte that is not UTF-8. ``data`` is hypothesis's
+    ``st.data()``.
+    """
+    from hypothesis import strategies as st
+
+    raw, lines = text.encode(), text.splitlines()
+    kind = data.draw(st.sampled_from(
+        ["drop a line", "repeat a line", "replace a field", "truncate", "non-utf-8"]
+    ))
+    if kind == "truncate":
+        return raw[: data.draw(st.integers(0, len(raw)))], None
+    if kind == "non-utf-8":
+        at = data.draw(st.integers(0, len(raw)))
+        return raw[:at] + b"\xff" + raw[at:], None
+    i = data.draw(st.integers(0, len(lines) - 1))
+    repeated = None
+    if kind == "drop a line":
+        del lines[i]
+    elif kind == "repeat a line":
+        repeated = lines[i]
+        lines.insert(data.draw(st.integers(0, len(lines))), repeated)
+    else:
+        sep = " " if lines[i].startswith("#") else "\t"
+        fields = lines[i].split(sep)
+        fields[data.draw(st.integers(0, len(fields) - 1))] = data.draw(st.sampled_from(values))
+        lines[i] = sep.join(fields)
+    return ("\n".join(lines) + "\n").encode(), repeated

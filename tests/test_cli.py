@@ -7,10 +7,11 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from textrkm import harness
-from textrkm.cli import load_bundle, main
+from textrkm.cli import load_bundle, main, save_bundle
+from textrkm.corpus import TokenizerConfig
 from textrkm.errors import DataError, InvariantError
 
-from synthdata import make_text_corpus, write_corpus_tree
+from synthdata import make_text_corpus, mutate_lines, write_corpus_tree
 
 
 @pytest.fixture()
@@ -202,6 +203,23 @@ def _with_centroid_value(b, value):
     return {**b, "model": {**b["model"], "clusters": clusters}}
 
 
+V1_BUNDLE = Path(__file__).parent / "data" / "bundle_v1.json"
+V2_BUNDLE = Path(__file__).parent / "data" / "bundle_v2.json"
+
+
+def _as_version_two(b, **weights):
+    # the model part of versions 2 and 3 is the same; the v2 fixture's weight
+    # table has the same class names as every three-class synthetic corpus
+    stored = json.loads(V2_BUNDLE.read_text())["weights"]
+    return {**b, "version": 2, "weights": {**stored, **weights}}
+
+
+def _edit_first_class(b, key, edit):
+    entries = b["weights"]["counts"]
+    first = {**entries[0], key: edit(entries[0][key])}
+    return {**b, "weights": {**b["weights"], "counts": [first] + entries[1:]}}
+
+
 BROKEN_BUNDLES = {
     "format only": lambda b: {"format": "textrkm-bundle"},
     "not an object": lambda b: [b],
@@ -211,8 +229,31 @@ BROKEN_BUNDLES = {
         **b["model"], "clusters": [{**b["model"]["clusters"][0], "label": 99}] + b["model"]["clusters"][1:]
     }},
     "weights without terms": lambda b: {**b, "weights": _drop(b["weights"], "terms")},
-    "weights wrong size": lambda b: {**b, "weights": {**b["weights"], "weights": [[0.5]]}},
-    "oov weight wrong length": lambda b: {**b, "weights": {**b["weights"], "oov_weight": [0.5]}},
+    "weights wrong size": lambda b: _as_version_two(b, weights=[[0.5]]),
+    "oov weight wrong length": lambda b: _as_version_two(b, oov_weight=[0.5]),
+    "count negative": lambda b: _edit_first_class(b, "counts", lambda n: [-1] + n[1:]),
+    "count zero": lambda b: _edit_first_class(b, "counts", lambda n: [0] + n[1:]),
+    "count fractional": lambda b: _edit_first_class(b, "counts", lambda n: [1.5] + n[1:]),
+    "count a string": lambda b: _edit_first_class(b, "counts", lambda n: ["1"] + n[1:]),
+    "count a boolean": lambda b: _edit_first_class(b, "counts", lambda n: [True] + n[1:]),
+    "count reaches 2**53": lambda b: _edit_first_class(b, "counts", lambda n: [2**53] + n[1:]),
+    "count overflows int64": lambda b: _edit_first_class(b, "counts", lambda n: [2**64] + n[1:]),
+    "counts shorter than term ids": lambda b: _edit_first_class(b, "counts", lambda n: n[:-1]),
+    "term id out of range": lambda b: _edit_first_class(
+        b, "term_ids", lambda t: t[:-1] + [len(b["weights"]["terms"])]
+    ),
+    "term id negative": lambda b: _edit_first_class(b, "term_ids", lambda t: [-1] + t[1:]),
+    "term ids duplicated": lambda b: _edit_first_class(b, "term_ids", lambda t: t[:1] + t[:-1]),
+    "term ids unsorted": lambda b: _edit_first_class(b, "term_ids", lambda t: t[::-1]),
+    "a class without counts": lambda b: _edit_first_class(
+        _edit_first_class(b, "term_ids", lambda t: []), "counts", lambda n: []
+    ),
+    "counts of a class missing": lambda b: {**b, "weights": {
+        **b["weights"], "counts": b["weights"]["counts"][:-1]
+    }},
+    "counts of an extra class": lambda b: {**b, "weights": {
+        **b["weights"], "counts": b["weights"]["counts"] * 2
+    }},
     "tokenizer without pattern": lambda b: {**b, "tokenizer": _drop(b["tokenizer"], "strip_pattern")},
     "NaN centroid": lambda b: _with_centroid_value(b, float("nan")),
     "infinite centroid": lambda b: _with_centroid_value(b, float("inf")),
@@ -270,38 +311,69 @@ def test_load_bundle_rejects_unreadable_file(tmp_path, content):
         load_bundle(path)
 
 
-V1_BUNDLE = Path(__file__).parent / "data" / "bundle_v1.json"
-
-
-def test_version_one_bundle_loads_to_the_model_train_writes_today(tmp_path, capsys):
-    # tests/data/bundle_v1.json was written by the version-1 writer with
-    # these exact train arguments on this corpus
-    corpus = make_text_corpus(
+def fixture_corpus():
+    """The corpus tests/data/bundle_v1.json and bundle_v2.json were trained on,
+    by the version-1 and version-2 writers, with ``--labeled-frac 0.4``."""
+    return make_text_corpus(
         n_classes=3, docs_per_class=20, doc_len=6, class_words=10, shared_words=40,
         signal=0.2, seed=5,
     )
+
+
+def test_version_one_bundle_loads_to_the_model_train_writes_today(tmp_path, capsys):
     tree = tmp_path / "corpus"
-    write_corpus_tree(corpus, tree)
-    v2 = tmp_path / "model.json"
-    assert main(["train", "--corpus", str(tree), "--labeled-frac", "0.4", "--model-out", str(v2)]) == 0
-    assert json.loads(v2.read_text())["version"] == 2
-    old, new = load_bundle(V1_BUNDLE)[0], load_bundle(v2)[0]
-    assert old.training_doc_ids == new.training_doc_ids
-    assert np.array_equal(old.labeled, new.labeled)
-    assert old.training_label_assignments == new.training_label_assignments
-    assert old.training_label_assignments == json.loads(V1_BUNDLE.read_text())["model"][
-        "training_label_assignments"
-    ]
-    assert np.array_equal(old.centroids, new.centroids)
-    assert np.array_equal(old.labels, new.labels)
-    assert old.stats == new.stats
+    write_corpus_tree(fixture_corpus(), tree)
+    v3 = tmp_path / "model.json"
+    assert main(["train", "--corpus", str(tree), "--labeled-frac", "0.4", "--model-out", str(v3)]) == 0
+    assert json.loads(v3.read_text())["version"] == 3
+    new, new_w, _ = load_bundle(v3)
+    for bundle in (V1_BUNDLE, V2_BUNDLE):
+        old, old_w, _ = load_bundle(bundle)
+        assert old.training_doc_ids == new.training_doc_ids
+        assert np.array_equal(old.labeled, new.labeled)
+        assert old.training_label_assignments == new.training_label_assignments
+        assert np.array_equal(old.centroids, new.centroids)
+        assert np.array_equal(old.labels, new.labels)
+        assert old.stats == new.stats
+        assert old_w.vocabulary == new_w.vocabulary
+        assert old_w.class_names == new_w.class_names
+        assert old_w.smoothing == new_w.smoothing
+        assert np.array_equal(old_w.weights.view(np.int64), new_w.weights.view(np.int64))
+        assert np.array_equal(old_w.oov_weight.view(np.int64), new_w.oov_weight.view(np.int64))
+        with pytest.raises(DataError, match="no counts"):  # only version 3 is written
+            save_bundle(tmp_path / "rewritten.json", old, old_w, TokenizerConfig())
+    assert load_bundle(V1_BUNDLE)[0].training_label_assignments == json.loads(
+        V1_BUNDLE.read_text()
+    )["model"]["training_label_assignments"]
     outputs = []
-    for bundle in (V1_BUNDLE, v2):
+    for bundle in (V1_BUNDLE, V2_BUNDLE, v3):
         out = tmp_path / f"{bundle.stem}.tsv"
         assert main(["classify", "--model", str(bundle), "--input", str(tree), "--out", str(out)]) == 0
         outputs.append(out.read_bytes())
-    assert outputs[0] == outputs[1]
+    assert outputs[0] == outputs[1] == outputs[2]
     capsys.readouterr()
+
+
+def test_version_two_bundle_with_huge_weights_exits_two(tmp_path, capsys):
+    corpus = fixture_corpus()
+    tree = tmp_path / "corpus"
+    write_corpus_tree(corpus, tree)
+    bundle = json.loads(V2_BUNDLE.read_text())
+    terms = bundle["weights"]["terms"]
+    # a stored term twice in one document: its weights add up to inf
+    term = next(
+        t for doc in corpus.documents for t in doc.tokens if t in terms and doc.tokens.count(t) > 1
+    )
+    bundle["weights"]["weights"][terms.index(term)] = [1e308] * corpus.n_classes
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(bundle))
+    capsys.readouterr()
+    rc = main(["classify", "--model", str(bad), "--input", str(tree), "--out", str(tmp_path / "p.tsv")])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.startswith("data error: document ")
+    assert "non-finite" in err
+    assert "Traceback" not in err
 
 
 def test_version_one_bundle_with_inconsistent_labels_exits_two(tmp_path, capsys, corpus_tree):
@@ -424,3 +496,36 @@ def test_sweep_exits_three_on_invariant_error(tmp_path, corpus_tree, monkeypatch
 def test_help_exits_zero(capsys):
     assert main(["--help"]) == 0
     capsys.readouterr()
+
+
+TSV_VALUES = ["", " ", "#", "x", "a", "b", "doc0", "doc1", "doc9", "a\tb", "0.5", "\xe9"]
+
+
+@settings(max_examples=200, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(data=st.data())
+def test_eval_mutated_tsv_exits_zero_or_two(tmp_path, capsys, data):
+    truth = [(f"doc{i}", "ab"[i % 2]) for i in range(4)]
+    texts = {
+        "predictions": "".join(f"{d}\t{c}\t0.5\n" for d, c in truth),
+        "truth": "".join(f"{d}\t{c}\n" for d, c in truth),
+    }
+    paths = {name: tmp_path / f"{name}.tsv" for name in texts}
+    for name, text in texts.items():
+        paths[name].write_bytes(text.encode())
+    side = data.draw(st.sampled_from(sorted(texts)))
+    paths[side].write_bytes(mutate_lines(texts[side], data, TSV_VALUES)[0])
+    capsys.readouterr()
+    rc = main(["eval", "--predictions", str(paths["predictions"]), "--truth", str(paths["truth"])])
+    err = capsys.readouterr().err
+    assert rc in (0, 2), err
+    assert "Traceback" not in err
+    if rc == 2:
+        assert err.startswith("data error:")
+    else:  # only a complete predictions file is scored
+        ids = [_listed_ids(paths[name]) for name in ("predictions", "truth")]
+        assert ids[0] == ids[1] == sorted(set(ids[1]))
+
+
+def _listed_ids(path):
+    lines = path.read_text(encoding="utf-8").splitlines()
+    return sorted(line.split("\t")[0] for line in lines if line.strip() and line[0] != "#")

@@ -176,8 +176,6 @@ def test_training_collection_count_arithmetic():
 def test_split_spec_validation():
     with pytest.raises(DataError):
         SplitSpec(test_fraction=0.0)
-    with pytest.raises(DataError):
-        SplitSpec(labeled_fraction=1.0)
 
 
 def test_manifest_round_trip(tmp_path):
@@ -237,4 +235,12 @@ def test_manifest_rejects_non_integer_flag(tmp_path):
     path = tmp_path / "bad.tsv"
     path.write_text("# seed 1\na\ttrain\tx\n")
     with pytest.raises(DataError, match=re.escape(f"{path}:2: labeled flag 'x'")):
+        read_split_manifest(path)
+
+
+@pytest.mark.parametrize("flag", ["2", "-1", "01"])
+def test_manifest_rejects_flag_other_than_zero_or_one(tmp_path, flag):
+    path = tmp_path / "bad.tsv"
+    path.write_text(f"# seed 1\na\ttrain\t{flag}\n")
+    with pytest.raises(DataError, match=re.escape(f"{path}:2: labeled flag '{flag}' is not 0 or 1")):
         read_split_manifest(path)

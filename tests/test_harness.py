@@ -2,6 +2,8 @@ import re
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from textrkm import harness
 from textrkm.corpus import Corpus, Document, SplitSpec, mask_labels, split_train_test
@@ -20,7 +22,7 @@ from textrkm.harness import (
     run_trial,
 )
 
-from synthdata import make_text_corpus
+from synthdata import make_text_corpus, mutate_lines
 
 
 def split_corpus(corpus, seed=0):
@@ -273,3 +275,31 @@ def test_replay_rejects_malformed_header(tmp_path, header, bad):
     manifest.write_text("\n".join(lines) + "\n")
     with pytest.raises(DataError, match=re.escape(f"{manifest}: header '{bad}'")):
         replay_trial(corpus, manifest, cfg)
+
+
+MANIFEST_VALUES = ["", "train", "test", "0", "1", "2", "-1", "x", "10:40", "0:0", "3", "9" * 30]
+
+
+@pytest.fixture(scope="module")
+def emitted_manifest(tmp_path_factory):
+    corpus = make_text_corpus(n_classes=3, docs_per_class=8, doc_len=10, seed=11)
+    cfg = SweepConfig(ratio_grid=((10, 40),), trials_per_ratio=1)
+    paths = emit_results(run_sweep(corpus, cfg), tmp_path_factory.mktemp("replay") / "out")
+    manifest = paths["manifests"] / manifest_filename((10, 40), 0)
+    return corpus, cfg, manifest.read_text(encoding="utf-8"), manifest.parent
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_replay_mutated_manifest_raises_only_data_error(emitted_manifest, data):
+    corpus, cfg, text, tmp = emitted_manifest
+    values = MANIFEST_VALUES + [d.doc_id for d in corpus.documents[:3]]
+    raw, repeated = mutate_lines(text, data, values)
+    manifest = tmp / "mutated.tsv"
+    manifest.write_bytes(raw)
+    try:
+        replay_trial(corpus, manifest, cfg)
+    except DataError:
+        return
+    # a manifest that lists a document twice is never replayed
+    assert repeated is None or repeated.startswith("#")

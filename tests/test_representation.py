@@ -166,18 +166,6 @@ def test_fit_requires_labels_and_nonempty_vocab():
         fit_term_weights(missing_class)
 
 
-def test_custom_weight_scheme_plug_in():
-    corpus = two_class_corpus()
-
-    def raw_tf(tf):
-        return tf / tf.max()
-
-    w = fit_term_weights(corpus, scheme=raw_tf)
-    _, tf = term_class_counts(corpus)
-    assert np.array_equal(w.weights, tf / tf.max())
-    assert np.array_equal(w.oov_weight, np.zeros(2))
-
-
 def test_save_load_weights_bit_exact(tmp_path):
     # the weight table's file route is the model bundle
     corpus = make_text_corpus(n_classes=4, docs_per_class=7, doc_len=18, seed=8)
@@ -194,14 +182,19 @@ def test_save_load_weights_bit_exact(tmp_path):
 
 
 def test_weights_dict_round_trip():
-    corpus = make_text_corpus(n_classes=3, docs_per_class=5, seed=9)
-    w = fit_term_weights(corpus, smoothing=1.5)
-    back = weights_from_dict(json.loads(json.dumps(weights_to_dict(w))))
-    assert back.vocabulary == w.vocabulary
-    assert back.class_names == w.class_names
-    assert back.smoothing == w.smoothing
-    assert np.array_equal(back.weights, w.weights)
-    assert np.array_equal(back.oov_weight, w.oov_weight)
+    # the stored counts rebuild the fitted table bit for bit
+    for seed, smoothing in enumerate([1.5, 0.0, 1.0, 0.25]):
+        corpus = make_text_corpus(n_classes=3 + seed, docs_per_class=5, seed=9 + seed)
+        w = fit_term_weights(corpus, smoothing=smoothing)
+        stored = json.loads(json.dumps(weights_to_dict(w)))
+        assert "weights" not in stored and "oov_weight" not in stored
+        back = weights_from_dict(stored)
+        assert back.vocabulary == w.vocabulary
+        assert back.class_names == w.class_names
+        assert back.smoothing == w.smoothing
+        assert np.array_equal(back.counts, w.counts)
+        assert np.array_equal(back.weights.view(np.int64), w.weights.view(np.int64))
+        assert np.array_equal(back.oov_weight.view(np.int64), w.oov_weight.view(np.int64))
 
 
 # ---------------------------------------------------------------------------

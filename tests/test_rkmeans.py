@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 from textrkm.cli import load_bundle, save_bundle
 from textrkm.corpus import TokenizerConfig
 from textrkm.errors import DataError
-from textrkm.representation import TermClassWeights
+from textrkm.representation import weights_from_counts
 from textrkm.rkmeans import (
     ACCEPT_NO_SPLIT,
     ACCEPT_ORPHAN,
@@ -466,13 +466,7 @@ def test_model_save_load_round_trip(tmp_path):
             labels[np.flatnonzero(truth == c)[0]] = c
     ids = [f"doc{i}" for i in range(len(labels))]
     model = build_model(x, labels, ids, ("a", "b", "c"), RecursiveConfig())
-    weights = TermClassWeights(
-        vocabulary={"t": 0},
-        weights=np.full((1, 3), 0.5),
-        oov_weight=np.zeros(3),
-        smoothing=1.0,
-        class_names=("a", "b", "c"),
-    )
+    weights = weights_from_counts({"t": 0}, np.ones((1, 3)), 1.0, ("a", "b", "c"))
     path = tmp_path / "model.json"
     save_bundle(path, model, weights, TokenizerConfig())
     loaded, _, _ = load_bundle(path)
