@@ -2,11 +2,12 @@
 
 A corpus is an ordered list of tokenized documents with an optional class
 label per document. All randomized operations take an explicit seed and are
-bitwise deterministic for fixed inputs. A directory-loaded corpus is sorted
-by doc id, so its results do not depend on filesystem enumeration order. For
-an in-memory ``Corpus`` the document order is part of the input: the seeded
-draws run over sorted doc ids, but ``split_train_test``, ``mask_labels`` and
-``make_training_collection`` return documents in input-index order.
+bitwise deterministic for fixed inputs. The order of a fully labeled corpus
+does not matter to a sweep: ``split_train_test`` and ``mask_labels`` draw
+over and return documents in (class index, doc id) order, and
+``make_training_collection`` draws its pool over sorted doc ids. A
+directory-loaded corpus is already in (class directory, file name) order,
+which is that order too.
 """
 from __future__ import annotations
 
@@ -238,7 +239,10 @@ def _class_members(corpus: Corpus) -> list[list[int]]:
 
 
 def split_train_test(corpus: Corpus, spec: SplitSpec) -> tuple[Corpus, Corpus]:
-    """Stratified random train/test split; both sides keep their labels."""
+    """Stratified random train/test split; both sides keep their labels.
+
+    Both sides list their documents in (class index, doc id) order.
+    """
     rng = np.random.default_rng(spec.rng_seed)
     train_idx: list[int] = []
     test_idx: list[int] = []
@@ -252,10 +256,8 @@ def split_train_test(corpus: Corpus, spec: SplitSpec) -> tuple[Corpus, Corpus]:
         n_test = min(max(n_test, 1), len(members) - 1)
         perm = rng.permutation(len(members))
         chosen = {members[p] for p in perm[:n_test]}
-        test_idx.extend(sorted(chosen))
+        test_idx.extend(i for i in members if i in chosen)
         train_idx.extend(i for i in members if i not in chosen)
-    train_idx.sort()
-    test_idx.sort()
     return corpus.subset(train_idx), corpus.subset(test_idx)
 
 
@@ -268,7 +270,8 @@ def mask_labels(
     unlabeled doc id to its ground-truth class index. The ground truth never
     rides on the unlabeled corpus itself, so it cannot leak into a learner
     that only sees the two corpora. Every class keeps at least one labeled
-    document regardless of the fraction.
+    document regardless of the fraction. Both corpora list their documents
+    in (class index, doc id) order.
     """
     if not 0.0 < labeled_fraction < 1.0:
         raise DataError(f"labeled_fraction must be in (0,1), got {labeled_fraction}")
@@ -284,10 +287,8 @@ def mask_labels(
         n_lab = min(max(n_lab, 1), len(members))
         perm = rng.permutation(len(members))
         chosen = {members[p] for p in perm[:n_lab]}
-        labeled_idx.extend(sorted(chosen))
+        labeled_idx.extend(i for i in members if i in chosen)
         unlabeled_idx.extend(i for i in members if i not in chosen)
-    labeled_idx.sort()
-    unlabeled_idx.sort()
     hidden = {corpus.documents[i].doc_id: corpus.labels[i] for i in unlabeled_idx}
     return (
         corpus.subset(labeled_idx),

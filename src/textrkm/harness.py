@@ -82,7 +82,6 @@ class SweepConfig:
             "distance": km.distance,
             "max_iterations": km.max_iterations,
             "centroid_shift_tolerance": km.centroid_shift_tolerance,
-            "empty_cluster_policy": km.empty_cluster_policy,
             "tokenizer": self.tokenizer.to_dict(),
             "unlabeled_pool_size": self.unlabeled_pool_size,
             "transductive": self.transductive,
@@ -90,9 +89,13 @@ class SweepConfig:
 
     @staticmethod
     def from_dict(d: Mapping) -> "SweepConfig":
-        """Inverse of ``to_dict``; a malformed payload raises DataError."""
+        """Inverse of ``to_dict``; a malformed payload raises DataError.
+
+        Older files also hold ``"empty_cluster_policy": "reseed_farthest"``,
+        the only policy there is now.
+        """
         try:
-            return SweepConfig(
+            config = SweepConfig(
                 ratio_grid=tuple((int(a), int(b)) for a, b in d["ratio_grid"]),
                 trials_per_ratio=int(d["trials_per_ratio"]),
                 base_seed=int(d["base_seed"]),
@@ -110,7 +113,6 @@ class SweepConfig:
                         distance=str(d["distance"]),
                         max_iterations=int(d["max_iterations"]),
                         centroid_shift_tolerance=float(d["centroid_shift_tolerance"]),
-                        empty_cluster_policy=str(d["empty_cluster_policy"]),
                     ),
                 ),
                 tokenizer=TokenizerConfig.from_dict(d["tokenizer"]),
@@ -121,6 +123,10 @@ class SweepConfig:
             )
         except (KeyError, TypeError, ValueError) as exc:
             raise DataError(f"malformed sweep config: {type(exc).__name__}: {exc}") from exc
+        policy = d.get("empty_cluster_policy", "reseed_farthest")
+        if policy != "reseed_farthest":
+            raise DataError(f"malformed sweep config: unknown empty_cluster_policy {policy!r}")
+        return config
 
 
 @dataclass
@@ -136,9 +142,6 @@ class TrialResult:
     report: EvalReport | None = None
     metrics: dict[str, float] = field(default_factory=dict)
     n_clusters: int = 0
-    fallback_acceptances: int = 0
-    orphan_count: int = 0
-    max_depth_reached: int = 0
     labeled_doc_ids: tuple[str, ...] = ()
     model: ClusterModel | None = None
     error: str | None = None
@@ -208,9 +211,6 @@ def _run_pipeline(
         report=report,
         metrics=metrics_from_report(report),
         n_clusters=model.n_clusters,
-        fallback_acceptances=model.stats.fallback_total,
-        orphan_count=model.stats.orphan_count,
-        max_depth_reached=model.stats.max_depth_reached,
         labeled_doc_ids=tuple(d.doc_id for d in d_labeled.documents),
         model=model if keep_model else None,
     )
@@ -239,7 +239,6 @@ class SweepRow:
     mean: float
     std: float
     n_trials: int
-    fallback_acceptances: int
 
 
 @dataclass
@@ -260,7 +259,6 @@ def aggregate_rows(records: list[TrialResult]) -> list[SweepRow]:
             ratios.append(rec.ratio)
     for ratio in ratios:
         ok = [r for r in records if r.ratio == ratio and r.error is None]
-        fallbacks = sum(r.fallback_acceptances for r in ok)
         for metric in SWEEP_METRICS:
             values = np.array([r.metrics[metric] for r in ok], dtype=np.float64)
             if values.size:
@@ -276,7 +274,6 @@ def aggregate_rows(records: list[TrialResult]) -> list[SweepRow]:
                     mean=float(stats[2]),
                     std=float(stats[3]),
                     n_trials=len(ok),
-                    fallback_acceptances=fallbacks,
                 )
             )
     return rows
@@ -403,7 +400,6 @@ def read_aggregate_csv(path: str | Path) -> list[SweepRow]:
                     mean=float(mean),
                     std=float(std),
                     n_trials=-1,  # not stored in the file
-                    fallback_acceptances=-1,
                 )
             )
         except ValueError as exc:  # wrong field count, bad ratio or float

@@ -149,14 +149,15 @@ def assign_cosine(x, centroids):
 def centroid_sums(x, assign, n_clusters):
     """Per-cluster componentwise sums and member counts.
 
-    Each column is one weighted ``bincount``, which adds the points in row
-    order, as a loop over the rows would.
+    The sums are one weighted ``bincount`` over ``cluster * d + column``
+    keys, which adds each bin's values in row order, as a loop over the
+    rows would.
     """
-    sums = np.empty((n_clusters, x.shape[1]), dtype=np.float64)
-    for t in range(x.shape[1]):
-        sums[:, t] = np.bincount(assign, weights=x[:, t], minlength=n_clusters)
+    d = x.shape[1]
+    keys = (assign[:, None] * d + np.arange(d)).ravel()
+    sums = np.bincount(keys, weights=x.ravel(), minlength=n_clusters * d)
     counts = np.bincount(assign, minlength=n_clusters).astype(np.int64)
-    return sums, counts
+    return sums.reshape(n_clusters, d), counts
 
 
 METRICS = ("euclidean", "cosine")

@@ -52,12 +52,14 @@ class TermClassWeights:
     def validate(self) -> None:
         if self.weights.shape != (len(self.vocabulary), len(self.class_names)):
             raise DataError("weight matrix shape does not match vocabulary/classes")
-        if not np.all(np.isfinite(self.weights)) or np.any(self.weights < 0):
-            raise DataError("weights must be finite and non-negative")
+        # a fitted entry is (tf + s) / (sum tf + s V) with tf <= sum tf and
+        # V >= 1, so rounding never takes it past 1
+        if not np.all((self.weights >= 0) & (self.weights <= 1)):
+            raise DataError("weights must lie in [0, 1]")
         if self.oov_weight.shape != (len(self.class_names),):
             raise DataError("oov weight length does not match classes")
-        if not np.all(np.isfinite(self.oov_weight)) or np.any(self.oov_weight < 0):
-            raise DataError("oov weights must be finite and non-negative")
+        if not np.all((self.oov_weight >= 0) & (self.oov_weight <= 1)):
+            raise DataError("oov weights must lie in [0, 1]")
 
 
 def term_class_counts(corpus: Corpus) -> tuple[dict[str, int], np.ndarray]:

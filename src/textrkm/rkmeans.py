@@ -42,7 +42,6 @@ class KMeansConfig:
     max_iterations: int = 100
     centroid_shift_tolerance: float = 1e-6
     rng_seed: int = 0
-    empty_cluster_policy: str = "reseed_farthest"
 
     def __post_init__(self):
         if self.distance not in kernels.METRICS:
@@ -51,8 +50,6 @@ class KMeansConfig:
             raise DataError("max_iterations must be >= 1")
         if self.centroid_shift_tolerance <= 0:
             raise DataError("centroid_shift_tolerance must be > 0")
-        if self.empty_cluster_policy not in ("reseed_farthest", "drop"):
-            raise DataError(f"unknown empty_cluster_policy {self.empty_cluster_policy!r}")
 
 
 @dataclass(frozen=True)
@@ -100,9 +97,8 @@ def kmeans(x: np.ndarray, seeds: np.ndarray, config: KMeansConfig) -> KMeansResu
 
     Assign each point to its nearest centroid (ties to the lowest index),
     recompute centroids as member means, and stop when the maximum centroid
-    shift drops below tolerance or ``max_iterations`` is hit. Empty clusters
-    are reseeded on the farthest-from-its-centroid point or dropped,
-    per policy.
+    shift drops below tolerance or ``max_iterations`` is hit. An empty
+    cluster is reseeded on the point farthest from its centroid.
     """
     x = kernels.as_points(x)
     if x.shape[0] == 0:
@@ -127,22 +123,12 @@ def kmeans(x: np.ndarray, seeds: np.ndarray, config: KMeansConfig) -> KMeansResu
         means = np.where(counts[:, None] > 0, sums / np.maximum(counts, 1)[:, None], centroids)
         empties = np.flatnonzero(counts == 0)
         if empties.size:
-            if config.empty_cluster_policy == "drop":
-                keep = counts > 0
-                remap = np.cumsum(keep) - 1
-                centroids = np.ascontiguousarray(means[keep])
-                assign = remap[assign]
-                k = centroids.shape[0]
-            else:
-                # reseed each empty cluster on the most distant point, one
-                # point per cluster, lowest cluster index served first; with
-                # fewer points than empty clusters the leftovers stay empty
-                order = np.argsort(-dist, kind="stable")
-                for pos, j in enumerate(empties):
-                    if pos >= x.shape[0]:
-                        break
-                    means[j] = x[order[pos]]
-                centroids = means
+            # reseed each empty cluster on the most distant point, one
+            # point per cluster, lowest cluster index served first; with
+            # fewer points than empty clusters the leftovers stay empty
+            empties = empties[: x.shape[0]]
+            means[empties] = x[np.argsort(-dist, kind="stable")[: empties.size]]
+            centroids = means
             continue  # geometry changed; always run another assignment pass
         shift = np.sqrt(((means - centroids) ** 2).sum(axis=1)).max()
         centroids = means
@@ -180,12 +166,11 @@ def choose_initial_seeds(
     labeled = np.flatnonzero(labels >= 0)
     if labeled.size == 0:
         raise DataError("cannot seed: no labeled points")
-    present = np.unique(labels[labeled])
-    seeds = np.empty((present.size, x.shape[1]), dtype=np.float64)
-    for row, c in enumerate(present):
-        members = np.flatnonzero(labels == c)
-        seeds[row] = x[members[int(rng.integers(members.size))]]
-    return seeds, present
+    # labeled points grouped by class, each group in index order
+    by_class = labeled[np.argsort(labels[labeled], kind="stable")]
+    present, starts, sizes = np.unique(labels[by_class], return_index=True, return_counts=True)
+    picks = [start + int(rng.integers(n)) for start, n in zip(starts.tolist(), sizes.tolist())]
+    return x[by_class[picks]], present
 
 
 def cluster_class_stats(member_labels: np.ndarray, n_classes: int) -> tuple[int, np.ndarray]:
@@ -238,11 +223,6 @@ class RunStats:
 
 
 
-def _sibling_distance(a: np.ndarray, b: np.ndarray, metric: str) -> float:
-    _, dist = kernels.nearest_centroids(a.reshape(1, -1), b.reshape(1, -1), metric)
-    return float(dist[0])
-
-
 def _recurse(
     x: np.ndarray,
     labels: np.ndarray,
@@ -259,68 +239,64 @@ def _recurse(
     seeds, _ = choose_initial_seeds(sub_x, sub_labels, rng)
     result = kmeans(sub_x, seeds, config.kmeans)
     stats.kmeans_runs += 1
+    k = result.centroids.shape[0]
 
-    level = []
-    for j in range(result.centroids.shape[0]):
-        members = idx[result.assignments == j]
-        ncp, lsp = cluster_class_stats(labels[members], n_classes)
-        level.append((j, members, ncp, lsp))
-    labeled_siblings = [
-        (result.centroids[j], majority_label(lsp))
-        for j, _, ncp, lsp in level
-        if ncp >= 1
-    ]
+    # (clusters, classes) labeled counts; the same numbers, majorities and
+    # threshold test as cluster_class_stats, majority_label and
+    # relative_percentage give cluster by cluster (an orphan's row, all
+    # zeros, divides by 1)
+    known = sub_labels >= 0
+    lsp = np.bincount(
+        result.assignments[known] * n_classes + sub_labels[known], minlength=k * n_classes
+    ).reshape(k, n_classes)
+    ncp = (lsp > 0).sum(axis=1)
+    majority = lsp.argmax(axis=1)
+    percent = 100.0 * lsp / np.maximum(lsp[np.arange(k), majority], 1)[:, None]
+    minority = np.arange(n_classes) != majority[:, None]
+    over_threshold = ((percent > config.th_percent) & minority).any(axis=1)
 
-    finals: list[FinalCluster] = []
-    for j, members, ncp, lsp in level:
-        centroid = result.centroids[j]
-        if ncp == 0:
-            dists = [
-                _sibling_distance(centroid, sib, config.kmeans.distance)
-                for sib, _ in labeled_siblings
-            ]
-            label = labeled_siblings[int(np.argmin(dists))][1]
-            stats.orphan_count += 1
-            finals.append(
-                FinalCluster(
-                    member_indices=members,
-                    centroid=centroid,
-                    label=label,
-                    acceptance=ACCEPT_ORPHAN,
-                    depth=depth,
-                )
-            )
-            continue
-        majority = majority_label(lsp)
-        over_threshold = ncp > 1 and any(
-            relative_percentage(lsp, majority, c) > config.th_percent
-            for c in range(n_classes)
-            if c != majority and lsp[c] > 0
+    # a cluster with no labeled member takes the majority of the nearest
+    # labeled sibling, ties to the lowest cluster index
+    orphans, siblings = np.flatnonzero(ncp == 0), np.flatnonzero(ncp > 0)
+    if orphans.size:
+        nearest, _ = kernels.nearest_centroids(
+            result.centroids[orphans], result.centroids[siblings], config.kmeans.distance
         )
-        if over_threshold:
+        majority[orphans] = majority[siblings[nearest]]
+
+    members = np.split(
+        idx[np.argsort(result.assignments, kind="stable")], np.cumsum(result.counts)[:-1]
+    )
+    finals: list[FinalCluster] = []
+    for j in range(k):
+        n_present = int(ncp[j])
+        if n_present == 0:
+            acceptance = ACCEPT_ORPHAN
+            stats.orphan_count += 1
+        elif not over_threshold[j]:
+            acceptance = ACCEPT_PURE if n_present == 1 else ACCEPT_THRESHOLD
+        else:
             min_size = config.min_cluster_size_for_recursion
             if min_size is None:
-                min_size = 2 * ncp
-            if members.size == idx.size:
+                min_size = 2 * n_present
+            if members[j].size == idx.size:
                 acceptance = ACCEPT_NO_SPLIT
             elif depth >= config.max_recursion_depth:
                 acceptance = ACCEPT_DEPTH
-            elif members.size < min_size:
+            elif members[j].size < min_size:
                 acceptance = ACCEPT_SIZE
             else:
                 stats.recursion_calls += 1
                 finals.extend(
-                    _recurse(x, labels, members, n_classes, config, depth + 1, rng, stats)
+                    _recurse(x, labels, members[j], n_classes, config, depth + 1, rng, stats)
                 )
                 continue
             stats.fallback_counts[acceptance] = stats.fallback_counts.get(acceptance, 0) + 1
-        else:
-            acceptance = ACCEPT_PURE if ncp == 1 else ACCEPT_THRESHOLD
         finals.append(
             FinalCluster(
-                member_indices=members,
-                centroid=centroid,
-                label=majority,
+                member_indices=members[j],
+                centroid=result.centroids[j],
+                label=int(majority[j]),
                 acceptance=acceptance,
                 depth=depth,
             )
@@ -345,6 +321,8 @@ def recursive_kmeans(
         raise DataError("labels and points length mismatch")
     if not (labels >= 0).any():
         raise DataError("recursive clustering needs at least one labeled point")
+    if labels.max() >= n_classes:
+        raise DataError(f"label {labels.max()} out of range for {n_classes} classes")
     stats = RunStats(
         th_percent=config.th_percent,
         rng_seed=config.kmeans.rng_seed,

@@ -231,6 +231,7 @@ BROKEN_BUNDLES = {
     "weights without terms": lambda b: {**b, "weights": _drop(b["weights"], "terms")},
     "weights wrong size": lambda b: _as_version_two(b, weights=[[0.5]]),
     "oov weight wrong length": lambda b: _as_version_two(b, oov_weight=[0.5]),
+    "oov weight above one": lambda b: _as_version_two(b, oov_weight=[1.5, 0.1, 0.1]),
     "count negative": lambda b: _edit_first_class(b, "counts", lambda n: [-1] + n[1:]),
     "count zero": lambda b: _edit_first_class(b, "counts", lambda n: [0] + n[1:]),
     "count fractional": lambda b: _edit_first_class(b, "counts", lambda n: [1.5] + n[1:]),
@@ -358,22 +359,25 @@ def test_version_two_bundle_with_huge_weights_exits_two(tmp_path, capsys):
     corpus = fixture_corpus()
     tree = tmp_path / "corpus"
     write_corpus_tree(corpus, tree)
-    bundle = json.loads(V2_BUNDLE.read_text())
-    terms = bundle["weights"]["terms"]
-    # a stored term twice in one document: its weights add up to inf
-    term = next(
+    terms = json.loads(V2_BUNDLE.read_text())["weights"]["terms"]
+    # a stored term twice in one document, whose weights add up to inf, and
+    # common0, at most once per document: a finite embedding whose
+    # euclidean distances overflow
+    repeated = next(
         t for doc in corpus.documents for t in doc.tokens if t in terms and doc.tokens.count(t) > 1
     )
-    bundle["weights"]["weights"][terms.index(term)] = [1e308] * corpus.n_classes
-    bad = tmp_path / "bad.json"
-    bad.write_text(json.dumps(bundle))
-    capsys.readouterr()
-    rc = main(["classify", "--model", str(bad), "--input", str(tree), "--out", str(tmp_path / "p.tsv")])
-    assert rc == 2
-    err = capsys.readouterr().err
-    assert err.startswith("data error: document ")
-    assert "non-finite" in err
-    assert "Traceback" not in err
+    assert max(doc.tokens.count("common0") for doc in corpus.documents) == 1
+    for term in (repeated, "common0"):
+        bundle = json.loads(V2_BUNDLE.read_text())
+        bundle["weights"]["weights"][terms.index(term)] = [1e308] * corpus.n_classes
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(bundle))
+        capsys.readouterr()
+        rc = main(["classify", "--model", str(bad), "--input", str(tree), "--out", str(tmp_path / "p.tsv")])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith("data error: weights must lie in [0, 1]")
+        assert "Traceback" not in err
 
 
 def test_version_one_bundle_with_inconsistent_labels_exits_two(tmp_path, capsys, corpus_tree):

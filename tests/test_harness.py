@@ -1,4 +1,7 @@
+import hashlib
 import re
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -207,6 +210,53 @@ def test_failed_trials_recorded_not_dropped():
     assert all(r.n_trials == 0 and np.isnan(r.mean) for r in failed_rows)
 
 
+def test_s2_shaped_euclidean_sweep_outputs_are_pinned(tmp_path):
+    # byte-identity of the whole pipeline: only a deliberate change of the
+    # clustering's draws or arithmetic may move these values
+    corpus = make_text_corpus(
+        n_classes=20, docs_per_class=60, doc_len=8, class_words=10, shared_words=40,
+        signal=0.2, seed=13,
+    )
+    table = run_sweep(corpus, SweepConfig(ratio_grid=((20, 30), (5, 45)), trials_per_ratio=2))
+    paths = emit_results(table, tmp_path)
+    assert [rec.n_clusters for rec in table.records] == [174, 174, 48, 37]
+    assert {
+        k: hashlib.sha256(paths[k].read_bytes()).hexdigest() for k in ("per_trial", "aggregate")
+    } == {
+        "per_trial": "9811095bb951573c6803a1a9892cfa64b7787a81c64ec5db1ed52ce2b6d0935c",
+        "aggregate": "53fce4d5a614c8dfbf04b9d13c679c17bfc9415b7179158962963492d373598b",
+    }
+
+
+def _emitted_files(corpus, config) -> dict[str, bytes]:
+    with tempfile.TemporaryDirectory() as out:
+        emit_results(run_sweep(corpus, config), out)
+        return {str(p.relative_to(out)): p.read_bytes() for p in Path(out).rglob("*") if p.is_file()}
+
+
+@pytest.fixture(scope="module")
+def ordered_sweep():
+    corpus = make_text_corpus(
+        n_classes=3, docs_per_class=12, doc_len=8, class_words=10, shared_words=30, signal=0.4,
+        seed=6,
+    )
+    config = SweepConfig(ratio_grid=((10, 40), (20, 30)), trials_per_ratio=2, base_seed=1)
+    return corpus, config, _emitted_files(corpus, config)
+
+
+@settings(max_examples=20, deadline=None)
+@given(data=st.data())
+def test_sweep_outputs_do_not_depend_on_corpus_order(ordered_sweep, data):
+    corpus, config, files = ordered_sweep
+    order = data.draw(st.permutations(range(corpus.n_docs)))
+    permuted = Corpus(
+        documents=[corpus.documents[i] for i in order],
+        labels=[corpus.labels[i] for i in order],
+        class_names=corpus.class_names,
+    )
+    assert _emitted_files(permuted, config) == files
+
+
 def test_invariant_error_propagates_out_of_sweep(monkeypatch):
     def broken_build_model(*args, **kwargs):
         raise InvariantError("partition lost a point")
@@ -229,6 +279,15 @@ def test_sweep_config_dict_round_trip():
     )
     back = SweepConfig.from_dict(cfg.to_dict())
     assert back == cfg
+
+
+def test_sweep_config_from_dict_reads_the_retired_policy_key():
+    cfg = SweepConfig(ratio_grid=((3, 47),), trials_per_ratio=2)
+    d = cfg.to_dict()
+    assert "empty_cluster_policy" not in d
+    assert SweepConfig.from_dict({**d, "empty_cluster_policy": "reseed_farthest"}) == cfg
+    with pytest.raises(DataError, match="unknown empty_cluster_policy 'drop'"):
+        SweepConfig.from_dict({**d, "empty_cluster_policy": "drop"})
 
 
 AGGREGATE_HEADER = "ratio,metric,max,min,mean,std\n"

@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from textrkm import kernels
 from textrkm.cli import load_bundle, save_bundle
 from textrkm.corpus import TokenizerConfig
 from textrkm.errors import DataError
@@ -106,19 +107,16 @@ def test_kmeans_empty_cluster_policies():
     # three identical points with two distinct seeds: second cluster empties
     x = np.array([[1.0], [1.0], [1.0]])
     seeds = np.array([[1.0], [5.0]])
-    res = kmeans(x, seeds, KMeansConfig(empty_cluster_policy="reseed_farthest"))
+    res = kmeans(x, seeds, KMeansConfig())
     assert res.centroids.shape[0] == 1  # still-empty cluster dropped at output
     assert res.assignments.tolist() == [0, 0, 0]
-    res = kmeans(x, seeds, KMeansConfig(empty_cluster_policy="drop"))
-    assert res.centroids.shape[0] == 1
-    assert np.allclose(res.centroids[0], [1.0])
 
 
 def test_kmeans_reseed_recovers_split():
     # far outlier: reseeding the emptied cluster onto it splits the set
     x = np.array([[0.0], [0.1], [0.2], [10.0]])
     seeds = np.array([[0.1], [0.1]])
-    res = kmeans(x, seeds, KMeansConfig(empty_cluster_policy="reseed_farthest"))
+    res = kmeans(x, seeds, KMeansConfig())
     assert res.centroids.shape[0] == 2
     assert res.assignments.tolist() == [0, 0, 0, 1]
 
@@ -126,10 +124,9 @@ def test_kmeans_reseed_recovers_split():
 def test_kmeans_more_seeds_than_points():
     x = np.array([[0.0], [1.0]])
     seeds = np.array([[0.0], [1.0], [2.0], [3.0]])
-    for policy in ("reseed_farthest", "drop"):
-        res = kmeans(x, seeds, KMeansConfig(empty_cluster_policy=policy))
-        assert res.centroids.shape[0] == 2
-        assert sorted(res.assignments.tolist()) == [0, 1]
+    res = kmeans(x, seeds, KMeansConfig())
+    assert res.centroids.shape[0] == 2
+    assert sorted(res.assignments.tolist()) == [0, 1]
 
 
 def test_kmeans_input_validation():
@@ -277,16 +274,21 @@ def test_depth_limit_fallback_still_returns_model():
 
 
 def test_orphan_cluster_labeled_by_nearest_sibling():
-    x = np.array([[0.0], [0.1], [0.05], [10.0], [10.1]])
-    labels = np.array([0, 0, 1, -1, -1])
-    finals, stats = recursive_kmeans(x, labels, 2, RecursiveConfig(th_percent=5.0))
-    assert stats.orphan_count >= 1
-    orphans = [f for f in finals if f.acceptance == "orphan"]
-    assert orphans
-    covered = sorted(i for f in finals for i in f.member_indices)
-    assert covered == list(range(5))
-    for f in orphans:
-        assert f.label in (0, 1)
+    # classes 0 and 2 seed at the same point, so the class-2 seed's cluster
+    # empties and is reseeded on the unlabeled points: an orphan at
+    # ``point``, beside the labeled siblings 0 at (1, 0) and 1 at (0, 1).
+    # (1, 1) is equally near both under either metric.
+    for distance in kernels.METRICS:
+        for point, label in (((1.0, 2.0), 1), ((2.0, 1.0), 0), ((1.0, 1.0), 0)):
+            x = np.array([[1.0, 0.0]] * 30 + [[0.0, 1.0]] * 30 + [[1.0, 0.0], point, point])
+            labels = np.array([0] * 30 + [1] * 30 + [2, -1, -1])
+            config = RecursiveConfig(kmeans=KMeansConfig(distance=distance))
+            finals, stats = recursive_kmeans(x, labels, 3, config)
+            assert [(f.label, f.acceptance) for f in finals] == [
+                (0, ACCEPT_THRESHOLD), (1, ACCEPT_PURE), (label, ACCEPT_ORPHAN)
+            ], (distance, point)
+            assert finals[2].member_indices.tolist() == [61, 62]
+            assert stats.orphan_count == 1
 
 
 def test_build_model_pure_clusters_on_separated_classes():
@@ -448,6 +450,11 @@ def test_build_model_without_unlabeled_points():
     model = build_model(x, truth, ids, ("a", "b"), RecursiveConfig())
     assert model.training_label_assignments == {}
     assert model.n_clusters >= 2
+
+
+def test_recursive_rejects_label_out_of_range():
+    with pytest.raises(DataError, match="label 2 out of range for 2 classes"):
+        recursive_kmeans(np.zeros((3, 1)), np.array([0, 1, 2]), 2, RecursiveConfig())
 
 
 def test_build_model_requires_all_classes_labeled():
