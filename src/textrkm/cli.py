@@ -109,20 +109,18 @@ def cmd_train(args) -> int:
 
 
 def _collect_input_docs(path: Path, tokenizer: TokenizerConfig) -> list[Document]:
-    """One Document per input file; a directory of class subdirectories uses
-    ``subdir/filename`` ids (labels, if any, are ignored here)."""
+    """One Document per input file: every file directly under a directory
+    (id ``filename``) and every file one level down (id ``subdir/filename``);
+    labels implied by a class layout are ignored here."""
     if path.is_file():
         files = [(path.name, path)]
     elif path.is_dir():
-        subdirs = sorted(p for p in path.iterdir() if p.is_dir())
-        if subdirs:
-            files = [
-                (f"{d.name}/{f.name}", f)
-                for d in subdirs
-                for f in sorted(p for p in d.iterdir() if p.is_file())
-            ]
-        else:
-            files = [(p.name, p) for p in sorted(path.iterdir()) if p.is_file()]
+        files = []
+        for p in sorted(path.iterdir()):
+            if p.is_dir():
+                files += [(f"{p.name}/{f.name}", f) for f in sorted(p.iterdir()) if f.is_file()]
+            elif p.is_file():
+                files.append((p.name, p))
     else:
         raise DataError(f"input path {path} does not exist")
     if not files:

@@ -12,7 +12,8 @@ which is that order too.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from itertools import chain
 from pathlib import Path
 from typing import Iterable, Mapping
 
@@ -75,6 +76,43 @@ class SplitSpec:
             raise DataError(f"test_fraction must be in (0,1), got {self.test_fraction}")
 
 
+@dataclass(frozen=True, eq=False)
+class Encoding:
+    """Every token of a corpus as an id into one sorted term table.
+
+    Document i's ids are ``ids[indptr[i]:indptr[i + 1]]`` (int32, in token
+    order), so ``terms[ids]`` gives its tokens back. ``terms`` is an object
+    array of str; subsets and concatenations share it.
+    """
+
+    terms: np.ndarray
+    ids: np.ndarray
+    indptr: np.ndarray
+
+    def take(self, rows: np.ndarray) -> "Encoding":
+        """The encoding of the documents at ``rows``, in that order."""
+        starts = self.indptr[rows]
+        lengths = self.indptr[rows + 1] - starts
+        indptr = np.concatenate([[0], np.cumsum(lengths)])
+        positions = np.arange(indptr[-1]) + np.repeat(starts - indptr[:-1], lengths)
+        return Encoding(self.terms, self.ids[positions], indptr)
+
+
+def encode(documents: list[Document], distinct: Iterable[str] | None = None) -> Encoding:
+    """The encoding of ``documents``; ``distinct``, if given, holds their terms."""
+    if distinct is None:
+        distinct = set(chain.from_iterable(d.tokens for d in documents))
+    terms = sorted(distinct)
+    id_of = {t: i for i, t in enumerate(terms)}
+    indptr = np.concatenate([[0], np.cumsum([len(d.tokens) for d in documents], dtype=np.int64)])
+    ids = np.fromiter(
+        map(id_of.__getitem__, chain.from_iterable(d.tokens for d in documents)),
+        dtype=np.int32,
+        count=int(indptr[-1]),
+    )
+    return Encoding(np.array(terms, dtype=object), ids, indptr)
+
+
 @dataclass
 class Corpus:
     """Ordered documents with per-document optional labels.
@@ -82,13 +120,21 @@ class Corpus:
     ``labels[i]`` is the class index of ``documents[i]`` or None when the
     document is unlabeled. ``class_names`` gives the dense index -> name map.
     ``skipped`` records doc ids dropped at load time (unreadable or empty
-    after tokenization).
+    after tokenization). ``encoding`` is built on first use by ``encoded``,
+    or taken from the corpus this one was cut from; ``documents`` must not
+    change after that.
     """
 
     documents: list[Document]
     labels: list[int | None]
     class_names: tuple[str, ...]
     skipped: tuple[str, ...] = ()
+    encoding: Encoding | None = field(default=None, repr=False, compare=False)
+
+    def encoded(self) -> Encoding:
+        if self.encoding is None:
+            self.encoding = encode(self.documents)
+        return self.encoding
 
     @property
     def n_docs(self) -> int:
@@ -134,17 +180,27 @@ class Corpus:
             documents=[self.documents[i] for i in idx],
             labels=[None if drop_labels else self.labels[i] for i in idx],
             class_names=self.class_names,
+            encoding=self.encoding and self.encoding.take(np.arange(self.n_docs)[idx]),
         )
 
 
 def concat_corpora(a: Corpus, b: Corpus) -> Corpus:
-    """Append b's documents after a's; class name tables must agree."""
+    """Append b's documents after a's; class name tables must agree.
+
+    The result is encoded when both inputs share one term table.
+    """
     if a.class_names != b.class_names:
         raise DataError("cannot concatenate corpora with different class tables")
+    ea, eb = a.encoding, b.encoding
+    encoding = None
+    if ea and eb and ea.terms is eb.terms:
+        indptr = np.concatenate([ea.indptr, ea.indptr[-1] + eb.indptr[1:]])
+        encoding = Encoding(ea.terms, np.concatenate([ea.ids, eb.ids]), indptr)
     return Corpus(
         documents=a.documents + b.documents,
         labels=a.labels + b.labels,
         class_names=a.class_names,
+        encoding=encoding,
     )
 
 
@@ -180,7 +236,8 @@ def load_directory_corpus(
     Class names are the immediate subdirectory names, sorted lexicographically
     and indexed densely. Files are read as latin-1 text. Documents that are
     unreadable or empty after tokenization are skipped (counted in
-    ``corpus.skipped``); a class left with zero documents is an error.
+    ``corpus.skipped``); a class left with zero documents is an error. The
+    corpus comes encoded, and each distinct term is one str object.
     """
     root = Path(root_path)
     if not root.is_dir():
@@ -192,6 +249,7 @@ def load_directory_corpus(
     documents: list[Document] = []
     labels: list[int | None] = []
     skipped: list[str] = []
+    interned: dict[str, str] = {}
     for ci, cdir in enumerate(class_dirs):
         n_before = len(documents)
         # non-directory entries only; unreadable ones (broken links, bad
@@ -207,7 +265,7 @@ def load_directory_corpus(
             if not tokens:
                 skipped.append(doc_id)
                 continue
-            documents.append(Document(doc_id, tuple(tokens)))
+            documents.append(Document(doc_id, tuple(map(interned.setdefault, tokens, tokens))))
             labels.append(ci)
         if len(documents) == n_before:
             raise DataError(f"class directory {cdir} has no readable non-empty documents")
@@ -217,6 +275,7 @@ def load_directory_corpus(
         labels=labels,
         class_names=tuple(d.name for d in class_dirs),
         skipped=tuple(skipped),
+        encoding=encode(documents, interned),
     )
     corpus.validate()
     return corpus
@@ -322,12 +381,7 @@ def make_training_collection(
     rng = np.random.default_rng(rng_seed)
     perm = rng.permutation(len(order))
     sampled = sorted(order[p] for p in perm[:n_pool])
-    picked = d_unlabeled.subset(sampled, drop_labels=True)
-    return Corpus(
-        documents=d_labeled.documents + picked.documents,
-        labels=list(d_labeled.labels) + [None] * picked.n_docs,
-        class_names=d_labeled.class_names,
-    )
+    return concat_corpora(d_labeled, d_unlabeled.subset(sampled, drop_labels=True))
 
 
 # ---------------------------------------------------------------------------

@@ -10,18 +10,18 @@ the integer term/class counts and ``s``; a bundle stores the counts.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import chain, repeat
-from typing import Iterator, Sequence
+from itertools import repeat
+from typing import Sequence
 
 import numpy as np
 
-from .corpus import Corpus, Document
+from .corpus import UNLABELED, Corpus
 from .errors import DataError
 
-# Most tokens ``embed_corpus`` handles at once. A block costs about 40 bytes
-# per token (ids, document keys, one gathered weight column); gathering all
-# K weight columns of a 750k-token corpus at once would take 120 MB at K=20.
-EMBED_BLOCK_TOKENS = 2**13
+# ``embed_corpus`` finishes the last documents still being summed one by one
+# once no more than this many remain, so its per-position loop does not run
+# to the length of the longest document.
+EMBED_TAIL_DOCS = 32
 
 
 @dataclass
@@ -65,26 +65,20 @@ class TermClassWeights:
 def term_class_counts(corpus: Corpus) -> tuple[dict[str, int], np.ndarray]:
     """Vocabulary (sorted terms) and the (V, K) token count matrix.
 
-    Each class column is one ``bincount`` over the token ids of that class's
-    documents, so at most one class's ids are held at a time.
+    One ``bincount`` over ``label * G + id`` keys of the corpus's encoding
+    (G terms) counts every class; the vocabulary is the terms that occur.
     """
-    by_class: list[list[Document]] = [[] for _ in range(corpus.n_classes)]
-    for doc, label in zip(corpus.documents, corpus.labels):
-        if label is None:
-            raise DataError(f"term weights are fitted on labeled documents only: {doc.doc_id!r}")
-        by_class[label].append(doc)
-    vocabulary = {
-        term: i for i, term in enumerate(sorted(set(_all_tokens(corpus.documents))))
-    }
-    tf = np.empty((len(vocabulary), corpus.n_classes), dtype=np.float64)
-    for c, docs in enumerate(by_class):
-        ids = np.fromiter(
-            map(vocabulary.__getitem__, _all_tokens(docs)),
-            dtype=np.intp,
-            count=sum(len(doc.tokens) for doc in docs),
-        )
-        tf[:, c] = np.bincount(ids, minlength=len(vocabulary))
-    return vocabulary, tf
+    labels = corpus.label_array()
+    if np.any(labels == UNLABELED):
+        doc = corpus.documents[int(np.argmax(labels == UNLABELED))]
+        raise DataError(f"term weights are fitted on labeled documents only: {doc.doc_id!r}")
+    enc = corpus.encoded()
+    g = len(enc.terms)
+    keys = np.repeat(labels * g, np.diff(enc.indptr)) + enc.ids
+    counts = np.bincount(keys, minlength=corpus.n_classes * g).reshape(corpus.n_classes, g)
+    present = np.flatnonzero(counts.any(axis=0))
+    vocabulary = {term: i for i, term in enumerate(enc.terms[present].tolist())}
+    return vocabulary, counts[:, present].T.astype(np.float64, order="C")
 
 
 def weights_from_counts(
@@ -148,52 +142,44 @@ def embed_corpus(
 
     Returns ``(matrix, kept_ids, dropped_ids)``; documents with zero tokens
     are dropped and reported rather than raising. Each row equals
-    ``embed_tokens`` of its document bit for bit: a weighted ``bincount``
-    adds a document's token weights in token order, as that loop does.
-    Documents go in runs of at most ``EMBED_BLOCK_TOKENS`` tokens; a longer
-    document is a run of its own, since splitting it would change the order
-    of its additions.
+    ``embed_tokens`` of its document bit for bit: with the documents sorted
+    longest first, position p adds the weight row of token p of every
+    document longer than p, so each document's weights are added in token
+    order from 0.0. The last ``EMBED_TAIL_DOCS`` documents finish with one
+    ``np.add.accumulate`` each, which adds in order too.
     """
-    kept = [doc for doc in corpus.documents if doc.tokens]
-    dropped = [doc.doc_id for doc in corpus.documents if not doc.tokens]
-    v = w.vocab_size
-    # row c holds class c's weights; column v, the id of every
-    # out-of-vocabulary token, adds 0 (the OOV floor is added per document)
-    table = np.zeros((w.n_classes, v + 1), dtype=np.float64)
-    table[:, :v] = w.weights.T
-    lengths = np.fromiter((len(doc.tokens) for doc in kept), dtype=np.int64, count=len(kept))
-    ends = np.cumsum(lengths)
-    matrix = np.empty((len(kept), w.n_classes), dtype=np.float64)
-    start = 0
-    while start < len(kept):
-        limit = ends[start] - lengths[start] + EMBED_BLOCK_TOKENS
-        stop = max(start + 1, int(np.searchsorted(ends, limit, side="right")))
-        matrix[start:stop] = _embed_block(kept[start:stop], lengths[start:stop], w, table)
-        start = stop
-    return matrix, [doc.doc_id for doc in kept], dropped
-
-
-def _all_tokens(docs: Sequence[Document]) -> Iterator[str]:
-    return chain.from_iterable(doc.tokens for doc in docs)
-
-
-def _embed_block(
-    docs: list[Document], lengths: np.ndarray, w: TermClassWeights, table: np.ndarray
-) -> np.ndarray:
-    v = w.vocab_size
-    ids = np.fromiter(
-        map(w.vocabulary.get, _all_tokens(docs), repeat(v)),
-        dtype=np.intp,
-        count=int(lengths.sum()),
+    enc = corpus.encoded()
+    lengths = np.diff(enc.indptr)
+    kept = np.flatnonzero(lengths)
+    k, v = w.n_classes, w.vocab_size
+    # row t holds term t's weights; row v, every out-of-vocabulary term's,
+    # adds 0 to them and 1 to column k, the document's count of OOV tokens
+    table = np.zeros((v + 1, k + 1), dtype=np.float64)
+    table[:v, :k] = w.weights
+    table[v, k] = 1.0
+    remap = np.fromiter(
+        map(w.vocabulary.get, enc.terms.tolist(), repeat(v)), dtype=np.intp, count=len(enc.terms)
     )
-    doc_of = np.repeat(np.arange(len(docs)), lengths)
-    sums = np.empty((len(docs), w.n_classes), dtype=np.float64)
-    for c, row in enumerate(table):
-        sums[:, c] = np.bincount(doc_of, weights=row.take(ids), minlength=len(docs))
-    n_oov = np.bincount(doc_of[ids == v], minlength=len(docs))
-    has_oov = n_oov > 0
-    sums[has_oov] += n_oov[has_oov, None] * w.oov_weight
-    return sums / lengths[:, None]
+    perm = np.argsort(-lengths[kept], kind="stable")
+    starts, lens = enc.indptr[kept[perm]], lengths[kept[perm]]
+    sums = np.zeros((len(kept), k + 1), dtype=np.float64)
+    p, m = 0, len(kept)
+    while m > EMBED_TAIL_DOCS:
+        sums[:m] += table.take(remap.take(enc.ids.take(starts[:m] + p)), axis=0)
+        p += 1
+        m = int(np.count_nonzero(lens[:m] > p))  # documents longer than p
+    for i in range(m):
+        rows = table.take(remap.take(enc.ids[starts[i] + p : starts[i] + lens[i]]), axis=0)
+        rows[0] += sums[i]
+        sums[i] = np.add.accumulate(rows)[-1]
+    # the OOV floor, as ``embed_tokens`` adds it; where there is none this
+    # adds 0.0, which changes no sum (a sum from 0.0 is never -0.0)
+    sums[:, :k] += sums[:, k, None] * w.oov_weight
+    sums[:, :k] /= lens[:, None]
+    matrix = np.empty((len(kept), k), dtype=np.float64)
+    matrix[perm] = sums[:, :k]
+    ids = corpus.doc_ids()
+    return matrix, [ids[i] for i in kept], [ids[i] for i in np.flatnonzero(lengths == 0)]
 
 
 # ---------------------------------------------------------------------------

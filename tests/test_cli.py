@@ -85,6 +85,28 @@ def test_classify_single_file_input(tmp_path, corpus_tree):
     assert line.split("\t")[0] == "single.txt"
 
 
+def test_classify_reads_top_level_files_beside_a_subfolder(tmp_path, corpus_tree):
+    # a flat directory with one stray subfolder: its top-level files count too
+    corpus, tree = corpus_tree
+    model_path = tmp_path / "model.json"
+    assert main([
+        "train", "--corpus", str(tree), "--labeled-frac", "0.3", "--model-out", str(model_path),
+    ]) == 0
+    flat = tmp_path / "unseen"
+    (flat / ".ipynb_checkpoints").mkdir(parents=True)
+    for i in range(5):
+        (flat / f"doc{i}.txt").write_text(" ".join(corpus.documents[i].tokens))
+    (flat / ".ipynb_checkpoints" / "doc0-checkpoint.txt").write_text(
+        " ".join(corpus.documents[0].tokens)
+    )
+    out_path = tmp_path / "preds.tsv"
+    assert main(["classify", "--model", str(model_path), "--input", str(flat), "--out", str(out_path)]) == 0
+    ids = [line.split("\t")[0] for line in out_path.read_text().splitlines()]
+    assert sorted(ids) == sorted(
+        [f"doc{i}.txt" for i in range(5)] + [".ipynb_checkpoints/doc0-checkpoint.txt"]
+    )
+
+
 def test_sweep_writes_result_files(tmp_path, corpus_tree):
     _, tree = corpus_tree
     out_dir = tmp_path / "sweep"

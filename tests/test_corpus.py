@@ -3,6 +3,8 @@ import re
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from textrkm.corpus import (
     Corpus,
@@ -10,6 +12,7 @@ from textrkm.corpus import (
     SplitSpec,
     TokenizerConfig,
     apply_split_manifest,
+    concat_corpora,
     load_directory_corpus,
     make_training_collection,
     mask_from_flags,
@@ -244,3 +247,53 @@ def test_manifest_rejects_flag_other_than_zero_or_one(tmp_path, flag):
     path.write_text(f"# seed 1\na\ttrain\t{flag}\n")
     with pytest.raises(DataError, match=re.escape(f"{path}:2: labeled flag '{flag}' is not 0 or 1")):
         read_split_manifest(path)
+
+
+# ---------------------------------------------------------------------------
+# the integer encoding
+# ---------------------------------------------------------------------------
+
+def decoded(corpus):
+    enc = corpus.encoding
+    return [tuple(enc.terms[enc.ids[a:b]]) for a, b in zip(enc.indptr[:-1], enc.indptr[1:])]
+
+
+def assert_encodes(corpus, terms):
+    assert corpus.encoding.terms is terms
+    assert corpus.encoding.ids.dtype == np.int32 and corpus.encoding.indptr.dtype == np.int64
+    assert decoded(corpus) == [d.tokens for d in corpus.documents]
+
+
+@settings(max_examples=50, deadline=None)
+@given(
+    docs=st.lists(
+        st.lists(st.sampled_from(["a", "b", "cc", "d", "ee"]), max_size=7), min_size=1, max_size=15
+    ),
+    data=st.data(),
+)
+def test_subsets_and_concatenations_decode_to_their_tokens(docs, data):
+    corpus = Corpus(
+        documents=[Document(f"d{i:02d}", tuple(toks)) for i, toks in enumerate(docs)],
+        labels=[i % 2 for i in range(len(docs))],
+        class_names=("c0", "c1"),
+    )
+    terms = corpus.encoded().terms
+    assert list(terms) == sorted({t for toks in docs for t in toks})
+    assert_encodes(corpus, terms)
+    rows = st.lists(st.integers(-len(docs), len(docs) - 1))  # Python's negative indices too
+    a, b = corpus.subset(data.draw(rows)), corpus.subset(data.draw(rows), drop_labels=True)
+    for part in (a, b, concat_corpora(a, b)):
+        assert_encodes(part, terms)
+    pool_size = data.draw(st.integers(0, b.n_docs))
+    assert_encodes(make_training_collection(a, b, pool_size, rng_seed=1), terms)
+
+
+def test_loaded_corpus_holds_one_str_per_distinct_term(tmp_path):
+    write_corpus_tree(make_text_corpus(n_classes=3, docs_per_class=8, doc_len=20, seed=3), tmp_path)
+    corpus = load_directory_corpus(tmp_path)
+    terms = corpus.encoding.terms
+    assert_encodes(corpus, terms)
+    tokens = [t for d in corpus.documents for t in d.tokens]
+    assert len({id(t) for t in tokens}) == len(terms)
+    ids = corpus.encoding.ids
+    assert all(t is terms[i] for t, i in zip(tokens, ids))

@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import re
 import tempfile
@@ -25,7 +26,7 @@ from textrkm.harness import (
     run_trial,
 )
 
-from synthdata import make_text_corpus, mutate_lines
+from synthdata import make_text_corpus, mutate_lines, write_corpus_tree
 
 
 def split_corpus(corpus, seed=0):
@@ -228,6 +229,30 @@ def test_s2_shaped_euclidean_sweep_outputs_are_pinned(tmp_path):
     }
 
 
+def test_s2_shaped_transductive_sweep_from_disk_is_pinned(tmp_path):
+    # the directory route and the encodings carried through subsets,
+    # concat_corpora and make_training_collection; values from the
+    # token-string pipeline that preceded the encoding
+    corpus = make_text_corpus(
+        n_classes=20, docs_per_class=100, doc_len=8, class_words=10, shared_words=40,
+        signal=0.2, seed=13,
+    )
+    write_corpus_tree(corpus, tmp_path / "tree")
+    config = SweepConfig(
+        ratio_grid=((20, 30), (5, 45)), trials_per_ratio=2, transductive=True,
+        unlabeled_pool_size=1500,
+    )
+    table = run_sweep(tmp_path / "tree", config)
+    paths = emit_results(table, tmp_path / "out")
+    assert [rec.n_clusters for rec in table.records] == [332, 333, 80, 74]
+    assert {
+        k: hashlib.sha256(paths[k].read_bytes()).hexdigest() for k in ("per_trial", "aggregate")
+    } == {
+        "per_trial": "ba7a3d6caac8f5391aad0a593c63bdff298c124cbc978f288dea8ce3d6b1bb13",
+        "aggregate": "970d486cf81958e9de52c0828f7744f6eef28c300b19f6311acedc6d94f8eac2",
+    }
+
+
 def _emitted_files(corpus, config) -> dict[str, bytes]:
     with tempfile.TemporaryDirectory() as out:
         emit_results(run_sweep(corpus, config), out)
@@ -255,6 +280,20 @@ def test_sweep_outputs_do_not_depend_on_corpus_order(ordered_sweep, data):
         class_names=corpus.class_names,
     )
     assert _emitted_files(permuted, config) == files
+
+
+def test_sweep_outputs_do_not_depend_on_when_the_corpus_is_encoded(ordered_sweep, monkeypatch):
+    # run_sweep encodes before splitting; without that, every subset encodes
+    # itself on first use, with a term table of its own
+    corpus, config, files = ordered_sweep
+    transductive = dataclasses.replace(config, transductive=True)
+    encoded = _emitted_files(corpus, transductive)
+    split = harness.split_train_test
+    monkeypatch.setattr(
+        harness, "split_train_test", lambda c, spec: split(dataclasses.replace(c, encoding=None), spec)
+    )
+    assert _emitted_files(corpus, config) == files
+    assert _emitted_files(corpus, transductive) == encoded
 
 
 def test_invariant_error_propagates_out_of_sweep(monkeypatch):

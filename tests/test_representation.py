@@ -247,9 +247,9 @@ EDGE_DOCS = [
 ]
 
 
-@pytest.mark.parametrize("block_tokens", [representation.EMBED_BLOCK_TOKENS, 1, 3])
-def test_embed_corpus_is_bit_identical_to_per_token_loop(monkeypatch, block_tokens):
-    monkeypatch.setattr(representation, "EMBED_BLOCK_TOKENS", block_tokens)
+@pytest.mark.parametrize("tail_docs", [0, 1, 3, representation.EMBED_TAIL_DOCS])
+def test_embed_corpus_is_bit_identical_to_per_token_loop(monkeypatch, tail_docs):
+    monkeypatch.setattr(representation, "EMBED_TAIL_DOCS", tail_docs)
     corpus = make_text_corpus(n_classes=4, docs_per_class=10, doc_len=23, seed=14)
     mixed = Corpus(
         documents=EDGE_DOCS[:3] + corpus.documents[:17] + EDGE_DOCS[3:]
@@ -277,32 +277,46 @@ def test_term_class_counts_match_per_token_loop():
     assert tf.dtype == np.float64 and np.array_equal(tf, want_tf)
 
 
-tokens_st = st.lists(st.sampled_from(["a", "b", "c", "dd", "e", "oov1", "oov2"]), max_size=9)
-
-
 @settings(max_examples=60, deadline=None)
 @given(
     n_classes=st.integers(1, 4),
-    docs=st.lists(st.tuples(tokens_st, st.integers(0, 3)), min_size=1, max_size=12),
-    block_tokens=st.sampled_from([1, 2, 5, representation.EMBED_BLOCK_TOKENS]),
+    n_docs=st.integers(1, 90),
+    tail_docs=st.sampled_from([0, 1, representation.EMBED_TAIL_DOCS]),
     seed=st.integers(0, 2**16),
 )
-def test_counts_and_embedding_match_loops_on_random_corpora(n_classes, docs, block_tokens, seed):
-    documents = [Document(f"d{i}", tuple(toks)) for i, (toks, _) in enumerate(docs)]
+def test_counts_and_embedding_match_loops_on_random_corpora(n_classes, n_docs, tail_docs, seed):
+    # Pareto-skewed lengths: many short documents, a few long ones, some
+    # empty; some documents hold only out-of-vocabulary tokens
+    rng = np.random.default_rng(seed)
+    lengths = np.minimum(rng.pareto(1.2, n_docs) * 6, 400).astype(int)
+    words = ["a", "b", "c", "dd", "e", "f", "oov1", "oov2"]
+    documents = []
+    for i, n in enumerate(lengths):
+        pool = words[-2:] if rng.random() < 0.15 else words
+        documents.append(Document(f"d{i}", tuple(pool[j] for j in rng.integers(len(pool), size=n))))
     labeled = Corpus(
         documents=documents,
-        labels=[lab % n_classes for _, lab in docs],
+        labels=[int(c) for c in rng.integers(n_classes, size=n_docs)],
         class_names=tuple(f"c{i}" for i in range(n_classes)),
     )
     vocabulary, tf = term_class_counts(labeled)
     want_vocabulary, want_tf = loop_term_class_counts(labeled)
     assert vocabulary == want_vocabulary and np.array_equal(tf, want_tf)
 
-    terms = [t for t in vocabulary if not t.startswith("oov")]
-    w = random_weights(terms, n_classes, np.random.default_rng(seed))
+    terms = [t for t in words if not t.startswith("oov")]
+    w = random_weights(terms, n_classes, rng)
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(representation, "EMBED_BLOCK_TOKENS", block_tokens)
+        mp.setattr(representation, "EMBED_TAIL_DOCS", tail_docs)
         assert_embeds_like_loop(labeled, w)
+
+
+def _random_corpus(n_docs, doc_len, terms, class_names, rng):
+    picks = rng.integers(len(terms), size=(n_docs, doc_len))
+    return Corpus(
+        documents=[Document(f"d{i}", tuple(terms[j] for j in row)) for i, row in enumerate(picks)],
+        labels=[None] * n_docs,
+        class_names=class_names,
+    )
 
 
 def test_embed_corpus_memory_is_bounded():
@@ -312,18 +326,35 @@ def test_embed_corpus_memory_is_bounded():
     rng = np.random.default_rng(17)
     terms = [f"term{i}" for i in range(3000)]
     w = random_weights(terms[:2500], n_classes, rng)  # the last 500 are OOV
-    picks = rng.integers(len(terms), size=(n_docs, doc_len))
-    corpus = Corpus(
-        documents=[Document(f"d{i}", tuple(terms[j] for j in row)) for i, row in enumerate(picks)],
-        labels=[None] * n_docs,
-        class_names=w.class_names,
-    )
+    corpus = _random_corpus(n_docs, doc_len, terms, w.class_names, rng)
+    corpus.encoded()
     tracemalloc.start()
     try:
         x, _, _ = embed_corpus(corpus, w)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    # the result, the lookup table, a few 8-byte arrays per block token
-    budget = x.nbytes + (w.vocab_size + 1) * n_classes * 8 + 64 * representation.EMBED_BLOCK_TOKENS
-    assert peak < budget + 2 * 2**20
+    # the result, the lookup table with its OOV column, and a few (docs, K+1)
+    # arrays: the sums and one position's gathered rows; nothing per token
+    rows = n_docs * (n_classes + 1) * 8
+    budget = x.nbytes + (w.vocab_size + 1) * (n_classes + 1) * 8 + 2 * rows
+    assert peak < budget + 2**19
+
+
+def test_encoding_memory_is_bounded():
+    n_docs, doc_len = 10_000, 100
+    rng = np.random.default_rng(18)
+    terms = [f"term{i}" for i in range(3000)]
+    corpus = _random_corpus(n_docs, doc_len, terms, ("c0",), rng)
+    n_tokens = n_docs * doc_len
+    tracemalloc.start()
+    try:
+        enc = corpus.encoded()
+        retained, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert enc.ids.nbytes == 4 * n_tokens
+    assert peak < 8 * n_tokens
+    # the ids, plus the offsets and the term table, which grow with documents
+    # and terms, not tokens
+    assert retained < 4 * n_tokens + 8 * (n_docs + 1) + 2**20
