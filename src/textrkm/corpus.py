@@ -120,9 +120,9 @@ class Corpus:
     ``labels[i]`` is the class index of ``documents[i]`` or None when the
     document is unlabeled. ``class_names`` gives the dense index -> name map.
     ``skipped`` records doc ids dropped at load time (unreadable or empty
-    after tokenization). ``encoding`` is built on first use by ``encoded``,
-    or taken from the corpus this one was cut from; ``documents`` must not
-    change after that.
+    after tokenization). ``encoding`` is built on first use by ``encoded``;
+    a subset's is cut from its parent's, so both share one term table.
+    ``documents`` must not change once the corpus is encoded.
     """
 
     documents: list[Document]
@@ -180,20 +180,17 @@ class Corpus:
             documents=[self.documents[i] for i in idx],
             labels=[None if drop_labels else self.labels[i] for i in idx],
             class_names=self.class_names,
-            encoding=self.encoding and self.encoding.take(np.arange(self.n_docs)[idx]),
+            encoding=self.encoded().take(np.arange(self.n_docs)[idx]),
         )
 
 
 def concat_corpora(a: Corpus, b: Corpus) -> Corpus:
-    """Append b's documents after a's; class name tables must agree.
-
-    The result is encoded when both inputs share one term table.
-    """
+    """Append b's documents after a's; class name tables must agree."""
     if a.class_names != b.class_names:
         raise DataError("cannot concatenate corpora with different class tables")
-    ea, eb = a.encoding, b.encoding
+    ea, eb = a.encoded(), b.encoded()
     encoding = None
-    if ea and eb and ea.terms is eb.terms:
+    if ea.terms is eb.terms:  # else the result encodes itself on first use
         indptr = np.concatenate([ea.indptr, ea.indptr[-1] + eb.indptr[1:]])
         encoding = Encoding(ea.terms, np.concatenate([ea.ids, eb.ids]), indptr)
     return Corpus(

@@ -287,7 +287,6 @@ def run_sweep(corpus: Corpus | str | Path, config: SweepConfig = SweepConfig()) 
     """
     if not isinstance(corpus, Corpus):
         corpus = load_directory_corpus(corpus, config.tokenizer)
-    corpus.encoded()  # one term table for both halves and every trial
     train, test = split_train_test(
         corpus, SplitSpec(test_fraction=config.test_fraction, rng_seed=config.base_seed)
     )
@@ -438,7 +437,6 @@ def replay_trial(
             f"{manifest_path}: header '# seed {meta['seed']}' is not a non-negative integer"
         )
     seed = int(meta["seed"])
-    corpus.encoded()
     train, test, flags = apply_split_manifest(corpus, entries)
     d_labeled, d_unlabeled, _hidden = mask_from_flags(train, flags)
     return _run_pipeline(d_labeled, d_unlabeled, test, ratio, seed, config, keep_model)

@@ -18,10 +18,11 @@ import numpy as np
 from .corpus import UNLABELED, Corpus
 from .errors import DataError
 
-# ``embed_corpus`` finishes the last documents still being summed one by one
-# once no more than this many remain, so its per-position loop does not run
-# to the length of the longest document.
-EMBED_TAIL_DOCS = 32
+# ``embed_corpus`` stops its per-position loop where finishing the longer
+# documents one by one costs fewer numpy passes, one document counting as
+# EMBED_DOC_COST positions; it sums each EMBED_TAIL_ROWS weight rows at a time.
+EMBED_DOC_COST = 4
+EMBED_TAIL_ROWS = 4096
 
 
 @dataclass
@@ -145,8 +146,8 @@ def embed_corpus(
     ``embed_tokens`` of its document bit for bit: with the documents sorted
     longest first, position p adds the weight row of token p of every
     document longer than p, so each document's weights are added in token
-    order from 0.0. The last ``EMBED_TAIL_DOCS`` documents finish with one
-    ``np.add.accumulate`` each, which adds in order too.
+    order from 0.0. The longest documents finish one by one with
+    ``np.add.accumulate``, which adds in order too.
     """
     enc = corpus.encoded()
     lengths = np.diff(enc.indptr)
@@ -163,15 +164,17 @@ def embed_corpus(
     perm = np.argsort(-lengths[kept], kind="stable")
     starts, lens = enc.indptr[kept[perm]], lengths[kept[perm]]
     sums = np.zeros((len(kept), k + 1), dtype=np.float64)
-    p, m = 0, len(kept)
-    while m > EMBED_TAIL_DOCS:
+    # n_pos loop positions, then the documents longer than n_pos one by one
+    ends = np.append(lens, 0)
+    n_pos = int(ends[np.argmin(ends + EMBED_DOC_COST * np.arange(len(ends)))])
+    for p, m in enumerate(np.searchsorted(-lens, -np.arange(n_pos)).tolist()):
         sums[:m] += table.take(remap.take(enc.ids.take(starts[:m] + p)), axis=0)
-        p += 1
-        m = int(np.count_nonzero(lens[:m] > p))  # documents longer than p
-    for i in range(m):
-        rows = table.take(remap.take(enc.ids[starts[i] + p : starts[i] + lens[i]]), axis=0)
-        rows[0] += sums[i]
-        sums[i] = np.add.accumulate(rows)[-1]
+    for i in range(int(np.count_nonzero(lens > n_pos))):
+        end = starts[i] + lens[i]
+        for a in range(starts[i] + n_pos, end, EMBED_TAIL_ROWS):
+            rows = table.take(remap.take(enc.ids[a : min(a + EMBED_TAIL_ROWS, end)]), axis=0)
+            rows[0] += sums[i]
+            sums[i] = np.add.accumulate(rows, axis=0, out=rows)[-1]
     # the OOV floor, as ``embed_tokens`` adds it; where there is none this
     # adds 0.0, which changes no sum (a sum from 0.0 is never -0.0)
     sums[:, :k] += sums[:, k, None] * w.oov_weight

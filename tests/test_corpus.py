@@ -277,15 +277,21 @@ def test_subsets_and_concatenations_decode_to_their_tokens(docs, data):
         labels=[i % 2 for i in range(len(docs))],
         class_names=("c0", "c1"),
     )
-    terms = corpus.encoded().terms
-    assert list(terms) == sorted({t for toks in docs for t in toks})
-    assert_encodes(corpus, terms)
     rows = st.lists(st.integers(-len(docs), len(docs) - 1))  # Python's negative indices too
+    # the first subset encodes the corpus; every subset cuts from that
     a, b = corpus.subset(data.draw(rows)), corpus.subset(data.draw(rows), drop_labels=True)
-    for part in (a, b, concat_corpora(a, b)):
+    terms = corpus.encoding.terms
+    assert list(terms) == sorted({t for toks in docs for t in toks})
+    for part in (corpus, a, b, concat_corpora(a, b)):
         assert_encodes(part, terms)
     pool_size = data.draw(st.integers(0, b.n_docs))
     assert_encodes(make_training_collection(a, b, pool_size, rng_seed=1), terms)
+    # a corpus built apart has a term table of its own; joined to one cut
+    # from this corpus, the result encodes itself
+    apart = concat_corpora(a, Corpus(b.documents, b.labels, b.class_names))
+    assert apart.encoding is None
+    apart.encoded()
+    assert_encodes(apart, apart.encoding.terms)
 
 
 def test_loaded_corpus_holds_one_str_per_distinct_term(tmp_path):

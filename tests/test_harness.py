@@ -1,4 +1,3 @@
-import dataclasses
 import hashlib
 import re
 import tempfile
@@ -280,20 +279,6 @@ def test_sweep_outputs_do_not_depend_on_corpus_order(ordered_sweep, data):
         class_names=corpus.class_names,
     )
     assert _emitted_files(permuted, config) == files
-
-
-def test_sweep_outputs_do_not_depend_on_when_the_corpus_is_encoded(ordered_sweep, monkeypatch):
-    # run_sweep encodes before splitting; without that, every subset encodes
-    # itself on first use, with a term table of its own
-    corpus, config, files = ordered_sweep
-    transductive = dataclasses.replace(config, transductive=True)
-    encoded = _emitted_files(corpus, transductive)
-    split = harness.split_train_test
-    monkeypatch.setattr(
-        harness, "split_train_test", lambda c, spec: split(dataclasses.replace(c, encoding=None), spec)
-    )
-    assert _emitted_files(corpus, config) == files
-    assert _emitted_files(corpus, transductive) == encoded
 
 
 def test_invariant_error_propagates_out_of_sweep(monkeypatch):

@@ -247,9 +247,10 @@ EDGE_DOCS = [
 ]
 
 
-@pytest.mark.parametrize("tail_docs", [0, 1, 3, representation.EMBED_TAIL_DOCS])
-def test_embed_corpus_is_bit_identical_to_per_token_loop(monkeypatch, tail_docs):
-    monkeypatch.setattr(representation, "EMBED_TAIL_DOCS", tail_docs)
+# 0 finishes every document on its own, 10**9 runs the position loop to the end
+@pytest.mark.parametrize("doc_cost", [0, 1, 3, representation.EMBED_DOC_COST, 10**9])
+def test_embed_corpus_is_bit_identical_to_per_token_loop(monkeypatch, doc_cost):
+    monkeypatch.setattr(representation, "EMBED_DOC_COST", doc_cost)
     corpus = make_text_corpus(n_classes=4, docs_per_class=10, doc_len=23, seed=14)
     mixed = Corpus(
         documents=EDGE_DOCS[:3] + corpus.documents[:17] + EDGE_DOCS[3:]
@@ -281,10 +282,13 @@ def test_term_class_counts_match_per_token_loop():
 @given(
     n_classes=st.integers(1, 4),
     n_docs=st.integers(1, 90),
-    tail_docs=st.sampled_from([0, 1, representation.EMBED_TAIL_DOCS]),
+    doc_cost=st.sampled_from([0, 1, representation.EMBED_DOC_COST, 10**9]),
+    tail_rows=st.sampled_from([1, 3, representation.EMBED_TAIL_ROWS]),
     seed=st.integers(0, 2**16),
 )
-def test_counts_and_embedding_match_loops_on_random_corpora(n_classes, n_docs, tail_docs, seed):
+def test_counts_and_embedding_match_loops_on_random_corpora(
+    n_classes, n_docs, doc_cost, tail_rows, seed
+):
     # Pareto-skewed lengths: many short documents, a few long ones, some
     # empty; some documents hold only out-of-vocabulary tokens
     rng = np.random.default_rng(seed)
@@ -306,7 +310,8 @@ def test_counts_and_embedding_match_loops_on_random_corpora(n_classes, n_docs, t
     terms = [t for t in words if not t.startswith("oov")]
     w = random_weights(terms, n_classes, rng)
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(representation, "EMBED_TAIL_DOCS", tail_docs)
+        mp.setattr(representation, "EMBED_DOC_COST", doc_cost)
+        mp.setattr(representation, "EMBED_TAIL_ROWS", tail_rows)
         assert_embeds_like_loop(labeled, w)
 
 
@@ -339,6 +344,28 @@ def test_embed_corpus_memory_is_bounded():
     rows = n_docs * (n_classes + 1) * 8
     budget = x.nbytes + (w.vocab_size + 1) * (n_classes + 1) * 8 + 2 * rows
     assert peak < budget + 2**19
+
+
+def test_embed_corpus_memory_is_bounded_on_one_long_document():
+    # a 1M-token document is finished on its own, EMBED_TAIL_ROWS weight rows
+    # at a time; gathering all its rows at once would take 168 MB
+    n_tokens, n_classes = 1_000_000, 20
+    rng = np.random.default_rng(19)
+    terms = [f"term{i}" for i in range(3000)]
+    w = random_weights(terms[:2500], n_classes, rng)
+    corpus = _random_corpus(1, n_tokens, terms, w.class_names, rng)
+    corpus.encoded()
+    tracemalloc.start()
+    try:
+        embed_corpus(corpus, w)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    # the lookup table, and two chunks of gathered rows with their row
+    # indices: the next one is gathered while the last is still bound
+    table = (w.vocab_size + 1) * (n_classes + 1) * 8
+    chunk = representation.EMBED_TAIL_ROWS * (n_classes + 2) * 8
+    assert peak < table + 2 * chunk + 2**19
 
 
 def test_encoding_memory_is_bounded():
