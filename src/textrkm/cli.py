@@ -12,7 +12,7 @@ from pathlib import Path
 
 from . import kernels
 from .classifier import classify_batch
-from .corpus import Corpus, Document, TokenizerConfig, load_directory_corpus, mask_labels, tokenize
+from .corpus import Corpus, DocumentReader, TokenizerConfig, load_directory_corpus, mask_labels
 from .errors import DataError, InvariantError
 from .evaluation import confusion, format_report, score
 from .harness import SweepConfig, default_ratio_grid, emit_results, fit, ratio_str, run_sweep
@@ -108,10 +108,10 @@ def cmd_train(args) -> int:
     return 0
 
 
-def _collect_input_docs(path: Path, tokenizer: TokenizerConfig) -> list[Document]:
-    """One Document per input file: every file directly under a directory
-    (id ``filename``) and every file one level down (id ``subdir/filename``);
-    labels implied by a class layout are ignored here."""
+def _read_input(path: Path, tokenizer: TokenizerConfig, class_names: tuple[str, ...]) -> Corpus:
+    """An unlabeled corpus of the input files: every file directly under a
+    directory (id ``filename``) and every file one level down (id
+    ``subdir/filename``); labels implied by a class layout are ignored here."""
     if path.is_file():
         files = [(path.name, path)]
     elif path.is_dir():
@@ -125,29 +125,19 @@ def _collect_input_docs(path: Path, tokenizer: TokenizerConfig) -> list[Document
         raise DataError(f"input path {path} does not exist")
     if not files:
         raise DataError(f"no input documents under {path}")
-    docs = []
-    for doc_id, fpath in files:
-        try:
-            text = fpath.read_bytes().decode("latin-1")
-        except OSError:
-            print(f"warning: skipping unreadable file {fpath}", file=sys.stderr)
-            continue
-        tokens = tokenize(text, tokenizer)
-        if not tokens:
-            print(f"warning: skipping empty document {doc_id}", file=sys.stderr)
-            continue
-        docs.append(Document(doc_id, tuple(tokens)))
+    docs, skipped = DocumentReader(tokenizer).read(files)
+    paths = dict(files)
+    for doc_id, why in skipped:
+        what = f"file {paths[doc_id]}" if why == "unreadable" else f"document {doc_id}"
+        print(f"warning: skipping {why} {what}", file=sys.stderr)
     if not docs:
         raise DataError(f"no usable documents under {path}")
-    return docs
+    return Corpus(documents=docs, labels=[None] * len(docs), class_names=class_names)
 
 
 def cmd_classify(args) -> int:
     model, weights, tokenizer = load_bundle(args.model)
-    docs = _collect_input_docs(Path(args.input), tokenizer)
-    batch = Corpus(
-        documents=docs, labels=[None] * len(docs), class_names=model.class_names
-    )
+    batch = _read_input(Path(args.input), tokenizer, model.class_names)
     x, kept_ids, _dropped = embed_corpus(batch, weights)
     preds = classify_batch(x, model, kept_ids)
     lines = [

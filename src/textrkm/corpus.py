@@ -11,7 +11,7 @@ which is that order too.
 """
 from __future__ import annotations
 
-import re
+import os
 from dataclasses import dataclass, field
 from itertools import chain
 from pathlib import Path
@@ -22,6 +22,7 @@ import numpy as np
 from .errors import DataError
 
 UNLABELED = -1
+STRIP_PATTERN = r"[^a-z0-9]+"
 
 
 @dataclass(frozen=True)
@@ -32,35 +33,27 @@ class Document:
 
 @dataclass(frozen=True)
 class TokenizerConfig:
-    """Preprocessing knobs: lowercase, strip, split, filter.
-
-    ``strip_pattern`` is applied (as a regex replaced by a space) after
-    lowercasing; the default removes everything that is not a-z or 0-9.
-    """
+    """Token filters, applied after lowercasing and splitting on every
+    character outside a-z and 0-9 (``STRIP_PATTERN``, which is fixed)."""
 
     min_token_len: int = 2
     stopwords: frozenset[str] = frozenset()
-    strip_pattern: str = r"[^a-z0-9]+"
 
     def to_dict(self) -> dict:
         return {
             "min_token_len": self.min_token_len,
             "stopwords": sorted(self.stopwords),
-            "strip_pattern": self.strip_pattern,
+            "strip_pattern": STRIP_PATTERN,
         }
 
     @staticmethod
     def from_dict(d: Mapping) -> "TokenizerConfig":
-        """Inverse of ``to_dict``; a pattern that does not compile raises DataError."""
-        pattern = str(d["strip_pattern"])
-        try:
-            re.compile(pattern)
-        except re.error as exc:
-            raise DataError(f"strip_pattern {pattern!r} does not compile: {exc}") from exc
+        """Inverse of ``to_dict``; a missing or other strip pattern raises DataError."""
+        if "strip_pattern" not in d or d["strip_pattern"] != STRIP_PATTERN:
+            raise DataError(f"tokenizer strip_pattern must be {STRIP_PATTERN!r}")
         return TokenizerConfig(
             min_token_len=int(d["min_token_len"]),
             stopwords=frozenset(d["stopwords"]),
-            strip_pattern=pattern,
         )
 
 
@@ -202,27 +195,69 @@ def concat_corpora(a: Corpus, b: Corpus) -> Corpus:
 
 
 # ---------------------------------------------------------------------------
-# tokenization and loading
+# tokenization and reading files
 # ---------------------------------------------------------------------------
 
-_PATTERN_CACHE: dict[str, re.Pattern] = {}
+# Byte -> token byte: A-Z lowercased, a-z and 0-9 kept, any other byte a
+# space. On latin-1 text this is lower() followed by STRIP_PATTERN -> " ",
+# since no latin-1 character but A-Z lowercases into [a-z0-9].
+_FOLD = bytes(c | 0x20 if chr(c).isascii() and chr(c).isalnum() else 0x20 for c in range(256))
+
+
+class DocumentReader:
+    """Reads files as latin-1 text into Documents under one tokenizer config.
+
+    ``terms`` maps each distinct word seen to itself, the one str object all
+    documents hold for it, or to "" when the filters reject it.
+    """
+
+    def __init__(self, config: TokenizerConfig):
+        self.config = config
+        self.terms: dict[str, str] = {}
+
+    def tokens(self, data: bytes) -> tuple[str, ...]:
+        """The kept tokens of latin-1 ``data``, in order."""
+        words = data.translate(_FOLD).decode("ascii").split()
+        try:
+            return tuple(filter(None, map(self.terms.__getitem__, words)))
+        except KeyError:  # words not seen before meet the filters once
+            n, stopwords = self.config.min_token_len, self.config.stopwords
+            for w in set(words).difference(self.terms):
+                self.terms[w] = w if len(w) >= n and w not in stopwords else ""
+        return tuple(filter(None, map(self.terms.__getitem__, words)))
+
+    def read(
+        self, files: Iterable[tuple[str, str | Path]]
+    ) -> tuple[list[Document], list[tuple[str, str]]]:
+        """The documents of ``(doc_id, path)`` files, in order, and the
+        ``(doc_id, "unreadable" or "empty")`` of each file skipped."""
+        documents, skipped = [], []
+        for doc_id, path in files:
+            try:
+                with open(path, "rb") as f:
+                    data = f.read()
+            except OSError:
+                skipped.append((doc_id, "unreadable"))
+                continue
+            tokens = self.tokens(data)
+            if tokens:
+                documents.append(Document(doc_id, tokens))
+            else:
+                skipped.append((doc_id, "empty"))
+        return documents, skipped
 
 
 def tokenize(raw_text: str, config: TokenizerConfig = TokenizerConfig()) -> list[str]:
-    """Lowercase, strip, whitespace-split; then stopword and length filters."""
-    pat = _PATTERN_CACHE.get(config.strip_pattern)
-    if pat is None:
-        pat = re.compile(config.strip_pattern)
-        _PATTERN_CACHE[config.strip_pattern] = pat
-    text = pat.sub(" ", raw_text.lower())
-    out = []
-    for tok in text.split():
-        if len(tok) < config.min_token_len:
-            continue
-        if tok in config.stopwords:
-            continue
-        out.append(tok)
-    return out
+    """Lowercase, split on every character outside a-z and 0-9 (what is left
+    outside ASCII becomes "?" first); then the stopword and length filters."""
+    return list(DocumentReader(config).tokens(raw_text.lower().encode("ascii", "replace")))
+
+
+def _is_dir(entry: os.DirEntry) -> bool:
+    try:
+        return entry.is_dir()
+    except OSError:  # a link that loops: listed as a file, skipped when read
+        return False
 
 
 def load_directory_corpus(
@@ -239,40 +274,32 @@ def load_directory_corpus(
     root = Path(root_path)
     if not root.is_dir():
         raise DataError(f"corpus root {root} is not a directory")
-    class_dirs = sorted(p for p in root.iterdir() if p.is_dir())
-    if not class_dirs:
+    with os.scandir(root) as entries:
+        class_names = sorted(e.name for e in entries if _is_dir(e))
+    if not class_names:
         raise DataError(f"corpus root {root} contains no class directories")
 
+    reader = DocumentReader(config)
     documents: list[Document] = []
     labels: list[int | None] = []
     skipped: list[str] = []
-    interned: dict[str, str] = {}
-    for ci, cdir in enumerate(class_dirs):
-        n_before = len(documents)
-        # non-directory entries only; unreadable ones (broken links, bad
-        # permissions) fall into the skip path below
-        for fpath in sorted(p for p in cdir.iterdir() if not p.is_dir()):
-            doc_id = f"{cdir.name}/{fpath.name}"
-            try:
-                text = fpath.read_bytes().decode("latin-1")
-            except OSError:
-                skipped.append(doc_id)
-                continue
-            tokens = tokenize(text, config)
-            if not tokens:
-                skipped.append(doc_id)
-                continue
-            documents.append(Document(doc_id, tuple(map(interned.setdefault, tokens, tokens))))
-            labels.append(ci)
-        if len(documents) == n_before:
-            raise DataError(f"class directory {cdir} has no readable non-empty documents")
+    for ci, name in enumerate(class_names):
+        # every entry but directories: broken links and such skip as unreadable
+        with os.scandir(root / name) as entries:
+            files = sorted((e.name, e.path) for e in entries if not _is_dir(e))
+        docs, skips = reader.read((f"{name}/{f}", path) for f, path in files)
+        if not docs:
+            raise DataError(f"class directory {root / name} has no readable non-empty documents")
+        documents += docs
+        labels += [ci] * len(docs)
+        skipped += [doc_id for doc_id, _ in skips]
 
     corpus = Corpus(
         documents=documents,
         labels=labels,
-        class_names=tuple(d.name for d in class_dirs),
+        class_names=tuple(class_names),
         skipped=tuple(skipped),
-        encoding=encode(documents, interned),
+        encoding=encode(documents, filter(None, reader.terms.values())),
     )
     corpus.validate()
     return corpus
@@ -367,7 +394,11 @@ def make_training_collection(
     """
     if d_labeled.class_names != d_unlabeled.class_names:
         raise DataError("labeled/unlabeled corpora have different class tables")
-    n_pool = d_unlabeled.n_docs if pool_size is None else int(pool_size)
+    if pool_size is None:  # every document in its order: nothing to draw or gather
+        pool = Corpus(d_unlabeled.documents, [None] * d_unlabeled.n_docs, d_unlabeled.class_names)
+        pool.encoding = d_unlabeled.encoded()
+        return concat_corpora(d_labeled, pool)
+    n_pool = int(pool_size)
     if n_pool > d_unlabeled.n_docs:
         raise DataError(
             f"requested {n_pool} unlabeled documents but only {d_unlabeled.n_docs} available"

@@ -126,8 +126,10 @@ def test_sweep_writes_result_files(tmp_path, corpus_tree):
     assert (out_dir / "sweep_config.json").exists()
     manifests = list((out_dir / "manifests").iterdir())
     assert len(manifests) == 4
-    config = json.loads((out_dir / "sweep_config.json").read_text())
+    text = (out_dir / "sweep_config.json").read_text()
+    config = json.loads(text)
     assert config["ratio_grid"] == [[5, 45], [10, 40]]
+    assert json.dumps(harness.SweepConfig.from_dict(config).to_dict(), indent=2) == text
 
 
 def test_usage_errors_exit_one(capsys):
@@ -282,6 +284,9 @@ BROKEN_BUNDLES = {
     "infinite centroid": lambda b: _with_centroid_value(b, float("inf")),
     "strip pattern does not compile": lambda b: {
         **b, "tokenizer": {**b["tokenizer"], "strip_pattern": "("}
+    },
+    "strip pattern other than the fixed one": lambda b: {
+        **b, "tokenizer": {**b["tokenizer"], "strip_pattern": "[^a-z]+"}
     },
     "member index overflows": lambda b: {**b, "model": {
         **b["model"], "clusters": [{**b["model"]["clusters"][0], "member_indices": [10**30]}]

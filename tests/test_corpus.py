@@ -3,16 +3,18 @@ import re
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from textrkm.corpus import (
     Corpus,
     Document,
+    DocumentReader,
     SplitSpec,
     TokenizerConfig,
     apply_split_manifest,
     concat_corpora,
+    encode,
     load_directory_corpus,
     make_training_collection,
     mask_from_flags,
@@ -49,6 +51,54 @@ def test_tokenize_strips_punctuation_and_digits_separate():
     assert tokenize("foo-bar 42x") == ["foo", "bar", "42x"]
 
 
+REFERENCE_STRIP = re.compile(r"[^a-z0-9]+")
+
+
+def reference_tokenize(text, config=TokenizerConfig()):
+    """The regex tokenizer the byte table replaced."""
+    words = REFERENCE_STRIP.sub(" ", text.lower()).split()
+    return [w for w in words if len(w) >= config.min_token_len and w not in config.stopwords]
+
+
+# runs of bytes that make words, split them, or need folding
+BYTE_PIECES = [b"ab", b"Ab", b"ZZ", b"a", b"q9", b"0", b"\xc0", b"\xd7", b"\xdf", b"\xb5", b"\xfe",
+               b"\xff", b"\xaa", b" ", b"\n", b"-", b"\x00"]
+DOC_BYTES = st.binary(max_size=40) | st.lists(st.sampled_from(BYTE_PIECES), max_size=30).map(b"".join)
+
+
+@settings(max_examples=200, deadline=None)
+@given(docs=st.lists(DOC_BYTES, min_size=1, max_size=6), data=st.data())
+@example(docs=[bytes(range(256)), bytes(range(256))[::-1]], data=None)
+def test_reader_tokens_equal_the_regex_tokenizer_on_latin1_bytes(docs, data):
+    words = sorted({w for d in docs for w in REFERENCE_STRIP.sub(" ", d.decode("latin-1").lower()).split()})
+    if data is None:
+        config = TokenizerConfig(min_token_len=1)
+    else:
+        config = TokenizerConfig(
+            min_token_len=data.draw(st.integers(1, 4)),
+            stopwords=frozenset(data.draw(st.sets(st.sampled_from(words or ["ab"])))),
+        )
+    reader = DocumentReader(config)  # one reader: its per-term verdicts carry over
+    for d in docs:
+        expected = reference_tokenize(d.decode("latin-1"), config)
+        assert list(reader.tokens(d)) == expected
+        assert tokenize(d.decode("latin-1"), config) == expected
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    text=st.text(st.characters(codec=None, categories=None), max_size=40)
+    | st.lists(
+        st.sampled_from(["\u212a", "K", "k", "\u0130", "\u00df", "A", "1", " ", "\ud800"]), max_size=20
+    ).map("".join),
+    min_len=st.integers(1, 4),
+)
+@example(text="\u212aelvin \u212a", min_len=1)  # KELVIN SIGN lowercases to "k"
+def test_tokenize_equals_the_regex_tokenizer_on_any_str(text, min_len):
+    config = TokenizerConfig(min_token_len=min_len)
+    assert tokenize(text, config) == reference_tokenize(text, config)
+
+
 def test_load_directory_corpus_counts(tmp_path):
     for cname in ("alpha", "beta"):
         d = tmp_path / cname
@@ -73,6 +123,55 @@ def test_load_directory_skips_empty_and_unreadable(tmp_path):
     corpus = load_directory_corpus(tmp_path)
     assert corpus.n_docs == 8
     assert len(corpus.skipped) == 2
+
+
+def reference_load(root, config):
+    """Documents and skipped ids of a class tree, read file by file with
+    pathlib and the regex tokenizer."""
+    documents, skipped = [], []
+    for cdir in sorted(p for p in root.iterdir() if p.is_dir()):
+        for f in sorted(p for p in cdir.iterdir() if not p.is_dir()):
+            doc_id = f"{cdir.name}/{f.name}"
+            try:
+                tokens = reference_tokenize(f.read_bytes().decode("latin-1"), config)
+            except OSError:
+                tokens = []
+            if tokens:
+                documents.append(Document(doc_id, tuple(tokens)))
+            else:
+                skipped.append(doc_id)
+    return documents, tuple(skipped)
+
+
+@pytest.mark.parametrize(
+    "config",
+    [TokenizerConfig(), TokenizerConfig(min_token_len=3, stopwords=frozenset(["end", "caf"]))],
+    ids=["default", "len3-stopwords"],
+)
+def test_loaded_tree_equals_the_regex_tokenizer(tmp_path, config):
+    alpha, beta = tmp_path / "alpha", tmp_path / "beta"
+    (alpha / "nested").mkdir(parents=True)
+    beta.mkdir()
+    (alpha / "upper.txt").write_bytes(b"Hello WORLD, Caf\xe9 na\xefve \xc0\xc9\xfe end. AB12 x")
+    (alpha / "latin.txt").write_bytes(bytes(range(256)) + b" end the END")
+    (alpha / "punct.txt").write_bytes(b"?!... --- \xff\xd7")
+    (alpha / "empty.txt").write_bytes(b"")
+    (alpha / "broken.txt").symlink_to(tmp_path / "missing-target")
+    (alpha / "loop.txt").symlink_to(alpha / "loop.txt")
+    (alpha / "nested" / "inner.txt").write_bytes(b"never read")
+    (beta / "b.txt").write_bytes(b"HELLO world \xffMIXED\xffcase\xff 42 a")
+    (beta / "c.txt").write_bytes(b"Zz zz ZZ na\xefve")
+    (tmp_path / "stray.txt").write_bytes(b"not a class")
+    corpus = load_directory_corpus(tmp_path, config)
+    documents, skipped = reference_load(tmp_path, config)
+    assert corpus.documents == documents
+    assert corpus.skipped == skipped
+    assert {"alpha/punct.txt", "alpha/empty.txt", "alpha/broken.txt", "alpha/loop.txt"} <= set(skipped)
+    assert corpus.labels == [0 if d.doc_id.startswith("alpha/") else 1 for d in documents]
+    expected = encode(documents)
+    assert list(corpus.encoding.terms) == list(expected.terms)
+    assert np.array_equal(corpus.encoding.ids, expected.ids)
+    assert np.array_equal(corpus.encoding.indptr, expected.indptr)
 
 
 def test_load_directory_errors(tmp_path):
@@ -160,6 +259,11 @@ def test_training_collection_whole_pool_and_empty_pool():
     d_l, d_u, _ = mask_labels(corpus, 0.2, rng_seed=0)
     full = make_training_collection(d_l, d_u)  # default: whole pool
     assert full.n_docs == d_l.n_docs + d_u.n_docs
+    drawn = make_training_collection(d_l, d_u, pool_size=d_u.n_docs)  # a draw of every document
+    assert full.documents == drawn.documents and full.labels == drawn.labels
+    assert np.array_equal(full.encoding.ids, drawn.encoding.ids)
+    # a labeled pool still enters unlabeled
+    assert make_training_collection(d_l, d_l).labels == d_l.labels + [None] * d_l.n_docs
     only_labeled = make_training_collection(d_l, d_u, pool_size=0)
     assert only_labeled.doc_ids() == d_l.doc_ids()
     assert only_labeled.fully_labeled()
