@@ -125,14 +125,14 @@ def _read_input(path: Path, tokenizer: TokenizerConfig, class_names: tuple[str, 
         raise DataError(f"input path {path} does not exist")
     if not files:
         raise DataError(f"no input documents under {path}")
-    docs, skipped = DocumentReader(tokenizer).read(files)
+    reader = DocumentReader(tokenizer)
     paths = dict(files)
-    for doc_id, why in skipped:
+    for doc_id, why in reader.read(files):
         what = f"file {paths[doc_id]}" if why == "unreadable" else f"document {doc_id}"
         print(f"warning: skipping {why} {what}", file=sys.stderr)
-    if not docs:
+    if not reader.doc_ids:
         raise DataError(f"no usable documents under {path}")
-    return Corpus(documents=docs, labels=[None] * len(docs), class_names=class_names)
+    return Corpus(reader.doc_ids, [None] * len(reader.doc_ids), class_names, reader.encoding())
 
 
 def cmd_classify(args) -> int:

@@ -1,21 +1,22 @@
 """Document collections: loading, tokenization, splitting and label masking.
 
-A corpus is an ordered list of tokenized documents with an optional class
-label per document. All randomized operations take an explicit seed and are
-bitwise deterministic for fixed inputs. The order of a fully labeled corpus
-does not matter to a sweep: ``split_train_test`` and ``mask_labels`` draw
-over and return documents in (class index, doc id) order, and
-``make_training_collection`` draws its pool over sorted doc ids. A
-directory-loaded corpus is already in (class directory, file name) order,
-which is that order too.
+A corpus is an ordered list of documents, stored as one integer encoding of
+their tokens, with an optional class label per document. All randomized
+operations take an explicit seed and are bitwise deterministic for fixed
+inputs. The order of a fully labeled corpus does not matter to a sweep:
+``split_train_test`` and ``mask_labels`` draw over and return documents in
+(class index, doc id) order, and ``make_training_collection`` draws its pool
+over sorted doc ids. A directory-loaded corpus is already in (class
+directory, file name) order, which is that order too.
 """
 from __future__ import annotations
 
 import os
+from array import array
 from dataclasses import dataclass, field
 from itertools import chain
 from pathlib import Path
-from typing import Iterable, Mapping
+from typing import Callable, Iterable, Mapping, Sequence
 
 import numpy as np
 
@@ -75,7 +76,7 @@ class Encoding:
 
     Document i's ids are ``ids[indptr[i]:indptr[i + 1]]`` (int32, in token
     order), so ``terms[ids]`` gives its tokens back. ``terms`` is an object
-    array of str; subsets and concatenations share it.
+    array of str, which subsets share.
     """
 
     terms: np.ndarray
@@ -83,55 +84,68 @@ class Encoding:
     indptr: np.ndarray
 
     def take(self, rows: np.ndarray) -> "Encoding":
-        """The encoding of the documents at ``rows``, in that order."""
+        """The encoding of the documents at ``rows``, in that order (all, in order: itself)."""
+        if np.array_equal(rows, np.arange(len(self.indptr) - 1)):
+            return self
         starts = self.indptr[rows]
         lengths = self.indptr[rows + 1] - starts
         indptr = np.concatenate([[0], np.cumsum(lengths)])
         positions = np.arange(indptr[-1]) + np.repeat(starts - indptr[:-1], lengths)
         return Encoding(self.terms, self.ids[positions], indptr)
 
-
-def encode(documents: list[Document], distinct: Iterable[str] | None = None) -> Encoding:
-    """The encoding of ``documents``; ``distinct``, if given, holds their terms."""
-    if distinct is None:
-        distinct = set(chain.from_iterable(d.tokens for d in documents))
-    terms = sorted(distinct)
-    id_of = {t: i for i, t in enumerate(terms)}
-    indptr = np.concatenate([[0], np.cumsum([len(d.tokens) for d in documents], dtype=np.int64)])
-    ids = np.fromiter(
-        map(id_of.__getitem__, chain.from_iterable(d.tokens for d in documents)),
-        dtype=np.int32,
-        count=int(indptr[-1]),
-    )
-    return Encoding(np.array(terms, dtype=object), ids, indptr)
+    def concat(self, other: "Encoding") -> "Encoding":
+        """This encoding's documents, then ``other``'s: over the term table
+        both share, or else over the sorted union of the two tables."""
+        terms, a, b = self.terms, self.ids, other.ids
+        if other.terms is not terms:
+            terms, new_id = np.unique(np.concatenate([terms, other.terms]), return_inverse=True)
+            new_id = new_id.astype(np.int32)
+            a, b = new_id[a], new_id[len(self.terms) + b]
+        indptr = np.concatenate([self.indptr, self.indptr[-1] + other.indptr[1:]])
+        return Encoding(terms, np.concatenate([a, b]), indptr)
 
 
 @dataclass
 class Corpus:
     """Ordered documents with per-document optional labels.
 
-    ``labels[i]`` is the class index of ``documents[i]`` or None when the
-    document is unlabeled. ``class_names`` gives the dense index -> name map.
+    ``doc_ids[i]`` names document i, whose tokens are row i of
+    ``encoding``; ``labels[i]`` is its class index, or None when it is
+    unlabeled. ``class_names`` gives the dense index -> name map.
     ``skipped`` records doc ids dropped at load time (unreadable or empty
-    after tokenization). ``encoding`` is built on first use by ``encoded``;
-    a subset's is cut from its parent's, so both share one term table.
-    ``documents`` must not change once the corpus is encoded.
+    after tokenization). A subset's encoding is cut from its parent's, so
+    both share one term table.
     """
 
-    documents: list[Document]
+    doc_ids: list[str]
     labels: list[int | None]
     class_names: tuple[str, ...]
+    encoding: Encoding = field(repr=False)
     skipped: tuple[str, ...] = ()
-    encoding: Encoding | None = field(default=None, repr=False, compare=False)
 
-    def encoded(self) -> Encoding:
-        if self.encoding is None:
-            self.encoding = encode(self.documents)
-        return self.encoding
+    @classmethod
+    def from_documents(
+        cls, documents: Sequence[Document], labels: Sequence[int | None], class_names: Sequence[str]
+    ) -> "Corpus":
+        """A corpus of in-memory documents, encoded over their sorted terms."""
+        terms = sorted(set(chain.from_iterable(d.tokens for d in documents)))
+        id_of = {t: i for i, t in enumerate(terms)}
+        indptr = np.concatenate([[0], np.cumsum([len(d.tokens) for d in documents], dtype=np.int64)])
+        tokens = chain.from_iterable(d.tokens for d in documents)
+        ids = np.fromiter(map(id_of.__getitem__, tokens), dtype=np.int32, count=int(indptr[-1]))
+        encoding = Encoding(np.array(terms, dtype=object), ids, indptr)
+        return cls([d.doc_id for d in documents], list(labels), tuple(class_names), encoding)
+
+    @property
+    def documents(self) -> list[Document]:
+        """The documents with their tokens, decoded anew from the encoding."""
+        enc = self.encoding
+        tokens, bounds = enc.terms[enc.ids].tolist(), enc.indptr.tolist()
+        return [Document(d, tuple(tokens[a:b])) for d, a, b in zip(self.doc_ids, bounds, bounds[1:])]
 
     @property
     def n_docs(self) -> int:
-        return len(self.documents)
+        return len(self.doc_ids)
 
     @property
     def n_labeled(self) -> int:
@@ -141,39 +155,21 @@ class Corpus:
     def n_classes(self) -> int:
         return len(self.class_names)
 
-    def doc_ids(self) -> list[str]:
-        return [d.doc_id for d in self.documents]
-
     def label_array(self) -> np.ndarray:
         """Labels as int64 with UNLABELED (-1) for missing."""
-        return np.array(
-            [UNLABELED if v is None else v for v in self.labels], dtype=np.int64
-        )
+        return np.array([UNLABELED if v is None else v for v in self.labels], dtype=np.int64)
 
     def fully_labeled(self) -> bool:
         return all(v is not None for v in self.labels)
 
-    def validate(self) -> None:
-        if len(self.labels) != len(self.documents):
-            raise DataError("labels and documents length mismatch")
-        seen = set()
-        for d in self.documents:
-            if not d.tokens:
-                raise DataError(f"document {d.doc_id!r} has no tokens")
-            if d.doc_id in seen:
-                raise DataError(f"duplicate doc id {d.doc_id!r}")
-            seen.add(d.doc_id)
-        for v in self.labels:
-            if v is not None and not 0 <= v < self.n_classes:
-                raise DataError(f"label {v} out of range for {self.n_classes} classes")
-
     def subset(self, indices: Iterable[int], drop_labels: bool = False) -> "Corpus":
-        idx = list(indices)
+        rows = np.arange(self.n_docs)[np.fromiter(indices, dtype=np.intp)]
+        idx = rows.tolist()
         return Corpus(
-            documents=[self.documents[i] for i in idx],
-            labels=[None if drop_labels else self.labels[i] for i in idx],
+            doc_ids=[self.doc_ids[i] for i in idx],
+            labels=[None] * len(idx) if drop_labels else [self.labels[i] for i in idx],
             class_names=self.class_names,
-            encoding=self.encoded().take(np.arange(self.n_docs)[idx]),
+            encoding=self.encoding.take(rows),
         )
 
 
@@ -181,16 +177,11 @@ def concat_corpora(a: Corpus, b: Corpus) -> Corpus:
     """Append b's documents after a's; class name tables must agree."""
     if a.class_names != b.class_names:
         raise DataError("cannot concatenate corpora with different class tables")
-    ea, eb = a.encoded(), b.encoded()
-    encoding = None
-    if ea.terms is eb.terms:  # else the result encodes itself on first use
-        indptr = np.concatenate([ea.indptr, ea.indptr[-1] + eb.indptr[1:]])
-        encoding = Encoding(ea.terms, np.concatenate([ea.ids, eb.ids]), indptr)
     return Corpus(
-        documents=a.documents + b.documents,
+        doc_ids=a.doc_ids + b.doc_ids,
         labels=a.labels + b.labels,
         class_names=a.class_names,
-        encoding=encoding,
+        encoding=a.encoding.concat(b.encoding),
     )
 
 
@@ -205,58 +196,88 @@ _FOLD = bytes(c | 0x20 if chr(c).isascii() and chr(c).isalnum() else 0x20 for c 
 
 
 class DocumentReader:
-    """Reads files as latin-1 text into Documents under one tokenizer config.
+    """Reads files as latin-1 text into one encoding under one tokenizer config.
 
-    ``terms`` maps each distinct word seen to itself, the one str object all
-    documents hold for it, or to "" when the filters reject it.
+    ``terms`` maps each distinct word seen to 1 + its provisional id (ids
+    in the order the kept words were first seen), or to 0 when the filters
+    reject it. ``encoding`` sorts the kept words and remaps the ids once.
     """
 
     def __init__(self, config: TokenizerConfig):
         self.config = config
-        self.terms: dict[str, str] = {}
+        self.terms: dict[str, int] = {}
+        self.doc_ids: list[str] = []
+        self._kept: list[str] = []  # kept words by provisional id
+        self._ids = array("i")  # 1 + provisional id of every kept token
+        self._indptr = array("q", [0])
 
-    def tokens(self, data: bytes) -> tuple[str, ...]:
-        """The kept tokens of latin-1 ``data``, in order."""
+    def add(self, doc_id: str, data: bytes) -> bool:
+        """Append the kept tokens of latin-1 ``data`` as document ``doc_id``;
+        False, with nothing appended, when no token is kept."""
         words = data.translate(_FOLD).decode("ascii").split()
+        start = len(self._ids)
         try:
-            return tuple(filter(None, map(self.terms.__getitem__, words)))
+            self._ids.extend(filter(None, map(self.terms.__getitem__, words)))
         except KeyError:  # words not seen before meet the filters once
+            del self._ids[start:]
             n, stopwords = self.config.min_token_len, self.config.stopwords
             for w in set(words).difference(self.terms):
-                self.terms[w] = w if len(w) >= n and w not in stopwords else ""
-        return tuple(filter(None, map(self.terms.__getitem__, words)))
+                if len(w) >= n and w not in stopwords:
+                    self._kept.append(w)
+                    self.terms[w] = len(self._kept)
+                else:
+                    self.terms[w] = 0
+            self._ids.extend(filter(None, map(self.terms.__getitem__, words)))
+        if len(self._ids) == start:
+            return False
+        self.doc_ids.append(doc_id)
+        self._indptr.append(len(self._ids))
+        return True
 
-    def read(
-        self, files: Iterable[tuple[str, str | Path]]
-    ) -> tuple[list[Document], list[tuple[str, str]]]:
-        """The documents of ``(doc_id, path)`` files, in order, and the
-        ``(doc_id, "unreadable" or "empty")`` of each file skipped."""
-        documents, skipped = [], []
+    def read(self, files: Iterable[tuple[str, str | Path | None]]) -> list[tuple[str, str]]:
+        """Add the documents of ``(doc_id, path)`` files, in order; return the
+        ``(doc_id, "unreadable" or "empty")`` of each file skipped. A path of
+        None (no regular file) is unreadable and never opened."""
+        skipped = []
         for doc_id, path in files:
             try:
+                if path is None:
+                    raise FileNotFoundError
                 with open(path, "rb") as f:
                     data = f.read()
             except OSError:
                 skipped.append((doc_id, "unreadable"))
                 continue
-            tokens = self.tokens(data)
-            if tokens:
-                documents.append(Document(doc_id, tokens))
-            else:
+            if not self.add(doc_id, data):
                 skipped.append((doc_id, "empty"))
-        return documents, skipped
+        return skipped
+
+    def encoding(self) -> Encoding:
+        """The documents added so far, over their sorted terms."""
+        order = np.array(sorted(range(len(self._kept)), key=self._kept.__getitem__), dtype=np.intp)
+        sorted_id = np.zeros(len(order) + 1, dtype=np.int32)
+        sorted_id[order + 1] = np.arange(len(order), dtype=np.int32)
+        return Encoding(
+            np.array(self._kept, dtype=object)[order],
+            sorted_id[np.frombuffer(self._ids, dtype=np.intc)],
+            np.array(self._indptr, dtype=np.int64),
+        )
 
 
 def tokenize(raw_text: str, config: TokenizerConfig = TokenizerConfig()) -> list[str]:
     """Lowercase, split on every character outside a-z and 0-9 (what is left
     outside ASCII becomes "?" first); then the stopword and length filters."""
-    return list(DocumentReader(config).tokens(raw_text.lower().encode("ascii", "replace")))
+    reader = DocumentReader(config)
+    reader.add("", raw_text.lower().encode("ascii", "replace"))
+    enc = reader.encoding()
+    return enc.terms[enc.ids].tolist()
 
 
-def _is_dir(entry: os.DirEntry) -> bool:
+def _holds(test: Callable[[], bool]) -> bool:
+    """``test()`` of a directory entry; False where it raises (a link that loops)."""
     try:
-        return entry.is_dir()
-    except OSError:  # a link that loops: listed as a file, skipped when read
+        return test()
+    except OSError:
         return False
 
 
@@ -267,58 +288,58 @@ def load_directory_corpus(
 
     Class names are the immediate subdirectory names, sorted lexicographically
     and indexed densely. Files are read as latin-1 text. Documents that are
-    unreadable or empty after tokenization are skipped (counted in
-    ``corpus.skipped``); a class left with zero documents is an error. The
-    corpus comes encoded, and each distinct term is one str object.
+    unreadable (not a regular file, or failing to open) or empty after
+    tokenization are skipped (counted in ``corpus.skipped``); a class left
+    with zero documents is an error.
     """
     root = Path(root_path)
     if not root.is_dir():
         raise DataError(f"corpus root {root} is not a directory")
     with os.scandir(root) as entries:
-        class_names = sorted(e.name for e in entries if _is_dir(e))
+        class_names = sorted(e.name for e in entries if _holds(e.is_dir))
     if not class_names:
         raise DataError(f"corpus root {root} contains no class directories")
 
-    reader = DocumentReader(config)
-    documents: list[Document] = []
-    labels: list[int | None] = []
-    skipped: list[str] = []
+    reader, labels, skipped = DocumentReader(config), [], []
     for ci, name in enumerate(class_names):
-        # every entry but directories: broken links and such skip as unreadable
+        # every entry but directories; a pipe or a broken link is never opened
         with os.scandir(root / name) as entries:
-            files = sorted((e.name, e.path) for e in entries if not _is_dir(e))
-        docs, skips = reader.read((f"{name}/{f}", path) for f, path in files)
-        if not docs:
+            files = sorted((e.name, e.path if _holds(e.is_file) else None)
+                           for e in entries if not _holds(e.is_dir))
+        n_before = len(reader.doc_ids)
+        skipped += [doc_id for doc_id, _ in reader.read((f"{name}/{f}", p) for f, p in files)]
+        if len(reader.doc_ids) == n_before:
             raise DataError(f"class directory {root / name} has no readable non-empty documents")
-        documents += docs
-        labels += [ci] * len(docs)
-        skipped += [doc_id for doc_id, _ in skips]
-
-    corpus = Corpus(
-        documents=documents,
-        labels=labels,
-        class_names=tuple(class_names),
-        skipped=tuple(skipped),
-        encoding=encode(documents, filter(None, reader.terms.values())),
-    )
-    corpus.validate()
-    return corpus
+        labels += [ci] * (len(reader.doc_ids) - n_before)
+    return Corpus(reader.doc_ids, labels, tuple(class_names), reader.encoding(), tuple(skipped))
 
 
 # ---------------------------------------------------------------------------
 # splitting and masking
 # ---------------------------------------------------------------------------
 
-def _class_members(corpus: Corpus) -> list[list[int]]:
-    """Per-class document indices ordered by doc id (load-order independent)."""
+def _stratified_draw(
+    corpus: Corpus, fraction: float, rng_seed: int, spare: int, too_small: str
+) -> tuple[list[int], list[int]]:
+    """Per class, draw ``round(fraction * size)`` of its documents, at least 1
+    and at most ``size - spare``; ``(drawn, rest)`` in (class index, doc id)
+    order. A smaller class than ``1 + spare`` raises ``too_small``."""
     members: list[list[int]] = [[] for _ in range(corpus.n_classes)]
     for i, lab in enumerate(corpus.labels):
         if lab is None:
             raise DataError("operation requires a fully labeled corpus")
         members[lab].append(i)
-    for m in members:
-        m.sort(key=lambda i: corpus.documents[i].doc_id)
-    return members
+    rng = np.random.default_rng(rng_seed)
+    drawn, rest = [], []
+    for name, m in zip(corpus.class_names, members):
+        if len(m) < 1 + spare:
+            raise DataError(too_small.format(name=name, n=len(m)))
+        m.sort(key=corpus.doc_ids.__getitem__)  # independent of the corpus's order
+        n = min(max(int(round(len(m) * fraction)), 1), len(m) - spare)
+        chosen = {m[p] for p in rng.permutation(len(m))[:n]}
+        drawn.extend(i for i in m if i in chosen)
+        rest.extend(i for i in m if i not in chosen)
+    return drawn, rest
 
 
 def split_train_test(corpus: Corpus, spec: SplitSpec) -> tuple[Corpus, Corpus]:
@@ -326,21 +347,11 @@ def split_train_test(corpus: Corpus, spec: SplitSpec) -> tuple[Corpus, Corpus]:
 
     Both sides list their documents in (class index, doc id) order.
     """
-    rng = np.random.default_rng(spec.rng_seed)
-    train_idx: list[int] = []
-    test_idx: list[int] = []
-    for ci, members in enumerate(_class_members(corpus)):
-        if len(members) < 2:
-            raise DataError(
-                f"class {corpus.class_names[ci]!r} has {len(members)} document(s); "
-                "need at least 2 to appear on both sides of the split"
-            )
-        n_test = int(round(len(members) * spec.test_fraction))
-        n_test = min(max(n_test, 1), len(members) - 1)
-        perm = rng.permutation(len(members))
-        chosen = {members[p] for p in perm[:n_test]}
-        test_idx.extend(i for i in members if i in chosen)
-        train_idx.extend(i for i in members if i not in chosen)
+    test_idx, train_idx = _stratified_draw(
+        corpus, spec.test_fraction, spec.rng_seed, spare=1,
+        too_small="class {name!r} has {n} document(s); "
+        "need at least 2 to appear on both sides of the split",
+    )
     return corpus.subset(train_idx), corpus.subset(test_idx)
 
 
@@ -358,26 +369,12 @@ def mask_labels(
     """
     if not 0.0 < labeled_fraction < 1.0:
         raise DataError(f"labeled_fraction must be in (0,1), got {labeled_fraction}")
-    rng = np.random.default_rng(rng_seed)
-    labeled_idx: list[int] = []
-    unlabeled_idx: list[int] = []
-    for ci, members in enumerate(_class_members(corpus)):
-        if not members:
-            raise DataError(
-                f"class {corpus.class_names[ci]!r} has no documents; cannot keep one labeled"
-            )
-        n_lab = int(round(len(members) * labeled_fraction))
-        n_lab = min(max(n_lab, 1), len(members))
-        perm = rng.permutation(len(members))
-        chosen = {members[p] for p in perm[:n_lab]}
-        labeled_idx.extend(i for i in members if i in chosen)
-        unlabeled_idx.extend(i for i in members if i not in chosen)
-    hidden = {corpus.documents[i].doc_id: corpus.labels[i] for i in unlabeled_idx}
-    return (
-        corpus.subset(labeled_idx),
-        corpus.subset(unlabeled_idx, drop_labels=True),
-        hidden,
+    labeled_idx, unlabeled_idx = _stratified_draw(
+        corpus, labeled_fraction, rng_seed, spare=0,
+        too_small="class {name!r} has no documents; cannot keep one labeled",
     )
+    hidden = {corpus.doc_ids[i]: corpus.labels[i] for i in unlabeled_idx}
+    return corpus.subset(labeled_idx), corpus.subset(unlabeled_idx, drop_labels=True), hidden
 
 
 def make_training_collection(
@@ -394,21 +391,15 @@ def make_training_collection(
     """
     if d_labeled.class_names != d_unlabeled.class_names:
         raise DataError("labeled/unlabeled corpora have different class tables")
-    if pool_size is None:  # every document in its order: nothing to draw or gather
-        pool = Corpus(d_unlabeled.documents, [None] * d_unlabeled.n_docs, d_unlabeled.class_names)
-        pool.encoding = d_unlabeled.encoded()
-        return concat_corpora(d_labeled, pool)
-    n_pool = int(pool_size)
-    if n_pool > d_unlabeled.n_docs:
-        raise DataError(
-            f"requested {n_pool} unlabeled documents but only {d_unlabeled.n_docs} available"
-        )
+    ids = d_unlabeled.doc_ids
+    n_pool = len(ids) if pool_size is None else int(pool_size)
+    if n_pool > len(ids):
+        raise DataError(f"requested {n_pool} unlabeled documents but only {len(ids)} available")
     if n_pool < 0:
         raise DataError(f"pool size must be >= 0, got {n_pool}")
-    order = sorted(range(d_unlabeled.n_docs), key=lambda i: d_unlabeled.documents[i].doc_id)
-    rng = np.random.default_rng(rng_seed)
-    perm = rng.permutation(len(order))
-    sampled = sorted(order[p] for p in perm[:n_pool])
+    order = np.array(sorted(range(len(ids)), key=ids.__getitem__), dtype=np.intp)
+    perm = np.random.default_rng(rng_seed).permutation(len(order))
+    sampled = np.sort(order[perm[:n_pool]])
     return concat_corpora(d_labeled, d_unlabeled.subset(sampled, drop_labels=True))
 
 
@@ -478,7 +469,7 @@ def apply_split_manifest(
     train doc ids to the manifest's labeled flag. Every manifest doc id must
     exist in the corpus and be listed once.
     """
-    by_id = {d.doc_id: i for i, d in enumerate(corpus.documents)}
+    by_id = {doc_id: i for i, doc_id in enumerate(corpus.doc_ids)}
     train_idx: list[int] = []
     test_idx: list[int] = []
     flags: dict[str, int] = {}
@@ -498,7 +489,7 @@ def mask_from_flags(
     train: Corpus, labeled_flags: Mapping[str, int]
 ) -> tuple[Corpus, Corpus, dict[str, int]]:
     """Replay a recorded mask: same return contract as ``mask_labels``."""
-    labeled_idx = [i for i, d in enumerate(train.documents) if labeled_flags.get(d.doc_id)]
-    unlabeled_idx = [i for i, d in enumerate(train.documents) if not labeled_flags.get(d.doc_id)]
-    hidden = {train.documents[i].doc_id: train.labels[i] for i in unlabeled_idx}
+    labeled_idx = [i for i, d in enumerate(train.doc_ids) if labeled_flags.get(d)]
+    unlabeled_idx = [i for i, d in enumerate(train.doc_ids) if not labeled_flags.get(d)]
+    hidden = {train.doc_ids[i]: train.labels[i] for i in unlabeled_idx}
     return train.subset(labeled_idx), train.subset(unlabeled_idx, drop_labels=True), hidden

@@ -34,7 +34,7 @@ from .corpus import (
 )
 from .errors import DataError, InvariantError
 from .evaluation import EvalReport, confusion, score
-from .representation import TermClassWeights, embed_corpus, fit_term_weights
+from .representation import TermClassWeights, check_smoothing, embed_corpus, fit_term_weights
 from .rkmeans import ClusterModel, KMeansConfig, RecursiveConfig, build_model
 
 SWEEP_METRICS = ("accuracy", "macro_precision", "macro_recall", "macro_f", "micro_f")
@@ -67,6 +67,7 @@ class SweepConfig:
             raise DataError(f"ratio grid pairs must share one total, got totals {sorted(totals)}")
         if any(a < 1 or b < 1 for a, b in self.ratio_grid):
             raise DataError("ratio parts must be >= 1")
+        check_smoothing(self.smoothing)
 
     def to_dict(self) -> dict:
         km = self.recursive.kmeans
@@ -203,7 +204,7 @@ def _run_pipeline(
     if dropped:
         raise DataError(f"test documents with zero tokens: {dropped[:5]}")
     preds = classify_batch(test_x, model, test_ids)
-    truth = {doc.doc_id: lab for doc, lab in zip(test.documents, test.labels)}
+    truth = dict(zip(test.doc_ids, test.labels))
     report = score(confusion(preds, truth, test.n_classes))
     return TrialResult(
         ratio=ratio,
@@ -211,7 +212,7 @@ def _run_pipeline(
         report=report,
         metrics=metrics_from_report(report),
         n_clusters=model.n_clusters,
-        labeled_doc_ids=tuple(d.doc_id for d in d_labeled.documents),
+        labeled_doc_ids=tuple(d_labeled.doc_ids),
         model=model if keep_model else None,
     )
 
@@ -305,8 +306,8 @@ def run_sweep(corpus: Corpus | str | Path, config: SweepConfig = SweepConfig()) 
     return SweepTable(
         rows=aggregate_rows(records),
         records=records,
-        train_doc_ids=tuple(d.doc_id for d in train.documents),
-        test_doc_ids=tuple(d.doc_id for d in test.documents),
+        train_doc_ids=tuple(train.doc_ids),
+        test_doc_ids=tuple(test.doc_ids),
         config=config,
     )
 

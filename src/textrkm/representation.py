@@ -71,9 +71,9 @@ def term_class_counts(corpus: Corpus) -> tuple[dict[str, int], np.ndarray]:
     """
     labels = corpus.label_array()
     if np.any(labels == UNLABELED):
-        doc = corpus.documents[int(np.argmax(labels == UNLABELED))]
-        raise DataError(f"term weights are fitted on labeled documents only: {doc.doc_id!r}")
-    enc = corpus.encoded()
+        doc_id = corpus.doc_ids[int(np.argmax(labels == UNLABELED))]
+        raise DataError(f"term weights are fitted on labeled documents only: {doc_id!r}")
+    enc = corpus.encoding
     g = len(enc.terms)
     keys = np.repeat(labels * g, np.diff(enc.indptr)) + enc.ids
     counts = np.bincount(keys, minlength=corpus.n_classes * g).reshape(corpus.n_classes, g)
@@ -82,15 +82,21 @@ def term_class_counts(corpus: Corpus) -> tuple[dict[str, int], np.ndarray]:
     return vocabulary, counts[:, present].T.astype(np.float64, order="C")
 
 
+def check_smoothing(smoothing: float) -> float:
+    """``smoothing`` as a float; DataError unless it is >= 0."""
+    smoothing = float(smoothing)
+    if not smoothing >= 0:
+        raise DataError(f"smoothing must be >= 0, got {smoothing}")
+    return smoothing
+
+
 def weights_from_counts(
     vocabulary: dict[str, int], counts: np.ndarray, smoothing: float, class_names: Sequence[str]
 ) -> TermClassWeights:
     """``w[t, c] = (tf[t, c] + s) / (sum_t tf[t, c] + s * V)`` and the OOV
     floor ``s / (sum_t tf[t, c] + s * V)``: the one formula of the fit and of
     the bundle reader."""
-    smoothing = float(smoothing)
-    if not smoothing >= 0:
-        raise DataError(f"smoothing must be >= 0, got {smoothing}")
+    smoothing = check_smoothing(smoothing)
     mass = counts.sum(axis=0)
     if not np.all(mass > 0):
         missing = [name for name, m in zip(class_names, mass) if not m > 0]
@@ -149,7 +155,7 @@ def embed_corpus(
     order from 0.0. The longest documents finish one by one with
     ``np.add.accumulate``, which adds in order too.
     """
-    enc = corpus.encoded()
+    enc = corpus.encoding
     lengths = np.diff(enc.indptr)
     kept = np.flatnonzero(lengths)
     k, v = w.n_classes, w.vocab_size
@@ -181,7 +187,7 @@ def embed_corpus(
     sums[:, :k] /= lens[:, None]
     matrix = np.empty((len(kept), k), dtype=np.float64)
     matrix[perm] = sums[:, :k]
-    ids = corpus.doc_ids()
+    ids = corpus.doc_ids
     return matrix, [ids[i] for i in kept], [ids[i] for i in np.flatnonzero(lengths == 0)]
 
 

@@ -42,7 +42,7 @@ def make_text_corpus(
                     tokens.append(shared[int(rng.integers(shared_words))])
             documents.append(Document(f"{class_prefix}{c}/doc{d:03d}", tuple(tokens)))
             labels.append(c)
-    return Corpus(
+    return Corpus.from_documents(
         documents=documents,
         labels=labels,
         class_names=tuple(f"{class_prefix}{c}" for c in range(n_classes)),

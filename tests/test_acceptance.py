@@ -327,8 +327,9 @@ def _load_newsgroups_subset():
         if lab in remap and taken[lab] < per_class_cap:
             idx.append(i)
             taken[lab] += 1
-    return Corpus(
-        documents=[corpus.documents[i] for i in idx],
+    documents = corpus.documents
+    return Corpus.from_documents(
+        documents=[documents[i] for i in idx],
         labels=[remap[corpus.labels[i]] for i in idx],
         class_names=tuple(corpus.class_names[c] for c in keep),
     )
@@ -397,7 +398,7 @@ def test_criterion_6_determinism_and_replay(tmp_path):
     train, test = _split(corpus, cfg.base_seed)
     result = run_trial(train, test, (15, 35), 11, cfg, keep_model=True)
     weights = fit_term_weights(
-        Corpus(
+        Corpus.from_documents(
             documents=[d for d in train.documents if d.doc_id in set(result.labeled_doc_ids)],
             labels=[
                 lab
@@ -411,8 +412,8 @@ def test_criterion_6_determinism_and_replay(tmp_path):
     save_bundle(tmp_path / "model.json", result.model, weights, cfg.tokenizer)
     loaded, loaded_weights, _ = load_bundle(tmp_path / "model.json")
     test_x = np.vstack([embed_tokens(d.tokens, weights) for d in test.documents])
-    before = classify_batch(test_x, result.model, test.doc_ids())
-    after = classify_batch(test_x, loaded, test.doc_ids())
+    before = classify_batch(test_x, result.model, test.doc_ids)
+    after = classify_batch(test_x, loaded, test.doc_ids)
     model_exact = (
         before == after
         and np.array_equal(loaded.centroids, result.model.centroids)

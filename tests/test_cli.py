@@ -165,6 +165,20 @@ def test_data_errors_exit_two(tmp_path):
     assert rc == 2
 
 
+@pytest.mark.parametrize("command", ["train", "sweep"])
+def test_negative_smoothing_exits_two(tmp_path, corpus_tree, capsys, command):
+    _, tree = corpus_tree
+    out = tmp_path / "out"
+    if command == "train":
+        rest = ["--labeled-frac", "0.3", "--model-out", str(out)]
+    else:  # refused before any trial runs
+        rest = ["--ratios", "5:45", "--trials", "1", "--out", str(out)]
+    assert main([command, "--corpus", str(tree), "--smoothing", "-1", *rest]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("data error: smoothing must be >= 0") and "Traceback" not in err
+    assert not out.exists()
+
+
 def test_eval_rejects_unknown_predicted_class(tmp_path):
     (tmp_path / "preds.tsv").write_text("doc1\tmystery\t0.5\n")
     (tmp_path / "truth.tsv").write_text("doc1\tknown\n")

@@ -1,5 +1,7 @@
 import collections
+import os
 import re
+import threading
 
 import numpy as np
 import pytest
@@ -14,7 +16,6 @@ from textrkm.corpus import (
     TokenizerConfig,
     apply_split_manifest,
     concat_corpora,
-    encode,
     load_directory_corpus,
     make_training_collection,
     mask_from_flags,
@@ -79,10 +80,14 @@ def test_reader_tokens_equal_the_regex_tokenizer_on_latin1_bytes(docs, data):
             stopwords=frozenset(data.draw(st.sets(st.sampled_from(words or ["ab"])))),
         )
     reader = DocumentReader(config)  # one reader: its per-term verdicts carry over
-    for d in docs:
+    documents = []
+    for i, d in enumerate(docs):
         expected = reference_tokenize(d.decode("latin-1"), config)
-        assert list(reader.tokens(d)) == expected
+        assert reader.add(f"d{i}", d) == bool(expected)
         assert tokenize(d.decode("latin-1"), config) == expected
+        documents += [Document(f"d{i}", tuple(expected))] if expected else []
+    read = Corpus(reader.doc_ids, [None] * len(reader.doc_ids), (), reader.encoding())
+    assert read.documents == documents
 
 
 @settings(max_examples=200, deadline=None)
@@ -123,6 +128,20 @@ def test_load_directory_skips_empty_and_unreadable(tmp_path):
     corpus = load_directory_corpus(tmp_path)
     assert corpus.n_docs == 8
     assert len(corpus.skipped) == 2
+
+
+@pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="no named pipes here")
+def test_load_directory_skips_a_named_pipe_without_opening_it(tmp_path):
+    d = tmp_path / "only"
+    d.mkdir()
+    (d / "doc.txt").write_text("some real words")
+    os.mkfifo(d / "pipe")  # opening it for reading would block until a writer comes
+    loaded = []
+    worker = threading.Thread(target=lambda: loaded.append(load_directory_corpus(tmp_path)), daemon=True)
+    worker.start()
+    worker.join(5)
+    assert not worker.is_alive(), "loading blocked on the named pipe"
+    assert loaded[0].doc_ids == ["only/doc.txt"] and loaded[0].skipped == ("only/pipe",)
 
 
 def reference_load(root, config):
@@ -168,7 +187,7 @@ def test_loaded_tree_equals_the_regex_tokenizer(tmp_path, config):
     assert corpus.skipped == skipped
     assert {"alpha/punct.txt", "alpha/empty.txt", "alpha/broken.txt", "alpha/loop.txt"} <= set(skipped)
     assert corpus.labels == [0 if d.doc_id.startswith("alpha/") else 1 for d in documents]
-    expected = encode(documents)
+    expected = Corpus.from_documents(documents, corpus.labels, corpus.class_names).encoding
     assert list(corpus.encoding.terms) == list(expected.terms)
     assert np.array_equal(corpus.encoding.ids, expected.ids)
     assert np.array_equal(corpus.encoding.indptr, expected.indptr)
@@ -188,8 +207,8 @@ def test_split_is_deterministic_and_stratified():
     spec = SplitSpec(test_fraction=0.5, rng_seed=42)
     train1, test1 = split_train_test(corpus, spec)
     train2, test2 = split_train_test(corpus, spec)
-    assert train1.doc_ids() == train2.doc_ids()
-    assert test1.doc_ids() == test2.doc_ids()
+    assert train1.doc_ids == train2.doc_ids
+    assert test1.doc_ids == test2.doc_ids
     per_class = collections.Counter(test1.labels)
     assert per_class[0] == 5 and per_class[1] == 5
 
@@ -198,9 +217,9 @@ def test_split_remerge_reproduces_multiset():
     for seed in range(5):
         corpus = make_text_corpus(n_classes=3, docs_per_class=7, seed=seed)
         train, test = split_train_test(corpus, SplitSpec(test_fraction=0.4, rng_seed=seed))
-        merged = sorted(train.doc_ids() + test.doc_ids())
-        assert merged == sorted(corpus.doc_ids())
-        assert not set(train.doc_ids()) & set(test.doc_ids())
+        merged = sorted(train.doc_ids + test.doc_ids)
+        assert merged == sorted(corpus.doc_ids)
+        assert not set(train.doc_ids) & set(test.doc_ids)
 
 
 def test_split_sizes_near_halves():
@@ -211,7 +230,7 @@ def test_split_sizes_near_halves():
 
 
 def test_split_rejects_singleton_class():
-    corpus = Corpus(
+    corpus = Corpus.from_documents(
         documents=[Document("a/x", ("aa",)), Document("b/x", ("bb",)), Document("b/y", ("bb",))],
         labels=[0, 1, 1],
         class_names=("a", "b"),
@@ -226,7 +245,7 @@ def test_mask_labels_fraction_arithmetic():
     d_l, d_u, hidden = mask_labels(corpus, 0.4, rng_seed=0)
     assert d_l.n_docs == 20
     assert d_u.n_docs == 30
-    assert set(hidden) == set(d_u.doc_ids())
+    assert set(hidden) == set(d_u.doc_ids)
 
 
 def test_mask_labels_floor_one_per_class():
@@ -250,8 +269,8 @@ def test_mask_deterministic():
     corpus = make_text_corpus(n_classes=3, docs_per_class=9, seed=5)
     a = mask_labels(corpus, 0.25, rng_seed=11)
     b = mask_labels(corpus, 0.25, rng_seed=11)
-    assert a[0].doc_ids() == b[0].doc_ids()
-    assert a[1].doc_ids() == b[1].doc_ids()
+    assert a[0].doc_ids == b[0].doc_ids
+    assert a[1].doc_ids == b[1].doc_ids
 
 
 def test_training_collection_whole_pool_and_empty_pool():
@@ -265,7 +284,7 @@ def test_training_collection_whole_pool_and_empty_pool():
     # a labeled pool still enters unlabeled
     assert make_training_collection(d_l, d_l).labels == d_l.labels + [None] * d_l.n_docs
     only_labeled = make_training_collection(d_l, d_u, pool_size=0)
-    assert only_labeled.doc_ids() == d_l.doc_ids()
+    assert only_labeled.doc_ids == d_l.doc_ids
     assert only_labeled.fully_labeled()
 
 
@@ -291,16 +310,16 @@ def test_manifest_round_trip(tmp_path):
     d_l, d_u, hidden = mask_labels(train, 0.3, rng_seed=2)
     path = tmp_path / "split.tsv"
     write_split_manifest(
-        path, train.doc_ids(), test.doc_ids(), d_l.doc_ids(), meta={"seed": "2"}
+        path, train.doc_ids, test.doc_ids, d_l.doc_ids, meta={"seed": "2"}
     )
     meta, entries = read_split_manifest(path)
     assert meta["seed"] == "2"
     train2, test2, flags = apply_split_manifest(corpus, entries)
-    assert train2.doc_ids() == train.doc_ids()
-    assert test2.doc_ids() == test.doc_ids()
+    assert train2.doc_ids == train.doc_ids
+    assert test2.doc_ids == test.doc_ids
     d_l2, d_u2, hidden2 = mask_from_flags(train2, flags)
-    assert d_l2.doc_ids() == d_l.doc_ids()
-    assert d_u2.doc_ids() == d_u.doc_ids()
+    assert d_l2.doc_ids == d_l.doc_ids
+    assert d_u2.doc_ids == d_u.doc_ids
     assert hidden2 == hidden
 
 
@@ -317,13 +336,13 @@ def test_corpus_tree_round_trip(tmp_path):
     corpus = make_text_corpus(n_classes=3, docs_per_class=4, seed=10)
     write_corpus_tree(corpus, tmp_path)
     loaded = load_directory_corpus(tmp_path)
-    assert loaded.doc_ids() == corpus.doc_ids()
+    assert loaded.doc_ids == corpus.doc_ids
     assert loaded.labels == corpus.labels
     assert [d.tokens for d in loaded.documents] == [d.tokens for d in corpus.documents]
 
 
 def test_label_array_uses_minus_one():
-    corpus = Corpus(
+    corpus = Corpus.from_documents(
         documents=[Document("x", ("tok",)), Document("y", ("tok",))],
         labels=[1, None],
         class_names=("a", "b"),
@@ -362,47 +381,53 @@ def decoded(corpus):
     return [tuple(enc.terms[enc.ids[a:b]]) for a, b in zip(enc.indptr[:-1], enc.indptr[1:])]
 
 
-def assert_encodes(corpus, terms):
+def assert_encodes(corpus, terms, documents):
     assert corpus.encoding.terms is terms
     assert corpus.encoding.ids.dtype == np.int32 and corpus.encoding.indptr.dtype == np.int64
-    assert decoded(corpus) == [d.tokens for d in corpus.documents]
+    assert decoded(corpus) == [d.tokens for d in documents]
+    assert corpus.documents == documents and corpus.doc_ids == [d.doc_id for d in documents]
+
+
+TOKEN_LISTS = st.lists(st.lists(st.sampled_from(["a", "b", "cc", "d", "ee"]), max_size=7), max_size=15)
 
 
 @settings(max_examples=50, deadline=None)
-@given(
-    docs=st.lists(
-        st.lists(st.sampled_from(["a", "b", "cc", "d", "ee"]), max_size=7), min_size=1, max_size=15
-    ),
-    data=st.data(),
-)
-def test_subsets_and_concatenations_decode_to_their_tokens(docs, data):
-    corpus = Corpus(
-        documents=[Document(f"d{i:02d}", tuple(toks)) for i, toks in enumerate(docs)],
-        labels=[i % 2 for i in range(len(docs))],
-        class_names=("c0", "c1"),
-    )
-    rows = st.lists(st.integers(-len(docs), len(docs) - 1))  # Python's negative indices too
-    # the first subset encodes the corpus; every subset cuts from that
-    a, b = corpus.subset(data.draw(rows)), corpus.subset(data.draw(rows), drop_labels=True)
+@given(docs=TOKEN_LISTS.filter(bool), other_docs=TOKEN_LISTS, data=st.data())
+def test_subsets_and_concatenations_decode_to_their_tokens(docs, other_docs, data):
+    documents = [Document(f"d{i:02d}", tuple(toks)) for i, toks in enumerate(docs)]
+    corpus = Corpus.from_documents(documents, [i % 2 for i in range(len(docs))], ("c0", "c1"))
     terms = corpus.encoding.terms
     assert list(terms) == sorted({t for toks in docs for t in toks})
-    for part in (corpus, a, b, concat_corpora(a, b)):
-        assert_encodes(part, terms)
+    assert_encodes(corpus, terms, documents)
+    rows = st.lists(st.integers(-len(docs), len(docs) - 1))  # Python's negative indices too
+    rows_a, rows_b = data.draw(rows), data.draw(rows)
+    # every subset cuts from the corpus's encoding and shares its term table
+    a, b = corpus.subset(rows_a), corpus.subset(rows_b, drop_labels=True)
+    docs_a, docs_b = [documents[i] for i in rows_a], [documents[i] for i in rows_b]
+    assert a.labels == [i % 2 for i in np.arange(len(docs))[rows_a]] and b.labels == [None] * len(rows_b)
+    assert_encodes(a, terms, docs_a)
+    assert_encodes(b, terms, docs_b)
+    assert_encodes(concat_corpora(a, b), terms, docs_a + docs_b)
     pool_size = data.draw(st.integers(0, b.n_docs))
-    assert_encodes(make_training_collection(a, b, pool_size, rng_seed=1), terms)
+    training = make_training_collection(a, b, pool_size, rng_seed=1)
+    drawn = training.documents[a.n_docs :]
+    assert len(drawn) == pool_size and all(d in docs_b for d in drawn)
+    assert_encodes(training, terms, docs_a + drawn)
     # a corpus built apart has a term table of its own; joined to one cut
-    # from this corpus, the result encodes itself
-    apart = concat_corpora(a, Corpus(b.documents, b.labels, b.class_names))
-    assert apart.encoding is None
-    apart.encoded()
-    assert_encodes(apart, apart.encoding.terms)
+    # from this corpus, the result has the sorted union of both tables
+    other = [Document(f"o{i:02d}", tuple(toks)) for i, toks in enumerate(other_docs)]
+    apart = Corpus.from_documents(other, [None] * len(other), ("c0", "c1"))
+    for joined, want in ((concat_corpora(a, apart), docs_a + other), (concat_corpora(apart, b), other + docs_b)):
+        union = joined.encoding.terms
+        assert list(union) == sorted(set(terms) | set(apart.encoding.terms))
+        assert_encodes(joined, union, want)
 
 
 def test_loaded_corpus_holds_one_str_per_distinct_term(tmp_path):
     write_corpus_tree(make_text_corpus(n_classes=3, docs_per_class=8, doc_len=20, seed=3), tmp_path)
     corpus = load_directory_corpus(tmp_path)
     terms = corpus.encoding.terms
-    assert_encodes(corpus, terms)
+    assert_encodes(corpus, terms, corpus.documents)
     tokens = [t for d in corpus.documents for t in d.tokens]
     assert len({id(t) for t in tokens}) == len(terms)
     ids = corpus.encoding.ids

@@ -87,7 +87,7 @@ def test_trivial_corpus_duplicated_docs_scores_one():
         for i in range(10):
             docs.append(Document(f"c{c}/d{i}", (word, word, word)))
             labels.append(c)
-    corpus = Corpus(documents=docs, labels=labels, class_names=("c0", "c1", "c2"))
+    corpus = Corpus.from_documents(documents=docs, labels=labels, class_names=("c0", "c1", "c2"))
     train, test = split_corpus(corpus)
     cfg = SweepConfig(ratio_grid=((10, 40),), trials_per_ratio=1)
     result = run_trial(train, test, (10, 40), 0, cfg)
@@ -273,12 +273,7 @@ def ordered_sweep():
 def test_sweep_outputs_do_not_depend_on_corpus_order(ordered_sweep, data):
     corpus, config, files = ordered_sweep
     order = data.draw(st.permutations(range(corpus.n_docs)))
-    permuted = Corpus(
-        documents=[corpus.documents[i] for i in order],
-        labels=[corpus.labels[i] for i in order],
-        class_names=corpus.class_names,
-    )
-    assert _emitted_files(permuted, config) == files
+    assert _emitted_files(corpus.subset(order), config) == files
 
 
 def test_invariant_error_propagates_out_of_sweep(monkeypatch):

@@ -26,7 +26,7 @@ from synthdata import make_text_corpus
 
 
 def two_class_corpus():
-    return Corpus(
+    return Corpus.from_documents(
         documents=[Document("a", ("x", "x")), Document("b", ("y",))],
         labels=[0, 1],
         class_names=("A", "B"),
@@ -109,7 +109,7 @@ def test_embed_components_in_unit_interval():
 def test_embed_corpus_order_drops_and_determinism():
     corpus = make_text_corpus(n_classes=2, docs_per_class=3, seed=3)
     w = fit_term_weights(corpus, smoothing=1.0)
-    with_empty = Corpus(
+    with_empty = Corpus.from_documents(
         documents=corpus.documents[:2]
         + [Document("weird/empty", ())]
         + corpus.documents[2:],
@@ -118,7 +118,7 @@ def test_embed_corpus_order_drops_and_determinism():
     )
     x, kept, dropped = embed_corpus(with_empty, w)
     assert dropped == ["weird/empty"]
-    assert kept == corpus.doc_ids()
+    assert kept == corpus.doc_ids
     x2, _, _ = embed_corpus(with_empty, w)
     assert np.array_equal(x, x2)
 
@@ -150,14 +150,14 @@ def test_fit_uses_labeled_docs_only():
 
 def test_fit_requires_labels_and_nonempty_vocab():
     corpus = make_text_corpus(n_classes=2, docs_per_class=2, seed=7)
-    unlabeled = Corpus(
+    unlabeled = Corpus.from_documents(
         documents=corpus.documents,
         labels=[None] * corpus.n_docs,
         class_names=corpus.class_names,
     )
     with pytest.raises(DataError):
         fit_term_weights(unlabeled)
-    missing_class = Corpus(
+    missing_class = Corpus.from_documents(
         documents=corpus.documents[:2],
         labels=[0, 0],
         class_names=corpus.class_names,
@@ -169,7 +169,7 @@ def test_fit_requires_labels_and_nonempty_vocab():
 def test_save_load_weights_bit_exact(tmp_path):
     # the weight table's file route is the model bundle
     corpus = make_text_corpus(n_classes=4, docs_per_class=7, doc_len=18, seed=8)
-    w, model = fit(corpus, Corpus([], [], corpus.class_names), smoothing=0.7,
+    w, model = fit(corpus, Corpus.from_documents([], [], corpus.class_names), smoothing=0.7,
                    recursive=RecursiveConfig(), seed=0)
     path = tmp_path / "bundle.json"
     save_bundle(path, model, w, TokenizerConfig())
@@ -252,7 +252,7 @@ EDGE_DOCS = [
 def test_embed_corpus_is_bit_identical_to_per_token_loop(monkeypatch, doc_cost):
     monkeypatch.setattr(representation, "EMBED_DOC_COST", doc_cost)
     corpus = make_text_corpus(n_classes=4, docs_per_class=10, doc_len=23, seed=14)
-    mixed = Corpus(
+    mixed = Corpus.from_documents(
         documents=EDGE_DOCS[:3] + corpus.documents[:17] + EDGE_DOCS[3:]
         + corpus.documents[17:],
         labels=[None] * (corpus.n_docs + len(EDGE_DOCS)),
@@ -262,7 +262,7 @@ def test_embed_corpus_is_bit_identical_to_per_token_loop(monkeypatch, doc_cost):
         assert_embeds_like_loop(mixed, fit_term_weights(corpus, smoothing=smoothing))
     one_class = random_weights(["common1", "common2", "common3"], 1, np.random.default_rng(15))
     assert_embeds_like_loop(mixed, one_class)
-    only_empty = Corpus(
+    only_empty = Corpus.from_documents(
         documents=[EDGE_DOCS[1]], labels=[None], class_names=corpus.class_names
     )
     assert_embeds_like_loop(only_empty, fit_term_weights(corpus))
@@ -270,7 +270,9 @@ def test_embed_corpus_is_bit_identical_to_per_token_loop(monkeypatch, doc_cost):
 
 def test_term_class_counts_match_per_token_loop():
     corpus = make_text_corpus(n_classes=5, docs_per_class=9, doc_len=31, seed=16)
-    corpus.documents[3] = Document(corpus.documents[3].doc_id, ("solo",))
+    documents = corpus.documents
+    documents[3] = Document(documents[3].doc_id, ("solo",))
+    corpus = Corpus.from_documents(documents, corpus.labels, corpus.class_names)
     vocabulary, tf = term_class_counts(corpus)
     want_vocabulary, want_tf = loop_term_class_counts(corpus)
     assert vocabulary == want_vocabulary
@@ -298,7 +300,7 @@ def test_counts_and_embedding_match_loops_on_random_corpora(
     for i, n in enumerate(lengths):
         pool = words[-2:] if rng.random() < 0.15 else words
         documents.append(Document(f"d{i}", tuple(pool[j] for j in rng.integers(len(pool), size=n))))
-    labeled = Corpus(
+    labeled = Corpus.from_documents(
         documents=documents,
         labels=[int(c) for c in rng.integers(n_classes, size=n_docs)],
         class_names=tuple(f"c{i}" for i in range(n_classes)),
@@ -315,13 +317,14 @@ def test_counts_and_embedding_match_loops_on_random_corpora(
         assert_embeds_like_loop(labeled, w)
 
 
-def _random_corpus(n_docs, doc_len, terms, class_names, rng):
+def _random_documents(n_docs, doc_len, terms, rng):
     picks = rng.integers(len(terms), size=(n_docs, doc_len))
-    return Corpus(
-        documents=[Document(f"d{i}", tuple(terms[j] for j in row)) for i, row in enumerate(picks)],
-        labels=[None] * n_docs,
-        class_names=class_names,
-    )
+    return [Document(f"d{i}", tuple(terms[j] for j in row)) for i, row in enumerate(picks)]
+
+
+def _random_corpus(n_docs, doc_len, terms, class_names, rng):
+    documents = _random_documents(n_docs, doc_len, terms, rng)
+    return Corpus.from_documents(documents, [None] * n_docs, class_names)
 
 
 def test_embed_corpus_memory_is_bounded():
@@ -332,7 +335,6 @@ def test_embed_corpus_memory_is_bounded():
     terms = [f"term{i}" for i in range(3000)]
     w = random_weights(terms[:2500], n_classes, rng)  # the last 500 are OOV
     corpus = _random_corpus(n_docs, doc_len, terms, w.class_names, rng)
-    corpus.encoded()
     tracemalloc.start()
     try:
         x, _, _ = embed_corpus(corpus, w)
@@ -354,7 +356,6 @@ def test_embed_corpus_memory_is_bounded_on_one_long_document():
     terms = [f"term{i}" for i in range(3000)]
     w = random_weights(terms[:2500], n_classes, rng)
     corpus = _random_corpus(1, n_tokens, terms, w.class_names, rng)
-    corpus.encoded()
     tracemalloc.start()
     try:
         embed_corpus(corpus, w)
@@ -372,11 +373,11 @@ def test_encoding_memory_is_bounded():
     n_docs, doc_len = 10_000, 100
     rng = np.random.default_rng(18)
     terms = [f"term{i}" for i in range(3000)]
-    corpus = _random_corpus(n_docs, doc_len, terms, ("c0",), rng)
+    documents, labels = _random_documents(n_docs, doc_len, terms, rng), [None] * n_docs
     n_tokens = n_docs * doc_len
     tracemalloc.start()
     try:
-        enc = corpus.encoded()
+        enc = Corpus.from_documents(documents, labels, ("c0",)).encoding
         retained, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
