@@ -41,11 +41,8 @@ from .rkmeans import (
     RecursiveConfig,
     build_model,
     choose_initial_seeds,
-    cluster_class_stats,
     kmeans,
-    majority_label,
     recursive_kmeans,
-    relative_percentage,
 )
 
 __version__ = "0.1.0"
@@ -71,7 +68,6 @@ __all__ = [
     "choose_initial_seeds",
     "classify",
     "classify_batch",
-    "cluster_class_stats",
     "confusion",
     "embed_corpus",
     "embed_tokens",
@@ -81,11 +77,9 @@ __all__ = [
     "format_report",
     "kmeans",
     "load_directory_corpus",
-    "majority_label",
     "make_training_collection",
     "mask_labels",
     "recursive_kmeans",
-    "relative_percentage",
     "replay_trial",
     "run_sweep",
     "run_trial",

@@ -12,7 +12,9 @@ from pathlib import Path
 
 from . import kernels
 from .classifier import classify_batch
-from .corpus import Corpus, DocumentReader, TokenizerConfig, load_directory_corpus, mask_labels
+from .corpus import (
+    Corpus, DocumentReader, TokenizerConfig, load_directory_corpus, mask_labels, scan_directory,
+)
 from .errors import DataError, InvariantError
 from .evaluation import confusion, format_report, score
 from .harness import SweepConfig, default_ratio_grid, emit_results, fit, ratio_str, run_sweep
@@ -111,24 +113,24 @@ def cmd_train(args) -> int:
 def _read_input(path: Path, tokenizer: TokenizerConfig, class_names: tuple[str, ...]) -> Corpus:
     """An unlabeled corpus of the input files: every file directly under a
     directory (id ``filename``) and every file one level down (id
-    ``subdir/filename``); labels implied by a class layout are ignored here."""
+    ``subdir/filename``); labels implied by a class layout are ignored here.
+    An entry that is not a regular file is reported unreadable, never opened."""
     if path.is_file():
-        files = [(path.name, path)]
+        base, files = path.parent, [(path.name, path)]
     elif path.is_dir():
-        files = []
-        for p in sorted(path.iterdir()):
-            if p.is_dir():
-                files += [(f"{p.name}/{f.name}", f) for f in sorted(p.iterdir()) if f.is_file()]
-            elif p.is_file():
-                files.append((p.name, p))
+        base, files = path, []
+        for name, is_dir, p in scan_directory(path):
+            if is_dir:
+                files += [(f"{name}/{f}", q) for f, sub, q in scan_directory(p) if not sub]
+            else:
+                files.append((name, p))
     else:
         raise DataError(f"input path {path} does not exist")
     if not files:
         raise DataError(f"no input documents under {path}")
     reader = DocumentReader(tokenizer)
-    paths = dict(files)
     for doc_id, why in reader.read(files):
-        what = f"file {paths[doc_id]}" if why == "unreadable" else f"document {doc_id}"
+        what = f"file {base / doc_id}" if why == "unreadable" else f"document {doc_id}"
         print(f"warning: skipping {why} {what}", file=sys.stderr)
     if not reader.doc_ids:
         raise DataError(f"no usable documents under {path}")

@@ -16,7 +16,7 @@ from array import array
 from dataclasses import dataclass, field
 from itertools import chain
 from pathlib import Path
-from typing import Callable, Iterable, Mapping, Sequence
+from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
@@ -273,12 +273,20 @@ def tokenize(raw_text: str, config: TokenizerConfig = TokenizerConfig()) -> list
     return enc.terms[enc.ids].tolist()
 
 
-def _holds(test: Callable[[], bool]) -> bool:
-    """``test()`` of a directory entry; False where it raises (a link that loops)."""
-    try:
-        return test()
-    except OSError:
-        return False
+def scan_directory(directory: str | Path) -> list[tuple[str, bool, str | None]]:
+    """``(name, is_dir, path)`` of each entry of ``directory``, sorted by name;
+    ``path`` is None for an entry that is neither a directory nor a regular
+    file (a pipe, on which ``open`` blocks, or a broken or looping link)."""
+    listing = []
+    with os.scandir(directory) as entries:
+        for e in entries:
+            try:
+                is_dir = e.is_dir()
+                path = e.path if is_dir or e.is_file() else None
+            except OSError:  # a link that loops
+                is_dir, path = False, None
+            listing.append((e.name, is_dir, path))
+    return sorted(listing)
 
 
 def load_directory_corpus(
@@ -295,19 +303,15 @@ def load_directory_corpus(
     root = Path(root_path)
     if not root.is_dir():
         raise DataError(f"corpus root {root} is not a directory")
-    with os.scandir(root) as entries:
-        class_names = sorted(e.name for e in entries if _holds(e.is_dir))
+    class_names = [name for name, is_dir, _ in scan_directory(root) if is_dir]
     if not class_names:
         raise DataError(f"corpus root {root} contains no class directories")
 
     reader, labels, skipped = DocumentReader(config), [], []
     for ci, name in enumerate(class_names):
-        # every entry but directories; a pipe or a broken link is never opened
-        with os.scandir(root / name) as entries:
-            files = sorted((e.name, e.path if _holds(e.is_file) else None)
-                           for e in entries if not _holds(e.is_dir))
+        files = [(f"{name}/{f}", p) for f, is_dir, p in scan_directory(root / name) if not is_dir]
         n_before = len(reader.doc_ids)
-        skipped += [doc_id for doc_id, _ in reader.read((f"{name}/{f}", p) for f, p in files)]
+        skipped += [doc_id for doc_id, _ in reader.read(files)]
         if len(reader.doc_ids) == n_before:
             raise DataError(f"class directory {root / name} has no readable non-empty documents")
         labels += [ci] * (len(reader.doc_ids) - n_before)

@@ -6,18 +6,22 @@ square root where a true distance is reported. The kernels require finite
 inputs: the rounding bound below assumes them, and model loading rejects
 non-finite centroids.
 
-Euclidean assignment works through the points in row blocks. In each block
-it ranks the centroids by one BLAS product, ``|c|^2 - 2 x.c`` (the row
-constant ``|x|^2`` dropped), keeps as candidates the centroids whose ranking
-value lies within a proven rounding bound of the row minimum, and computes
-the distance of only those candidates exactly, as the sum of the squared
-components of the difference vector ``x - c``. The bound holds for any
-summation order, with or without FMA, on any number of threads, so the
-exact nearest centroid and every centroid tied with it are always
-candidates. The product only picks candidates and never supplies a returned
-value, so the result is the same bit for bit whatever the BLAS does and
-whatever the block size: it equals the argmin over the full
-``(points, centroids)`` matrix of exact distances.
+Euclidean assignment works through the points in blocks. In each block it
+ranks the centroids by one BLAS product, ``|c|^2 - 2 c.x`` (the point's
+constant ``|x|^2`` dropped), as a (centroids, points) matrix so that the
+minimum and the candidate test run down columns. The candidates are the
+centroids whose ranking value lies within a proven rounding bound of the
+column minimum. The bound holds for any summation order, with or without
+FMA, on any number of threads, so the exact nearest centroid and every
+centroid tied with it are always candidates. Usually a point has one
+candidate, which is scattered into point order; only a block where some
+point has several sorts them by (point, exact distance, centroid). The
+exact distance is the sum of the squared components of the difference
+vector ``x - c``, and the product never supplies a returned value, so the
+result is the same bit for bit whatever the BLAS does and whatever the
+block size: it equals the argmin over the full ``(points, centroids)``
+matrix of exact distances, which calls with at most ``DIRECT_PAIRS``
+(point, centroid) pairs compute directly from the difference tensor.
 """
 from __future__ import annotations
 
@@ -28,6 +32,10 @@ import numpy as np
 # equal, say) the gathered pair arrays stay under it; usually a row has one
 # candidate and a block needs a small fraction of it.
 ASSIGN_BLOCK_BYTES = 64 * 2**20
+
+# Euclidean calls with at most this many (point, centroid) pairs compute
+# every exact distance directly: for them the ranking costs more than it saves.
+DIRECT_PAIRS = 256
 
 _UNIT_ROUNDOFF = 2.0**-53
 _SMALLEST_SUBNORMAL = 2.0**-1074
@@ -47,7 +55,7 @@ def _candidate_slack(x_norm, max_centroid_norm, d):
     |delta| <= u, where eta (at most half the smallest subnormal) only
     arises when a product or square underflows:
 
-    - the ranking value A_j = fl(fl(|c_j|^2) + fl((-2x).c_j)): scaling by
+    - the ranking value A_j = fl(fl(|c_j|^2) + fl((-2c_j).x)): scaling by
       -2 is exact, and a dot product summed in any order, with or without
       FMA, is off by at most gamma_d times the sum of the absolute products
       (as long as the BLAS adds up the d products of each entry, as every
@@ -79,28 +87,34 @@ def _candidate_slack(x_norm, max_centroid_norm, d):
     return 4.0 * gamma * (r * r) + 8.0 * n * _SMALLEST_SUBNORMAL
 
 
-def _assign_block(x, centroids, centroid_sq, slack):
+def _assign_block(x, scaled, centroids, centroid_sq, slack):
     # a function of its own, so that one block's temporaries are freed
     # before the next block allocates its own
-    rank = (-2.0 * x) @ centroids.T
-    rank += centroid_sq
+    n = x.shape[0]
+    rank = scaled @ x.T  # (centroids, points): the minimum runs down columns
+    rank += centroid_sq[:, None]
     # not (rank > threshold) rather than rank <= threshold: a NaN threshold
-    # keeps every centroid of its row
-    keep = np.flatnonzero(~(rank > (rank.min(axis=1) + slack)[:, None]))
+    # keeps every centroid of its point
+    keep = rank > rank.min(axis=0) + slack
     del rank
-    # row-major order: centroid indices ascend within each row
-    rows, cols = np.divmod(keep, centroids.shape[0])
+    np.logical_not(keep, out=keep)
+    # centroid-major order: centroid indices ascend along the pairs
+    cols, rows = np.divmod(np.flatnonzero(keep), n)
     del keep
-    diff = x[rows]
-    diff -= centroids[cols]
-    d2 = np.einsum("ij,ij->i", diff, diff)
-    if rows.size > x.shape[0]:  # some row kept more than one candidate
+    if rows.size > n:  # some point kept several candidates (each keeps its minimum)
+        diff = x[rows]
+        diff -= centroids[cols]
         # lexsort is stable, so equal distances stay in centroid order and
-        # the first pair of each row is its lowest-index nearest centroid
-        order = np.lexsort((d2, rows))
-        first = order[np.flatnonzero(np.r_[True, rows[1:] != rows[:-1]])]
-        cols, d2 = cols[first], d2[first]
-    return cols, d2
+        # the first pair of each point is its lowest-index nearest centroid
+        order = np.lexsort((np.einsum("ij,ij->i", diff, diff), rows))
+        rows, cols = rows[order], cols[order]
+        first = np.r_[True, rows[1:] != rows[:-1]]
+        rows, cols = rows[first], cols[first]
+    assign = np.empty(n, dtype=np.int64)
+    assign[rows] = cols
+    diff = centroids.take(assign, axis=0)
+    np.subtract(x, diff, out=diff)
+    return assign, np.einsum("ij,ij->i", diff, diff)
 
 
 def assign_euclidean(x, centroids):
@@ -110,10 +124,16 @@ def assign_euclidean(x, centroids):
     """
     n, d = x.shape
     m = centroids.shape[0]
+    if n * m <= DIRECT_PAIRS:
+        diff = x[:, None, :] - centroids[None, :, :]
+        d2 = np.einsum("ijk,ijk->ij", diff, diff)
+        assign = d2.argmin(axis=1)
+        return assign, d2[np.arange(n), assign]
     centroid_sq = np.einsum("ij,ij->i", centroids, centroids)
     slack = _candidate_slack(
         np.sqrt(np.einsum("ij,ij->i", x, x)), np.sqrt(centroid_sq.max()), d
     )
+    scaled = centroids * -2.0
     # worst case per kept pair: the gathered point and centroid rows, plus
     # a few per-pair index and distance vectors
     pair_bytes = 8 * (2 * d + 4)
@@ -123,7 +143,7 @@ def assign_euclidean(x, centroids):
     for start in range(0, n, rows):
         stop = start + rows
         assign[start:stop], best[start:stop] = _assign_block(
-            x[start:stop], centroids, centroid_sq, slack[start:stop]
+            x[start:stop], scaled, centroids, centroid_sq, slack[start:stop]
         )
     return assign, best
 

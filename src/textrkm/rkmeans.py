@@ -113,36 +113,32 @@ def kmeans(x: np.ndarray, seeds: np.ndarray, config: KMeansConfig) -> KMeansResu
 
     k = centroids.shape[0]
     history: list[float] = []
-    assign = np.zeros(x.shape[0], dtype=np.int64)
-    n_iter = 0
-    for _ in range(config.max_iterations):
-        n_iter += 1
+    for n_iter in range(1, config.max_iterations + 1):
         assign, dist = kernels.nearest_centroids(x, centroids, config.distance)
         history.append(float(dist.sum()))
         sums, counts = kernels.centroid_sums(x, assign, k)
-        means = np.where(counts[:, None] > 0, sums / np.maximum(counts, 1)[:, None], centroids)
-        empties = np.flatnonzero(counts == 0)
-        if empties.size:
+        if not counts.all():
             # reseed each empty cluster on the most distant point, one
             # point per cluster, lowest cluster index served first; with
             # fewer points than empty clusters the leftovers stay empty
-            empties = empties[: x.shape[0]]
+            means = np.where(counts[:, None] > 0, sums / np.maximum(counts, 1)[:, None], centroids)
+            empties = np.flatnonzero(counts == 0)[: x.shape[0]]
             means[empties] = x[np.argsort(-dist, kind="stable")[: empties.size]]
             centroids = means
             continue  # geometry changed; always run another assignment pass
+        means = sums / counts[:, None]
         shift = np.sqrt(((means - centroids) ** 2).sum(axis=1)).max()
         centroids = means
         if shift < config.centroid_shift_tolerance:
             break
 
-    # final cleanup: drop clusters that ended empty, recompute exact means
-    sums, counts = kernels.centroid_sums(x, assign, k)
+    # final cleanup: drop clusters that ended empty and take the exact means
+    # of the last assignment, whose sums the last iteration computed
     keep = counts > 0
     remap = np.cumsum(keep) - 1
-    out_centroids = sums[keep] / counts[keep, None]
     return KMeansResult(
         assignments=remap[assign].astype(np.int64),
-        centroids=np.ascontiguousarray(out_centroids),
+        centroids=sums[keep] / counts[keep, None],
         counts=counts[keep],
         n_iter=n_iter,
         sse_history=history,
@@ -168,33 +164,11 @@ def choose_initial_seeds(
         raise DataError("cannot seed: no labeled points")
     # labeled points grouped by class, each group in index order
     by_class = labeled[np.argsort(labels[labeled], kind="stable")]
-    present, starts, sizes = np.unique(labels[by_class], return_index=True, return_counts=True)
-    picks = [start + int(rng.integers(n)) for start, n in zip(starts.tolist(), sizes.tolist())]
+    sizes = np.bincount(labels[labeled])
+    present = np.flatnonzero(sizes)
+    ends = np.cumsum(sizes)[present].tolist()
+    picks = [end - n + int(rng.integers(n)) for end, n in zip(ends, sizes[present].tolist())]
     return x[by_class[picks]], present
-
-
-def cluster_class_stats(member_labels: np.ndarray, n_classes: int) -> tuple[int, np.ndarray]:
-    """(number of distinct labeled classes, per-class labeled counts)."""
-    member_labels = np.asarray(member_labels, dtype=np.int64)
-    lab = member_labels[member_labels >= 0]
-    lsp = np.bincount(lab, minlength=n_classes).astype(np.int64)
-    return int((lsp > 0).sum()), lsp
-
-
-def majority_label(lsp: np.ndarray) -> int:
-    """Class with the highest labeled count; ties go to the lowest index."""
-    lsp = np.asarray(lsp)
-    if lsp.sum() <= 0:
-        raise DataError("cluster has no labeled members")
-    return int(np.argmax(lsp))
-
-
-def relative_percentage(lsp: np.ndarray, majority: int, other: int) -> float:
-    """100 * labeled count of ``other`` / labeled count of ``majority``."""
-    lsp = np.asarray(lsp)
-    if lsp[majority] <= 0:
-        raise DataError("majority class has zero labeled count")
-    return 100.0 * float(lsp[other]) / float(lsp[majority])
 
 
 @dataclass
@@ -241,9 +215,9 @@ def _recurse(
     stats.kmeans_runs += 1
     k = result.centroids.shape[0]
 
-    # (clusters, classes) labeled counts; the same numbers, majorities and
-    # threshold test as cluster_class_stats, majority_label and
-    # relative_percentage give cluster by cluster (an orphan's row, all
+    # (clusters, classes) labeled counts, each cluster's majority (ties to
+    # the lowest class index) and its threshold test: a minority class over
+    # th_percent of the majority's labeled count (an orphan's row, all
     # zeros, divides by 1)
     known = sub_labels >= 0
     lsp = np.bincount(
@@ -264,9 +238,9 @@ def _recurse(
         )
         majority[orphans] = majority[siblings[nearest]]
 
-    members = np.split(
-        idx[np.argsort(result.assignments, kind="stable")], np.cumsum(result.counts)[:-1]
-    )
+    by_cluster = idx[np.argsort(result.assignments, kind="stable")]
+    bounds = [0, *np.cumsum(result.counts).tolist()]
+    members = [by_cluster[a:b] for a, b in zip(bounds, bounds[1:])]
     finals: list[FinalCluster] = []
     for j in range(k):
         n_present = int(ncp[j])

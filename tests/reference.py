@@ -1,0 +1,99 @@
+"""Reference definitions the program is checked against.
+
+Each is the plain, slow form of something the program computes another way:
+the full difference tensor for euclidean assignment, an unbuffered
+scatter-add for centroid sums, the textbook Lloyd loop over those two, and
+the per-cluster label statistics that the recursion computes for all
+clusters at once.
+"""
+from __future__ import annotations
+
+import numpy as np
+
+from textrkm import kernels
+from textrkm.errors import DataError
+
+
+def unblocked_euclidean(x, centroids):
+    """Reference: the whole ``(n, m, d)`` difference tensor at once."""
+    diff = x[:, None, :] - centroids[None, :, :]
+    d2 = np.einsum("ijk,ijk->ij", diff, diff)
+    assign = d2.argmin(axis=1).astype(np.int64)
+    return assign, d2[np.arange(x.shape[0]), assign]
+
+
+def add_at_sums(x, assign, n_clusters):
+    """Reference: unbuffered scatter-add of each row into its cluster."""
+    sums = np.zeros((n_clusters, x.shape[1]), dtype=np.float64)
+    np.add.at(sums, assign, x)
+    return sums, np.bincount(assign, minlength=n_clusters).astype(np.int64)
+
+
+def lloyd_reference(x, seeds, max_iterations, tolerance):
+    """Euclidean Lloyd iteration on the reference kernels.
+
+    Assign, record the objective, move each centroid to its members' mean;
+    an empty cluster is reseeded on the farthest point (one point per
+    cluster, lowest cluster index first) and forces another pass; stop when
+    no centroid moves by ``tolerance`` or more. The final means are summed
+    again from the last assignment, and clusters that ended empty are
+    dropped. Returns ``(assignments, centroids, counts, n_iter, history)``.
+    """
+    centroids = np.array(seeds, dtype=np.float64)
+    k = centroids.shape[0]
+    history = []
+    n_iter = 0
+    for _ in range(max_iterations):
+        n_iter += 1
+        assign, dist = unblocked_euclidean(x, centroids)
+        history.append(float(dist.sum()))
+        sums, counts = add_at_sums(x, assign, k)
+        means = centroids.copy()
+        for j in range(k):
+            if counts[j]:
+                means[j] = sums[j] / counts[j]
+        empties = [j for j in range(k) if counts[j] == 0][: x.shape[0]]
+        if empties:
+            farthest = np.argsort(-dist, kind="stable")
+            for j, i in zip(empties, farthest):
+                means[j] = x[i]
+            centroids = means
+            continue
+        shift = max(np.sqrt(((means[j] - centroids[j]) ** 2).sum()) for j in range(k))
+        centroids = means
+        if shift < tolerance:
+            break
+    sums, counts = add_at_sums(x, assign, k)
+    kept = [j for j in range(k) if counts[j]]
+    renumber = {j: new for new, j in enumerate(kept)}
+    return (
+        np.array([renumber[j] for j in assign], dtype=np.int64),
+        np.array([sums[j] / counts[j] for j in kept]),
+        counts[kept],
+        n_iter,
+        history,
+    )
+
+
+def cluster_class_stats(member_labels: np.ndarray, n_classes: int) -> tuple[int, np.ndarray]:
+    """(number of distinct labeled classes, per-class labeled counts)."""
+    member_labels = np.asarray(member_labels, dtype=np.int64)
+    lab = member_labels[member_labels >= 0]
+    lsp = np.bincount(lab, minlength=n_classes).astype(np.int64)
+    return int((lsp > 0).sum()), lsp
+
+
+def majority_label(lsp: np.ndarray) -> int:
+    """Class with the highest labeled count; ties go to the lowest index."""
+    lsp = np.asarray(lsp)
+    if lsp.sum() <= 0:
+        raise DataError("cluster has no labeled members")
+    return int(np.argmax(lsp))
+
+
+def relative_percentage(lsp: np.ndarray, majority: int, other: int) -> float:
+    """100 * labeled count of ``other`` / labeled count of ``majority``."""
+    lsp = np.asarray(lsp)
+    if lsp[majority] <= 0:
+        raise DataError("majority class has zero labeled count")
+    return 100.0 * float(lsp[other]) / float(lsp[majority])

@@ -35,12 +35,10 @@ from textrkm.rkmeans import (
     KMeansConfig,
     RecursiveConfig,
     RunStats,
-    cluster_class_stats,
     kmeans,
-    majority_label,
-    relative_percentage,
 )
 
+from reference import cluster_class_stats, majority_label, relative_percentage
 from synthdata import make_point_cloud, make_text_corpus
 
 NEWSGROUPS_ENV = "TEXTRKM_20NG_DIR"

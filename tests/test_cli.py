@@ -1,4 +1,6 @@
 import json
+import os
+import threading
 from pathlib import Path
 
 import numpy as np
@@ -105,6 +107,38 @@ def test_classify_reads_top_level_files_beside_a_subfolder(tmp_path, corpus_tree
     assert sorted(ids) == sorted(
         [f"doc{i}.txt" for i in range(5)] + [".ipynb_checkpoints/doc0-checkpoint.txt"]
     )
+
+
+def test_classify_warns_about_entries_that_are_not_regular_files(tmp_path, corpus_tree, capsys):
+    corpus, tree = corpus_tree
+    model_path = tmp_path / "model.json"
+    assert main([
+        "train", "--corpus", str(tree), "--labeled-frac", "0.3", "--model-out", str(model_path),
+    ]) == 0
+    flat = tmp_path / "unseen"
+    flat.mkdir()
+    (flat / "doc.txt").write_text(" ".join(corpus.documents[0].tokens))
+    (flat / "gone").symlink_to(flat / "missing.txt")
+    odd = ["gone"]
+    if hasattr(os, "mkfifo"):
+        os.mkfifo(flat / "pipe")  # opening it for reading would block until a writer comes
+        odd.append("pipe")
+    capsys.readouterr()
+    out_path = tmp_path / "preds.tsv"
+    codes = []
+    worker = threading.Thread(
+        target=lambda: codes.append(main([
+            "classify", "--model", str(model_path), "--input", str(flat), "--out", str(out_path),
+        ])),
+        daemon=True,
+    )
+    worker.start()
+    worker.join(5)
+    assert not worker.is_alive(), "classify blocked on the named pipe"
+    assert codes == [0]
+    assert [line.split("\t")[0] for line in out_path.read_text().splitlines()] == ["doc.txt"]
+    warnings = [line for line in capsys.readouterr().err.splitlines() if line.startswith("warning")]
+    assert warnings == [f"warning: skipping unreadable file {flat / name}" for name in odd]
 
 
 def test_sweep_writes_result_files(tmp_path, corpus_tree):

@@ -7,22 +7,11 @@ from hypothesis import strategies as st
 
 from textrkm import kernels
 
+from reference import add_at_sums, unblocked_euclidean
+
 BUDGETS = [kernels.ASSIGN_BLOCK_BYTES, 1, 2000]  # 1 byte: one row per block
-
-
-def unblocked_euclidean(x, centroids):
-    """Reference: the whole ``(n, m, d)`` difference tensor at once."""
-    diff = x[:, None, :] - centroids[None, :, :]
-    d2 = np.einsum("ijk,ijk->ij", diff, diff)
-    assign = d2.argmin(axis=1).astype(np.int64)
-    return assign, d2[np.arange(x.shape[0]), assign]
-
-
-def add_at_sums(x, assign, n_clusters):
-    """Reference: unbuffered scatter-add of each row into its cluster."""
-    sums = np.zeros((n_clusters, x.shape[1]), dtype=np.float64)
-    np.add.at(sums, assign, x)
-    return sums, np.bincount(assign, minlength=n_clusters).astype(np.int64)
+# 0: every call ranks candidates; 10**9: every call takes the direct path
+DIRECT_PAIRS = [0, kernels.DIRECT_PAIRS, 10**9]
 
 
 def random_instances(seed, count=60):
@@ -76,14 +65,23 @@ def adversarial_instances(seed, count=200):
             c[j, k] = np.nextafter(c[j, k], rng.choice([-np.inf, np.inf]))
             x = np.vstack([c[:1], rng.normal(size=(n, d))])
         yield kernels.as_points(x), kernels.as_points(c)
+    # a large block where most points have several candidates: lattice
+    # points against lattice centroids, each centroid listed three times
+    x = rng.integers(-2, 3, size=(1500, 3)).astype(float)
+    c = np.repeat(rng.integers(-2, 3, size=(12, 3)).astype(float), 3, axis=0)
+    yield kernels.as_points(x), kernels.as_points(c)
 
 
 def assert_matches_unblocked(x, c):
-    assign, d2 = kernels.nearest_centroids(x, c, "euclidean")
+    """Through the direct path and through the candidate path alike."""
     ref_assign, ref_d2 = unblocked_euclidean(x, c)
-    assert assign.dtype == np.int64
-    assert np.array_equal(assign, ref_assign)
-    assert np.array_equal(d2.view(np.int64), ref_d2.view(np.int64))
+    for direct_pairs in DIRECT_PAIRS:
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(kernels, "DIRECT_PAIRS", direct_pairs)
+            assign, d2 = kernels.nearest_centroids(x, c, "euclidean")
+        assert assign.dtype == np.int64
+        assert np.array_equal(assign, ref_assign)
+        assert np.array_equal(d2.view(np.int64), ref_d2.view(np.int64))
 
 
 @pytest.mark.parametrize("budget", BUDGETS)

@@ -18,13 +18,11 @@ from textrkm.rkmeans import (
     RecursiveConfig,
     build_model,
     choose_initial_seeds,
-    cluster_class_stats,
     kmeans,
-    majority_label,
     recursive_kmeans,
-    relative_percentage,
 )
 
+from reference import cluster_class_stats, lloyd_reference, majority_label, relative_percentage
 from synthdata import make_point_cloud
 
 
@@ -143,6 +141,74 @@ def test_kmeans_config_validation():
         KMeansConfig(max_iterations=0)
     with pytest.raises(DataError):
         KMeansConfig(centroid_shift_tolerance=0.0)
+
+
+def lloyd_cases():
+    """``(points, seeds, max_iterations)``: converging runs, runs that reseed
+    an empty cluster, and runs cut off at ``max_iterations``."""
+    x, _, _ = make_point_cloud(n_classes=5, points_per_class=60, dim=6, sigma=3.0, seed=4)
+    rng = np.random.default_rng(5)
+    for k in (1, 3, 5, 9):
+        yield x, x[rng.choice(len(x), k, replace=False)], 100
+    for cap in (1, 2, 3):
+        yield x, x[:4], cap
+    # two equal seeds: the second cluster empties and is reseeded
+    yield x, np.vstack([x[:3], x[:1]]), 100
+    yield np.array([[0.0], [0.1], [0.2], [10.0]]), np.array([[0.1], [0.1]]), 100
+    # every point equal: the spare cluster empties and is reseeded on every
+    # pass, until max_iterations ends the run with it empty
+    yield np.ones((3, 2)), np.array([[1.0, 1.0], [5.0, 5.0]]), 7
+    # more seeds than points: the leftover empty clusters stay empty
+    yield np.array([[0.0], [1.0]]), np.array([[0.0], [1.0], [2.0], [3.0]]), 100
+    # lattice points: exact ties between centroids on every pass
+    lattice = rng.integers(-2, 3, size=(400, 3)).astype(float)
+    yield lattice, lattice[:6], 100
+
+
+def test_kmeans_is_bit_identical_to_the_reference_lloyd_loop():
+    capped = reseeded = 0
+    for x, seeds, cap in lloyd_cases():
+        config = KMeansConfig(max_iterations=cap)
+        res = kmeans(x, seeds, config)
+        assign, centroids, counts, n_iter, history = lloyd_reference(
+            x, seeds, cap, config.centroid_shift_tolerance
+        )
+        assert np.array_equal(res.assignments, assign)
+        assert res.centroids.tobytes() == centroids.tobytes()
+        assert np.array_equal(res.counts, counts)
+        assert (res.n_iter, res.sse_history) == (n_iter, history)
+        capped += n_iter == cap
+        reseeded += len(counts) < len(seeds)
+    assert capped >= 4 and reseeded >= 2
+
+
+def test_kmeans_calls_each_kernel_once_per_iteration(monkeypatch):
+    # the benchmark's tracer rebinds these two names and reads (x, centroids,
+    # metric) and (x, assign, n_clusters) from these positions
+    calls = []
+
+    def counting(name, fn):
+        def wrapper(*args, **kwargs):
+            out = fn(*args, **kwargs)
+            calls.append((name, args, kwargs, out))
+            return out
+        return wrapper
+
+    monkeypatch.setattr(kernels, "nearest_centroids", counting("assign", kernels.nearest_centroids))
+    monkeypatch.setattr(kernels, "centroid_sums", counting("sums", kernels.centroid_sums))
+    for distance in kernels.METRICS:
+        for x, seeds, cap in lloyd_cases():
+            calls.clear()
+            res = kmeans(x, seeds, KMeansConfig(distance=distance, max_iterations=cap))
+            assert [c[0] for c in calls] == ["assign", "sums"] * res.n_iter
+            for (_, a_args, a_kw, (assign, _)), (_, s_args, s_kw, _) in zip(calls[::2], calls[1::2]):
+                assert a_kw == {} and s_kw == {}
+                xa, centroids, metric = a_args
+                xs, assigned, n_clusters = s_args
+                assert xa.shape == xs.shape == x.shape
+                assert np.array_equal(xa, x) and np.array_equal(xs, x)
+                assert centroids.shape == seeds.shape and metric == distance
+                assert assigned is assign and n_clusters == len(seeds)
 
 
 def test_choose_initial_seeds_forced_choice():
