@@ -5,7 +5,7 @@ documents are embedded into one dimension per class, the mixed collection is
 partitioned by k-means recursively until each partition's labeled members
 agree, and unseen documents are classified by nearest cluster centroid.
 """
-from .classifier import Prediction, classify, classify_batch
+from .classifier import Prediction, classify_batch
 from .corpus import (
     Corpus,
     Document,
@@ -31,7 +31,6 @@ from .harness import (
 from .representation import (
     TermClassWeights,
     embed_corpus,
-    embed_tokens,
     fit_term_weights,
 )
 from .rkmeans import (
@@ -66,11 +65,9 @@ __all__ = [
     "TokenizerConfig",
     "build_model",
     "choose_initial_seeds",
-    "classify",
     "classify_batch",
     "confusion",
     "embed_corpus",
-    "embed_tokens",
     "emit_results",
     "fit",
     "fit_term_weights",

@@ -1,8 +1,7 @@
 """Nearest-centroid classification against a trained cluster model."""
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -11,8 +10,7 @@ from .errors import DataError
 from .rkmeans import ClusterModel
 
 
-@dataclass(frozen=True)
-class Prediction:
+class Prediction(NamedTuple):
     doc_id: str
     label: int        # predicted class index (the winning cluster's label)
     cluster: int      # winning cluster index
@@ -27,8 +25,8 @@ def classify_batch(
     """Label each vector by its nearest cluster centroid.
 
     Distances use the metric the model was trained with; ties go to the
-    lowest cluster index. Order-preserving and equivalent to one
-    ``classify`` call per row. A row that is not finite raises DataError.
+    lowest cluster index. Order-preserving: each row gets what a one-row
+    call would give it. A row that is not finite raises DataError.
     """
     x = np.asarray(vectors, dtype=np.float64)
     if x.ndim == 1:
@@ -51,17 +49,4 @@ def classify_batch(
     assign, dist = kernels.nearest_centroids(x, model.centroids, model.distance)
     if model.distance == "euclidean":
         dist = np.sqrt(dist)
-    return [
-        Prediction(
-            doc_id=doc_ids[i],
-            label=int(model.labels[assign[i]]),
-            cluster=int(assign[i]),
-            distance=float(dist[i]),
-        )
-        for i in range(x.shape[0])
-    ]
-
-
-def classify(vector: np.ndarray, model: ClusterModel, doc_id: str = "") -> Prediction:
-    """Single-vector form of ``classify_batch``."""
-    return classify_batch(np.asarray(vector, dtype=np.float64).reshape(1, -1), model, [doc_id])[0]
+    return list(map(Prediction, doc_ids, model.labels[assign].tolist(), assign.tolist(), dist.tolist()))

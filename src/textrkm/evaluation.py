@@ -14,12 +14,16 @@ def confusion(
     preds: Iterable[Prediction], truth: Mapping[str, int], n_classes: int
 ) -> np.ndarray:
     """Count matrix with rows = true class, columns = predicted class."""
-    cm = np.zeros((n_classes, n_classes), dtype=np.int64)
-    for p in preds:
-        if p.doc_id not in truth:
-            raise DataError(f"prediction for unknown doc id {p.doc_id!r}")
-        cm[truth[p.doc_id], p.label] += 1
-    return cm
+    preds = list(preds)
+    try:
+        true = [truth[p.doc_id] for p in preds]
+    except KeyError as exc:  # the first unknown id, in prediction order
+        raise DataError(f"prediction for unknown doc id {exc.args[0]!r}") from None
+    pairs = np.array([true, [p.label for p in preds]], dtype=np.int64).reshape(2, -1)
+    if np.any((pairs < 0) | (pairs >= n_classes)):
+        raise DataError(f"class index outside [0, {n_classes})")
+    keys = pairs[0] * n_classes + pairs[1]
+    return np.bincount(keys, minlength=n_classes * n_classes).reshape(n_classes, n_classes)
 
 
 def _prf(tp: float, fp: float, fn: float) -> tuple[float, float, float]:

@@ -20,9 +20,12 @@ from .errors import DataError
 
 # ``embed_corpus`` stops its per-position loop where finishing the longer
 # documents one by one costs fewer numpy passes, one document counting as
-# EMBED_DOC_COST positions; it sums each EMBED_TAIL_ROWS weight rows at a time.
+# EMBED_DOC_COST positions. It works on blocks of rows of EMBED_BLOCK_BYTES
+# each: the position loop on that many documents' sums at a time, which keeps
+# them and one position's gathered rows in cache, and a long document's tail
+# on that many weight rows at a time.
 EMBED_DOC_COST = 4
-EMBED_TAIL_ROWS = 4096
+EMBED_BLOCK_BYTES = 2**18
 
 
 @dataclass
@@ -120,39 +123,19 @@ def fit_term_weights(d_labeled: Corpus, smoothing: float = 1.0) -> TermClassWeig
     return weights_from_counts(vocabulary, tf, smoothing, d_labeled.class_names)
 
 
-def embed_tokens(tokens: Sequence[str], w: TermClassWeights) -> np.ndarray:
-    """Average the per-token weight rows into one K-vector.
-
-    Out-of-vocabulary tokens contribute the OOV floor and still count in the
-    denominator, which keeps the token-count-weighted concatenation identity
-    exact.
-    """
-    if not tokens:
-        raise DataError("cannot embed a document with zero tokens")
-    vec = np.zeros(w.n_classes, dtype=np.float64)
-    n_oov = 0
-    for tok in tokens:
-        idx = w.vocabulary.get(tok)
-        if idx is None:
-            n_oov += 1
-        else:
-            vec += w.weights[idx]
-    if n_oov:
-        vec += n_oov * w.oov_weight
-    return vec / len(tokens)
-
-
 def embed_corpus(
     corpus: Corpus, w: TermClassWeights
 ) -> tuple[np.ndarray, list[str], list[str]]:
     """Embed every document, preserving order.
 
     Returns ``(matrix, kept_ids, dropped_ids)``; documents with zero tokens
-    are dropped and reported rather than raising. Each row equals
-    ``embed_tokens`` of its document bit for bit: with the documents sorted
-    longest first, position p adds the weight row of token p of every
-    document longer than p, so each document's weights are added in token
-    order from 0.0. The longest documents finish one by one with
+    are dropped and reported rather than raising. A row is the mean of its
+    document's weight rows, an out-of-vocabulary token counting as the OOV
+    floor, and equals bit for bit the per-token sum of ``embed_tokens`` in
+    ``tests/reference.py``: with the documents sorted longest first, position
+    p adds the weight row of token p of every document longer than p, one
+    block of documents at a time, so each document's weights are added in
+    token order from 0.0. The longest documents finish one by one with
     ``np.add.accumulate``, which adds in order too.
     """
     enc = corpus.encoding
@@ -170,19 +153,25 @@ def embed_corpus(
     perm = np.argsort(-lengths[kept], kind="stable")
     starts, lens = enc.indptr[kept[perm]], lengths[kept[perm]]
     sums = np.zeros((len(kept), k + 1), dtype=np.float64)
-    # n_pos loop positions, then the documents longer than n_pos one by one
+    rows = max(1, EMBED_BLOCK_BYTES // (8 * (k + 1)))
+    # n_pos loop positions, then the documents longer than n_pos one by one;
+    # longer[p] documents are longer than p
     ends = np.append(lens, 0)
     n_pos = int(ends[np.argmin(ends + EMBED_DOC_COST * np.arange(len(ends)))])
-    for p, m in enumerate(np.searchsorted(-lens, -np.arange(n_pos)).tolist()):
-        sums[:m] += table.take(remap.take(enc.ids.take(starts[:m] + p)), axis=0)
+    longer = np.searchsorted(-lens, -np.arange(n_pos))
+    for b in range(0, len(kept), rows):
+        block, block_starts = sums[b : b + rows], starts[b : b + rows]
+        for p, m in enumerate((np.minimum(longer[longer > b], b + rows) - b).tolist()):
+            block[:m] += table.take(remap.take(enc.ids.take(block_starts[:m] + p)), axis=0)
     for i in range(int(np.count_nonzero(lens > n_pos))):
         end = starts[i] + lens[i]
-        for a in range(starts[i] + n_pos, end, EMBED_TAIL_ROWS):
-            rows = table.take(remap.take(enc.ids[a : min(a + EMBED_TAIL_ROWS, end)]), axis=0)
-            rows[0] += sums[i]
-            sums[i] = np.add.accumulate(rows, axis=0, out=rows)[-1]
-    # the OOV floor, as ``embed_tokens`` adds it; where there is none this
-    # adds 0.0, which changes no sum (a sum from 0.0 is never -0.0)
+        for a in range(starts[i] + n_pos, end, rows):
+            chunk = table.take(remap.take(enc.ids[a : min(a + rows, end)]), axis=0)
+            chunk[0] += sums[i]
+            sums[i] = np.add.accumulate(chunk, axis=0, out=chunk)[-1]
+    # the OOV floor, added after the weight rows as the reference
+    # ``embed_tokens`` adds it; where there is none this adds 0.0, which
+    # changes no sum (a sum from 0.0 is never -0.0)
     sums[:, :k] += sums[:, k, None] * w.oov_weight
     sums[:, :k] /= lens[:, None]
     matrix = np.empty((len(kept), k), dtype=np.float64)

@@ -1,17 +1,46 @@
 """Reference definitions the program is checked against.
 
 Each is the plain, slow form of something the program computes another way:
-the full difference tensor for euclidean assignment, an unbuffered
-scatter-add for centroid sums, the textbook Lloyd loop over those two, and
-the per-cluster label statistics that the recursion computes for all
+one document's embedding summed token by token, one vector's nearest-centroid
+prediction, the full difference tensor for euclidean assignment, an
+unbuffered scatter-add for centroid sums, the textbook Lloyd loop over those
+two, and the per-cluster label statistics that the recursion computes for all
 clusters at once.
 """
 from __future__ import annotations
 
 import numpy as np
 
-from textrkm import kernels
+from textrkm.classifier import Prediction, classify_batch
 from textrkm.errors import DataError
+from textrkm.representation import TermClassWeights
+
+
+def embed_tokens(tokens, w: TermClassWeights) -> np.ndarray:
+    """Reference: average the per-token weight rows into one K-vector.
+
+    Out-of-vocabulary tokens contribute the OOV floor and still count in the
+    denominator, which keeps the token-count-weighted concatenation identity
+    exact. ``embed_corpus`` reproduces each row bit for bit.
+    """
+    if not tokens:
+        raise DataError("cannot embed a document with zero tokens")
+    vec = np.zeros(w.n_classes, dtype=np.float64)
+    n_oov = 0
+    for tok in tokens:
+        idx = w.vocabulary.get(tok)
+        if idx is None:
+            n_oov += 1
+        else:
+            vec += w.weights[idx]
+    if n_oov:
+        vec += n_oov * w.oov_weight
+    return vec / len(tokens)
+
+
+def classify(vector, model, doc_id: str = "") -> Prediction:
+    """Reference: ``classify_batch`` of one vector."""
+    return classify_batch(np.asarray(vector, dtype=np.float64).reshape(1, -1), model, [doc_id])[0]
 
 
 def unblocked_euclidean(x, centroids):

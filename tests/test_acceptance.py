@@ -25,7 +25,7 @@ from textrkm.harness import (
     run_sweep,
     run_trial,
 )
-from textrkm.representation import embed_tokens, fit_term_weights
+from textrkm.representation import fit_term_weights
 from textrkm.rkmeans import (
     ACCEPT_PURE,
     ACCEPT_THRESHOLD,
@@ -38,7 +38,7 @@ from textrkm.rkmeans import (
     kmeans,
 )
 
-from reference import cluster_class_stats, majority_label, relative_percentage
+from reference import cluster_class_stats, embed_tokens, majority_label, relative_percentage
 from synthdata import make_point_cloud, make_text_corpus
 
 NEWSGROUPS_ENV = "TEXTRKM_20NG_DIR"

@@ -1,9 +1,11 @@
 import numpy as np
 import pytest
 
-from textrkm.classifier import classify, classify_batch
+from textrkm.classifier import classify_batch
 from textrkm.errors import DataError
 from textrkm.rkmeans import ClusterModel, FinalCluster, RunStats
+
+from reference import classify
 
 
 def toy_model(centroids, labels, distance="euclidean"):
@@ -78,6 +80,18 @@ def test_batch_equals_map_and_preserves_order():
     singles = [classify(v, model, f"d{i}") for i, v in enumerate(vecs)]
     assert batch == singles
     assert [p.doc_id for p in batch] == [f"d{i}" for i in range(10)]
+
+
+@pytest.mark.parametrize("distance", ["euclidean", "cosine"])
+def test_batch_fields_are_python_scalars(distance):
+    # numpy scalars would print as np.float64(...) in a classify TSV
+    rng = np.random.default_rng(3)
+    model = toy_model(rng.random((3, 2)), [0, 1, 0], distance)
+    preds = classify_batch(rng.random((4, 2)), model, [f"d{i}" for i in range(4)])
+    preds += classify_batch(rng.random((2, 2)), model)
+    for p in preds:
+        assert [type(v) for v in p] == [str, int, int, float]
+        assert p._fields == ("doc_id", "label", "cluster", "distance")
 
 
 def test_batch_empty_and_duplicates():

@@ -37,6 +37,19 @@ def test_confusion_unknown_doc_id():
         confusion(preds_from_pairs([("ghost", 0)]), {"real": 0}, 1)
 
 
+def test_confusion_names_the_first_unknown_doc_id():
+    preds = preds_from_pairs([("real", 0), ("ghost-b", 1), ("a", 0), ("ghost-a", 0)])
+    with pytest.raises(DataError, match="'ghost-b'"):
+        confusion(preds, {"real": 0, "a": 1}, 2)
+
+
+def test_confusion_empty_and_out_of_range_classes():
+    assert confusion([], {"a": 0}, 2).tolist() == [[0, 0], [0, 0]]
+    for pairs, truth in (([("a", 2)], {"a": 0}), ([("a", -1)], {"a": 0}), ([("a", 0)], {"a": 2})):
+        with pytest.raises(DataError):
+            confusion(preds_from_pairs(pairs), truth, 2)
+
+
 def test_score_diagonal_all_ones():
     report = score(np.diag([3, 2, 5]))
     assert report.accuracy == 1.0

@@ -14,7 +14,6 @@ from textrkm.harness import fit
 from textrkm.representation import (
     TermClassWeights,
     embed_corpus,
-    embed_tokens,
     fit_term_weights,
     term_class_counts,
     weights_from_dict,
@@ -22,6 +21,7 @@ from textrkm.representation import (
 )
 from textrkm.rkmeans import RecursiveConfig
 
+from reference import embed_tokens
 from synthdata import make_text_corpus
 
 
@@ -229,8 +229,13 @@ def random_weights(terms, n_classes, rng):
     )
 
 
-def assert_embeds_like_loop(corpus, w):
-    x, kept, dropped = embed_corpus(corpus, w)
+def assert_embeds_like_loop(corpus, w, block_rows=None):
+    """``block_rows`` documents or tail rows to a block; None keeps the
+    default byte budget."""
+    with pytest.MonkeyPatch.context() as mp:
+        if block_rows is not None:
+            mp.setattr(representation, "EMBED_BLOCK_BYTES", block_rows * 8 * (w.n_classes + 1))
+        x, kept, dropped = embed_corpus(corpus, w)
     want = loop_embed_corpus(corpus, w)
     assert x.shape == want.shape and x.tobytes() == want.tobytes()
     assert kept == [d.doc_id for d in corpus.documents if d.tokens]
@@ -247,7 +252,9 @@ EDGE_DOCS = [
 ]
 
 
-# 0 finishes every document on its own, 10**9 runs the position loop to the end
+# 0 finishes every document on its own, 10**9 runs the position loop to the
+# end; blocks of 1 and 3 rows split the position loop's documents and the
+# long documents' tails
 @pytest.mark.parametrize("doc_cost", [0, 1, 3, representation.EMBED_DOC_COST, 10**9])
 def test_embed_corpus_is_bit_identical_to_per_token_loop(monkeypatch, doc_cost):
     monkeypatch.setattr(representation, "EMBED_DOC_COST", doc_cost)
@@ -258,14 +265,16 @@ def test_embed_corpus_is_bit_identical_to_per_token_loop(monkeypatch, doc_cost):
         labels=[None] * (corpus.n_docs + len(EDGE_DOCS)),
         class_names=corpus.class_names,
     )
-    for smoothing in (0.0, 0.7):
-        assert_embeds_like_loop(mixed, fit_term_weights(corpus, smoothing=smoothing))
     one_class = random_weights(["common1", "common2", "common3"], 1, np.random.default_rng(15))
-    assert_embeds_like_loop(mixed, one_class)
     only_empty = Corpus.from_documents(
         documents=[EDGE_DOCS[1]], labels=[None], class_names=corpus.class_names
     )
-    assert_embeds_like_loop(only_empty, fit_term_weights(corpus))
+    for block_rows in (1, 3, None):
+        for smoothing in (0.0, 0.7):
+            w = fit_term_weights(corpus, smoothing=smoothing)
+            assert_embeds_like_loop(mixed, w, block_rows)
+        assert_embeds_like_loop(mixed, one_class, block_rows)
+        assert_embeds_like_loop(only_empty, fit_term_weights(corpus), block_rows)
 
 
 def test_term_class_counts_match_per_token_loop():
@@ -285,11 +294,11 @@ def test_term_class_counts_match_per_token_loop():
     n_classes=st.integers(1, 4),
     n_docs=st.integers(1, 90),
     doc_cost=st.sampled_from([0, 1, representation.EMBED_DOC_COST, 10**9]),
-    tail_rows=st.sampled_from([1, 3, representation.EMBED_TAIL_ROWS]),
+    block_rows=st.sampled_from([1, 3, None]),
     seed=st.integers(0, 2**16),
 )
 def test_counts_and_embedding_match_loops_on_random_corpora(
-    n_classes, n_docs, doc_cost, tail_rows, seed
+    n_classes, n_docs, doc_cost, block_rows, seed
 ):
     # Pareto-skewed lengths: many short documents, a few long ones, some
     # empty; some documents hold only out-of-vocabulary tokens
@@ -313,8 +322,7 @@ def test_counts_and_embedding_match_loops_on_random_corpora(
     w = random_weights(terms, n_classes, rng)
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(representation, "EMBED_DOC_COST", doc_cost)
-        mp.setattr(representation, "EMBED_TAIL_ROWS", tail_rows)
-        assert_embeds_like_loop(labeled, w)
+        assert_embeds_like_loop(labeled, w, block_rows)
 
 
 def _random_documents(n_docs, doc_len, terms, rng):
@@ -342,14 +350,14 @@ def test_embed_corpus_memory_is_bounded():
     finally:
         tracemalloc.stop()
     # the result, the lookup table with its OOV column, and a few (docs, K+1)
-    # arrays: the sums and one position's gathered rows; nothing per token
+    # arrays: the sums and one block's gathered rows; nothing per token
     rows = n_docs * (n_classes + 1) * 8
     budget = x.nbytes + (w.vocab_size + 1) * (n_classes + 1) * 8 + 2 * rows
     assert peak < budget + 2**19
 
 
 def test_embed_corpus_memory_is_bounded_on_one_long_document():
-    # a 1M-token document is finished on its own, EMBED_TAIL_ROWS weight rows
+    # a 1M-token document is finished on its own, one block of weight rows
     # at a time; gathering all its rows at once would take 168 MB
     n_tokens, n_classes = 1_000_000, 20
     rng = np.random.default_rng(19)
@@ -365,7 +373,8 @@ def test_embed_corpus_memory_is_bounded_on_one_long_document():
     # the lookup table, and two chunks of gathered rows with their row
     # indices: the next one is gathered while the last is still bound
     table = (w.vocab_size + 1) * (n_classes + 1) * 8
-    chunk = representation.EMBED_TAIL_ROWS * (n_classes + 2) * 8
+    rows = representation.EMBED_BLOCK_BYTES // ((n_classes + 1) * 8)
+    chunk = rows * (n_classes + 2) * 8
     assert peak < table + 2 * chunk + 2**19
 
 
