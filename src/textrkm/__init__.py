@@ -15,7 +15,6 @@ from .corpus import (
     make_training_collection,
     mask_labels,
     split_train_test,
-    tokenize,
 )
 from .errors import DataError, InvariantError, TextRkmError
 from .evaluation import EvalReport, confusion, format_report, score
@@ -82,5 +81,4 @@ __all__ = [
     "run_trial",
     "score",
     "split_train_test",
-    "tokenize",
 ]

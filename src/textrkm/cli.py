@@ -114,7 +114,9 @@ def _read_input(path: Path, tokenizer: TokenizerConfig, class_names: tuple[str, 
     """An unlabeled corpus of the input files: every file directly under a
     directory (id ``filename``) and every file one level down (id
     ``subdir/filename``); labels implied by a class layout are ignored here.
-    An entry that is not a regular file is reported unreadable, never opened."""
+    An entry that is not a regular file is reported unreadable, and a name
+    that is not UTF-8 or holds a tab or a line break badly named; neither is
+    opened."""
     if path.is_file():
         base, files = path.parent, [(path.name, path)]
     elif path.is_dir():
@@ -130,7 +132,12 @@ def _read_input(path: Path, tokenizer: TokenizerConfig, class_names: tuple[str, 
         raise DataError(f"no input documents under {path}")
     reader = DocumentReader(tokenizer)
     for doc_id, why in reader.read(files):
-        what = f"file {base / doc_id}" if why == "unreadable" else f"document {doc_id}"
+        if why == "empty":
+            what = f"document {doc_id}"
+        elif why == "unreadable":
+            what = f"file {base / doc_id}"
+        else:  # a name an output line cannot carry, so it is quoted here
+            what = f"file {str(base / doc_id)!r}"
         print(f"warning: skipping {why} {what}", file=sys.stderr)
     if not reader.doc_ids:
         raise DataError(f"no usable documents under {path}")

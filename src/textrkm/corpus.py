@@ -12,6 +12,7 @@ directory, file name) order, which is that order too.
 from __future__ import annotations
 
 import os
+import re
 from array import array
 from dataclasses import dataclass, field
 from itertools import chain
@@ -112,9 +113,9 @@ class Corpus:
     ``doc_ids[i]`` names document i, whose tokens are row i of
     ``encoding``; ``labels[i]`` is its class index, or None when it is
     unlabeled. ``class_names`` gives the dense index -> name map.
-    ``skipped`` records doc ids dropped at load time (unreadable or empty
-    after tokenization). A subset's encoding is cut from its parent's, so
-    both share one term table.
+    ``skipped`` records doc ids dropped at load time (unreadable, badly
+    named or empty after tokenization). A subset's encoding is cut from its
+    parent's, so both share one term table.
     """
 
     doc_ids: list[str]
@@ -194,83 +195,130 @@ def concat_corpora(a: Corpus, b: Corpus) -> Corpus:
 # since no latin-1 character but A-Z lowercases into [a-z0-9].
 _FOLD = bytes(c | 0x20 if chr(c).isascii() and chr(c).isalnum() else 0x20 for c in range(256))
 
+# The token that joins the documents of a batch; _FOLD never produces "|".
+_SEPARATOR = b"|"
+
+# Bytes of file text tokenized at a time, and the size of each read call. A
+# batch holds whole files and is cut once it reaches this size, so the
+# transient words and ids of a batch stay a small multiple of it.
+READ_BATCH_BYTES = 2**18
+
+# A character that a tab-separated output line cannot carry: a tab, a line
+# break of str.splitlines, or a lone surrogate (a file name that is not UTF-8).
+_UNUSABLE_IN_NAME = re.compile("[\t\n\v\f\r\x1c-\x1e\x85\u2028\u2029\ud800-\udfff]")
+
+
+def _usable_name(name: str) -> bool:
+    """False for a name that is not UTF-8 or that holds a tab or a line break."""
+    return name.isprintable() or _UNUSABLE_IN_NAME.search(name) is None
+
+
+class _TermTable(dict):
+    """Word (ASCII bytes) -> 1 + its provisional id if kept, 0 if the filters
+    drop it, -1 for the batch separator. A word missing from the table meets
+    the length and stopword filters once; kept words get ids in the order
+    they are first seen."""
+
+    def __init__(self, config: TokenizerConfig):
+        super().__init__({_SEPARATOR: -1})
+        self.min_len, self.stopwords = config.min_token_len, config.stopwords
+        self.kept: list[bytes] = []  # kept words by provisional id
+
+    def __missing__(self, word: bytes) -> int:
+        value = 0
+        if len(word) >= self.min_len and word.decode("ascii") not in self.stopwords:
+            self.kept.append(word)
+            value = len(self.kept)
+        self[word] = value
+        return value
+
+
+def _read_file(path: str | Path) -> bytes:
+    fd = os.open(path, os.O_RDONLY)
+    try:
+        parts = []
+        while part := os.read(fd, READ_BATCH_BYTES):
+            parts.append(part)
+    finally:
+        os.close(fd)
+    return b"".join(parts)
+
 
 class DocumentReader:
     """Reads files as latin-1 text into one encoding under one tokenizer config.
 
-    ``terms`` maps each distinct word seen to 1 + its provisional id (ids
-    in the order the kept words were first seen), or to 0 when the filters
-    reject it. ``encoding`` sorts the kept words and remaps the ids once.
+    Files are tokenized a batch at a time: the folded texts of a batch are
+    joined by the separator token, split once, and every word is mapped to
+    its id in one pass over the term table. ``encoding`` sorts the kept words
+    and remaps the ids once.
     """
 
     def __init__(self, config: TokenizerConfig):
-        self.config = config
-        self.terms: dict[str, int] = {}
+        self.terms = _TermTable(config)
         self.doc_ids: list[str] = []
-        self._kept: list[str] = []  # kept words by provisional id
         self._ids = array("i")  # 1 + provisional id of every kept token
         self._indptr = array("q", [0])
 
-    def add(self, doc_id: str, data: bytes) -> bool:
-        """Append the kept tokens of latin-1 ``data`` as document ``doc_id``;
-        False, with nothing appended, when no token is kept."""
-        words = data.translate(_FOLD).decode("ascii").split()
-        start = len(self._ids)
-        try:
-            self._ids.extend(filter(None, map(self.terms.__getitem__, words)))
-        except KeyError:  # words not seen before meet the filters once
-            del self._ids[start:]
-            n, stopwords = self.config.min_token_len, self.config.stopwords
-            for w in set(words).difference(self.terms):
-                if len(w) >= n and w not in stopwords:
-                    self._kept.append(w)
-                    self.terms[w] = len(self._kept)
-                else:
-                    self.terms[w] = 0
-            self._ids.extend(filter(None, map(self.terms.__getitem__, words)))
-        if len(self._ids) == start:
-            return False
-        self.doc_ids.append(doc_id)
-        self._indptr.append(len(self._ids))
-        return True
-
     def read(self, files: Iterable[tuple[str, str | Path | None]]) -> list[tuple[str, str]]:
         """Add the documents of ``(doc_id, path)`` files, in order; return the
-        ``(doc_id, "unreadable" or "empty")`` of each file skipped. A path of
-        None (no regular file) is unreadable and never opened."""
-        skipped = []
+        ``(doc_id, "unreadable", "empty" or "badly named")`` of each file
+        skipped, in file order. A path of None (no regular file) is unreadable,
+        and a doc id that ``_usable_name`` rejects is badly named; neither is
+        opened."""
+        skipped: list[tuple[str, str]] = []
+        batch: list[tuple[str, bytes | str]] = []  # (doc_id, file bytes or why it was skipped)
+        size = 0
         for doc_id, path in files:
+            if not _usable_name(doc_id):
+                batch.append((doc_id, "badly named"))
+                continue
             try:
                 if path is None:
                     raise FileNotFoundError
-                with open(path, "rb") as f:
-                    data = f.read()
+                data = _read_file(path)
             except OSError:
-                skipped.append((doc_id, "unreadable"))
+                batch.append((doc_id, "unreadable"))
                 continue
-            if not self.add(doc_id, data):
+            batch.append((doc_id, data))
+            size += len(data)
+            if size >= READ_BATCH_BYTES:
+                skipped += self._add_batch(batch)
+                batch, size = [], 0
+        skipped += self._add_batch(batch)
+        return skipped
+
+    def _add_batch(self, batch: list[tuple[str, bytes | str]]) -> list[tuple[str, str]]:
+        """Append the documents of a batch that keep a token; return the
+        ``(doc_id, why)`` of the others, in batch order."""
+        texts = [data.translate(_FOLD) for _, data in batch if isinstance(data, bytes)]
+        words = (b" " + _SEPARATOR + b" ").join(texts).split()
+        ids = np.fromiter(map(self.terms.__getitem__, words), dtype=np.int32, count=len(words))
+        del words  # the largest transient of a batch
+        kept = ids > 0
+        lengths = np.bincount(np.cumsum(ids < 0, dtype=np.int32)[kept], minlength=len(texts))
+        self._indptr.frombytes((len(self._ids) + np.cumsum(lengths[lengths > 0])).tobytes())
+        self._ids.frombytes(ids[kept].tobytes())
+        skipped, n_kept = [], iter(lengths.tolist())
+        for doc_id, data in batch:
+            if isinstance(data, str):
+                skipped.append((doc_id, data))
+            elif next(n_kept):
+                self.doc_ids.append(doc_id)
+            else:
                 skipped.append((doc_id, "empty"))
         return skipped
 
     def encoding(self) -> Encoding:
-        """The documents added so far, over their sorted terms."""
-        order = np.array(sorted(range(len(self._kept)), key=self._kept.__getitem__), dtype=np.intp)
+        """The documents read so far, over their sorted terms."""
+        kept = self.terms.kept
+        order = np.array(sorted(range(len(kept)), key=kept.__getitem__), dtype=np.intp)
         sorted_id = np.zeros(len(order) + 1, dtype=np.int32)
         sorted_id[order + 1] = np.arange(len(order), dtype=np.int32)
         return Encoding(
-            np.array(self._kept, dtype=object)[order],
+            np.array([w.decode("ascii") for w in kept], dtype=object)[order],
             sorted_id[np.frombuffer(self._ids, dtype=np.intc)],
             np.array(self._indptr, dtype=np.int64),
         )
-
-
-def tokenize(raw_text: str, config: TokenizerConfig = TokenizerConfig()) -> list[str]:
-    """Lowercase, split on every character outside a-z and 0-9 (what is left
-    outside ASCII becomes "?" first); then the stopword and length filters."""
-    reader = DocumentReader(config)
-    reader.add("", raw_text.lower().encode("ascii", "replace"))
-    enc = reader.encoding()
-    return enc.terms[enc.ids].tolist()
 
 
 def scan_directory(directory: str | Path) -> list[tuple[str, bool, str | None]]:
@@ -295,10 +343,11 @@ def load_directory_corpus(
     """Load a ``<root>/<class-name>/<doc-file>`` tree as a fully labeled corpus.
 
     Class names are the immediate subdirectory names, sorted lexicographically
-    and indexed densely. Files are read as latin-1 text. Documents that are
-    unreadable (not a regular file, or failing to open) or empty after
-    tokenization are skipped (counted in ``corpus.skipped``); a class left
-    with zero documents is an error.
+    and indexed densely; a class name that is not UTF-8 or holds a tab or a
+    line break is an error. Files are read as latin-1 text. Documents that
+    are unreadable (not a regular file, or failing to open), badly named
+    (like such a class) or empty after tokenization are skipped (counted in
+    ``corpus.skipped``); a class left with zero documents is an error.
     """
     root = Path(root_path)
     if not root.is_dir():
@@ -306,6 +355,9 @@ def load_directory_corpus(
     class_names = [name for name, is_dir, _ in scan_directory(root) if is_dir]
     if not class_names:
         raise DataError(f"corpus root {root} contains no class directories")
+    for name in class_names:
+        if not _usable_name(name):
+            raise DataError(f"class directory name {name!r} is not UTF-8 or holds a tab or a line break")
 
     reader, labels, skipped = DocumentReader(config), [], []
     for ci, name in enumerate(class_names):
@@ -396,7 +448,9 @@ def make_training_collection(
     if d_labeled.class_names != d_unlabeled.class_names:
         raise DataError("labeled/unlabeled corpora have different class tables")
     ids = d_unlabeled.doc_ids
-    n_pool = len(ids) if pool_size is None else int(pool_size)
+    if pool_size is None:
+        return concat_corpora(d_labeled, d_unlabeled.subset(range(len(ids)), drop_labels=True))
+    n_pool = int(pool_size)
     if n_pool > len(ids):
         raise DataError(f"requested {n_pool} unlabeled documents but only {len(ids)} available")
     if n_pool < 0:

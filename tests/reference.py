@@ -5,15 +5,35 @@ one document's embedding summed token by token, one vector's nearest-centroid
 prediction, the full difference tensor for euclidean assignment, an
 unbuffered scatter-add for centroid sums, the textbook Lloyd loop over those
 two, and the per-cluster label statistics that the recursion computes for all
-clusters at once.
+clusters at once. ``tokenize`` runs the program's file reader on one str, so
+that the tokenizing rule can be checked on text.
 """
 from __future__ import annotations
+
+import tempfile
+from pathlib import Path
 
 import numpy as np
 
 from textrkm.classifier import Prediction, classify_batch
+from textrkm.corpus import DocumentReader, TokenizerConfig
 from textrkm.errors import DataError
 from textrkm.representation import TermClassWeights
+
+
+def tokenize(raw_text: str, config: TokenizerConfig = TokenizerConfig()) -> list[str]:
+    """Lowercase, split on every character outside a-z and 0-9 (what is left
+    outside ASCII becomes "?" first); then the stopword and length filters.
+
+    The tokens are those ``DocumentReader`` reads from a file of those bytes.
+    """
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "doc"
+        path.write_bytes(raw_text.lower().encode("ascii", "replace"))
+        reader = DocumentReader(config)
+        reader.read([("doc", path)])
+    enc = reader.encoding()
+    return enc.terms[enc.ids].tolist()
 
 
 def embed_tokens(tokens, w: TermClassWeights) -> np.ndarray:

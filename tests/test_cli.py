@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 from textrkm import harness
 from textrkm.cli import load_bundle, main, save_bundle
-from textrkm.corpus import TokenizerConfig
+from textrkm.corpus import TokenizerConfig, load_directory_corpus, read_split_manifest
 from textrkm.errors import DataError, InvariantError
 
 from synthdata import make_text_corpus, mutate_lines, write_corpus_tree
@@ -139,6 +139,73 @@ def test_classify_warns_about_entries_that_are_not_regular_files(tmp_path, corpu
     assert [line.split("\t")[0] for line in out_path.read_text().splitlines()] == ["doc.txt"]
     warnings = [line for line in capsys.readouterr().err.splitlines() if line.startswith("warning")]
     assert warnings == [f"warning: skipping unreadable file {flat / name}" for name in odd]
+
+
+# names an output line cannot carry: not UTF-8 (read back as a lone
+# surrogate), a tab (the TSV separator) and a line break
+BAD_NAMES = [
+    pytest.param("bad\udcff.txt", id="not-utf8"),
+    pytest.param("a\tb.txt", id="tab"),
+    pytest.param("a\nb.txt", id="newline"),
+]
+
+
+def _make_or_skip(make, path):
+    try:
+        make(path)
+    except (OSError, UnicodeEncodeError):
+        pytest.skip(f"the file system refuses the name {path.name!r}")
+
+
+@pytest.mark.parametrize("name", BAD_NAMES)
+def test_sweep_skips_a_badly_named_file(tmp_path, corpus_tree, capsys, name):
+    corpus, tree = corpus_tree
+    text = " ".join(corpus.documents[0].tokens)
+    _make_or_skip(lambda p: p.write_text(text), tree / corpus.class_names[0] / name)
+    out_dir = tmp_path / "sweep"
+    assert main([
+        "sweep", "--corpus", str(tree), "--trials", "1", "--ratios", "5:45", "--out", str(out_dir),
+    ]) == 0
+    assert "Traceback" not in capsys.readouterr().err
+    assert load_directory_corpus(tree).skipped == (f"{corpus.class_names[0]}/{name}",)
+    (manifest,) = (out_dir / "manifests").iterdir()
+    config = harness.SweepConfig.from_dict(json.loads((out_dir / "sweep_config.json").read_text()))
+    assert sorted(doc_id for doc_id, _, _ in read_split_manifest(manifest)[1]) == sorted(corpus.doc_ids)
+    replayed = harness.replay_trial(tree, manifest, config)
+    assert replayed.error is None and replayed.report is not None
+
+
+@pytest.mark.parametrize("name", BAD_NAMES)
+def test_classify_skips_a_badly_named_file(tmp_path, corpus_tree, capsys, name):
+    corpus, tree = corpus_tree
+    model_path = tmp_path / "model.json"
+    assert main([
+        "train", "--corpus", str(tree), "--labeled-frac", "0.3", "--model-out", str(model_path),
+    ]) == 0
+    flat = tmp_path / "unseen"
+    flat.mkdir()
+    (flat / "doc.txt").write_text(" ".join(corpus.documents[0].tokens))
+    _make_or_skip(lambda p: p.write_text(" ".join(corpus.documents[1].tokens)), flat / name)
+    capsys.readouterr()
+    out_path = tmp_path / "preds.tsv"
+    assert main(["classify", "--model", str(model_path), "--input", str(flat), "--out", str(out_path)]) == 0
+    rows = [line.split("\t") for line in out_path.read_text(encoding="utf-8").splitlines()]
+    assert [row[0] for row in rows] == ["doc.txt"] and len(rows[0]) == 3
+    warnings = [line for line in capsys.readouterr().err.splitlines() if line.startswith("warning")]
+    assert warnings == [f"warning: skipping badly named file {str(flat / name)!r}"]
+
+
+@pytest.mark.parametrize("name", BAD_NAMES)
+def test_badly_named_class_directory_exits_two(tmp_path, corpus_tree, capsys, name):
+    corpus, tree = corpus_tree
+    _make_or_skip(lambda p: p.mkdir(), tree / name)
+    (tree / name / "doc.txt").write_text(" ".join(corpus.documents[0].tokens))
+    for argv in (
+        ["train", "--corpus", str(tree), "--labeled-frac", "0.3", "--model-out", str(tmp_path / "m.json")],
+        ["sweep", "--corpus", str(tree), "--trials", "1", "--ratios", "5:45", "--out", str(tmp_path / "s")],
+    ):
+        assert main(argv) == 2
+        assert capsys.readouterr().err.startswith("data error: class directory name")
 
 
 def test_sweep_writes_result_files(tmp_path, corpus_tree):

@@ -1,13 +1,19 @@
 import collections
 import os
 import re
+import tempfile
 import threading
+import tracemalloc
+from itertools import pairwise
+from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from textrkm import corpus as corpus_module
 from textrkm.corpus import (
     Corpus,
     Document,
@@ -22,11 +28,11 @@ from textrkm.corpus import (
     mask_labels,
     read_split_manifest,
     split_train_test,
-    tokenize,
     write_split_manifest,
 )
 from textrkm.errors import DataError
 
+from reference import tokenize
 from synthdata import make_text_corpus, write_corpus_tree
 
 
@@ -67,27 +73,100 @@ BYTE_PIECES = [b"ab", b"Ab", b"ZZ", b"a", b"q9", b"0", b"\xc0", b"\xd7", b"\xdf"
 DOC_BYTES = st.binary(max_size=40) | st.lists(st.sampled_from(BYTE_PIECES), max_size=30).map(b"".join)
 
 
-@settings(max_examples=200, deadline=None)
-@given(docs=st.lists(DOC_BYTES, min_size=1, max_size=6), data=st.data())
-@example(docs=[bytes(range(256)), bytes(range(256))[::-1]], data=None)
-def test_reader_tokens_equal_the_regex_tokenizer_on_latin1_bytes(docs, data):
-    words = sorted({w for d in docs for w in REFERENCE_STRIP.sub(" ", d.decode("latin-1").lower()).split()})
-    if data is None:
-        config = TokenizerConfig(min_token_len=1)
-    else:
-        config = TokenizerConfig(
-            min_token_len=data.draw(st.integers(1, 4)),
-            stopwords=frozenset(data.draw(st.sets(st.sampled_from(words or ["ab"])))),
-        )
-    reader = DocumentReader(config)  # one reader: its per-term verdicts carry over
-    documents = []
+def write_files(directory, docs):
+    """``(doc_id, path)`` of each of ``docs`` written to a file of its own;
+    None stands for an entry that is no regular file, "missing" for a path
+    that fails to open."""
+    files = []
     for i, d in enumerate(docs):
-        expected = reference_tokenize(d.decode("latin-1"), config)
-        assert reader.add(f"d{i}", d) == bool(expected)
-        assert tokenize(d.decode("latin-1"), config) == expected
-        documents += [Document(f"d{i}", tuple(expected))] if expected else []
-    read = Corpus(reader.doc_ids, [None] * len(reader.doc_ids), (), reader.encoding())
-    assert read.documents == documents
+        path = directory / f"d{i:02d}"
+        if isinstance(d, bytes):
+            path.write_bytes(d)
+        files.append((f"d{i:02d}", None if d is None else path))
+    return files
+
+
+def expected_read(docs, config):
+    """The documents and the ``(doc_id, why)`` skips of ``write_files(docs)``."""
+    documents, skipped = [], []
+    for i, d in enumerate(docs):
+        tokens = reference_tokenize(d.decode("latin-1"), config) if isinstance(d, bytes) else []
+        if tokens:
+            documents.append(Document(f"d{i:02d}", tuple(tokens)))
+        else:
+            skipped.append((f"d{i:02d}", "empty" if isinstance(d, bytes) else "unreadable"))
+    return documents, skipped
+
+
+def draw_config(data, docs):
+    texts = [d.decode("latin-1") for d in docs if isinstance(d, bytes)]
+    words = sorted({w for t in texts for w in REFERENCE_STRIP.sub(" ", t.lower()).split()})
+    return TokenizerConfig(
+        min_token_len=data.draw(st.integers(1, 4)),
+        stopwords=frozenset(data.draw(st.sets(st.sampled_from(words or ["ab"])))),
+    )
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    docs=st.lists(DOC_BYTES | st.sampled_from([None, "missing"]), min_size=1, max_size=12),
+    budget=st.just(corpus_module.READ_BATCH_BYTES) | st.integers(1, 48),
+    cuts=st.lists(st.integers(0, 12), max_size=3),
+    data=st.data(),
+)
+@example(
+    docs=[bytes(range(256)), bytes(range(256))[::-1]], budget=corpus_module.READ_BATCH_BYTES, cuts=[], data=None
+)
+@example(docs=[b"ab cd", None, b"", b"cd ef ab", "missing", b"ab"], budget=4, cuts=[3], data=None)
+def test_reader_tokens_equal_the_regex_tokenizer_on_latin1_bytes(docs, budget, cuts, data):
+    """One reader, files split over several ``read`` calls. With a batch
+    budget of a few bytes, a batch holds one or a few files and a file takes
+    several read calls, so words must keep their verdicts and ids across
+    batches and calls, and no document may be lost at a batch's end."""
+    config = TokenizerConfig(min_token_len=1) if data is None else draw_config(data, docs)
+    reader = DocumentReader(config)
+    skipped = []
+    with tempfile.TemporaryDirectory() as tmp, mock.patch.object(corpus_module, "READ_BATCH_BYTES", budget):
+        files = write_files(Path(tmp), docs)
+        for a, b in pairwise([0, *sorted(cuts), len(files)]):
+            skipped += reader.read(files[a:b])
+    documents, expected_skipped = expected_read(docs, config)
+    assert skipped == expected_skipped
+    assert reader.doc_ids == [d.doc_id for d in documents]
+    enc = reader.encoding()
+    expected = Corpus.from_documents(documents, [None] * len(documents), ()).encoding
+    assert list(enc.terms) == list(expected.terms)
+    assert enc.ids.dtype == np.int32 and np.array_equal(enc.ids, expected.ids)
+    assert enc.indptr.dtype == np.int64 and np.array_equal(enc.indptr, expected.indptr)
+    for d in docs:
+        if isinstance(d, bytes):
+            assert tokenize(d.decode("latin-1"), config) == reference_tokenize(d.decode("latin-1"), config)
+
+
+def test_reading_many_small_files_keeps_a_bounded_peak(tmp_path):
+    """The reader's transient memory is set by its batch budget, not by how
+    many files it reads."""
+    rng = np.random.default_rng(0)
+    words = [f"word{i:03d}" for i in range(400)]
+
+    def transient_peak(n_files):
+        directory = tmp_path / str(n_files)
+        directory.mkdir()
+        docs = [" ".join(rng.choice(words, 100)).encode() for _ in range(n_files)]  # 800 bytes each
+        files = write_files(directory, docs)
+        reader = DocumentReader(TokenizerConfig())
+        tracemalloc.start()
+        try:
+            assert reader.read(files) == []
+            current, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        return peak - current
+
+    budget = corpus_module.READ_BATCH_BYTES
+    few, many = transient_peak(500), transient_peak(4000)  # 2 and 13 batches
+    assert many < 16 * budget
+    assert many < few + budget
 
 
 @settings(max_examples=200, deadline=None)
