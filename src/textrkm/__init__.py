@@ -9,7 +9,6 @@ from .classifier import Prediction, classify_batch
 from .corpus import (
     Corpus,
     Document,
-    SplitSpec,
     TokenizerConfig,
     load_directory_corpus,
     make_training_collection,
@@ -17,7 +16,7 @@ from .corpus import (
     split_train_test,
 )
 from .errors import DataError, InvariantError, TextRkmError
-from .evaluation import EvalReport, confusion, format_report, score
+from .evaluation import EvalReport, align_labels, confusion, format_report, score
 from .harness import (
     SweepConfig,
     SweepTable,
@@ -56,12 +55,12 @@ __all__ = [
     "KMeansConfig",
     "Prediction",
     "RecursiveConfig",
-    "SplitSpec",
     "SweepConfig",
     "SweepTable",
     "TermClassWeights",
     "TextRkmError",
     "TokenizerConfig",
+    "align_labels",
     "build_model",
     "choose_initial_seeds",
     "classify_batch",

@@ -9,6 +9,7 @@ import argparse
 import json
 import sys
 from pathlib import Path
+from typing import Iterable
 
 from . import kernels
 from .classifier import classify_batch
@@ -16,7 +17,7 @@ from .corpus import (
     Corpus, DocumentReader, TokenizerConfig, load_directory_corpus, mask_labels, scan_directory,
 )
 from .errors import DataError, InvariantError
-from .evaluation import confusion, format_report, score
+from .evaluation import align_labels, confusion, format_report, score
 from .harness import SweepConfig, default_ratio_grid, emit_results, fit, ratio_str, run_sweep
 from .representation import TermClassWeights, embed_corpus, weights_from_dict, weights_to_dict
 from .rkmeans import (
@@ -85,10 +86,23 @@ def _recursive_config_from_args(args) -> RecursiveConfig:
     return RecursiveConfig(th_percent=args.th, kmeans=KMeansConfig(distance=args.distance))
 
 
+def _warn_skipped(base: Path, skipped: Iterable[tuple[str, str]]) -> None:
+    """One warning line per ``(doc_id, why)`` file skipped under ``base``."""
+    for doc_id, why in skipped:
+        if why == "empty":
+            what = f"document {doc_id}"
+        elif why == "unreadable":
+            what = f"file {base / doc_id}"
+        else:  # a name an output line cannot carry, so it is quoted here
+            what = f"file {str(base / doc_id)!r}"
+        print(f"warning: skipping {why} {what}", file=sys.stderr)
+
+
 def cmd_train(args) -> int:
     tokenizer = _tokenizer_from_args(args)
     corpus = load_directory_corpus(args.corpus, tokenizer)
-    d_labeled, d_unlabeled, _hidden = mask_labels(corpus, args.labeled_frac, args.seed)
+    _warn_skipped(Path(args.corpus), corpus.skipped)
+    d_labeled, d_unlabeled = mask_labels(corpus, args.labeled_frac, args.seed)
     weights, model = fit(
         d_labeled,
         d_unlabeled,
@@ -115,8 +129,7 @@ def _read_input(path: Path, tokenizer: TokenizerConfig, class_names: tuple[str, 
     directory (id ``filename``) and every file one level down (id
     ``subdir/filename``); labels implied by a class layout are ignored here.
     An entry that is not a regular file is reported unreadable, and a name
-    that is not UTF-8 or holds a tab or a line break badly named; neither is
-    opened."""
+    that ``corpus._usable_name`` rejects badly named; neither is opened."""
     if path.is_file():
         base, files = path.parent, [(path.name, path)]
     elif path.is_dir():
@@ -131,14 +144,7 @@ def _read_input(path: Path, tokenizer: TokenizerConfig, class_names: tuple[str, 
     if not files:
         raise DataError(f"no input documents under {path}")
     reader = DocumentReader(tokenizer)
-    for doc_id, why in reader.read(files):
-        if why == "empty":
-            what = f"document {doc_id}"
-        elif why == "unreadable":
-            what = f"file {base / doc_id}"
-        else:  # a name an output line cannot carry, so it is quoted here
-            what = f"file {str(base / doc_id)!r}"
-        print(f"warning: skipping {why} {what}", file=sys.stderr)
+    _warn_skipped(base, reader.read(files))
     if not reader.doc_ids:
         raise DataError(f"no usable documents under {path}")
     return Corpus(reader.doc_ids, [None] * len(reader.doc_ids), class_names, reader.encoding())
@@ -180,26 +186,8 @@ def _read_label_tsv(path: str | Path) -> dict[str, str]:
 def cmd_eval(args) -> int:
     preds = _read_label_tsv(args.predictions)
     truth = _read_label_tsv(args.truth)
-    class_names = tuple(sorted(set(truth.values())))
-    index = {name: i for i, name in enumerate(class_names)}
-    unknown = sorted(set(preds.values()) - set(class_names))
-    if unknown:
-        raise DataError(f"predicted classes absent from truth: {unknown}")
-    from .classifier import Prediction
-
-    pred_objs = []
-    for doc_id, name in preds.items():
-        if doc_id not in truth:
-            raise DataError(f"prediction for unknown doc id {doc_id!r}")
-        pred_objs.append(Prediction(doc_id, index[name], -1, 0.0))
-    missing = sorted(set(truth) - set(preds))
-    if missing:
-        raise DataError(
-            f"no prediction for {len(missing)} of {len(truth)} truth doc ids, "
-            f"e.g. {missing[:5]}"
-        )
-    cm = confusion(pred_objs, {k: index[v] for k, v in truth.items()}, len(class_names))
-    report = score(cm)
+    true, predicted, class_names = align_labels(preds, truth)
+    report = score(confusion(true, predicted, len(class_names)))
     sys.stdout.write(format_report(report, class_names))
     return 0
 
@@ -230,7 +218,9 @@ def cmd_sweep(args) -> int:
         unlabeled_pool_size=args.pool_size,
         transductive=args.transductive,
     )
-    table = run_sweep(args.corpus, config)
+    corpus = load_directory_corpus(args.corpus, config.tokenizer)
+    _warn_skipped(Path(args.corpus), corpus.skipped)
+    table = run_sweep(corpus, config)
     paths = emit_results(table, args.out)
     failures = sum(1 for r in table.records if r.error is not None)
     for row in table.rows:

@@ -59,18 +59,6 @@ class TokenizerConfig:
         )
 
 
-@dataclass(frozen=True)
-class SplitSpec:
-    """How to carve a labeled corpus into train and test halves."""
-
-    test_fraction: float = 0.5
-    rng_seed: int = 0
-
-    def __post_init__(self):
-        if not 0.0 < self.test_fraction < 1.0:
-            raise DataError(f"test_fraction must be in (0,1), got {self.test_fraction}")
-
-
 @dataclass(frozen=True, eq=False)
 class Encoding:
     """Every token of a corpus as an id into one sorted term table.
@@ -113,16 +101,16 @@ class Corpus:
     ``doc_ids[i]`` names document i, whose tokens are row i of
     ``encoding``; ``labels[i]`` is its class index, or None when it is
     unlabeled. ``class_names`` gives the dense index -> name map.
-    ``skipped`` records doc ids dropped at load time (unreadable, badly
-    named or empty after tokenization). A subset's encoding is cut from its
-    parent's, so both share one term table.
+    ``skipped`` records the ``(doc_id, why)`` of each file dropped at load
+    time ("unreadable", "badly named" or "empty"). A subset's encoding is
+    cut from its parent's, so both share one term table.
     """
 
     doc_ids: list[str]
     labels: list[int | None]
     class_names: tuple[str, ...]
     encoding: Encoding = field(repr=False)
-    skipped: tuple[str, ...] = ()
+    skipped: tuple[tuple[str, str], ...] = ()
 
     @classmethod
     def from_documents(
@@ -149,19 +137,12 @@ class Corpus:
         return len(self.doc_ids)
 
     @property
-    def n_labeled(self) -> int:
-        return sum(1 for v in self.labels if v is not None)
-
-    @property
     def n_classes(self) -> int:
         return len(self.class_names)
 
     def label_array(self) -> np.ndarray:
         """Labels as int64 with UNLABELED (-1) for missing."""
         return np.array([UNLABELED if v is None else v for v in self.labels], dtype=np.int64)
-
-    def fully_labeled(self) -> bool:
-        return all(v is not None for v in self.labels)
 
     def subset(self, indices: Iterable[int], drop_labels: bool = False) -> "Corpus":
         rows = np.arange(self.n_docs)[np.fromiter(indices, dtype=np.intp)]
@@ -209,7 +190,10 @@ _UNUSABLE_IN_NAME = re.compile("[\t\n\v\f\r\x1c-\x1e\x85\u2028\u2029\ud800-\udff
 
 
 def _usable_name(name: str) -> bool:
-    """False for a name that is not UTF-8 or that holds a tab or a line break."""
+    """False for a name that is not UTF-8, holds a tab or a line break, or
+    begins with "#" (which manifests and label files read as a comment)."""
+    if name.startswith("#"):
+        return False
     return name.isprintable() or _UNUSABLE_IN_NAME.search(name) is None
 
 
@@ -343,11 +327,11 @@ def load_directory_corpus(
     """Load a ``<root>/<class-name>/<doc-file>`` tree as a fully labeled corpus.
 
     Class names are the immediate subdirectory names, sorted lexicographically
-    and indexed densely; a class name that is not UTF-8 or holds a tab or a
-    line break is an error. Files are read as latin-1 text. Documents that
-    are unreadable (not a regular file, or failing to open), badly named
-    (like such a class) or empty after tokenization are skipped (counted in
-    ``corpus.skipped``); a class left with zero documents is an error.
+    and indexed densely; a class name that ``_usable_name`` rejects is an
+    error. Files are read as latin-1 text. Documents that are unreadable
+    (not a regular file, or failing to open), badly named (like such a
+    class) or empty after tokenization are skipped (listed with the reason
+    in ``corpus.skipped``); a class left with zero documents is an error.
     """
     root = Path(root_path)
     if not root.is_dir():
@@ -357,13 +341,14 @@ def load_directory_corpus(
         raise DataError(f"corpus root {root} contains no class directories")
     for name in class_names:
         if not _usable_name(name):
-            raise DataError(f"class directory name {name!r} is not UTF-8 or holds a tab or a line break")
+            raise DataError(f"class directory name {name!r} is not UTF-8, holds a tab "
+                            "or a line break, or begins with '#'")
 
     reader, labels, skipped = DocumentReader(config), [], []
     for ci, name in enumerate(class_names):
         files = [(f"{name}/{f}", p) for f, is_dir, p in scan_directory(root / name) if not is_dir]
         n_before = len(reader.doc_ids)
-        skipped += [doc_id for doc_id, _ in reader.read(files)]
+        skipped += reader.read(files)
         if len(reader.doc_ids) == n_before:
             raise DataError(f"class directory {root / name} has no readable non-empty documents")
         labels += [ci] * (len(reader.doc_ids) - n_before)
@@ -398,30 +383,31 @@ def _stratified_draw(
     return drawn, rest
 
 
-def split_train_test(corpus: Corpus, spec: SplitSpec) -> tuple[Corpus, Corpus]:
+def split_train_test(
+    corpus: Corpus, test_fraction: float = 0.5, rng_seed: int = 0
+) -> tuple[Corpus, Corpus]:
     """Stratified random train/test split; both sides keep their labels.
 
     Both sides list their documents in (class index, doc id) order.
     """
+    if not 0.0 < test_fraction < 1.0:
+        raise DataError(f"test_fraction must be in (0,1), got {test_fraction}")
     test_idx, train_idx = _stratified_draw(
-        corpus, spec.test_fraction, spec.rng_seed, spare=1,
+        corpus, test_fraction, rng_seed, spare=1,
         too_small="class {name!r} has {n} document(s); "
         "need at least 2 to appear on both sides of the split",
     )
     return corpus.subset(train_idx), corpus.subset(test_idx)
 
 
-def mask_labels(
-    corpus: Corpus, labeled_fraction: float, rng_seed: int
-) -> tuple[Corpus, Corpus, dict[str, int]]:
+def mask_labels(corpus: Corpus, labeled_fraction: float, rng_seed: int) -> tuple[Corpus, Corpus]:
     """Hide labels on all but a stratified fraction of a labeled corpus.
 
-    Returns ``(d_labeled, d_unlabeled, hidden)`` where ``hidden`` maps each
-    unlabeled doc id to its ground-truth class index. The ground truth never
-    rides on the unlabeled corpus itself, so it cannot leak into a learner
-    that only sees the two corpora. Every class keeps at least one labeled
-    document regardless of the fraction. Both corpora list their documents
-    in (class index, doc id) order.
+    Returns ``(d_labeled, d_unlabeled)``. The unlabeled corpus carries no
+    label, so the ground truth cannot leak into a learner that only sees the
+    two corpora. Every class keeps at least one labeled document regardless
+    of the fraction. Both corpora list their documents in (class index, doc
+    id) order.
     """
     if not 0.0 < labeled_fraction < 1.0:
         raise DataError(f"labeled_fraction must be in (0,1), got {labeled_fraction}")
@@ -429,8 +415,7 @@ def mask_labels(
         corpus, labeled_fraction, rng_seed, spare=0,
         too_small="class {name!r} has no documents; cannot keep one labeled",
     )
-    hidden = {corpus.doc_ids[i]: corpus.labels[i] for i in unlabeled_idx}
-    return corpus.subset(labeled_idx), corpus.subset(unlabeled_idx, drop_labels=True), hidden
+    return corpus.subset(labeled_idx), corpus.subset(unlabeled_idx, drop_labels=True)
 
 
 def make_training_collection(
@@ -543,11 +528,8 @@ def apply_split_manifest(
     return corpus.subset(train_idx), corpus.subset(test_idx), flags
 
 
-def mask_from_flags(
-    train: Corpus, labeled_flags: Mapping[str, int]
-) -> tuple[Corpus, Corpus, dict[str, int]]:
+def mask_from_flags(train: Corpus, labeled_flags: Mapping[str, int]) -> tuple[Corpus, Corpus]:
     """Replay a recorded mask: same return contract as ``mask_labels``."""
     labeled_idx = [i for i, d in enumerate(train.doc_ids) if labeled_flags.get(d)]
     unlabeled_idx = [i for i, d in enumerate(train.doc_ids) if not labeled_flags.get(d)]
-    hidden = {train.doc_ids[i]: train.labels[i] for i in unlabeled_idx}
-    return train.subset(labeled_idx), train.subset(unlabeled_idx, drop_labels=True), hidden
+    return train.subset(labeled_idx), train.subset(unlabeled_idx, drop_labels=True)

@@ -2,28 +2,48 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Mapping
+from typing import Mapping, Sequence
 
 import numpy as np
 
-from .classifier import Prediction
 from .errors import DataError
 
 
-def confusion(
-    preds: Iterable[Prediction], truth: Mapping[str, int], n_classes: int
-) -> np.ndarray:
-    """Count matrix with rows = true class, columns = predicted class."""
-    preds = list(preds)
-    try:
-        true = [truth[p.doc_id] for p in preds]
-    except KeyError as exc:  # the first unknown id, in prediction order
-        raise DataError(f"prediction for unknown doc id {exc.args[0]!r}") from None
-    pairs = np.array([true, [p.label for p in preds]], dtype=np.int64).reshape(2, -1)
+def confusion(true: Sequence[int], predicted: Sequence[int], n_classes: int) -> np.ndarray:
+    """Count matrix with rows = true class, columns = predicted class, from
+    two aligned sequences of class indices (document i is true[i], predicted[i])."""
+    if len(true) != len(predicted):
+        raise DataError(f"{len(true)} true labels for {len(predicted)} predictions")
+    pairs = np.array([true, predicted], dtype=np.int64)
     if np.any((pairs < 0) | (pairs >= n_classes)):
         raise DataError(f"class index outside [0, {n_classes})")
     keys = pairs[0] * n_classes + pairs[1]
     return np.bincount(keys, minlength=n_classes * n_classes).reshape(n_classes, n_classes)
+
+
+def align_labels(
+    preds: Mapping[str, str], truth: Mapping[str, str]
+) -> tuple[list[int], list[int], tuple[str, ...]]:
+    """Class-index sequences ``(true, predicted, class_names)`` for ``confusion``
+    from doc-id -> class-name maps, in prediction order. Class names are the
+    sorted truth classes; every prediction must name a truth doc id and class,
+    and every truth doc id must have a prediction."""
+    class_names = tuple(sorted(set(truth.values())))
+    index = {name: i for i, name in enumerate(class_names)}
+    unknown = sorted(set(preds.values()) - set(class_names))
+    if unknown:
+        raise DataError(f"predicted classes absent from truth: {unknown}")
+    stray = next((doc_id for doc_id in preds if doc_id not in truth), None)
+    if stray is not None:
+        raise DataError(f"prediction for unknown doc id {stray!r}")
+    missing = sorted(set(truth) - set(preds))
+    if missing:
+        raise DataError(
+            f"no prediction for {len(missing)} of {len(truth)} truth doc ids, "
+            f"e.g. {missing[:5]}"
+        )
+    true = [index[truth[doc_id]] for doc_id in preds]
+    return true, [index[name] for name in preds.values()], class_names
 
 
 def _prf(tp: float, fp: float, fn: float) -> tuple[float, float, float]:

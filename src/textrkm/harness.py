@@ -20,7 +20,6 @@ import numpy as np
 from .classifier import classify_batch
 from .corpus import (
     Corpus,
-    SplitSpec,
     TokenizerConfig,
     apply_split_manifest,
     concat_corpora,
@@ -148,16 +147,6 @@ class TrialResult:
     error: str | None = None
 
 
-def metrics_from_report(report: EvalReport) -> dict[str, float]:
-    return {
-        "accuracy": report.accuracy,
-        "macro_precision": report.macro[0],
-        "macro_recall": report.macro[1],
-        "macro_f": report.macro[2],
-        "micro_f": report.micro[2],
-    }
-
-
 def fit(
     d_labeled: Corpus,
     pool: Corpus,
@@ -204,13 +193,14 @@ def _run_pipeline(
     if dropped:
         raise DataError(f"test documents with zero tokens: {dropped[:5]}")
     preds = classify_batch(test_x, model, test_ids)
-    truth = dict(zip(test.doc_ids, test.labels))
-    report = score(confusion(preds, truth, test.n_classes))
+    # a dropped test document raised above, so preds are in test order
+    report = score(confusion(test.labels, [p.label for p in preds], test.n_classes))
+    flat = report.to_flat()
     return TrialResult(
         ratio=ratio,
         seed=trial_seed,
         report=report,
-        metrics=metrics_from_report(report),
+        metrics={m: flat[m] for m in SWEEP_METRICS},
         n_clusters=model.n_clusters,
         labeled_doc_ids=tuple(d_labeled.doc_ids),
         model=model if keep_model else None,
@@ -227,7 +217,7 @@ def run_trial(
 ) -> TrialResult:
     """Mask the training half at the given ratio, then learn and score."""
     labeled_fraction = ratio[0] / (ratio[0] + ratio[1])
-    d_labeled, d_unlabeled, _hidden = mask_labels(train, labeled_fraction, trial_seed)
+    d_labeled, d_unlabeled = mask_labels(train, labeled_fraction, trial_seed)
     return _run_pipeline(d_labeled, d_unlabeled, test, ratio, trial_seed, config, keep_model)
 
 
@@ -288,9 +278,7 @@ def run_sweep(corpus: Corpus | str | Path, config: SweepConfig = SweepConfig()) 
     """
     if not isinstance(corpus, Corpus):
         corpus = load_directory_corpus(corpus, config.tokenizer)
-    train, test = split_train_test(
-        corpus, SplitSpec(test_fraction=config.test_fraction, rng_seed=config.base_seed)
-    )
+    train, test = split_train_test(corpus, config.test_fraction, config.base_seed)
     records: list[TrialResult] = []
     for ratio in config.ratio_grid:
         for t in range(config.trials_per_ratio):
@@ -377,37 +365,6 @@ def emit_results(table: SweepTable, out_dir: str | Path) -> dict[str, Path]:
     }
 
 
-def read_aggregate_csv(path: str | Path) -> list[SweepRow]:
-    """Parse an aggregate CSV back into rows (exact float round trip)."""
-    try:
-        lines = Path(path).read_text(encoding="utf-8").splitlines()
-    except UnicodeDecodeError as exc:
-        raise DataError(f"{path} is not UTF-8: {exc}") from exc
-    if not lines or lines[0] != "ratio,metric,max,min,mean,std":
-        raise DataError(f"{path} is not an aggregate results file")
-    rows = []
-    for lineno, line in enumerate(lines[1:], 2):
-        if not line.strip():
-            continue
-        try:
-            ratio_part, metric, vmax, vmin, mean, std = line.split(",")
-            a, b = ratio_part.split(":")
-            rows.append(
-                SweepRow(
-                    ratio=(int(a), int(b)),
-                    metric=metric,
-                    vmax=float(vmax),
-                    vmin=float(vmin),
-                    mean=float(mean),
-                    std=float(std),
-                    n_trials=-1,  # not stored in the file
-                )
-            )
-        except ValueError as exc:  # wrong field count, bad ratio or float
-            raise DataError(f"{path}:{lineno}: malformed aggregate row {line!r}") from exc
-    return rows
-
-
 def replay_trial(
     corpus: Corpus | str | Path,
     manifest_path: str | Path,
@@ -439,5 +396,5 @@ def replay_trial(
         )
     seed = int(meta["seed"])
     train, test, flags = apply_split_manifest(corpus, entries)
-    d_labeled, d_unlabeled, _hidden = mask_from_flags(train, flags)
+    d_labeled, d_unlabeled = mask_from_flags(train, flags)
     return _run_pipeline(d_labeled, d_unlabeled, test, ratio, seed, config, keep_model)

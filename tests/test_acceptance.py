@@ -15,7 +15,7 @@ import pytest
 
 from textrkm.classifier import classify_batch
 from textrkm.cli import load_bundle, save_bundle
-from textrkm.corpus import Corpus, SplitSpec, load_directory_corpus, split_train_test
+from textrkm.corpus import Corpus, load_directory_corpus, split_train_test
 from textrkm.evaluation import score
 from textrkm.harness import (
     SweepConfig,
@@ -51,7 +51,7 @@ def _report(num: int, name: str, ok: bool, detail: str = "") -> None:
 
 
 def _split(corpus, seed=0):
-    return split_train_test(corpus, SplitSpec(test_fraction=0.5, rng_seed=seed))
+    return split_train_test(corpus, test_fraction=0.5, rng_seed=seed)
 
 
 # ---------------------------------------------------------------------------

@@ -148,6 +148,10 @@ BAD_NAMES = [
     pytest.param("a\tb.txt", id="tab"),
     pytest.param("a\nb.txt", id="newline"),
 ]
+# a name that would begin an output line and be read back as a comment; in a
+# class directory a file's doc id begins with the class name, so only
+# classify inputs and class directories can be so named
+COMMENT_NAME = pytest.param("#beta", id="hash")
 
 
 def _make_or_skip(make, path):
@@ -157,17 +161,24 @@ def _make_or_skip(make, path):
         pytest.skip(f"the file system refuses the name {path.name!r}")
 
 
+def _skip_warnings(err):
+    return [line for line in err.splitlines() if line.startswith("warning")]
+
+
 @pytest.mark.parametrize("name", BAD_NAMES)
 def test_sweep_skips_a_badly_named_file(tmp_path, corpus_tree, capsys, name):
     corpus, tree = corpus_tree
     text = " ".join(corpus.documents[0].tokens)
-    _make_or_skip(lambda p: p.write_text(text), tree / corpus.class_names[0] / name)
+    path = tree / corpus.class_names[0] / name
+    _make_or_skip(lambda p: p.write_text(text), path)
     out_dir = tmp_path / "sweep"
     assert main([
         "sweep", "--corpus", str(tree), "--trials", "1", "--ratios", "5:45", "--out", str(out_dir),
     ]) == 0
-    assert "Traceback" not in capsys.readouterr().err
-    assert load_directory_corpus(tree).skipped == (f"{corpus.class_names[0]}/{name}",)
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert _skip_warnings(err) == [f"warning: skipping badly named file {str(path)!r}"]
+    assert load_directory_corpus(tree).skipped == ((f"{corpus.class_names[0]}/{name}", "badly named"),)
     (manifest,) = (out_dir / "manifests").iterdir()
     config = harness.SweepConfig.from_dict(json.loads((out_dir / "sweep_config.json").read_text()))
     assert sorted(doc_id for doc_id, _, _ in read_split_manifest(manifest)[1]) == sorted(corpus.doc_ids)
@@ -176,6 +187,25 @@ def test_sweep_skips_a_badly_named_file(tmp_path, corpus_tree, capsys, name):
 
 
 @pytest.mark.parametrize("name", BAD_NAMES)
+def test_train_warns_for_each_skipped_file(tmp_path, corpus_tree, capsys, name):
+    corpus, tree = corpus_tree
+    class_dir = tree / corpus.class_names[0]
+    _make_or_skip(lambda p: p.write_text(" ".join(corpus.documents[0].tokens)), class_dir / name)
+    (class_dir / "punct.txt").write_text("!!! ,,, ...")
+    (class_dir / "gone").symlink_to(class_dir / "missing.txt")
+    model_path = tmp_path / "model.json"
+    assert main([
+        "train", "--corpus", str(tree), "--labeled-frac", "0.3", "--model-out", str(model_path),
+    ]) == 0
+    assert _skip_warnings(capsys.readouterr().err) == [  # in file name order
+        f"warning: skipping badly named file {str(class_dir / name)!r}",
+        f"warning: skipping unreadable file {class_dir / 'gone'}",
+        f"warning: skipping empty document {corpus.class_names[0]}/punct.txt",
+    ]
+    assert load_bundle(model_path)[0].n_training_points == corpus.n_docs
+
+
+@pytest.mark.parametrize("name", BAD_NAMES + [COMMENT_NAME])
 def test_classify_skips_a_badly_named_file(tmp_path, corpus_tree, capsys, name):
     corpus, tree = corpus_tree
     model_path = tmp_path / "model.json"
@@ -191,11 +221,11 @@ def test_classify_skips_a_badly_named_file(tmp_path, corpus_tree, capsys, name):
     assert main(["classify", "--model", str(model_path), "--input", str(flat), "--out", str(out_path)]) == 0
     rows = [line.split("\t") for line in out_path.read_text(encoding="utf-8").splitlines()]
     assert [row[0] for row in rows] == ["doc.txt"] and len(rows[0]) == 3
-    warnings = [line for line in capsys.readouterr().err.splitlines() if line.startswith("warning")]
+    warnings = _skip_warnings(capsys.readouterr().err)
     assert warnings == [f"warning: skipping badly named file {str(flat / name)!r}"]
 
 
-@pytest.mark.parametrize("name", BAD_NAMES)
+@pytest.mark.parametrize("name", BAD_NAMES + [COMMENT_NAME])
 def test_badly_named_class_directory_exits_two(tmp_path, corpus_tree, capsys, name):
     corpus, tree = corpus_tree
     _make_or_skip(lambda p: p.mkdir(), tree / name)
@@ -266,6 +296,17 @@ def test_data_errors_exit_two(tmp_path):
     assert rc == 2
 
 
+@pytest.mark.parametrize("fraction", ["0", "1.5"])
+def test_sweep_test_fraction_outside_zero_one_exits_two(tmp_path, corpus_tree, capsys, fraction):
+    _, tree = corpus_tree
+    out = tmp_path / "out"
+    assert main([
+        "sweep", "--corpus", str(tree), "--test-fraction", fraction, "--trials", "1", "--out", str(out),
+    ]) == 2
+    assert capsys.readouterr().err == f"data error: test_fraction must be in (0,1), got {float(fraction)}\n"
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("command", ["train", "sweep"])
 def test_negative_smoothing_exits_two(tmp_path, corpus_tree, capsys, command):
     _, tree = corpus_tree
@@ -305,6 +346,19 @@ def test_eval_rejects_predictions_missing_truth_docs(tmp_path, capsys):
     captured = capsys.readouterr()
     assert "accuracy" not in captured.out
     assert "3 of 5" in captured.err
+
+
+def test_eval_names_the_first_unknown_prediction_id(tmp_path, capsys):
+    preds = [("real", "a"), ("ghost-b", "b"), ("a", "a"), ("ghost-a", "a")]
+    rc = main([
+        "eval",
+        "--predictions", write_label_tsv(tmp_path / "preds.tsv", preds),
+        "--truth", write_label_tsv(tmp_path / "truth.tsv", [("real", "a"), ("a", "b")]),
+    ])
+    assert rc == 2
+    captured = capsys.readouterr()
+    assert captured.err == "data error: prediction for unknown doc id 'ghost-b'\n"
+    assert captured.out == ""
 
 
 @pytest.mark.parametrize("side", ["predictions", "truth"])

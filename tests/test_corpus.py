@@ -18,7 +18,6 @@ from textrkm.corpus import (
     Corpus,
     Document,
     DocumentReader,
-    SplitSpec,
     TokenizerConfig,
     apply_split_manifest,
     concat_corpora,
@@ -193,7 +192,7 @@ def test_load_directory_corpus_counts(tmp_path):
     assert corpus.n_docs == 6
     assert corpus.n_classes == 2
     assert corpus.class_names == ("alpha", "beta")
-    assert corpus.fully_labeled()
+    assert None not in corpus.labels
     assert corpus.skipped == ()
 
 
@@ -206,7 +205,7 @@ def test_load_directory_skips_empty_and_unreadable(tmp_path):
     (d / "gone.txt").symlink_to(tmp_path / "missing-target")  # unreadable
     corpus = load_directory_corpus(tmp_path)
     assert corpus.n_docs == 8
-    assert len(corpus.skipped) == 2
+    assert corpus.skipped == (("only/empty.txt", "empty"), ("only/gone.txt", "unreadable"))
 
 
 @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="no named pipes here")
@@ -220,12 +219,12 @@ def test_load_directory_skips_a_named_pipe_without_opening_it(tmp_path):
     worker.start()
     worker.join(5)
     assert not worker.is_alive(), "loading blocked on the named pipe"
-    assert loaded[0].doc_ids == ["only/doc.txt"] and loaded[0].skipped == ("only/pipe",)
+    assert loaded[0].doc_ids == ["only/doc.txt"] and loaded[0].skipped == (("only/pipe", "unreadable"),)
 
 
 def reference_load(root, config):
-    """Documents and skipped ids of a class tree, read file by file with
-    pathlib and the regex tokenizer."""
+    """Documents and skipped ``(doc_id, why)`` of a class tree, read file by
+    file with pathlib and the regex tokenizer."""
     documents, skipped = [], []
     for cdir in sorted(p for p in root.iterdir() if p.is_dir()):
         for f in sorted(p for p in cdir.iterdir() if not p.is_dir()):
@@ -233,11 +232,12 @@ def reference_load(root, config):
             try:
                 tokens = reference_tokenize(f.read_bytes().decode("latin-1"), config)
             except OSError:
-                tokens = []
+                skipped.append((doc_id, "unreadable"))
+                continue
             if tokens:
                 documents.append(Document(doc_id, tuple(tokens)))
             else:
-                skipped.append(doc_id)
+                skipped.append((doc_id, "empty"))
     return documents, tuple(skipped)
 
 
@@ -264,7 +264,7 @@ def test_loaded_tree_equals_the_regex_tokenizer(tmp_path, config):
     documents, skipped = reference_load(tmp_path, config)
     assert corpus.documents == documents
     assert corpus.skipped == skipped
-    assert {"alpha/punct.txt", "alpha/empty.txt", "alpha/broken.txt", "alpha/loop.txt"} <= set(skipped)
+    assert {"alpha/punct.txt", "alpha/empty.txt", "alpha/broken.txt", "alpha/loop.txt"} <= dict(skipped).keys()
     assert corpus.labels == [0 if d.doc_id.startswith("alpha/") else 1 for d in documents]
     expected = Corpus.from_documents(documents, corpus.labels, corpus.class_names).encoding
     assert list(corpus.encoding.terms) == list(expected.terms)
@@ -283,9 +283,8 @@ def test_load_directory_errors(tmp_path):
 
 def test_split_is_deterministic_and_stratified():
     corpus = make_text_corpus(n_classes=2, docs_per_class=10, seed=1)
-    spec = SplitSpec(test_fraction=0.5, rng_seed=42)
-    train1, test1 = split_train_test(corpus, spec)
-    train2, test2 = split_train_test(corpus, spec)
+    train1, test1 = split_train_test(corpus, test_fraction=0.5, rng_seed=42)
+    train2, test2 = split_train_test(corpus, test_fraction=0.5, rng_seed=42)
     assert train1.doc_ids == train2.doc_ids
     assert test1.doc_ids == test2.doc_ids
     per_class = collections.Counter(test1.labels)
@@ -295,7 +294,7 @@ def test_split_is_deterministic_and_stratified():
 def test_split_remerge_reproduces_multiset():
     for seed in range(5):
         corpus = make_text_corpus(n_classes=3, docs_per_class=7, seed=seed)
-        train, test = split_train_test(corpus, SplitSpec(test_fraction=0.4, rng_seed=seed))
+        train, test = split_train_test(corpus, test_fraction=0.4, rng_seed=seed)
         merged = sorted(train.doc_ids + test.doc_ids)
         assert merged == sorted(corpus.doc_ids)
         assert not set(train.doc_ids) & set(test.doc_ids)
@@ -303,7 +302,7 @@ def test_split_remerge_reproduces_multiset():
 
 def test_split_sizes_near_halves():
     corpus = make_text_corpus(n_classes=5, docs_per_class=193, seed=0)
-    train, test = split_train_test(corpus, SplitSpec(test_fraction=0.5, rng_seed=0))
+    train, test = split_train_test(corpus, test_fraction=0.5, rng_seed=0)
     assert train.n_docs + test.n_docs == corpus.n_docs
     assert abs(train.n_docs - test.n_docs) <= corpus.n_classes
 
@@ -315,21 +314,21 @@ def test_split_rejects_singleton_class():
         class_names=("a", "b"),
     )
     with pytest.raises(DataError):
-        split_train_test(corpus, SplitSpec(test_fraction=0.5, rng_seed=0))
+        split_train_test(corpus, test_fraction=0.5, rng_seed=0)
 
 
 def test_mask_labels_fraction_arithmetic():
     # 50 docs at fraction 0.4 -> 20 labeled, 30 unlabeled
     corpus = make_text_corpus(n_classes=2, docs_per_class=25, seed=2)
-    d_l, d_u, hidden = mask_labels(corpus, 0.4, rng_seed=0)
+    d_l, d_u = mask_labels(corpus, 0.4, rng_seed=0)
     assert d_l.n_docs == 20
     assert d_u.n_docs == 30
-    assert set(hidden) == set(d_u.doc_ids)
+    assert sorted(d_l.doc_ids + d_u.doc_ids) == sorted(corpus.doc_ids)
 
 
 def test_mask_labels_floor_one_per_class():
     corpus = make_text_corpus(n_classes=4, docs_per_class=13, seed=3)
-    d_l, d_u, _ = mask_labels(corpus, 0.02, rng_seed=0)  # 1:49 territory
+    d_l, d_u = mask_labels(corpus, 0.02, rng_seed=0)  # 1:49 territory
     per_class = collections.Counter(d_l.labels)
     assert all(per_class[c] >= 1 for c in range(4))
     assert d_l.n_docs == 4
@@ -337,11 +336,12 @@ def test_mask_labels_floor_one_per_class():
 
 def test_mask_preserves_ground_truth():
     corpus = make_text_corpus(n_classes=3, docs_per_class=9, seed=4)
-    truth = {d.doc_id: lab for d, lab in zip(corpus.documents, corpus.labels)}
-    _, d_u, hidden = mask_labels(corpus, 0.3, rng_seed=9)
+    labels = list(corpus.labels)
+    d_l, d_u = mask_labels(corpus, 0.3, rng_seed=9)
     assert all(lab is None for lab in d_u.labels)
-    for doc_id, lab in hidden.items():
-        assert truth[doc_id] == lab
+    assert corpus.labels == labels  # the masked corpus keeps every label
+    truth = dict(zip(corpus.doc_ids, labels))
+    assert d_l.labels == [truth[doc_id] for doc_id in d_l.doc_ids]
 
 
 def test_mask_deterministic():
@@ -354,7 +354,7 @@ def test_mask_deterministic():
 
 def test_training_collection_whole_pool_and_empty_pool():
     corpus = make_text_corpus(n_classes=2, docs_per_class=10, seed=6)
-    d_l, d_u, _ = mask_labels(corpus, 0.2, rng_seed=0)
+    d_l, d_u = mask_labels(corpus, 0.2, rng_seed=0)
     full = make_training_collection(d_l, d_u)  # default: whole pool
     assert full.n_docs == d_l.n_docs + d_u.n_docs
     drawn = make_training_collection(d_l, d_u, pool_size=d_u.n_docs)  # a draw of every document
@@ -364,29 +364,31 @@ def test_training_collection_whole_pool_and_empty_pool():
     assert make_training_collection(d_l, d_l).labels == d_l.labels + [None] * d_l.n_docs
     only_labeled = make_training_collection(d_l, d_u, pool_size=0)
     assert only_labeled.doc_ids == d_l.doc_ids
-    assert only_labeled.fully_labeled()
+    assert None not in only_labeled.labels
 
 
 def test_training_collection_count_arithmetic():
     corpus = make_text_corpus(n_classes=2, docs_per_class=50, seed=7)
-    d_l, d_u, _ = mask_labels(corpus, 0.1, rng_seed=0)  # 10 labeled, 90 unlabeled
+    d_l, d_u = mask_labels(corpus, 0.1, rng_seed=0)  # 10 labeled, 90 unlabeled
     assert (d_l.n_docs, d_u.n_docs) == (10, 90)
     training = make_training_collection(d_l, d_u, pool_size=90)
     assert training.n_docs == 100
-    assert training.n_labeled == 10
+    assert sum(lab is not None for lab in training.labels) == 10
     with pytest.raises(DataError):
         make_training_collection(d_l, d_u, pool_size=91)
 
 
 def test_split_spec_validation():
-    with pytest.raises(DataError):
-        SplitSpec(test_fraction=0.0)
+    corpus = make_text_corpus(n_classes=2, docs_per_class=4, seed=8)
+    for fraction in (0.0, 1.0, 1.5, -0.5):
+        with pytest.raises(DataError, match="test_fraction"):
+            split_train_test(corpus, test_fraction=fraction)
 
 
 def test_manifest_round_trip(tmp_path):
     corpus = make_text_corpus(n_classes=2, docs_per_class=8, seed=8)
-    train, test = split_train_test(corpus, SplitSpec(test_fraction=0.5, rng_seed=1))
-    d_l, d_u, hidden = mask_labels(train, 0.3, rng_seed=2)
+    train, test = split_train_test(corpus, test_fraction=0.5, rng_seed=1)
+    d_l, d_u = mask_labels(train, 0.3, rng_seed=2)
     path = tmp_path / "split.tsv"
     write_split_manifest(
         path, train.doc_ids, test.doc_ids, d_l.doc_ids, meta={"seed": "2"}
@@ -396,10 +398,9 @@ def test_manifest_round_trip(tmp_path):
     train2, test2, flags = apply_split_manifest(corpus, entries)
     assert train2.doc_ids == train.doc_ids
     assert test2.doc_ids == test.doc_ids
-    d_l2, d_u2, hidden2 = mask_from_flags(train2, flags)
-    assert d_l2.doc_ids == d_l.doc_ids
-    assert d_u2.doc_ids == d_u.doc_ids
-    assert hidden2 == hidden
+    d_l2, d_u2 = mask_from_flags(train2, flags)
+    assert (d_l2.doc_ids, d_l2.labels) == (d_l.doc_ids, d_l.labels)
+    assert (d_u2.doc_ids, d_u2.labels) == (d_u.doc_ids, d_u.labels)
 
 
 def test_manifest_rejects_unknown_doc(tmp_path):

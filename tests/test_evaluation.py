@@ -1,53 +1,54 @@
 import numpy as np
 import pytest
 
-from textrkm.classifier import Prediction
 from textrkm.errors import DataError
-from textrkm.evaluation import confusion, format_report, score
-
-
-def preds_from_pairs(pairs):
-    return [Prediction(doc_id, label, 0, 0.0) for doc_id, label in pairs]
+from textrkm.evaluation import align_labels, confusion, format_report, score
 
 
 def test_confusion_perfect_predictions_diagonal():
-    preds = preds_from_pairs([("a", 0), ("b", 1), ("c", 1)])
-    truth = {"a": 0, "b": 1, "c": 1}
-    cm = confusion(preds, truth, 2)
+    cm = confusion([0, 1, 1], [0, 1, 1], 2)
     assert cm.tolist() == [[1, 0], [0, 2]]
 
 
 def test_confusion_all_predicted_class_zero():
-    preds = preds_from_pairs([("a", 0), ("b", 0), ("c", 0)])
-    truth = {"a": 0, "b": 1, "c": 1}
-    cm = confusion(preds, truth, 2)
+    cm = confusion([0, 1, 1], [0, 0, 0], 2)
     assert cm[:, 1].tolist() == [0, 0]
     assert cm[:, 0].tolist() == [1, 2]
 
 
 def test_confusion_mixed_example():
-    preds = preds_from_pairs([("a1", 0), ("a2", 1), ("b1", 1)])
-    truth = {"a1": 0, "a2": 0, "b1": 1}
-    cm = confusion(preds, truth, 2)
+    cm = confusion([0, 0, 1], [0, 1, 1], 2)
     assert cm.tolist() == [[1, 1], [0, 1]]
 
 
 def test_confusion_unknown_doc_id():
     with pytest.raises(DataError):
-        confusion(preds_from_pairs([("ghost", 0)]), {"real": 0}, 1)
+        align_labels({"ghost": "a"}, {"real": "a"})
 
 
 def test_confusion_names_the_first_unknown_doc_id():
-    preds = preds_from_pairs([("real", 0), ("ghost-b", 1), ("a", 0), ("ghost-a", 0)])
+    preds = {"real": "a", "ghost-b": "b", "a": "a", "ghost-a": "a"}
     with pytest.raises(DataError, match="'ghost-b'"):
-        confusion(preds, {"real": 0, "a": 1}, 2)
+        align_labels(preds, {"real": "a", "a": "b"})
+
+
+def test_align_labels_feeds_confusion_in_prediction_order():
+    true, predicted, names = align_labels({"d2": "y", "d1": "y"}, {"d1": "y", "d2": "x"})
+    assert (true, predicted, names) == ([0, 1], [1, 1], ("x", "y"))
+    assert confusion(true, predicted, len(names)).tolist() == [[0, 1], [0, 1]]
+
+
+def test_confusion_rejects_sequences_of_unequal_length():
+    for true, predicted in (([0], []), ([], [0]), ([0, 1], [1])):
+        with pytest.raises(DataError, match="true labels for"):
+            confusion(true, predicted, 2)
 
 
 def test_confusion_empty_and_out_of_range_classes():
-    assert confusion([], {"a": 0}, 2).tolist() == [[0, 0], [0, 0]]
-    for pairs, truth in (([("a", 2)], {"a": 0}), ([("a", -1)], {"a": 0}), ([("a", 0)], {"a": 2})):
-        with pytest.raises(DataError):
-            confusion(preds_from_pairs(pairs), truth, 2)
+    assert confusion([], [], 2).tolist() == [[0, 0], [0, 0]]
+    for true, predicted in (([0], [2]), ([0], [-1]), ([2], [0])):
+        with pytest.raises(DataError, match="outside"):
+            confusion(true, predicted, 2)
 
 
 def test_score_diagonal_all_ones():

@@ -1,9 +1,9 @@
 """Golden outputs: a small recursing euclidean sweep, byte for byte.
 
 The files under ``tests/data/golden_sweep`` were written by an earlier
-version of the program; any change to the bits of the embedding, the
-k-means or the scoring fails this test. Cosine runs are left out: they rank
-with a BLAS product whose bits vary between BLAS builds.
+version of the program; any change to the bits of the split, the masking,
+the embedding, the k-means or the scoring fails this test. Cosine runs are
+left out: they rank with a BLAS product whose bits vary between BLAS builds.
 
 To rewrite the files after a deliberate change of outputs, run
 ``PYTHONPATH=src:tests python tests/test_golden_sweep.py``.
@@ -14,7 +14,7 @@ import sys
 from pathlib import Path
 
 from textrkm import harness
-from textrkm.harness import SweepConfig, emit_results, ratio_str, run_sweep
+from textrkm.harness import SweepConfig, emit_results, manifest_filename, ratio_str, run_sweep
 
 from synthdata import make_text_corpus
 
@@ -29,12 +29,13 @@ CONFIG = SweepConfig(ratio_grid=((2, 8), (5, 5)), trials_per_ratio=2)
 
 
 def digest(a) -> str:
-    return hashlib.blake2b(a.tobytes(), digest_size=16).hexdigest()
+    return hashlib.blake2b(a if isinstance(a, bytes) else a.tobytes(), digest_size=16).hexdigest()
 
 
 def sweep_outputs(out_dir: Path, monkeypatch) -> tuple[dict[str, bytes], list[dict], int]:
-    """The sweep's CSV files, one digest pair per trial (its training matrix
-    and its trained centroids), and the deepest recursion level reached."""
+    """The sweep's CSV files, one digest triple per trial (its manifest, its
+    training matrix and its trained centroids), and the deepest recursion
+    level reached."""
     built = []
 
     def recording_build_model(x, *args, **kwargs):
@@ -46,10 +47,13 @@ def sweep_outputs(out_dir: Path, monkeypatch) -> tuple[dict[str, bytes], list[di
     monkeypatch.setattr(harness, "build_model", recording_build_model)
     table = run_sweep(make_text_corpus(**CORPUS), CONFIG)
     files = emit_results(table, out_dir)
+    names = [manifest_filename(rec.ratio, rec.trial) for rec in table.records]
+    assert sorted(m.name for m in files["manifests"].iterdir()) == sorted(names)
     digests = [
         {"ratio": ratio_str(rec.ratio), "trial": rec.trial,
+         "manifest": digest((files["manifests"] / name).read_bytes()),
          "training_matrix": digest(x), "centroids": digest(model.centroids)}
-        for rec, (x, model) in zip(table.records, built)
+        for rec, name, (x, model) in zip(table.records, names, built)
     ]
     depth = max(c.depth for _, model in built for c in model.clusters)
     csvs = {name: files[name].read_bytes() for name in ("per_trial", "aggregate")}

@@ -9,17 +9,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from textrkm import harness
-from textrkm.corpus import Corpus, Document, SplitSpec, mask_labels, split_train_test
+from textrkm.corpus import Corpus, Document, read_split_manifest, split_train_test
 from textrkm.errors import DataError, InvariantError
 from textrkm.harness import (
     SWEEP_METRICS,
     SweepConfig,
-    _run_pipeline,
     aggregate_rows,
     default_ratio_grid,
     emit_results,
     manifest_filename,
-    read_aggregate_csv,
+    ratio_str,
     replay_trial,
     run_sweep,
     run_trial,
@@ -29,7 +28,7 @@ from synthdata import make_text_corpus, mutate_lines, write_corpus_tree
 
 
 def split_corpus(corpus, seed=0):
-    return split_train_test(corpus, SplitSpec(test_fraction=0.5, rng_seed=seed))
+    return split_train_test(corpus, test_fraction=0.5, rng_seed=seed)
 
 
 def noisy_corpus(seed=13):
@@ -124,17 +123,27 @@ def test_sweep_deterministic_for_fixed_seed():
     assert [r.metrics for r in t1.records] == [r.metrics for r in t2.records]
 
 
-def test_no_leakage_hidden_truth_never_reaches_learner():
+def test_no_leakage_hidden_truth_never_reaches_learner(tmp_path):
+    # one manifest, replayed on a corpus whose masked training documents
+    # carry other labels, must learn and score exactly the same
     corpus = make_text_corpus(n_classes=3, docs_per_class=14, seed=7)
-    train, test = split_corpus(corpus)
     cfg = SweepConfig(ratio_grid=((10, 40),), trials_per_ratio=1)
-    d_l, d_u, hidden = mask_labels(train, 0.2, rng_seed=8)
-    r1 = _run_pipeline(d_l, d_u, test, (10, 40), 8, cfg, keep_model=True)
-    hidden.clear()  # destroy the sealed ground truth before the second build
-    r2 = _run_pipeline(d_l, d_u, test, (10, 40), 8, cfg, keep_model=True)
+    paths = emit_results(run_sweep(corpus, cfg), tmp_path / "out")
+    (manifest,) = paths["manifests"].iterdir()
+    entries = read_split_manifest(manifest)[1]
+    masked = {doc_id for doc_id, side, flag in entries if side == "train" and not flag}
+    assert 0 < len(masked) < len(entries) // 2
+    permuted = Corpus(
+        corpus.doc_ids,
+        [(lab + 1) % corpus.n_classes if d in masked else lab for d, lab in zip(corpus.doc_ids, corpus.labels)],
+        corpus.class_names,
+        corpus.encoding,
+    )
+    r1 = replay_trial(corpus, manifest, cfg, keep_model=True)
+    r2 = replay_trial(permuted, manifest, cfg, keep_model=True)
     assert np.array_equal(r1.model.centroids, r2.model.centroids)
+    assert np.array_equal(r1.model.labels, r2.model.labels)
     assert r1.report.to_flat() == r2.report.to_flat()
-    assert all(lab is None for lab in d_u.labels)
 
 
 def test_emit_results_files_and_round_trips(tmp_path):
@@ -150,17 +159,14 @@ def test_emit_results_files_and_round_trips(tmp_path):
         value = line.rsplit(",", 1)[1]
         assert np.isfinite(float(value))
 
-    parsed = read_aggregate_csv(paths["aggregate"])
-    assert [(r.ratio, r.metric) for r in parsed] == [
-        (r.ratio, r.metric) for r in table.rows
+    aggregate_lines = paths["aggregate"].read_text().splitlines()
+    assert aggregate_lines[0] == "ratio,metric,max,min,mean,std"
+    parsed = [line.split(",") for line in aggregate_lines[1:]]
+    assert [(ratio, metric) for ratio, metric, *_ in parsed] == [
+        (ratio_str(r.ratio), r.metric) for r in table.rows
     ]
-    for got, want in zip(parsed, table.rows):
-        assert (got.vmax, got.vmin, got.mean, got.std) == (
-            want.vmax,
-            want.vmin,
-            want.mean,
-            want.std,
-        )
+    for (_, _, *values), want in zip(parsed, table.rows):  # repr floats parse back exactly
+        assert [float(v) for v in values] == [want.vmax, want.vmin, want.mean, want.std]
 
     manifests = sorted(p.name for p in paths["manifests"].iterdir())
     assert len(manifests) == 6
@@ -307,32 +313,6 @@ def test_sweep_config_from_dict_reads_the_retired_policy_key():
     assert SweepConfig.from_dict({**d, "empty_cluster_policy": "reseed_farthest"}) == cfg
     with pytest.raises(DataError, match="unknown empty_cluster_policy 'drop'"):
         SweepConfig.from_dict({**d, "empty_cluster_policy": "drop"})
-
-
-AGGREGATE_HEADER = "ratio,metric,max,min,mean,std\n"
-
-
-def test_read_aggregate_csv_rejects_non_utf8_bytes(tmp_path):
-    path = tmp_path / "aggregate.csv"
-    path.write_bytes(AGGREGATE_HEADER.encode() + b"5:45,accuracy,1,0,0.5,0.1\xff\n")
-    with pytest.raises(DataError, match=re.escape(f"{path} is not UTF-8")):
-        read_aggregate_csv(path)
-
-
-@pytest.mark.parametrize(
-    "row",
-    [
-        "5:45,accuracy,1,0,0.5",  # a field missing
-        "5:45,accuracy,1,0,0.5,0.1,7",  # a field too many
-        "5:45,accuracy,1,0,half,0.1",  # not a float
-        "5-45,accuracy,1,0,0.5,0.1",  # ratio without ':'
-    ],
-)
-def test_read_aggregate_csv_rejects_malformed_row(tmp_path, row):
-    path = tmp_path / "aggregate.csv"
-    path.write_text(AGGREGATE_HEADER + "5:45,recall,1,0,0.5,0.1\n" + row + "\n")
-    with pytest.raises(DataError, match=re.escape(f"{path}:3: malformed aggregate row")):
-        read_aggregate_csv(path)
 
 
 def test_sweep_config_from_dict_rejects_missing_field():
