@@ -181,7 +181,8 @@ _SEPARATOR = b"|"
 
 # Bytes of file text tokenized at a time, and the size of each read call. A
 # batch holds whole files and is cut once it reaches this size, so the
-# transient words and ids of a batch stay a small multiple of it.
+# transient words and ids of a batch stay a small multiple of it; a larger
+# file is tokenized in pieces of about this size.
 READ_BATCH_BYTES = 2**18
 
 # A character that a tab-separated output line cannot carry: a tab, a line
@@ -217,24 +218,15 @@ class _TermTable(dict):
         return value
 
 
-def _read_file(path: str | Path) -> bytes:
-    fd = os.open(path, os.O_RDONLY)
-    try:
-        parts = []
-        while part := os.read(fd, READ_BATCH_BYTES):
-            parts.append(part)
-    finally:
-        os.close(fd)
-    return b"".join(parts)
-
-
 class DocumentReader:
     """Reads files as latin-1 text into one encoding under one tokenizer config.
 
     Files are tokenized a batch at a time: the folded texts of a batch are
     joined by the separator token, split once, and every word is mapped to
-    its id in one pass over the term table. ``encoding`` sorts the kept words
-    and remaps the ids once.
+    its id in one pass over the term table. A file of ``READ_BATCH_BYTES``
+    or more is added a piece at a time, each piece but the last a batch of
+    its own, and its kept-token count is carried from piece to piece.
+    ``encoding`` sorts the kept words and remaps the ids once.
     """
 
     def __init__(self, config: TokenizerConfig):
@@ -242,6 +234,7 @@ class DocumentReader:
         self.doc_ids: list[str] = []
         self._ids = array("i")  # 1 + provisional id of every kept token
         self._indptr = array("q", [0])
+        self._open = 0  # kept tokens of the pieces added of a file not yet ended
 
     def read(self, files: Iterable[tuple[str, str | Path | None]]) -> list[tuple[str, str]]:
         """Add the documents of ``(doc_id, path)`` files, in order; return the
@@ -256,11 +249,35 @@ class DocumentReader:
             if not _usable_name(doc_id):
                 batch.append((doc_id, "badly named"))
                 continue
+            mark = None  # the ids and terms before the first piece of a long file
             try:
                 if path is None:
                     raise FileNotFoundError
-                data = _read_file(path)
+                fd = os.open(path, os.O_RDONLY)
+                try:
+                    data = b""
+                    while part := os.read(fd, READ_BATCH_BYTES):
+                        data += part
+                        # a long file: add all but its last piece, each cut
+                        # after a byte that folds to a space, on its own
+                        if len(data) >= READ_BATCH_BYTES and (
+                            cut := data.translate(_FOLD).rfind(b" ") + 1
+                        ):
+                            if mark is None:
+                                skipped += self._add_batch(batch)
+                                batch, size = [], 0
+                                mark = len(self._ids), len(self.terms.kept)
+                            self._add_piece(data[:cut])
+                            data = data[cut:]
+                finally:
+                    os.close(fd)
             except OSError:
+                if mark is not None:  # forget the pieces already added
+                    del self._ids[mark[0]:]
+                    for word in self.terms.kept[mark[1]:]:
+                        del self.terms[word]
+                    del self.terms.kept[mark[1]:]
+                    self._open = 0
                 batch.append((doc_id, "unreadable"))
                 continue
             batch.append((doc_id, data))
@@ -271,16 +288,26 @@ class DocumentReader:
         skipped += self._add_batch(batch)
         return skipped
 
+    def _add_piece(self, data: bytes) -> None:
+        """Append the kept tokens of a piece of a file that more pieces follow."""
+        ids = np.fromiter(map(self.terms.__getitem__, data.translate(_FOLD).split()), dtype=np.int32)
+        ids = ids[ids > 0]
+        self._ids.frombytes(ids.tobytes())
+        self._open += ids.size
+
     def _add_batch(self, batch: list[tuple[str, bytes | str]]) -> list[tuple[str, str]]:
         """Append the documents of a batch that keep a token; return the
-        ``(doc_id, why)`` of the others, in batch order."""
+        ``(doc_id, why)`` of the others, in batch order. The first file of
+        the batch ends the pieces added since the last batch, if any."""
         texts = [data.translate(_FOLD) for _, data in batch if isinstance(data, bytes)]
         words = (b" " + _SEPARATOR + b" ").join(texts).split()
         ids = np.fromiter(map(self.terms.__getitem__, words), dtype=np.int32, count=len(words))
         del words  # the largest transient of a batch
         kept = ids > 0
         lengths = np.bincount(np.cumsum(ids < 0, dtype=np.int32)[kept], minlength=len(texts))
-        self._indptr.frombytes((len(self._ids) + np.cumsum(lengths[lengths > 0])).tobytes())
+        lengths[:1] += self._open
+        start, self._open = len(self._ids) - self._open, 0
+        self._indptr.frombytes((start + np.cumsum(lengths[lengths > 0])).tobytes())
         self._ids.frombytes(ids[kept].tobytes())
         skipped, n_kept = [], iter(lengths.tolist())
         for doc_id, data in batch:
@@ -383,6 +410,12 @@ def _stratified_draw(
     return drawn, rest
 
 
+def check_test_fraction(test_fraction: float) -> None:
+    """DataError unless ``test_fraction`` lies strictly between 0 and 1."""
+    if not 0.0 < test_fraction < 1.0:
+        raise DataError(f"test_fraction must be in (0,1), got {test_fraction}")
+
+
 def split_train_test(
     corpus: Corpus, test_fraction: float = 0.5, rng_seed: int = 0
 ) -> tuple[Corpus, Corpus]:
@@ -390,8 +423,7 @@ def split_train_test(
 
     Both sides list their documents in (class index, doc id) order.
     """
-    if not 0.0 < test_fraction < 1.0:
-        raise DataError(f"test_fraction must be in (0,1), got {test_fraction}")
+    check_test_fraction(test_fraction)
     test_idx, train_idx = _stratified_draw(
         corpus, test_fraction, rng_seed, spare=1,
         too_small="class {name!r} has {n} document(s); "

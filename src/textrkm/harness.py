@@ -22,6 +22,7 @@ from .corpus import (
     Corpus,
     TokenizerConfig,
     apply_split_manifest,
+    check_test_fraction,
     concat_corpora,
     load_directory_corpus,
     make_training_collection,
@@ -66,6 +67,7 @@ class SweepConfig:
             raise DataError(f"ratio grid pairs must share one total, got totals {sorted(totals)}")
         if any(a < 1 or b < 1 for a, b in self.ratio_grid):
             raise DataError("ratio parts must be >= 1")
+        check_test_fraction(self.test_fraction)
         check_smoothing(self.smoothing)
 
     def to_dict(self) -> dict:

@@ -112,11 +112,14 @@ def kmeans(x: np.ndarray, seeds: np.ndarray, config: KMeansConfig) -> KMeansResu
         )
 
     k = centroids.shape[0]
+    # what every iteration reuses, computed once per run
+    norms = kernels.row_norms(x, config.distance)
+    columns = np.ascontiguousarray(x.T) if x.shape[0] >= kernels.COLUMN_SUM_ROWS else None
     history: list[float] = []
     for n_iter in range(1, config.max_iterations + 1):
-        assign, dist = kernels.nearest_centroids(x, centroids, config.distance)
+        assign, dist = kernels.nearest_centroids(x, centroids, config.distance, norms=norms)
         history.append(float(dist.sum()))
-        sums, counts = kernels.centroid_sums(x, assign, k)
+        sums, counts = kernels.centroid_sums(x, assign, k, columns=columns)
         if not counts.all():
             # reseed each empty cluster on the most distant point, one
             # point per cluster, lowest cluster index served first; with
@@ -132,8 +135,12 @@ def kmeans(x: np.ndarray, seeds: np.ndarray, config: KMeansConfig) -> KMeansResu
         if shift < config.centroid_shift_tolerance:
             break
 
-    # final cleanup: drop clusters that ended empty and take the exact means
-    # of the last assignment, whose sums the last iteration computed
+    if counts.all():
+        # the last iteration left no cluster empty: its means are the exact
+        # means of its assignment
+        return KMeansResult(assign, centroids, counts, n_iter, history)
+    # drop clusters that ended empty and take the exact means of the last
+    # assignment, whose sums the last iteration computed
     keep = counts > 0
     remap = np.cumsum(keep) - 1
     return KMeansResult(
@@ -215,62 +222,63 @@ def _recurse(
     stats.kmeans_runs += 1
     k = result.centroids.shape[0]
 
-    # (clusters, classes) labeled counts, each cluster's majority (ties to
-    # the lowest class index) and its threshold test: a minority class over
-    # th_percent of the majority's labeled count (an orphan's row, all
-    # zeros, divides by 1)
+    # (clusters, classes) labeled counts, one list per cluster, and each
+    # cluster's majority class (its first largest count)
     known = sub_labels >= 0
     lsp = np.bincount(
         result.assignments[known] * n_classes + sub_labels[known], minlength=k * n_classes
-    ).reshape(k, n_classes)
-    ncp = (lsp > 0).sum(axis=1)
-    majority = lsp.argmax(axis=1)
-    percent = 100.0 * lsp / np.maximum(lsp[np.arange(k), majority], 1)[:, None]
-    minority = np.arange(n_classes) != majority[:, None]
-    over_threshold = ((percent > config.th_percent) & minority).any(axis=1)
+    ).reshape(k, n_classes).tolist()
+    majority = [row.index(max(row)) for row in lsp]
+    n_present = [n_classes - row.count(0) for row in lsp]
 
     # a cluster with no labeled member takes the majority of the nearest
     # labeled sibling, ties to the lowest cluster index
-    orphans, siblings = np.flatnonzero(ncp == 0), np.flatnonzero(ncp > 0)
-    if orphans.size:
+    orphans = [j for j in range(k) if not n_present[j]]
+    if orphans:
+        siblings = [j for j in range(k) if n_present[j]]
         nearest, _ = kernels.nearest_centroids(
             result.centroids[orphans], result.centroids[siblings], config.kmeans.distance
         )
-        majority[orphans] = majority[siblings[nearest]]
+        for j, s in zip(orphans, nearest.tolist()):
+            majority[j] = majority[siblings[s]]
 
     by_cluster = idx[np.argsort(result.assignments, kind="stable")]
     bounds = [0, *np.cumsum(result.counts).tolist()]
-    members = [by_cluster[a:b] for a, b in zip(bounds, bounds[1:])]
     finals: list[FinalCluster] = []
-    for j in range(k):
-        n_present = int(ncp[j])
-        if n_present == 0:
+    for j, row in enumerate(lsp):
+        members = by_cluster[bounds[j]:bounds[j + 1]]
+        if n_present[j] == 0:
             acceptance = ACCEPT_ORPHAN
             stats.orphan_count += 1
-        elif not over_threshold[j]:
-            acceptance = ACCEPT_PURE if n_present == 1 else ACCEPT_THRESHOLD
+        elif n_present[j] == 1:
+            acceptance = ACCEPT_PURE
+        # a minority class over th_percent of the majority's count forces a
+        # split; 100.0 * count / top rounds monotonically in count, so the
+        # largest minority count (the second of the sorted row) decides
+        elif 100.0 * sorted(row)[-2] / max(row) <= config.th_percent:
+            acceptance = ACCEPT_THRESHOLD
         else:
             min_size = config.min_cluster_size_for_recursion
             if min_size is None:
-                min_size = 2 * n_present
-            if members[j].size == idx.size:
+                min_size = 2 * n_present[j]
+            if members.size == idx.size:
                 acceptance = ACCEPT_NO_SPLIT
             elif depth >= config.max_recursion_depth:
                 acceptance = ACCEPT_DEPTH
-            elif members[j].size < min_size:
+            elif members.size < min_size:
                 acceptance = ACCEPT_SIZE
             else:
                 stats.recursion_calls += 1
                 finals.extend(
-                    _recurse(x, labels, members[j], n_classes, config, depth + 1, rng, stats)
+                    _recurse(x, labels, members, n_classes, config, depth + 1, rng, stats)
                 )
                 continue
             stats.fallback_counts[acceptance] = stats.fallback_counts.get(acceptance, 0) + 1
         finals.append(
             FinalCluster(
-                member_indices=members[j],
+                member_indices=members,
                 centroid=result.centroids[j],
-                label=int(majority[j]),
+                label=majority[j],
                 acceptance=acceptance,
                 depth=depth,
             )

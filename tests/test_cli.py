@@ -8,7 +8,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from textrkm import harness
+from textrkm import cli, harness
 from textrkm.cli import load_bundle, main, save_bundle
 from textrkm.corpus import TokenizerConfig, load_directory_corpus, read_split_manifest
 from textrkm.errors import DataError, InvariantError
@@ -297,9 +297,16 @@ def test_data_errors_exit_two(tmp_path):
 
 
 @pytest.mark.parametrize("fraction", ["0", "1.5"])
-def test_sweep_test_fraction_outside_zero_one_exits_two(tmp_path, corpus_tree, capsys, fraction):
+def test_sweep_test_fraction_outside_zero_one_exits_two(
+    tmp_path, corpus_tree, capsys, monkeypatch, fraction
+):
     _, tree = corpus_tree
     out = tmp_path / "out"
+
+    def no_load(*args, **kwargs):
+        raise AssertionError("the corpus was read before the fraction was checked")
+
+    monkeypatch.setattr(cli, "load_directory_corpus", no_load)
     assert main([
         "sweep", "--corpus", str(tree), "--test-fraction", fraction, "--trials", "1", "--out", str(out),
     ]) == 2

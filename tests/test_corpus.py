@@ -168,6 +168,71 @@ def test_reading_many_small_files_keeps_a_bounded_peak(tmp_path):
     assert many < few + budget
 
 
+def read_encoding(files, budget):
+    reader = DocumentReader(TokenizerConfig())
+    with mock.patch.object(corpus_module, "READ_BATCH_BYTES", budget):
+        skipped = reader.read(files)
+    return reader, skipped
+
+
+def test_reading_a_large_file_keeps_a_bounded_peak(tmp_path):
+    """A file of eight batch budgets is tokenized in pieces: the peak stays a
+    small multiple of the budget, and the encoding is the one the whole file
+    read as one batch gives."""
+    rng = np.random.default_rng(0)
+    words = [f"word{i:03d}" for i in range(400)]
+    budget = corpus_module.READ_BATCH_BYTES
+    files = write_files(tmp_path, [" ".join(rng.choice(words, budget)).encode()])  # 8 x budget
+    tracemalloc.start()
+    try:
+        reader, skipped = read_encoding(files, budget)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # the ids kept take 4 x budget; the whole file as one batch peaks at ~60 x
+    assert peak < 16 * budget
+    whole, whole_skipped = read_encoding(files, 16 * budget)
+    assert skipped == whole_skipped == [] and reader.doc_ids == whole.doc_ids
+    enc, whole_enc = reader.encoding(), whole.encoding()
+    assert list(enc.terms) == list(whole_enc.terms)
+    assert np.array_equal(enc.ids, whole_enc.ids) and np.array_equal(enc.indptr, whole_enc.indptr)
+
+
+def test_a_large_file_failing_midway_leaves_no_trace(tmp_path, monkeypatch):
+    """A read error after some pieces of a file were added makes the file
+    unreadable and forgets its tokens and the words only it held."""
+    files = write_files(tmp_path, [b"ab cd", b"gh ij cd ef", b"ef ab"])
+
+    class FailingOs:
+        """``os`` as the reader sees it: reads fail after the first one."""
+
+        reads = 0
+
+        def __getattr__(self, name):
+            return getattr(os, name)
+
+        def read(self, fd, n):
+            self.reads += 1
+            if self.reads > 1:
+                raise OSError("read error")
+            return os.read(fd, n)
+
+    reader = DocumentReader(TokenizerConfig(min_token_len=1))
+    expected = DocumentReader(TokenizerConfig(min_token_len=1))
+    expected_skipped = expected.read(files[::2])
+    with mock.patch.object(corpus_module, "READ_BATCH_BYTES", 4):
+        skipped = reader.read(files[:1])
+        monkeypatch.setattr(corpus_module, "os", FailingOs())
+        skipped += reader.read(files[1:2])  # "gh " is added before the error
+        monkeypatch.setattr(corpus_module, "os", os)
+        skipped += reader.read(files[2:])
+    assert skipped == [("d01", "unreadable")] and expected_skipped == []
+    assert reader.doc_ids == expected.doc_ids == ["d00", "d02"]
+    enc, expected_enc = reader.encoding(), expected.encoding()
+    assert list(enc.terms) == list(expected_enc.terms) == ["ab", "cd", "ef"]
+    assert np.array_equal(enc.ids, expected_enc.ids) and np.array_equal(enc.indptr, expected_enc.indptr)
+
+
 @settings(max_examples=200, deadline=None)
 @given(
     text=st.text(st.characters(codec=None, categories=None), max_size=40)

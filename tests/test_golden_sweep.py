@@ -2,8 +2,9 @@
 
 The files under ``tests/data/golden_sweep`` were written by an earlier
 version of the program; any change to the bits of the split, the masking,
-the embedding, the k-means or the scoring fails this test. Cosine runs are
-left out: they rank with a BLAS product whose bits vary between BLAS builds.
+the embedding, the k-means, the recursion's decisions or the scoring fails
+this test. Cosine runs are left out: they rank with a BLAS product whose
+bits vary between BLAS builds.
 
 To rewrite the files after a deliberate change of outputs, run
 ``PYTHONPATH=src:tests python tests/test_golden_sweep.py``.
@@ -11,6 +12,7 @@ To rewrite the files after a deliberate change of outputs, run
 import hashlib
 import json
 import sys
+from dataclasses import asdict
 from pathlib import Path
 
 from textrkm import harness
@@ -33,9 +35,10 @@ def digest(a) -> str:
 
 
 def sweep_outputs(out_dir: Path, monkeypatch) -> tuple[dict[str, bytes], list[dict], int]:
-    """The sweep's CSV files, one digest triple per trial (its manifest, its
-    training matrix and its trained centroids), and the deepest recursion
-    level reached."""
+    """The sweep's CSV files, one record per trial, and the deepest recursion
+    level reached. A trial's record holds digests of its manifest, its
+    training matrix, its trained centroids and each final cluster's label,
+    acceptance reason and depth, and the model's ``RunStats``."""
     built = []
 
     def recording_build_model(x, *args, **kwargs):
@@ -52,7 +55,10 @@ def sweep_outputs(out_dir: Path, monkeypatch) -> tuple[dict[str, bytes], list[di
     digests = [
         {"ratio": ratio_str(rec.ratio), "trial": rec.trial,
          "manifest": digest((files["manifests"] / name).read_bytes()),
-         "training_matrix": digest(x), "centroids": digest(model.centroids)}
+         "training_matrix": digest(x), "centroids": digest(model.centroids),
+         "decisions": digest(json.dumps(
+             [[c.label, c.acceptance, c.depth] for c in model.clusters]).encode()),
+         "stats": asdict(model.stats)}
         for rec, name, (x, model) in zip(table.records, names, built)
     ]
     depth = max(c.depth for _, model in built for c in model.clusters)

@@ -126,16 +126,25 @@ def test_euclidean_matches_unblocked_on_random_shapes_and_scales(
         assert_matches_unblocked(kernels.as_points(x), kernels.as_points(c))
 
 
+def sums_cases(seed):
+    """``(x, assign, n_clusters)`` with -0.0 entries mixed in and one cluster
+    left empty, then a cluster whose members are all -0.0 in a column."""
+    rng = np.random.default_rng(seed)
+    for x, c in random_instances(seed=seed):
+        x[rng.random(x.shape) < 0.3] = -0.0
+        yield x, rng.integers(0, c.shape[0], size=x.shape[0]), c.shape[0] + 1
+    yield np.array([[-0.0, 1.0], [-0.0, -0.0], [2.0, -0.0]]), np.array([0, 0, 1]), 2
+
+
 def test_centroid_sums_are_bit_identical_to_add_at():
-    rng = np.random.default_rng(1)
-    for x, c in random_instances(seed=1):
-        n_clusters = c.shape[0] + 1  # one cluster left empty
-        assign = rng.integers(0, c.shape[0], size=x.shape[0])
-        sums, counts = kernels.centroid_sums(x, assign, n_clusters)
+    for x, assign, n_clusters in sums_cases(seed=1):
         ref_sums, ref_counts = add_at_sums(x, assign, n_clusters)
-        assert counts.dtype == np.int64
-        assert np.array_equal(counts, ref_counts)
-        assert sums.tobytes() == ref_sums.tobytes()  # signed zeros included
+        # keyed sums, and sums by column from the column-major copy
+        for columns in (None, np.ascontiguousarray(x.T)):
+            sums, counts = kernels.centroid_sums(x, assign, n_clusters, columns=columns)
+            assert counts.dtype == np.int64
+            assert np.array_equal(counts, ref_counts)
+            assert sums.tobytes() == ref_sums.tobytes()  # signed zeros included
 
 
 def traced_peak(f, *args):

@@ -163,10 +163,16 @@ def lloyd_cases():
     # lattice points: exact ties between centroids on every pass
     lattice = rng.integers(-2, 3, size=(400, 3)).astype(float)
     yield lattice, lattice[:6], 100
+    # COLUMN_SUM_ROWS rows or more, summed column by column: two equal seeds
+    # empty the last cluster on the first pass, and a run cut off early
+    big, _, _ = make_point_cloud(n_classes=4, points_per_class=kernels.COLUMN_SUM_ROWS // 4 + 8,
+                                 dim=5, sigma=2.0, seed=6)
+    yield big, np.vstack([big[:3], big[:1]]), 100
+    yield big, big[:5], 2
 
 
 def test_kmeans_is_bit_identical_to_the_reference_lloyd_loop():
-    capped = reseeded = 0
+    capped = reseeded = by_column = 0
     for x, seeds, cap in lloyd_cases():
         config = KMeansConfig(max_iterations=cap)
         res = kmeans(x, seeds, config)
@@ -179,12 +185,15 @@ def test_kmeans_is_bit_identical_to_the_reference_lloyd_loop():
         assert (res.n_iter, res.sse_history) == (n_iter, history)
         capped += n_iter == cap
         reseeded += len(counts) < len(seeds)
-    assert capped >= 4 and reseeded >= 2
+        by_column += len(x) >= kernels.COLUMN_SUM_ROWS
+    assert capped >= 5 and reseeded >= 2 and by_column == 2
 
 
 def test_kmeans_calls_each_kernel_once_per_iteration(monkeypatch):
     # the benchmark's tracer rebinds these two names and reads (x, centroids,
-    # metric) and (x, assign, n_clusters) from these positions
+    # metric) and (x, assign, n_clusters) from these positions; the keywords
+    # carry what the run computes once: the points' norms and, for a large
+    # run, their column-major copy
     calls = []
 
     def counting(name, fn):
@@ -201,8 +210,15 @@ def test_kmeans_calls_each_kernel_once_per_iteration(monkeypatch):
             calls.clear()
             res = kmeans(x, seeds, KMeansConfig(distance=distance, max_iterations=cap))
             assert [c[0] for c in calls] == ["assign", "sums"] * res.n_iter
+            norms, columns = calls[0][2]["norms"], calls[1][2]["columns"]
+            assert norms.tobytes() == kernels.row_norms(x, distance).tobytes()
+            if len(x) >= kernels.COLUMN_SUM_ROWS:
+                assert columns.flags.c_contiguous and np.array_equal(columns, x.T)
+            else:
+                assert columns is None
             for (_, a_args, a_kw, (assign, _)), (_, s_args, s_kw, _) in zip(calls[::2], calls[1::2]):
-                assert a_kw == {} and s_kw == {}
+                assert a_kw.keys() == {"norms"} and a_kw["norms"] is norms
+                assert s_kw.keys() == {"columns"} and s_kw["columns"] is columns
                 xa, centroids, metric = a_args
                 xs, assigned, n_clusters = s_args
                 assert xa.shape == xs.shape == x.shape
