@@ -16,7 +16,7 @@ from .classifier import classify_batch
 from .corpus import (
     Corpus, DocumentReader, TokenizerConfig, load_directory_corpus, mask_labels, scan_directory,
 )
-from .errors import DataError, InvariantError
+from .errors import DataError, InvariantError, json_field
 from .evaluation import align_labels, confusion, format_report, score
 from .harness import SweepConfig, default_ratio_grid, emit_results, fit, ratio_str, run_sweep
 from .representation import TermClassWeights, embed_corpus, weights_from_dict, weights_to_dict
@@ -54,32 +54,29 @@ def load_bundle(path: str | Path) -> tuple[ClusterModel, TermClassWeights, Token
     """Read a version-3 bundle, or a version-1 or -2 one; anything else raises DataError."""
     try:
         payload = json.loads(Path(path).read_text(encoding="utf-8"))
-    except (OSError, UnicodeDecodeError, json.JSONDecodeError) as exc:
+    except (OSError, UnicodeDecodeError, ValueError, RecursionError) as exc:
+        # bad JSON, an integer past the int-string limit, or nesting too deep
         raise DataError(f"cannot read model bundle {path}: {exc}") from exc
     if not isinstance(payload, dict) or payload.get("format") != _BUNDLE_FORMAT:
         raise DataError(f"{path} is not a model bundle")
-    version = payload.get("version")
+    version = json_field(payload, "version", int)
     if version not in (1, 2, 3):
         raise DataError(f"{path}: unsupported bundle version {version!r}")
     read_model = model_from_v1_dict if version == 1 else model_from_dict
     try:
-        return (
-            read_model(payload["model"]),
-            weights_from_dict(payload["weights"], version),
-            TokenizerConfig.from_dict(payload["tokenizer"]),
-        )
-    except (KeyError, TypeError, ValueError, AttributeError, OverflowError) as exc:
-        raise DataError(f"malformed model bundle {path}: {type(exc).__name__}: {exc}") from exc
-    except InvariantError as exc:  # the file is at fault, not the program
-        raise DataError(f"inconsistent model bundle {path}: {exc}") from exc
+        model = read_model(json_field(payload, "model", dict))
+        weights = weights_from_dict(json_field(payload, "weights", dict), version)
+        tokenizer = TokenizerConfig.from_dict(json_field(payload, "tokenizer", dict))
+    except (OverflowError, InvariantError) as exc:  # too large a number; parts that disagree
+        raise DataError(f"malformed model bundle {path}: {exc}") from exc
+    if weights.class_names != model.class_names or len(set(model.class_names)) < model.n_classes:
+        raise DataError(f"{path}: the weights and the model must list the same distinct class names")
+    return model, weights, tokenizer
 
 
 def _tokenizer_from_args(args) -> TokenizerConfig:
-    stopwords: frozenset[str] = frozenset()
-    if args.stopwords:
-        words = Path(args.stopwords).read_text(encoding="utf-8").split()
-        stopwords = frozenset(w.lower() for w in words)
-    return TokenizerConfig(min_token_len=args.min_token_len, stopwords=stopwords)
+    words = Path(args.stopwords).read_text(encoding="utf-8").split() if args.stopwords else ()
+    return TokenizerConfig(args.min_token_len, frozenset(w.lower() for w in words))
 
 
 def _recursive_config_from_args(args) -> RecursiveConfig:
@@ -99,6 +96,8 @@ def _warn_skipped(base: Path, skipped: Iterable[tuple[str, str]]) -> None:
 
 
 def cmd_train(args) -> int:
+    if args.seed < 0:  # numpy seeds are non-negative
+        raise DataError(f"--seed must be >= 0, got {args.seed}")
     tokenizer = _tokenizer_from_args(args)
     corpus = load_directory_corpus(args.corpus, tokenizer)
     _warn_skipped(Path(args.corpus), corpus.skipped)

@@ -21,7 +21,7 @@ from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
-from .errors import DataError
+from .errors import DataError, json_field
 
 UNLABELED = -1
 STRIP_PATTERN = r"[^a-z0-9]+"
@@ -50,13 +50,14 @@ class TokenizerConfig:
 
     @staticmethod
     def from_dict(d: Mapping) -> "TokenizerConfig":
-        """Inverse of ``to_dict``; a missing or other strip pattern raises DataError."""
-        if "strip_pattern" not in d or d["strip_pattern"] != STRIP_PATTERN:
+        """Inverse of ``to_dict``; another strip pattern, or stopwords not sorted
+        and distinct as ``to_dict`` writes them, raise DataError."""
+        if d.get("strip_pattern") != STRIP_PATTERN:
             raise DataError(f"tokenizer strip_pattern must be {STRIP_PATTERN!r}")
-        return TokenizerConfig(
-            min_token_len=int(d["min_token_len"]),
-            stopwords=frozenset(d["stopwords"]),
-        )
+        stopwords = json_field(d, "stopwords", list[str])
+        if stopwords != sorted(set(stopwords)):
+            raise DataError("tokenizer stopwords must be sorted and distinct")
+        return TokenizerConfig(json_field(d, "min_token_len", int), frozenset(stopwords))
 
 
 @dataclass(frozen=True, eq=False)

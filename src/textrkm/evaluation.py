@@ -81,11 +81,9 @@ class EvalReport:
             "micro_recall": self.micro[1],
             "micro_f": self.micro[2],
         }
-        for i, name in enumerate(names):
-            out[f"precision_{name}"] = float(self.per_class[i, 0])
-            out[f"recall_{name}"] = float(self.per_class[i, 1])
-            out[f"f_{name}"] = float(self.per_class[i, 2])
-            out[f"support_{name}"] = float(self.support[i])
+        for name, (p, r, f), n in zip(names, self.per_class.tolist(), self.support.tolist()):
+            out |= {f"precision_{name}": p, f"recall_{name}": r, f"f_{name}": f,
+                    f"support_{name}": float(n)}
         return out
 
 
@@ -97,23 +95,20 @@ def score(cm: np.ndarray) -> EvalReport:
     total = int(cm.sum())
     if total < 1:
         raise DataError("empty confusion matrix")
-    k = cm.shape[0]
     tp = np.diag(cm).astype(np.float64)
     fp = cm.sum(axis=0).astype(np.float64) - tp
     fn = cm.sum(axis=1).astype(np.float64) - tp
-    per_class = np.zeros((k, 3), dtype=np.float64)
-    for c in range(k):
-        per_class[c] = _prf(tp[c], fp[c], fn[c])
-    macro = tuple(float(v) for v in per_class.mean(axis=0))
+    per_class = np.array(list(map(_prf, tp.tolist(), fp.tolist(), fn.tolist())), dtype=np.float64)
+    macro = tuple(per_class.mean(axis=0).tolist())
     micro = _prf(float(tp.sum()), float(fp.sum()), float(fn.sum()))
     support = cm.sum(axis=1)
     return EvalReport(
         accuracy=float(tp.sum()) / total,
         per_class=per_class,
         macro=macro,
-        micro=tuple(float(v) for v in micro),
+        micro=micro,
         support=support,
-        zero_support_classes=tuple(int(c) for c in np.flatnonzero(support == 0)),
+        zero_support_classes=tuple(np.flatnonzero(support == 0).tolist()),
     )
 
 

@@ -13,7 +13,7 @@ import dataclasses
 import json
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Mapping
+from typing import Mapping, get_origin, get_type_hints
 
 import numpy as np
 
@@ -32,10 +32,10 @@ from .corpus import (
     split_train_test,
     write_split_manifest,
 )
-from .errors import DataError, InvariantError
+from .errors import DataError, InvariantError, json_field
 from .evaluation import EvalReport, confusion, score
 from .representation import TermClassWeights, check_smoothing, embed_corpus, fit_term_weights
-from .rkmeans import ClusterModel, KMeansConfig, RecursiveConfig, build_model
+from .rkmeans import ClusterModel, RecursiveConfig, build_model
 
 SWEEP_METRICS = ("accuracy", "macro_precision", "macro_recall", "macro_f", "micro_f")
 
@@ -60,75 +60,60 @@ class SweepConfig:
     def __post_init__(self):
         if self.trials_per_ratio < 1:
             raise DataError("trials_per_ratio must be >= 1")
+        if self.base_seed < 0:  # numpy seeds are non-negative
+            raise DataError(f"base_seed must be >= 0, got {self.base_seed}")
         if not self.ratio_grid:
             raise DataError("ratio_grid is empty")
+        if any(len(r) != 2 or min(r) < 1 for r in self.ratio_grid):
+            raise DataError("ratio grid entries must be pairs of parts >= 1")
         totals = {a + b for a, b in self.ratio_grid}
         if len(totals) != 1:
             raise DataError(f"ratio grid pairs must share one total, got totals {sorted(totals)}")
-        if any(a < 1 or b < 1 for a, b in self.ratio_grid):
-            raise DataError("ratio parts must be >= 1")
+        if self.unlabeled_pool_size is not None and self.unlabeled_pool_size < 0:
+            raise DataError(f"unlabeled_pool_size must be >= 0, got {self.unlabeled_pool_size}")
         check_test_fraction(self.test_fraction)
         check_smoothing(self.smoothing)
 
     def to_dict(self) -> dict:
-        km = self.recursive.kmeans
-        return {
-            "ratio_grid": [list(r) for r in self.ratio_grid],
-            "trials_per_ratio": self.trials_per_ratio,
-            "base_seed": self.base_seed,
-            "test_fraction": self.test_fraction,
-            "smoothing": self.smoothing,
-            "th_percent": self.recursive.th_percent,
-            "max_recursion_depth": self.recursive.max_recursion_depth,
-            "min_cluster_size_for_recursion": self.recursive.min_cluster_size_for_recursion,
-            "distance": km.distance,
-            "max_iterations": km.max_iterations,
-            "centroid_shift_tolerance": km.centroid_shift_tolerance,
-            "tokenizer": self.tokenizer.to_dict(),
-            "unlabeled_pool_size": self.unlabeled_pool_size,
-            "transductive": self.transductive,
-        }
+        """One key per field: ``recursive`` flattened in place, ``rng_seed`` (set per trial) left out."""
+        return _flat_fields(self)
 
     @staticmethod
     def from_dict(d: Mapping) -> "SweepConfig":
-        """Inverse of ``to_dict``; a malformed payload raises DataError.
-
-        Older files also hold ``"empty_cluster_policy": "reseed_farthest"``,
-        the only policy there is now.
-        """
-        try:
-            config = SweepConfig(
-                ratio_grid=tuple((int(a), int(b)) for a, b in d["ratio_grid"]),
-                trials_per_ratio=int(d["trials_per_ratio"]),
-                base_seed=int(d["base_seed"]),
-                test_fraction=float(d["test_fraction"]),
-                smoothing=float(d["smoothing"]),
-                recursive=RecursiveConfig(
-                    th_percent=float(d["th_percent"]),
-                    max_recursion_depth=int(d["max_recursion_depth"]),
-                    min_cluster_size_for_recursion=(
-                        None
-                        if d["min_cluster_size_for_recursion"] is None
-                        else int(d["min_cluster_size_for_recursion"])
-                    ),
-                    kmeans=KMeansConfig(
-                        distance=str(d["distance"]),
-                        max_iterations=int(d["max_iterations"]),
-                        centroid_shift_tolerance=float(d["centroid_shift_tolerance"]),
-                    ),
-                ),
-                tokenizer=TokenizerConfig.from_dict(d["tokenizer"]),
-                unlabeled_pool_size=(
-                    None if d["unlabeled_pool_size"] is None else int(d["unlabeled_pool_size"])
-                ),
-                transductive=bool(d["transductive"]),
-            )
-        except (KeyError, TypeError, ValueError) as exc:
-            raise DataError(f"malformed sweep config: {type(exc).__name__}: {exc}") from exc
+        """Inverse of ``to_dict``; a field missing or of another JSON type raises
+        DataError. Older files also hold ``"empty_cluster_policy":
+        "reseed_farthest"``, the only policy there is now."""
         policy = d.get("empty_cluster_policy", "reseed_farthest")
         if policy != "reseed_farthest":
             raise DataError(f"malformed sweep config: unknown empty_cluster_policy {policy!r}")
-        return config
+        return _from_flat_fields(SweepConfig, d)
+
+
+def _flat_fields(config) -> dict:
+    out = {}
+    for f in dataclasses.fields(config):
+        value = getattr(config, f.name)
+        if isinstance(value, TokenizerConfig):
+            out[f.name] = value.to_dict()
+        elif dataclasses.is_dataclass(value):
+            out |= _flat_fields(value)
+        elif f.name != "rng_seed":
+            out[f.name] = [list(pair) for pair in value] if isinstance(value, tuple) else value
+    return out
+
+
+def _from_flat_fields(cls, d: Mapping):
+    kwargs = {}
+    for name, kind in get_type_hints(cls).items():
+        if kind is TokenizerConfig:
+            kwargs[name] = TokenizerConfig.from_dict(json_field(d, name, dict))
+        elif dataclasses.is_dataclass(kind):
+            kwargs[name] = _from_flat_fields(kind, d)
+        elif get_origin(kind) is tuple:
+            kwargs[name] = tuple(map(tuple, json_field(d, name, list[list[int]])))
+        elif name != "rng_seed":
+            kwargs[name] = json_field(d, name, kind)
+    return cls(**kwargs)
 
 
 @dataclass
@@ -246,29 +231,12 @@ class SweepTable:
 def aggregate_rows(records: list[TrialResult]) -> list[SweepRow]:
     """One row per (ratio, metric): max/min/mean/std over successful trials."""
     rows: list[SweepRow] = []
-    ratios: list[tuple[int, int]] = []
-    for rec in records:
-        if rec.ratio not in ratios:
-            ratios.append(rec.ratio)
-    for ratio in ratios:
+    for ratio in dict.fromkeys(r.ratio for r in records):  # in first-seen order
         ok = [r for r in records if r.ratio == ratio and r.error is None]
         for metric in SWEEP_METRICS:
             values = np.array([r.metrics[metric] for r in ok], dtype=np.float64)
-            if values.size:
-                stats = (values.max(), values.min(), values.mean(), values.std())
-            else:
-                stats = (np.nan,) * 4
-            rows.append(
-                SweepRow(
-                    ratio=ratio,
-                    metric=metric,
-                    vmax=float(stats[0]),
-                    vmin=float(stats[1]),
-                    mean=float(stats[2]),
-                    std=float(stats[3]),
-                    n_trials=len(ok),
-                )
-            )
+            stats = (values.max(), values.min(), values.mean(), values.std()) if ok else (np.nan,) * 4
+            rows.append(SweepRow(ratio, metric, *map(float, stats), n_trials=len(ok)))
     return rows
 
 

@@ -9,14 +9,15 @@ the integer term/class counts and ``s``; a bundle stores the counts.
 """
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass
-from itertools import repeat
+from itertools import chain, repeat
 from typing import Sequence
 
 import numpy as np
 
 from .corpus import UNLABELED, Corpus
-from .errors import DataError
+from .errors import DataError, json_field, json_fields
 
 # ``embed_corpus`` stops its per-position loop where finishing the longer
 # documents one by one costs fewer numpy passes, one document counting as
@@ -86,11 +87,10 @@ def term_class_counts(corpus: Corpus) -> tuple[dict[str, int], np.ndarray]:
 
 
 def check_smoothing(smoothing: float) -> float:
-    """``smoothing`` as a float; DataError unless it is >= 0."""
-    smoothing = float(smoothing)
-    if not smoothing >= 0:
-        raise DataError(f"smoothing must be >= 0, got {smoothing}")
-    return smoothing
+    """``smoothing`` as a float; DataError unless it is finite and >= 0."""
+    if not 0 <= smoothing <= sys.float_info.max:  # an int past it would not convert
+        raise DataError(f"smoothing must be >= 0 and finite, got {smoothing}")
+    return float(smoothing)
 
 
 def weights_from_counts(
@@ -205,32 +205,38 @@ def weights_from_dict(d: dict, version: int = 3) -> TermClassWeights:
 
     Counts must be integers in ``[1, 2**53)``, which float64 holds exactly.
     Versions 1 and 2 stored the table itself and no counts. A malformed
-    payload raises ``DataError``, or ``KeyError``, ``TypeError``,
-    ``ValueError`` or ``OverflowError``, which the bundle loader turns into
-    ``DataError``.
+    payload raises ``DataError``, or ``OverflowError`` for an integer past
+    int64, which the bundle loader turns into ``DataError``.
     """
-    terms, class_names = d["terms"], tuple(d["class_names"])
-    vocabulary = {t: i for i, t in enumerate(terms)}
+    terms = json_field(d, "terms", list[str])
+    class_names = tuple(json_field(d, "class_names", list[str]))
+    smoothing = check_smoothing(json_field(d, "smoothing", float))
+    vocabulary = dict(zip(terms, range(len(terms))))
     if version < 3:
-        weights = np.array(d["weights"], dtype=np.float64).reshape(len(terms), len(class_names))
-        oov = np.array(d["oov_weight"], dtype=np.float64)
-        w = TermClassWeights(vocabulary, weights, oov, float(d["smoothing"]), class_names)
+        rows = json_field(d, "weights", list[list[float]])
+        if len(rows) != len(terms) or not set(map(len, rows)) <= {len(class_names)}:
+            raise DataError("weight matrix shape does not match vocabulary/classes")
+        weights = np.array(rows, dtype=np.float64).reshape(len(terms), len(class_names))
+        oov = np.array(json_field(d, "oov_weight", list[float]), dtype=np.float64)
+        w = TermClassWeights(vocabulary, weights, oov, smoothing, class_names)
         w.validate()
         return w
-    if len(d["counts"]) != len(class_names):
-        raise DataError("one counts entry per class expected")
+    entries = json_field(d, "counts", list[dict])
+    ids, n = json_fields(entries, "term_ids", list[int]), json_fields(entries, "counts", list[int])
+    lengths = list(map(len, ids))
+    if len(entries) != len(class_names) or lengths != list(map(len, n)):
+        raise DataError("one counts entry per class expected, with one count per term id")
+    columns = np.repeat(np.arange(len(class_names)), lengths)
+    ids = np.fromiter(chain.from_iterable(ids), np.int64, len(columns))
+    n = np.fromiter(chain.from_iterable(n), np.int64, len(columns))
+    # within a class, ids increase exactly where these keys do
+    keys = columns * len(terms) + ids
+    if not (
+        np.all((ids >= 0) & (ids < len(terms))) and np.all(np.diff(keys) > 0)
+        and np.all((n >= 1) & (n < 2**53))
+    ):
+        raise DataError(f"term ids must increase in [0, {len(terms)}) within each class, "
+                        "with one count in [1, 2**53) each")
     counts = np.zeros((len(terms), len(class_names)), dtype=np.float64)
-    for c, entry in enumerate(d["counts"]):
-        ids, n = entry["term_ids"], entry["counts"]
-        if not (isinstance(ids, list) and isinstance(n, list) and set(map(type, ids + n)) <= {int}):
-            raise DataError(f"class {c}: term ids and counts must be lists of integers")
-        ids, n = np.array(ids, dtype=np.int64), np.array(n, dtype=np.int64)
-        if not (
-            ids.shape == n.shape
-            and np.all(ids[1:] > ids[:-1]) and np.all((ids >= 0) & (ids < len(terms)))
-            and np.all((n >= 1) & (n < 2**53))
-        ):
-            raise DataError(f"class {c}: term ids must increase in [0, {len(terms)}), "
-                            "with one count in [1, 2**53) each")
-        counts[ids, c] = n
-    return weights_from_counts(vocabulary, counts, d["smoothing"], class_names)
+    counts[ids, columns] = n
+    return weights_from_counts(vocabulary, counts, smoothing, class_names)

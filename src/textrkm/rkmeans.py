@@ -17,13 +17,14 @@ the same partition.
 """
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass, field, fields
-from typing import Sequence
+from dataclasses import asdict, dataclass, field
+from itertools import chain
+from typing import Sequence, get_type_hints
 
 import numpy as np
 
 from . import kernels
-from .errors import DataError, InvariantError
+from .errors import DataError, InvariantError, json_field, json_fields
 
 # acceptance reasons recorded on every final cluster
 ACCEPT_PURE = "pure"                 # single labeled class present
@@ -203,6 +204,8 @@ class RunStats:
         return sum(self.fallback_counts.values())
 
 
+_RUN_STATS_TYPES = get_type_hints(RunStats)
+
 
 def _recurse(
     x: np.ndarray,
@@ -372,16 +375,11 @@ class ClusterModel:
         if self.distance not in kernels.METRICS:
             raise InvariantError(f"unknown distance {self.distance!r}")
         n = self.n_training_points
-        if not all(isinstance(d, str) for d in self.training_doc_ids):
-            raise InvariantError("training doc ids must be strings")
         if self.labeled.shape != (n,):
             raise InvariantError("labeled mask length does not match the training points")
         all_members = np.sort(np.concatenate([c.member_indices for c in self.clusters]))
         if not np.array_equal(all_members, np.arange(n)):
             raise InvariantError("final clusters do not partition the training set")
-        for c in self.clusters:
-            if not 0 <= c.label < self.n_classes:
-                raise InvariantError("cluster label out of class range")
 
 
 def build_model(
@@ -435,8 +433,8 @@ def model_to_dict(model: ClusterModel) -> dict:
         "clusters": [
             {
                 "label": int(c.label),
-                "centroid": [float(v) for v in c.centroid],
-                "member_indices": [int(i) for i in c.member_indices],
+                "centroid": c.centroid.tolist(),
+                "member_indices": c.member_indices.tolist(),
                 "acceptance": c.acceptance,
                 "depth": c.depth,
             }
@@ -449,33 +447,35 @@ def model_to_dict(model: ClusterModel) -> dict:
 def model_from_dict(payload: dict) -> ClusterModel:
     """Inverse of ``model_to_dict``.
 
-    A malformed payload raises ``KeyError``, ``TypeError``, ``ValueError``,
-    ``OverflowError`` or ``InvariantError``; the bundle loader turns them
-    into ``DataError``.
+    A malformed payload raises ``DataError``, ``InvariantError``, or
+    ``OverflowError`` for a number past int64 or float64; the bundle loader
+    turns the last two into ``DataError``.
     """
-    clusters = [
-        FinalCluster(
-            member_indices=np.array(c["member_indices"], dtype=np.int64),
-            centroid=np.array(c["centroid"], dtype=np.float64),
-            label=int(c["label"]),
-            acceptance=c["acceptance"],
-            depth=int(c["depth"]),
-        )
-        for c in payload["clusters"]
-    ]
-    flags = list(payload["labeled"])
+    rows = json_field(payload, "clusters", list[dict])
+    centroids = json_fields(rows, "centroid", list[float])
+    if len(set(map(len, centroids))) != 1:
+        raise DataError("a model needs clusters whose centroids share one dimension")
+    labels = json_fields(rows, "label", int)
+    members = (np.array(m, dtype=np.int64) for m in json_fields(rows, "member_indices", list[int]))
+    centroids = np.array(centroids, dtype=np.float64)
+    clusters = list(map(
+        FinalCluster, members, centroids, labels,
+        json_fields(rows, "acceptance", str), json_fields(rows, "depth", int),
+    ))
+    flags = json_field(payload, "labeled", list[int])
     if not set(flags) <= {0, 1}:
-        raise ValueError("labeled mask entries must be 0 or 1")
-    s = payload["stats"]
+        raise DataError("labeled mask entries must be 0 or 1")
+    stats = json_field(payload, "stats", dict)
+    stats = RunStats(**{name: json_field(stats, name, kind) for name, kind in _RUN_STATS_TYPES.items()})
     model = ClusterModel(
-        centroids=np.vstack([c.centroid for c in clusters]),
-        labels=np.array([c.label for c in clusters], dtype=np.int64),
+        centroids=centroids,
+        labels=np.array(labels, dtype=np.int64),
         clusters=clusters,
-        distance=payload["distance"],
-        class_names=tuple(payload["class_names"]),
-        training_doc_ids=tuple(payload["training_doc_ids"]),
+        distance=json_field(payload, "distance", str),
+        class_names=tuple(json_field(payload, "class_names", list[str])),
+        training_doc_ids=tuple(json_field(payload, "training_doc_ids", list[str])),
         labeled=np.array(flags, dtype=bool),
-        stats=RunStats(**{f.name: s[f.name] for f in fields(RunStats)}),
+        stats=stats,
     )
     model.validate()
     return model
@@ -489,11 +489,14 @@ def model_from_v1_dict(payload: dict) -> ClusterModel:
     absent from those labels was labeled. Stored labels that disagree with
     the clusters raise ``DataError``.
     """
-    doc_ids = [None] * int(payload["n_training_points"])
-    for c in payload["clusters"]:
-        for i, doc_id in zip(c["member_indices"], c["member_doc_ids"], strict=True):
-            doc_ids[i] = doc_id
-    assigned = {k: int(v) for k, v in payload["training_label_assignments"].items()}
+    rows = json_field(payload, "clusters", list[dict])
+    positions = json_fields(rows, "member_indices", list[int])
+    doc_ids = json_fields(rows, "member_doc_ids", list[str])
+    if list(map(len, positions)) != list(map(len, doc_ids)):
+        raise DataError("a version-1 cluster lists one doc id per member")
+    members = sorted(zip(chain.from_iterable(positions), chain.from_iterable(doc_ids)))
+    doc_ids = [doc_id for _, doc_id in members]  # in position order; a non-partition fails validate()
+    assigned = json_field(payload, "training_label_assignments", dict[str, int])
     model = model_from_dict({
         **payload,
         "training_doc_ids": doc_ids,

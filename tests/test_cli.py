@@ -5,7 +5,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, event, given, settings
 from hypothesis import strategies as st
 
 from textrkm import cli, harness
@@ -476,7 +476,46 @@ BROKEN_BUNDLES = {
         **b["model"], "labeled": b["model"]["labeled"][1:]
     }},
     "unknown distance": lambda b: {**b, "model": {**b["model"], "distance": "manhattan"}},
+    "label a float": lambda b: _with_first_cluster(b, label=1.7),
+    "label a boolean": lambda b: _with_first_cluster(b, label=True),
+    "depth a float": lambda b: _with_first_cluster(b, depth=1.0),
+    "centroid of another dimension": lambda b: _with_first_cluster(b, centroid=[0.5]),
+    "smoothing a numeric string": lambda b: {**b, "weights": {**b["weights"], "smoothing": "1"}},
+    "smoothing infinite": lambda b: {**b, "weights": {**b["weights"], "smoothing": float("inf")}},
+    "smoothing past float64": lambda b: {**b, "weights": {**b["weights"], "smoothing": 10**400}},
+    "centroid past float64": lambda b: _with_first_cluster(b, centroid=[10**400] * 3),
+    "label past int64": lambda b: _with_first_cluster(b, label=10**30),
+    "run stat a string": lambda b: {**b, "model": {
+        **b["model"], "stats": {**b["model"]["stats"], "kmeans_runs": "many"}
+    }},
+    "fallback count a float": lambda b: {**b, "model": {
+        **b["model"], "stats": {**b["model"]["stats"], "fallback_counts": {"fallback_size": 1.5}}
+    }},
+    "stopwords a string": lambda b: {**b, "tokenizer": {**b["tokenizer"], "stopwords": "abc"}},
+    "stopwords unsorted": lambda b: {**b, "tokenizer": {**b["tokenizer"], "stopwords": ["b", "a"]}},
+    "min token length a boolean": lambda b: {**b, "tokenizer": {**b["tokenizer"], "min_token_len": True}},
+    "labeled flag a boolean": lambda b: {**b, "model": {
+        **b["model"], "labeled": [True] + b["model"]["labeled"][1:]
+    }},
+    "training doc id a number": lambda b: {**b, "model": {
+        **b["model"], "training_doc_ids": [0] + b["model"]["training_doc_ids"][1:]
+    }},
+    "weight class names reversed": lambda b: {**b, "weights": {
+        **b["weights"], "class_names": b["weights"]["class_names"][::-1]
+    }},
+    "class names repeated": lambda b: {
+        **b,
+        "weights": {**b["weights"], "class_names": ["a", "a", "b"]},
+        "model": {**b["model"], "class_names": ["a", "a", "b"]},
+    },
+    "version a boolean": lambda b: {**b, "version": True},
+    "version a float": lambda b: {**b, "version": 3.0},
 }
+
+
+def _with_first_cluster(b, **fields):
+    clusters = b["model"]["clusters"]
+    return {**b, "model": {**b["model"], "clusters": [{**clusters[0], **fields}] + clusters[1:]}}
 
 
 @pytest.mark.parametrize("case", sorted(BROKEN_BUNDLES))
@@ -490,6 +529,21 @@ def test_classify_malformed_bundle_exits_two(tmp_path, capsys, trained_bundle, c
     err = capsys.readouterr().err
     assert err.startswith("data error:")
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("text", [
+    "[" * 100_000 + "]" * 100_000,
+    '{"format": "textrkm-bundle", "version": ' + "9" * 5000 + "}",
+], ids=["nested too deep", "integer past the int-string limit"])
+def test_classify_unparseable_bundle_exits_two(tmp_path, capsys, trained_bundle, text):
+    _, tree = trained_bundle
+    bad = tmp_path / "bad.json"
+    bad.write_text(text)
+    capsys.readouterr()
+    rc = main(["classify", "--model", str(bad), "--input", str(tree), "--out", str(tmp_path / "p.tsv")])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.startswith("data error: cannot read model bundle") and err.count("\n") == 1
 
 
 def test_classify_non_utf8_bundle_exits_two(tmp_path, capsys, trained_bundle):
@@ -596,13 +650,14 @@ def test_version_one_bundle_with_inconsistent_labels_exits_two(tmp_path, capsys,
     assert "disagree" in capsys.readouterr().err
 
 
-def _draw_path(node, data) -> tuple:
-    """A position in a JSON tree, drawn one level at a time (None stops),
-    so that a schema key is as likely as a single centroid coordinate."""
+def _draw_path(node, data, to_leaf=False) -> tuple:
+    """A position in a JSON tree, drawn one level at a time (None stops,
+    unless ``to_leaf``), so that a schema key is as likely as a single
+    centroid coordinate."""
     path = ()
     while isinstance(node, (dict, list)) and node:
         keys = sorted(node) if isinstance(node, dict) else range(len(node))
-        key = data.draw(st.sampled_from([None, *keys]))
+        key = data.draw(st.sampled_from(list(keys) if to_leaf else [None, *keys]))
         if key is None:
             break
         path += (key,)
@@ -616,13 +671,28 @@ def _at(node, path):
     return node
 
 
+# drawn in place of a value: every JSON type, bools and numeric strings,
+# floats, ints past int64 and float64, and (as raw text, which ``json.dumps``
+# cannot write) nesting past the parser's limit and an integer past the
+# int-string limit
+MUTANT_VALUES = [
+    None, "", "1", "1.5", "true", "abc", "cosine", "pure", -1, 0, 1, 2, 10**30, 10**400,
+    -0.5, 0.0, 1.0, 1.7, 1e308, float("nan"), float("inf"), True, False,
+    [], [1], [0.5, 0.5, 0.5], ["a"], ["b", "a"], [[1.0]], {}, {"a": 1},
+]
+RAW_VALUES = {"@nested@": "[" * 100_000 + "]" * 100_000, "@huge@": "9" * 5000, "@deep@": "[" * 50 + "]" * 50}
+
+
 def _mutated_bundle_bytes(bundle: dict, data) -> bytes:
-    kind = data.draw(st.sampled_from(["drop a key", "replace a value", "truncate"]))
+    kind = data.draw(st.sampled_from([
+        "drop a key", "replace a value", "replace a leaf", "replace a leaf by one of its type",
+        "swap two siblings", "replace with raw text", "truncate",
+    ]))
     if kind == "truncate":
         raw = json.dumps(bundle).encode()
         return raw[: data.draw(st.integers(0, len(raw) - 1))]
     bundle = json.loads(json.dumps(bundle))  # a fresh copy to edit
-    path = _draw_path(bundle, data)
+    path = _draw_path(bundle, data, to_leaf="leaf" in kind)
     if kind == "drop a key":
         # the deepest non-empty object on the path; the bundle itself is one
         target = next(
@@ -630,12 +700,57 @@ def _mutated_bundle_bytes(bundle: dict, data) -> bytes:
             if isinstance(node, dict) and node
         )
         del target[data.draw(st.sampled_from(sorted(target)))]
+    elif kind == "swap two siblings":
+        # two values of the deepest container on the path with two or more
+        target = next(
+            (node for node in (_at(bundle, path[:i]) for i in range(len(path), -1, -1))
+             if isinstance(node, (dict, list)) and len(node) > 1),
+            None,
+        )
+        if target is not None:
+            keys = sorted(target) if isinstance(target, dict) else range(len(target))
+            a, b = data.draw(st.lists(st.sampled_from(keys), min_size=2, max_size=2, unique=True))
+            target[a], target[b] = target[b], target[a]
     else:
-        value = data.draw(st.sampled_from([None, "", -1, 1e308, 10**30, [], {}]))
+        values = MUTANT_VALUES
+        if kind == "replace with raw text":
+            values = sorted(RAW_VALUES)
+        elif kind.endswith("its type"):  # an int may stand for a float
+            old = type(_at(bundle, path))
+            values = [v for v in values if type(v) is old or (old, type(v)) == (float, int)] or values
+        value = data.draw(st.sampled_from(values))
         if not path:
-            return json.dumps(value).encode()
-        _at(bundle, path[:-1])[path[-1]] = value
-    return json.dumps(bundle).encode()
+            bundle = value
+        else:
+            _at(bundle, path[:-1])[path[-1]] = value
+    text = json.dumps(bundle)
+    for mark, raw in RAW_VALUES.items():
+        text = text.replace(json.dumps(mark), raw)
+    return text.encode()
+
+
+def _as_parsed(a, b) -> bool:
+    """Whether JSON value ``b`` is ``a``, except that an int may come back as
+    the float nearest to it: a bool is neither, and NaN is NaN."""
+    if type(a) is dict:
+        return type(b) is dict and a.keys() == b.keys() and all(_as_parsed(a[k], b[k]) for k in a)
+    if type(a) is list:
+        return type(b) is list and len(a) == len(b) and all(map(_as_parsed, a, b))
+    if type(a) is float and a != a:
+        return type(b) is float and b != b
+    if (type(a), type(b)) == (int, float):
+        return float(a) == b
+    return type(a) is type(b) and a == b
+
+
+def test_as_parsed_tells_bools_from_ints_and_allows_int_to_float():
+    assert _as_parsed({"a": [1, 2.5, float("nan")]}, {"a": [1.0, 2.5, float("nan")]})
+    assert _as_parsed(10**30, 1e30)
+    assert not _as_parsed([1], [True])
+    assert not _as_parsed([True], [1])
+    assert not _as_parsed([1.0], [1])
+    assert not _as_parsed({"a": 1}, {"a": 1, "b": 2})
+    assert not _as_parsed(["1"], [1])
 
 
 @pytest.fixture(scope="module")
@@ -662,6 +777,54 @@ def test_classify_mutated_bundle_exits_zero_or_two(small_bundle, capsys, data):
     assert "Traceback" not in err
     if rc == 2:  # after any "skipping empty document" warnings
         assert err.splitlines()[-1].startswith("data error:")
+
+
+@settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(data=st.data())
+def test_an_accepted_bundle_re_saves_to_its_input(small_bundle, data):
+    # the reader coerces nothing: whatever it accepts, the writer gives back
+    bundle, _, tmp = small_bundle
+    raw = _mutated_bundle_bytes(bundle, data)
+    path = tmp / "accepted.json"
+    path.write_bytes(raw)
+    try:
+        loaded = load_bundle(path)
+    except DataError:
+        event("rejected")
+        return
+    event("accepted")
+    save_bundle(path, *loaded)
+    assert _as_parsed(json.loads(raw), json.loads(path.read_text()))
+
+
+def _leaf_paths(node, path=()):
+    """Every path to a scalar or an empty container in a JSON tree."""
+    if isinstance(node, (dict, list)) and node:
+        for key in (node if isinstance(node, dict) else range(len(node))):
+            yield from _leaf_paths(node[key], path + (key,))
+    else:
+        yield path
+
+
+def test_every_field_given_every_value_is_rejected_or_re_saved_as_given(small_bundle):
+    # the property above, exhaustively: one leaf per schema position (the
+    # first cluster's label stands for every label) times every mutant value
+    bundle, _, tmp = small_bundle
+    leaves = {}
+    for path in _leaf_paths(bundle):
+        leaves.setdefault(tuple("*" if type(key) is int else key for key in path), path)
+    edited_path = tmp / "edited.json"
+    for path in leaves.values():
+        for value in MUTANT_VALUES:
+            edited = json.loads(json.dumps(bundle))
+            _at(edited, path[:-1])[path[-1]] = value
+            edited_path.write_text(json.dumps(edited))
+            try:
+                loaded = load_bundle(edited_path)
+            except DataError:
+                continue
+            save_bundle(edited_path, *loaded)
+            assert _as_parsed(edited, json.loads(edited_path.read_text())), (path, value)
 
 
 def test_eval_non_utf8_file_exits_two(tmp_path, capsys):
@@ -703,6 +866,85 @@ def test_sweep_exits_three_on_invariant_error(tmp_path, corpus_tree, monkeypatch
 def test_help_exits_zero(capsys):
     assert main(["--help"]) == 0
     capsys.readouterr()
+
+
+# what an option is given: negative, zero, not a number, infinite or huge
+ARGV_VALUES = ["-1", "0", "-0.5", "nan", "inf", "-inf", "1e400", "1e30", str(10**30)]
+
+
+@pytest.fixture(scope="module")
+def tiny_tree(tmp_path_factory):
+    tmp = tmp_path_factory.mktemp("tiny_tree")
+    tree = tmp / "corpus"
+    write_corpus_tree(make_text_corpus(n_classes=3, docs_per_class=4, doc_len=8, seed=6), tree)
+    bundle = tmp / "model.json"
+    assert main(["train", "--corpus", str(tree), "--labeled-frac", "0.5", "--model-out", str(bundle)]) == 0
+    return tree, bundle, tmp
+
+
+def _drawn_options(data, options: dict[str, list[str]]) -> list[str]:
+    """Up to two of ``options``, each with one of its values; the rest keep
+    the values given before them, or their defaults."""
+    argv = []
+    for option in data.draw(st.lists(st.sampled_from(sorted(options)), max_size=2, unique=True)):
+        argv += [option, data.draw(st.sampled_from(options[option]), label=option)]
+    return argv
+
+
+def _assert_exits_cleanly(argv, capsys):
+    capsys.readouterr()
+    rc = main(argv)
+    event(f"exit {rc}")
+    err = capsys.readouterr().err
+    assert rc in (0, 1, 2), err
+    assert "Traceback" not in err
+    if rc:
+        assert err.splitlines()[-1].startswith(("error:", "data error:")), err
+
+
+@settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(data=st.data())
+def test_train_options_exit_cleanly(tiny_tree, capsys, data):
+    tree, _, tmp = tiny_tree
+    argv = ["train", "--corpus", str(tree), "--labeled-frac", "0.5", "--model-out", str(tmp / "m.json")]
+    options = ["--labeled-frac", "--seed", "--th", "--smoothing", "--min-token-len", "--pool-size"]
+    _assert_exits_cleanly(argv + _drawn_options(data, dict.fromkeys(options, ARGV_VALUES)), capsys)
+
+
+@settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(data=st.data())
+def test_classify_paths_exit_cleanly(tiny_tree, capsys, data):
+    # names like the option values above, as missing files or earlier outputs
+    tree, bundle, tmp = tiny_tree
+    names = [tmp / v for v in ARGV_VALUES]
+    paths = {  # the valid path first
+        "--model": [bundle, tree, *names],
+        "--input": [tree, bundle, *names],
+        "--out": [tmp / "p.tsv", tree, *names],
+    }
+    broken = data.draw(st.lists(st.sampled_from(sorted(paths)), max_size=2, unique=True))
+    argv = ["classify"]
+    for option, (valid, *others) in paths.items():
+        argv += [option, str(data.draw(st.sampled_from(others)) if option in broken else valid)]
+    _assert_exits_cleanly(argv, capsys)
+
+
+@settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(data=st.data())
+def test_sweep_options_exit_cleanly(tiny_tree, capsys, data):
+    tree, _, tmp = tiny_tree
+    argv = ["sweep", "--corpus", str(tree), "--ratios", "5:45", "--trials", "1", "--out", str(tmp / "s")]
+    if data.draw(st.booleans()):
+        argv.append("--transductive")
+    options = {
+        "--ratios": ["0:50", "-1:51", "5:45,10:50", "nan:inf", "1e30:1", f"1:{10**30}"],
+        "--trials": ["-1", "0", "nan", "inf", "1e400"],  # never huge: each trial runs
+        **dict.fromkeys(
+            ["--base-seed", "--test-fraction", "--smoothing", "--th", "--pool-size", "--min-token-len"],
+            ARGV_VALUES,
+        ),
+    }
+    _assert_exits_cleanly(argv + _drawn_options(data, options), capsys)
 
 
 TSV_VALUES = ["", " ", "#", "x", "a", "b", "doc0", "doc1", "doc9", "a\tb", "0.5", "\xe9"]

@@ -316,8 +316,54 @@ def test_sweep_config_from_dict_reads_the_retired_policy_key():
 
 
 def test_sweep_config_from_dict_rejects_missing_field():
-    with pytest.raises(DataError, match="KeyError: 'trials_per_ratio'"):
+    with pytest.raises(DataError, match="field 'trials_per_ratio' is missing"):
         SweepConfig.from_dict({"ratio_grid": [[1, 49]]})
+
+
+@pytest.mark.parametrize("key, value", [
+    ("transductive", "false"),
+    ("transductive", 0),
+    ("trials_per_ratio", 2.9),
+    ("trials_per_ratio", True),
+    ("base_seed", "3"),
+    ("smoothing", "1"),
+    ("unlabeled_pool_size", 1.0),
+    ("min_cluster_size_for_recursion", False),
+    ("distance", None),
+    ("ratio_grid", [[1, 49.0]]),
+    ("ratio_grid", [[True, 49]]),
+    ("tokenizer", "abc"),
+])
+def test_sweep_config_from_dict_rejects_other_json_types(key, value):
+    d = SweepConfig().to_dict()
+    with pytest.raises(DataError, match=f"field '{key}' must be "):
+        SweepConfig.from_dict({**d, key: value})
+
+
+@pytest.mark.parametrize("key, value", [
+    ("base_seed", -1),
+    ("unlabeled_pool_size", -3),
+    ("smoothing", float("inf")),
+    ("smoothing", 10**400),
+    ("ratio_grid", [[1, 24, 25]]),
+])
+def test_sweep_config_rejects_values_every_trial_would_fail_on(key, value):
+    with pytest.raises(DataError, match="must be|pairs"):
+        SweepConfig.from_dict({**SweepConfig().to_dict(), key: value})
+
+
+def test_sweep_config_dict_is_derived_from_every_field():
+    tokenizer = {"min_token_len": 2, "stopwords": [], "strip_pattern": "[^a-z0-9]+"}
+    assert SweepConfig().to_dict() == {
+        "ratio_grid": [list(r) for r in default_ratio_grid()],
+        "trials_per_ratio": 20, "base_seed": 0, "test_fraction": 0.5, "smoothing": 1.0,
+        "th_percent": 5.0, "max_recursion_depth": 16, "min_cluster_size_for_recursion": None,
+        "distance": "euclidean", "max_iterations": 100, "centroid_shift_tolerance": 1e-6,
+        "tokenizer": tokenizer, "unlabeled_pool_size": None, "transductive": False,
+    }
+    # an int is read into a float field as it is, and compares equal
+    d = {**SweepConfig().to_dict(), "smoothing": 1, "th_percent": 5}
+    assert SweepConfig.from_dict(d) == SweepConfig()
 
 
 @pytest.mark.parametrize(
