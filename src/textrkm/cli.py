@@ -6,10 +6,14 @@ violation.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
+import os
+import secrets
 import sys
+from contextlib import contextmanager
 from pathlib import Path
-from typing import Iterable
+from typing import Iterable, Iterator, TextIO
 
 from . import kernels
 from .classifier import classify_batch
@@ -18,7 +22,9 @@ from .corpus import (
 )
 from .errors import DataError, InvariantError, json_field
 from .evaluation import align_labels, confusion, format_report, score
-from .harness import SweepConfig, default_ratio_grid, emit_results, fit, ratio_str, run_sweep
+from .harness import (
+    SweepConfig, default_ratio_grid, emit_results, fit, parse_ratio, ratio_str, run_sweep,
+)
 from .representation import TermClassWeights, embed_corpus, weights_from_dict, weights_to_dict
 from .rkmeans import (
     ClusterModel,
@@ -123,43 +129,72 @@ def cmd_train(args) -> int:
     return 0
 
 
-def _read_input(path: Path, tokenizer: TokenizerConfig, class_names: tuple[str, ...]) -> Corpus:
-    """An unlabeled corpus of the input files: every file directly under a
-    directory (id ``filename``) and every file one level down (id
-    ``subdir/filename``); labels implied by a class layout are ignored here.
-    An entry that is not a regular file is reported unreadable, and a name
-    that ``corpus._usable_name`` rejects badly named; neither is opened."""
+def _input_files(path: Path) -> tuple[Path, Iterator[tuple[str, str | None]]]:
+    """The directory doc ids name files under, and the ``(doc_id, path)`` of
+    the input files in order: every file directly under a directory (id
+    ``filename``) and every file one level down (id ``subdir/filename``);
+    labels implied by a class layout are ignored here. An entry that is not
+    a regular file has the path None. Every directory is listed here, so no
+    file made later, such as the output's, is an input."""
     if path.is_file():
-        base, files = path.parent, [(path.name, path)]
-    elif path.is_dir():
-        base, files = path, []
-        for name, is_dir, p in scan_directory(path):
-            if is_dir:
-                files += [(f"{name}/{f}", q) for f, sub, q in scan_directory(p) if not sub]
-            else:
-                files.append((name, p))
-    else:
+        return path.parent, iter([(path.name, path)])
+    if not path.is_dir():
         raise DataError(f"input path {path} does not exist")
-    if not files:
-        raise DataError(f"no input documents under {path}")
-    reader = DocumentReader(tokenizer)
-    _warn_skipped(base, reader.read(files))
-    if not reader.doc_ids:
-        raise DataError(f"no usable documents under {path}")
-    return Corpus(reader.doc_ids, [None] * len(reader.doc_ids), class_names, reader.encoding())
+    listing = scan_directory(path)
+    subdirs = {name: scan_directory(p) for name, is_dir, p in listing if is_dir}
+
+    def files():
+        for name, is_dir, p in listing:
+            if is_dir:
+                yield from ((f"{name}/{f}", q) for f, sub, q in subdirs[name] if not sub)
+            else:
+                yield name, p
+
+    return path, files()
+
+
+@contextmanager
+def _replacing(out: Path) -> Iterator[TextIO]:
+    """A new text file in ``out``'s directory that replaces ``out`` when the
+    block ends without an error, and is removed when it raises one: ``out``
+    is never left holding part of a result."""
+    tmp = out.parent / f".{out.name}.{secrets.token_hex(8)}.tmp"
+    fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
+    try:
+        with open(fd, "w", encoding="utf-8") as f:
+            yield f
+        os.replace(tmp, out)
+    except BaseException:
+        os.unlink(tmp)
+        raise
 
 
 def cmd_classify(args) -> int:
+    """Read, embed, classify and write the input one reader batch at a time,
+    each word read straight into its row of the bundle's weights."""
     model, weights, tokenizer = load_bundle(args.model)
-    batch = _read_input(Path(args.input), tokenizer, model.class_names)
-    x, kept_ids, _dropped = embed_corpus(batch, weights)
-    preds = classify_batch(x, model, kept_ids)
-    lines = [
-        f"{p.doc_id}\t{model.class_names[p.label]}\t{p.distance!r}" for p in preds
-    ]
-    out = Path(args.out)
-    out.write_text("\n".join(lines) + "\n", encoding="utf-8")
-    print(f"{len(preds)} predictions written to {out}")
+    path, out = Path(args.input), Path(args.out)
+    base, files = _input_files(path)
+    reader = DocumentReader(tokenizer, weights.vocabulary)
+    names = model.class_names
+    n_files = n_preds = 0
+    with _replacing(out) as f:
+        for skipped in reader.batches(files):
+            _warn_skipped(base, skipped)
+            n_files += len(skipped) + len(reader.doc_ids)
+            if not reader.doc_ids:
+                continue
+            doc_ids, encoding = reader.pop()
+            batch = Corpus(doc_ids, [None] * len(doc_ids), names, encoding)
+            x, kept_ids, _dropped = embed_corpus(batch, weights)
+            preds = classify_batch(x, model, kept_ids)
+            f.write("".join(f"{p.doc_id}\t{names[p.label]}\t{p.distance!r}\n" for p in preds))
+            n_preds += len(preds)
+        if not n_files:
+            raise DataError(f"no input documents under {path}")
+        if not n_preds:
+            raise DataError(f"no usable documents under {path}")
+    print(f"{n_preds} predictions written to {out}")
     return 0
 
 
@@ -195,8 +230,7 @@ def _parse_ratio_grid(text: str) -> tuple[tuple[int, int], ...]:
     pairs = []
     for part in text.split(","):
         try:
-            a, b = part.strip().split(":")
-            pairs.append((int(a), int(b)))
+            pairs.append(parse_ratio(part.strip()))
         except ValueError:
             raise _UsageError(
                 f"--ratios: {part.strip()!r} is not <labeled>:<unlabeled> in integers"
@@ -246,7 +280,9 @@ class _UsageError(Exception):
     pass
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The parser, built on the first call; every later call returns it."""
     parser = _Parser(prog="textrkm", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -268,18 +304,15 @@ def build_parser() -> argparse.ArgumentParser:
     p_train.add_argument("--seed", type=int, default=0)
     p_train.add_argument("--model-out", required=True)
     add_common_training_flags(p_train)
-    p_train.set_defaults(func=cmd_train)
 
     p_classify = sub.add_parser("classify", help="label documents with a trained model")
     p_classify.add_argument("--model", required=True)
     p_classify.add_argument("--input", required=True, help="document file or directory")
     p_classify.add_argument("--out", required=True)
-    p_classify.set_defaults(func=cmd_classify)
 
     p_eval = sub.add_parser("eval", help="score a predictions file against ground truth")
     p_eval.add_argument("--predictions", required=True)
     p_eval.add_argument("--truth", required=True)
-    p_eval.set_defaults(func=cmd_eval)
 
     p_sweep = sub.add_parser("sweep", help="run the labeled:unlabeled ratio sweep")
     p_sweep.add_argument("--corpus", required=True)
@@ -292,7 +325,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_sweep.add_argument("--transductive", action="store_true",
                          help="include test documents, unlabeled, during training")
     add_common_training_flags(p_sweep)
-    p_sweep.set_defaults(func=cmd_sweep)
     return parser
 
 
@@ -306,7 +338,8 @@ def main(argv=None) -> int:
     except SystemExit as exc:  # --help and friends
         return 0 if exc.code in (0, None) else 1
     try:
-        return args.func(args)
+        # looked up by name at each call, so that a rebinding of cmd_* holds
+        return globals()[f"cmd_{args.command}"](args)
     except _UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -17,7 +17,7 @@ from array import array
 from dataclasses import dataclass, field
 from itertools import chain
 from pathlib import Path
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
 
@@ -66,12 +66,16 @@ class Encoding:
 
     Document i's ids are ``ids[indptr[i]:indptr[i + 1]]`` (int32, in token
     order), so ``terms[ids]`` gives its tokens back. ``terms`` is an object
-    array of str, which subsets share.
+    array of str, which subsets share. An encoding read through a
+    ``vocabulary`` (see ``DocumentReader``) has no ``terms``: a token's id
+    is its term's id in that mapping, or ``len(vocabulary)`` for a term the
+    mapping lacks.
     """
 
     terms: np.ndarray
     ids: np.ndarray
     indptr: np.ndarray
+    vocabulary: Mapping[str, int] | None = None
 
     def take(self, rows: np.ndarray) -> "Encoding":
         """The encoding of the documents at ``rows``, in that order (all, in order: itself)."""
@@ -81,7 +85,7 @@ class Encoding:
         lengths = self.indptr[rows + 1] - starts
         indptr = np.concatenate([[0], np.cumsum(lengths)])
         positions = np.arange(indptr[-1]) + np.repeat(starts - indptr[:-1], lengths)
-        return Encoding(self.terms, self.ids[positions], indptr)
+        return Encoding(self.terms, self.ids[positions], indptr, self.vocabulary)
 
     def concat(self, other: "Encoding") -> "Encoding":
         """This encoding's documents, then ``other``'s: over the term table
@@ -178,7 +182,7 @@ def concat_corpora(a: Corpus, b: Corpus) -> Corpus:
 _FOLD = bytes(c | 0x20 if chr(c).isascii() and chr(c).isalnum() else 0x20 for c in range(256))
 
 # The token that joins the documents of a batch; _FOLD never produces "|".
-_SEPARATOR = b"|"
+_SEPARATOR = "|"
 
 # Bytes of file text tokenized at a time, and the size of each read call. A
 # batch holds whole files and is cut once it reaches this size, so the
@@ -200,21 +204,33 @@ def _usable_name(name: str) -> bool:
 
 
 class _TermTable(dict):
-    """Word (ASCII bytes) -> 1 + its provisional id if kept, 0 if the filters
-    drop it, -1 for the batch separator. A word missing from the table meets
-    the length and stopword filters once; kept words get ids in the order
-    they are first seen."""
+    """Word -> its id if kept, -2 if the filters drop it, -1 for the batch
+    separator. A word missing from the table meets the length and stopword
+    filters once. Without a vocabulary, kept words get provisional ids in
+    the order they are first seen; with one, the table starts as a copy of
+    it less the terms the filters drop, and any other kept word gets the id
+    ``len(vocabulary)``."""
 
-    def __init__(self, config: TokenizerConfig):
-        super().__init__({_SEPARATOR: -1})
+    def __init__(self, config: TokenizerConfig, vocabulary: Mapping[str, int] | None = None):
+        super().__init__(vocabulary or {})
         self.min_len, self.stopwords = config.min_token_len, config.stopwords
-        self.kept: list[bytes] = []  # kept words by provisional id
+        self.kept: list[str] = []  # kept words by provisional id
+        self.oov = None
+        if vocabulary is not None:
+            self.oov = len(vocabulary)
+            too_short = [term for term in vocabulary if len(term) < self.min_len]
+            for term in [*self.stopwords, *too_short]:
+                self.pop(term, None)
+        self[_SEPARATOR] = -1  # over a term "|" of the vocabulary
 
-    def __missing__(self, word: bytes) -> int:
-        value = 0
-        if len(word) >= self.min_len and word.decode("ascii") not in self.stopwords:
-            self.kept.append(word)
-            value = len(self.kept)
+    def __missing__(self, word: str) -> int:
+        value = -2
+        if len(word) >= self.min_len and word not in self.stopwords:
+            if self.oov is None:
+                value = len(self.kept)
+                self.kept.append(word)
+            else:
+                value = self.oov
         self[word] = value
         return value
 
@@ -227,13 +243,16 @@ class DocumentReader:
     its id in one pass over the term table. A file of ``READ_BATCH_BYTES``
     or more is added a piece at a time, each piece but the last a batch of
     its own, and its kept-token count is carried from piece to piece.
-    ``encoding`` sorts the kept words and remaps the ids once.
+    Without a ``vocabulary``, ``encoding`` sorts the kept words and remaps
+    the ids once; with one, words get their ids there as they are read (see
+    ``Encoding``), and nothing is sorted.
     """
 
-    def __init__(self, config: TokenizerConfig):
-        self.terms = _TermTable(config)
+    def __init__(self, config: TokenizerConfig, vocabulary: Mapping[str, int] | None = None):
+        self.terms = _TermTable(config, vocabulary)
+        self.vocabulary = vocabulary
         self.doc_ids: list[str] = []
-        self._ids = array("i")  # 1 + provisional id of every kept token
+        self._ids = array("i")  # the id of every kept token
         self._indptr = array("q", [0])
         self._open = 0  # kept tokens of the pieces added of a file not yet ended
 
@@ -243,7 +262,12 @@ class DocumentReader:
         skipped, in file order. A path of None (no regular file) is unreadable,
         and a doc id that ``_usable_name`` rejects is badly named; neither is
         opened."""
-        skipped: list[tuple[str, str]] = []
+        return list(chain.from_iterable(self.batches(files)))
+
+    def batches(self, files: Iterable[tuple[str, str | Path | None]]) -> Iterator[list[tuple[str, str]]]:
+        """``read``, yielding the skipped files of each batch once the batch is
+        added. Between batches no file is partly added, so a caller may
+        ``pop`` the documents read so far."""
         batch: list[tuple[str, bytes | str]] = []  # (doc_id, file bytes or why it was skipped)
         size = 0
         for doc_id, path in files:
@@ -265,7 +289,7 @@ class DocumentReader:
                             cut := data.translate(_FOLD).rfind(b" ") + 1
                         ):
                             if mark is None:
-                                skipped += self._add_batch(batch)
+                                yield self._add_batch(batch)
                                 batch, size = [], 0
                                 mark = len(self._ids), len(self.terms.kept)
                             self._add_piece(data[:cut])
@@ -284,15 +308,15 @@ class DocumentReader:
             batch.append((doc_id, data))
             size += len(data)
             if size >= READ_BATCH_BYTES:
-                skipped += self._add_batch(batch)
+                yield self._add_batch(batch)
                 batch, size = [], 0
-        skipped += self._add_batch(batch)
-        return skipped
+        yield self._add_batch(batch)
 
     def _add_piece(self, data: bytes) -> None:
         """Append the kept tokens of a piece of a file that more pieces follow."""
-        ids = np.fromiter(map(self.terms.__getitem__, data.translate(_FOLD).split()), dtype=np.int32)
-        ids = ids[ids > 0]
+        words = data.translate(_FOLD).decode("ascii").split()
+        ids = np.fromiter(map(self.terms.__getitem__, words), dtype=np.int32, count=len(words))
+        ids = ids[ids >= 0]
         self._ids.frombytes(ids.tobytes())
         self._open += ids.size
 
@@ -301,11 +325,11 @@ class DocumentReader:
         ``(doc_id, why)`` of the others, in batch order. The first file of
         the batch ends the pieces added since the last batch, if any."""
         texts = [data.translate(_FOLD) for _, data in batch if isinstance(data, bytes)]
-        words = (b" " + _SEPARATOR + b" ").join(texts).split()
+        words = f" {_SEPARATOR} ".encode().join(texts).decode("ascii").split()
         ids = np.fromiter(map(self.terms.__getitem__, words), dtype=np.int32, count=len(words))
         del words  # the largest transient of a batch
-        kept = ids > 0
-        lengths = np.bincount(np.cumsum(ids < 0, dtype=np.int32)[kept], minlength=len(texts))
+        kept = ids >= 0
+        lengths = np.bincount(np.cumsum(ids == -1, dtype=np.int32)[kept], minlength=len(texts))
         lengths[:1] += self._open
         start, self._open = len(self._ids) - self._open, 0
         self._indptr.frombytes((start + np.cumsum(lengths[lengths > 0])).tobytes())
@@ -320,17 +344,24 @@ class DocumentReader:
                 skipped.append((doc_id, "empty"))
         return skipped
 
+    def pop(self) -> tuple[list[str], Encoding]:
+        """The doc ids and the encoding of the documents read since the last
+        pop, which the reader then forgets; its term table stays."""
+        popped = self.doc_ids, self.encoding()
+        self.doc_ids, self._ids, self._indptr = [], array("i"), array("q", [0])
+        return popped
+
     def encoding(self) -> Encoding:
-        """The documents read so far, over their sorted terms."""
+        """The documents read so far, over their sorted terms or through the
+        reader's vocabulary."""
+        ids, indptr = np.frombuffer(self._ids, dtype=np.intc), np.array(self._indptr, dtype=np.int64)
+        if self.vocabulary is not None:
+            return Encoding(np.empty(0, dtype=object), ids.copy(), indptr, self.vocabulary)
         kept = self.terms.kept
         order = np.array(sorted(range(len(kept)), key=kept.__getitem__), dtype=np.intp)
-        sorted_id = np.zeros(len(order) + 1, dtype=np.int32)
-        sorted_id[order + 1] = np.arange(len(order), dtype=np.int32)
-        return Encoding(
-            np.array([w.decode("ascii") for w in kept], dtype=object)[order],
-            sorted_id[np.frombuffer(self._ids, dtype=np.intc)],
-            np.array(self._indptr, dtype=np.int64),
-        )
+        sorted_id = np.empty(len(order), dtype=np.int32)
+        sorted_id[order] = np.arange(len(order), dtype=np.int32)
+        return Encoding(np.array(kept, dtype=object)[order], sorted_id[ids], indptr)
 
 
 def scan_directory(directory: str | Path) -> list[tuple[str, bool, str | None]]:

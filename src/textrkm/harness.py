@@ -278,6 +278,21 @@ def ratio_str(ratio: tuple[int, int]) -> str:
     return f"{ratio[0]}:{ratio[1]}"
 
 
+def parse_count(text: str) -> int:
+    """A non-negative integer in ASCII digits only; ValueError otherwise.
+    ``int`` alone would also read a sign, underscores, surrounding spaces
+    and the digits of other scripts."""
+    if not (text.isascii() and text.isdigit()):
+        raise ValueError(f"{text!r} is not an integer in ASCII digits")
+    return int(text)
+
+
+def parse_ratio(text: str) -> tuple[int, int]:
+    """Inverse of ``ratio_str``, its parts read by ``parse_count``; ValueError otherwise."""
+    labeled, unlabeled = text.split(":")
+    return parse_count(labeled), parse_count(unlabeled)
+
+
 def manifest_filename(ratio: tuple[int, int], trial: int) -> str:
     return f"ratio_{ratio[0]}_{ratio[1]}_trial_{trial:02d}.tsv"
 
@@ -354,17 +369,17 @@ def replay_trial(
         if key not in meta:
             raise DataError(f"manifest {manifest_path} is missing the {key!r} header")
     try:
-        a, b = meta["ratio"].split(":")
-        ratio = (int(a), int(b))
+        ratio = parse_ratio(meta["ratio"])
     except ValueError:
         raise DataError(
             f"{manifest_path}: header '# ratio {meta['ratio']}' is not <labeled>:<unlabeled>"
         ) from None
-    if not meta["seed"].isdecimal():  # numpy seeds are non-negative
+    try:
+        seed = parse_count(meta["seed"])  # numpy seeds are non-negative
+    except ValueError:
         raise DataError(
             f"{manifest_path}: header '# seed {meta['seed']}' is not a non-negative integer"
-        )
-    seed = int(meta["seed"])
+        ) from None
     train, test, flags = apply_split_manifest(corpus, entries)
     d_labeled, d_unlabeled = mask_from_flags(train, flags)
     return _run_pipeline(d_labeled, d_unlabeled, test, ratio, seed, config, keep_model)

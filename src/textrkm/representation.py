@@ -136,7 +136,9 @@ def embed_corpus(
     p adds the weight row of token p of every document longer than p, one
     block of documents at a time, so each document's weights are added in
     token order from 0.0. The longest documents finish one by one with
-    ``np.add.accumulate``, which adds in order too.
+    ``np.add.accumulate``, which adds in order too. An encoding read through
+    ``w.vocabulary`` holds the weight rows' ids already; any other is mapped
+    to them through its term table, one position at a time.
     """
     enc = corpus.encoding
     lengths = np.diff(enc.indptr)
@@ -147,9 +149,14 @@ def embed_corpus(
     table = np.zeros((v + 1, k + 1), dtype=np.float64)
     table[:v, :k] = w.weights
     table[v, k] = 1.0
-    remap = np.fromiter(
-        map(w.vocabulary.get, enc.terms.tolist(), repeat(v)), dtype=np.intp, count=len(enc.terms)
-    )
+    if enc.vocabulary is w.vocabulary:
+        rows_of = np.asarray  # the ids are rows already
+    elif enc.vocabulary is None:
+        rows_of = np.fromiter(
+            map(w.vocabulary.get, enc.terms.tolist(), repeat(v)), dtype=np.intp, count=len(enc.terms)
+        ).take
+    else:
+        raise DataError("the documents were read through another vocabulary than the weights'")
     perm = np.argsort(-lengths[kept], kind="stable")
     starts, lens = enc.indptr[kept[perm]], lengths[kept[perm]]
     sums = np.zeros((len(kept), k + 1), dtype=np.float64)
@@ -162,11 +169,11 @@ def embed_corpus(
     for b in range(0, len(kept), rows):
         block, block_starts = sums[b : b + rows], starts[b : b + rows]
         for p, m in enumerate((np.minimum(longer[longer > b], b + rows) - b).tolist()):
-            block[:m] += table.take(remap.take(enc.ids.take(block_starts[:m] + p)), axis=0)
+            block[:m] += table.take(rows_of(enc.ids.take(block_starts[:m] + p)), axis=0)
     for i in range(int(np.count_nonzero(lens > n_pos))):
         end = starts[i] + lens[i]
         for a in range(starts[i] + n_pos, end, rows):
-            chunk = table.take(remap.take(enc.ids[a : min(a + rows, end)]), axis=0)
+            chunk = table.take(rows_of(enc.ids[a : min(a + rows, end)]), axis=0)
             chunk[0] += sums[i]
             sums[i] = np.add.accumulate(chunk, axis=0, out=chunk)[-1]
     # the OOV floor, added after the weight rows as the reference

@@ -6,7 +6,8 @@ prediction, the full difference tensor for euclidean assignment, an
 unbuffered scatter-add for centroid sums, the textbook Lloyd loop over those
 two, and the per-cluster label statistics that the recursion computes for all
 clusters at once. ``tokenize`` runs the program's file reader on one str, so
-that the tokenizing rule can be checked on text.
+that the tokenizing rule can be checked on text, and ``cmd_classify`` is the
+``classify`` command that reads its whole input before it embeds any of it.
 """
 from __future__ import annotations
 
@@ -16,9 +17,10 @@ from pathlib import Path
 import numpy as np
 
 from textrkm.classifier import Prediction, classify_batch
-from textrkm.corpus import DocumentReader, TokenizerConfig
+from textrkm.cli import _warn_skipped, load_bundle
+from textrkm.corpus import Corpus, DocumentReader, TokenizerConfig, scan_directory
 from textrkm.errors import DataError
-from textrkm.representation import TermClassWeights
+from textrkm.representation import TermClassWeights, embed_corpus
 
 
 def tokenize(raw_text: str, config: TokenizerConfig = TokenizerConfig()) -> list[str]:
@@ -61,6 +63,40 @@ def embed_tokens(tokens, w: TermClassWeights) -> np.ndarray:
 def classify(vector, model, doc_id: str = "") -> Prediction:
     """Reference: ``classify_batch`` of one vector."""
     return classify_batch(np.asarray(vector, dtype=np.float64).reshape(1, -1), model, [doc_id])[0]
+
+
+def cmd_classify(args) -> int:
+    """Reference: ``cli.cmd_classify`` as one pass over the whole input. The
+    files are listed up front and read into one encoding over the input's
+    own sorted terms, which ``embed_corpus`` maps to the weights' rows; the
+    predictions are written at once, to ``--out`` itself."""
+    model, weights, tokenizer = load_bundle(args.model)
+    path = Path(args.input)
+    if path.is_file():
+        base, files = path.parent, [(path.name, path)]
+    elif path.is_dir():
+        base, files = path, []
+        for name, is_dir, p in scan_directory(path):
+            if is_dir:
+                files += [(f"{name}/{f}", q) for f, sub, q in scan_directory(p) if not sub]
+            else:
+                files.append((name, p))
+    else:
+        raise DataError(f"input path {path} does not exist")
+    if not files:
+        raise DataError(f"no input documents under {path}")
+    reader = DocumentReader(tokenizer)
+    _warn_skipped(base, reader.read(files))
+    if not reader.doc_ids:
+        raise DataError(f"no usable documents under {path}")
+    corpus = Corpus(reader.doc_ids, [None] * len(reader.doc_ids), model.class_names, reader.encoding())
+    x, kept_ids, _dropped = embed_corpus(corpus, weights)
+    preds = classify_batch(x, model, kept_ids)
+    lines = [f"{p.doc_id}\t{model.class_names[p.label]}\t{p.distance!r}" for p in preds]
+    out = Path(args.out)
+    out.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    print(f"{len(preds)} predictions written to {out}")
+    return 0
 
 
 def unblocked_euclidean(x, centroids):

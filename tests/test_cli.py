@@ -1,16 +1,21 @@
 import json
 import os
+import tempfile
 import threading
+import tracemalloc
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, event, given, settings
 from hypothesis import strategies as st
 
+import reference
 from textrkm import cli, harness
+from textrkm import corpus as corpus_module
 from textrkm.cli import load_bundle, main, save_bundle
-from textrkm.corpus import TokenizerConfig, load_directory_corpus, read_split_manifest
+from textrkm.corpus import TokenizerConfig, load_directory_corpus, read_split_manifest, scan_directory
 from textrkm.errors import DataError, InvariantError
 
 from synthdata import make_text_corpus, mutate_lines, write_corpus_tree
@@ -270,7 +275,8 @@ def test_usage_errors_exit_one(capsys):
     capsys.readouterr()
 
 
-@pytest.mark.parametrize("ratios", ["1-49", "1:49,a:b"])
+# a sign, an underscore, an inner space and Arabic-Indic digits, which int() reads
+@pytest.mark.parametrize("ratios", ["1-49", "1:49,a:b", "+5:45", "1_0:40", "10: 40", "\u0661\u0660:\u0664\u0660"])
 def test_sweep_malformed_ratios_exit_one(tmp_path, corpus_tree, capsys, ratios):
     _, tree = corpus_tree
     rc = main(["sweep", "--corpus", str(tree), "--ratios", ratios, "--out", str(tmp_path / "s")])
@@ -868,6 +874,27 @@ def test_help_exits_zero(capsys):
     capsys.readouterr()
 
 
+def test_main_runs_again_after_any_call(tiny_tree, tmp_path, capsys):
+    """The parser is built once per process and serves every later call:
+    each command in turn, then a usage error or a help request, each
+    followed by a valid call."""
+    tree, bundle, _ = tiny_tree
+    preds = tmp_path / "p.tsv"
+    valid = {
+        "train": ["train", "--corpus", str(tree), "--labeled-frac", "0.5", "--model-out", str(tmp_path / "m.json")],
+        "classify": ["classify", "--model", str(bundle), "--input", str(tree), "--out", str(preds)],
+        "eval": ["eval", "--predictions", str(preds), "--truth", str(preds)],
+        "sweep": ["sweep", "--corpus", str(tree), "--ratios", "5:45", "--trials", "1", "--out", str(tmp_path / "s")],
+    }
+    for argv in valid.values():
+        assert main(argv) == 0, argv
+    assert cli.build_parser() is cli.build_parser()
+    for argv, rc in [(["classify", "--model"], 1), ([], 1), (["--help"], 0), (["sweep", "--help"], 0)]:
+        assert main(argv) == rc, argv
+        assert main(valid["classify"]) == 0
+    capsys.readouterr()
+
+
 # what an option is given: negative, zero, not a number, infinite or huge
 ARGV_VALUES = ["-1", "0", "-0.5", "nan", "inf", "-inf", "1e400", "1e30", str(10**30)]
 
@@ -978,3 +1005,204 @@ def test_eval_mutated_tsv_exits_zero_or_two(tmp_path, capsys, data):
 def _listed_ids(path):
     lines = path.read_text(encoding="utf-8").splitlines()
     return sorted(line.split("\t")[0] for line in lines if line.strip() and line[0] != "#")
+
+
+# ---------------------------------------------------------------------------
+# classify streams its input one reader batch at a time
+# ---------------------------------------------------------------------------
+
+# appended to the classify bundles' vocabulary: a stopword of some of their
+# tokenizers, one-letter terms, the reader's batch separator, and terms no
+# file can hold (outside ASCII, upper case)
+EXTRA_TERMS = ["the", "q", "|", "ab", "\xe9t\xe9", "Up"]
+OTHER_WORDS = ["zz", "qq9", "unseenword", "7", "x", "the", "ab", "q", "common1", "\xe9t\xe9"]
+# cosine distances lie in [0, 2]; summing K = 3 products in another order
+# moves one by a few units of float64 rounding
+COSINE_ABS_TOL = 64 * np.finfo(np.float64).eps
+
+
+@pytest.fixture(scope="module")
+def classify_bundles(tmp_path_factory):
+    """A cosine and a euclidean bundle, each under three tokenizers, whose
+    vocabulary lists ``EXTRA_TERMS`` with counts; and the vocabulary."""
+    tmp = tmp_path_factory.mktemp("classify_bundles")
+    tree = tmp / "corpus"
+    write_corpus_tree(make_text_corpus(n_classes=3, docs_per_class=8, doc_len=12, seed=4), tree)
+    bundles = []
+    for distance in ("cosine", "euclidean"):
+        trained = tmp / f"{distance}.json"
+        assert main(["train", "--corpus", str(tree), "--labeled-frac", "0.5",
+                     "--distance", distance, "--model-out", str(trained)]) == 0
+        payload = json.loads(trained.read_text(encoding="utf-8"))
+        weights = payload["weights"]
+        n_terms = len(weights["terms"])
+        weights["terms"] += EXTRA_TERMS
+        weights["counts"][0]["term_ids"] += range(n_terms, n_terms + len(EXTRA_TERMS))
+        weights["counts"][0]["counts"] += [3] * len(EXTRA_TERMS)
+        for min_len, stopwords in [(2, []), (1, ["ab", "the"]), (3, ["common1"])]:
+            payload["tokenizer"].update(min_token_len=min_len, stopwords=stopwords)
+            path = tmp / f"{distance}-{min_len}.json"
+            path.write_text(json.dumps(payload), encoding="utf-8")
+            bundles.append(path)
+    return bundles, sorted(load_bundle(bundles[0])[1].vocabulary)
+
+
+def _file_bytes(vocabulary):
+    word = st.sampled_from(vocabulary) | st.sampled_from(OTHER_WORDS)
+    cased = st.tuples(word, st.booleans()).map(lambda t: t[0].upper() if t[1] else t[0])
+    separator = st.sampled_from([" ", "\n", ". ", ",", "|", "\xe9"])
+    words = st.lists(st.tuples(cased, separator), max_size=60)
+    return words.map(lambda ws: "".join(w + s for w, s in ws).encode("latin-1"))
+
+
+# file kind -> its name at position i in the listing
+FILE_NAMES = {
+    "text": "f{:02d}", "empty": "f{:02d}", "dangling": "f{:02d}",
+    "#": "#f{:02d}", "tab": "f\t{:02d}", "not-utf8": "f{:02d}\udcff",
+}
+
+
+def _write_input(root: Path, entries, layout: str) -> Path:
+    """The input tree of ``(kind, text, folder)`` entries; the path to classify."""
+    for i, (kind, text, folder) in enumerate(entries):
+        directory = root / folder if layout == "subdirs" else root
+        directory.mkdir(exist_ok=True)
+        target = os.path.join(os.fsencode(directory), os.fsencode(FILE_NAMES[kind].format(i)))
+        if kind == "dangling":
+            os.symlink(os.fsencode(root / "missing"), target)
+        else:
+            with open(target, "wb") as f:
+                f.write(b"" if kind == "empty" else text)
+    # one file: the first whose name is UTF-8 (pytest's captured stderr,
+    # unlike sys.stderr, cannot print a path that is not)
+    names = [name for name in sorted(os.listdir(root)) if name.isprintable() or "\udcff" not in name]
+    if layout == "file" and names:
+        return root / names[0]
+    return root
+
+
+@settings(max_examples=200, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(data=st.data())
+def test_streamed_classify_equals_reading_the_whole_input(classify_bundles, capsys, data):
+    """Exit code, standard output, warnings, the files left in ``--out``'s
+    directory and the predictions file are byte for byte those of the
+    reference that reads the whole input before it embeds any of it, except
+    that a cosine model's distances may differ in the last bits: they come
+    from one BLAS product per call, whose rounding can depend on how many
+    rows it multiplies (a one-row product takes another BLAS routine). Budgets
+    of a few dozen bytes cut an input into many batches and its longer files
+    into pieces."""
+    bundles, vocabulary = classify_bundles
+    bundle = data.draw(st.sampled_from(bundles))
+    budget = data.draw(st.sampled_from([corpus_module.READ_BATCH_BYTES, 16, 64, 256]))
+    layout = data.draw(st.sampled_from(["flat", "subdirs", "file"]))
+    out_dir = data.draw(st.sampled_from(["out", "in", "in/a"]))  # beside or among the inputs
+    entry = st.tuples(
+        st.sampled_from(["text"] * 4 + sorted(set(FILE_NAMES) - {"text"})),
+        _file_bytes(vocabulary),
+        st.sampled_from(["", "a", "b"]),
+    )
+    entries = data.draw(st.lists(entry, max_size=10))
+    results = []
+    with tempfile.TemporaryDirectory() as tmp, mock.patch.object(corpus_module, "READ_BATCH_BYTES", budget):
+        (Path(tmp) / "in").mkdir()
+        source = _write_input(Path(tmp) / "in", entries, layout)
+        out = Path(tmp) / out_dir / "preds.tsv"
+        out.parent.mkdir(parents=True, exist_ok=True)
+        argv = ["classify", "--model", str(bundle), "--input", str(source), "--out", str(out)]
+        for command in (cli.cmd_classify, reference.cmd_classify):
+            capsys.readouterr()
+            with mock.patch.object(cli, "cmd_classify", command):
+                rc = main(argv)
+            std = capsys.readouterr()
+            written = out.read_text(encoding="utf-8") if out.exists() else ""
+            results.append((rc, std.out, std.err, sorted(os.listdir(out.parent)), written))
+            out.unlink(missing_ok=True)
+    event(f"exit {results[0][0]}")
+    (*streamed, lines), (*whole, expected) = results
+    assert streamed == whole
+    if "cosine" in bundle.name:
+        lines, expected = (
+            [(*line.split("\t")[:2], float(line.split("\t")[2])) for line in text.splitlines()]
+            for text in (lines, expected)
+        )
+        expected = [(d, c, pytest.approx(x, rel=0, abs=COSINE_ABS_TOL)) for d, c, x in expected]
+    assert lines == expected
+
+
+def _flat_input(directory: Path, texts) -> Path:
+    directory.mkdir()
+    for i, text in enumerate(texts):
+        (directory / f"doc{i:05d}.txt").write_text(text)
+    return directory
+
+
+@pytest.mark.parametrize("existing", [None, b"an earlier result\n"])
+@pytest.mark.parametrize("failure", ["every file empty", "after the first batch"])
+def test_failed_classify_leaves_out_as_it_was(tmp_path, tiny_tree, capsys, monkeypatch, existing, failure):
+    _, bundle, _ = tiny_tree
+    words = " ".join(load_bundle(bundle)[1].vocabulary)
+    texts = [""] * 3 if failure == "every file empty" else [words] * 6
+    source = _flat_input(tmp_path / "in", texts)
+    out_dir = tmp_path / "out"
+    out_dir.mkdir()
+    out = out_dir / "preds.tsv"
+    if existing is not None:
+        out.write_bytes(existing)
+    calls = []
+
+    def classify_batch_failing_after_one(*args, **kwargs):
+        calls.append(len(args[0]))
+        if len(calls) > 1:
+            raise DataError("injected after the first batch")
+        return classify_batch(*args, **kwargs)
+
+    classify_batch = cli.classify_batch
+    monkeypatch.setattr(cli, "classify_batch", classify_batch_failing_after_one)
+    monkeypatch.setattr(corpus_module, "READ_BATCH_BYTES", 2 * len(words))
+    capsys.readouterr()
+    assert main(["classify", "--model", str(bundle), "--input", str(source), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    if failure == "every file empty":
+        assert err.endswith(f"data error: no usable documents under {source}\n") and not calls
+    else:
+        assert err == "data error: injected after the first batch\n" and calls == [2, 2]
+    assert os.listdir(out_dir) == ([] if existing is None else ["preds.tsv"])
+    if existing is not None:
+        assert out.read_bytes() == existing
+
+
+def test_classify_memory_grows_by_the_file_listing_only(tmp_path, tiny_tree, monkeypatch):
+    """Past the files' sorted listing, a classify holds no state per file: with
+    small batches, the traced peak grows per extra input file by at most a
+    quarter more than the listing's own peak does. The inputs are large
+    enough for the listing, not the bundle, to set both peaks."""
+    _, bundle, _ = tiny_tree
+    vocabulary = sorted(load_bundle(bundle)[1].vocabulary)
+    rng = np.random.default_rng(0)
+    monkeypatch.setattr(corpus_module, "READ_BATCH_BYTES", 2**12)
+    n = 1000
+
+    def traced_peak(function, *args) -> int:
+        tracemalloc.start()
+        try:
+            function(*args)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    def classify(source):
+        assert main(["classify", "--model", str(bundle), "--input", str(source),
+                     "--out", str(tmp_path / "preds.tsv")]) == 0
+
+    inputs = [
+        _flat_input(tmp_path / str(size), [" ".join(rng.choice(vocabulary, 30)) for _ in range(size)])
+        for size in (n, 4 * n)
+    ]
+    classify(inputs[0])  # imports, caches and buffers made once per process
+    few, many = (traced_peak(classify, source) for source in inputs)
+    listing_few, listing_many = (traced_peak(scan_directory, source) for source in inputs)
+    per_file, listing_per_file = (many - few) / (3 * n), (listing_many - listing_few) / (3 * n)
+    # about 250 bytes a file here, against about 590 when the whole input
+    # was read, embedded and classified at once
+    assert per_file <= 1.25 * listing_per_file, (per_file, listing_per_file)

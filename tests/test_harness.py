@@ -367,7 +367,21 @@ def test_sweep_config_dict_is_derived_from_every_field():
 
 
 @pytest.mark.parametrize(
-    "header, bad", [("# ratio", "# ratio 10-40"), ("# seed", "# seed three")]
+    "header, bad",
+    [
+        ("# ratio", "# ratio 10-40"),
+        ("# seed", "# seed three"),
+        # a sign, an underscore, an inner space or Arabic-Indic digits, which int() reads
+        ("# ratio", "# ratio +1_0: \u0664\u0660"),
+        ("# ratio", "# ratio +10:40"),
+        ("# ratio", "# ratio 1_0:40"),
+        ("# ratio", "# ratio 10: 40"),
+        ("# ratio", "# ratio \u0661\u0660:\u0664\u0660"),
+        ("# seed", "# seed +3"),
+        ("# seed", "# seed 1_0"),
+        ("# seed", "# seed 4 0"),
+        ("# seed", "# seed \u0664\u0660"),
+    ],
 )
 def test_replay_rejects_malformed_header(tmp_path, header, bad):
     corpus = make_text_corpus(n_classes=3, docs_per_class=6, seed=11)

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import tracemalloc
 
@@ -8,7 +9,7 @@ from hypothesis import strategies as st
 
 from textrkm import representation
 from textrkm.cli import load_bundle, save_bundle
-from textrkm.corpus import Corpus, Document, TokenizerConfig
+from textrkm.corpus import Corpus, Document, DocumentReader, TokenizerConfig
 from textrkm.errors import DataError
 from textrkm.harness import fit
 from textrkm.representation import (
@@ -275,6 +276,28 @@ def test_embed_corpus_is_bit_identical_to_per_token_loop(monkeypatch, doc_cost):
             assert_embeds_like_loop(mixed, w, block_rows)
         assert_embeds_like_loop(mixed, one_class, block_rows)
         assert_embeds_like_loop(only_empty, fit_term_weights(corpus), block_rows)
+
+
+def test_embed_corpus_of_files_read_through_the_vocabulary(tmp_path):
+    """Files read straight into the weights' rows embed bit for bit as when
+    read over their own sorted terms; weights of another vocabulary are
+    refused."""
+    corpus = make_text_corpus(n_classes=4, docs_per_class=10, doc_len=23, seed=14)
+    w = fit_term_weights(corpus.subset(range(0, corpus.n_docs, 3)), smoothing=0.7)
+    files = []
+    for i, doc in enumerate(corpus.documents + EDGE_DOCS):
+        files.append((f"d{i:02d}", tmp_path / f"d{i:02d}"))
+        files[-1][1].write_text(" ".join(doc.tokens + ("x", "the", "Common1")))
+    config = TokenizerConfig(min_token_len=2, stopwords=frozenset({"the", "common2"}))
+    whole, direct = DocumentReader(config), DocumentReader(config, w.vocabulary)
+    assert whole.read(files) == direct.read(files) == []
+    x, kept, dropped = embed_corpus(Corpus(whole.doc_ids, [None] * len(files), (), whole.encoding()), w)
+    direct_corpus = Corpus(direct.doc_ids, [None] * len(files), (), direct.encoding())
+    assert direct_corpus.encoding.vocabulary is w.vocabulary
+    y, direct_kept, direct_dropped = embed_corpus(direct_corpus, w)
+    assert x.tobytes() == y.tobytes() and kept == direct_kept and dropped == direct_dropped == []
+    with pytest.raises(DataError, match="another vocabulary"):
+        embed_corpus(direct_corpus, dataclasses.replace(w, vocabulary=dict(w.vocabulary)))
 
 
 def test_term_class_counts_match_per_token_loop():
