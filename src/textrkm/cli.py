@@ -18,7 +18,7 @@ from typing import Iterable, Iterator, TextIO
 from . import kernels
 from .classifier import classify_batch
 from .corpus import (
-    Corpus, DocumentReader, TokenizerConfig, load_directory_corpus, mask_labels, scan_directory,
+    DocumentReader, TokenizerConfig, load_directory_corpus, mask_labels, scan_directory,
 )
 from .errors import DataError, InvariantError, json_field
 from .evaluation import align_labels, confusion, format_report, score
@@ -184,9 +184,7 @@ def cmd_classify(args) -> int:
             n_files += len(skipped) + len(reader.doc_ids)
             if not reader.doc_ids:
                 continue
-            doc_ids, encoding = reader.pop()
-            batch = Corpus(doc_ids, [None] * len(doc_ids), names, encoding)
-            x, kept_ids, _dropped = embed_corpus(batch, weights)
+            x, kept_ids, _dropped = embed_corpus(reader.pop(), weights)
             preds = classify_batch(x, model, kept_ids)
             f.write("".join(f"{p.doc_id}\t{names[p.label]}\t{p.distance!r}\n" for p in preds))
             n_preds += len(preds)

@@ -64,55 +64,46 @@ class TokenizerConfig:
 class Encoding:
     """Every token of a corpus as an id into one sorted term table.
 
-    Document i's ids are ``ids[indptr[i]:indptr[i + 1]]`` (int32, in token
-    order), so ``terms[ids]`` gives its tokens back. ``terms`` is an object
-    array of str, which subsets share. An encoding read through a
-    ``vocabulary`` (see ``DocumentReader``) has no ``terms``: a token's id
-    is its term's id in that mapping, or ``len(vocabulary)`` for a term the
-    mapping lacks.
+    Document i's ids are ``ids[starts[i]:starts[i] + lengths[i]]`` (int32, in
+    token order), so ``terms[ids]`` gives its tokens back. A subset or a
+    concatenation of one load is a choice of rows: it has rows of ``starts``
+    and ``lengths`` (int64) of its own and shares ``ids`` and ``terms`` (an
+    object array of str). An encoding read through a ``vocabulary`` (see
+    ``DocumentReader``) has no ``terms``: a token's id is its term's id in
+    that mapping, or ``len(vocabulary)`` for a term the mapping lacks.
     """
 
     terms: np.ndarray
     ids: np.ndarray
-    indptr: np.ndarray
+    starts: np.ndarray
+    lengths: np.ndarray
     vocabulary: Mapping[str, int] | None = None
 
     def take(self, rows: np.ndarray) -> "Encoding":
-        """The encoding of the documents at ``rows``, in that order (all, in order: itself)."""
-        if np.array_equal(rows, np.arange(len(self.indptr) - 1)):
-            return self
-        starts = self.indptr[rows]
-        lengths = self.indptr[rows + 1] - starts
-        indptr = np.concatenate([[0], np.cumsum(lengths)])
-        positions = np.arange(indptr[-1]) + np.repeat(starts - indptr[:-1], lengths)
-        return Encoding(self.terms, self.ids[positions], indptr, self.vocabulary)
+        """The encoding of the documents at ``rows``, in that order."""
+        return Encoding(self.terms, self.ids, self.starts[rows], self.lengths[rows], self.vocabulary)
 
-    def concat(self, other: "Encoding") -> "Encoding":
-        """This encoding's documents, then ``other``'s: over the term table
-        both share, or else over the sorted union of the two tables."""
-        terms, a, b = self.terms, self.ids, other.ids
-        if other.terms is not terms:
-            terms, new_id = np.unique(np.concatenate([terms, other.terms]), return_inverse=True)
-            new_id = new_id.astype(np.int32)
-            a, b = new_id[a], new_id[len(self.terms) + b]
-        indptr = np.concatenate([self.indptr, self.indptr[-1] + other.indptr[1:]])
-        return Encoding(terms, np.concatenate([a, b]), indptr)
+    def token_ids(self) -> np.ndarray:
+        """The ids of the documents' tokens, one document after another."""
+        offsets = np.cumsum(self.lengths) - self.lengths  # of each document in the result
+        positions = np.repeat(self.starts - offsets, self.lengths) + np.arange(self.lengths.sum())
+        return self.ids[positions]
 
 
-@dataclass
+@dataclass(eq=False)
 class Corpus:
     """Ordered documents with per-document optional labels.
 
     ``doc_ids[i]`` names document i, whose tokens are row i of
-    ``encoding``; ``labels[i]`` is its class index, or None when it is
-    unlabeled. ``class_names`` gives the dense index -> name map.
-    ``skipped`` records the ``(doc_id, why)`` of each file dropped at load
-    time ("unreadable", "badly named" or "empty"). A subset's encoding is
-    cut from its parent's, so both share one term table.
+    ``encoding``; ``labels[i]`` (int64) is its class index, or UNLABELED
+    (-1). ``class_names`` gives the dense index -> name map. ``skipped``
+    records the ``(doc_id, why)`` of each file dropped at load time
+    ("unreadable", "badly named" or "empty"). A subset takes its rows of its
+    parent's encoding and labels, so both share one ``ids`` array.
     """
 
     doc_ids: list[str]
-    labels: list[int | None]
+    labels: np.ndarray
     class_names: tuple[str, ...]
     encoding: Encoding = field(repr=False)
     skipped: tuple[tuple[str, str], ...] = ()
@@ -121,20 +112,23 @@ class Corpus:
     def from_documents(
         cls, documents: Sequence[Document], labels: Sequence[int | None], class_names: Sequence[str]
     ) -> "Corpus":
-        """A corpus of in-memory documents, encoded over their sorted terms."""
+        """A corpus of in-memory documents, encoded over their sorted terms; a
+        label of None is UNLABELED."""
         terms = sorted(set(chain.from_iterable(d.tokens for d in documents)))
         id_of = {t: i for i, t in enumerate(terms)}
-        indptr = np.concatenate([[0], np.cumsum([len(d.tokens) for d in documents], dtype=np.int64)])
+        lengths = np.array([len(d.tokens) for d in documents], dtype=np.int64)
         tokens = chain.from_iterable(d.tokens for d in documents)
-        ids = np.fromiter(map(id_of.__getitem__, tokens), dtype=np.int32, count=int(indptr[-1]))
-        encoding = Encoding(np.array(terms, dtype=object), ids, indptr)
-        return cls([d.doc_id for d in documents], list(labels), tuple(class_names), encoding)
+        ids = np.fromiter(map(id_of.__getitem__, tokens), dtype=np.int32, count=int(lengths.sum()))
+        encoding = Encoding(np.array(terms, dtype=object), ids, np.cumsum(lengths) - lengths, lengths)
+        labels = np.array([UNLABELED if v is None else v for v in labels], dtype=np.int64)
+        return cls([d.doc_id for d in documents], labels, tuple(class_names), encoding)
 
     @property
     def documents(self) -> list[Document]:
         """The documents with their tokens, decoded anew from the encoding."""
         enc = self.encoding
-        tokens, bounds = enc.terms[enc.ids].tolist(), enc.indptr.tolist()
+        tokens = enc.terms[enc.token_ids()].tolist()
+        bounds = [0, *np.cumsum(enc.lengths).tolist()]
         return [Document(d, tuple(tokens[a:b])) for d, a, b in zip(self.doc_ids, bounds, bounds[1:])]
 
     @property
@@ -145,31 +139,30 @@ class Corpus:
     def n_classes(self) -> int:
         return len(self.class_names)
 
-    def label_array(self) -> np.ndarray:
-        """Labels as int64 with UNLABELED (-1) for missing."""
-        return np.array([UNLABELED if v is None else v for v in self.labels], dtype=np.int64)
-
-    def subset(self, indices: Iterable[int], drop_labels: bool = False) -> "Corpus":
-        rows = np.arange(self.n_docs)[np.fromiter(indices, dtype=np.intp)]
-        idx = rows.tolist()
+    def subset(self, indices: Sequence[int], drop_labels: bool = False) -> "Corpus":
+        """The documents at ``indices`` (negative ones count from the end), in that order."""
+        rows = np.asarray(indices, dtype=np.intp)
         return Corpus(
-            doc_ids=[self.doc_ids[i] for i in idx],
-            labels=[None] * len(idx) if drop_labels else [self.labels[i] for i in idx],
+            doc_ids=[self.doc_ids[i] for i in rows.tolist()],
+            labels=np.full(len(rows), UNLABELED, dtype=np.int64) if drop_labels else self.labels[rows],
             class_names=self.class_names,
             encoding=self.encoding.take(rows),
         )
 
 
 def concat_corpora(a: Corpus, b: Corpus) -> Corpus:
-    """Append b's documents after a's; class name tables must agree."""
+    """Append b's documents after a's; class name tables must agree. Two
+    corpora of one load share its ``ids``; corpora built apart are encoded
+    anew, over the sorted terms of their documents."""
     if a.class_names != b.class_names:
         raise DataError("cannot concatenate corpora with different class tables")
-    return Corpus(
-        doc_ids=a.doc_ids + b.doc_ids,
-        labels=a.labels + b.labels,
-        class_names=a.class_names,
-        encoding=a.encoding.concat(b.encoding),
-    )
+    labels = np.concatenate([a.labels, b.labels])
+    ea, eb = a.encoding, b.encoding
+    if ea.ids is not eb.ids:
+        return Corpus.from_documents(a.documents + b.documents, labels, a.class_names)
+    rows = np.concatenate([ea.starts, eb.starts]), np.concatenate([ea.lengths, eb.lengths])
+    encoding = Encoding(ea.terms, ea.ids, *rows, ea.vocabulary)
+    return Corpus(a.doc_ids + b.doc_ids, labels, a.class_names, encoding)
 
 
 # ---------------------------------------------------------------------------
@@ -209,7 +202,8 @@ class _TermTable(dict):
     filters once. Without a vocabulary, kept words get provisional ids in
     the order they are first seen; with one, the table starts as a copy of
     it less the terms the filters drop, and any other kept word gets the id
-    ``len(vocabulary)``."""
+    ``len(vocabulary)`` on every lookup without being stored, so the table
+    does not grow with the distinct words of the input."""
 
     def __init__(self, config: TokenizerConfig, vocabulary: Mapping[str, int] | None = None):
         super().__init__(vocabulary or {})
@@ -226,11 +220,10 @@ class _TermTable(dict):
     def __missing__(self, word: str) -> int:
         value = -2
         if len(word) >= self.min_len and word not in self.stopwords:
-            if self.oov is None:
-                value = len(self.kept)
-                self.kept.append(word)
-            else:
-                value = self.oov
+            if self.oov is not None:
+                return self.oov
+            value = len(self.kept)
+            self.kept.append(word)
         self[word] = value
         return value
 
@@ -253,7 +246,7 @@ class DocumentReader:
         self.vocabulary = vocabulary
         self.doc_ids: list[str] = []
         self._ids = array("i")  # the id of every kept token
-        self._indptr = array("q", [0])
+        self._lengths = array("q")  # the kept-token count of every document
         self._open = 0  # kept tokens of the pieces added of a file not yet ended
 
     def read(self, files: Iterable[tuple[str, str | Path | None]]) -> list[tuple[str, str]]:
@@ -331,8 +324,8 @@ class DocumentReader:
         kept = ids >= 0
         lengths = np.bincount(np.cumsum(ids == -1, dtype=np.int32)[kept], minlength=len(texts))
         lengths[:1] += self._open
-        start, self._open = len(self._ids) - self._open, 0
-        self._indptr.frombytes((start + np.cumsum(lengths[lengths > 0])).tobytes())
+        self._open = 0
+        self._lengths.frombytes(lengths[lengths > 0].tobytes())
         self._ids.frombytes(ids[kept].tobytes())
         skipped, n_kept = [], iter(lengths.tolist())
         for doc_id, data in batch:
@@ -344,24 +337,25 @@ class DocumentReader:
                 skipped.append((doc_id, "empty"))
         return skipped
 
-    def pop(self) -> tuple[list[str], Encoding]:
-        """The doc ids and the encoding of the documents read since the last
-        pop, which the reader then forgets; its term table stays."""
-        popped = self.doc_ids, self.encoding()
-        self.doc_ids, self._ids, self._indptr = [], array("i"), array("q", [0])
+    def pop(self) -> Corpus:
+        """The documents read since the last pop, unlabeled and with no class
+        names, which the reader then forgets; its term table stays."""
+        popped = Corpus(self.doc_ids, np.full(len(self.doc_ids), UNLABELED), (), self.encoding())
+        self.doc_ids, self._ids, self._lengths = [], array("i"), array("q")
         return popped
 
     def encoding(self) -> Encoding:
         """The documents read so far, over their sorted terms or through the
         reader's vocabulary."""
-        ids, indptr = np.frombuffer(self._ids, dtype=np.intc), np.array(self._indptr, dtype=np.int64)
+        ids, lengths = np.frombuffer(self._ids, dtype=np.intc), np.array(self._lengths, dtype=np.int64)
+        starts = np.cumsum(lengths) - lengths
         if self.vocabulary is not None:
-            return Encoding(np.empty(0, dtype=object), ids.copy(), indptr, self.vocabulary)
+            return Encoding(np.empty(0, dtype=object), ids.copy(), starts, lengths, self.vocabulary)
         kept = self.terms.kept
         order = np.array(sorted(range(len(kept)), key=kept.__getitem__), dtype=np.intp)
         sorted_id = np.empty(len(order), dtype=np.int32)
         sorted_id[order] = np.arange(len(order), dtype=np.int32)
-        return Encoding(np.array(kept, dtype=object)[order], sorted_id[ids], indptr)
+        return Encoding(np.array(kept, dtype=object)[order], sorted_id[ids], starts, lengths)
 
 
 def scan_directory(directory: str | Path) -> list[tuple[str, bool, str | None]]:
@@ -411,6 +405,7 @@ def load_directory_corpus(
         if len(reader.doc_ids) == n_before:
             raise DataError(f"class directory {root / name} has no readable non-empty documents")
         labels += [ci] * (len(reader.doc_ids) - n_before)
+    labels = np.array(labels, dtype=np.int64)
     return Corpus(reader.doc_ids, labels, tuple(class_names), reader.encoding(), tuple(skipped))
 
 
@@ -424,10 +419,11 @@ def _stratified_draw(
     """Per class, draw ``round(fraction * size)`` of its documents, at least 1
     and at most ``size - spare``; ``(drawn, rest)`` in (class index, doc id)
     order. A smaller class than ``1 + spare`` raises ``too_small``."""
+    labels = corpus.labels.tolist()
+    if UNLABELED in labels:
+        raise DataError("operation requires a fully labeled corpus")
     members: list[list[int]] = [[] for _ in range(corpus.n_classes)]
-    for i, lab in enumerate(corpus.labels):
-        if lab is None:
-            raise DataError("operation requires a fully labeled corpus")
+    for i, lab in enumerate(labels):
         members[lab].append(i)
     rng = np.random.default_rng(rng_seed)
     drawn, rest = [], []
@@ -491,23 +487,24 @@ def make_training_collection(
     """Labeled docs plus a uniform unlabeled sample, as one training corpus.
 
     ``pool_size`` is the number of unlabeled documents to draw (without
-    replacement); None takes the whole unlabeled set. Sampled documents carry
-    no label.
+    replacement), an int; None takes the whole unlabeled set. Sampled
+    documents carry no label.
     """
     if d_labeled.class_names != d_unlabeled.class_names:
         raise DataError("labeled/unlabeled corpora have different class tables")
     ids = d_unlabeled.doc_ids
-    if pool_size is None:
-        return concat_corpora(d_labeled, d_unlabeled.subset(range(len(ids)), drop_labels=True))
-    n_pool = int(pool_size)
-    if n_pool > len(ids):
-        raise DataError(f"requested {n_pool} unlabeled documents but only {len(ids)} available")
-    if n_pool < 0:
-        raise DataError(f"pool size must be >= 0, got {n_pool}")
-    order = np.array(sorted(range(len(ids)), key=ids.__getitem__), dtype=np.intp)
-    perm = np.random.default_rng(rng_seed).permutation(len(order))
-    sampled = np.sort(order[perm[:n_pool]])
-    return concat_corpora(d_labeled, d_unlabeled.subset(sampled, drop_labels=True))
+    rows = np.arange(len(ids))
+    if pool_size is not None:
+        if type(pool_size) is not int:  # int() would read True as 1 and cut 2.5 to 2
+            raise DataError(f"pool size must be an int, got {pool_size!r}")
+        if pool_size > len(ids):
+            raise DataError(f"requested {pool_size} unlabeled documents but only {len(ids)} available")
+        if pool_size < 0:
+            raise DataError(f"pool size must be >= 0, got {pool_size}")
+        order = np.array(sorted(range(len(ids)), key=ids.__getitem__), dtype=np.intp)
+        perm = np.random.default_rng(rng_seed).permutation(len(order))
+        rows = np.sort(order[perm[:pool_size]])
+    return concat_corpora(d_labeled, d_unlabeled.subset(rows, drop_labels=True))
 
 
 # ---------------------------------------------------------------------------

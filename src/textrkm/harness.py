@@ -58,6 +58,7 @@ class SweepConfig:
     transductive: bool = False              # include test docs, unlabeled, in training
 
     def __post_init__(self):
+        _flat_kwargs(SweepConfig, self.to_dict())  # every field of a JSON type, as from_dict reads it
         if self.trials_per_ratio < 1:
             raise DataError("trials_per_ratio must be >= 1")
         if self.base_seed < 0:  # numpy seeds are non-negative
@@ -86,7 +87,7 @@ class SweepConfig:
         policy = d.get("empty_cluster_policy", "reseed_farthest")
         if policy != "reseed_farthest":
             raise DataError(f"malformed sweep config: unknown empty_cluster_policy {policy!r}")
-        return _from_flat_fields(SweepConfig, d)
+        return SweepConfig(**_flat_kwargs(SweepConfig, d))
 
 
 def _flat_fields(config) -> dict:
@@ -102,18 +103,19 @@ def _flat_fields(config) -> dict:
     return out
 
 
-def _from_flat_fields(cls, d: Mapping):
+def _flat_kwargs(cls, d: Mapping) -> dict:
+    """The arguments of ``cls`` from the keys ``_flat_fields`` writes, typed by ``json_field``."""
     kwargs = {}
     for name, kind in get_type_hints(cls).items():
         if kind is TokenizerConfig:
             kwargs[name] = TokenizerConfig.from_dict(json_field(d, name, dict))
         elif dataclasses.is_dataclass(kind):
-            kwargs[name] = _from_flat_fields(kind, d)
+            kwargs[name] = kind(**_flat_kwargs(kind, d))
         elif get_origin(kind) is tuple:
             kwargs[name] = tuple(map(tuple, json_field(d, name, list[list[int]])))
         elif name != "rng_seed":
             kwargs[name] = json_field(d, name, kind)
-    return cls(**kwargs)
+    return kwargs
 
 
 @dataclass
@@ -156,7 +158,7 @@ def fit(
     config = dataclasses.replace(
         recursive, kmeans=dataclasses.replace(recursive.kmeans, rng_seed=seed)
     )
-    model = build_model(x, training.label_array(), kept_ids, training.class_names, config)
+    model = build_model(x, training.labels, kept_ids, training.class_names, config)
     return weights, model
 
 

@@ -73,13 +73,13 @@ def term_class_counts(corpus: Corpus) -> tuple[dict[str, int], np.ndarray]:
     One ``bincount`` over ``label * G + id`` keys of the corpus's encoding
     (G terms) counts every class; the vocabulary is the terms that occur.
     """
-    labels = corpus.label_array()
+    labels = corpus.labels
     if np.any(labels == UNLABELED):
         doc_id = corpus.doc_ids[int(np.argmax(labels == UNLABELED))]
         raise DataError(f"term weights are fitted on labeled documents only: {doc_id!r}")
     enc = corpus.encoding
     g = len(enc.terms)
-    keys = np.repeat(labels * g, np.diff(enc.indptr)) + enc.ids
+    keys = np.repeat(labels * g, enc.lengths) + enc.token_ids()
     counts = np.bincount(keys, minlength=corpus.n_classes * g).reshape(corpus.n_classes, g)
     present = np.flatnonzero(counts.any(axis=0))
     vocabulary = {term: i for i, term in enumerate(enc.terms[present].tolist())}
@@ -141,7 +141,7 @@ def embed_corpus(
     to them through its term table, one position at a time.
     """
     enc = corpus.encoding
-    lengths = np.diff(enc.indptr)
+    lengths = enc.lengths
     kept = np.flatnonzero(lengths)
     k, v = w.n_classes, w.vocab_size
     # row t holds term t's weights; row v, every out-of-vocabulary term's,
@@ -158,7 +158,7 @@ def embed_corpus(
     else:
         raise DataError("the documents were read through another vocabulary than the weights'")
     perm = np.argsort(-lengths[kept], kind="stable")
-    starts, lens = enc.indptr[kept[perm]], lengths[kept[perm]]
+    starts, lens = enc.starts[kept[perm]], lengths[kept[perm]]
     sums = np.zeros((len(kept), k + 1), dtype=np.float64)
     rows = max(1, EMBED_BLOCK_BYTES // (8 * (k + 1)))
     # n_pos loop positions, then the documents longer than n_pos one by one;

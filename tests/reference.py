@@ -18,7 +18,7 @@ import numpy as np
 
 from textrkm.classifier import Prediction, classify_batch
 from textrkm.cli import _warn_skipped, load_bundle
-from textrkm.corpus import Corpus, DocumentReader, TokenizerConfig, scan_directory
+from textrkm.corpus import DocumentReader, TokenizerConfig, scan_directory
 from textrkm.errors import DataError
 from textrkm.representation import TermClassWeights, embed_corpus
 
@@ -89,8 +89,7 @@ def cmd_classify(args) -> int:
     _warn_skipped(base, reader.read(files))
     if not reader.doc_ids:
         raise DataError(f"no usable documents under {path}")
-    corpus = Corpus(reader.doc_ids, [None] * len(reader.doc_ids), model.class_names, reader.encoding())
-    x, kept_ids, _dropped = embed_corpus(corpus, weights)
+    x, kept_ids, _dropped = embed_corpus(reader.pop(), weights)
     preds = classify_batch(x, model, kept_ids)
     lines = [f"{p.doc_id}\t{model.class_names[p.label]}\t{p.distance!r}" for p in preds]
     out = Path(args.out)

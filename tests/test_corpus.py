@@ -15,6 +15,7 @@ from hypothesis import strategies as st
 
 from textrkm import corpus as corpus_module
 from textrkm.corpus import (
+    UNLABELED,
     Corpus,
     Document,
     DocumentReader,
@@ -132,14 +133,19 @@ def test_reader_tokens_equal_the_regex_tokenizer_on_latin1_bytes(docs, budget, c
     documents, expected_skipped = expected_read(docs, config)
     assert skipped == expected_skipped
     assert reader.doc_ids == [d.doc_id for d in documents]
-    enc = reader.encoding()
     expected = Corpus.from_documents(documents, [None] * len(documents), ()).encoding
-    assert list(enc.terms) == list(expected.terms)
-    assert enc.ids.dtype == np.int32 and np.array_equal(enc.ids, expected.ids)
-    assert enc.indptr.dtype == np.int64 and np.array_equal(enc.indptr, expected.indptr)
+    assert_same_encoding(reader.encoding(), expected)
     for d in docs:
         if isinstance(d, bytes):
             assert tokenize(d.decode("latin-1"), config) == reference_tokenize(d.decode("latin-1"), config)
+
+
+def assert_same_encoding(enc, expected):
+    """The same terms, and the same ids in the same rows, as ``expected``."""
+    assert list(enc.terms) == list(expected.terms)
+    assert enc.ids.dtype == np.int32 and np.array_equal(enc.ids, expected.ids)
+    assert enc.starts.dtype == enc.lengths.dtype == np.int64
+    assert np.array_equal(enc.starts, expected.starts) and np.array_equal(enc.lengths, expected.lengths)
 
 
 def test_reading_many_small_files_keeps_a_bounded_peak(tmp_path):
@@ -193,9 +199,37 @@ def test_reading_a_large_file_keeps_a_bounded_peak(tmp_path):
     assert peak < 16 * budget
     whole, whole_skipped = read_encoding(files, 16 * budget)
     assert skipped == whole_skipped == [] and reader.doc_ids == whole.doc_ids
-    enc, whole_enc = reader.encoding(), whole.encoding()
-    assert list(enc.terms) == list(whole_enc.terms)
-    assert np.array_equal(enc.ids, whole_enc.ids) and np.array_equal(enc.indptr, whole_enc.indptr)
+    assert_same_encoding(reader.encoding(), whole.encoding())
+
+
+def test_reading_through_a_vocabulary_stores_no_unknown_word(tmp_path):
+    """Words outside the vocabulary read as its OOV id and are not kept, so
+    files of distinct unknown words peak no higher than files drawn from the
+    vocabulary, read a batch at a time as ``classify`` does."""
+    vocabulary = {f"v{i:07d}": i for i in range(1000)}
+    rng = np.random.default_rng(0)
+
+    def read(name, words):
+        (tmp_path / name).mkdir()
+        docs = [" ".join(words[i : i + 30]).encode() for i in range(0, len(words), 30)]
+        files = write_files(tmp_path / name, docs)
+        reader, ids = DocumentReader(TokenizerConfig(), vocabulary), []
+        tracemalloc.start()
+        try:
+            for skipped in reader.batches(files):
+                assert skipped == []
+                ids.append(reader.pop().encoding.ids)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(reader.terms) == len(vocabulary) + 1  # and the separator
+        return peak, np.concatenate(ids)
+
+    known_peak, known = read("known", [f"v{i:07d}" for i in rng.integers(0, 1000, 60_000)])
+    unknown_peak, unknown = read("unknown", [f"u{i:07d}" for i in range(60_000)])
+    assert len(known) == len(unknown) == 60_000 and np.all(unknown == len(vocabulary)) and np.all(known < 1000)
+    # storing 60,000 unknown words would take several MB
+    assert unknown_peak < known_peak + corpus_module.READ_BATCH_BYTES
 
 
 def test_a_large_file_failing_midway_leaves_no_trace(tmp_path, monkeypatch):
@@ -228,9 +262,8 @@ def test_a_large_file_failing_midway_leaves_no_trace(tmp_path, monkeypatch):
         skipped += reader.read(files[2:])
     assert skipped == [("d01", "unreadable")] and expected_skipped == []
     assert reader.doc_ids == expected.doc_ids == ["d00", "d02"]
-    enc, expected_enc = reader.encoding(), expected.encoding()
-    assert list(enc.terms) == list(expected_enc.terms) == ["ab", "cd", "ef"]
-    assert np.array_equal(enc.ids, expected_enc.ids) and np.array_equal(enc.indptr, expected_enc.indptr)
+    assert list(reader.encoding().terms) == ["ab", "cd", "ef"]
+    assert_same_encoding(reader.encoding(), expected.encoding())
 
 
 @settings(max_examples=200, deadline=None)
@@ -330,11 +363,10 @@ def test_loaded_tree_equals_the_regex_tokenizer(tmp_path, config):
     assert corpus.documents == documents
     assert corpus.skipped == skipped
     assert {"alpha/punct.txt", "alpha/empty.txt", "alpha/broken.txt", "alpha/loop.txt"} <= dict(skipped).keys()
-    assert corpus.labels == [0 if d.doc_id.startswith("alpha/") else 1 for d in documents]
+    assert corpus.labels.dtype == np.int64
+    assert corpus.labels.tolist() == [0 if d.doc_id.startswith("alpha/") else 1 for d in documents]
     expected = Corpus.from_documents(documents, corpus.labels, corpus.class_names).encoding
-    assert list(corpus.encoding.terms) == list(expected.terms)
-    assert np.array_equal(corpus.encoding.ids, expected.ids)
-    assert np.array_equal(corpus.encoding.indptr, expected.indptr)
+    assert_same_encoding(corpus.encoding, expected)
 
 
 def test_load_directory_errors(tmp_path):
@@ -401,12 +433,12 @@ def test_mask_labels_floor_one_per_class():
 
 def test_mask_preserves_ground_truth():
     corpus = make_text_corpus(n_classes=3, docs_per_class=9, seed=4)
-    labels = list(corpus.labels)
+    labels = corpus.labels.tolist()
     d_l, d_u = mask_labels(corpus, 0.3, rng_seed=9)
-    assert all(lab is None for lab in d_u.labels)
-    assert corpus.labels == labels  # the masked corpus keeps every label
+    assert d_u.labels.tolist() == [UNLABELED] * d_u.n_docs
+    assert corpus.labels.tolist() == labels  # the masked corpus keeps every label
     truth = dict(zip(corpus.doc_ids, labels))
-    assert d_l.labels == [truth[doc_id] for doc_id in d_l.doc_ids]
+    assert d_l.labels.tolist() == [truth[doc_id] for doc_id in d_l.doc_ids]
 
 
 def test_mask_deterministic():
@@ -423,13 +455,14 @@ def test_training_collection_whole_pool_and_empty_pool():
     full = make_training_collection(d_l, d_u)  # default: whole pool
     assert full.n_docs == d_l.n_docs + d_u.n_docs
     drawn = make_training_collection(d_l, d_u, pool_size=d_u.n_docs)  # a draw of every document
-    assert full.documents == drawn.documents and full.labels == drawn.labels
-    assert np.array_equal(full.encoding.ids, drawn.encoding.ids)
+    assert full.documents == drawn.documents and full.labels.tolist() == drawn.labels.tolist()
+    assert np.array_equal(full.encoding.token_ids(), drawn.encoding.token_ids())
     # a labeled pool still enters unlabeled
-    assert make_training_collection(d_l, d_l).labels == d_l.labels + [None] * d_l.n_docs
+    both = make_training_collection(d_l, d_l).labels.tolist()
+    assert both == d_l.labels.tolist() + [UNLABELED] * d_l.n_docs
     only_labeled = make_training_collection(d_l, d_u, pool_size=0)
     assert only_labeled.doc_ids == d_l.doc_ids
-    assert None not in only_labeled.labels
+    assert UNLABELED not in only_labeled.labels.tolist()
 
 
 def test_training_collection_count_arithmetic():
@@ -438,9 +471,54 @@ def test_training_collection_count_arithmetic():
     assert (d_l.n_docs, d_u.n_docs) == (10, 90)
     training = make_training_collection(d_l, d_u, pool_size=90)
     assert training.n_docs == 100
-    assert sum(lab is not None for lab in training.labels) == 10
+    assert np.count_nonzero(training.labels != UNLABELED) == 10
     with pytest.raises(DataError):
         make_training_collection(d_l, d_u, pool_size=91)
+
+
+@pytest.mark.parametrize("pool_size", [True, 2.5, "3", np.int64(3)])
+def test_training_collection_refuses_a_pool_size_that_is_no_int(pool_size):
+    corpus = make_text_corpus(n_classes=2, docs_per_class=10, seed=7)
+    d_l, d_u = mask_labels(corpus, 0.2, rng_seed=0)
+    with pytest.raises(DataError, match="pool size must be an int"):
+        make_training_collection(d_l, d_u, pool_size=pool_size)
+
+
+def test_trials_take_rows_and_copy_no_tokens(tmp_path):
+    """The subsets and concatenations of a trial are rows of the load's
+    encoding: they share its ids, and their traced peak does not grow with
+    the length of the documents."""
+    words = [f"word{i:03d}" for i in range(300)]
+
+    def trial_peaks(doc_len):
+        rng, root = np.random.default_rng(0), tmp_path / str(doc_len)
+        for c in range(3):
+            (root / f"c{c}").mkdir(parents=True)
+            for i in range(100):
+                (root / f"c{c}" / f"d{i:03d}").write_text(" ".join(rng.choice(words, doc_len)))
+        corpus = load_directory_corpus(root)
+        train, test = split_train_test(corpus, 0.5, rng_seed=0)
+        tracemalloc.start()
+        try:
+            d_l, d_u = mask_labels(train, 0.2, rng_seed=1)
+            training = make_training_collection(d_l, d_u, rng_seed=1)
+            masked = tracemalloc.get_traced_memory()[1]
+            held = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            pool = concat_corpora(d_u, test.subset(range(test.n_docs), drop_labels=True))
+            transductive = tracemalloc.get_traced_memory()[1] - held
+        finally:
+            tracemalloc.stop()
+        drawn = make_training_collection(d_l, pool, pool_size=pool.n_docs // 2, rng_seed=1)
+        for part in (train, test, d_l, d_u, training, pool, drawn):
+            assert part.encoding.ids is corpus.encoding.ids
+        assert len(corpus.encoding.ids) == 300 * doc_len
+        return masked, transductive
+
+    (short_masked, short_pool), (long_masked, long_pool) = trial_peaks(20), trial_peaks(400)
+    # copying the training half's tokens would add over 60,000 ids
+    assert long_masked < short_masked + 16 * 1024
+    assert long_pool < short_pool + 16 * 1024
 
 
 def test_split_spec_validation():
@@ -464,8 +542,8 @@ def test_manifest_round_trip(tmp_path):
     assert train2.doc_ids == train.doc_ids
     assert test2.doc_ids == test.doc_ids
     d_l2, d_u2 = mask_from_flags(train2, flags)
-    assert (d_l2.doc_ids, d_l2.labels) == (d_l.doc_ids, d_l.labels)
-    assert (d_u2.doc_ids, d_u2.labels) == (d_u.doc_ids, d_u.labels)
+    assert (d_l2.doc_ids, d_l2.labels.tolist()) == (d_l.doc_ids, d_l.labels.tolist())
+    assert (d_u2.doc_ids, d_u2.labels.tolist()) == (d_u.doc_ids, d_u.labels.tolist())
 
 
 def test_manifest_rejects_unknown_doc(tmp_path):
@@ -482,17 +560,18 @@ def test_corpus_tree_round_trip(tmp_path):
     write_corpus_tree(corpus, tmp_path)
     loaded = load_directory_corpus(tmp_path)
     assert loaded.doc_ids == corpus.doc_ids
-    assert loaded.labels == corpus.labels
+    assert loaded.labels.tolist() == corpus.labels.tolist()
     assert [d.tokens for d in loaded.documents] == [d.tokens for d in corpus.documents]
 
 
-def test_label_array_uses_minus_one():
+def test_labels_are_int64_with_minus_one_for_unlabeled():
     corpus = Corpus.from_documents(
         documents=[Document("x", ("tok",)), Document("y", ("tok",))],
         labels=[1, None],
         class_names=("a", "b"),
     )
-    assert np.array_equal(corpus.label_array(), np.array([1, -1]))
+    assert corpus.labels.dtype == np.int64 and corpus.labels.tolist() == [1, -1]
+    assert corpus.subset([0, 1], drop_labels=True).labels.tolist() == [-1, -1]
 
 
 def test_manifest_rejects_non_utf8_bytes(tmp_path):
@@ -523,12 +602,13 @@ def test_manifest_rejects_flag_other_than_zero_or_one(tmp_path, flag):
 
 def decoded(corpus):
     enc = corpus.encoding
-    return [tuple(enc.terms[enc.ids[a:b]]) for a, b in zip(enc.indptr[:-1], enc.indptr[1:])]
+    return [tuple(enc.terms[enc.ids[a : a + n]]) for a, n in zip(enc.starts.tolist(), enc.lengths.tolist())]
 
 
 def assert_encodes(corpus, terms, documents):
     assert corpus.encoding.terms is terms
-    assert corpus.encoding.ids.dtype == np.int32 and corpus.encoding.indptr.dtype == np.int64
+    assert corpus.encoding.ids.dtype == np.int32
+    assert corpus.encoding.starts.dtype == corpus.encoding.lengths.dtype == np.int64
     assert decoded(corpus) == [d.tokens for d in documents]
     assert corpus.documents == documents and corpus.doc_ids == [d.doc_id for d in documents]
 
@@ -541,31 +621,37 @@ TOKEN_LISTS = st.lists(st.lists(st.sampled_from(["a", "b", "cc", "d", "ee"]), ma
 def test_subsets_and_concatenations_decode_to_their_tokens(docs, other_docs, data):
     documents = [Document(f"d{i:02d}", tuple(toks)) for i, toks in enumerate(docs)]
     corpus = Corpus.from_documents(documents, [i % 2 for i in range(len(docs))], ("c0", "c1"))
-    terms = corpus.encoding.terms
+    terms, ids = corpus.encoding.terms, corpus.encoding.ids
     assert list(terms) == sorted({t for toks in docs for t in toks})
     assert_encodes(corpus, terms, documents)
     rows = st.lists(st.integers(-len(docs), len(docs) - 1))  # Python's negative indices too
     rows_a, rows_b = data.draw(rows), data.draw(rows)
-    # every subset cuts from the corpus's encoding and shares its term table
+    # every subset is rows of the corpus's encoding and shares its ids and terms
     a, b = corpus.subset(rows_a), corpus.subset(rows_b, drop_labels=True)
     docs_a, docs_b = [documents[i] for i in rows_a], [documents[i] for i in rows_b]
-    assert a.labels == [i % 2 for i in np.arange(len(docs))[rows_a]] and b.labels == [None] * len(rows_b)
+    assert a.labels.tolist() == [i % 2 for i in np.arange(len(docs))[rows_a]]
+    assert b.labels.tolist() == [UNLABELED] * len(rows_b)
     assert_encodes(a, terms, docs_a)
     assert_encodes(b, terms, docs_b)
-    assert_encodes(concat_corpora(a, b), terms, docs_a + docs_b)
+    joined = concat_corpora(a, b)
+    assert_encodes(joined, terms, docs_a + docs_b)
+    assert joined.labels.tolist() == a.labels.tolist() + b.labels.tolist()
     pool_size = data.draw(st.integers(0, b.n_docs))
     training = make_training_collection(a, b, pool_size, rng_seed=1)
     drawn = training.documents[a.n_docs :]
     assert len(drawn) == pool_size and all(d in docs_b for d in drawn)
     assert_encodes(training, terms, docs_a + drawn)
-    # a corpus built apart has a term table of its own; joined to one cut
-    # from this corpus, the result has the sorted union of both tables
+    assert all(c.encoding.ids is ids for c in (a, b, joined, training))
+    # a corpus built apart has an encoding of its own; joined to rows of
+    # this corpus, the result is encoded anew over its documents' sorted terms
     other = [Document(f"o{i:02d}", tuple(toks)) for i, toks in enumerate(other_docs)]
     apart = Corpus.from_documents(other, [None] * len(other), ("c0", "c1"))
-    for joined, want in ((concat_corpora(a, apart), docs_a + other), (concat_corpora(apart, b), other + docs_b)):
+    for joined, want, parts in ((concat_corpora(a, apart), docs_a + other, (a, apart)),
+                                (concat_corpora(apart, b), other + docs_b, (apart, b))):
         union = joined.encoding.terms
-        assert list(union) == sorted(set(terms) | set(apart.encoding.terms))
+        assert list(union) == sorted({t for d in want for t in d.tokens})
         assert_encodes(joined, union, want)
+        assert joined.labels.tolist() == parts[0].labels.tolist() + parts[1].labels.tolist()
 
 
 def test_loaded_corpus_holds_one_str_per_distinct_term(tmp_path):
@@ -575,5 +661,5 @@ def test_loaded_corpus_holds_one_str_per_distinct_term(tmp_path):
     assert_encodes(corpus, terms, corpus.documents)
     tokens = [t for d in corpus.documents for t in d.tokens]
     assert len({id(t) for t in tokens}) == len(terms)
-    ids = corpus.encoding.ids
-    assert all(t is terms[i] for t, i in zip(tokens, ids))
+    ids = corpus.encoding.token_ids()
+    assert len(ids) == len(tokens) and all(t is terms[i] for t, i in zip(tokens, ids))

@@ -135,7 +135,8 @@ def test_no_leakage_hidden_truth_never_reaches_learner(tmp_path):
     assert 0 < len(masked) < len(entries) // 2
     permuted = Corpus(
         corpus.doc_ids,
-        [(lab + 1) % corpus.n_classes if d in masked else lab for d, lab in zip(corpus.doc_ids, corpus.labels)],
+        np.array([(lab + 1) % corpus.n_classes if d in masked else lab
+                  for d, lab in zip(corpus.doc_ids, corpus.labels.tolist())]),
         corpus.class_names,
         corpus.encoding,
     )
@@ -338,6 +339,20 @@ def test_sweep_config_from_dict_rejects_other_json_types(key, value):
     d = SweepConfig().to_dict()
     with pytest.raises(DataError, match=f"field '{key}' must be "):
         SweepConfig.from_dict({**d, key: value})
+
+
+@pytest.mark.parametrize("key, value", [
+    ("unlabeled_pool_size", 2.5),
+    ("unlabeled_pool_size", True),
+    ("smoothing", True),
+    ("transductive", 1),
+    ("trials_per_ratio", np.int64(1)),
+])
+def test_sweep_config_refuses_what_its_json_file_cannot_hold(key, value):
+    # each of these would run a sweep whose sweep_config.json from_dict
+    # rejects, or which json.dumps cannot write
+    with pytest.raises(DataError, match=f"field '{key}' must be "):
+        SweepConfig(**{key: value})
 
 
 @pytest.mark.parametrize("key, value", [

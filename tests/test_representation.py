@@ -291,8 +291,8 @@ def test_embed_corpus_of_files_read_through_the_vocabulary(tmp_path):
     config = TokenizerConfig(min_token_len=2, stopwords=frozenset({"the", "common2"}))
     whole, direct = DocumentReader(config), DocumentReader(config, w.vocabulary)
     assert whole.read(files) == direct.read(files) == []
-    x, kept, dropped = embed_corpus(Corpus(whole.doc_ids, [None] * len(files), (), whole.encoding()), w)
-    direct_corpus = Corpus(direct.doc_ids, [None] * len(files), (), direct.encoding())
+    x, kept, dropped = embed_corpus(whole.pop(), w)
+    direct_corpus = direct.pop()
     assert direct_corpus.encoding.vocabulary is w.vocabulary
     y, direct_kept, direct_dropped = embed_corpus(direct_corpus, w)
     assert x.tobytes() == y.tobytes() and kept == direct_kept and dropped == direct_dropped == []
