@@ -39,7 +39,6 @@ from .rkmeans import (
     build_model,
     choose_initial_seeds,
     kmeans,
-    recursive_kmeans,
 )
 
 __version__ = "0.1.0"
@@ -74,7 +73,6 @@ __all__ = [
     "load_directory_corpus",
     "make_training_collection",
     "mask_labels",
-    "recursive_kmeans",
     "replay_trial",
     "run_sweep",
     "run_trial",

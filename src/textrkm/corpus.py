@@ -125,8 +125,14 @@ class Corpus:
 
     @property
     def documents(self) -> list[Document]:
-        """The documents with their tokens, decoded anew from the encoding."""
+        """The documents with their tokens, decoded anew from the encoding.
+
+        A corpus read through a vocabulary keeps no term table to decode
+        from: DataError."""
         enc = self.encoding
+        if enc.vocabulary is not None:
+            raise DataError("a corpus read through a vocabulary keeps no term table: "
+                            "its documents cannot be decoded")
         tokens = enc.terms[enc.token_ids()].tolist()
         bounds = [0, *np.cumsum(enc.lengths).tolist()]
         return [Document(d, tuple(tokens[a:b])) for d, a, b in zip(self.doc_ids, bounds, bounds[1:])]
@@ -415,27 +421,28 @@ def load_directory_corpus(
 
 def _stratified_draw(
     corpus: Corpus, fraction: float, rng_seed: int, spare: int, too_small: str
-) -> tuple[list[int], list[int]]:
+) -> tuple[np.ndarray, np.ndarray]:
     """Per class, draw ``round(fraction * size)`` of its documents, at least 1
-    and at most ``size - spare``; ``(drawn, rest)`` in (class index, doc id)
-    order. A smaller class than ``1 + spare`` raises ``too_small``."""
-    labels = corpus.labels.tolist()
-    if UNLABELED in labels:
-        raise DataError("operation requires a fully labeled corpus")
-    members: list[list[int]] = [[] for _ in range(corpus.n_classes)]
-    for i, lab in enumerate(labels):
-        members[lab].append(i)
+    and at most ``size - spare``; ``(drawn, rest)`` rows in (class index, doc
+    id) order. A smaller class than ``1 + spare`` raises ``too_small``."""
+    labels = corpus.labels
+    if ((labels < 0) | (labels >= corpus.n_classes)).any():
+        raise DataError("operation requires a fully labeled corpus, each label a class of its table")
+    # every row, grouped by class and in doc id order within a class:
+    # independent of the corpus's order
+    ids = corpus.doc_ids
+    rows = np.array(sorted(range(len(ids)), key=ids.__getitem__), dtype=np.intp)
+    rows = rows[np.argsort(labels[rows], kind="stable")]
     rng = np.random.default_rng(rng_seed)
-    drawn, rest = [], []
-    for name, m in zip(corpus.class_names, members):
-        if len(m) < 1 + spare:
-            raise DataError(too_small.format(name=name, n=len(m)))
-        m.sort(key=corpus.doc_ids.__getitem__)  # independent of the corpus's order
-        n = min(max(int(round(len(m) * fraction)), 1), len(m) - spare)
-        chosen = {m[p] for p in rng.permutation(len(m))[:n]}
-        drawn.extend(i for i in m if i in chosen)
-        rest.extend(i for i in m if i not in chosen)
-    return drawn, rest
+    chosen = np.zeros(len(rows), dtype=bool)
+    start, sizes = 0, np.bincount(labels, minlength=corpus.n_classes).tolist()
+    for name, size in zip(corpus.class_names, sizes):
+        if size < 1 + spare:
+            raise DataError(too_small.format(name=name, n=size))
+        n = min(max(int(round(size * fraction)), 1), size - spare)
+        chosen[start + rng.permutation(size)[:n]] = True
+        start += size
+    return rows[chosen], rows[~chosen]
 
 
 def check_test_fraction(test_fraction: float) -> None:

@@ -58,6 +58,13 @@ class SweepConfig:
     transductive: bool = False              # include test docs, unlabeled, in training
 
     def __post_init__(self):
+        # a list or a tuple of int pairs, kept as the tuple of tuples from_dict makes
+        grid = self.ratio_grid
+        if not isinstance(grid, (list, tuple)) or not all(
+            isinstance(pair, (list, tuple)) and all(type(v) is int for v in pair) for pair in grid
+        ):
+            raise DataError(f"ratio_grid must be a tuple of (int, int) pairs, got {grid!r}")
+        object.__setattr__(self, "ratio_grid", tuple(map(tuple, grid)))
         _flat_kwargs(SweepConfig, self.to_dict())  # every field of a JSON type, as from_dict reads it
         if self.trials_per_ratio < 1:
             raise DataError("trials_per_ratio must be >= 1")

@@ -146,8 +146,7 @@ def assign_euclidean(x, centroids, *, norms=None):
     if n * m <= DIRECT_PAIRS:
         diff = x[:, None, :] - centroids[None, :, :]
         d2 = np.einsum("ijk,ijk->ij", diff, diff)
-        assign = d2.argmin(axis=1)
-        return assign, d2[np.arange(n), assign]
+        return d2.argmin(axis=1), d2.min(axis=1)
     if norms is None:
         norms = row_norms(x, "euclidean")
     centroid_sq = np.einsum("ij,ij->i", centroids, centroids)
@@ -178,12 +177,14 @@ def assign_cosine(x, centroids, *, norms=None):
     """
     xn = row_norms(x, "cosine") if norms is None else norms
     cn = row_norms(centroids, "cosine")
-    dots = x @ centroids.T
+    # the similarity, then the distance, in place in the product's buffer
+    dist = x @ centroids.T
     denom = xn[:, None] * cn[None, :]
-    sims = np.divide(dots, denom, out=np.zeros_like(dots), where=denom > 0.0)
-    dist = 1.0 - sims
-    assign = dist.argmin(axis=1).astype(np.int64)
-    return assign, dist[np.arange(x.shape[0]), assign]
+    positive = denom > 0.0
+    np.divide(dist, denom, out=dist, where=positive)
+    np.copyto(dist, 0.0, where=np.logical_not(positive, out=positive))
+    np.subtract(1.0, dist, out=dist)
+    return dist.argmin(axis=1), dist.min(axis=1)
 
 
 def centroid_sums(x, assign, n_clusters, *, columns=None):
@@ -195,7 +196,7 @@ def centroid_sums(x, assign, n_clusters, *, columns=None):
     adds its values in row order from 0.0, as a loop over the rows would.
     """
     d = x.shape[1]
-    counts = np.bincount(assign, minlength=n_clusters).astype(np.int64)
+    counts = np.bincount(assign, minlength=n_clusters).astype(np.int64, copy=False)
     if columns is not None:
         sums = np.empty((n_clusters, d))
         for j, column in enumerate(columns):

@@ -113,8 +113,11 @@ def kmeans(x: np.ndarray, seeds: np.ndarray, config: KMeansConfig) -> KMeansResu
         )
 
     k = centroids.shape[0]
-    # what every iteration reuses, computed once per run
-    norms = kernels.row_norms(x, config.distance)
+    # what every iteration reuses, computed once per run; the euclidean
+    # kernel reads norms only when it ranks (more than DIRECT_PAIRS pairs)
+    norms = None
+    if config.distance == "cosine" or x.shape[0] * k > kernels.DIRECT_PAIRS:
+        norms = kernels.row_norms(x, config.distance)
     columns = np.ascontiguousarray(x.T) if x.shape[0] >= kernels.COLUMN_SUM_ROWS else None
     history: list[float] = []
     for n_iter in range(1, config.max_iterations + 1):
@@ -289,35 +292,6 @@ def _recurse(
     return finals
 
 
-def recursive_kmeans(
-    x: np.ndarray,
-    labels: np.ndarray,
-    n_classes: int,
-    config: RecursiveConfig,
-) -> tuple[list[FinalCluster], RunStats]:
-    """Run the recursive clustering pass over one point set.
-
-    ``labels`` uses -1 for unlabeled points. Returns the final clusters in
-    deterministic depth-first order plus run statistics.
-    """
-    x = kernels.as_points(x)
-    labels = np.asarray(labels, dtype=np.int64)
-    if labels.shape[0] != x.shape[0]:
-        raise DataError("labels and points length mismatch")
-    if not (labels >= 0).any():
-        raise DataError("recursive clustering needs at least one labeled point")
-    if labels.max() >= n_classes:
-        raise DataError(f"label {labels.max()} out of range for {n_classes} classes")
-    stats = RunStats(
-        th_percent=config.th_percent,
-        rng_seed=config.kmeans.rng_seed,
-        distance=config.kmeans.distance,
-    )
-    rng = np.random.default_rng(config.kmeans.rng_seed)
-    finals = _recurse(x, labels, np.arange(x.shape[0]), n_classes, config, 0, rng, stats)
-    return finals, stats
-
-
 @dataclass
 class ClusterModel:
     """The learned knowledgebase: final clusters, centroids and labels.
@@ -389,22 +363,33 @@ def build_model(
     class_names: Sequence[str],
     config: RecursiveConfig,
 ) -> ClusterModel:
-    """Cluster a mixed training collection and assemble the knowledgebase.
+    """Run the recursive clustering pass over a mixed training collection and
+    assemble the knowledgebase.
 
-    Requires at least one labeled point for every class in ``class_names``.
-    Every unlabeled point ends up in ``training_label_assignments``.
+    ``labels`` uses -1 for unlabeled points, and every class in
+    ``class_names`` needs at least one labeled point. The final clusters come
+    in deterministic depth-first order, and every unlabeled point ends up in
+    ``training_label_assignments``.
     """
     x = kernels.as_points(x)
     labels = np.asarray(labels, dtype=np.int64)
     n_classes = len(class_names)
-    present = np.unique(labels[labels >= 0])
-    missing = [class_names[c] for c in range(n_classes) if c not in present]
+    if not x.shape[0] == labels.shape[0] == len(doc_ids):
+        raise DataError("points, labels and doc_ids differ in length")
+    if labels.max(initial=-1) >= n_classes:
+        raise DataError(f"label {labels.max()} out of range for {n_classes} classes")
+    sizes = np.bincount(labels[labels >= 0], minlength=n_classes).tolist()
+    missing = [name for name, size in zip(class_names, sizes) if not size]
     if missing:
         raise DataError(f"classes without labeled training points: {missing}")
-    if len(doc_ids) != x.shape[0]:
-        raise DataError("doc_ids and points length mismatch")
 
-    finals, stats = recursive_kmeans(x, labels, n_classes, config)
+    stats = RunStats(
+        th_percent=config.th_percent,
+        rng_seed=config.kmeans.rng_seed,
+        distance=config.kmeans.distance,
+    )
+    rng = np.random.default_rng(config.kmeans.rng_seed)
+    finals = _recurse(x, labels, np.arange(x.shape[0]), n_classes, config, 0, rng, stats)
     model = ClusterModel(
         centroids=np.ascontiguousarray(np.vstack([c.centroid for c in finals])),
         labels=np.array([c.label for c in finals], dtype=np.int64),

@@ -232,6 +232,22 @@ def test_reading_through_a_vocabulary_stores_no_unknown_word(tmp_path):
     assert unknown_peak < known_peak + corpus_module.READ_BATCH_BYTES
 
 
+def test_a_corpus_read_through_a_vocabulary_cannot_be_decoded(tmp_path):
+    # such an encoding keeps no term table; concatenating it with a corpus of
+    # another load decodes both sides and meets the same refusal
+    files = write_files(tmp_path, [b"alpha beta", b"gamma"])
+    reader = DocumentReader(TokenizerConfig(), {"alpha": 0, "gamma": 1})
+    assert reader.read(files) == []
+    read = reader.pop()
+    assert read.encoding.ids.tolist() == [0, 2, 1]
+    with pytest.raises(DataError, match="read through a vocabulary keeps no term table"):
+        read.documents
+    other = Corpus.from_documents([Document("x", ("alpha",))], [None], ())
+    for a, b in ((read, other), (other, read)):
+        with pytest.raises(DataError, match="read through a vocabulary keeps no term table"):
+            concat_corpora(a, b)
+
+
 def test_a_large_file_failing_midway_leaves_no_trace(tmp_path, monkeypatch):
     """A read error after some pieces of a file were added makes the file
     unreadable and forgets its tokens and the words only it held."""
@@ -412,6 +428,15 @@ def test_split_rejects_singleton_class():
     )
     with pytest.raises(DataError):
         split_train_test(corpus, test_fraction=0.5, rng_seed=0)
+
+
+@pytest.mark.parametrize("bad_label", [None, 2, -2])
+def test_split_and_mask_refuse_a_document_without_a_class_of_the_table(bad_label):
+    docs = [Document(f"{c}/{i}", ("aa",)) for c in "ab" for i in range(3)]
+    corpus = Corpus.from_documents(docs, [0, 0, 0, 1, 1, bad_label], ("a", "b"))
+    for draw in (lambda: split_train_test(corpus), lambda: mask_labels(corpus, 0.5, 0)):
+        with pytest.raises(DataError, match="requires a fully labeled corpus"):
+            draw()
 
 
 def test_mask_labels_fraction_arithmetic():

@@ -60,6 +60,26 @@ def test_sweep_config_validation():
         SweepConfig(ratio_grid=())
 
 
+@pytest.mark.parametrize("grid", [[[5, 45], [10, 40]], [(5, 45), (10, 40)], ([5, 45], (10, 40))])
+def test_sweep_config_keeps_a_list_ratio_grid_as_tuples(grid, tmp_path):
+    cfg = SweepConfig(ratio_grid=grid, trials_per_ratio=1)
+    as_tuples = SweepConfig(ratio_grid=((5, 45), (10, 40)), trials_per_ratio=1)
+    assert cfg.ratio_grid == ((5, 45), (10, 40)) and cfg == as_tuples
+    assert hash(cfg) == hash(as_tuples)
+    corpus = make_text_corpus(n_classes=3, docs_per_class=20, seed=1)
+    table = run_sweep(corpus, cfg)
+    assert [rec.ratio for rec in table.records] == [(5, 45), (10, 40)]
+    assert all(rec.error is None for rec in table.records)
+
+
+@pytest.mark.parametrize("grid", [
+    [(np.int64(5), 45)], [[5, np.int32(45)]], np.array([[5, 45]]), [(True, 45)], (5, 45), "5:45",
+])
+def test_sweep_config_refuses_a_ratio_grid_of_other_python_types(grid):
+    with pytest.raises(DataError, match=r"ratio_grid must be a tuple of \(int, int\) pairs"):
+        SweepConfig(ratio_grid=grid)
+
+
 def test_run_trial_deterministic():
     corpus = make_text_corpus(n_classes=3, docs_per_class=20, seed=1)
     train, test = split_corpus(corpus)

@@ -19,7 +19,6 @@ from textrkm.rkmeans import (
     build_model,
     choose_initial_seeds,
     kmeans,
-    recursive_kmeans,
 )
 
 from reference import cluster_class_stats, lloyd_reference, majority_label, relative_percentage
@@ -211,7 +210,11 @@ def test_kmeans_calls_each_kernel_once_per_iteration(monkeypatch):
             res = kmeans(x, seeds, KMeansConfig(distance=distance, max_iterations=cap))
             assert [c[0] for c in calls] == ["assign", "sums"] * res.n_iter
             norms, columns = calls[0][2]["norms"], calls[1][2]["columns"]
-            assert norms.tobytes() == kernels.row_norms(x, distance).tobytes()
+            # the euclidean kernel reads norms only when it ranks
+            if distance == "euclidean" and len(x) * len(seeds) <= kernels.DIRECT_PAIRS:
+                assert norms is None
+            else:
+                assert norms.tobytes() == kernels.row_norms(x, distance).tobytes()
             if len(x) >= kernels.COLUMN_SUM_ROWS:
                 assert columns.flags.c_contiguous and np.array_equal(columns, x.T)
             else:
@@ -295,9 +298,9 @@ def one_dimensional_mixed_instance():
 
 def test_recursive_matches_partition_oracle_one_dimensional():
     x, labels, ids = one_dimensional_mixed_instance()
-    finals, stats = recursive_kmeans(x, labels, 2, RecursiveConfig(th_percent=5.0))
-    assert len(finals) == 2
-    by_label = {f.label: sorted(ids[i] for i in f.member_indices) for f in finals}
+    model = build_model(x, labels, ids, ("a", "b"), RecursiveConfig(th_percent=5.0))
+    assert len(model.clusters) == 2
+    by_label = {f.label: sorted(ids[i] for i in f.member_indices) for f in model.clusters}
     assert by_label[0] == ["a1", "a2", "u1"]
     assert by_label[1] == ["b1", "b2", "u2"]
     # oracle: the exhaustive minimum-SSE 2-partition separates the same sets
@@ -312,34 +315,36 @@ def test_recursive_single_class_no_recursion():
     rng = np.random.default_rng(3)
     x = rng.normal(size=(12, 2))
     labels = np.array([0] * 4 + [-1] * 8)
-    finals, stats = recursive_kmeans(x, labels, 1, RecursiveConfig())
-    assert len(finals) == 1
-    assert finals[0].label == 0
-    assert finals[0].acceptance == ACCEPT_PURE
-    assert stats.recursion_calls == 0
+    model = build_model(x, labels, [f"p{i}" for i in range(len(x))], ("a",), RecursiveConfig())
+    assert len(model.clusters) == 1
+    assert model.clusters[0].label == 0
+    assert model.clusters[0].acceptance == ACCEPT_PURE
+    assert model.stats.recursion_calls == 0
 
 
 def test_minority_below_threshold_absorbed_as_outliers():
     # co-located points cannot be split; minority at 2% of majority <= Th=5
     x = np.zeros((102, 1))
     labels = np.array([0] * 100 + [1] * 2)
-    finals, stats = recursive_kmeans(x, labels, 2, RecursiveConfig(th_percent=5.0))
-    assert len(finals) == 1
-    assert finals[0].label == 0
-    assert finals[0].acceptance == ACCEPT_THRESHOLD
-    assert stats.recursion_calls == 0
-    assert stats.fallback_total == 0
+    ids = [f"p{i}" for i in range(len(x))]
+    model = build_model(x, labels, ids, ("a", "b"), RecursiveConfig(th_percent=5.0))
+    assert len(model.clusters) == 1
+    assert model.clusters[0].label == 0
+    assert model.clusters[0].acceptance == ACCEPT_THRESHOLD
+    assert model.stats.recursion_calls == 0
+    assert model.stats.fallback_total == 0
 
 
 def test_unsplittable_mixed_cluster_falls_back_to_majority():
     # equal co-located classes sit far above any threshold but cannot split
     x = np.zeros((8, 1))
     labels = np.array([0, 0, 0, 1, 1, -1, -1, -1])
-    finals, stats = recursive_kmeans(x, labels, 2, RecursiveConfig(th_percent=5.0))
-    assert len(finals) == 1
-    assert finals[0].label == 0  # majority
-    assert finals[0].acceptance == ACCEPT_NO_SPLIT
-    assert stats.fallback_total == 1
+    ids = [f"p{i}" for i in range(len(x))]
+    model = build_model(x, labels, ids, ("a", "b"), RecursiveConfig(th_percent=5.0))
+    assert len(model.clusters) == 1
+    assert model.clusters[0].label == 0  # majority
+    assert model.clusters[0].acceptance == ACCEPT_NO_SPLIT
+    assert model.stats.fallback_total == 1
 
 
 def test_depth_limit_fallback_still_returns_model():
@@ -347,11 +352,11 @@ def test_depth_limit_fallback_still_returns_model():
     x = np.linspace(0.0, 1.0, 16).reshape(-1, 1)
     labels = np.array([0, 1] * 8)
     config = RecursiveConfig(th_percent=5.0, max_recursion_depth=1)
-    finals, stats = recursive_kmeans(x, labels, 2, config)
-    assert stats.max_depth_reached <= 1
-    covered = sorted(i for f in finals for i in f.member_indices)
+    model = build_model(x, labels, [f"p{i}" for i in range(len(x))], ("a", "b"), config)
+    assert model.stats.max_depth_reached <= 1
+    covered = sorted(i for f in model.clusters for i in f.member_indices)
     assert covered == list(range(16))
-    for f in finals:
+    for f in model.clusters:
         assert f.acceptance in (ACCEPT_PURE, ACCEPT_THRESHOLD) + FALLBACK_REASONS
 
 
@@ -365,12 +370,13 @@ def test_orphan_cluster_labeled_by_nearest_sibling():
             x = np.array([[1.0, 0.0]] * 30 + [[0.0, 1.0]] * 30 + [[1.0, 0.0], point, point])
             labels = np.array([0] * 30 + [1] * 30 + [2, -1, -1])
             config = RecursiveConfig(kmeans=KMeansConfig(distance=distance))
-            finals, stats = recursive_kmeans(x, labels, 3, config)
-            assert [(f.label, f.acceptance) for f in finals] == [
+            ids = [f"p{i}" for i in range(len(x))]
+            model = build_model(x, labels, ids, ("a", "b", "c"), config)
+            assert [(f.label, f.acceptance) for f in model.clusters] == [
                 (0, ACCEPT_THRESHOLD), (1, ACCEPT_PURE), (label, ACCEPT_ORPHAN)
             ], (distance, point)
-            assert finals[2].member_indices.tolist() == [61, 62]
-            assert stats.orphan_count == 1
+            assert model.clusters[2].member_indices.tolist() == [61, 62]
+            assert model.stats.orphan_count == 1
 
 
 def test_build_model_pure_clusters_on_separated_classes():
@@ -430,9 +436,10 @@ def test_acceptance_rule_recount_on_random_instances():
             if not (labels == c).any():
                 labels[int(rng.integers(n))] = c
         config = RecursiveConfig(th_percent=th, kmeans=KMeansConfig(rng_seed=trial))
-        finals, stats = recursive_kmeans(x, labels, k, config)
+        ids = [f"p{i}" for i in range(n)]
+        model = build_model(x, labels, ids, tuple(f"c{c}" for c in range(k)), config)
         fallback_seen = 0
-        for f in finals:
+        for f in model.clusters:
             ncp, lsp = cluster_class_stats(labels[f.member_indices], k)
             if f.acceptance in (ACCEPT_PURE, ACCEPT_THRESHOLD):
                 maj = majority_label(lsp)
@@ -442,7 +449,7 @@ def test_acceptance_rule_recount_on_random_instances():
                         assert relative_percentage(lsp, maj, c) <= th
             elif f.acceptance in FALLBACK_REASONS:
                 fallback_seen += 1
-        assert fallback_seen == stats.fallback_total
+        assert fallback_seen == model.stats.fallback_total
 
 
 @st.composite
@@ -536,13 +543,28 @@ def test_build_model_without_unlabeled_points():
 
 def test_recursive_rejects_label_out_of_range():
     with pytest.raises(DataError, match="label 2 out of range for 2 classes"):
-        recursive_kmeans(np.zeros((3, 1)), np.array([0, 1, 2]), 2, RecursiveConfig())
+        build_model(np.zeros((3, 1)), np.array([0, 1, 2]), ["a", "b", "c"], ("one", "two"),
+                    RecursiveConfig())
+
+
+@pytest.mark.parametrize("n_points, n_labels, n_ids", [(3, 4, 4), (4, 3, 4), (4, 4, 3)])
+def test_build_model_rejects_inputs_of_different_lengths(n_points, n_labels, n_ids):
+    with pytest.raises(DataError, match="points, labels and doc_ids differ in length"):
+        build_model(np.zeros((n_points, 1)), np.array([0, 1, -1, -1][:n_labels]),
+                    ["a", "b", "c", "d"][:n_ids], ("one", "two"), RecursiveConfig())
+
+
+@pytest.mark.parametrize("class_names", [("one", "two"), ()])
+def test_build_model_rejects_an_unlabeled_collection(class_names):
+    with pytest.raises(DataError, match="classes without labeled|no labeled points"):
+        build_model(np.zeros((3, 1)), np.full(3, -1), ["a", "b", "c"], class_names,
+                    RecursiveConfig())
 
 
 def test_build_model_requires_all_classes_labeled():
     x = np.zeros((4, 2))
     labels = np.array([0, 0, -1, -1])
-    with pytest.raises(DataError):
+    with pytest.raises(DataError, match=r"classes without labeled training points: \['two'\]"):
         build_model(x, labels, ["a", "b", "c", "d"], ("one", "two"), RecursiveConfig())
 
 
