@@ -16,7 +16,10 @@ from dataclasses import asdict
 from pathlib import Path
 
 from textrkm import harness
-from textrkm.harness import SweepConfig, emit_results, manifest_filename, ratio_str, run_sweep
+from textrkm.cli import save_bundle
+from textrkm.corpus import TokenizerConfig, mask_labels
+from textrkm.harness import SweepConfig, emit_results, fit, manifest_filename, ratio_str, run_sweep
+from textrkm.rkmeans import RecursiveConfig
 
 from synthdata import make_text_corpus
 
@@ -72,6 +75,21 @@ def test_sweep_matches_golden_outputs(tmp_path, monkeypatch):
     for name, data in csvs.items():
         assert data == (GOLDEN / f"{name}.csv").read_bytes(), f"{name}.csv differs"
     assert digests == json.loads((GOLDEN / "digests.json").read_text(encoding="utf-8"))
+
+
+# blake2b of the bundle ``save_bundle`` writes for a model trained on CORPUS
+# at one part labeled in five, seed 7, depth limit 3: it recurses, and
+# accepts clusters as orphans and at both the size and the depth limit
+PINNED_BUNDLE = "9a056fa7f480e9b4a149845d88342b90"
+
+
+def test_bundle_matches_pinned_bytes(tmp_path):
+    d_labeled, d_unlabeled = mask_labels(make_text_corpus(**CORPUS), 0.2, 7)
+    weights, model = fit(d_labeled, d_unlabeled, 1.0, RecursiveConfig(max_recursion_depth=3), 7)
+    assert model.stats.fallback_counts == {"fallback_size": 9, "fallback_depth": 4}
+    assert model.stats.orphan_count == 3
+    save_bundle(tmp_path / "model.json", model, weights, TokenizerConfig())
+    assert digest((tmp_path / "model.json").read_bytes()) == PINNED_BUNDLE
 
 
 if __name__ == "__main__":
