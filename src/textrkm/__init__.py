@@ -33,7 +33,6 @@ from .representation import (
 )
 from .rkmeans import (
     ClusterModel,
-    FinalCluster,
     KMeansConfig,
     RecursiveConfig,
     build_model,
@@ -49,7 +48,6 @@ __all__ = [
     "DataError",
     "Document",
     "EvalReport",
-    "FinalCluster",
     "InvariantError",
     "KMeansConfig",
     "Prediction",

@@ -83,7 +83,7 @@ class SweepConfig:
         check_smoothing(self.smoothing)
 
     def to_dict(self) -> dict:
-        """One key per field: ``recursive`` flattened in place, ``rng_seed`` (set per trial) left out."""
+        """One key per field, ``recursive`` flattened in place."""
         return _flat_fields(self)
 
     @staticmethod
@@ -105,7 +105,7 @@ def _flat_fields(config) -> dict:
             out[f.name] = value.to_dict()
         elif dataclasses.is_dataclass(value):
             out |= _flat_fields(value)
-        elif f.name != "rng_seed":
+        else:
             out[f.name] = [list(pair) for pair in value] if isinstance(value, tuple) else value
     return out
 
@@ -120,7 +120,7 @@ def _flat_kwargs(cls, d: Mapping) -> dict:
             kwargs[name] = kind(**_flat_kwargs(kind, d))
         elif get_origin(kind) is tuple:
             kwargs[name] = tuple(map(tuple, json_field(d, name, list[list[int]])))
-        elif name != "rng_seed":
+        else:
             kwargs[name] = json_field(d, name, kind)
     return kwargs
 
@@ -162,10 +162,7 @@ def fit(
     x, kept_ids, dropped = embed_corpus(training, weights)
     if dropped:
         raise DataError(f"training documents with zero tokens: {dropped[:5]}")
-    config = dataclasses.replace(
-        recursive, kmeans=dataclasses.replace(recursive.kmeans, rng_seed=seed)
-    )
-    model = build_model(x, training.labels, kept_ids, training.class_names, config)
+    model = build_model(x, training.labels, kept_ids, training.class_names, recursive, seed)
     return weights, model
 
 

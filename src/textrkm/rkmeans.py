@@ -17,8 +17,9 @@ the same partition.
 """
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import asdict, dataclass, field
-from itertools import chain
+from itertools import chain, compress
 from typing import Sequence, get_type_hints
 
 import numpy as np
@@ -35,6 +36,7 @@ ACCEPT_NO_SPLIT = "fallback_unsplittable"  # k-means could not split the set
 ACCEPT_ORPHAN = "orphan"             # no labeled member; labeled via sibling
 
 FALLBACK_REASONS = (ACCEPT_DEPTH, ACCEPT_SIZE, ACCEPT_NO_SPLIT)
+ACCEPTANCE_REASONS = (ACCEPT_PURE, ACCEPT_THRESHOLD, *FALLBACK_REASONS, ACCEPT_ORPHAN)
 
 
 @dataclass(frozen=True)
@@ -42,7 +44,6 @@ class KMeansConfig:
     distance: str = "euclidean"
     max_iterations: int = 100
     centroid_shift_tolerance: float = 1e-6
-    rng_seed: int = 0
 
     def __post_init__(self):
         if self.distance not in kernels.METRICS:
@@ -183,15 +184,6 @@ def choose_initial_seeds(
 
 
 @dataclass
-class FinalCluster:
-    member_indices: np.ndarray  # positions in the training matrix
-    centroid: np.ndarray
-    label: int
-    acceptance: str
-    depth: int
-
-
-@dataclass
 class RunStats:
     th_percent: float
     rng_seed: int
@@ -210,100 +202,30 @@ class RunStats:
 _RUN_STATS_TYPES = get_type_hints(RunStats)
 
 
-def _recurse(
-    x: np.ndarray,
-    labels: np.ndarray,
-    idx: np.ndarray,
-    n_classes: int,
-    config: RecursiveConfig,
-    depth: int,
-    rng: np.random.Generator,
-    stats: RunStats,
-) -> list[FinalCluster]:
-    stats.max_depth_reached = max(stats.max_depth_reached, depth)
-    sub_x = np.ascontiguousarray(x[idx])
-    sub_labels = labels[idx]
-    seeds, _ = choose_initial_seeds(sub_x, sub_labels, rng)
-    result = kmeans(sub_x, seeds, config.kmeans)
-    stats.kmeans_runs += 1
-    k = result.centroids.shape[0]
-
-    # (clusters, classes) labeled counts, one list per cluster, and each
-    # cluster's majority class (its first largest count)
-    known = sub_labels >= 0
-    lsp = np.bincount(
-        result.assignments[known] * n_classes + sub_labels[known], minlength=k * n_classes
-    ).reshape(k, n_classes).tolist()
-    majority = [row.index(max(row)) for row in lsp]
-    n_present = [n_classes - row.count(0) for row in lsp]
-
-    # a cluster with no labeled member takes the majority of the nearest
-    # labeled sibling, ties to the lowest cluster index
-    orphans = [j for j in range(k) if not n_present[j]]
-    if orphans:
-        siblings = [j for j in range(k) if n_present[j]]
-        nearest, _ = kernels.nearest_centroids(
-            result.centroids[orphans], result.centroids[siblings], config.kmeans.distance
-        )
-        for j, s in zip(orphans, nearest.tolist()):
-            majority[j] = majority[siblings[s]]
-
-    by_cluster = idx[np.argsort(result.assignments, kind="stable")]
-    bounds = [0, *np.cumsum(result.counts).tolist()]
-    finals: list[FinalCluster] = []
-    for j, row in enumerate(lsp):
-        members = by_cluster[bounds[j]:bounds[j + 1]]
-        if n_present[j] == 0:
-            acceptance = ACCEPT_ORPHAN
-            stats.orphan_count += 1
-        elif n_present[j] == 1:
-            acceptance = ACCEPT_PURE
-        # a minority class over th_percent of the majority's count forces a
-        # split; 100.0 * count / top rounds monotonically in count, so the
-        # largest minority count (the second of the sorted row) decides
-        elif 100.0 * sorted(row)[-2] / max(row) <= config.th_percent:
-            acceptance = ACCEPT_THRESHOLD
-        else:
-            min_size = config.min_cluster_size_for_recursion
-            if min_size is None:
-                min_size = 2 * n_present[j]
-            if members.size == idx.size:
-                acceptance = ACCEPT_NO_SPLIT
-            elif depth >= config.max_recursion_depth:
-                acceptance = ACCEPT_DEPTH
-            elif members.size < min_size:
-                acceptance = ACCEPT_SIZE
-            else:
-                stats.recursion_calls += 1
-                finals.extend(
-                    _recurse(x, labels, members, n_classes, config, depth + 1, rng, stats)
-                )
-                continue
-            stats.fallback_counts[acceptance] = stats.fallback_counts.get(acceptance, 0) + 1
-        finals.append(
-            FinalCluster(
-                member_indices=members,
-                centroid=result.centroids[j],
-                label=majority[j],
-                acceptance=acceptance,
-                depth=depth,
-            )
-        )
-    return finals
+def _run_stats(th_percent, rng_seed, distance, kmeans_runs, acceptance, max_depth) -> RunStats:
+    """The run metadata of ``kmeans_runs`` k-means runs whose final clusters,
+    in depth-first order, have these acceptance reasons and reach ``max_depth``.
+    Every run but the root's is a recursion call; the fallback counts are
+    keyed in the order their reasons first occur."""
+    fallbacks = Counter(a for a in acceptance if a in FALLBACK_REASONS)
+    return RunStats(th_percent, rng_seed, distance, max_depth, kmeans_runs - 1,
+                    kmeans_runs, dict(fallbacks), acceptance.count(ACCEPT_ORPHAN))
 
 
 @dataclass
 class ClusterModel:
-    """The learned knowledgebase: final clusters, centroids and labels.
+    """The learned knowledgebase: per final cluster, in depth-first order, a
+    centroid, a label, an acceptance reason and a recursion depth.
 
-    The training partition is stored once: ``training_doc_ids[i]`` and
-    ``labeled[i]`` describe training point i, and each cluster lists the
-    positions of its members.
+    ``training_doc_ids[i]``, ``labeled[i]`` and ``cluster_of[i]`` describe
+    training point i, so the final clusters partition the training set.
     """
 
     centroids: np.ndarray
-    labels: np.ndarray
-    clusters: list[FinalCluster]
+    labels: np.ndarray  # int64 class index per cluster
+    acceptance: tuple[str, ...]
+    depths: np.ndarray  # int64 recursion depth per cluster
+    cluster_of: np.ndarray  # int64 cluster index per training point
     distance: str
     class_names: tuple[str, ...]
     training_doc_ids: tuple[str, ...]
@@ -329,16 +251,13 @@ class ClusterModel:
     @property
     def training_label_assignments(self) -> dict[str, int]:
         """Every unlabeled training doc id -> the label of its final cluster."""
-        return {
-            self.training_doc_ids[i]: c.label
-            for c in self.clusters
-            for i in c.member_indices
-            if not self.labeled[i]
-        }
+        unlabeled = ~self.labeled
+        labels = self.labels[self.cluster_of[unlabeled]].tolist()
+        return dict(zip(compress(self.training_doc_ids, unlabeled.tolist()), labels))
 
     def validate(self) -> None:
         m = self.n_clusters
-        if len(self.clusters) != m or self.labels.shape[0] != m:
+        if not self.labels.shape == self.depths.shape == (m,) or len(self.acceptance) != m:
             raise InvariantError("cluster/centroid/label counts disagree")
         if m == 0:
             raise InvariantError("model has no clusters")
@@ -346,14 +265,17 @@ class ClusterModel:
             raise InvariantError("centroids must be finite")
         if np.any(self.labels < 0) or np.any(self.labels >= self.n_classes):
             raise InvariantError("cluster label out of class range")
+        if not set(self.acceptance) <= set(ACCEPTANCE_REASONS):
+            raise InvariantError(f"unknown acceptance reason among {sorted(set(self.acceptance))}")
+        if self.depths.min() < 0:
+            raise InvariantError("cluster depth below 0")
         if self.distance not in kernels.METRICS:
             raise InvariantError(f"unknown distance {self.distance!r}")
         n = self.n_training_points
-        if self.labeled.shape != (n,):
-            raise InvariantError("labeled mask length does not match the training points")
-        all_members = np.sort(np.concatenate([c.member_indices for c in self.clusters]))
-        if not np.array_equal(all_members, np.arange(n)):
-            raise InvariantError("final clusters do not partition the training set")
+        if self.labeled.shape != (n,) or self.cluster_of.shape != (n,):
+            raise InvariantError("labeled mask or cluster map does not match the training points")
+        if np.any(self.cluster_of < 0) or np.any(self.cluster_of >= m):
+            raise InvariantError("a training point maps to no cluster")
 
 
 def build_model(
@@ -362,43 +284,106 @@ def build_model(
     doc_ids: Sequence[str],
     class_names: Sequence[str],
     config: RecursiveConfig,
+    seed: int,
 ) -> ClusterModel:
     """Run the recursive clustering pass over a mixed training collection and
     assemble the knowledgebase.
 
     ``labels`` uses -1 for unlabeled points, and every class in
-    ``class_names`` needs at least one labeled point. The final clusters come
-    in deterministic depth-first order, and every unlabeled point ends up in
-    ``training_label_assignments``.
+    ``class_names`` needs at least one labeled point. ``seed`` drives each
+    k-means run's choice of seeds. The final clusters come in deterministic
+    depth-first order, and every training point maps to one of them.
     """
     x = kernels.as_points(x)
     labels = np.asarray(labels, dtype=np.int64)
     n_classes = len(class_names)
     if not x.shape[0] == labels.shape[0] == len(doc_ids):
         raise DataError("points, labels and doc_ids differ in length")
-    if labels.max(initial=-1) >= n_classes:
-        raise DataError(f"label {labels.max()} out of range for {n_classes} classes")
+    bad = labels[(labels < -1) | (labels >= n_classes)]
+    if bad.size:  # -1 marks an unlabeled point
+        raise DataError(f"label {bad[0]} out of range for {n_classes} classes")
     sizes = np.bincount(labels[labels >= 0], minlength=n_classes).tolist()
     missing = [name for name, size in zip(class_names, sizes) if not size]
     if missing:
         raise DataError(f"classes without labeled training points: {missing}")
 
-    stats = RunStats(
-        th_percent=config.th_percent,
-        rng_seed=config.kmeans.rng_seed,
-        distance=config.kmeans.distance,
-    )
-    rng = np.random.default_rng(config.kmeans.rng_seed)
-    finals = _recurse(x, labels, np.arange(x.shape[0]), n_classes, config, 0, rng, stats)
+    rng = np.random.default_rng(seed)
+    finals = []  # (members, centroid, label, acceptance, depth) in depth-first order
+
+    def recurse(idx: np.ndarray, depth: int) -> int:
+        """Cluster the points ``idx``; return the number of k-means runs made."""
+        sub_x = np.ascontiguousarray(x[idx])
+        sub_labels = labels[idx]
+        seeds, _ = choose_initial_seeds(sub_x, sub_labels, rng)
+        result = kmeans(sub_x, seeds, config.kmeans)
+        runs = 1
+        k = result.centroids.shape[0]
+
+        # (clusters, classes) labeled counts, one list per cluster, and each
+        # cluster's majority class (its first largest count)
+        known = sub_labels >= 0
+        lsp = np.bincount(
+            result.assignments[known] * n_classes + sub_labels[known], minlength=k * n_classes
+        ).reshape(k, n_classes).tolist()
+        majority = [row.index(max(row)) for row in lsp]
+        n_present = [n_classes - row.count(0) for row in lsp]
+
+        # a cluster with no labeled member takes the majority of the nearest
+        # labeled sibling, ties to the lowest cluster index
+        orphans = [j for j in range(k) if not n_present[j]]
+        if orphans:
+            siblings = [j for j in range(k) if n_present[j]]
+            nearest, _ = kernels.nearest_centroids(
+                result.centroids[orphans], result.centroids[siblings], config.kmeans.distance
+            )
+            for j, s in zip(orphans, nearest.tolist()):
+                majority[j] = majority[siblings[s]]
+
+        by_cluster = idx[np.argsort(result.assignments, kind="stable")]
+        bounds = [0, *np.cumsum(result.counts).tolist()]
+        for j, row in enumerate(lsp):
+            cluster = by_cluster[bounds[j]:bounds[j + 1]]
+            if n_present[j] == 0:
+                reason = ACCEPT_ORPHAN
+            elif n_present[j] == 1:
+                reason = ACCEPT_PURE
+            # a minority class over th_percent of the majority's count forces a
+            # split; 100.0 * count / top rounds monotonically in count, so the
+            # largest minority count (the second of the sorted row) decides
+            elif 100.0 * sorted(row)[-2] / max(row) <= config.th_percent:
+                reason = ACCEPT_THRESHOLD
+            else:
+                min_size = config.min_cluster_size_for_recursion
+                if min_size is None:
+                    min_size = 2 * n_present[j]
+                if cluster.size == idx.size:
+                    reason = ACCEPT_NO_SPLIT
+                elif depth >= config.max_recursion_depth:
+                    reason = ACCEPT_DEPTH
+                elif cluster.size < min_size:
+                    reason = ACCEPT_SIZE
+                else:
+                    runs += recurse(cluster, depth + 1)
+                    continue
+            finals.append((cluster, result.centroids[j], majority[j], reason, depth))
+        return runs
+
+    runs = recurse(np.arange(x.shape[0]), 0)
+    del recurse  # it refers to itself: free the cycle, and the arrays it holds, now
+    members, centroids, cluster_labels, acceptance, depths = zip(*finals)
+    cluster_of = np.empty(x.shape[0], dtype=np.int64)
+    cluster_of[np.concatenate(members)] = np.repeat(np.arange(len(finals)), list(map(len, members)))
     model = ClusterModel(
-        centroids=np.ascontiguousarray(np.vstack([c.centroid for c in finals])),
-        labels=np.array([c.label for c in finals], dtype=np.int64),
-        clusters=finals,
+        centroids=np.ascontiguousarray(np.vstack(centroids)),
+        labels=np.array(cluster_labels, dtype=np.int64),
+        acceptance=acceptance,
+        depths=np.array(depths, dtype=np.int64),
+        cluster_of=cluster_of,
         distance=config.kmeans.distance,
         class_names=tuple(class_names),
         training_doc_ids=tuple(doc_ids),
         labeled=labels >= 0,
-        stats=stats,
+        stats=_run_stats(config.th_percent, seed, config.kmeans.distance, runs, acceptance, max(depths)),
     )
     model.validate()
     return model
@@ -408,22 +393,26 @@ def build_model(
 # the model's part of the bundle (JSON; float repr round-trips exactly)
 # ---------------------------------------------------------------------------
 
+# each cluster's fields, in the order a bundle writes them, and their JSON types
+_CLUSTER_FIELDS = dict(label=int, centroid=list[float], member_indices=list[int], acceptance=str, depth=int)
+
+
 def model_to_dict(model: ClusterModel) -> dict:
-    """The ``model`` object of a version-2 or -3 bundle."""
+    """The ``model`` object of a version-2 or -3 bundle; each cluster lists
+    its member positions in increasing order."""
+    order = np.argsort(model.cluster_of, kind="stable").tolist()
+    ends = np.cumsum(np.bincount(model.cluster_of, minlength=model.n_clusters)).tolist()
     return {
         "class_names": list(model.class_names),
         "distance": model.distance,
         "training_doc_ids": list(model.training_doc_ids),
         "labeled": model.labeled.astype(int).tolist(),
         "clusters": [
-            {
-                "label": int(c.label),
-                "centroid": c.centroid.tolist(),
-                "member_indices": c.member_indices.tolist(),
-                "acceptance": c.acceptance,
-                "depth": c.depth,
-            }
-            for c in model.clusters
+            dict(zip(_CLUSTER_FIELDS, row)) for row in zip(
+                model.labels.tolist(), model.centroids.tolist(),
+                (order[start:end] for start, end in zip([0, *ends], ends)),
+                model.acceptance, model.depths.tolist(),
+            )
         ],
         "stats": asdict(model.stats),
     }
@@ -434,35 +423,50 @@ def model_from_dict(payload: dict) -> ClusterModel:
 
     A malformed payload raises ``DataError``, ``InvariantError``, or
     ``OverflowError`` for a number past int64 or float64; the bundle loader
-    turns the last two into ``DataError``.
+    turns the last two into ``DataError``. Member positions must increase
+    within each cluster and partition the training points, and the run
+    statistics must be those ``build_model`` derives from the clusters.
     """
     rows = json_field(payload, "clusters", list[dict])
-    centroids = json_fields(rows, "centroid", list[float])
+    labels, centroids, members, acceptance, depths = (
+        json_fields(rows, key, kind) for key, kind in _CLUSTER_FIELDS.items()
+    )
     if len(set(map(len, centroids))) != 1:
         raise DataError("a model needs clusters whose centroids share one dimension")
-    labels = json_fields(rows, "label", int)
-    members = (np.array(m, dtype=np.int64) for m in json_fields(rows, "member_indices", list[int]))
-    centroids = np.array(centroids, dtype=np.float64)
-    clusters = list(map(
-        FinalCluster, members, centroids, labels,
-        json_fields(rows, "acceptance", str), json_fields(rows, "depth", int),
-    ))
+    positions = np.array(list(chain.from_iterable(members)), dtype=np.int64)
+    owners = np.repeat(np.arange(len(rows)), list(map(len, members)))
+    doc_ids = tuple(json_field(payload, "training_doc_ids", list[str]))
+    n = len(doc_ids)
+    if positions.size != n or np.any(positions < 0) or np.any(positions >= n):
+        raise DataError("final clusters do not partition the training set")
+    # cluster-major keys increase exactly when each cluster's positions do
+    if np.any(np.diff(owners * n + positions) <= 0):
+        raise DataError("member positions must increase within each cluster")
+    cluster_of = np.full(n, -1, dtype=np.int64)
+    cluster_of[positions] = owners  # a position listed twice leaves another at -1
     flags = json_field(payload, "labeled", list[int])
     if not set(flags) <= {0, 1}:
         raise DataError("labeled mask entries must be 0 or 1")
     stats = json_field(payload, "stats", dict)
     stats = RunStats(**{name: json_field(stats, name, kind) for name, kind in _RUN_STATS_TYPES.items()})
     model = ClusterModel(
-        centroids=centroids,
+        centroids=np.array(centroids, dtype=np.float64),
         labels=np.array(labels, dtype=np.int64),
-        clusters=clusters,
+        acceptance=tuple(acceptance),
+        depths=np.array(depths, dtype=np.int64),
+        cluster_of=cluster_of,
         distance=json_field(payload, "distance", str),
         class_names=tuple(json_field(payload, "class_names", list[str])),
-        training_doc_ids=tuple(json_field(payload, "training_doc_ids", list[str])),
+        training_doc_ids=doc_ids,
         labeled=np.array(flags, dtype=bool),
         stats=stats,
     )
     model.validate()
+    derived = asdict(_run_stats(stats.th_percent, stats.rng_seed, model.distance,
+                                stats.kmeans_runs, model.acceptance, int(model.depths.max())))
+    wrong = [name for name, value in derived.items() if getattr(stats, name) != value]
+    if wrong:
+        raise DataError(f"run statistics {wrong} disagree with the clusters")
     return model
 
 
@@ -480,7 +484,7 @@ def model_from_v1_dict(payload: dict) -> ClusterModel:
     if list(map(len, positions)) != list(map(len, doc_ids)):
         raise DataError("a version-1 cluster lists one doc id per member")
     members = sorted(zip(chain.from_iterable(positions), chain.from_iterable(doc_ids)))
-    doc_ids = [doc_id for _, doc_id in members]  # in position order; a non-partition fails validate()
+    doc_ids = [doc_id for _, doc_id in members]  # in position order; a non-partition is refused
     assigned = json_field(payload, "training_label_assignments", dict[str, int])
     model = model_from_dict({
         **payload,

@@ -31,7 +31,6 @@ from textrkm.rkmeans import (
     ACCEPT_THRESHOLD,
     FALLBACK_REASONS,
     ClusterModel,
-    FinalCluster,
     KMeansConfig,
     RecursiveConfig,
     RunStats,
@@ -90,8 +89,10 @@ def test_criterion_1_cluster_purity_and_termination():
                 th = model.stats.th_percent
                 labeled = set(result.labeled_doc_ids)
                 max_depth = max(max_depth, model.stats.max_depth_reached)
-                for cluster in model.clusters:
-                    member_ids = [model.training_doc_ids[i] for i in cluster.member_indices]
+                for j, (label, reason) in enumerate(zip(model.labels.tolist(), model.acceptance)):
+                    member_ids = [
+                        model.training_doc_ids[i] for i in np.flatnonzero(model.cluster_of == j)
+                    ]
                     member_labels = np.array(
                         [
                             train_labels[doc_id] if doc_id in labeled else -1
@@ -100,21 +101,21 @@ def test_criterion_1_cluster_purity_and_termination():
                         dtype=np.int64,
                     )
                     ncp, lsp = cluster_class_stats(member_labels, model.n_classes)
-                    if cluster.acceptance in (ACCEPT_PURE, ACCEPT_THRESHOLD):
+                    if reason in (ACCEPT_PURE, ACCEPT_THRESHOLD):
                         checked += 1
                         maj = majority_label(lsp)
-                        if maj != cluster.label:
+                        if maj != label:
                             violations += 1
                             continue
                         for c in range(model.n_classes):
                             if c != maj and lsp[c] > 0 and relative_percentage(lsp, maj, c) > th:
                                 violations += 1
-                    elif cluster.acceptance in FALLBACK_REASONS:
+                    elif reason in FALLBACK_REASONS:
                         fallbacks += 1
                     else:
                         orphans += 1
                 assert model.stats.fallback_total == sum(
-                    1 for c in model.clusters if c.acceptance in FALLBACK_REASONS
+                    1 for reason in model.acceptance if reason in FALLBACK_REASONS
                 )
     _report(
         1,
@@ -133,14 +134,12 @@ def test_criterion_1_cluster_purity_and_termination():
 def _toy_model(centroids, labels):
     centroids = np.asarray(centroids, dtype=np.float64)
     labels = np.asarray(labels, dtype=np.int64)
-    clusters = [
-        FinalCluster(np.array([i]), centroids[i], int(labels[i]), "pure", 0)
-        for i in range(len(labels))
-    ]
     return ClusterModel(
         centroids=centroids,
         labels=labels,
-        clusters=clusters,
+        acceptance=("pure",) * len(labels),
+        depths=np.zeros(len(labels), dtype=np.int64),
+        cluster_of=np.arange(len(labels)),
         distance="euclidean",
         class_names=tuple(f"c{i}" for i in range(int(labels.max()) + 1)),
         training_doc_ids=tuple(f"m{i}" for i in range(len(labels))),
@@ -223,7 +222,7 @@ def test_criterion_3_separable_recovery():
         ids = [str(i) for i in train_idx]
         from textrkm.rkmeans import build_model
 
-        model = build_model(model_input, labels, ids, ("a", "b", "c", "d"), RecursiveConfig())
+        model = build_model(model_input, labels, ids, ("a", "b", "c", "d"), RecursiveConfig(), 0)
         preds = classify_batch(x[test_idx], model)
         acc = np.mean([p.label == truth[i] for p, i in zip(preds, test_idx)])
         accuracies.append(acc)

@@ -3,7 +3,7 @@ import pytest
 
 from textrkm.classifier import classify_batch
 from textrkm.errors import DataError
-from textrkm.rkmeans import ClusterModel, FinalCluster, RunStats
+from textrkm.rkmeans import ClusterModel, RunStats
 
 from reference import classify
 
@@ -11,20 +11,12 @@ from reference import classify
 def toy_model(centroids, labels, distance="euclidean"):
     centroids = np.asarray(centroids, dtype=np.float64)
     labels = np.asarray(labels, dtype=np.int64)
-    clusters = [
-        FinalCluster(
-            member_indices=np.array([i]),
-            centroid=centroids[i],
-            label=int(labels[i]),
-            acceptance="pure",
-            depth=0,
-        )
-        for i in range(len(labels))
-    ]
     return ClusterModel(
         centroids=centroids,
         labels=labels,
-        clusters=clusters,
+        acceptance=("pure",) * len(labels),
+        depths=np.zeros(len(labels), dtype=np.int64),
+        cluster_of=np.arange(len(labels)),
         distance=distance,
         class_names=tuple(f"c{i}" for i in range(int(labels.max()) + 1)),
         training_doc_ids=tuple(f"m{i}" for i in range(len(labels))),
@@ -146,7 +138,7 @@ def test_self_consistency_on_built_models():
             if not (labels == c).any():
                 labels[np.flatnonzero(truth == c)[0]] = c
         ids = [str(i) for i in range(len(labels))]
-        model = build_model(x, labels, ids, ("a", "b", "c"), RecursiveConfig())
+        model = build_model(x, labels, ids, ("a", "b", "c"), RecursiveConfig(), 0)
         for m in range(model.n_clusters):
             p = classify(model.centroids[m], model)
             assert p.label == int(model.labels[m])

@@ -516,12 +516,28 @@ BROKEN_BUNDLES = {
     },
     "version a boolean": lambda b: {**b, "version": True},
     "version a float": lambda b: {**b, "version": 3.0},
+    "acceptance reason unknown": lambda b: _with_first_cluster(b, acceptance="banana"),
+    "depth negative": lambda b: _with_first_cluster(b, depth=-7),
+    "member positions decreasing": lambda b: _with_first_cluster(
+        b, member_indices=b["model"]["clusters"][0]["member_indices"][::-1]
+    ),
+    "run stats distance other than the model's": lambda b: _with_stats(b, distance="cosine"),
+    "run stats max depth off the clusters'": lambda b: _with_stats(b, max_depth_reached=1),
+    "run stats recursion calls not runs - 1": lambda b: _with_stats(b, recursion_calls=1),
+    "run stats fallback counts off the clusters'": lambda b: _with_stats(
+        b, fallback_counts={"fallback_size": 1}
+    ),
+    "run stats orphan count off the clusters'": lambda b: _with_stats(b, orphan_count=1),
 }
 
 
 def _with_first_cluster(b, **fields):
     clusters = b["model"]["clusters"]
     return {**b, "model": {**b["model"], "clusters": [{**clusters[0], **fields}] + clusters[1:]}}
+
+
+def _with_stats(b, **fields):
+    return {**b, "model": {**b["model"], "stats": {**b["model"]["stats"], **fields}}}
 
 
 @pytest.mark.parametrize("case", sorted(BROKEN_BUNDLES))

@@ -60,11 +60,12 @@ def sweep_outputs(out_dir: Path, monkeypatch) -> tuple[dict[str, bytes], list[di
          "manifest": digest((files["manifests"] / name).read_bytes()),
          "training_matrix": digest(x), "centroids": digest(model.centroids),
          "decisions": digest(json.dumps(
-             [[c.label, c.acceptance, c.depth] for c in model.clusters]).encode()),
+             [list(c) for c in zip(model.labels.tolist(), model.acceptance, model.depths.tolist())]
+         ).encode()),
          "stats": asdict(model.stats)}
         for rec, name, (x, model) in zip(table.records, names, built)
     ]
-    depth = max(c.depth for _, model in built for c in model.clusters)
+    depth = max(model.depths.max() for _, model in built)
     csvs = {name: files[name].read_bytes() for name in ("per_trial", "aggregate")}
     return csvs, digests, depth
 

@@ -298,9 +298,12 @@ def one_dimensional_mixed_instance():
 
 def test_recursive_matches_partition_oracle_one_dimensional():
     x, labels, ids = one_dimensional_mixed_instance()
-    model = build_model(x, labels, ids, ("a", "b"), RecursiveConfig(th_percent=5.0))
-    assert len(model.clusters) == 2
-    by_label = {f.label: sorted(ids[i] for i in f.member_indices) for f in model.clusters}
+    model = build_model(x, labels, ids, ("a", "b"), RecursiveConfig(th_percent=5.0), 0)
+    assert model.n_clusters == 2
+    by_label = {
+        label: sorted(ids[i] for i in np.flatnonzero(model.cluster_of == j))
+        for j, label in enumerate(model.labels.tolist())
+    }
     assert by_label[0] == ["a1", "a2", "u1"]
     assert by_label[1] == ["b1", "b2", "u2"]
     # oracle: the exhaustive minimum-SSE 2-partition separates the same sets
@@ -315,10 +318,10 @@ def test_recursive_single_class_no_recursion():
     rng = np.random.default_rng(3)
     x = rng.normal(size=(12, 2))
     labels = np.array([0] * 4 + [-1] * 8)
-    model = build_model(x, labels, [f"p{i}" for i in range(len(x))], ("a",), RecursiveConfig())
-    assert len(model.clusters) == 1
-    assert model.clusters[0].label == 0
-    assert model.clusters[0].acceptance == ACCEPT_PURE
+    model = build_model(x, labels, [f"p{i}" for i in range(len(x))], ("a",), RecursiveConfig(), 0)
+    assert model.n_clusters == 1
+    assert model.labels.tolist() == [0]
+    assert model.acceptance == (ACCEPT_PURE,)
     assert model.stats.recursion_calls == 0
 
 
@@ -327,10 +330,10 @@ def test_minority_below_threshold_absorbed_as_outliers():
     x = np.zeros((102, 1))
     labels = np.array([0] * 100 + [1] * 2)
     ids = [f"p{i}" for i in range(len(x))]
-    model = build_model(x, labels, ids, ("a", "b"), RecursiveConfig(th_percent=5.0))
-    assert len(model.clusters) == 1
-    assert model.clusters[0].label == 0
-    assert model.clusters[0].acceptance == ACCEPT_THRESHOLD
+    model = build_model(x, labels, ids, ("a", "b"), RecursiveConfig(th_percent=5.0), 0)
+    assert model.n_clusters == 1
+    assert model.labels.tolist() == [0]
+    assert model.acceptance == (ACCEPT_THRESHOLD,)
     assert model.stats.recursion_calls == 0
     assert model.stats.fallback_total == 0
 
@@ -340,10 +343,10 @@ def test_unsplittable_mixed_cluster_falls_back_to_majority():
     x = np.zeros((8, 1))
     labels = np.array([0, 0, 0, 1, 1, -1, -1, -1])
     ids = [f"p{i}" for i in range(len(x))]
-    model = build_model(x, labels, ids, ("a", "b"), RecursiveConfig(th_percent=5.0))
-    assert len(model.clusters) == 1
-    assert model.clusters[0].label == 0  # majority
-    assert model.clusters[0].acceptance == ACCEPT_NO_SPLIT
+    model = build_model(x, labels, ids, ("a", "b"), RecursiveConfig(th_percent=5.0), 0)
+    assert model.n_clusters == 1
+    assert model.labels.tolist() == [0]  # majority
+    assert model.acceptance == (ACCEPT_NO_SPLIT,)
     assert model.stats.fallback_total == 1
 
 
@@ -352,12 +355,13 @@ def test_depth_limit_fallback_still_returns_model():
     x = np.linspace(0.0, 1.0, 16).reshape(-1, 1)
     labels = np.array([0, 1] * 8)
     config = RecursiveConfig(th_percent=5.0, max_recursion_depth=1)
-    model = build_model(x, labels, [f"p{i}" for i in range(len(x))], ("a", "b"), config)
+    model = build_model(x, labels, [f"p{i}" for i in range(len(x))], ("a", "b"), config, 0)
     assert model.stats.max_depth_reached <= 1
-    covered = sorted(i for f in model.clusters for i in f.member_indices)
-    assert covered == list(range(16))
-    for f in model.clusters:
-        assert f.acceptance in (ACCEPT_PURE, ACCEPT_THRESHOLD) + FALLBACK_REASONS
+    # every point is in one cluster, and every cluster holds a point
+    assert model.cluster_of.shape == (16,)
+    assert sorted(set(model.cluster_of.tolist())) == list(range(model.n_clusters))
+    for reason in model.acceptance:
+        assert reason in (ACCEPT_PURE, ACCEPT_THRESHOLD) + FALLBACK_REASONS
 
 
 def test_orphan_cluster_labeled_by_nearest_sibling():
@@ -371,11 +375,11 @@ def test_orphan_cluster_labeled_by_nearest_sibling():
             labels = np.array([0] * 30 + [1] * 30 + [2, -1, -1])
             config = RecursiveConfig(kmeans=KMeansConfig(distance=distance))
             ids = [f"p{i}" for i in range(len(x))]
-            model = build_model(x, labels, ids, ("a", "b", "c"), config)
-            assert [(f.label, f.acceptance) for f in model.clusters] == [
+            model = build_model(x, labels, ids, ("a", "b", "c"), config, 0)
+            assert list(zip(model.labels.tolist(), model.acceptance)) == [
                 (0, ACCEPT_THRESHOLD), (1, ACCEPT_PURE), (label, ACCEPT_ORPHAN)
             ], (distance, point)
-            assert model.clusters[2].member_indices.tolist() == [61, 62]
+            assert np.flatnonzero(model.cluster_of == 2).tolist() == [61, 62]
             assert model.stats.orphan_count == 1
 
 
@@ -390,12 +394,12 @@ def test_build_model_pure_clusters_on_separated_classes():
         if not ((labels == c).any()):
             labels[np.flatnonzero(truth == c)[0]] = c
     ids = [f"p{i}" for i in range(len(labels))]
-    model = build_model(x, labels, ids, ("a", "b", "c", "d"), RecursiveConfig())
+    model = build_model(x, labels, ids, ("a", "b", "c", "d"), RecursiveConfig(), 0)
     assert model.n_clusters >= 4
     # purity recount oracle: every cluster's members share one true class
-    for cluster in model.clusters:
-        true_members = set(truth[cluster.member_indices].tolist())
-        assert true_members == {cluster.label}
+    for j, label in enumerate(model.labels.tolist()):
+        true_members = set(truth[model.cluster_of == j].tolist())
+        assert true_members == {label}
     # label totality for unlabeled points
     assert set(model.training_label_assignments) == {
         ids[i] for i in range(len(labels)) if labels[i] == -1
@@ -415,12 +419,12 @@ def test_build_model_partition_and_centroid_invariants():
             if not (labels == c).any():
                 labels[np.flatnonzero(truth == c)[0]] = c
         ids = [str(i) for i in range(len(labels))]
-        model = build_model(x, labels, ids, ("a", "b", "c"), RecursiveConfig())
-        members = np.concatenate([c.member_indices for c in model.clusters])
-        assert sorted(members.tolist()) == list(range(len(labels)))
-        for cluster in model.clusters:
-            recomputed = x[cluster.member_indices].mean(axis=0)
-            assert np.max(np.abs(recomputed - cluster.centroid)) <= 1e-9
+        model = build_model(x, labels, ids, ("a", "b", "c"), RecursiveConfig(), 0)
+        assert model.cluster_of.shape == (len(labels),)
+        assert sorted(set(model.cluster_of.tolist())) == list(range(model.n_clusters))
+        for j, centroid in enumerate(model.centroids):
+            recomputed = x[model.cluster_of == j].mean(axis=0)
+            assert np.max(np.abs(recomputed - centroid)) <= 1e-9
 
 
 def test_acceptance_rule_recount_on_random_instances():
@@ -435,19 +439,19 @@ def test_acceptance_rule_recount_on_random_instances():
         for c in range(k):
             if not (labels == c).any():
                 labels[int(rng.integers(n))] = c
-        config = RecursiveConfig(th_percent=th, kmeans=KMeansConfig(rng_seed=trial))
+        config = RecursiveConfig(th_percent=th)
         ids = [f"p{i}" for i in range(n)]
-        model = build_model(x, labels, ids, tuple(f"c{c}" for c in range(k)), config)
+        model = build_model(x, labels, ids, tuple(f"c{c}" for c in range(k)), config, trial)
         fallback_seen = 0
-        for f in model.clusters:
-            ncp, lsp = cluster_class_stats(labels[f.member_indices], k)
-            if f.acceptance in (ACCEPT_PURE, ACCEPT_THRESHOLD):
+        for j, (label, reason) in enumerate(zip(model.labels.tolist(), model.acceptance)):
+            ncp, lsp = cluster_class_stats(labels[model.cluster_of == j], k)
+            if reason in (ACCEPT_PURE, ACCEPT_THRESHOLD):
                 maj = majority_label(lsp)
-                assert maj == f.label
+                assert maj == label
                 for c in range(k):
                     if c != maj and lsp[c] > 0:
                         assert relative_percentage(lsp, maj, c) <= th
-            elif f.acceptance in FALLBACK_REASONS:
+            elif reason in FALLBACK_REASONS:
                 fallback_seen += 1
         assert fallback_seen == model.stats.fallback_total
 
@@ -455,7 +459,8 @@ def test_acceptance_rule_recount_on_random_instances():
 @st.composite
 def labeled_point_sets(draw):
     """Small point sets on a coarse lattice (so duplicates and ties occur),
-    each class with at least one labeled point, plus a clustering config."""
+    each class with at least one labeled point, plus a clustering config and
+    a seed."""
     k = draw(st.integers(1, 4))
     n = draw(st.integers(k, 30))
     d = draw(st.integers(1, 3))
@@ -466,44 +471,43 @@ def labeled_point_sets(draw):
         th_percent=draw(st.sampled_from([0.0, 5.0, 15.0, 50.0, 100.0])),
         max_recursion_depth=draw(st.integers(1, 4)),
         min_cluster_size_for_recursion=draw(st.sampled_from([None, 1, 4])),
-        kmeans=KMeansConfig(
-            distance=draw(st.sampled_from(["euclidean", "cosine"])),
-            rng_seed=draw(st.integers(0, 2**32 - 1)),
-        ),
+        kmeans=KMeansConfig(distance=draw(st.sampled_from(["euclidean", "cosine"]))),
     )
-    return np.array(coords, dtype=np.float64).reshape(n, d) / 2.0, labels, k, config
+    seed = draw(st.integers(0, 2**32 - 1))
+    return np.array(coords, dtype=np.float64).reshape(n, d) / 2.0, labels, k, config, seed
 
 
 @settings(max_examples=200, deadline=None)
 @given(labeled_point_sets())
 def test_build_model_partition_and_acceptance_properties(instance):
-    x, labels, k, config = instance
+    x, labels, k, config, seed = instance
     ids = [f"p{i}" for i in range(len(labels))]
-    model = build_model(x, labels, ids, tuple(f"c{c}" for c in range(k)), config)
+    model = build_model(x, labels, ids, tuple(f"c{c}" for c in range(k)), config, seed)
 
-    # the final clusters partition the points exactly
-    members = np.concatenate([c.member_indices for c in model.clusters])
-    assert sorted(members.tolist()) == list(range(len(labels)))
+    # the final clusters partition the points exactly: every point is in
+    # one cluster, and every cluster holds a point
+    assert model.cluster_of.shape == (len(labels),)
+    assert sorted(set(model.cluster_of.tolist())) == list(range(model.n_clusters))
 
     # every accepted cluster passes a recount of the Th rule
     fallbacks: dict[str, int] = {}
     orphans = 0
-    for c in model.clusters:
-        ncp, lsp = cluster_class_stats(labels[c.member_indices], k)
-        if c.acceptance == ACCEPT_ORPHAN:
+    for j, (label, reason) in enumerate(zip(model.labels.tolist(), model.acceptance)):
+        ncp, lsp = cluster_class_stats(labels[model.cluster_of == j], k)
+        if reason == ACCEPT_ORPHAN:
             assert ncp == 0
             orphans += 1
             continue
         maj = majority_label(lsp)
-        assert c.label == maj
+        assert label == maj
         over = [o for o in range(k) if o != maj and lsp[o] > 0
                 and relative_percentage(lsp, maj, o) > config.th_percent]
-        if c.acceptance in (ACCEPT_PURE, ACCEPT_THRESHOLD):
+        if reason in (ACCEPT_PURE, ACCEPT_THRESHOLD):
             assert over == []
-            assert (ncp == 1) == (c.acceptance == ACCEPT_PURE)
+            assert (ncp == 1) == (reason == ACCEPT_PURE)
         else:
-            assert c.acceptance in FALLBACK_REASONS and over
-            fallbacks[c.acceptance] = fallbacks.get(c.acceptance, 0) + 1
+            assert reason in FALLBACK_REASONS and over
+            fallbacks[reason] = fallbacks.get(reason, 0) + 1
 
     # fallback and orphan counts equal RunStats
     assert fallbacks == model.stats.fallback_counts
@@ -511,7 +515,7 @@ def test_build_model_partition_and_acceptance_properties(instance):
 
     # the derived label map covers exactly the unlabeled points, each with
     # the label of the cluster that holds it
-    label_of = {i: c.label for c in model.clusters for i in c.member_indices.tolist()}
+    label_of = model.labels[model.cluster_of].tolist()
     assert model.training_label_assignments == {
         ids[i]: label_of[i] for i in range(len(labels)) if labels[i] < 0
     }
@@ -525,9 +529,8 @@ def test_build_model_deterministic():
         if not (labels == c).any():
             labels[np.flatnonzero(truth == c)[0]] = c
     ids = [str(i) for i in range(len(labels))]
-    config = RecursiveConfig(kmeans=KMeansConfig(rng_seed=77))
-    m1 = build_model(x, labels, ids, ("a", "b", "c"), config)
-    m2 = build_model(x, labels, ids, ("a", "b", "c"), config)
+    m1 = build_model(x, labels, ids, ("a", "b", "c"), RecursiveConfig(), 77)
+    m2 = build_model(x, labels, ids, ("a", "b", "c"), RecursiveConfig(), 77)
     assert np.array_equal(m1.centroids, m2.centroids)
     assert np.array_equal(m1.labels, m2.labels)
     assert m1.training_label_assignments == m2.training_label_assignments
@@ -536,36 +539,38 @@ def test_build_model_deterministic():
 def test_build_model_without_unlabeled_points():
     x, truth, _ = make_point_cloud(n_classes=2, points_per_class=10, dim=2, seed=9)
     ids = [str(i) for i in range(len(truth))]
-    model = build_model(x, truth, ids, ("a", "b"), RecursiveConfig())
+    model = build_model(x, truth, ids, ("a", "b"), RecursiveConfig(), 0)
     assert model.training_label_assignments == {}
     assert model.n_clusters >= 2
 
 
 def test_recursive_rejects_label_out_of_range():
-    with pytest.raises(DataError, match="label 2 out of range for 2 classes"):
-        build_model(np.zeros((3, 1)), np.array([0, 1, 2]), ["a", "b", "c"], ("one", "two"),
-                    RecursiveConfig())
+    # -1 marks an unlabeled point; a label below it is no class either
+    for labels, bad in (([0, 1, 2], 2), ([0, 0, 1, 1, -2], -2)):
+        with pytest.raises(DataError, match=f"label {bad} out of range for 2 classes"):
+            build_model(np.zeros((len(labels), 1)), np.array(labels), list("abcde")[:len(labels)],
+                        ("one", "two"), RecursiveConfig(), 0)
 
 
 @pytest.mark.parametrize("n_points, n_labels, n_ids", [(3, 4, 4), (4, 3, 4), (4, 4, 3)])
 def test_build_model_rejects_inputs_of_different_lengths(n_points, n_labels, n_ids):
     with pytest.raises(DataError, match="points, labels and doc_ids differ in length"):
         build_model(np.zeros((n_points, 1)), np.array([0, 1, -1, -1][:n_labels]),
-                    ["a", "b", "c", "d"][:n_ids], ("one", "two"), RecursiveConfig())
+                    ["a", "b", "c", "d"][:n_ids], ("one", "two"), RecursiveConfig(), 0)
 
 
 @pytest.mark.parametrize("class_names", [("one", "two"), ()])
 def test_build_model_rejects_an_unlabeled_collection(class_names):
     with pytest.raises(DataError, match="classes without labeled|no labeled points"):
         build_model(np.zeros((3, 1)), np.full(3, -1), ["a", "b", "c"], class_names,
-                    RecursiveConfig())
+                    RecursiveConfig(), 0)
 
 
 def test_build_model_requires_all_classes_labeled():
     x = np.zeros((4, 2))
     labels = np.array([0, 0, -1, -1])
     with pytest.raises(DataError, match=r"classes without labeled training points: \['two'\]"):
-        build_model(x, labels, ["a", "b", "c", "d"], ("one", "two"), RecursiveConfig())
+        build_model(x, labels, ["a", "b", "c", "d"], ("one", "two"), RecursiveConfig(), 0)
 
 
 def test_model_save_load_round_trip(tmp_path):
@@ -576,7 +581,7 @@ def test_model_save_load_round_trip(tmp_path):
         if not (labels == c).any():
             labels[np.flatnonzero(truth == c)[0]] = c
     ids = [f"doc{i}" for i in range(len(labels))]
-    model = build_model(x, labels, ids, ("a", "b", "c"), RecursiveConfig())
+    model = build_model(x, labels, ids, ("a", "b", "c"), RecursiveConfig(), 0)
     weights = weights_from_counts({"t": 0}, np.ones((1, 3)), 1.0, ("a", "b", "c"))
     path = tmp_path / "model.json"
     save_bundle(path, model, weights, TokenizerConfig())
@@ -587,7 +592,7 @@ def test_model_save_load_round_trip(tmp_path):
     assert loaded.training_label_assignments == model.training_label_assignments
     assert loaded.training_doc_ids == model.training_doc_ids
     assert np.array_equal(loaded.labeled, model.labeled)
-    assert [c.member_indices.tolist() for c in loaded.clusters] == [
-        c.member_indices.tolist() for c in model.clusters
-    ]
+    assert np.array_equal(loaded.cluster_of, model.cluster_of)
+    assert loaded.acceptance == model.acceptance
+    assert np.array_equal(loaded.depths, model.depths)
     assert loaded.stats == model.stats
