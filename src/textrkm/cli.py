@@ -32,11 +32,16 @@ from .rkmeans import (
     RecursiveConfig,
     model_from_dict,
     model_from_v1_dict,
+    model_from_v3_dict,
     model_to_dict,
+    pool_labels,
 )
 
 _BUNDLE_FORMAT = "textrkm-bundle"
-_BUNDLE_VERSION = 3
+_BUNDLE_VERSION = 4
+# the model reader of each bundle version; versions 1-3 also store the
+# training partition, which is checked and dropped
+_MODEL_READERS = {1: model_from_v1_dict, 2: model_from_v3_dict, 3: model_from_v3_dict, 4: model_from_dict}
 
 
 def save_bundle(
@@ -45,7 +50,8 @@ def save_bundle(
     weights: TermClassWeights,
     tokenizer: TokenizerConfig,
 ) -> None:
-    """One self-contained JSON file: tokenizer + term/class counts + cluster model."""
+    """One self-contained JSON file: tokenizer + term/class counts + cluster
+    model, without the training partition."""
     payload = {
         "format": _BUNDLE_FORMAT,
         "version": _BUNDLE_VERSION,
@@ -57,7 +63,7 @@ def save_bundle(
 
 
 def load_bundle(path: str | Path) -> tuple[ClusterModel, TermClassWeights, TokenizerConfig]:
-    """Read a version-3 bundle, or a version-1 or -2 one; anything else raises DataError."""
+    """Read a version-4 bundle, or a version-1 to -3 one; anything else raises DataError."""
     try:
         payload = json.loads(Path(path).read_text(encoding="utf-8"))
     except (OSError, UnicodeDecodeError, ValueError, RecursionError) as exc:
@@ -66,11 +72,10 @@ def load_bundle(path: str | Path) -> tuple[ClusterModel, TermClassWeights, Token
     if not isinstance(payload, dict) or payload.get("format") != _BUNDLE_FORMAT:
         raise DataError(f"{path} is not a model bundle")
     version = json_field(payload, "version", int)
-    if version not in (1, 2, 3):
+    if version not in _MODEL_READERS:
         raise DataError(f"{path}: unsupported bundle version {version!r}")
-    read_model = model_from_v1_dict if version == 1 else model_from_dict
     try:
-        model = read_model(json_field(payload, "model", dict))
+        model = _MODEL_READERS[version](json_field(payload, "model", dict))
         weights = weights_from_dict(json_field(payload, "weights", dict), version)
         tokenizer = TokenizerConfig.from_dict(json_field(payload, "tokenizer", dict))
     except (OverflowError, InvariantError) as exc:  # too large a number; parts that disagree
@@ -108,7 +113,7 @@ def cmd_train(args) -> int:
     corpus = load_directory_corpus(args.corpus, tokenizer)
     _warn_skipped(Path(args.corpus), corpus.skipped)
     d_labeled, d_unlabeled = mask_labels(corpus, args.labeled_frac, args.seed)
-    weights, model = fit(
+    weights, model, training = fit(
         d_labeled,
         d_unlabeled,
         args.smoothing,
@@ -117,7 +122,7 @@ def cmd_train(args) -> int:
         args.pool_size,
     )
     save_bundle(args.model_out, model, weights, tokenizer)
-    n_docs = model.n_training_points
+    n_docs = training.n_docs
     print(
         f"trained on {n_docs} docs "
         f"({d_labeled.n_docs} labeled, {n_docs - d_labeled.n_docs} unlabeled), "
@@ -126,6 +131,12 @@ def cmd_train(args) -> int:
         f"orphans: {model.stats.orphan_count}, backend: {kernels.backend()})"
     )
     print(f"model written to {args.model_out}")
+    if args.pool_labels_out is not None:
+        labels = pool_labels(model.labels, model.cluster_of, training.doc_ids, training.labels >= 0)
+        names = model.class_names
+        with _replacing(Path(args.pool_labels_out)) as f:
+            f.write("".join(f"{doc_id}\t{names[c]}\n" for doc_id, c in labels.items()))
+        print(f"{len(labels)} pool labels written to {args.pool_labels_out}")
     return 0
 
 
@@ -301,6 +312,8 @@ def build_parser() -> argparse.ArgumentParser:
                          help="fraction of documents whose labels the learner may see")
     p_train.add_argument("--seed", type=int, default=0)
     p_train.add_argument("--model-out", required=True)
+    p_train.add_argument("--pool-labels-out", default=None,
+                         help="also write doc_id<TAB>class_name for each unlabeled training document")
     add_common_training_flags(p_train)
 
     p_classify = sub.add_parser("classify", help="label documents with a trained model")

@@ -150,12 +150,14 @@ def fit(
     recursive: RecursiveConfig,
     seed: int,
     pool_size: int | None = None,
-) -> tuple[TermClassWeights, ClusterModel]:
+) -> tuple[TermClassWeights, ClusterModel, Corpus]:
     """The train pipeline of ``textrkm train``, sweep trials and replays.
 
     Draws the unlabeled pool into the training collection, fits the weight
     table on the labeled documents, embeds the collection and clusters it.
-    ``seed`` drives the pool draw and the k-means seed choice.
+    ``seed`` drives the pool draw and the k-means seed choice. Returns the
+    weights, the model and the training collection, whose document i is the
+    model's training point i.
     """
     training = make_training_collection(d_labeled, pool, pool_size, rng_seed=seed)
     weights = fit_term_weights(d_labeled, smoothing)
@@ -163,7 +165,7 @@ def fit(
     if dropped:
         raise DataError(f"training documents with zero tokens: {dropped[:5]}")
     model = build_model(x, training.labels, kept_ids, training.class_names, recursive, seed)
-    return weights, model
+    return weights, model, training
 
 
 def _run_pipeline(
@@ -179,7 +181,7 @@ def _run_pipeline(
     pool = d_unlabeled
     if config.transductive:
         pool = concat_corpora(pool, test.subset(range(test.n_docs), drop_labels=True))
-    weights, model = fit(
+    weights, model, _ = fit(
         d_labeled, pool, config.smoothing, config.recursive, trial_seed, config.unlabeled_pool_size
     )
     test_x, test_ids, dropped = embed_corpus(test, weights)

@@ -192,7 +192,7 @@ def embed_corpus(
 # ---------------------------------------------------------------------------
 
 def weights_to_dict(w: TermClassWeights) -> dict:
-    """The ``weights`` object of a version-3 bundle: for each class, the
+    """The ``weights`` object of a version-3 or -4 bundle: for each class, the
     increasing ids of the terms it counts and their integer counts."""
     if w.counts is None:
         raise DataError("a weight table read from a version-1 or -2 bundle has no counts")

@@ -217,20 +217,20 @@ class ClusterModel:
     """The learned knowledgebase: per final cluster, in depth-first order, a
     centroid, a label, an acceptance reason and a recursion depth.
 
-    ``training_doc_ids[i]``, ``labeled[i]`` and ``cluster_of[i]`` describe
-    training point i, so the final clusters partition the training set.
+    On a model ``build_model`` returns, ``cluster_of[i]`` is the cluster of
+    training point i, so the final clusters partition the training set. A
+    model read from a bundle knows no training points: its ``cluster_of`` is
+    None.
     """
 
     centroids: np.ndarray
     labels: np.ndarray  # int64 class index per cluster
     acceptance: tuple[str, ...]
     depths: np.ndarray  # int64 recursion depth per cluster
-    cluster_of: np.ndarray  # int64 cluster index per training point
     distance: str
     class_names: tuple[str, ...]
-    training_doc_ids: tuple[str, ...]
-    labeled: np.ndarray  # bool, one flag per training point
     stats: RunStats
+    cluster_of: np.ndarray | None = None  # int64 cluster index per training point
 
     @property
     def n_clusters(self) -> int:
@@ -243,17 +243,6 @@ class ClusterModel:
     @property
     def dimension(self) -> int:
         return self.centroids.shape[1]
-
-    @property
-    def n_training_points(self) -> int:
-        return len(self.training_doc_ids)
-
-    @property
-    def training_label_assignments(self) -> dict[str, int]:
-        """Every unlabeled training doc id -> the label of its final cluster."""
-        unlabeled = ~self.labeled
-        labels = self.labels[self.cluster_of[unlabeled]].tolist()
-        return dict(zip(compress(self.training_doc_ids, unlabeled.tolist()), labels))
 
     def validate(self) -> None:
         m = self.n_clusters
@@ -271,11 +260,21 @@ class ClusterModel:
             raise InvariantError("cluster depth below 0")
         if self.distance not in kernels.METRICS:
             raise InvariantError(f"unknown distance {self.distance!r}")
-        n = self.n_training_points
-        if self.labeled.shape != (n,) or self.cluster_of.shape != (n,):
-            raise InvariantError("labeled mask or cluster map does not match the training points")
-        if np.any(self.cluster_of < 0) or np.any(self.cluster_of >= m):
+        if self.cluster_of is not None and (np.any(self.cluster_of < 0) or np.any(self.cluster_of >= m)):
             raise InvariantError("a training point maps to no cluster")
+
+
+def pool_labels(
+    cluster_labels: np.ndarray,
+    cluster_of: np.ndarray,
+    doc_ids: Sequence[str],
+    labeled: np.ndarray,
+) -> dict[str, int]:
+    """Every unlabeled training doc id -> the label of its final cluster, in
+    training order: the labels the method gives the unlabeled pool."""
+    unlabeled = ~labeled
+    labels = cluster_labels[cluster_of[unlabeled]].tolist()
+    return dict(zip(compress(doc_ids, unlabeled.tolist()), labels))
 
 
 def build_model(
@@ -378,12 +377,10 @@ def build_model(
         labels=np.array(cluster_labels, dtype=np.int64),
         acceptance=acceptance,
         depths=np.array(depths, dtype=np.int64),
-        cluster_of=cluster_of,
         distance=config.kmeans.distance,
         class_names=tuple(class_names),
-        training_doc_ids=tuple(doc_ids),
-        labeled=labels >= 0,
         stats=_run_stats(config.th_percent, seed, config.kmeans.distance, runs, acceptance, max(depths)),
+        cluster_of=cluster_of,
     )
     model.validate()
     return model
@@ -393,25 +390,19 @@ def build_model(
 # the model's part of the bundle (JSON; float repr round-trips exactly)
 # ---------------------------------------------------------------------------
 
-# each cluster's fields, in the order a bundle writes them, and their JSON types
-_CLUSTER_FIELDS = dict(label=int, centroid=list[float], member_indices=list[int], acceptance=str, depth=int)
+# each cluster's fields, in the order a version-4 bundle writes them, and their JSON types
+_CLUSTER_FIELDS = dict(label=int, centroid=list[float], acceptance=str, depth=int)
 
 
 def model_to_dict(model: ClusterModel) -> dict:
-    """The ``model`` object of a version-2 or -3 bundle; each cluster lists
-    its member positions in increasing order."""
-    order = np.argsort(model.cluster_of, kind="stable").tolist()
-    ends = np.cumsum(np.bincount(model.cluster_of, minlength=model.n_clusters)).tolist()
+    """The ``model`` object of a version-4 bundle: what classification reads,
+    and no training partition."""
     return {
         "class_names": list(model.class_names),
         "distance": model.distance,
-        "training_doc_ids": list(model.training_doc_ids),
-        "labeled": model.labeled.astype(int).tolist(),
         "clusters": [
             dict(zip(_CLUSTER_FIELDS, row)) for row in zip(
-                model.labels.tolist(), model.centroids.tolist(),
-                (order[start:end] for start, end in zip([0, *ends], ends)),
-                model.acceptance, model.depths.tolist(),
+                model.labels.tolist(), model.centroids.tolist(), model.acceptance, model.depths.tolist(),
             )
         ],
         "stats": asdict(model.stats),
@@ -423,30 +414,16 @@ def model_from_dict(payload: dict) -> ClusterModel:
 
     A malformed payload raises ``DataError``, ``InvariantError``, or
     ``OverflowError`` for a number past int64 or float64; the bundle loader
-    turns the last two into ``DataError``. Member positions must increase
-    within each cluster and partition the training points, and the run
-    statistics must be those ``build_model`` derives from the clusters.
+    turns the last two into ``DataError``. The run statistics must be those
+    ``build_model`` derives from the clusters, from at least one k-means run
+    per recursion level reached.
     """
     rows = json_field(payload, "clusters", list[dict])
-    labels, centroids, members, acceptance, depths = (
+    labels, centroids, acceptance, depths = (
         json_fields(rows, key, kind) for key, kind in _CLUSTER_FIELDS.items()
     )
     if len(set(map(len, centroids))) != 1:
         raise DataError("a model needs clusters whose centroids share one dimension")
-    positions = np.array(list(chain.from_iterable(members)), dtype=np.int64)
-    owners = np.repeat(np.arange(len(rows)), list(map(len, members)))
-    doc_ids = tuple(json_field(payload, "training_doc_ids", list[str]))
-    n = len(doc_ids)
-    if positions.size != n or np.any(positions < 0) or np.any(positions >= n):
-        raise DataError("final clusters do not partition the training set")
-    # cluster-major keys increase exactly when each cluster's positions do
-    if np.any(np.diff(owners * n + positions) <= 0):
-        raise DataError("member positions must increase within each cluster")
-    cluster_of = np.full(n, -1, dtype=np.int64)
-    cluster_of[positions] = owners  # a position listed twice leaves another at -1
-    flags = json_field(payload, "labeled", list[int])
-    if not set(flags) <= {0, 1}:
-        raise DataError("labeled mask entries must be 0 or 1")
     stats = json_field(payload, "stats", dict)
     stats = RunStats(**{name: json_field(stats, name, kind) for name, kind in _RUN_STATS_TYPES.items()})
     model = ClusterModel(
@@ -454,19 +431,55 @@ def model_from_dict(payload: dict) -> ClusterModel:
         labels=np.array(labels, dtype=np.int64),
         acceptance=tuple(acceptance),
         depths=np.array(depths, dtype=np.int64),
-        cluster_of=cluster_of,
         distance=json_field(payload, "distance", str),
         class_names=tuple(json_field(payload, "class_names", list[str])),
-        training_doc_ids=doc_ids,
-        labeled=np.array(flags, dtype=bool),
         stats=stats,
     )
     model.validate()
+    max_depth = int(model.depths.max())
     derived = asdict(_run_stats(stats.th_percent, stats.rng_seed, model.distance,
-                                stats.kmeans_runs, model.acceptance, int(model.depths.max())))
+                                stats.kmeans_runs, model.acceptance, max_depth))
     wrong = [name for name, value in derived.items() if getattr(stats, name) != value]
+    if stats.kmeans_runs <= max_depth:  # each level of a recursion is one more run
+        wrong.append("kmeans_runs")
     if wrong:
         raise DataError(f"run statistics {wrong} disagree with the clusters")
+    return model
+
+
+def training_partition(payload: dict) -> tuple[list[str], np.ndarray, np.ndarray]:
+    """The training partition the model of a version-1 to -3 bundle stores:
+    the training doc ids, their labeled flags and each one's cluster.
+
+    Member positions must increase within each cluster and partition the
+    training points, and the labeled mask holds one 0 or 1 per point.
+    """
+    rows = json_field(payload, "clusters", list[dict])
+    members = json_fields(rows, "member_indices", list[int])
+    positions = np.array(list(chain.from_iterable(members)), dtype=np.int64)
+    owners = np.repeat(np.arange(len(rows)), list(map(len, members)))
+    doc_ids = json_field(payload, "training_doc_ids", list[str])
+    n = len(doc_ids)
+    if positions.size != n or np.any(positions < 0) or np.any(positions >= n):
+        raise DataError("final clusters do not partition the training set")
+    # cluster-major keys increase exactly when each cluster's positions do
+    if np.any(np.diff(owners * n + positions) <= 0):
+        raise DataError("member positions must increase within each cluster")
+    cluster_of = np.full(n, -1, dtype=np.int64)
+    cluster_of[positions] = owners
+    if np.any(cluster_of < 0):  # a position listed twice leaves another unlisted
+        raise DataError("final clusters do not partition the training set")
+    flags = json_field(payload, "labeled", list[int])
+    if len(flags) != n or not set(flags) <= {0, 1}:
+        raise DataError("the labeled mask needs one 0 or 1 per training doc")
+    return doc_ids, np.array(flags, dtype=bool), cluster_of
+
+
+def model_from_v3_dict(payload: dict) -> ClusterModel:
+    """``model_from_dict`` for the model of a version-2 or -3 bundle, which
+    also stores the training partition: it is checked, then dropped."""
+    model = model_from_dict(payload)
+    training_partition(payload)
     return model
 
 
@@ -486,11 +499,13 @@ def model_from_v1_dict(payload: dict) -> ClusterModel:
     members = sorted(zip(chain.from_iterable(positions), chain.from_iterable(doc_ids)))
     doc_ids = [doc_id for _, doc_id in members]  # in position order; a non-partition is refused
     assigned = json_field(payload, "training_label_assignments", dict[str, int])
-    model = model_from_dict({
+    payload = {
         **payload,
         "training_doc_ids": doc_ids,
         "labeled": [int(doc_id not in assigned) for doc_id in doc_ids],
-    })
-    if model.training_label_assignments != assigned:
+    }
+    model = model_from_dict(payload)
+    doc_ids, labeled, cluster_of = training_partition(payload)
+    if pool_labels(model.labels, cluster_of, doc_ids, labeled) != assigned:
         raise DataError("training_label_assignments disagree with the clusters")
     return model

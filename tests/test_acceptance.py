@@ -13,6 +13,7 @@ import time
 import numpy as np
 import pytest
 
+from textrkm import harness
 from textrkm.classifier import classify_batch
 from textrkm.cli import load_bundle, save_bundle
 from textrkm.corpus import Corpus, load_directory_corpus, split_train_test
@@ -57,7 +58,7 @@ def _split(corpus, seed=0):
 # criterion 1: purity / termination rule, recounted from raw members
 # ---------------------------------------------------------------------------
 
-def test_criterion_1_cluster_purity_and_termination():
+def test_criterion_1_cluster_purity_and_termination(monkeypatch):
     # an easy corpus (clean recursion-free trials) and a heavily overlapping
     # one that forces deep recursion, fallback acceptances and orphans
     corpora = [
@@ -77,6 +78,14 @@ def test_criterion_1_cluster_purity_and_termination():
     fallbacks = 0
     orphans = 0
     max_depth = 0
+    training_ids = []  # the doc ids of each model's training points
+
+    def recording_build_model(x, labels, doc_ids, *args):
+        training_ids.append(list(doc_ids))
+        return build_model(x, labels, doc_ids, *args)
+
+    build_model = harness.build_model
+    monkeypatch.setattr(harness, "build_model", recording_build_model)
     for corpus in corpora:
         train, test = _split(corpus)
         train_labels = {d.doc_id: lab for d, lab in zip(train.documents, train.labels)}
@@ -88,11 +97,10 @@ def test_criterion_1_cluster_purity_and_termination():
                 model = result.model
                 th = model.stats.th_percent
                 labeled = set(result.labeled_doc_ids)
+                doc_ids = training_ids.pop()
                 max_depth = max(max_depth, model.stats.max_depth_reached)
                 for j, (label, reason) in enumerate(zip(model.labels.tolist(), model.acceptance)):
-                    member_ids = [
-                        model.training_doc_ids[i] for i in np.flatnonzero(model.cluster_of == j)
-                    ]
+                    member_ids = [doc_ids[i] for i in np.flatnonzero(model.cluster_of == j)]
                     member_labels = np.array(
                         [
                             train_labels[doc_id] if doc_id in labeled else -1
@@ -139,11 +147,8 @@ def _toy_model(centroids, labels):
         labels=labels,
         acceptance=("pure",) * len(labels),
         depths=np.zeros(len(labels), dtype=np.int64),
-        cluster_of=np.arange(len(labels)),
         distance="euclidean",
         class_names=tuple(f"c{i}" for i in range(int(labels.max()) + 1)),
-        training_doc_ids=tuple(f"m{i}" for i in range(len(labels))),
-        labeled=np.ones(len(labels), dtype=bool),
         stats=RunStats(5.0, 0, "euclidean"),
     )
 
@@ -415,7 +420,9 @@ def test_criterion_6_determinism_and_replay(tmp_path):
         before == after
         and np.array_equal(loaded.centroids, result.model.centroids)
         and np.array_equal(loaded.labels, result.model.labels)
-        and loaded.training_label_assignments == result.model.training_label_assignments
+        and loaded.acceptance == result.model.acceptance
+        and np.array_equal(loaded.depths, result.model.depths)
+        and loaded.stats == result.model.stats
         and np.array_equal(loaded_weights.weights, weights.weights)
     )
     _report(

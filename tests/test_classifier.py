@@ -16,11 +16,8 @@ def toy_model(centroids, labels, distance="euclidean"):
         labels=labels,
         acceptance=("pure",) * len(labels),
         depths=np.zeros(len(labels), dtype=np.int64),
-        cluster_of=np.arange(len(labels)),
         distance=distance,
         class_names=tuple(f"c{i}" for i in range(int(labels.max()) + 1)),
-        training_doc_ids=tuple(f"m{i}" for i in range(len(labels))),
-        labeled=np.ones(len(labels), dtype=bool),
         stats=RunStats(5.0, 0, distance),
     )
 

@@ -3,6 +3,7 @@ import os
 import tempfile
 import threading
 import tracemalloc
+from itertools import compress
 from pathlib import Path
 from unittest import mock
 
@@ -15,8 +16,11 @@ import reference
 from textrkm import cli, harness
 from textrkm import corpus as corpus_module
 from textrkm.cli import load_bundle, main, save_bundle
-from textrkm.corpus import TokenizerConfig, load_directory_corpus, read_split_manifest, scan_directory
+from textrkm.corpus import (
+    TokenizerConfig, load_directory_corpus, mask_labels, read_split_manifest, scan_directory,
+)
 from textrkm.errors import DataError, InvariantError
+from textrkm.rkmeans import RecursiveConfig, pool_labels, training_partition
 
 from synthdata import make_text_corpus, mutate_lines, write_corpus_tree
 
@@ -202,12 +206,13 @@ def test_train_warns_for_each_skipped_file(tmp_path, corpus_tree, capsys, name):
     assert main([
         "train", "--corpus", str(tree), "--labeled-frac", "0.3", "--model-out", str(model_path),
     ]) == 0
-    assert _skip_warnings(capsys.readouterr().err) == [  # in file name order
+    std = capsys.readouterr()
+    assert _skip_warnings(std.err) == [  # in file name order
         f"warning: skipping badly named file {str(class_dir / name)!r}",
         f"warning: skipping unreadable file {class_dir / 'gone'}",
         f"warning: skipping empty document {corpus.class_names[0]}/punct.txt",
     ]
-    assert load_bundle(model_path)[0].n_training_points == corpus.n_docs
+    assert std.out.startswith(f"trained on {corpus.n_docs} docs ")
 
 
 @pytest.mark.parametrize("name", BAD_NAMES + [COMMENT_NAME])
@@ -411,13 +416,21 @@ def _with_centroid_value(b, value):
 
 V1_BUNDLE = Path(__file__).parent / "data" / "bundle_v1.json"
 V2_BUNDLE = Path(__file__).parent / "data" / "bundle_v2.json"
+# written by the version-3 writer, the last to store the training partition
+V3_BUNDLE = Path(__file__).parent / "data" / "bundle_v3.json"
+V3_COSINE_BUNDLE = Path(__file__).parent / "data" / "bundle_v3_cosine.json"
 
 
 def _as_version_two(b, **weights):
-    # the model part of versions 2 and 3 is the same; the v2 fixture's weight
-    # table has the same class names as every three-class synthetic corpus
-    stored = json.loads(V2_BUNDLE.read_text())["weights"]
-    return {**b, "version": 2, "weights": {**stored, **weights}}
+    # the version-2 fixture with its weight table edited
+    stored = json.loads(V2_BUNDLE.read_text())
+    return {**stored, "weights": {**stored["weights"], **weights}}
+
+
+def _v3(edit):
+    """A case made from the version-3 fixture rather than the bundle given:
+    only versions 1-3 store a training partition to break."""
+    return lambda b: edit(json.loads(V3_BUNDLE.read_text()))
 
 
 def _edit_first_class(b, key, edit):
@@ -470,17 +483,17 @@ BROKEN_BUNDLES = {
     "strip pattern other than the fixed one": lambda b: {
         **b, "tokenizer": {**b["tokenizer"], "strip_pattern": "[^a-z]+"}
     },
-    "member index overflows": lambda b: {**b, "model": {
+    "member index overflows": _v3(lambda b: {**b, "model": {
         **b["model"], "clusters": [{**b["model"]["clusters"][0], "member_indices": [10**30]}]
         + b["model"]["clusters"][1:]
-    }},
+    }}),
     "unknown version": lambda b: {**b, "version": 99},
-    "member indices not a partition": lambda b: {**b, "model": {
+    "member indices not a partition": _v3(lambda b: {**b, "model": {
         **b["model"], "clusters": [{**c, "member_indices": [0]} for c in b["model"]["clusters"]]
-    }},
-    "labeled mask too short": lambda b: {**b, "model": {
+    }}),
+    "labeled mask too short": _v3(lambda b: {**b, "model": {
         **b["model"], "labeled": b["model"]["labeled"][1:]
-    }},
+    }}),
     "unknown distance": lambda b: {**b, "model": {**b["model"], "distance": "manhattan"}},
     "label a float": lambda b: _with_first_cluster(b, label=1.7),
     "label a boolean": lambda b: _with_first_cluster(b, label=True),
@@ -500,12 +513,12 @@ BROKEN_BUNDLES = {
     "stopwords a string": lambda b: {**b, "tokenizer": {**b["tokenizer"], "stopwords": "abc"}},
     "stopwords unsorted": lambda b: {**b, "tokenizer": {**b["tokenizer"], "stopwords": ["b", "a"]}},
     "min token length a boolean": lambda b: {**b, "tokenizer": {**b["tokenizer"], "min_token_len": True}},
-    "labeled flag a boolean": lambda b: {**b, "model": {
+    "labeled flag a boolean": _v3(lambda b: {**b, "model": {
         **b["model"], "labeled": [True] + b["model"]["labeled"][1:]
-    }},
-    "training doc id a number": lambda b: {**b, "model": {
+    }}),
+    "training doc id a number": _v3(lambda b: {**b, "model": {
         **b["model"], "training_doc_ids": [0] + b["model"]["training_doc_ids"][1:]
-    }},
+    }}),
     "weight class names reversed": lambda b: {**b, "weights": {
         **b["weights"], "class_names": b["weights"]["class_names"][::-1]
     }},
@@ -518,12 +531,21 @@ BROKEN_BUNDLES = {
     "version a float": lambda b: {**b, "version": 3.0},
     "acceptance reason unknown": lambda b: _with_first_cluster(b, acceptance="banana"),
     "depth negative": lambda b: _with_first_cluster(b, depth=-7),
-    "member positions decreasing": lambda b: _with_first_cluster(
+    "member positions decreasing": _v3(lambda b: _with_first_cluster(
         b, member_indices=b["model"]["clusters"][0]["member_indices"][::-1]
-    ),
+    )),
+    "member positions listed twice": _v3(lambda b: _with_first_cluster(
+        # the first cluster drops its first member and takes one of the second's
+        b, member_indices=sorted(b["model"]["clusters"][0]["member_indices"][1:]
+                                 + b["model"]["clusters"][1]["member_indices"][:1])
+    )),
+    "version 3 without its partition": lambda b: {**b, "version": 3},
     "run stats distance other than the model's": lambda b: _with_stats(b, distance="cosine"),
     "run stats max depth off the clusters'": lambda b: _with_stats(b, max_depth_reached=1),
     "run stats recursion calls not runs - 1": lambda b: _with_stats(b, recursion_calls=1),
+    "run stats k-means runs fewer than the levels reached": lambda b: _with_stats(
+        b, kmeans_runs=0, recursion_calls=-1
+    ),
     "run stats fallback counts off the clusters'": lambda b: _with_stats(
         b, fallback_counts={"fallback_size": 1}
     ),
@@ -603,35 +625,129 @@ def fixture_corpus():
 def test_version_one_bundle_loads_to_the_model_train_writes_today(tmp_path, capsys):
     tree = tmp_path / "corpus"
     write_corpus_tree(fixture_corpus(), tree)
-    v3 = tmp_path / "model.json"
-    assert main(["train", "--corpus", str(tree), "--labeled-frac", "0.4", "--model-out", str(v3)]) == 0
-    assert json.loads(v3.read_text())["version"] == 3
-    new, new_w, _ = load_bundle(v3)
-    for bundle in (V1_BUNDLE, V2_BUNDLE):
-        old, old_w, _ = load_bundle(bundle)
-        assert old.training_doc_ids == new.training_doc_ids
-        assert np.array_equal(old.labeled, new.labeled)
-        assert old.training_label_assignments == new.training_label_assignments
+    v4, pool = tmp_path / "model.json", tmp_path / "pool.tsv"
+    assert main(["train", "--corpus", str(tree), "--labeled-frac", "0.4", "--model-out", str(v4),
+                 "--pool-labels-out", str(pool)]) == 0
+    assert json.loads(v4.read_text())["version"] == 4
+    new, new_w, _ = load_bundle(v4)
+    for bundle in (V1_BUNDLE, V2_BUNDLE, V3_BUNDLE):
+        old, old_w, old_tokenizer = load_bundle(bundle)
+        assert old.cluster_of is None  # the stored partition is checked, then dropped
         assert np.array_equal(old.centroids, new.centroids)
         assert np.array_equal(old.labels, new.labels)
+        assert old.acceptance == new.acceptance
+        assert np.array_equal(old.depths, new.depths)
         assert old.stats == new.stats
         assert old_w.vocabulary == new_w.vocabulary
         assert old_w.class_names == new_w.class_names
         assert old_w.smoothing == new_w.smoothing
         assert np.array_equal(old_w.weights.view(np.int64), new_w.weights.view(np.int64))
         assert np.array_equal(old_w.oov_weight.view(np.int64), new_w.oov_weight.view(np.int64))
-        with pytest.raises(DataError, match="no counts"):  # only version 3 is written
-            save_bundle(tmp_path / "rewritten.json", old, old_w, TokenizerConfig())
-    assert load_bundle(V1_BUNDLE)[0].training_label_assignments == json.loads(
-        V1_BUNDLE.read_text()
-    )["model"]["training_label_assignments"]
+        rewritten = tmp_path / "rewritten.json"
+        if bundle == V3_BUNDLE:  # the counts are kept: it re-saves to what train writes
+            save_bundle(rewritten, old, old_w, old_tokenizer)
+            assert rewritten.read_bytes() == v4.read_bytes()
+        else:
+            with pytest.raises(DataError, match="no counts"):  # versions 1 and 2 stored none
+                save_bundle(rewritten, old, old_w, old_tokenizer)
+    # the labels the stored partitions give the unlabeled docs, in training
+    # order, are the pool labels train writes
+    names = new.class_names
+    written = [tuple(line.split("\t")) for line in pool.read_text().splitlines()]
+    v1_stored = json.loads(V1_BUNDLE.read_text())["model"]["training_label_assignments"]
+    assert dict(written) == {doc_id: names[c] for doc_id, c in v1_stored.items()}
+    doc_ids, labeled, cluster_of = training_partition(json.loads(V3_BUNDLE.read_text())["model"])
+    assert written == [
+        (doc_id, names[c]) for doc_id, c in pool_labels(new.labels, cluster_of, doc_ids, labeled).items()
+    ]
     outputs = []
-    for bundle in (V1_BUNDLE, V2_BUNDLE, v3):
+    for bundle in (V1_BUNDLE, V2_BUNDLE, V3_BUNDLE, v4):
         out = tmp_path / f"{bundle.stem}.tsv"
         assert main(["classify", "--model", str(bundle), "--input", str(tree), "--out", str(out)]) == 0
         outputs.append(out.read_bytes())
-    assert outputs[0] == outputs[1] == outputs[2]
+    assert outputs[0] == outputs[1] == outputs[2] == outputs[3]
     capsys.readouterr()
+
+
+@pytest.mark.parametrize("bundle", [V3_BUNDLE, V3_COSINE_BUNDLE], ids=["euclidean", "cosine"])
+def test_a_version_three_bundle_and_its_version_four_re_save_classify_alike(tmp_path, capsys, bundle):
+    tree = tmp_path / "corpus"
+    write_corpus_tree(fixture_corpus(), tree)
+    v4 = tmp_path / "v4.json"
+    save_bundle(v4, *load_bundle(bundle))
+    saved = json.loads(v4.read_text())
+    assert saved["version"] == 4
+    assert saved["model"].keys() == {"class_names", "distance", "clusters", "stats"}
+    assert {key for c in saved["model"]["clusters"] for key in c} == {"label", "centroid", "acceptance", "depth"}
+    outputs = []
+    for path in (bundle, v4):
+        out = tmp_path / f"{path.stem}.tsv"
+        assert main(["classify", "--model", str(path), "--input", str(tree), "--out", str(out)]) == 0
+        outputs.append(out.read_bytes())
+    assert outputs[0] == outputs[1]
+    assert len(outputs[0].splitlines()) == fixture_corpus().n_docs
+    capsys.readouterr()
+
+
+def test_pool_labels_list_the_pool_and_score_as_the_model_labels_it(tmp_path, corpus_tree, capsys):
+    _, tree = corpus_tree
+    bundle, pool = tmp_path / "model.json", tmp_path / "pool.tsv"
+    assert main(["train", "--corpus", str(tree), "--labeled-frac", "0.3", "--seed", "2",
+                 "--model-out", str(bundle), "--pool-labels-out", str(pool)]) == 0
+    assert capsys.readouterr().out.endswith(f"pool labels written to {pool}\n")
+    corpus = load_directory_corpus(tree)
+    d_labeled, d_unlabeled = mask_labels(corpus, 0.3, 2)
+    _, model, training = harness.fit(d_labeled, d_unlabeled, 1.0, RecursiveConfig(), 2)
+    assert np.array_equal(load_bundle(bundle)[0].centroids, model.centroids)  # the model train saved
+    rows = [line.split("\t") for line in pool.read_text(encoding="utf-8").splitlines()]
+    ids = [doc_id for doc_id, _ in rows]
+    # every unlabeled training doc once, in training order, and no labeled doc
+    unlabeled = training.labels < 0
+    assert ids == list(compress(training.doc_ids, unlabeled.tolist()))
+    assert sorted(ids) == sorted(d_unlabeled.doc_ids)
+    assert not set(ids) & set(d_labeled.doc_ids)
+    # scored against the masked truth, the file is as accurate as the labels
+    # of the clusters holding the pool's points
+    truth_of = dict(zip(corpus.doc_ids, corpus.labels.tolist()))
+    truth = tmp_path / "truth.tsv"
+    truth.write_text("".join(f"{d}\t{corpus.class_names[truth_of[d]]}\n" for d in d_unlabeled.doc_ids))
+    expected = np.mean(model.labels[model.cluster_of[unlabeled]] == [truth_of[d] for d in ids])
+    assert main(["eval", "--predictions", str(pool), "--truth", str(truth)]) == 0
+    report = dict(line.split("\t") for line in capsys.readouterr().out.strip().splitlines())
+    assert report["accuracy"] == f"{expected:.6f}"
+
+
+def test_train_writes_pool_labels_only_when_asked(tmp_path, corpus_tree):
+    _, tree = corpus_tree
+    out = tmp_path / "out"
+    out.mkdir()
+    assert main(["train", "--corpus", str(tree), "--labeled-frac", "0.3",
+                 "--model-out", str(out / "model.json")]) == 0
+    assert os.listdir(out) == ["model.json"]
+
+
+@pytest.mark.parametrize("existing", [None, b"an earlier result\n"])
+def test_failed_pool_label_write_leaves_the_file_as_it_was(tmp_path, corpus_tree, capsys, monkeypatch, existing):
+    _, tree = corpus_tree
+    out = tmp_path / "out"
+    out.mkdir()
+    pool = out / "pool.tsv"
+    if existing is not None:
+        pool.write_bytes(existing)
+
+    class FailingLabels(dict):
+        def items(self):
+            yield next(iter(super().items()))
+            raise DataError("injected while writing pool labels")
+
+    monkeypatch.setattr(cli, "pool_labels", lambda *args: FailingLabels(pool_labels(*args)))
+    capsys.readouterr()
+    assert main(["train", "--corpus", str(tree), "--labeled-frac", "0.3",
+                 "--model-out", str(out / "model.json"), "--pool-labels-out", str(pool)]) == 2
+    assert capsys.readouterr().err == "data error: injected while writing pool labels\n"
+    assert sorted(os.listdir(out)) == ["model.json"] + ([] if existing is None else ["pool.tsv"])
+    if existing is not None:
+        assert pool.read_bytes() == existing
 
 
 def test_version_two_bundle_with_huge_weights_exits_two(tmp_path, capsys):

@@ -7,7 +7,8 @@ this test. Cosine runs are left out: they rank with a BLAS product whose
 bits vary between BLAS builds.
 
 To rewrite the files after a deliberate change of outputs, run
-``PYTHONPATH=src:tests python tests/test_golden_sweep.py``.
+``PYTHONPATH=src:tests python tests/test_golden_sweep.py``; it also prints
+the pinned bundle's digest, to be copied into ``PINNED_BUNDLE``.
 """
 import hashlib
 import json
@@ -78,19 +79,25 @@ def test_sweep_matches_golden_outputs(tmp_path, monkeypatch):
     assert digests == json.loads((GOLDEN / "digests.json").read_text(encoding="utf-8"))
 
 
-# blake2b of the bundle ``save_bundle`` writes for a model trained on CORPUS
-# at one part labeled in five, seed 7, depth limit 3: it recurses, and
-# accepts clusters as orphans and at both the size and the depth limit
-PINNED_BUNDLE = "9a056fa7f480e9b4a149845d88342b90"
+# blake2b of the version-4 bundle ``save_bundle`` writes for a model trained
+# on CORPUS at one part labeled in five, seed 7, depth limit 3: it recurses,
+# and accepts clusters as orphans and at both the size and the depth limit.
+# ``__main__`` prints it. The reader of the version-3 bundles before it is
+# tested against tests/data/bundle_v3.json.
+PINNED_BUNDLE = "63f2a586f85e62112e10737f72c9c8fa"
+
+
+def pinned_bundle_bytes(tmp: Path) -> bytes:
+    d_labeled, d_unlabeled = mask_labels(make_text_corpus(**CORPUS), 0.2, 7)
+    weights, model, _ = fit(d_labeled, d_unlabeled, 1.0, RecursiveConfig(max_recursion_depth=3), 7)
+    assert model.stats.fallback_counts == {"fallback_size": 9, "fallback_depth": 4}
+    assert model.stats.orphan_count == 3
+    save_bundle(tmp / "model.json", model, weights, TokenizerConfig())
+    return (tmp / "model.json").read_bytes()
 
 
 def test_bundle_matches_pinned_bytes(tmp_path):
-    d_labeled, d_unlabeled = mask_labels(make_text_corpus(**CORPUS), 0.2, 7)
-    weights, model = fit(d_labeled, d_unlabeled, 1.0, RecursiveConfig(max_recursion_depth=3), 7)
-    assert model.stats.fallback_counts == {"fallback_size": 9, "fallback_depth": 4}
-    assert model.stats.orphan_count == 3
-    save_bundle(tmp_path / "model.json", model, weights, TokenizerConfig())
-    assert digest((tmp_path / "model.json").read_bytes()) == PINNED_BUNDLE
+    assert digest(pinned_bundle_bytes(tmp_path)) == PINNED_BUNDLE
 
 
 if __name__ == "__main__":
@@ -101,7 +108,9 @@ if __name__ == "__main__":
     GOLDEN.mkdir(parents=True, exist_ok=True)
     with pytest.MonkeyPatch.context() as mp, tempfile.TemporaryDirectory() as tmp:
         csvs, digests, depth = sweep_outputs(Path(tmp), mp)
+        pin = digest(pinned_bundle_bytes(Path(tmp)))
     for name, data in csvs.items():
         (GOLDEN / f"{name}.csv").write_bytes(data)
     (GOLDEN / "digests.json").write_text(json.dumps(digests, indent=1) + "\n", encoding="utf-8")
     print(f"wrote {GOLDEN} (deepest recursion level {depth})", file=sys.stderr)
+    print(f'PINNED_BUNDLE = "{pin}"', file=sys.stderr)

@@ -113,14 +113,23 @@ def test_trivial_corpus_duplicated_docs_scores_one():
     assert result.metrics["accuracy"] == 1.0
 
 
-def test_transductive_flag_includes_test_pool():
+def test_transductive_flag_includes_test_pool(monkeypatch):
     corpus = make_text_corpus(n_classes=3, docs_per_class=16, seed=2)
     train, test = split_corpus(corpus)
     cfg = SweepConfig(ratio_grid=((10, 40),), trials_per_ratio=1, transductive=True)
+    seen = []
+
+    def recording_build_model(x, labels, doc_ids, *args):
+        seen.append(dict(zip(doc_ids, labels.tolist())))
+        return build_model(x, labels, doc_ids, *args)
+
+    build_model = harness.build_model
+    monkeypatch.setattr(harness, "build_model", recording_build_model)
     result = run_trial(train, test, (10, 40), 3, cfg, keep_model=True)
-    # test docs participate unlabeled: they appear in the training label map
-    assigned = set(result.model.training_label_assignments)
-    assert {d.doc_id for d in test.documents} <= assigned
+    # test docs participate unlabeled: each is a training point of the model
+    (training,) = seen
+    assert result.model.cluster_of.shape == (len(training),)
+    assert {d.doc_id: -1 for d in test.documents}.items() <= training.items()
 
 
 def test_sweep_row_counts_and_zero_std_single_trial():

@@ -170,8 +170,8 @@ def test_fit_requires_labels_and_nonempty_vocab():
 def test_save_load_weights_bit_exact(tmp_path):
     # the weight table's file route is the model bundle
     corpus = make_text_corpus(n_classes=4, docs_per_class=7, doc_len=18, seed=8)
-    w, model = fit(corpus, Corpus.from_documents([], [], corpus.class_names), smoothing=0.7,
-                   recursive=RecursiveConfig(), seed=0)
+    w, model, _ = fit(corpus, Corpus.from_documents([], [], corpus.class_names), smoothing=0.7,
+                      recursive=RecursiveConfig(), seed=0)
     path = tmp_path / "bundle.json"
     save_bundle(path, model, w, TokenizerConfig())
     _, loaded, _ = load_bundle(path)

@@ -19,6 +19,7 @@ from textrkm.rkmeans import (
     build_model,
     choose_initial_seeds,
     kmeans,
+    pool_labels,
 )
 
 from reference import cluster_class_stats, lloyd_reference, majority_label, relative_percentage
@@ -401,7 +402,7 @@ def test_build_model_pure_clusters_on_separated_classes():
         true_members = set(truth[model.cluster_of == j].tolist())
         assert true_members == {label}
     # label totality for unlabeled points
-    assert set(model.training_label_assignments) == {
+    assert set(pool_labels(model.labels, model.cluster_of, ids, labels >= 0)) == {
         ids[i] for i in range(len(labels)) if labels[i] == -1
     }
 
@@ -516,7 +517,7 @@ def test_build_model_partition_and_acceptance_properties(instance):
     # the derived label map covers exactly the unlabeled points, each with
     # the label of the cluster that holds it
     label_of = model.labels[model.cluster_of].tolist()
-    assert model.training_label_assignments == {
+    assert pool_labels(model.labels, model.cluster_of, ids, labels >= 0) == {
         ids[i]: label_of[i] for i in range(len(labels)) if labels[i] < 0
     }
 
@@ -533,14 +534,14 @@ def test_build_model_deterministic():
     m2 = build_model(x, labels, ids, ("a", "b", "c"), RecursiveConfig(), 77)
     assert np.array_equal(m1.centroids, m2.centroids)
     assert np.array_equal(m1.labels, m2.labels)
-    assert m1.training_label_assignments == m2.training_label_assignments
+    assert np.array_equal(m1.cluster_of, m2.cluster_of)
 
 
 def test_build_model_without_unlabeled_points():
     x, truth, _ = make_point_cloud(n_classes=2, points_per_class=10, dim=2, seed=9)
     ids = [str(i) for i in range(len(truth))]
     model = build_model(x, truth, ids, ("a", "b"), RecursiveConfig(), 0)
-    assert model.training_label_assignments == {}
+    assert pool_labels(model.labels, model.cluster_of, ids, truth >= 0) == {}
     assert model.n_clusters >= 2
 
 
@@ -589,10 +590,7 @@ def test_model_save_load_round_trip(tmp_path):
     assert np.array_equal(loaded.centroids, model.centroids)
     assert np.array_equal(loaded.labels, model.labels)
     assert loaded.distance == model.distance
-    assert loaded.training_label_assignments == model.training_label_assignments
-    assert loaded.training_doc_ids == model.training_doc_ids
-    assert np.array_equal(loaded.labeled, model.labeled)
-    assert np.array_equal(loaded.cluster_of, model.cluster_of)
+    assert loaded.cluster_of is None  # a bundle holds no training partition
     assert loaded.acceptance == model.acceptance
     assert np.array_equal(loaded.depths, model.depths)
     assert loaded.stats == model.stats
