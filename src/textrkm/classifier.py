@@ -25,10 +25,9 @@ def classify_batch(
     """Label each vector by its nearest cluster centroid.
 
     Distances use the metric the model was trained with; ties go to the
-    lowest cluster index. Order-preserving: under the euclidean metric each
-    row gets what a one-row call would give it; cosine similarities come
-    from one BLAS product per call, whose last bits can depend on how many
-    rows it multiplies. A row that is not finite raises DataError.
+    lowest cluster index. Order-preserving, and under either metric each row
+    gets what a one-row call would give it, bit for bit. A row that is not
+    finite raises DataError.
     """
     x = np.asarray(vectors, dtype=np.float64)
     if x.ndim == 1:

@@ -161,10 +161,10 @@ def fit(
     """
     training = make_training_collection(d_labeled, pool, pool_size, rng_seed=seed)
     weights = fit_term_weights(d_labeled, smoothing)
-    x, kept_ids, dropped = embed_corpus(training, weights)
+    x, _, dropped = embed_corpus(training, weights)
     if dropped:
         raise DataError(f"training documents with zero tokens: {dropped[:5]}")
-    model = build_model(x, training.labels, kept_ids, training.class_names, recursive, seed)
+    model = build_model(x, training.labels, training.class_names, recursive, seed)
     return weights, model, training
 
 

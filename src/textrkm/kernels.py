@@ -1,10 +1,10 @@
 """Hot numeric kernels: nearest-centroid assignment and centroid accumulation.
 
-One numpy implementation per kernel. Assignment ties break by lowest
-centroid index. Euclidean kernels return *squared* distances; callers take the
-square root where a true distance is reported. The kernels require finite
-inputs: the rounding bound below assumes them, and model loading rejects
-non-finite centroids.
+One numpy implementation per kernel; cosine assignment runs the euclidean
+one on unit vectors. Assignment ties break by lowest centroid index.
+Euclidean distances come back *squared*; callers take the square root where
+a true distance is reported. The kernels require finite inputs: the rounding
+bound below assumes them, and model loading rejects non-finite centroids.
 
 Euclidean assignment works through the points in blocks. In each block it
 ranks the centroids by one BLAS product, ``|c|^2 - 2 c.x`` (the point's
@@ -124,22 +124,23 @@ def _assign_block(x, scaled, centroids, centroid_sq, slack):
     return assign, np.einsum("ij,ij->i", diff, diff)
 
 
-def row_norms(x, metric):
-    """The rows' euclidean norms as the ``metric`` kernel computes them.
+def row_norms(x):
+    """The rows' euclidean norms, each computed alone. A caller that assigns
+    the same points many times computes them once and passes them as ``norms``."""
+    return np.sqrt(np.einsum("ij,ij->i", x, x))
 
-    A caller that assigns the same points many times computes them once and
-    passes them as ``norms``.
-    """
-    if metric == "euclidean":
-        return np.sqrt(np.einsum("ij,ij->i", x, x))
-    return np.sqrt((x * x).sum(axis=1))
+
+def unit_rows(x):
+    """The rows scaled to unit euclidean length; a zero row stays zero."""
+    norms = row_norms(x)[:, None]
+    return np.divide(x, norms, out=np.zeros_like(x), where=norms > 0)
 
 
 def assign_euclidean(x, centroids, *, norms=None):
     """Nearest centroid per row under squared euclidean distance.
 
     Returns ``(assignment, squared_distance)`` arrays of length ``len(x)``.
-    ``norms`` is ``row_norms(x, "euclidean")``, computed here when absent.
+    ``norms`` is ``row_norms(x)``, computed here when absent.
     """
     n, d = x.shape
     m = centroids.shape[0]
@@ -148,7 +149,7 @@ def assign_euclidean(x, centroids, *, norms=None):
         d2 = np.einsum("ijk,ijk->ij", diff, diff)
         return d2.argmin(axis=1), d2.min(axis=1)
     if norms is None:
-        norms = row_norms(x, "euclidean")
+        norms = row_norms(x)
     centroid_sq = np.einsum("ij,ij->i", centroids, centroids)
     slack = _candidate_slack(norms, np.sqrt(centroid_sq.max()), d)
     scaled = centroids * -2.0
@@ -164,27 +165,6 @@ def assign_euclidean(x, centroids, *, norms=None):
             x[start:stop], scaled, centroids, centroid_sq, slack[start:stop]
         )
     return assign, best
-
-
-def assign_cosine(x, centroids, *, norms=None):
-    """Nearest centroid per row under cosine distance (1 - cosine similarity).
-
-    A zero-norm vector on either side yields similarity 0, i.e. distance 1.
-    The ``(n, centroids)`` similarity matrix is built in one product: a
-    blocked product changes the last bits, because BLAS tiles each block
-    size differently. ``norms`` is ``row_norms(x, "cosine")``, computed here
-    when absent.
-    """
-    xn = row_norms(x, "cosine") if norms is None else norms
-    cn = row_norms(centroids, "cosine")
-    # the similarity, then the distance, in place in the product's buffer
-    dist = x @ centroids.T
-    denom = xn[:, None] * cn[None, :]
-    positive = denom > 0.0
-    np.divide(dist, denom, out=dist, where=positive)
-    np.copyto(dist, 0.0, where=np.logical_not(positive, out=positive))
-    np.subtract(1.0, dist, out=dist)
-    return dist.argmin(axis=1), dist.min(axis=1)
 
 
 def centroid_sums(x, assign, n_clusters, *, columns=None):
@@ -220,12 +200,14 @@ def as_points(a):
     return out
 
 
-def nearest_centroids(x, centroids, metric, *, norms=None):
-    """Dispatch to the assignment kernel for the given metric.
+def nearest_centroids(x, centroids, metric, *, norms=None, units=None):
+    """Nearest centroid per row under ``metric``, by ``assign_euclidean``.
 
-    Euclidean distances come back squared; cosine distances come back as
-    1 - similarity. Ties always resolve to the lowest centroid index.
-    ``norms``, when given, is ``row_norms(x, metric)``.
+    Euclidean distances come back squared. A cosine distance, 1 - similarity,
+    is half the squared distance between the rows and centroids scaled to
+    unit length (``units`` is ``unit_rows(x)``), so it too is exact per row;
+    a zero row or centroid has similarity 0, so distance 1. Ties go to the
+    lowest centroid index. ``norms`` is ``row_norms`` of the rows measured.
     """
     x = as_points(x)
     centroids = as_points(centroids)
@@ -235,6 +217,22 @@ def nearest_centroids(x, centroids, metric, *, norms=None):
         )
     if metric == "euclidean":
         return assign_euclidean(x, centroids, norms=norms)
-    if metric == "cosine":
-        return assign_cosine(x, centroids, norms=norms)
-    raise ValueError(f"unknown metric {metric!r}, expected one of {METRICS}")
+    if metric != "cosine":
+        raise ValueError(f"unknown metric {metric!r}, expected one of {METRICS}")
+    units = unit_rows(x) if units is None else units
+    norms = row_norms(units) if norms is None else norms
+    lengths = row_norms(centroids)
+    live = np.flatnonzero(lengths)
+    assign, dist = np.zeros(x.shape[0], dtype=np.int64), np.ones(x.shape[0])
+    if live.size:
+        nearest, d2 = assign_euclidean(units, unit_rows(centroids[live]), norms=norms)
+        assign, dist = live[nearest], d2 * 0.5
+    # a zero row is at distance 1 from every centroid, so the first takes it;
+    # the first zero centroid is at distance 1 from every row, so it takes
+    # each row it is nearer to, or as near to from a lower index
+    assign[norms == 0.0], dist[norms == 0.0] = 0, 1.0
+    if live.size < lengths.size:
+        first = int(lengths.argmin())
+        take = (dist > 1.0) | ((dist == 1.0) & (assign > first))
+        assign[take], dist[take] = first, 1.0
+    return assign, dist

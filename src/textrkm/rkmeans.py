@@ -114,15 +114,17 @@ def kmeans(x: np.ndarray, seeds: np.ndarray, config: KMeansConfig) -> KMeansResu
         )
 
     k = centroids.shape[0]
-    # what every iteration reuses, computed once per run; the euclidean
-    # kernel reads norms only when it ranks (more than DIRECT_PAIRS pairs)
+    # what every iteration reuses, computed once per run: under cosine the
+    # unit rows the kernel measures, and their norms, which the euclidean
+    # kernel reads only when it ranks (more than DIRECT_PAIRS pairs)
+    units = kernels.unit_rows(x) if config.distance == "cosine" else None
     norms = None
-    if config.distance == "cosine" or x.shape[0] * k > kernels.DIRECT_PAIRS:
-        norms = kernels.row_norms(x, config.distance)
+    if units is not None or x.shape[0] * k > kernels.DIRECT_PAIRS:
+        norms = kernels.row_norms(x if units is None else units)
     columns = np.ascontiguousarray(x.T) if x.shape[0] >= kernels.COLUMN_SUM_ROWS else None
     history: list[float] = []
     for n_iter in range(1, config.max_iterations + 1):
-        assign, dist = kernels.nearest_centroids(x, centroids, config.distance, norms=norms)
+        assign, dist = kernels.nearest_centroids(x, centroids, config.distance, norms=norms, units=units)
         history.append(float(dist.sum()))
         sums, counts = kernels.centroid_sums(x, assign, k, columns=columns)
         if not counts.all():
@@ -175,12 +177,12 @@ def choose_initial_seeds(
     if labeled.size == 0:
         raise DataError("cannot seed: no labeled points")
     # labeled points grouped by class, each group in index order
-    by_class = labeled[np.argsort(labels[labeled], kind="stable")]
-    sizes = np.bincount(labels[labeled])
-    present = np.flatnonzero(sizes)
-    ends = np.cumsum(sizes)[present].tolist()
-    picks = [end - n + int(rng.integers(n)) for end, n in zip(ends, sizes[present].tolist())]
-    return x[by_class[picks]], present
+    groups: dict[int, list[int]] = {}
+    for i, label in zip(labeled.tolist(), labels[labeled].tolist()):
+        groups.setdefault(label, []).append(i)
+    present = sorted(groups)
+    picks = [groups[c][int(rng.integers(len(groups[c])))] for c in present]
+    return x[picks], np.array(present, dtype=np.int64)
 
 
 @dataclass
@@ -280,7 +282,6 @@ def pool_labels(
 def build_model(
     x: np.ndarray,
     labels: np.ndarray,
-    doc_ids: Sequence[str],
     class_names: Sequence[str],
     config: RecursiveConfig,
     seed: int,
@@ -296,8 +297,8 @@ def build_model(
     x = kernels.as_points(x)
     labels = np.asarray(labels, dtype=np.int64)
     n_classes = len(class_names)
-    if not x.shape[0] == labels.shape[0] == len(doc_ids):
-        raise DataError("points, labels and doc_ids differ in length")
+    if x.shape[0] != labels.shape[0]:
+        raise DataError("points and labels differ in length")
     bad = labels[(labels < -1) | (labels >= n_classes)]
     if bad.size:  # -1 marks an unlabeled point
         raise DataError(f"label {bad[0]} out of range for {n_classes} classes")

@@ -2,10 +2,10 @@
 
 Each is the plain, slow form of something the program computes another way:
 one document's embedding summed token by token, one vector's nearest-centroid
-prediction, the full difference tensor for euclidean assignment, an
-unbuffered scatter-add for centroid sums, the textbook Lloyd loop over those
-two, and the per-cluster label statistics that the recursion computes for all
-clusters at once. ``tokenize`` runs the program's file reader on one str, so
+prediction, the full difference tensor for euclidean assignment, cosine
+distances pair by pair, an unbuffered scatter-add for centroid sums, the
+textbook Lloyd loop over those two, and the per-cluster label statistics
+that the recursion computes for all clusters at once. ``tokenize`` runs the program's file reader on one str, so
 that the tokenizing rule can be checked on text, and ``cmd_classify`` is the
 ``classify`` command that reads its whole input before it embeds any of it.
 """
@@ -104,6 +104,17 @@ def unblocked_euclidean(x, centroids):
     d2 = np.einsum("ijk,ijk->ij", diff, diff)
     assign = d2.argmin(axis=1).astype(np.int64)
     return assign, d2[np.arange(x.shape[0]), assign]
+
+
+def cosine_distances(x, centroids):
+    """Reference: the ``(n, m)`` matrix of 1 - cosine similarity, with
+    similarity 0 where either vector is zero."""
+    x_norms = np.sqrt((x * x).sum(axis=1))
+    c_norms = np.sqrt((centroids * centroids).sum(axis=1))
+    dist = np.ones((x.shape[0], centroids.shape[0]))
+    for i, j in np.argwhere(np.outer(x_norms, c_norms) > 0):
+        dist[i, j] = 1.0 - float(x[i] @ centroids[j]) / (x_norms[i] * c_norms[j])
+    return dist
 
 
 def add_at_sums(x, assign, n_clusters):

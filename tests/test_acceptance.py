@@ -80,12 +80,13 @@ def test_criterion_1_cluster_purity_and_termination(monkeypatch):
     max_depth = 0
     training_ids = []  # the doc ids of each model's training points
 
-    def recording_build_model(x, labels, doc_ids, *args):
-        training_ids.append(list(doc_ids))
-        return build_model(x, labels, doc_ids, *args)
+    def recording_fit(*args):
+        weights, model, training = fit(*args)
+        training_ids.append(list(training.doc_ids))
+        return weights, model, training
 
-    build_model = harness.build_model
-    monkeypatch.setattr(harness, "build_model", recording_build_model)
+    fit = harness.fit
+    monkeypatch.setattr(harness, "fit", recording_fit)
     for corpus in corpora:
         train, test = _split(corpus)
         train_labels = {d.doc_id: lab for d, lab in zip(train.documents, train.labels)}
@@ -224,10 +225,9 @@ def test_criterion_3_separable_recovery():
             chosen = rng.permutation(members)[:5]  # 2% of 1000 = 20 -> 5 per class
             labels[chosen] = c
         model_input = x[train_idx]
-        ids = [str(i) for i in train_idx]
         from textrkm.rkmeans import build_model
 
-        model = build_model(model_input, labels, ids, ("a", "b", "c", "d"), RecursiveConfig(), 0)
+        model = build_model(model_input, labels, ("a", "b", "c", "d"), RecursiveConfig(), 0)
         preds = classify_batch(x[test_idx], model)
         acc = np.mean([p.label == truth[i] for p, i in zip(preds, test_idx)])
         accuracies.append(acc)

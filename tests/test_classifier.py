@@ -134,8 +134,7 @@ def test_self_consistency_on_built_models():
         for c in range(3):
             if not (labels == c).any():
                 labels[np.flatnonzero(truth == c)[0]] = c
-        ids = [str(i) for i in range(len(labels))]
-        model = build_model(x, labels, ids, ("a", "b", "c"), RecursiveConfig(), 0)
+        model = build_model(x, labels, ("a", "b", "c"), RecursiveConfig(), 0)
         for m in range(model.n_clusters):
             p = classify(model.centroids[m], model)
             assert p.label == int(model.labels[m])

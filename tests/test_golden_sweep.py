@@ -3,24 +3,26 @@
 The files under ``tests/data/golden_sweep`` were written by an earlier
 version of the program; any change to the bits of the split, the masking,
 the embedding, the k-means, the recursion's decisions or the scoring fails
-this test. Cosine runs are left out: they rank with a BLAS product whose
-bits vary between BLAS builds.
+this test. The same sweep under cosine is pinned by one digest: cosine
+assignment runs the exact euclidean kernel on unit vectors, so its bits do
+not depend on the BLAS either.
 
 To rewrite the files after a deliberate change of outputs, run
 ``PYTHONPATH=src:tests python tests/test_golden_sweep.py``; it also prints
-the pinned bundle's digest, to be copied into ``PINNED_BUNDLE``.
+the pinned bundle's and the cosine sweep's digests, to be copied into
+``PINNED_BUNDLE`` and ``COSINE_SWEEP``.
 """
 import hashlib
 import json
 import sys
-from dataclasses import asdict
+from dataclasses import asdict, replace
 from pathlib import Path
 
 from textrkm import harness
 from textrkm.cli import save_bundle
 from textrkm.corpus import TokenizerConfig, mask_labels
 from textrkm.harness import SweepConfig, emit_results, fit, manifest_filename, ratio_str, run_sweep
-from textrkm.rkmeans import RecursiveConfig
+from textrkm.rkmeans import KMeansConfig, RecursiveConfig
 
 from synthdata import make_text_corpus
 
@@ -38,7 +40,7 @@ def digest(a) -> str:
     return hashlib.blake2b(a if isinstance(a, bytes) else a.tobytes(), digest_size=16).hexdigest()
 
 
-def sweep_outputs(out_dir: Path, monkeypatch) -> tuple[dict[str, bytes], list[dict], int]:
+def sweep_outputs(out_dir: Path, monkeypatch, config=CONFIG) -> tuple[dict[str, bytes], list[dict], int]:
     """The sweep's CSV files, one record per trial, and the deepest recursion
     level reached. A trial's record holds digests of its manifest, its
     training matrix, its trained centroids and each final cluster's label,
@@ -52,7 +54,7 @@ def sweep_outputs(out_dir: Path, monkeypatch) -> tuple[dict[str, bytes], list[di
 
     build_model = harness.build_model
     monkeypatch.setattr(harness, "build_model", recording_build_model)
-    table = run_sweep(make_text_corpus(**CORPUS), CONFIG)
+    table = run_sweep(make_text_corpus(**CORPUS), config)
     files = emit_results(table, out_dir)
     names = [manifest_filename(rec.ratio, rec.trial) for rec in table.records]
     assert sorted(m.name for m in files["manifests"].iterdir()) == sorted(names)
@@ -100,6 +102,32 @@ def test_bundle_matches_pinned_bytes(tmp_path):
     assert digest(pinned_bundle_bytes(tmp_path)) == PINNED_BUNDLE
 
 
+# blake2b of the golden sweep run under cosine: its CSV files, the records of
+# ``sweep_outputs`` and every test prediction's distance. ``__main__`` prints it.
+COSINE_SWEEP = "627d8248fda3e79097ce1f6dc2f2f11e"
+COSINE_CONFIG = replace(CONFIG, recursive=RecursiveConfig(kmeans=KMeansConfig(distance="cosine")))
+
+
+def cosine_sweep_digest(out_dir: Path, monkeypatch) -> str:
+    distances = []
+
+    def recording_classify_batch(*args):
+        preds = classify_batch(*args)
+        distances.extend(p.distance for p in preds)
+        return preds
+
+    classify_batch = harness.classify_batch
+    monkeypatch.setattr(harness, "classify_batch", recording_classify_batch)
+    csvs, digests, depth = sweep_outputs(out_dir, monkeypatch, COSINE_CONFIG)
+    assert depth > 0, "the cosine sweep no longer recurses"
+    record = [{name: data.decode() for name, data in csvs.items()}, digests, distances]
+    return digest(json.dumps(record).encode())
+
+
+def test_cosine_sweep_matches_pinned_digest(tmp_path, monkeypatch):
+    assert cosine_sweep_digest(tmp_path, monkeypatch) == COSINE_SWEEP
+
+
 if __name__ == "__main__":
     import tempfile
 
@@ -109,8 +137,11 @@ if __name__ == "__main__":
     with pytest.MonkeyPatch.context() as mp, tempfile.TemporaryDirectory() as tmp:
         csvs, digests, depth = sweep_outputs(Path(tmp), mp)
         pin = digest(pinned_bundle_bytes(Path(tmp)))
+    with pytest.MonkeyPatch.context() as mp, tempfile.TemporaryDirectory() as tmp:
+        cosine = cosine_sweep_digest(Path(tmp), mp)
     for name, data in csvs.items():
         (GOLDEN / f"{name}.csv").write_bytes(data)
     (GOLDEN / "digests.json").write_text(json.dumps(digests, indent=1) + "\n", encoding="utf-8")
     print(f"wrote {GOLDEN} (deepest recursion level {depth})", file=sys.stderr)
     print(f'PINNED_BUNDLE = "{pin}"', file=sys.stderr)
+    print(f'COSINE_SWEEP = "{cosine}"', file=sys.stderr)

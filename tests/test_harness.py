@@ -119,12 +119,13 @@ def test_transductive_flag_includes_test_pool(monkeypatch):
     cfg = SweepConfig(ratio_grid=((10, 40),), trials_per_ratio=1, transductive=True)
     seen = []
 
-    def recording_build_model(x, labels, doc_ids, *args):
-        seen.append(dict(zip(doc_ids, labels.tolist())))
-        return build_model(x, labels, doc_ids, *args)
+    def recording_fit(*args):
+        weights, model, training = fit(*args)
+        seen.append(dict(zip(training.doc_ids, training.labels.tolist())))
+        return weights, model, training
 
-    build_model = harness.build_model
-    monkeypatch.setattr(harness, "build_model", recording_build_model)
+    fit = harness.fit
+    monkeypatch.setattr(harness, "fit", recording_fit)
     result = run_trial(train, test, (10, 40), 3, cfg, keep_model=True)
     # test docs participate unlabeled: each is a training point of the model
     (training,) = seen

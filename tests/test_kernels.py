@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from textrkm import kernels
 
-from reference import add_at_sums, unblocked_euclidean
+from reference import add_at_sums, cosine_distances, unblocked_euclidean
 
 BUDGETS = [kernels.ASSIGN_BLOCK_BYTES, 1, 2000]  # 1 byte: one row per block
 # 0: every call ranks candidates; 10**9: every call takes the direct path
@@ -195,6 +195,52 @@ def test_cosine_zero_vector_distance_one():
     assign, dist = kernels.nearest_centroids(x, c, "cosine")
     assert dist[0] == 1.0
     assert assign[0] == 0  # all-equal distances fall to the first
+
+
+@pytest.mark.parametrize("budget", BUDGETS)
+def test_cosine_is_one_minus_similarity_up_to_rounding(monkeypatch, budget):
+    # half the squared distance of unit vectors: each distance within a few
+    # eps of 1 - similarity, and the centroid taken within a few eps of the
+    # nearest one; a zero row is at distance exactly 1 and takes centroid 0
+    monkeypatch.setattr(kernels, "ASSIGN_BLOCK_BYTES", budget)
+    eps = np.finfo(np.float64).eps
+    for x, c in random_instances(seed=4):
+        ref = cosine_distances(x, c)
+        assign, dist = kernels.nearest_centroids(x, c, "cosine")
+        taken = ref[np.arange(len(x)), assign]
+        assert np.all(np.abs(dist - taken) <= 4 * eps)
+        assert np.all(taken <= ref.min(axis=1) + 8 * eps)
+        zero = ~x.any(axis=1)
+        assert np.all(dist[zero] == 1.0) and np.all(assign[zero] == 0)
+
+
+def test_cosine_rows_equal_one_row_calls():
+    # no BLAS product supplies a distance, so how many rows one call holds
+    # changes no bit (the one-row calls take the direct path, the 3000-row
+    # call ranks)
+    rng = np.random.default_rng(0)
+    x, c = rng.random((3000, 20)), rng.random((50, 20))
+    assign, dist = kernels.nearest_centroids(x, c, "cosine")
+    for i in range(len(x)):
+        one_assign, one_dist = kernels.nearest_centroids(x[i:i + 1], c, "cosine")
+        assert one_assign[0] == assign[i]
+        assert one_dist.tobytes() == dist[i:i + 1].tobytes()
+
+
+def test_cosine_zero_centroid_is_at_distance_one_and_loses_ties_to_lower_indices():
+    c = np.array([[0.0, 1.0], [0.0, 0.0], [1.0, 0.0], [0.0, 0.0]])
+    x = np.array([[2.0, 0.0], [-1.0, 0.0], [0.0, -3.0], [-1.0, -1.0], [0.0, 0.0]])
+    assign, dist = kernels.nearest_centroids(x, c, "cosine")
+    # [-1, 0] is at 1 from centroids 0, 1 and 3; [0, -3] at 1 from centroids
+    # 1-3 and at 2 from centroid 0; [-1, -1] farther than 1 from both
+    # nonzero centroids; [0, 0] at 1 from every centroid
+    assert assign.tolist() == [2, 0, 1, 1, 0]
+    assert dist.tolist() == [0.0, 1.0, 1.0, 1.0, 1.0]
+    for i in range(len(x)):
+        one_assign, one_dist = kernels.nearest_centroids(x[i], c, "cosine")
+        assert (one_assign[0], one_dist[0]) == (assign[i], dist[i])
+    assign, dist = kernels.nearest_centroids(x, np.zeros((3, 2)), "cosine")
+    assert assign.tolist() == [0] * 5 and dist.tolist() == [1.0] * 5
 
 
 def test_euclidean_distance_values():

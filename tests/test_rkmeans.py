@@ -192,8 +192,9 @@ def test_kmeans_is_bit_identical_to_the_reference_lloyd_loop():
 def test_kmeans_calls_each_kernel_once_per_iteration(monkeypatch):
     # the benchmark's tracer rebinds these two names and reads (x, centroids,
     # metric) and (x, assign, n_clusters) from these positions; the keywords
-    # carry what the run computes once: the points' norms and, for a large
-    # run, their column-major copy
+    # carry what the run computes once: under cosine the unit points, the
+    # norms of the points the kernel measures and, for a large run, the
+    # points' column-major copy
     calls = []
 
     def counting(name, fn):
@@ -210,18 +211,25 @@ def test_kmeans_calls_each_kernel_once_per_iteration(monkeypatch):
             calls.clear()
             res = kmeans(x, seeds, KMeansConfig(distance=distance, max_iterations=cap))
             assert [c[0] for c in calls] == ["assign", "sums"] * res.n_iter
-            norms, columns = calls[0][2]["norms"], calls[1][2]["columns"]
+            units, norms = calls[0][2]["units"], calls[0][2]["norms"]
+            columns = calls[1][2]["columns"]
+            if distance == "euclidean":
+                assert units is None
+            else:
+                assert units.tobytes() == kernels.unit_rows(x).tobytes()
             # the euclidean kernel reads norms only when it ranks
             if distance == "euclidean" and len(x) * len(seeds) <= kernels.DIRECT_PAIRS:
                 assert norms is None
             else:
-                assert norms.tobytes() == kernels.row_norms(x, distance).tobytes()
+                measured = x if units is None else units
+                assert norms.tobytes() == kernels.row_norms(measured).tobytes()
             if len(x) >= kernels.COLUMN_SUM_ROWS:
                 assert columns.flags.c_contiguous and np.array_equal(columns, x.T)
             else:
                 assert columns is None
             for (_, a_args, a_kw, (assign, _)), (_, s_args, s_kw, _) in zip(calls[::2], calls[1::2]):
-                assert a_kw.keys() == {"norms"} and a_kw["norms"] is norms
+                assert a_kw.keys() == {"norms", "units"}
+                assert a_kw["norms"] is norms and a_kw["units"] is units
                 assert s_kw.keys() == {"columns"} and s_kw["columns"] is columns
                 xa, centroids, metric = a_args
                 xs, assigned, n_clusters = s_args
@@ -299,7 +307,7 @@ def one_dimensional_mixed_instance():
 
 def test_recursive_matches_partition_oracle_one_dimensional():
     x, labels, ids = one_dimensional_mixed_instance()
-    model = build_model(x, labels, ids, ("a", "b"), RecursiveConfig(th_percent=5.0), 0)
+    model = build_model(x, labels, ("a", "b"), RecursiveConfig(th_percent=5.0), 0)
     assert model.n_clusters == 2
     by_label = {
         label: sorted(ids[i] for i in np.flatnonzero(model.cluster_of == j))
@@ -319,7 +327,7 @@ def test_recursive_single_class_no_recursion():
     rng = np.random.default_rng(3)
     x = rng.normal(size=(12, 2))
     labels = np.array([0] * 4 + [-1] * 8)
-    model = build_model(x, labels, [f"p{i}" for i in range(len(x))], ("a",), RecursiveConfig(), 0)
+    model = build_model(x, labels, ("a",), RecursiveConfig(), 0)
     assert model.n_clusters == 1
     assert model.labels.tolist() == [0]
     assert model.acceptance == (ACCEPT_PURE,)
@@ -330,8 +338,7 @@ def test_minority_below_threshold_absorbed_as_outliers():
     # co-located points cannot be split; minority at 2% of majority <= Th=5
     x = np.zeros((102, 1))
     labels = np.array([0] * 100 + [1] * 2)
-    ids = [f"p{i}" for i in range(len(x))]
-    model = build_model(x, labels, ids, ("a", "b"), RecursiveConfig(th_percent=5.0), 0)
+    model = build_model(x, labels, ("a", "b"), RecursiveConfig(th_percent=5.0), 0)
     assert model.n_clusters == 1
     assert model.labels.tolist() == [0]
     assert model.acceptance == (ACCEPT_THRESHOLD,)
@@ -343,8 +350,7 @@ def test_unsplittable_mixed_cluster_falls_back_to_majority():
     # equal co-located classes sit far above any threshold but cannot split
     x = np.zeros((8, 1))
     labels = np.array([0, 0, 0, 1, 1, -1, -1, -1])
-    ids = [f"p{i}" for i in range(len(x))]
-    model = build_model(x, labels, ids, ("a", "b"), RecursiveConfig(th_percent=5.0), 0)
+    model = build_model(x, labels, ("a", "b"), RecursiveConfig(th_percent=5.0), 0)
     assert model.n_clusters == 1
     assert model.labels.tolist() == [0]  # majority
     assert model.acceptance == (ACCEPT_NO_SPLIT,)
@@ -356,7 +362,7 @@ def test_depth_limit_fallback_still_returns_model():
     x = np.linspace(0.0, 1.0, 16).reshape(-1, 1)
     labels = np.array([0, 1] * 8)
     config = RecursiveConfig(th_percent=5.0, max_recursion_depth=1)
-    model = build_model(x, labels, [f"p{i}" for i in range(len(x))], ("a", "b"), config, 0)
+    model = build_model(x, labels, ("a", "b"), config, 0)
     assert model.stats.max_depth_reached <= 1
     # every point is in one cluster, and every cluster holds a point
     assert model.cluster_of.shape == (16,)
@@ -375,8 +381,7 @@ def test_orphan_cluster_labeled_by_nearest_sibling():
             x = np.array([[1.0, 0.0]] * 30 + [[0.0, 1.0]] * 30 + [[1.0, 0.0], point, point])
             labels = np.array([0] * 30 + [1] * 30 + [2, -1, -1])
             config = RecursiveConfig(kmeans=KMeansConfig(distance=distance))
-            ids = [f"p{i}" for i in range(len(x))]
-            model = build_model(x, labels, ids, ("a", "b", "c"), config, 0)
+            model = build_model(x, labels, ("a", "b", "c"), config, 0)
             assert list(zip(model.labels.tolist(), model.acceptance)) == [
                 (0, ACCEPT_THRESHOLD), (1, ACCEPT_PURE), (label, ACCEPT_ORPHAN)
             ], (distance, point)
@@ -395,7 +400,7 @@ def test_build_model_pure_clusters_on_separated_classes():
         if not ((labels == c).any()):
             labels[np.flatnonzero(truth == c)[0]] = c
     ids = [f"p{i}" for i in range(len(labels))]
-    model = build_model(x, labels, ids, ("a", "b", "c", "d"), RecursiveConfig(), 0)
+    model = build_model(x, labels, ("a", "b", "c", "d"), RecursiveConfig(), 0)
     assert model.n_clusters >= 4
     # purity recount oracle: every cluster's members share one true class
     for j, label in enumerate(model.labels.tolist()):
@@ -419,8 +424,7 @@ def test_build_model_partition_and_centroid_invariants():
         for c in range(3):
             if not (labels == c).any():
                 labels[np.flatnonzero(truth == c)[0]] = c
-        ids = [str(i) for i in range(len(labels))]
-        model = build_model(x, labels, ids, ("a", "b", "c"), RecursiveConfig(), 0)
+        model = build_model(x, labels, ("a", "b", "c"), RecursiveConfig(), 0)
         assert model.cluster_of.shape == (len(labels),)
         assert sorted(set(model.cluster_of.tolist())) == list(range(model.n_clusters))
         for j, centroid in enumerate(model.centroids):
@@ -441,8 +445,7 @@ def test_acceptance_rule_recount_on_random_instances():
             if not (labels == c).any():
                 labels[int(rng.integers(n))] = c
         config = RecursiveConfig(th_percent=th)
-        ids = [f"p{i}" for i in range(n)]
-        model = build_model(x, labels, ids, tuple(f"c{c}" for c in range(k)), config, trial)
+        model = build_model(x, labels, tuple(f"c{c}" for c in range(k)), config, trial)
         fallback_seen = 0
         for j, (label, reason) in enumerate(zip(model.labels.tolist(), model.acceptance)):
             ncp, lsp = cluster_class_stats(labels[model.cluster_of == j], k)
@@ -483,7 +486,7 @@ def labeled_point_sets(draw):
 def test_build_model_partition_and_acceptance_properties(instance):
     x, labels, k, config, seed = instance
     ids = [f"p{i}" for i in range(len(labels))]
-    model = build_model(x, labels, ids, tuple(f"c{c}" for c in range(k)), config, seed)
+    model = build_model(x, labels, tuple(f"c{c}" for c in range(k)), config, seed)
 
     # the final clusters partition the points exactly: every point is in
     # one cluster, and every cluster holds a point
@@ -529,9 +532,8 @@ def test_build_model_deterministic():
     for c in range(3):
         if not (labels == c).any():
             labels[np.flatnonzero(truth == c)[0]] = c
-    ids = [str(i) for i in range(len(labels))]
-    m1 = build_model(x, labels, ids, ("a", "b", "c"), RecursiveConfig(), 77)
-    m2 = build_model(x, labels, ids, ("a", "b", "c"), RecursiveConfig(), 77)
+    m1 = build_model(x, labels, ("a", "b", "c"), RecursiveConfig(), 77)
+    m2 = build_model(x, labels, ("a", "b", "c"), RecursiveConfig(), 77)
     assert np.array_equal(m1.centroids, m2.centroids)
     assert np.array_equal(m1.labels, m2.labels)
     assert np.array_equal(m1.cluster_of, m2.cluster_of)
@@ -540,7 +542,7 @@ def test_build_model_deterministic():
 def test_build_model_without_unlabeled_points():
     x, truth, _ = make_point_cloud(n_classes=2, points_per_class=10, dim=2, seed=9)
     ids = [str(i) for i in range(len(truth))]
-    model = build_model(x, truth, ids, ("a", "b"), RecursiveConfig(), 0)
+    model = build_model(x, truth, ("a", "b"), RecursiveConfig(), 0)
     assert pool_labels(model.labels, model.cluster_of, ids, truth >= 0) == {}
     assert model.n_clusters >= 2
 
@@ -549,29 +551,28 @@ def test_recursive_rejects_label_out_of_range():
     # -1 marks an unlabeled point; a label below it is no class either
     for labels, bad in (([0, 1, 2], 2), ([0, 0, 1, 1, -2], -2)):
         with pytest.raises(DataError, match=f"label {bad} out of range for 2 classes"):
-            build_model(np.zeros((len(labels), 1)), np.array(labels), list("abcde")[:len(labels)],
-                        ("one", "two"), RecursiveConfig(), 0)
+            build_model(np.zeros((len(labels), 1)), np.array(labels), ("one", "two"),
+                        RecursiveConfig(), 0)
 
 
-@pytest.mark.parametrize("n_points, n_labels, n_ids", [(3, 4, 4), (4, 3, 4), (4, 4, 3)])
-def test_build_model_rejects_inputs_of_different_lengths(n_points, n_labels, n_ids):
-    with pytest.raises(DataError, match="points, labels and doc_ids differ in length"):
+@pytest.mark.parametrize("n_points, n_labels", [(3, 4), (4, 3)])
+def test_build_model_rejects_inputs_of_different_lengths(n_points, n_labels):
+    with pytest.raises(DataError, match="points and labels differ in length"):
         build_model(np.zeros((n_points, 1)), np.array([0, 1, -1, -1][:n_labels]),
-                    ["a", "b", "c", "d"][:n_ids], ("one", "two"), RecursiveConfig(), 0)
+                    ("one", "two"), RecursiveConfig(), 0)
 
 
 @pytest.mark.parametrize("class_names", [("one", "two"), ()])
 def test_build_model_rejects_an_unlabeled_collection(class_names):
     with pytest.raises(DataError, match="classes without labeled|no labeled points"):
-        build_model(np.zeros((3, 1)), np.full(3, -1), ["a", "b", "c"], class_names,
-                    RecursiveConfig(), 0)
+        build_model(np.zeros((3, 1)), np.full(3, -1), class_names, RecursiveConfig(), 0)
 
 
 def test_build_model_requires_all_classes_labeled():
     x = np.zeros((4, 2))
     labels = np.array([0, 0, -1, -1])
     with pytest.raises(DataError, match=r"classes without labeled training points: \['two'\]"):
-        build_model(x, labels, ["a", "b", "c", "d"], ("one", "two"), RecursiveConfig(), 0)
+        build_model(x, labels, ("one", "two"), RecursiveConfig(), 0)
 
 
 def test_model_save_load_round_trip(tmp_path):
@@ -581,8 +582,7 @@ def test_model_save_load_round_trip(tmp_path):
     for c in range(3):
         if not (labels == c).any():
             labels[np.flatnonzero(truth == c)[0]] = c
-    ids = [f"doc{i}" for i in range(len(labels))]
-    model = build_model(x, labels, ids, ("a", "b", "c"), RecursiveConfig(), 0)
+    model = build_model(x, labels, ("a", "b", "c"), RecursiveConfig(), 0)
     weights = weights_from_counts({"t": 0}, np.ones((1, 3)), 1.0, ("a", "b", "c"))
     path = tmp_path / "model.json"
     save_bundle(path, model, weights, TokenizerConfig())
