@@ -51,7 +51,8 @@ def save_bundle(
     tokenizer: TokenizerConfig,
 ) -> None:
     """One self-contained JSON file: tokenizer + term/class counts + cluster
-    model, without the training partition."""
+    model, without the training partition. It replaces ``path`` whole
+    (``_replacing``)."""
     payload = {
         "format": _BUNDLE_FORMAT,
         "version": _BUNDLE_VERSION,
@@ -59,7 +60,8 @@ def save_bundle(
         "weights": weights_to_dict(weights),
         "model": model_to_dict(model),
     }
-    Path(path).write_text(json.dumps(payload), encoding="utf-8")
+    with _replacing(Path(path)) as f:
+        f.write(json.dumps(payload))
 
 
 def load_bundle(path: str | Path) -> tuple[ClusterModel, TermClassWeights, TokenizerConfig]:
@@ -195,8 +197,8 @@ def cmd_classify(args) -> int:
             n_files += len(skipped) + len(reader.doc_ids)
             if not reader.doc_ids:
                 continue
-            x, kept_ids, _dropped = embed_corpus(reader.pop(), weights)
-            preds = classify_batch(x, model, kept_ids)
+            x, doc_ids = embed_corpus(reader.pop(), weights)
+            preds = classify_batch(x, model, doc_ids)
             f.write("".join(f"{p.doc_id}\t{names[p.label]}\t{p.distance!r}\n" for p in preds))
             n_preds += len(preds)
         if not n_files:

@@ -99,7 +99,9 @@ class Corpus:
     (-1). ``class_names`` gives the dense index -> name map. ``skipped``
     records the ``(doc_id, why)`` of each file dropped at load time
     ("unreadable", "badly named" or "empty"). A subset takes its rows of its
-    parent's encoding and labels, so both share one ``ids`` array.
+    parent's encoding and labels, so both share one ``ids`` array. Every
+    document has at least one token: a corpus holding one without raises
+    DataError.
     """
 
     doc_ids: list[str]
@@ -107,6 +109,11 @@ class Corpus:
     class_names: tuple[str, ...]
     encoding: Encoding = field(repr=False)
     skipped: tuple[tuple[str, str], ...] = ()
+
+    def __post_init__(self):
+        lengths = self.encoding.lengths
+        if not lengths.all():
+            raise DataError(f"document {self.doc_ids[int(np.argmin(lengths))]!r} has no tokens")
 
     @classmethod
     def from_documents(
@@ -157,18 +164,16 @@ class Corpus:
 
 
 def concat_corpora(a: Corpus, b: Corpus) -> Corpus:
-    """Append b's documents after a's; class name tables must agree. Two
-    corpora of one load share its ``ids``; corpora built apart are encoded
-    anew, over the sorted terms of their documents."""
+    """Append b's documents after a's: rows of one load, which share its
+    ``ids``, under one class name table; anything else raises DataError."""
     if a.class_names != b.class_names:
         raise DataError("cannot concatenate corpora with different class tables")
-    labels = np.concatenate([a.labels, b.labels])
     ea, eb = a.encoding, b.encoding
     if ea.ids is not eb.ids:
-        return Corpus.from_documents(a.documents + b.documents, labels, a.class_names)
+        raise DataError("cannot concatenate corpora of different loads")
     rows = np.concatenate([ea.starts, eb.starts]), np.concatenate([ea.lengths, eb.lengths])
     encoding = Encoding(ea.terms, ea.ids, *rows, ea.vocabulary)
-    return Corpus(a.doc_ids + b.doc_ids, labels, a.class_names, encoding)
+    return Corpus(a.doc_ids + b.doc_ids, np.concatenate([a.labels, b.labels]), a.class_names, encoding)
 
 
 # ---------------------------------------------------------------------------

@@ -161,9 +161,7 @@ def fit(
     """
     training = make_training_collection(d_labeled, pool, pool_size, rng_seed=seed)
     weights = fit_term_weights(d_labeled, smoothing)
-    x, _, dropped = embed_corpus(training, weights)
-    if dropped:
-        raise DataError(f"training documents with zero tokens: {dropped[:5]}")
+    x, _ = embed_corpus(training, weights)
     model = build_model(x, training.labels, training.class_names, recursive, seed)
     return weights, model, training
 
@@ -184,11 +182,8 @@ def _run_pipeline(
     weights, model, _ = fit(
         d_labeled, pool, config.smoothing, config.recursive, trial_seed, config.unlabeled_pool_size
     )
-    test_x, test_ids, dropped = embed_corpus(test, weights)
-    if dropped:
-        raise DataError(f"test documents with zero tokens: {dropped[:5]}")
+    test_x, test_ids = embed_corpus(test, weights)
     preds = classify_batch(test_x, model, test_ids)
-    # a dropped test document raised above, so preds are in test order
     report = score(confusion(test.labels, [p.label for p in preds], test.n_classes))
     flat = report.to_flat()
     return TrialResult(

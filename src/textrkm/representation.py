@@ -123,26 +123,21 @@ def fit_term_weights(d_labeled: Corpus, smoothing: float = 1.0) -> TermClassWeig
     return weights_from_counts(vocabulary, tf, smoothing, d_labeled.class_names)
 
 
-def embed_corpus(
-    corpus: Corpus, w: TermClassWeights
-) -> tuple[np.ndarray, list[str], list[str]]:
-    """Embed every document, preserving order.
+def embed_corpus(corpus: Corpus, w: TermClassWeights) -> tuple[np.ndarray, list[str]]:
+    """Embed every document, preserving order: ``(matrix, corpus.doc_ids)``.
 
-    Returns ``(matrix, kept_ids, dropped_ids)``; documents with zero tokens
-    are dropped and reported rather than raising. A row is the mean of its
-    document's weight rows, an out-of-vocabulary token counting as the OOV
-    floor, and equals bit for bit the per-token sum of ``embed_tokens`` in
-    ``tests/reference.py``: with the documents sorted longest first, position
-    p adds the weight row of token p of every document longer than p, one
-    block of documents at a time, so each document's weights are added in
-    token order from 0.0. The longest documents finish one by one with
-    ``np.add.accumulate``, which adds in order too. An encoding read through
-    ``w.vocabulary`` holds the weight rows' ids already; any other is mapped
-    to them through its term table, one position at a time.
+    A row is the mean of its document's weight rows, an out-of-vocabulary
+    token counting as the OOV floor, and equals bit for bit the per-token
+    sum of ``embed_tokens`` in ``tests/reference.py``: with the documents
+    sorted longest first, position p adds the weight row of token p of every
+    document longer than p, one block of documents at a time, so each
+    document's weights are added in token order from 0.0. The longest
+    documents finish one by one with ``np.add.accumulate``, which adds in
+    order too. An encoding read through ``w.vocabulary`` holds the weight
+    rows' ids already; any other is mapped to them through its term table,
+    one position at a time.
     """
     enc = corpus.encoding
-    lengths = enc.lengths
-    kept = np.flatnonzero(lengths)
     k, v = w.n_classes, w.vocab_size
     # row t holds term t's weights; row v, every out-of-vocabulary term's,
     # adds 0 to them and 1 to column k, the document's count of OOV tokens
@@ -157,16 +152,16 @@ def embed_corpus(
         ).take
     else:
         raise DataError("the documents were read through another vocabulary than the weights'")
-    perm = np.argsort(-lengths[kept], kind="stable")
-    starts, lens = enc.starts[kept[perm]], lengths[kept[perm]]
-    sums = np.zeros((len(kept), k + 1), dtype=np.float64)
+    perm = np.argsort(-enc.lengths, kind="stable")
+    starts, lens = enc.starts[perm], enc.lengths[perm]
+    sums = np.zeros((len(perm), k + 1), dtype=np.float64)
     rows = max(1, EMBED_BLOCK_BYTES // (8 * (k + 1)))
     # n_pos loop positions, then the documents longer than n_pos one by one;
     # longer[p] documents are longer than p
     ends = np.append(lens, 0)
     n_pos = int(ends[np.argmin(ends + EMBED_DOC_COST * np.arange(len(ends)))])
     longer = np.searchsorted(-lens, -np.arange(n_pos))
-    for b in range(0, len(kept), rows):
+    for b in range(0, len(perm), rows):
         block, block_starts = sums[b : b + rows], starts[b : b + rows]
         for p, m in enumerate((np.minimum(longer[longer > b], b + rows) - b).tolist()):
             block[:m] += table.take(rows_of(enc.ids.take(block_starts[:m] + p)), axis=0)
@@ -181,10 +176,9 @@ def embed_corpus(
     # changes no sum (a sum from 0.0 is never -0.0)
     sums[:, :k] += sums[:, k, None] * w.oov_weight
     sums[:, :k] /= lens[:, None]
-    matrix = np.empty((len(kept), k), dtype=np.float64)
+    matrix = np.empty((len(perm), k), dtype=np.float64)
     matrix[perm] = sums[:, :k]
-    ids = corpus.doc_ids
-    return matrix, [ids[i] for i in kept], [ids[i] for i in np.flatnonzero(lengths == 0)]
+    return matrix, corpus.doc_ids
 
 
 # ---------------------------------------------------------------------------

@@ -89,8 +89,8 @@ def cmd_classify(args) -> int:
     _warn_skipped(base, reader.read(files))
     if not reader.doc_ids:
         raise DataError(f"no usable documents under {path}")
-    x, kept_ids, _dropped = embed_corpus(reader.pop(), weights)
-    preds = classify_batch(x, model, kept_ids)
+    x, doc_ids = embed_corpus(reader.pop(), weights)
+    preds = classify_batch(x, model, doc_ids)
     lines = [f"{p.doc_id}\t{model.class_names[p.label]}\t{p.distance!r}" for p in preds]
     out = Path(args.out)
     out.write_text("\n".join(lines) + "\n", encoding="utf-8")

@@ -1,5 +1,7 @@
+import errno
 import json
 import os
+import resource
 import tempfile
 import threading
 import tracemalloc
@@ -748,6 +750,26 @@ def test_failed_pool_label_write_leaves_the_file_as_it_was(tmp_path, corpus_tree
     assert sorted(os.listdir(out)) == ["model.json"] + ([] if existing is None else ["pool.tsv"])
     if existing is not None:
         assert pool.read_bytes() == existing
+
+
+def test_failed_bundle_write_leaves_the_old_bundle(tmp_path, corpus_tree, capsys):
+    # a file size limit stands for a full disk: the write fails part-way
+    _, tree = corpus_tree
+    out = tmp_path / "out"
+    out.mkdir()
+    bundle = out / "model.json"
+    train = ["train", "--corpus", str(tree), "--labeled-frac", "0.3", "--model-out", str(bundle)]
+    assert main(train) == 0
+    old = bundle.read_bytes()
+    limits = resource.getrlimit(resource.RLIMIT_FSIZE)
+    resource.setrlimit(resource.RLIMIT_FSIZE, (len(old) // 2, limits[1]))
+    try:
+        capsys.readouterr()
+        assert main(train + ["--seed", "1"]) == 2
+    finally:
+        resource.setrlimit(resource.RLIMIT_FSIZE, limits)
+    assert capsys.readouterr().err.startswith(f"data error: [Errno {errno.EFBIG}] ")
+    assert os.listdir(out) == ["model.json"] and bundle.read_bytes() == old
 
 
 def test_version_two_bundle_with_huge_weights_exits_two(tmp_path, capsys):

@@ -19,6 +19,7 @@ from textrkm.corpus import (
     Corpus,
     Document,
     DocumentReader,
+    Encoding,
     TokenizerConfig,
     apply_split_manifest,
     concat_corpora,
@@ -233,8 +234,7 @@ def test_reading_through_a_vocabulary_stores_no_unknown_word(tmp_path):
 
 
 def test_a_corpus_read_through_a_vocabulary_cannot_be_decoded(tmp_path):
-    # such an encoding keeps no term table; concatenating it with a corpus of
-    # another load decodes both sides and meets the same refusal
+    # such an encoding keeps no term table, and is no load of another corpus
     files = write_files(tmp_path, [b"alpha beta", b"gamma"])
     reader = DocumentReader(TokenizerConfig(), {"alpha": 0, "gamma": 1})
     assert reader.read(files) == []
@@ -244,7 +244,7 @@ def test_a_corpus_read_through_a_vocabulary_cannot_be_decoded(tmp_path):
         read.documents
     other = Corpus.from_documents([Document("x", ("alpha",))], [None], ())
     for a, b in ((read, other), (other, read)):
-        with pytest.raises(DataError, match="read through a vocabulary keeps no term table"):
+        with pytest.raises(DataError, match="of different loads"):
             concat_corpora(a, b)
 
 
@@ -638,7 +638,8 @@ def assert_encodes(corpus, terms, documents):
     assert corpus.documents == documents and corpus.doc_ids == [d.doc_id for d in documents]
 
 
-TOKEN_LISTS = st.lists(st.lists(st.sampled_from(["a", "b", "cc", "d", "ee"]), max_size=7), max_size=15)
+TOKENS = st.lists(st.sampled_from(["a", "b", "cc", "d", "ee"]), min_size=1, max_size=7)
+TOKEN_LISTS = st.lists(TOKENS, max_size=15)
 
 
 @settings(max_examples=50, deadline=None)
@@ -667,16 +668,28 @@ def test_subsets_and_concatenations_decode_to_their_tokens(docs, other_docs, dat
     assert len(drawn) == pool_size and all(d in docs_b for d in drawn)
     assert_encodes(training, terms, docs_a + drawn)
     assert all(c.encoding.ids is ids for c in (a, b, joined, training))
-    # a corpus built apart has an encoding of its own; joined to rows of
-    # this corpus, the result is encoded anew over its documents' sorted terms
+    # a corpus built apart, even of the same documents, is another load:
+    # no concatenation joins it to rows of this one
     other = [Document(f"o{i:02d}", tuple(toks)) for i, toks in enumerate(other_docs)]
     apart = Corpus.from_documents(other, [None] * len(other), ("c0", "c1"))
-    for joined, want, parts in ((concat_corpora(a, apart), docs_a + other, (a, apart)),
-                                (concat_corpora(apart, b), other + docs_b, (apart, b))):
-        union = joined.encoding.terms
-        assert list(union) == sorted({t for d in want for t in d.tokens})
-        assert_encodes(joined, union, want)
-        assert joined.labels.tolist() == parts[0].labels.tolist() + parts[1].labels.tolist()
+    again = Corpus.from_documents(documents, [None] * len(documents), ("c0", "c1"))
+    for x, y in ((a, apart), (apart, b), (corpus, again)):
+        with pytest.raises(DataError, match="cannot concatenate corpora of different loads"):
+            concat_corpora(x, y)
+    with pytest.raises(DataError, match="cannot concatenate corpora of different loads"):
+        make_training_collection(a, apart)
+
+
+def test_a_document_without_tokens_is_refused():
+    documents = [Document("full", ("a", "b")), Document("hollow", ()), Document("void", ())]
+    with pytest.raises(DataError, match="document 'hollow' has no tokens"):
+        Corpus.from_documents(documents, [None] * 3, ())
+    full = Corpus.from_documents(documents[:1], [None], ())
+    enc = full.encoding
+    hollow = Encoding(enc.terms, enc.ids, enc.starts[[0, 0]], np.array([2, 0], dtype=np.int64))
+    with pytest.raises(DataError, match="document 'hollow' has no tokens"):
+        Corpus(["full", "hollow"], np.full(2, UNLABELED), (), hollow)
+    assert Corpus.from_documents([], [], ()).n_docs == full.subset([]).n_docs == 0
 
 
 def test_loaded_corpus_holds_one_str_per_distinct_term(tmp_path):

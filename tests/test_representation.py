@@ -103,24 +103,19 @@ def test_embed_rejects_empty():
 def test_embed_components_in_unit_interval():
     corpus = make_text_corpus(n_classes=5, docs_per_class=6, seed=2)
     w = fit_term_weights(corpus, smoothing=1.0)
-    x, _, _ = embed_corpus(corpus, w)
+    x, _ = embed_corpus(corpus, w)
     assert np.all(x >= 0.0) and np.all(x <= 1.0)
 
 
-def test_embed_corpus_order_drops_and_determinism():
+def test_embed_corpus_keeps_order_and_is_deterministic():
     corpus = make_text_corpus(n_classes=2, docs_per_class=3, seed=3)
     w = fit_term_weights(corpus, smoothing=1.0)
-    with_empty = Corpus.from_documents(
-        documents=corpus.documents[:2]
-        + [Document("weird/empty", ())]
-        + corpus.documents[2:],
-        labels=[None] * (corpus.n_docs + 1),
-        class_names=corpus.class_names,
-    )
-    x, kept, dropped = embed_corpus(with_empty, w)
-    assert dropped == ["weird/empty"]
-    assert kept == corpus.doc_ids
-    x2, _, _ = embed_corpus(with_empty, w)
+    reversed_ = corpus.subset(range(corpus.n_docs - 1, -1, -1))
+    x, ids = embed_corpus(corpus, w)
+    y, reversed_ids = embed_corpus(reversed_, w)
+    assert ids == corpus.doc_ids and reversed_ids == corpus.doc_ids[::-1]
+    assert x.tobytes() == y[::-1].tobytes()
+    x2, _ = embed_corpus(corpus, w)
     assert np.array_equal(x, x2)
 
 
@@ -170,7 +165,7 @@ def test_fit_requires_labels_and_nonempty_vocab():
 def test_save_load_weights_bit_exact(tmp_path):
     # the weight table's file route is the model bundle
     corpus = make_text_corpus(n_classes=4, docs_per_class=7, doc_len=18, seed=8)
-    w, model, _ = fit(corpus, Corpus.from_documents([], [], corpus.class_names), smoothing=0.7,
+    w, model, _ = fit(corpus, corpus.subset([]), smoothing=0.7,
                       recursive=RecursiveConfig(), seed=0)
     path = tmp_path / "bundle.json"
     save_bundle(path, model, w, TokenizerConfig())
@@ -215,7 +210,7 @@ def loop_term_class_counts(corpus):
 
 def loop_embed_corpus(corpus, w):
     """Oracle: ``embed_tokens`` document by document."""
-    rows = [embed_tokens(doc.tokens, w) for doc in corpus.documents if doc.tokens]
+    rows = [embed_tokens(doc.tokens, w) for doc in corpus.documents]
     return np.vstack(rows) if rows else np.zeros((0, w.n_classes))
 
 
@@ -236,20 +231,17 @@ def assert_embeds_like_loop(corpus, w, block_rows=None):
     with pytest.MonkeyPatch.context() as mp:
         if block_rows is not None:
             mp.setattr(representation, "EMBED_BLOCK_BYTES", block_rows * 8 * (w.n_classes + 1))
-        x, kept, dropped = embed_corpus(corpus, w)
+        x, ids = embed_corpus(corpus, w)
     want = loop_embed_corpus(corpus, w)
     assert x.shape == want.shape and x.tobytes() == want.tobytes()
-    assert kept == [d.doc_id for d in corpus.documents if d.tokens]
-    assert dropped == [d.doc_id for d in corpus.documents if not d.tokens]
+    assert ids == corpus.doc_ids
 
 
 EDGE_DOCS = [
     Document("oov-only", ("never", "seen", "never")),
-    Document("empty-1", ()),
     Document("single", ("common3",)),
     Document("repeated", ("common1",) * 9 + ("common2", "common1", "unseen")),
     Document("single-oov", ("unseen",)),
-    Document("empty-2", ()),
 ]
 
 
@@ -267,15 +259,12 @@ def test_embed_corpus_is_bit_identical_to_per_token_loop(monkeypatch, doc_cost):
         class_names=corpus.class_names,
     )
     one_class = random_weights(["common1", "common2", "common3"], 1, np.random.default_rng(15))
-    only_empty = Corpus.from_documents(
-        documents=[EDGE_DOCS[1]], labels=[None], class_names=corpus.class_names
-    )
     for block_rows in (1, 3, None):
         for smoothing in (0.0, 0.7):
             w = fit_term_weights(corpus, smoothing=smoothing)
             assert_embeds_like_loop(mixed, w, block_rows)
         assert_embeds_like_loop(mixed, one_class, block_rows)
-        assert_embeds_like_loop(only_empty, fit_term_weights(corpus), block_rows)
+        assert_embeds_like_loop(corpus.subset([]), fit_term_weights(corpus), block_rows)
 
 
 def test_embed_corpus_of_files_read_through_the_vocabulary(tmp_path):
@@ -291,11 +280,11 @@ def test_embed_corpus_of_files_read_through_the_vocabulary(tmp_path):
     config = TokenizerConfig(min_token_len=2, stopwords=frozenset({"the", "common2"}))
     whole, direct = DocumentReader(config), DocumentReader(config, w.vocabulary)
     assert whole.read(files) == direct.read(files) == []
-    x, kept, dropped = embed_corpus(whole.pop(), w)
+    x, ids = embed_corpus(whole.pop(), w)
     direct_corpus = direct.pop()
     assert direct_corpus.encoding.vocabulary is w.vocabulary
-    y, direct_kept, direct_dropped = embed_corpus(direct_corpus, w)
-    assert x.tobytes() == y.tobytes() and kept == direct_kept and dropped == direct_dropped == []
+    y, direct_ids = embed_corpus(direct_corpus, w)
+    assert x.tobytes() == y.tobytes() and ids == direct_ids == [name for name, _ in files]
     with pytest.raises(DataError, match="another vocabulary"):
         embed_corpus(direct_corpus, dataclasses.replace(w, vocabulary=dict(w.vocabulary)))
 
@@ -323,10 +312,10 @@ def test_term_class_counts_match_per_token_loop():
 def test_counts_and_embedding_match_loops_on_random_corpora(
     n_classes, n_docs, doc_cost, block_rows, seed
 ):
-    # Pareto-skewed lengths: many short documents, a few long ones, some
-    # empty; some documents hold only out-of-vocabulary tokens
+    # Pareto-skewed lengths: many short documents, a few long ones; some
+    # documents hold only out-of-vocabulary tokens
     rng = np.random.default_rng(seed)
-    lengths = np.minimum(rng.pareto(1.2, n_docs) * 6, 400).astype(int)
+    lengths = np.minimum(1 + rng.pareto(1.2, n_docs) * 6, 400).astype(int)
     words = ["a", "b", "c", "dd", "e", "f", "oov1", "oov2"]
     documents = []
     for i, n in enumerate(lengths):
@@ -368,7 +357,7 @@ def test_embed_corpus_memory_is_bounded():
     corpus = _random_corpus(n_docs, doc_len, terms, w.class_names, rng)
     tracemalloc.start()
     try:
-        x, _, _ = embed_corpus(corpus, w)
+        x, _ = embed_corpus(corpus, w)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
