@@ -9,16 +9,14 @@ import argparse
 import functools
 import json
 import os
-import secrets
 import sys
-from contextlib import contextmanager
 from pathlib import Path
-from typing import Iterable, Iterator, TextIO
+from typing import Iterable, Iterator
 
 from . import kernels
 from .classifier import classify_batch
 from .corpus import (
-    DocumentReader, TokenizerConfig, load_directory_corpus, mask_labels, scan_directory,
+    DocumentReader, TokenizerConfig, load_directory_corpus, mask_labels, replacing, scan_directory,
 )
 from .errors import DataError, InvariantError, json_field
 from .evaluation import align_labels, confusion, format_report, score
@@ -52,7 +50,7 @@ def save_bundle(
 ) -> None:
     """One self-contained JSON file: tokenizer + term/class counts + cluster
     model, without the training partition. It replaces ``path`` whole
-    (``_replacing``)."""
+    (``corpus.replacing``)."""
     payload = {
         "format": _BUNDLE_FORMAT,
         "version": _BUNDLE_VERSION,
@@ -60,7 +58,7 @@ def save_bundle(
         "weights": weights_to_dict(weights),
         "model": model_to_dict(model),
     }
-    with _replacing(Path(path)) as f:
+    with replacing(Path(path)) as f:
         f.write(json.dumps(payload))
 
 
@@ -136,25 +134,36 @@ def cmd_train(args) -> int:
     if args.pool_labels_out is not None:
         labels = pool_labels(model.labels, model.cluster_of, training.doc_ids, training.labels >= 0)
         names = model.class_names
-        with _replacing(Path(args.pool_labels_out)) as f:
+        with replacing(Path(args.pool_labels_out)) as f:
             f.write("".join(f"{doc_id}\t{names[c]}\n" for doc_id, c in labels.items()))
         print(f"{len(labels)} pool labels written to {args.pool_labels_out}")
     return 0
 
 
-def _input_files(path: Path) -> tuple[Path, Iterator[tuple[str, str | None]]]:
+def _input_files(path: Path, out: Path) -> tuple[Path, Iterator[tuple[str, str | None]]]:
     """The directory doc ids name files under, and the ``(doc_id, path)`` of
     the input files in order: every file directly under a directory (id
     ``filename``) and every file one level down (id ``subdir/filename``);
     labels implied by a class layout are ignored here. An entry that is not
     a regular file has the path None. Every directory is listed here, so no
-    file made later, such as the output's, is an input."""
+    file made later, such as the output's temporary file, is an input; nor
+    is the entry at ``out``, which the output replaces."""
+    out_dir = os.stat(out.parent) if out.parent.is_dir() else None  # else the write fails
+
+    def holds_out(directory) -> bool:  # one stat per directory, none per file
+        return out_dir is not None and os.path.samestat(os.stat(directory), out_dir)
+
+    def scan(directory):
+        listing = scan_directory(directory)
+        return [e for e in listing if e[0] != out.name] if holds_out(directory) else listing
+
     if path.is_file():
-        return path.parent, iter([(path.name, path)])
+        at_out = path.name == out.name and holds_out(path.parent)
+        return path.parent, iter([] if at_out else [(path.name, path)])
     if not path.is_dir():
         raise DataError(f"input path {path} does not exist")
-    listing = scan_directory(path)
-    subdirs = {name: scan_directory(p) for name, is_dir, p in listing if is_dir}
+    listing = scan(path)
+    subdirs = {name: scan(p) for name, is_dir, p in listing if is_dir}
 
     def files():
         for name, is_dir, p in listing:
@@ -166,32 +175,16 @@ def _input_files(path: Path) -> tuple[Path, Iterator[tuple[str, str | None]]]:
     return path, files()
 
 
-@contextmanager
-def _replacing(out: Path) -> Iterator[TextIO]:
-    """A new text file in ``out``'s directory that replaces ``out`` when the
-    block ends without an error, and is removed when it raises one: ``out``
-    is never left holding part of a result."""
-    tmp = out.parent / f".{out.name}.{secrets.token_hex(8)}.tmp"
-    fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
-    try:
-        with open(fd, "w", encoding="utf-8") as f:
-            yield f
-        os.replace(tmp, out)
-    except BaseException:
-        os.unlink(tmp)
-        raise
-
-
 def cmd_classify(args) -> int:
     """Read, embed, classify and write the input one reader batch at a time,
     each word read straight into its row of the bundle's weights."""
     model, weights, tokenizer = load_bundle(args.model)
     path, out = Path(args.input), Path(args.out)
-    base, files = _input_files(path)
+    base, files = _input_files(path, out)
     reader = DocumentReader(tokenizer, weights.vocabulary)
     names = model.class_names
     n_files = n_preds = 0
-    with _replacing(out) as f:
+    with replacing(out) as f:
         for skipped in reader.batches(files):
             _warn_skipped(base, skipped)
             n_files += len(skipped) + len(reader.doc_ids)

@@ -13,11 +13,13 @@ from __future__ import annotations
 
 import os
 import re
+import secrets
 from array import array
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from itertools import chain
 from pathlib import Path
-from typing import Iterable, Iterator, Mapping, Sequence
+from typing import Iterable, Iterator, Mapping, Sequence, TextIO
 
 import numpy as np
 
@@ -385,6 +387,23 @@ def scan_directory(directory: str | Path) -> list[tuple[str, bool, str | None]]:
     return sorted(listing)
 
 
+@contextmanager
+def replacing(out: Path) -> Iterator[TextIO]:
+    """A new text file in ``out``'s directory that replaces ``out`` when the
+    block ends without an error, and is removed when it raises one: ``out``
+    is never left holding part of a result. Every file the package writes
+    is written through here."""
+    tmp = out.parent / f".{out.name}.{secrets.token_hex(8)}.tmp"
+    fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
+    try:
+        with open(fd, "w", encoding="utf-8") as f:
+            yield f
+        os.replace(tmp, out)
+    except BaseException:
+        os.unlink(tmp)
+        raise
+
+
 def load_directory_corpus(
     root_path: str | Path, config: TokenizerConfig = TokenizerConfig()
 ) -> Corpus:
@@ -534,7 +553,8 @@ def write_split_manifest(
     labeled_ids: Iterable[str],
     meta: Mapping[str, str] | None = None,
 ) -> None:
-    """Write ``doc_id<TAB>side<TAB>labeled_flag`` lines, one per document.
+    """Write ``doc_id<TAB>side<TAB>labeled_flag`` lines, one per document,
+    replacing ``path`` whole.
 
     ``meta`` entries are recorded as leading ``# key value`` comment lines
     (trial seed, ratio, ...), which readers surface back as strings.
@@ -548,7 +568,8 @@ def write_split_manifest(
         lines.append(f"{doc_id}\t{SIDE_TRAIN}\t{flag}")
     for doc_id in test_ids:
         lines.append(f"{doc_id}\t{SIDE_TEST}\t0")
-    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
+    with replacing(Path(path)) as f:
+        f.write("\n".join(lines) + "\n")
 
 
 def read_split_manifest(path: str | Path) -> tuple[dict[str, str], list[tuple[str, str, int]]]:

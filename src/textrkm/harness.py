@@ -29,6 +29,7 @@ from .corpus import (
     mask_from_flags,
     mask_labels,
     read_split_manifest,
+    replacing,
     split_train_test,
     write_split_manifest,
 )
@@ -301,7 +302,10 @@ def manifest_filename(ratio: tuple[int, int], trial: int) -> str:
 
 
 def emit_results(table: SweepTable, out_dir: str | Path) -> dict[str, Path]:
-    """Write per-trial CSV, aggregate CSV, replay manifests and the config.
+    """Write per-trial CSV, aggregate CSV, replay manifests and the config,
+    each replacing its file whole (``corpus.replacing``). ``manifests/``
+    keeps this sweep's manifests only: every other ``ratio_*_trial_*.tsv``
+    in it, an earlier sweep's or that of a trial failed here, is removed.
 
     Float columns use ``repr`` so parsing them back reproduces the exact
     values.
@@ -316,7 +320,8 @@ def emit_results(table: SweepTable, out_dir: str | Path) -> dict[str, Path]:
             continue
         for metric in SWEEP_METRICS:
             lines.append(f"{ratio_str(rec.ratio)},{rec.trial},{metric},{rec.metrics[metric]!r}")
-    per_trial.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    with replacing(per_trial) as f:
+        f.write("\n".join(lines) + "\n")
 
     aggregate = out / "aggregate.csv"
     lines = ["ratio,metric,max,min,mean,std"]
@@ -324,15 +329,19 @@ def emit_results(table: SweepTable, out_dir: str | Path) -> dict[str, Path]:
         lines.append(
             f"{ratio_str(row.ratio)},{row.metric},{row.vmax!r},{row.vmin!r},{row.mean!r},{row.std!r}"
         )
-    aggregate.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    with replacing(aggregate) as f:
+        f.write("\n".join(lines) + "\n")
 
     manifest_dir = out / "manifests"
     manifest_dir.mkdir(exist_ok=True)
+    written = set()
     for rec in table.records:
         if rec.error is not None:
             continue
+        name = manifest_filename(rec.ratio, rec.trial)
+        written.add(name)
         write_split_manifest(
-            manifest_dir / manifest_filename(rec.ratio, rec.trial),
+            manifest_dir / name,
             table.train_doc_ids,
             table.test_doc_ids,
             rec.labeled_doc_ids,
@@ -342,9 +351,13 @@ def emit_results(table: SweepTable, out_dir: str | Path) -> dict[str, Path]:
                 "seed": str(rec.seed),
             },
         )
+    for path in manifest_dir.glob("ratio_*_trial_*.tsv"):
+        if path.name not in written:
+            path.unlink()
 
     config_path = out / "sweep_config.json"
-    config_path.write_text(json.dumps(table.config.to_dict(), indent=2), encoding="utf-8")
+    with replacing(config_path) as f:
+        f.write(json.dumps(table.config.to_dict(), indent=2))
     return {
         "per_trial": per_trial,
         "aggregate": aggregate,

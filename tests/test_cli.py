@@ -772,6 +772,25 @@ def test_failed_bundle_write_leaves_the_old_bundle(tmp_path, corpus_tree, capsys
     assert os.listdir(out) == ["model.json"] and bundle.read_bytes() == old
 
 
+def test_failed_sweep_write_leaves_the_earlier_sweep(tmp_path, corpus_tree, capsys):
+    # a file size limit at half the earlier per_trial.csv stands for a full disk
+    _, tree = corpus_tree
+    out = tmp_path / "sweep"
+    sweep = ["sweep", "--corpus", str(tree), "--ratios", "5:45,10:40", "--trials", "2", "--out", str(out)]
+    assert main(sweep) == 0
+    earlier = {p: p.read_bytes() for p in out.rglob("*") if p.is_file()}
+    limits = resource.getrlimit(resource.RLIMIT_FSIZE)
+    resource.setrlimit(resource.RLIMIT_FSIZE, (len(earlier[out / "per_trial.csv"]) // 2, limits[1]))
+    try:
+        capsys.readouterr()
+        assert main(sweep + ["--base-seed", "1"]) == 2
+    finally:
+        resource.setrlimit(resource.RLIMIT_FSIZE, limits)
+    assert capsys.readouterr().err.startswith(f"data error: [Errno {errno.EFBIG}] ")
+    assert {p: p.read_bytes() for p in out.rglob("*") if p.is_file()} == earlier
+    assert not list(out.glob(".*.tmp")) and not list((out / "manifests").glob(".*.tmp"))
+
+
 def test_version_two_bundle_with_huge_weights_exits_two(tmp_path, capsys):
     corpus = fixture_corpus()
     tree = tmp_path / "corpus"
@@ -1311,6 +1330,27 @@ def test_failed_classify_leaves_out_as_it_was(tmp_path, tiny_tree, capsys, monke
     assert os.listdir(out_dir) == ([] if existing is None else ["preds.tsv"])
     if existing is not None:
         assert out.read_bytes() == existing
+
+
+@pytest.mark.parametrize("folder", ["", "sub"])
+def test_classify_never_reads_its_own_out(tmp_path, tiny_tree, capsys, folder):
+    # --out among the inputs, at the top level or one level down
+    _, bundle, _ = tiny_tree
+    words = " ".join(load_bundle(bundle)[1].vocabulary)
+    source = _flat_input(tmp_path / "in", [words] * 3)
+    (source / "sub").mkdir()
+    (source / "sub" / "doc.txt").write_text(words)
+    out = source / folder / "preds.tsv"
+    argv = ["classify", "--model", str(bundle), "--input", str(source), "--out", str(out)]
+    assert main(argv) == 0
+    first = out.read_bytes()
+    assert len(first.splitlines()) == 4
+    assert main(argv) == 0 and out.read_bytes() == first
+    # a file that is its own output is no input, and stays as it was
+    capsys.readouterr()
+    assert main(["classify", "--model", str(bundle), "--input", str(out), "--out", str(out)]) == 2
+    assert capsys.readouterr().err == f"data error: no input documents under {out}\n"
+    assert out.read_bytes() == first
 
 
 def test_classify_memory_grows_by_the_file_listing_only(tmp_path, tiny_tree, monkeypatch):

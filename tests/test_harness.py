@@ -247,6 +247,19 @@ def test_failed_trials_recorded_not_dropped():
     assert all(r.n_trials == 0 and np.isnan(r.mean) for r in failed_rows)
 
 
+def test_a_sweep_keeps_only_its_own_manifests(tmp_path):
+    # an earlier sweep's manifests, and that of a trial failed in this one,
+    # would replay under a config that did not make them
+    corpus = make_text_corpus(n_classes=3, docs_per_class=10, seed=12)
+    earlier = SweepConfig(ratio_grid=((5, 45), (10, 40), (20, 30)), trials_per_ratio=3)
+    paths = emit_results(run_sweep(corpus, earlier), tmp_path / "out")
+    assert len(list(paths["manifests"].iterdir())) == 9
+    # a fixed oversized pool: fine at 1:49, impossible at 20:30
+    config = SweepConfig(ratio_grid=((1, 49), (20, 30)), trials_per_ratio=1, unlabeled_pool_size=11)
+    paths = emit_results(run_sweep(corpus, config), tmp_path / "out")
+    assert sorted(p.name for p in paths["manifests"].iterdir()) == ["ratio_1_49_trial_00.tsv"]
+
+
 def test_s2_shaped_euclidean_sweep_outputs_are_pinned(tmp_path):
     # byte-identity of the whole pipeline: only a deliberate change of the
     # clustering's draws or arithmetic may move these values
