@@ -20,9 +20,10 @@ class Prediction(NamedTuple):
 def classify_batch(
     vectors: np.ndarray,
     model: ClusterModel,
-    doc_ids: Sequence[str] | None = None,
+    doc_ids: Sequence[str],
 ) -> list[Prediction]:
-    """Label each vector by its nearest cluster centroid.
+    """Label each vector, the document ``doc_ids`` names at its row, by its
+    nearest cluster centroid.
 
     Distances use the metric the model was trained with; ties go to the
     lowest cluster index. Order-preserving, and under either metric each row
@@ -40,8 +41,6 @@ def classify_batch(
         raise DataError(
             f"vector dimension {x.shape[1]} != model dimension {model.dimension}"
         )
-    if doc_ids is None:
-        doc_ids = [str(i) for i in range(x.shape[0])]
     if len(doc_ids) != x.shape[0]:
         raise DataError("doc_ids and vectors length mismatch")
     bad = np.flatnonzero(~np.isfinite(x).all(axis=1))

@@ -14,8 +14,9 @@ from __future__ import annotations
 import os
 import re
 import secrets
+import stat
 from array import array
-from contextlib import contextmanager
+from contextlib import contextmanager, suppress
 from dataclasses import dataclass, field
 from itertools import chain
 from pathlib import Path
@@ -391,12 +392,15 @@ def scan_directory(directory: str | Path) -> list[tuple[str, bool, str | None]]:
 def replacing(out: Path) -> Iterator[TextIO]:
     """A new text file in ``out``'s directory that replaces ``out`` when the
     block ends without an error, and is removed when it raises one: ``out``
-    is never left holding part of a result. Every file the package writes
-    is written through here."""
+    is never left holding part of a result. The new file takes the mode of
+    the file it replaces; a file made anew, the umask's default. Every file
+    the package writes is written through here."""
     tmp = out.parent / f".{out.name}.{secrets.token_hex(8)}.tmp"
     fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
     try:
         with open(fd, "w", encoding="utf-8") as f:
+            with suppress(FileNotFoundError):
+                os.fchmod(fd, stat.S_IMODE(os.stat(out).st_mode))
             yield f
         os.replace(tmp, out)
     except BaseException:

@@ -33,12 +33,20 @@ from .corpus import (
     split_train_test,
     write_split_manifest,
 )
-from .errors import DataError, InvariantError, json_field
+from .errors import DataError, json_field
 from .evaluation import EvalReport, confusion, score
 from .representation import TermClassWeights, check_smoothing, embed_corpus, fit_term_weights
 from .rkmeans import ClusterModel, RecursiveConfig, build_model
 
 SWEEP_METRICS = ("accuracy", "macro_precision", "macro_recall", "macro_f", "micro_f")
+
+# keys older sweep_config.json files hold for settings the program no longer
+# has, each with the one value it still applies
+RETIRED_KEYS = {
+    "empty_cluster_policy": "reseed_farthest",
+    "min_cluster_size_for_recursion": None,
+    "centroid_shift_tolerance": 1e-6,
+}
 
 
 def default_ratio_grid(total: int = 50, first: int = 1, last: int = 20) -> tuple[tuple[int, int], ...]:
@@ -90,11 +98,12 @@ class SweepConfig:
     @staticmethod
     def from_dict(d: Mapping) -> "SweepConfig":
         """Inverse of ``to_dict``; a field missing or of another JSON type raises
-        DataError. Older files also hold ``"empty_cluster_policy":
-        "reseed_farthest"``, the only policy there is now."""
-        policy = d.get("empty_cluster_policy", "reseed_farthest")
-        if policy != "reseed_farthest":
-            raise DataError(f"malformed sweep config: unknown empty_cluster_policy {policy!r}")
+        DataError. A key of ``RETIRED_KEYS``, which older files hold, is read
+        only at the value the program still applies."""
+        for key, kept in RETIRED_KEYS.items():
+            if d.get(key, kept) != kept:
+                raise DataError(f"malformed sweep config: retired field {key!r} must be {kept!r}, "
+                                f"got {d[key]!r}")
         return SweepConfig(**_flat_kwargs(SweepConfig, d))
 
 
@@ -245,10 +254,9 @@ def aggregate_rows(records: list[TrialResult]) -> list[SweepRow]:
 
 
 def run_sweep(corpus: Corpus | str | Path, config: SweepConfig = SweepConfig()) -> SweepTable:
-    """Run the full ratio grid; individual trial failures are recorded, not raised.
-
-    An ``InvariantError`` is a bug in the program rather than a failed trial,
-    so it propagates.
+    """Run the full ratio grid. A trial fails when its data do (a
+    ``DataError``): it is recorded, not raised. Any other exception is a bug
+    and propagates.
     """
     if not isinstance(corpus, Corpus):
         corpus = load_directory_corpus(corpus, config.tokenizer)
@@ -259,9 +267,7 @@ def run_sweep(corpus: Corpus | str | Path, config: SweepConfig = SweepConfig()) 
             seed = config.base_seed + t
             try:
                 result = run_trial(train, test, ratio, seed, config)
-            except InvariantError:
-                raise
-            except Exception as exc:  # a failed trial is recorded, never dropped
+            except DataError as exc:  # a failed trial is recorded, never dropped
                 result = TrialResult(ratio=ratio, seed=seed, error=f"{type(exc).__name__}: {exc}")
             result.trial = t
             records.append(result)
@@ -306,6 +312,9 @@ def emit_results(table: SweepTable, out_dir: str | Path) -> dict[str, Path]:
     each replacing its file whole (``corpus.replacing``). ``manifests/``
     keeps this sweep's manifests only: every other ``ratio_*_trial_*.tsv``
     in it, an earlier sweep's or that of a trial failed here, is removed.
+    An earlier sweep's config is removed once the new per-trial CSV is in
+    place, and the config is written last: a ``sweep_config.json`` marks
+    a sweep whose files were all written.
 
     Float columns use ``repr`` so parsing them back reproduces the exact
     values.
@@ -322,6 +331,8 @@ def emit_results(table: SweepTable, out_dir: str | Path) -> dict[str, Path]:
             lines.append(f"{ratio_str(rec.ratio)},{rec.trial},{metric},{rec.metrics[metric]!r}")
     with replacing(per_trial) as f:
         f.write("\n".join(lines) + "\n")
+    config_path = out / "sweep_config.json"
+    config_path.unlink(missing_ok=True)
 
     aggregate = out / "aggregate.csv"
     lines = ["ratio,metric,max,min,mean,std"]
@@ -355,7 +366,6 @@ def emit_results(table: SweepTable, out_dir: str | Path) -> dict[str, Path]:
         if path.name not in written:
             path.unlink()
 
-    config_path = out / "sweep_config.json"
     with replacing(config_path) as f:
         f.write(json.dumps(table.config.to_dict(), indent=2))
     return {

@@ -9,11 +9,11 @@ that class, and the cluster mean vectors become the centroids used later for
 nearest-centroid classification.
 
 Guards not implied by the plain recursion: a maximum recursion depth, a
-minimum cluster size for recursion, and a no-progress check (k-means returned
-the whole input as one cluster). A cluster blocked by a guard is accepted
-with its majority label and counted as a fallback acceptance. Clusters with
-no labeled member take the label of the nearest labeled sibling centroid from
-the same partition.
+minimum cluster size for recursion (twice the labeled classes present), and
+a no-progress check (k-means returned the whole input as one cluster). A
+cluster blocked by a guard is accepted with its majority label and counted
+as a fallback acceptance. Clusters with no labeled member take the label of
+the nearest labeled sibling centroid from the same partition.
 """
 from __future__ import annotations
 
@@ -38,20 +38,20 @@ ACCEPT_ORPHAN = "orphan"             # no labeled member; labeled via sibling
 FALLBACK_REASONS = (ACCEPT_DEPTH, ACCEPT_SIZE, ACCEPT_NO_SPLIT)
 ACCEPTANCE_REASONS = (ACCEPT_PURE, ACCEPT_THRESHOLD, *FALLBACK_REASONS, ACCEPT_ORPHAN)
 
+# Lloyd iteration stops once no centroid moves this far
+CENTROID_SHIFT_TOLERANCE = 1e-6
+
 
 @dataclass(frozen=True)
 class KMeansConfig:
     distance: str = "euclidean"
     max_iterations: int = 100
-    centroid_shift_tolerance: float = 1e-6
 
     def __post_init__(self):
         if self.distance not in kernels.METRICS:
             raise DataError(f"unknown distance {self.distance!r}")
         if self.max_iterations < 1:
             raise DataError("max_iterations must be >= 1")
-        if self.centroid_shift_tolerance <= 0:
-            raise DataError("centroid_shift_tolerance must be > 0")
 
 
 @dataclass(frozen=True)
@@ -60,13 +60,11 @@ class RecursiveConfig:
 
     ``th_percent`` is the relative-percentage cutoff: a labeled minority
     class at or below this percentage of the majority count is treated as
-    outliers instead of triggering a re-cluster. ``min_cluster_size_for_recursion``
-    of None means 2x the number of distinct labeled classes in the cluster.
+    outliers instead of triggering a re-cluster.
     """
 
     th_percent: float = 5.0
     max_recursion_depth: int = 16
-    min_cluster_size_for_recursion: int | None = None
     kmeans: KMeansConfig = field(default_factory=KMeansConfig)
 
     def __post_init__(self):
@@ -99,8 +97,8 @@ def kmeans(x: np.ndarray, seeds: np.ndarray, config: KMeansConfig) -> KMeansResu
 
     Assign each point to its nearest centroid (ties to the lowest index),
     recompute centroids as member means, and stop when the maximum centroid
-    shift drops below tolerance or ``max_iterations`` is hit. An empty
-    cluster is reseeded on the point farthest from its centroid.
+    shift drops below ``CENTROID_SHIFT_TOLERANCE`` or ``max_iterations`` is
+    hit. An empty cluster is reseeded on the point farthest from its centroid.
     """
     x = kernels.as_points(x)
     if x.shape[0] == 0:
@@ -139,7 +137,7 @@ def kmeans(x: np.ndarray, seeds: np.ndarray, config: KMeansConfig) -> KMeansResu
         means = sums / counts[:, None]
         shift = np.sqrt(((means - centroids) ** 2).sum(axis=1)).max()
         centroids = means
-        if shift < config.centroid_shift_tolerance:
+        if shift < CENTROID_SHIFT_TOLERANCE:
             break
 
     if counts.all():
@@ -159,18 +157,10 @@ def kmeans(x: np.ndarray, seeds: np.ndarray, config: KMeansConfig) -> KMeansResu
     )
 
 
-def choose_initial_seeds(
-    x: np.ndarray,
-    labels: np.ndarray,
-    rng: int | np.random.Generator = 0,
-) -> tuple[np.ndarray, np.ndarray]:
-    """One uniformly chosen labeled point per class present.
-
-    Returns ``(seeds, seed_classes)`` with classes in ascending index order;
-    deterministic for a fixed seed.
+def choose_initial_seeds(x: np.ndarray, labels: np.ndarray, rng: np.random.Generator) -> np.ndarray:
+    """One uniformly chosen labeled point per class present, the classes in
+    ascending index order; deterministic for a generator in a fixed state.
     """
-    if not isinstance(rng, np.random.Generator):
-        rng = np.random.default_rng(rng)
     x = kernels.as_points(x)
     labels = np.asarray(labels, dtype=np.int64)
     labeled = np.flatnonzero(labels >= 0)
@@ -182,7 +172,7 @@ def choose_initial_seeds(
         groups.setdefault(label, []).append(i)
     present = sorted(groups)
     picks = [groups[c][int(rng.integers(len(groups[c])))] for c in present]
-    return x[picks], np.array(present, dtype=np.int64)
+    return x[picks]
 
 
 @dataclass
@@ -314,7 +304,7 @@ def build_model(
         """Cluster the points ``idx``; return the number of k-means runs made."""
         sub_x = np.ascontiguousarray(x[idx])
         sub_labels = labels[idx]
-        seeds, _ = choose_initial_seeds(sub_x, sub_labels, rng)
+        seeds = choose_initial_seeds(sub_x, sub_labels, rng)
         result = kmeans(sub_x, seeds, config.kmeans)
         runs = 1
         k = result.centroids.shape[0]
@@ -352,19 +342,15 @@ def build_model(
             # largest minority count (the second of the sorted row) decides
             elif 100.0 * sorted(row)[-2] / max(row) <= config.th_percent:
                 reason = ACCEPT_THRESHOLD
+            elif cluster.size == idx.size:
+                reason = ACCEPT_NO_SPLIT
+            elif depth >= config.max_recursion_depth:
+                reason = ACCEPT_DEPTH
+            elif cluster.size < 2 * n_present[j]:
+                reason = ACCEPT_SIZE
             else:
-                min_size = config.min_cluster_size_for_recursion
-                if min_size is None:
-                    min_size = 2 * n_present[j]
-                if cluster.size == idx.size:
-                    reason = ACCEPT_NO_SPLIT
-                elif depth >= config.max_recursion_depth:
-                    reason = ACCEPT_DEPTH
-                elif cluster.size < min_size:
-                    reason = ACCEPT_SIZE
-                else:
-                    runs += recurse(cluster, depth + 1)
-                    continue
+                runs += recurse(cluster, depth + 1)
+                continue
             finals.append((cluster, result.centroids[j], majority[j], reason, depth))
         return runs
 

@@ -184,7 +184,7 @@ def test_criterion_2_oracle_equivalence():
             sse_increases += 1
         model = _toy_model(result.centroids, rng.integers(0, k, size=result.centroids.shape[0]))
         queries = rng.normal(size=(3, d))
-        preds = classify_batch(queries, model)
+        preds = classify_batch(queries, model, ["q0", "q1", "q2"])
         for q, p in zip(queries, preds):
             if p.cluster != _brute_force_argmin(q.tolist(), result.centroids.tolist()):
                 mismatches += 1
@@ -228,7 +228,7 @@ def test_criterion_3_separable_recovery():
         from textrkm.rkmeans import build_model
 
         model = build_model(model_input, labels, ("a", "b", "c", "d"), RecursiveConfig(), 0)
-        preds = classify_batch(x[test_idx], model)
+        preds = classify_batch(x[test_idx], model, [f"t{i}" for i in test_idx])
         acc = np.mean([p.label == truth[i] for p, i in zip(preds, test_idx)])
         accuracies.append(acc)
 

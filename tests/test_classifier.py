@@ -77,7 +77,7 @@ def test_batch_fields_are_python_scalars(distance):
     rng = np.random.default_rng(3)
     model = toy_model(rng.random((3, 2)), [0, 1, 0], distance)
     preds = classify_batch(rng.random((4, 2)), model, [f"d{i}" for i in range(4)])
-    preds += classify_batch(rng.random((2, 2)), model)
+    preds += classify_batch(rng.random((2, 2)), model, ["e0", "e1"])
     for p in preds:
         assert [type(v) for v in p] == [str, int, int, float]
         assert p._fields == ("doc_id", "label", "cluster", "distance")
@@ -85,7 +85,7 @@ def test_batch_fields_are_python_scalars(distance):
 
 def test_batch_empty_and_duplicates():
     model = toy_model([[0.0], [1.0]], [0, 1])
-    assert classify_batch(np.zeros((0, 1)), model) == []
+    assert classify_batch(np.zeros((0, 1)), model, []) == []
     dup = classify_batch(np.array([[0.2], [0.2]]), model, ["a", "b"])
     assert (dup[0].cluster, dup[0].distance) == (dup[1].cluster, dup[1].distance)
     assert dup[0].label == dup[1].label

@@ -2,6 +2,7 @@ import errno
 import json
 import os
 import resource
+import stat
 import tempfile
 import threading
 import tracemalloc
@@ -791,6 +792,53 @@ def test_failed_sweep_write_leaves_the_earlier_sweep(tmp_path, corpus_tree, caps
     assert not list(out.glob(".*.tmp")) and not list((out / "manifests").glob(".*.tmp"))
 
 
+def test_failed_sweep_write_leaves_no_earlier_config_beside_the_new_files(tmp_path, corpus_tree, capsys):
+    # a file size limit above the new sweep's CSVs and config but below its
+    # manifest: the write fails once per_trial.csv is replaced, and no
+    # sweep_config.json may then stand for the files beside it
+    _, tree = corpus_tree
+
+    def sweep(ratios, out):
+        return ["sweep", "--corpus", str(tree), "--ratios", ratios, "--trials", "1", "--out", str(out)]
+
+    alone = tmp_path / "alone"
+    assert main(sweep("10:40", alone)) == 0
+    top = max(p.stat().st_size for p in alone.iterdir() if p.is_file())
+    manifest = (alone / "manifests" / "ratio_10_40_trial_00.tsv").stat().st_size
+    assert top < manifest
+    out = tmp_path / "sweep"
+    assert main(sweep("5:45", out)) == 0
+    limits = resource.getrlimit(resource.RLIMIT_FSIZE)
+    resource.setrlimit(resource.RLIMIT_FSIZE, ((top + manifest) // 2, limits[1]))
+    try:
+        capsys.readouterr()
+        assert main(sweep("10:40", out)) == 2
+    finally:
+        resource.setrlimit(resource.RLIMIT_FSIZE, limits)
+    assert capsys.readouterr().err.startswith(f"data error: [Errno {errno.EFBIG}] ")
+    assert (out / "per_trial.csv").read_bytes() == (alone / "per_trial.csv").read_bytes()
+    assert not (out / "sweep_config.json").exists()
+
+
+def test_a_replaced_file_keeps_its_mode(tmp_path, corpus_tree):
+    _, tree = corpus_tree
+    out, bundle = tmp_path / "sweep", tmp_path / "model.json"
+    sweep = ["sweep", "--corpus", str(tree), "--ratios", "5:45", "--trials", "1", "--out", str(out)]
+    train = ["train", "--corpus", str(tree), "--labeled-frac", "0.3", "--model-out", str(bundle)]
+    umask = os.umask(0o022)
+    try:
+        assert main(sweep) == 0 and main(train) == 0
+        for path in (out / "per_trial.csv", bundle):
+            path.chmod(0o600)
+        assert main(sweep) == 0 and main(train) == 0
+    finally:
+        os.umask(umask)
+    files = (out / "per_trial.csv", out / "aggregate.csv", bundle)
+    modes = {p.name: stat.S_IMODE(p.stat().st_mode) for p in files}
+    # a file whose mode was never narrowed keeps the umask's default
+    assert modes == {"per_trial.csv": 0o600, "aggregate.csv": 0o644, "model.json": 0o600}
+
+
 def test_version_two_bundle_with_huge_weights_exits_two(tmp_path, capsys):
     corpus = fixture_corpus()
     tree = tmp_path / "corpus"
@@ -1040,6 +1088,37 @@ def test_sweep_exits_three_on_invariant_error(tmp_path, corpus_tree, monkeypatch
     ])
     assert rc == 3
     assert "partition lost a point" in capsys.readouterr().err
+
+
+# the config fields no sweep flag sets, and why each stays settable
+UNFLAGGED_SWEEP_KEYS = {
+    "max_recursion_depth": "the pinned-bundle and depth-fallback tests lower the depth guard",
+    "max_iterations": "perfbench's tracer reads it from the config, and tests cut k-means runs off with it",
+}
+
+
+def test_every_sweep_config_key_has_a_sweep_flag(tmp_path, corpus_tree, monkeypatch):
+    # a config field that no flag reaches is a setting that only tests use
+    _, tree = corpus_tree
+    configs = []
+
+    def capture(corpus, config):
+        configs.append(config.to_dict())
+        raise DataError("config captured")
+
+    monkeypatch.setattr(cli, "run_sweep", capture)
+    stopwords = tmp_path / "stop.txt"
+    stopwords.write_text("zz\n")
+    base = ["sweep", "--corpus", str(tree), "--out", str(tmp_path / "sweep")]
+    assert main(base) == 2
+    assert main(base + [
+        "--trials", "3", "--base-seed", "4", "--ratios", "5:45", "--test-fraction", "0.4",
+        "--transductive", "--th", "7.5", "--distance", "cosine", "--smoothing", "0.5",
+        "--min-token-len", "3", "--stopwords", str(stopwords), "--pool-size", "5",
+    ]) == 2
+    default, changed = configs
+    assert default.keys() == changed.keys()
+    assert {key for key in default if default[key] == changed[key]} == set(UNFLAGGED_SWEEP_KEYS)
 
 
 def test_help_exits_zero(capsys):

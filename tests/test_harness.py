@@ -337,6 +337,19 @@ def test_invariant_error_propagates_out_of_sweep(monkeypatch):
         run_sweep(corpus, cfg)
 
 
+def test_a_bug_in_a_trial_propagates_out_of_sweep(monkeypatch):
+    # only a DataError fails a trial; any other exception is a bug, and a
+    # per_trial.csv row would hide it behind an exit status of 0
+    def broken_build_model(*args, **kwargs):
+        raise IndexError("index 7 is out of bounds")
+
+    monkeypatch.setattr(harness, "build_model", broken_build_model)
+    corpus = make_text_corpus(n_classes=3, docs_per_class=10, seed=12)
+    cfg = SweepConfig(ratio_grid=((10, 40),), trials_per_ratio=2)
+    with pytest.raises(IndexError, match="index 7 is out of bounds"):
+        run_sweep(corpus, cfg)
+
+
 def test_sweep_config_dict_round_trip():
     cfg = SweepConfig(
         ratio_grid=((3, 47), (6, 44)),
@@ -351,12 +364,19 @@ def test_sweep_config_dict_round_trip():
 
 
 def test_sweep_config_from_dict_reads_the_retired_policy_key():
+    # each retired key is read at the one value the program applies, and
+    # refused at any other
     cfg = SweepConfig(ratio_grid=((3, 47),), trials_per_ratio=2)
     d = cfg.to_dict()
-    assert "empty_cluster_policy" not in d
-    assert SweepConfig.from_dict({**d, "empty_cluster_policy": "reseed_farthest"}) == cfg
-    with pytest.raises(DataError, match="unknown empty_cluster_policy 'drop'"):
-        SweepConfig.from_dict({**d, "empty_cluster_policy": "drop"})
+    for key, kept, other in [
+        ("empty_cluster_policy", "reseed_farthest", "drop"),
+        ("min_cluster_size_for_recursion", None, 4),
+        ("centroid_shift_tolerance", 1e-6, 1e-4),
+    ]:
+        assert key not in d
+        assert SweepConfig.from_dict({**d, key: kept}) == cfg
+        with pytest.raises(DataError, match=f"retired field '{key}' must be {kept!r}, got {other!r}"):
+            SweepConfig.from_dict({**d, key: other})
 
 
 def test_sweep_config_from_dict_rejects_missing_field():
@@ -415,8 +435,7 @@ def test_sweep_config_dict_is_derived_from_every_field():
     assert SweepConfig().to_dict() == {
         "ratio_grid": [list(r) for r in default_ratio_grid()],
         "trials_per_ratio": 20, "base_seed": 0, "test_fraction": 0.5, "smoothing": 1.0,
-        "th_percent": 5.0, "max_recursion_depth": 16, "min_cluster_size_for_recursion": None,
-        "distance": "euclidean", "max_iterations": 100, "centroid_shift_tolerance": 1e-6,
+        "th_percent": 5.0, "max_recursion_depth": 16, "distance": "euclidean", "max_iterations": 100,
         "tokenizer": tokenizer, "unlabeled_pool_size": None, "transductive": False,
     }
     # an int is read into a float field as it is, and compares equal

@@ -12,7 +12,9 @@ from textrkm.rkmeans import (
     ACCEPT_NO_SPLIT,
     ACCEPT_ORPHAN,
     ACCEPT_PURE,
+    ACCEPT_SIZE,
     ACCEPT_THRESHOLD,
+    CENTROID_SHIFT_TOLERANCE,
     FALLBACK_REASONS,
     KMeansConfig,
     RecursiveConfig,
@@ -139,8 +141,6 @@ def test_kmeans_config_validation():
         KMeansConfig(distance="chebyshev")
     with pytest.raises(DataError):
         KMeansConfig(max_iterations=0)
-    with pytest.raises(DataError):
-        KMeansConfig(centroid_shift_tolerance=0.0)
 
 
 def lloyd_cases():
@@ -177,7 +177,7 @@ def test_kmeans_is_bit_identical_to_the_reference_lloyd_loop():
         config = KMeansConfig(max_iterations=cap)
         res = kmeans(x, seeds, config)
         assign, centroids, counts, n_iter, history = lloyd_reference(
-            x, seeds, cap, config.centroid_shift_tolerance
+            x, seeds, cap, CENTROID_SHIFT_TOLERANCE
         )
         assert np.array_equal(res.assignments, assign)
         assert res.centroids.tobytes() == centroids.tobytes()
@@ -242,8 +242,7 @@ def test_kmeans_calls_each_kernel_once_per_iteration(monkeypatch):
 def test_choose_initial_seeds_forced_choice():
     x = np.array([[0.0, 1.0], [5.0, 5.0], [1.0, 0.0]])
     labels = np.array([0, -1, 1])
-    seeds, classes = choose_initial_seeds(x, labels, 123)
-    assert classes.tolist() == [0, 1]
+    seeds = choose_initial_seeds(x, labels, np.random.default_rng(123))
     assert seeds.tolist() == [[0.0, 1.0], [1.0, 0.0]]
 
 
@@ -251,9 +250,9 @@ def test_choose_initial_seeds_one_per_present_class():
     rng = np.random.default_rng(1)
     x = rng.normal(size=(30, 2))
     labels = np.array([0, 1, 2] * 5 + [-1] * 15)
-    seeds, classes = choose_initial_seeds(x, labels, 7)
-    assert seeds.shape == (3, 2)
-    assert classes.tolist() == [0, 1, 2]
+    seeds = choose_initial_seeds(x, labels, np.random.default_rng(7))
+    classes = np.unique(labels[labels >= 0])
+    assert seeds.shape == (len(classes), 2)
     for row, c in enumerate(classes):
         members = x[labels == c]
         assert any(np.array_equal(seeds[row], m) for m in members)
@@ -263,14 +262,14 @@ def test_choose_initial_seeds_deterministic():
     rng = np.random.default_rng(2)
     x = rng.normal(size=(20, 3))
     labels = np.array([0] * 10 + [1] * 10)
-    s1, _ = choose_initial_seeds(x, labels, 99)
-    s2, _ = choose_initial_seeds(x, labels, 99)
+    s1 = choose_initial_seeds(x, labels, np.random.default_rng(99))
+    s2 = choose_initial_seeds(x, labels, np.random.default_rng(99))
     assert np.array_equal(s1, s2)
 
 
 def test_choose_initial_seeds_requires_labels():
     with pytest.raises(DataError):
-        choose_initial_seeds(np.zeros((3, 1)), np.array([-1, -1, -1]), 0)
+        choose_initial_seeds(np.zeros((3, 1)), np.array([-1, -1, -1]), np.random.default_rng(0))
 
 
 def test_cluster_class_stats_examples():
@@ -474,7 +473,6 @@ def labeled_point_sets(draw):
     config = RecursiveConfig(
         th_percent=draw(st.sampled_from([0.0, 5.0, 15.0, 50.0, 100.0])),
         max_recursion_depth=draw(st.integers(1, 4)),
-        min_cluster_size_for_recursion=draw(st.sampled_from([None, 1, 4])),
         kmeans=KMeansConfig(distance=draw(st.sampled_from(["euclidean", "cosine"]))),
     )
     seed = draw(st.integers(0, 2**32 - 1))
@@ -511,6 +509,8 @@ def test_build_model_partition_and_acceptance_properties(instance):
             assert (ncp == 1) == (reason == ACCEPT_PURE)
         else:
             assert reason in FALLBACK_REASONS and over
+            if reason == ACCEPT_SIZE:  # too small to recurse on: fewer points than twice its classes
+                assert np.sum(model.cluster_of == j) < 2 * ncp
             fallbacks[reason] = fallbacks.get(reason, 0) + 1
 
     # fallback and orphan counts equal RunStats
