@@ -94,6 +94,12 @@ def _recursive_config_from_args(args) -> RecursiveConfig:
     return RecursiveConfig(th_percent=args.th, kmeans=KMeansConfig(distance=args.distance))
 
 
+def _refuse_one_file(flag: str, path: str, other_flag: str, other: str | None) -> None:
+    """A usage error when two path options name one file, which one of the writes would replace."""
+    if other is not None and os.path.realpath(path) == os.path.realpath(other):
+        raise _UsageError(f"{flag} and {other_flag} name one file: {path}")
+
+
 def _warn_skipped(base: Path, skipped: Iterable[tuple[str, str]]) -> None:
     """One warning line per ``(doc_id, why)`` file skipped under ``base``."""
     for doc_id, why in skipped:
@@ -109,6 +115,7 @@ def _warn_skipped(base: Path, skipped: Iterable[tuple[str, str]]) -> None:
 def cmd_train(args) -> int:
     if args.seed < 0:  # numpy seeds are non-negative
         raise DataError(f"--seed must be >= 0, got {args.seed}")
+    _refuse_one_file("--model-out", args.model_out, "--pool-labels-out", args.pool_labels_out)
     tokenizer = _tokenizer_from_args(args)
     corpus = load_directory_corpus(args.corpus, tokenizer)
     _warn_skipped(Path(args.corpus), corpus.skipped)
@@ -178,6 +185,7 @@ def _input_files(path: Path, out: Path) -> tuple[Path, Iterator[tuple[str, str |
 def cmd_classify(args) -> int:
     """Read, embed, classify and write the input one reader batch at a time,
     each word read straight into its row of the bundle's weights."""
+    _refuse_one_file("--model", args.model, "--out", args.out)
     model, weights, tokenizer = load_bundle(args.model)
     path, out = Path(args.input), Path(args.out)
     base, files = _input_files(path, out)
@@ -290,13 +298,15 @@ def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="textrkm", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
+    sweep = SweepConfig()  # the default of each setting
+
     def add_common_training_flags(p):
-        p.add_argument("--th", type=float, default=5.0,
-                       help="relative-percentage outlier threshold (default 5.0)")
-        p.add_argument("--distance", choices=["euclidean", "cosine"], default="euclidean")
-        p.add_argument("--smoothing", type=float, default=1.0,
-                       help="additive smoothing for term weights (default 1.0)")
-        p.add_argument("--min-token-len", type=int, default=2)
+        p.add_argument("--th", type=float, default=sweep.recursive.th_percent,
+                       help="relative-percentage outlier threshold (default %(default)s)")
+        p.add_argument("--distance", choices=kernels.METRICS, default=sweep.recursive.kmeans.distance)
+        p.add_argument("--smoothing", type=float, default=sweep.smoothing,
+                       help="additive smoothing for term weights (default %(default)s)")
+        p.add_argument("--min-token-len", type=int, default=sweep.tokenizer.min_token_len)
         p.add_argument("--stopwords", default=None, help="optional stopword file")
         p.add_argument("--pool-size", type=int, default=None,
                        help="unlabeled documents to draw into training (default: all)")
@@ -322,12 +332,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_sweep = sub.add_parser("sweep", help="run the labeled:unlabeled ratio sweep")
     p_sweep.add_argument("--corpus", required=True)
-    p_sweep.add_argument("--trials", type=int, default=20)
-    p_sweep.add_argument("--base-seed", type=int, default=0)
+    p_sweep.add_argument("--trials", type=int, default=sweep.trials_per_ratio)
+    p_sweep.add_argument("--base-seed", type=int, default=sweep.base_seed)
     p_sweep.add_argument("--out", required=True)
     p_sweep.add_argument("--ratios", default=None,
                          help='comma-separated pairs like "1:49,10:40" (default full grid)')
-    p_sweep.add_argument("--test-fraction", type=float, default=0.5)
+    p_sweep.add_argument("--test-fraction", type=float, default=sweep.test_fraction)
     p_sweep.add_argument("--transductive", action="store_true",
                          help="include test documents, unlabeled, during training")
     add_common_training_flags(p_sweep)

@@ -576,10 +576,17 @@ def write_split_manifest(
         f.write("\n".join(lines) + "\n")
 
 
-def read_split_manifest(path: str | Path) -> tuple[dict[str, str], list[tuple[str, str, int]]]:
-    """Parse a split manifest back into (meta, [(doc_id, side, labeled_flag)])."""
+def read_split_manifest(
+    path: str | Path, corpus: Corpus
+) -> tuple[dict[str, str], Corpus, Corpus, np.ndarray]:
+    """Read a split manifest over a fully labeled corpus in one pass into
+    ``(meta, train, test, labeled)``: the ``# key value`` headers, the rows
+    of each side in manifest order and a bool per train row. Every manifest
+    doc id must exist in the corpus and be listed once."""
     meta: dict[str, str] = {}
-    entries: list[tuple[str, str, int]] = []
+    row_of = {doc_id: i for i, doc_id in enumerate(corpus.doc_ids)}
+    rows: dict[str, list[int]] = {SIDE_TRAIN: [], SIDE_TEST: []}
+    labeled: list[bool] = []
     try:
         text = Path(path).read_text(encoding="utf-8")
     except UnicodeDecodeError as exc:
@@ -593,41 +600,21 @@ def read_split_manifest(path: str | Path) -> tuple[dict[str, str], list[tuple[st
                 meta[parts[0]] = parts[1]
             continue
         fields = line.split("\t")
-        if len(fields) != 3 or fields[1] not in (SIDE_TRAIN, SIDE_TEST):
+        if len(fields) != 3 or fields[1] not in rows:
             raise DataError(f"{path}:{lineno}: malformed manifest line {line!r}")
-        if fields[2] not in ("0", "1"):
-            raise DataError(f"{path}:{lineno}: labeled flag {fields[2]!r} is not 0 or 1")
-        entries.append((fields[0], fields[1], int(fields[2])))
-    return meta, entries
-
-
-def apply_split_manifest(
-    corpus: Corpus, entries: list[tuple[str, str, int]]
-) -> tuple[Corpus, Corpus, dict[str, int]]:
-    """Rebuild (train, test, labeled id set) from a fully labeled corpus.
-
-    Returns ``(train, test, labeled_flags)`` where ``labeled_flags`` maps
-    train doc ids to the manifest's labeled flag. Every manifest doc id must
-    exist in the corpus and be listed once.
-    """
-    by_id = {doc_id: i for i, doc_id in enumerate(corpus.doc_ids)}
-    train_idx: list[int] = []
-    test_idx: list[int] = []
-    flags: dict[str, int] = {}
-    for doc_id, side, flag in entries:
-        i = by_id.pop(doc_id, None)
+        doc_id, side, flag = fields
+        if flag not in ("0", "1"):
+            raise DataError(f"{path}:{lineno}: labeled flag {flag!r} is not 0 or 1")
+        i = row_of.pop(doc_id, None)
         if i is None:
             raise DataError(f"manifest doc id {doc_id!r} not present in corpus or listed twice")
+        rows[side].append(i)
         if side == SIDE_TRAIN:
-            train_idx.append(i)
-            flags[doc_id] = flag
-        else:
-            test_idx.append(i)
-    return corpus.subset(train_idx), corpus.subset(test_idx), flags
+            labeled.append(flag == "1")
+    train, test = corpus.subset(rows[SIDE_TRAIN]), corpus.subset(rows[SIDE_TEST])
+    return meta, train, test, np.array(labeled, dtype=bool)
 
 
-def mask_from_flags(train: Corpus, labeled_flags: Mapping[str, int]) -> tuple[Corpus, Corpus]:
-    """Replay a recorded mask: same return contract as ``mask_labels``."""
-    labeled_idx = [i for i, d in enumerate(train.doc_ids) if labeled_flags.get(d)]
-    unlabeled_idx = [i for i, d in enumerate(train.doc_ids) if not labeled_flags.get(d)]
-    return train.subset(labeled_idx), train.subset(unlabeled_idx, drop_labels=True)
+def mask_from_flags(train: Corpus, labeled: np.ndarray) -> tuple[Corpus, Corpus]:
+    """Replay a recorded mask, one bool per train row: same return contract as ``mask_labels``."""
+    return train.subset(np.flatnonzero(labeled)), train.subset(np.flatnonzero(~labeled), drop_labels=True)

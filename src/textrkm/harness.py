@@ -21,7 +21,6 @@ from .classifier import classify_batch
 from .corpus import (
     Corpus,
     TokenizerConfig,
-    apply_split_manifest,
     check_test_fraction,
     concat_corpora,
     load_directory_corpus,
@@ -83,6 +82,9 @@ class SweepConfig:
             raise DataError("ratio_grid is empty")
         if any(len(r) != 2 or min(r) < 1 for r in self.ratio_grid):
             raise DataError("ratio grid entries must be pairs of parts >= 1")
+        for i, pair in enumerate(self.ratio_grid):  # a pair listed twice would run its trials twice
+            if pair in self.ratio_grid[:i]:
+                raise DataError(f"ratio grid lists the pair {ratio_str(pair)} twice")
         totals = {a + b for a, b in self.ratio_grid}
         if len(totals) != 1:
             raise DataError(f"ratio grid pairs must share one total, got totals {sorted(totals)}")
@@ -97,14 +99,18 @@ class SweepConfig:
 
     @staticmethod
     def from_dict(d: Mapping) -> "SweepConfig":
-        """Inverse of ``to_dict``; a field missing or of another JSON type raises
-        DataError. A key of ``RETIRED_KEYS``, which older files hold, is read
-        only at the value the program still applies."""
+        """Inverse of ``to_dict``; a field missing, of another JSON type or
+        unknown raises DataError. A key of ``RETIRED_KEYS``, which older files
+        hold, is read only at the value the program still applies."""
         for key, kept in RETIRED_KEYS.items():
             if d.get(key, kept) != kept:
                 raise DataError(f"malformed sweep config: retired field {key!r} must be {kept!r}, "
                                 f"got {d[key]!r}")
-        return SweepConfig(**_flat_kwargs(SweepConfig, d))
+        config = SweepConfig(**_flat_kwargs(SweepConfig, d))
+        unknown = d.keys() - config.to_dict().keys() - RETIRED_KEYS.keys()
+        if unknown:
+            raise DataError(f"malformed sweep config: unknown field {min(unknown)!r}")
+        return config
 
 
 def _flat_fields(config) -> dict:
@@ -139,7 +145,8 @@ def _flat_kwargs(cls, d: Mapping) -> dict:
 class TrialResult:
     """One trial. A failed sweep trial has ``report=None`` and ``error`` set.
 
-    ``trial`` is the trial's position within its ratio in a sweep.
+    ``trial`` is the trial's position within its ratio in a sweep; a
+    replay reads it from the manifest.
     """
 
     ratio: tuple[int, int]
@@ -149,7 +156,6 @@ class TrialResult:
     metrics: dict[str, float] = field(default_factory=dict)
     n_clusters: int = 0
     labeled_doc_ids: tuple[str, ...] = ()
-    model: ClusterModel | None = None
     error: str | None = None
 
 
@@ -183,7 +189,6 @@ def _run_pipeline(
     ratio: tuple[int, int],
     trial_seed: int,
     config: SweepConfig,
-    keep_model: bool = False,
 ) -> TrialResult:
     """The deterministic stages shared by fresh trials and manifest replays."""
     pool = d_unlabeled
@@ -203,7 +208,6 @@ def _run_pipeline(
         metrics={m: flat[m] for m in SWEEP_METRICS},
         n_clusters=model.n_clusters,
         labeled_doc_ids=tuple(d_labeled.doc_ids),
-        model=model if keep_model else None,
     )
 
 
@@ -213,12 +217,11 @@ def run_trial(
     ratio: tuple[int, int],
     trial_seed: int,
     config: SweepConfig,
-    keep_model: bool = False,
 ) -> TrialResult:
     """Mask the training half at the given ratio, then learn and score."""
     labeled_fraction = ratio[0] / (ratio[0] + ratio[1])
     d_labeled, d_unlabeled = mask_labels(train, labeled_fraction, trial_seed)
-    return _run_pipeline(d_labeled, d_unlabeled, test, ratio, trial_seed, config, keep_model)
+    return _run_pipeline(d_labeled, d_unlabeled, test, ratio, trial_seed, config)
 
 
 @dataclass
@@ -380,32 +383,29 @@ def replay_trial(
     corpus: Corpus | str | Path,
     manifest_path: str | Path,
     config: SweepConfig,
-    keep_model: bool = False,
 ) -> TrialResult:
     """Re-run one trial exactly from its emitted manifest.
 
     The manifest pins the train/test split and the labeled mask; the recorded
     seed drives every remaining stochastic stage, so the result is
-    bit-identical to the original trial.
+    bit-identical to the original trial, whose ratio and index it carries.
     """
     if not isinstance(corpus, Corpus):
         corpus = load_directory_corpus(corpus, config.tokenizer)
-    meta, entries = read_split_manifest(manifest_path)
-    for key in ("ratio", "seed"):
+    meta, train, test, labeled = read_split_manifest(manifest_path, corpus)
+    values = []
+    for key, parse, form in (  # each header a replay reads, its parser and the form it must have
+        ("ratio", parse_ratio, "<labeled>:<unlabeled>"),
+        ("trial", parse_count, "a non-negative integer"),
+        ("seed", parse_count, "a non-negative integer"),  # numpy seeds are non-negative
+    ):
         if key not in meta:
             raise DataError(f"manifest {manifest_path} is missing the {key!r} header")
-    try:
-        ratio = parse_ratio(meta["ratio"])
-    except ValueError:
-        raise DataError(
-            f"{manifest_path}: header '# ratio {meta['ratio']}' is not <labeled>:<unlabeled>"
-        ) from None
-    try:
-        seed = parse_count(meta["seed"])  # numpy seeds are non-negative
-    except ValueError:
-        raise DataError(
-            f"{manifest_path}: header '# seed {meta['seed']}' is not a non-negative integer"
-        ) from None
-    train, test, flags = apply_split_manifest(corpus, entries)
-    d_labeled, d_unlabeled = mask_from_flags(train, flags)
-    return _run_pipeline(d_labeled, d_unlabeled, test, ratio, seed, config, keep_model)
+        try:
+            values.append(parse(meta[key]))
+        except ValueError:
+            raise DataError(f"{manifest_path}: header '# {key} {meta[key]}' is not {form}") from None
+    ratio, trial, seed = values
+    d_labeled, d_unlabeled = mask_from_flags(train, labeled)
+    result = _run_pipeline(d_labeled, d_unlabeled, test, ratio, seed, config)
+    return dataclasses.replace(result, trial=trial)

@@ -78,11 +78,11 @@ def test_criterion_1_cluster_purity_and_termination(monkeypatch):
     fallbacks = 0
     orphans = 0
     max_depth = 0
-    training_ids = []  # the doc ids of each model's training points
+    fitted = []  # each model, with the doc ids of its training points
 
     def recording_fit(*args):
         weights, model, training = fit(*args)
-        training_ids.append(list(training.doc_ids))
+        fitted.append((model, list(training.doc_ids)))
         return weights, model, training
 
     fit = harness.fit
@@ -92,13 +92,10 @@ def test_criterion_1_cluster_purity_and_termination(monkeypatch):
         train_labels = {d.doc_id: lab for d, lab in zip(train.documents, train.labels)}
         for ratio in config.ratio_grid:
             for t in range(config.trials_per_ratio):
-                result = run_trial(
-                    train, test, ratio, config.base_seed + t, config, keep_model=True
-                )
-                model = result.model
+                result = run_trial(train, test, ratio, config.base_seed + t, config)
+                model, doc_ids = fitted.pop()
                 th = model.stats.th_percent
                 labeled = set(result.labeled_doc_ids)
-                doc_ids = training_ids.pop()
                 max_depth = max(max_depth, model.stats.max_depth_reached)
                 for j, (label, reason) in enumerate(zip(model.labels.tolist(), model.acceptance)):
                     member_ids = [doc_ids[i] for i in np.flatnonzero(model.cluster_of == j)]
@@ -380,7 +377,7 @@ def test_criterion_5_balanced_macro_micro(synthetic_trend_results):
 # criterion 6: determinism, manifest replay, bundle save/load
 # ---------------------------------------------------------------------------
 
-def test_criterion_6_determinism_and_replay(tmp_path):
+def test_criterion_6_determinism_and_replay(tmp_path, monkeypatch):
     corpus = make_text_corpus(
         n_classes=4, docs_per_class=30, doc_len=15, signal=0.5, seed=77
     )
@@ -397,32 +394,29 @@ def test_criterion_6_determinism_and_replay(tmp_path):
         if fresh.report.to_flat() != replayed.report.to_flat():
             replay_exact = False
 
+    fitted = []
+
+    def recording_fit(*args):
+        fitted.append(fit(*args))
+        return fitted[-1]
+
+    fit = harness.fit
+    monkeypatch.setattr(harness, "fit", recording_fit)
     train, test = _split(corpus, cfg.base_seed)
-    result = run_trial(train, test, (15, 35), 11, cfg, keep_model=True)
-    weights = fit_term_weights(
-        Corpus.from_documents(
-            documents=[d for d in train.documents if d.doc_id in set(result.labeled_doc_ids)],
-            labels=[
-                lab
-                for d, lab in zip(train.documents, train.labels)
-                if d.doc_id in set(result.labeled_doc_ids)
-            ],
-            class_names=train.class_names,
-        ),
-        cfg.smoothing,
-    )
-    save_bundle(tmp_path / "model.json", result.model, weights, cfg.tokenizer)
+    run_trial(train, test, (15, 35), 11, cfg)
+    ((weights, model, _),) = fitted
+    save_bundle(tmp_path / "model.json", model, weights, cfg.tokenizer)
     loaded, loaded_weights, _ = load_bundle(tmp_path / "model.json")
     test_x = np.vstack([embed_tokens(d.tokens, weights) for d in test.documents])
-    before = classify_batch(test_x, result.model, test.doc_ids)
+    before = classify_batch(test_x, model, test.doc_ids)
     after = classify_batch(test_x, loaded, test.doc_ids)
     model_exact = (
         before == after
-        and np.array_equal(loaded.centroids, result.model.centroids)
-        and np.array_equal(loaded.labels, result.model.labels)
-        and loaded.acceptance == result.model.acceptance
-        and np.array_equal(loaded.depths, result.model.depths)
-        and loaded.stats == result.model.stats
+        and np.array_equal(loaded.centroids, model.centroids)
+        and np.array_equal(loaded.labels, model.labels)
+        and loaded.acceptance == model.acceptance
+        and np.array_equal(loaded.depths, model.depths)
+        and loaded.stats == model.stats
         and np.array_equal(loaded_weights.weights, weights.weights)
     )
     _report(

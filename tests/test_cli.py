@@ -193,7 +193,8 @@ def test_sweep_skips_a_badly_named_file(tmp_path, corpus_tree, capsys, name):
     assert load_directory_corpus(tree).skipped == ((f"{corpus.class_names[0]}/{name}", "badly named"),)
     (manifest,) = (out_dir / "manifests").iterdir()
     config = harness.SweepConfig.from_dict(json.loads((out_dir / "sweep_config.json").read_text()))
-    assert sorted(doc_id for doc_id, _, _ in read_split_manifest(manifest)[1]) == sorted(corpus.doc_ids)
+    _, train, test, _ = read_split_manifest(manifest, load_directory_corpus(tree))
+    assert sorted(train.doc_ids + test.doc_ids) == sorted(corpus.doc_ids)
     replayed = harness.replay_trial(tree, manifest, config)
     assert replayed.error is None and replayed.report is not None
 
@@ -308,6 +309,15 @@ def test_data_errors_exit_two(tmp_path):
     bad_bundle.write_text("{}")
     rc = main(["classify", "--model", str(bad_bundle), "--input", str(tmp_path), "--out", str(tmp_path / "p.tsv")])
     assert rc == 2
+
+
+def test_sweep_refuses_a_ratio_grid_listing_a_pair_twice(tmp_path, corpus_tree, capsys):
+    # each trial of the pair would run, and be written, twice
+    _, tree = corpus_tree
+    out = tmp_path / "out"
+    assert main(["sweep", "--corpus", str(tree), "--ratios", "1:1,1:1", "--trials", "2", "--out", str(out)]) == 2
+    assert capsys.readouterr().err == "data error: ratio grid lists the pair 1:1 twice\n"
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("fraction", ["0", "1.5"])
@@ -729,6 +739,17 @@ def test_train_writes_pool_labels_only_when_asked(tmp_path, corpus_tree):
     assert os.listdir(out) == ["model.json"]
 
 
+def test_train_refuses_one_file_for_the_bundle_and_the_pool_labels(tmp_path, corpus_tree, capsys, monkeypatch):
+    # the pool labels would replace the bundle; one path relative, one absolute
+    _, tree = corpus_tree
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setattr(cli, "load_directory_corpus", lambda *args: pytest.fail("the corpus was read"))
+    assert main(["train", "--corpus", str(tree), "--labeled-frac", "0.3",
+                 "--model-out", "out.tsv", "--pool-labels-out", str(tmp_path / "out.tsv")]) == 1
+    assert capsys.readouterr().err == "error: --model-out and --pool-labels-out name one file: out.tsv\n"
+    assert not (tmp_path / "out.tsv").exists()
+
+
 @pytest.mark.parametrize("existing", [None, b"an earlier result\n"])
 def test_failed_pool_label_write_leaves_the_file_as_it_was(tmp_path, corpus_tree, capsys, monkeypatch, existing):
     _, tree = corpus_tree
@@ -1117,6 +1138,7 @@ def test_every_sweep_config_key_has_a_sweep_flag(tmp_path, corpus_tree, monkeypa
         "--min-token-len", "3", "--stopwords", str(stopwords), "--pool-size", "5",
     ]) == 2
     default, changed = configs
+    assert default == harness.SweepConfig().to_dict()
     assert default.keys() == changed.keys()
     assert {key for key in default if default[key] == changed[key]} == set(UNFLAGGED_SWEEP_KEYS)
 
@@ -1430,6 +1452,16 @@ def test_classify_never_reads_its_own_out(tmp_path, tiny_tree, capsys, folder):
     assert main(["classify", "--model", str(bundle), "--input", str(out), "--out", str(out)]) == 2
     assert capsys.readouterr().err == f"data error: no input documents under {out}\n"
     assert out.read_bytes() == first
+
+
+def test_classify_refuses_its_bundle_as_out(tmp_path, tiny_tree, capsys):
+    # the predictions would replace the bundle they are read with
+    tree, bundle, _ = tiny_tree
+    model = tmp_path / "model.json"
+    model.write_bytes(bundle.read_bytes())
+    assert main(["classify", "--model", str(model), "--input", str(tree), "--out", str(model)]) == 1
+    assert capsys.readouterr().err == f"error: --model and --out name one file: {model}\n"
+    assert model.read_bytes() == bundle.read_bytes()
 
 
 def test_classify_memory_grows_by_the_file_listing_only(tmp_path, tiny_tree, monkeypatch):

@@ -21,7 +21,6 @@ from textrkm.corpus import (
     DocumentReader,
     Encoding,
     TokenizerConfig,
-    apply_split_manifest,
     concat_corpora,
     load_directory_corpus,
     make_training_collection,
@@ -561,12 +560,11 @@ def test_manifest_round_trip(tmp_path):
     write_split_manifest(
         path, train.doc_ids, test.doc_ids, d_l.doc_ids, meta={"seed": "2"}
     )
-    meta, entries = read_split_manifest(path)
+    meta, train2, test2, labeled = read_split_manifest(path, corpus)
     assert meta["seed"] == "2"
-    train2, test2, flags = apply_split_manifest(corpus, entries)
     assert train2.doc_ids == train.doc_ids
     assert test2.doc_ids == test.doc_ids
-    d_l2, d_u2 = mask_from_flags(train2, flags)
+    d_l2, d_u2 = mask_from_flags(train2, labeled)
     assert (d_l2.doc_ids, d_l2.labels.tolist()) == (d_l.doc_ids, d_l.labels.tolist())
     assert (d_u2.doc_ids, d_u2.labels.tolist()) == (d_u.doc_ids, d_u.labels.tolist())
 
@@ -575,9 +573,8 @@ def test_manifest_rejects_unknown_doc(tmp_path):
     corpus = make_text_corpus(n_classes=2, docs_per_class=3, seed=9)
     path = tmp_path / "bad.tsv"
     path.write_text("ghost/doc\ttrain\t1\n")
-    _, entries = read_split_manifest(path)
     with pytest.raises(DataError):
-        apply_split_manifest(corpus, entries)
+        read_split_manifest(path, corpus)
 
 
 def test_corpus_tree_round_trip(tmp_path):
@@ -603,14 +600,14 @@ def test_manifest_rejects_non_utf8_bytes(tmp_path):
     path = tmp_path / "bad.tsv"
     path.write_bytes(b"# seed 1\na\ttrain\t1\xff\n")
     with pytest.raises(DataError, match=re.escape(f"{path} is not UTF-8")):
-        read_split_manifest(path)
+        read_split_manifest(path, make_text_corpus(n_classes=2, docs_per_class=3, seed=9))
 
 
 def test_manifest_rejects_non_integer_flag(tmp_path):
     path = tmp_path / "bad.tsv"
     path.write_text("# seed 1\na\ttrain\tx\n")
     with pytest.raises(DataError, match=re.escape(f"{path}:2: labeled flag 'x'")):
-        read_split_manifest(path)
+        read_split_manifest(path, make_text_corpus(n_classes=2, docs_per_class=3, seed=9))
 
 
 @pytest.mark.parametrize("flag", ["2", "-1", "01"])
@@ -618,7 +615,7 @@ def test_manifest_rejects_flag_other_than_zero_or_one(tmp_path, flag):
     path = tmp_path / "bad.tsv"
     path.write_text(f"# seed 1\na\ttrain\t{flag}\n")
     with pytest.raises(DataError, match=re.escape(f"{path}:2: labeled flag '{flag}' is not 0 or 1")):
-        read_split_manifest(path)
+        read_split_manifest(path, make_text_corpus(n_classes=2, docs_per_class=3, seed=9))
 
 
 # ---------------------------------------------------------------------------

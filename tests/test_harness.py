@@ -121,15 +121,15 @@ def test_transductive_flag_includes_test_pool(monkeypatch):
 
     def recording_fit(*args):
         weights, model, training = fit(*args)
-        seen.append(dict(zip(training.doc_ids, training.labels.tolist())))
+        seen.append((model, dict(zip(training.doc_ids, training.labels.tolist()))))
         return weights, model, training
 
     fit = harness.fit
     monkeypatch.setattr(harness, "fit", recording_fit)
-    result = run_trial(train, test, (10, 40), 3, cfg, keep_model=True)
+    run_trial(train, test, (10, 40), 3, cfg)
     # test docs participate unlabeled: each is a training point of the model
-    (training,) = seen
-    assert result.model.cluster_of.shape == (len(training),)
+    ((model, training),) = seen
+    assert model.cluster_of.shape == (len(training),)
     assert {d.doc_id: -1 for d in test.documents}.items() <= training.items()
 
 
@@ -153,16 +153,16 @@ def test_sweep_deterministic_for_fixed_seed():
     assert [r.metrics for r in t1.records] == [r.metrics for r in t2.records]
 
 
-def test_no_leakage_hidden_truth_never_reaches_learner(tmp_path):
+def test_no_leakage_hidden_truth_never_reaches_learner(tmp_path, monkeypatch):
     # one manifest, replayed on a corpus whose masked training documents
     # carry other labels, must learn and score exactly the same
     corpus = make_text_corpus(n_classes=3, docs_per_class=14, seed=7)
     cfg = SweepConfig(ratio_grid=((10, 40),), trials_per_ratio=1)
     paths = emit_results(run_sweep(corpus, cfg), tmp_path / "out")
     (manifest,) = paths["manifests"].iterdir()
-    entries = read_split_manifest(manifest)[1]
-    masked = {doc_id for doc_id, side, flag in entries if side == "train" and not flag}
-    assert 0 < len(masked) < len(entries) // 2
+    _, train, _, labeled = read_split_manifest(manifest, corpus)
+    masked = {train.doc_ids[i] for i in np.flatnonzero(~labeled)}
+    assert 0 < len(masked) < corpus.n_docs // 2
     permuted = Corpus(
         corpus.doc_ids,
         np.array([(lab + 1) % corpus.n_classes if d in masked else lab
@@ -170,10 +170,20 @@ def test_no_leakage_hidden_truth_never_reaches_learner(tmp_path):
         corpus.class_names,
         corpus.encoding,
     )
-    r1 = replay_trial(corpus, manifest, cfg, keep_model=True)
-    r2 = replay_trial(permuted, manifest, cfg, keep_model=True)
-    assert np.array_equal(r1.model.centroids, r2.model.centroids)
-    assert np.array_equal(r1.model.labels, r2.model.labels)
+    models = []
+
+    def recording_fit(*args):
+        weights, model, training = fit(*args)
+        models.append(model)
+        return weights, model, training
+
+    fit = harness.fit
+    monkeypatch.setattr(harness, "fit", recording_fit)
+    r1 = replay_trial(corpus, manifest, cfg)
+    r2 = replay_trial(permuted, manifest, cfg)
+    m1, m2 = models
+    assert np.array_equal(m1.centroids, m2.centroids)
+    assert np.array_equal(m1.labels, m2.labels)
     assert r1.report.to_flat() == r2.report.to_flat()
 
 
@@ -231,6 +241,24 @@ def test_replay_reproduces_trial_bitwise(tmp_path):
         replayed = replay_trial(corpus, manifest, cfg)
         assert replayed.metrics == rec.metrics
         assert replayed.seed == rec.seed
+
+
+def test_replay_returns_every_trial_of_its_sweep(tmp_path):
+    # each manifest replays to its record: the metrics, the clusters, and
+    # the ratio, seed and trial index that name it
+    corpus = make_text_corpus(n_classes=3, docs_per_class=14, seed=11)
+    cfg = SweepConfig(ratio_grid=((5, 45), (10, 40)), trials_per_ratio=3, base_seed=2)
+    table = run_sweep(corpus, cfg)
+    paths = emit_results(table, tmp_path / "out")
+    fields = ("metrics", "n_clusters", "ratio", "seed", "trial")
+    replayed = [
+        replay_trial(corpus, paths["manifests"] / manifest_filename(rec.ratio, rec.trial), cfg)
+        for rec in table.records
+    ]
+    assert [[getattr(r, f) for f in fields] for r in replayed] == [
+        [getattr(r, f) for f in fields] for r in table.records
+    ]
+    assert sorted({r.trial for r in replayed}) == [0, 1, 2]
 
 
 def test_failed_trials_recorded_not_dropped():
@@ -377,6 +405,10 @@ def test_sweep_config_from_dict_reads_the_retired_policy_key():
         assert SweepConfig.from_dict({**d, key: kept}) == cfg
         with pytest.raises(DataError, match=f"retired field '{key}' must be {kept!r}, got {other!r}"):
             SweepConfig.from_dict({**d, key: other})
+    # a key neither a field nor retired: a later version's setting, a misspelt one
+    for key, value in [("seeding", "mean"), ("th_prcent", 50)]:
+        with pytest.raises(DataError, match=f"unknown field '{key}'"):
+            SweepConfig.from_dict({**d, key: value})
 
 
 def test_sweep_config_from_dict_rejects_missing_field():
@@ -458,6 +490,8 @@ def test_sweep_config_dict_is_derived_from_every_field():
         ("# seed", "# seed 1_0"),
         ("# seed", "# seed 4 0"),
         ("# seed", "# seed \u0664\u0660"),
+        ("# trial", "# trial first"),
+        ("# trial", "# trial -1"),
     ],
 )
 def test_replay_rejects_malformed_header(tmp_path, header, bad):
