@@ -46,7 +46,8 @@ def classify_batch(
     bad = np.flatnonzero(~np.isfinite(x).all(axis=1))
     if bad.size:
         raise DataError(f"document {doc_ids[bad[0]]!r} has a non-finite vector")
-    assign, dist = kernels.nearest_centroids(x, model.centroids, model.distance)
+    assign = kernels.nearest_centroids(x, model.centroids, model.distance)
+    dist = kernels.assigned_distances(x, model.centroids, assign, model.distance)
     if model.distance == "euclidean":
         dist = np.sqrt(dist)
     return list(map(Prediction, doc_ids, model.labels[assign].tolist(), assign.tolist(), dist.tolist()))

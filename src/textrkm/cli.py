@@ -100,6 +100,22 @@ def _refuse_one_file(flag: str, path: str, other_flag: str, other: str | None) -
         raise _UsageError(f"{flag} and {other_flag} name one file: {path}")
 
 
+def _corpus_dirs(corpus: str) -> list[str]:
+    """The real paths of the corpus root and of its class directories, the
+    root first; none when the root is not a directory (loading it fails)."""
+    if not os.path.isdir(corpus):
+        return []
+    classes = [p for _, is_dir, p in scan_directory(corpus) if is_dir]
+    return [os.path.realpath(p) for p in (corpus, *classes)]
+
+
+def _refuse_in_class_dir(flag: str, path: str | None, corpus: str) -> None:
+    """A usage error when ``path`` names a file in a class directory of
+    ``corpus``, which the next load of the corpus would read as a document."""
+    if path is not None and os.path.realpath(Path(path).parent) in _corpus_dirs(corpus)[1:]:
+        raise _UsageError(f"{flag} {path} is inside a class directory of --corpus {corpus}")
+
+
 def _warn_skipped(base: Path, skipped: Iterable[tuple[str, str]]) -> None:
     """One warning line per ``(doc_id, why)`` file skipped under ``base``."""
     for doc_id, why in skipped:
@@ -116,6 +132,8 @@ def cmd_train(args) -> int:
     if args.seed < 0:  # numpy seeds are non-negative
         raise DataError(f"--seed must be >= 0, got {args.seed}")
     _refuse_one_file("--model-out", args.model_out, "--pool-labels-out", args.pool_labels_out)
+    _refuse_in_class_dir("--model-out", args.model_out, args.corpus)
+    _refuse_in_class_dir("--pool-labels-out", args.pool_labels_out, args.corpus)
     tokenizer = _tokenizer_from_args(args)
     corpus = load_directory_corpus(args.corpus, tokenizer)
     _warn_skipped(Path(args.corpus), corpus.skipped)
@@ -251,6 +269,11 @@ def _parse_ratio_grid(text: str) -> tuple[tuple[int, int], ...]:
 
 
 def cmd_sweep(args) -> int:
+    # the sweep's files at or under the corpus would be read back as
+    # documents, or its manifests as a class, by the next load
+    out = os.path.realpath(args.out)
+    if any(os.path.commonpath([d, out]) == d for d in _corpus_dirs(args.corpus)):
+        raise _UsageError(f"--out {args.out} is at or under --corpus {args.corpus}")
     grid = _parse_ratio_grid(args.ratios) if args.ratios else default_ratio_grid()
     config = SweepConfig(
         ratio_grid=grid,

@@ -1,7 +1,12 @@
-"""Hot numeric kernels: nearest-centroid assignment and centroid accumulation.
+"""Hot numeric kernels: nearest-centroid assignment, the distance to an
+assigned centroid, and centroid accumulation.
 
 One numpy implementation per kernel; cosine assignment runs the euclidean
 one on unit vectors. Assignment ties break by lowest centroid index.
+Assignment returns the centroid indices only: a Lloyd iteration reads no
+distance. ``assigned_distances`` computes each row's exact distance to the
+centroid a caller names, for the callers that report or rank by it
+(classification, and a Lloyd iteration that leaves a cluster empty).
 Euclidean distances come back *squared*; callers take the square root where
 a true distance is reported. The kernels require finite inputs: the rounding
 bound below assumes them, and model loading rejects non-finite centroids.
@@ -17,11 +22,13 @@ centroid tied with it are always candidates. Usually a point has one
 candidate, which is scattered into point order; only a block where some
 point has several sorts them by (point, exact distance, centroid). The
 exact distance is the sum of the squared components of the difference
-vector ``x - c``, and the product never supplies a returned value, so the
-result is the same bit for bit whatever the BLAS does and whatever the
-block size: it equals the argmin over the full ``(points, centroids)``
-matrix of exact distances, which calls with at most ``DIRECT_PAIRS``
-(point, centroid) pairs compute directly from the difference tensor.
+vector ``x - c``, and the product never supplies a compared or returned
+value, so the result is the same bit for bit whatever the BLAS does and
+whatever the block size: it equals the argmin over the full
+``(points, centroids)`` matrix of exact distances, which calls with at most
+``DIRECT_PAIRS`` (point, centroid) pairs compute directly from the
+difference tensor. ``assigned_distances`` computes that same exact
+distance, from one gathered difference per row.
 """
 from __future__ import annotations
 
@@ -119,9 +126,14 @@ def _assign_block(x, scaled, centroids, centroid_sq, slack):
         rows, cols = rows[first], cols[first]
     assign = np.empty(n, dtype=np.int64)
     assign[rows] = cols
+    return assign
+
+
+def _squared_distances(x, centroids, assign):
+    """Each row's exact squared euclidean distance to centroid ``assign[i]``."""
     diff = centroids.take(assign, axis=0)
     np.subtract(x, diff, out=diff)
-    return assign, np.einsum("ij,ij->i", diff, diff)
+    return np.einsum("ij,ij->i", diff, diff)
 
 
 def row_norms(x):
@@ -137,17 +149,15 @@ def unit_rows(x):
 
 
 def assign_euclidean(x, centroids, *, norms=None):
-    """Nearest centroid per row under squared euclidean distance.
-
-    Returns ``(assignment, squared_distance)`` arrays of length ``len(x)``.
-    ``norms`` is ``row_norms(x)``, computed here when absent.
+    """Nearest centroid per row under euclidean distance, as an int64 array
+    of length ``len(x)``. ``norms`` is ``row_norms(x)``, computed here when
+    absent.
     """
     n, d = x.shape
     m = centroids.shape[0]
     if n * m <= DIRECT_PAIRS:
         diff = x[:, None, :] - centroids[None, :, :]
-        d2 = np.einsum("ijk,ijk->ij", diff, diff)
-        return d2.argmin(axis=1), d2.min(axis=1)
+        return np.einsum("ijk,ijk->ij", diff, diff).argmin(axis=1)
     if norms is None:
         norms = row_norms(x)
     centroid_sq = np.einsum("ij,ij->i", centroids, centroids)
@@ -158,13 +168,10 @@ def assign_euclidean(x, centroids, *, norms=None):
     pair_bytes = 8 * (2 * d + 4)
     rows = max(1, ASSIGN_BLOCK_BYTES // (m * pair_bytes))
     assign = np.empty(n, dtype=np.int64)
-    best = np.empty(n, dtype=np.float64)
     for start in range(0, n, rows):
         stop = start + rows
-        assign[start:stop], best[start:stop] = _assign_block(
-            x[start:stop], scaled, centroids, centroid_sq, slack[start:stop]
-        )
-    return assign, best
+        assign[start:stop] = _assign_block(x[start:stop], scaled, centroids, centroid_sq, slack[start:stop])
+    return assign
 
 
 def centroid_sums(x, assign, n_clusters, *, columns=None):
@@ -200,21 +207,29 @@ def as_points(a):
     return out
 
 
-def nearest_centroids(x, centroids, metric, *, norms=None, units=None):
-    """Nearest centroid per row under ``metric``, by ``assign_euclidean``.
-
-    Euclidean distances come back squared. A cosine distance, 1 - similarity,
-    is half the squared distance between the rows and centroids scaled to
-    unit length (``units`` is ``unit_rows(x)``), so it too is exact per row;
-    a zero row or centroid has similarity 0, so distance 1. Ties go to the
-    lowest centroid index. ``norms`` is ``row_norms`` of the rows measured.
-    """
+def _checked_pair(x, centroids):
+    """Both as ``as_points`` arrays of one dimension, or ValueError."""
     x = as_points(x)
     centroids = as_points(centroids)
     if x.shape[1] != centroids.shape[1]:
         raise ValueError(
             f"dimension mismatch: points are {x.shape[1]}-d, centroids {centroids.shape[1]}-d"
         )
+    return x, centroids
+
+
+def nearest_centroids(x, centroids, metric, *, norms=None, units=None):
+    """Nearest centroid per row under ``metric``, by ``assign_euclidean``: an
+    int64 array of centroid indices, ties to the lowest index.
+
+    A cosine distance, 1 - similarity, is half the squared distance between
+    the rows and centroids scaled to unit length (``units`` is
+    ``unit_rows(x)``); a zero row or centroid has similarity 0, so distance
+    1. Only a call whose centroids mix zero and nonzero ones computes
+    distances: the first zero centroid takes each row farther than 1 from
+    every nonzero one. ``norms`` is ``row_norms`` of the rows measured.
+    """
+    x, centroids = _checked_pair(x, centroids)
     if metric == "euclidean":
         return assign_euclidean(x, centroids, norms=norms)
     if metric != "cosine":
@@ -223,16 +238,37 @@ def nearest_centroids(x, centroids, metric, *, norms=None, units=None):
     norms = row_norms(units) if norms is None else norms
     lengths = row_norms(centroids)
     live = np.flatnonzero(lengths)
-    assign, dist = np.zeros(x.shape[0], dtype=np.int64), np.ones(x.shape[0])
+    assign = np.zeros(x.shape[0], dtype=np.int64)
     if live.size:
-        nearest, d2 = assign_euclidean(units, unit_rows(centroids[live]), norms=norms)
-        assign, dist = live[nearest], d2 * 0.5
-    # a zero row is at distance 1 from every centroid, so the first takes it;
-    # the first zero centroid is at distance 1 from every row, so it takes
-    # each row it is nearer to, or as near to from a lower index
-    assign[norms == 0.0], dist[norms == 0.0] = 0, 1.0
-    if live.size < lengths.size:
-        first = int(lengths.argmin())
-        take = (dist > 1.0) | ((dist == 1.0) & (assign > first))
-        assign[take], dist[take] = first, 1.0
-    return assign, dist
+        live_units = unit_rows(centroids[live])
+        nearest = assign_euclidean(units, live_units, norms=norms)
+        assign = live[nearest]
+        if live.size < lengths.size:
+            # the first zero centroid is at distance 1 from every row, so it
+            # takes each row it is nearer to, or as near to from a lower index
+            dist = _squared_distances(units, live_units, nearest) * 0.5
+            first = int(lengths.argmin())
+            assign[(dist > 1.0) | ((dist == 1.0) & (assign > first))] = first
+    # a zero row is at distance 1 from every centroid, so the first takes it
+    assign[norms == 0.0] = 0
+    return assign
+
+
+def assigned_distances(x, centroids, assign, metric, *, units=None):
+    """Each row's exact distance under ``metric`` to centroid ``assign[i]``:
+    the distance ``nearest_centroids`` minimises, bit for bit.
+
+    Euclidean distances come back squared. A cosine distance is half the
+    squared distance between the unit row (``units`` is ``unit_rows(x)``)
+    and the unit centroid, and exactly 1 where either is zero.
+    """
+    x, centroids = _checked_pair(x, centroids)
+    if metric == "euclidean":
+        return _squared_distances(x, centroids, assign)
+    if metric != "cosine":
+        raise ValueError(f"unknown metric {metric!r}, expected one of {METRICS}")
+    units = unit_rows(x) if units is None else units
+    unit_centroids = unit_rows(centroids)
+    dist = _squared_distances(units, unit_centroids, assign) * 0.5
+    dist[~units.any(axis=1) | ~unit_centroids.any(axis=1)[assign]] = 1.0
+    return dist

@@ -76,20 +76,19 @@ class RecursiveConfig:
 
 @dataclass
 class KMeansResult:
-    """Final assignment plus per-iteration objective values.
+    """The final assignment of a Lloyd run and how many iterations it took.
 
     ``centroids`` are the exact componentwise means of the final members;
     empty clusters are dropped from the output and assignments renumbered
-    densely in original cluster order. ``sse_history`` records the objective
-    (sum of squared euclidean distances, or summed cosine distances) at each
-    assignment step.
+    densely in original cluster order. No objective is kept: a run cut off
+    at ``max_iterations=i`` returns the partition of its i-th iteration,
+    whose SSE a caller can compute.
     """
 
     assignments: np.ndarray
     centroids: np.ndarray
     counts: np.ndarray
     n_iter: int
-    sse_history: list[float]
 
 
 def kmeans(x: np.ndarray, seeds: np.ndarray, config: KMeansConfig) -> KMeansResult:
@@ -98,7 +97,8 @@ def kmeans(x: np.ndarray, seeds: np.ndarray, config: KMeansConfig) -> KMeansResu
     Assign each point to its nearest centroid (ties to the lowest index),
     recompute centroids as member means, and stop when the maximum centroid
     shift drops below ``CENTROID_SHIFT_TOLERANCE`` or ``max_iterations`` is
-    hit. An empty cluster is reseeded on the point farthest from its centroid.
+    hit. An empty cluster is reseeded on the point farthest from its centroid;
+    only an iteration that leaves a cluster empty measures distances.
     """
     x = kernels.as_points(x)
     if x.shape[0] == 0:
@@ -120,15 +120,14 @@ def kmeans(x: np.ndarray, seeds: np.ndarray, config: KMeansConfig) -> KMeansResu
     if units is not None or x.shape[0] * k > kernels.DIRECT_PAIRS:
         norms = kernels.row_norms(x if units is None else units)
     columns = np.ascontiguousarray(x.T) if x.shape[0] >= kernels.COLUMN_SUM_ROWS else None
-    history: list[float] = []
     for n_iter in range(1, config.max_iterations + 1):
-        assign, dist = kernels.nearest_centroids(x, centroids, config.distance, norms=norms, units=units)
-        history.append(float(dist.sum()))
+        assign = kernels.nearest_centroids(x, centroids, config.distance, norms=norms, units=units)
         sums, counts = kernels.centroid_sums(x, assign, k, columns=columns)
         if not counts.all():
             # reseed each empty cluster on the most distant point, one
             # point per cluster, lowest cluster index served first; with
             # fewer points than empty clusters the leftovers stay empty
+            dist = kernels.assigned_distances(x, centroids, assign, config.distance, units=units)
             means = np.where(counts[:, None] > 0, sums / np.maximum(counts, 1)[:, None], centroids)
             empties = np.flatnonzero(counts == 0)[: x.shape[0]]
             means[empties] = x[np.argsort(-dist, kind="stable")[: empties.size]]
@@ -143,7 +142,7 @@ def kmeans(x: np.ndarray, seeds: np.ndarray, config: KMeansConfig) -> KMeansResu
     if counts.all():
         # the last iteration left no cluster empty: its means are the exact
         # means of its assignment
-        return KMeansResult(assign, centroids, counts, n_iter, history)
+        return KMeansResult(assign, centroids, counts, n_iter)
     # drop clusters that ended empty and take the exact means of the last
     # assignment, whose sums the last iteration computed
     keep = counts > 0
@@ -153,7 +152,6 @@ def kmeans(x: np.ndarray, seeds: np.ndarray, config: KMeansConfig) -> KMeansResu
         centroids=sums[keep] / counts[keep, None],
         counts=counts[keep],
         n_iter=n_iter,
-        sse_history=history,
     )
 
 
@@ -323,7 +321,7 @@ def build_model(
         orphans = [j for j in range(k) if not n_present[j]]
         if orphans:
             siblings = [j for j in range(k) if n_present[j]]
-            nearest, _ = kernels.nearest_centroids(
+            nearest = kernels.nearest_centroids(
                 result.centroids[orphans], result.centroids[siblings], config.kmeans.distance
             )
             for j, s in zip(orphans, nearest.tolist()):

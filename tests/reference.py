@@ -4,8 +4,9 @@ Each is the plain, slow form of something the program computes another way:
 one document's embedding summed token by token, one vector's nearest-centroid
 prediction, the full difference tensor for euclidean assignment, cosine
 distances pair by pair, an unbuffered scatter-add for centroid sums, the
-textbook Lloyd loop over those two, and the per-cluster label statistics
-that the recursion computes for all clusters at once. ``tokenize`` runs the program's file reader on one str, so
+textbook Lloyd loop over those two and its objective per iteration, and the
+per-cluster label statistics that the recursion computes for all clusters
+at once. ``tokenize`` runs the program's file reader on one str, so
 that the tokenizing rule can be checked on text, and ``cmd_classify`` is the
 ``classify`` command that reads its whole input before it embeds any of it.
 """
@@ -21,6 +22,7 @@ from textrkm.cli import _warn_skipped, load_bundle
 from textrkm.corpus import DocumentReader, TokenizerConfig, scan_directory
 from textrkm.errors import DataError
 from textrkm.representation import TermClassWeights, embed_corpus
+from textrkm.rkmeans import KMeansConfig, kmeans
 
 
 def tokenize(raw_text: str, config: TokenizerConfig = TokenizerConfig()) -> list[str]:
@@ -127,21 +129,19 @@ def add_at_sums(x, assign, n_clusters):
 def lloyd_reference(x, seeds, max_iterations, tolerance):
     """Euclidean Lloyd iteration on the reference kernels.
 
-    Assign, record the objective, move each centroid to its members' mean;
-    an empty cluster is reseeded on the farthest point (one point per
-    cluster, lowest cluster index first) and forces another pass; stop when
-    no centroid moves by ``tolerance`` or more. The final means are summed
-    again from the last assignment, and clusters that ended empty are
-    dropped. Returns ``(assignments, centroids, counts, n_iter, history)``.
+    Assign, move each centroid to its members' mean; an empty cluster is
+    reseeded on the farthest point (one point per cluster, lowest cluster
+    index first) and forces another pass; stop when no centroid moves by
+    ``tolerance`` or more. The final means are summed again from the last
+    assignment, and clusters that ended empty are dropped. Returns
+    ``(assignments, centroids, counts, n_iter)``.
     """
     centroids = np.array(seeds, dtype=np.float64)
     k = centroids.shape[0]
-    history = []
     n_iter = 0
     for _ in range(max_iterations):
         n_iter += 1
         assign, dist = unblocked_euclidean(x, centroids)
-        history.append(float(dist.sum()))
         sums, counts = add_at_sums(x, assign, k)
         means = centroids.copy()
         for j in range(k):
@@ -166,8 +166,21 @@ def lloyd_reference(x, seeds, max_iterations, tolerance):
         np.array([sums[j] / counts[j] for j in kept]),
         counts[kept],
         n_iter,
-        history,
     )
+
+
+def lloyd_objectives(x, seeds, config=KMeansConfig()):
+    """The partition SSE after each iteration of ``kmeans(x, seeds, config)``,
+    read from the program's own runs cut off after 1, 2, ... ``n_iter``
+    iterations: each run's summed squared euclidean distance from every
+    point to its cluster's mean."""
+    n_iter = kmeans(x, seeds, config).n_iter
+    objectives = []
+    for i in range(1, n_iter + 1):
+        run = kmeans(x, seeds, KMeansConfig(config.distance, max_iterations=i))
+        diff = x - run.centroids[run.assignments]
+        objectives.append(float(np.einsum("ij,ij->", diff, diff)))
+    return objectives
 
 
 def cluster_class_stats(member_labels: np.ndarray, n_classes: int) -> tuple[int, np.ndarray]:

@@ -6,7 +6,7 @@ import stat
 import tempfile
 import threading
 import tracemalloc
-from itertools import compress
+from itertools import chain, compress
 from pathlib import Path
 from unittest import mock
 
@@ -318,6 +318,48 @@ def test_sweep_refuses_a_ratio_grid_listing_a_pair_twice(tmp_path, corpus_tree, 
     assert main(["sweep", "--corpus", str(tree), "--ratios", "1:1,1:1", "--trials", "2", "--out", str(out)]) == 2
     assert capsys.readouterr().err == "data error: ratio grid lists the pair 1:1 twice\n"
     assert not out.exists()
+
+
+def _listing(tree):
+    return sorted(str(p.relative_to(tree)) for p in tree.rglob("*"))
+
+
+@pytest.mark.parametrize("out", ["corpus", "corpus/results", "corpus/topic0", "corpus/../corpus", "link", "outside"])
+def test_sweep_refuses_an_out_at_or_under_its_corpus(tmp_path, corpus_tree, capsys, monkeypatch, out):
+    # the next load would read the sweep's files as documents, or its
+    # manifests as one more class; "link" is a symlink to a class directory,
+    # and "outside" a directory that a class directory is a symlink to
+    _, tree = corpus_tree
+    (tmp_path / "link").symlink_to(tree / "topic0")
+    (tmp_path / "outside").mkdir()
+    (tree / "topic9").symlink_to(tmp_path / "outside")
+    before = _listing(tree)
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setattr(cli, "load_directory_corpus", lambda *args: pytest.fail("the corpus was read"))
+    assert main(["sweep", "--corpus", "corpus", "--ratios", "1:1", "--trials", "1", "--out", out]) == 1
+    assert capsys.readouterr().err == f"error: --out {out} is at or under --corpus corpus\n"
+    assert _listing(tree) == before
+
+
+@pytest.mark.parametrize("flag", ["--model-out", "--pool-labels-out"])
+def test_train_refuses_an_output_inside_a_class_directory(tmp_path, corpus_tree, capsys, monkeypatch, flag):
+    # the next load would read the file as one more document of that class;
+    # the class directory is named through a symlink to it
+    _, tree = corpus_tree
+    (tmp_path / "link").symlink_to(tree / "topic1")
+    before = _listing(tree)
+    outputs = {"--model-out": str(tmp_path / "model.json"), "--pool-labels-out": str(tmp_path / "pool.tsv")}
+    outputs[flag] = str(tmp_path / "link" / "out")
+    argv = ["train", "--corpus", str(tree), "--labeled-frac", "0.3"]
+    with monkeypatch.context() as mp:
+        mp.setattr(cli, "load_directory_corpus", lambda *args: pytest.fail("the corpus was read"))
+        assert main([*argv, *chain.from_iterable(outputs.items())]) == 1
+    assert capsys.readouterr().err == f"error: {flag} {outputs[flag]} is inside a class directory of --corpus {tree}\n"
+    assert _listing(tree) == before
+    # beside the class directories, in the corpus root, a file is no document
+    outputs[flag] = str(tree / "out")
+    assert main([*argv, *chain.from_iterable(outputs.items())]) == 0
+    assert load_directory_corpus(tree).n_docs == 36
 
 
 @pytest.mark.parametrize("fraction", ["0", "1.5"])

@@ -73,12 +73,14 @@ def adversarial_instances(seed, count=200):
 
 
 def assert_matches_unblocked(x, c):
-    """Through the direct path and through the candidate path alike."""
+    """The assignment through the direct path and through the candidate path
+    alike, and the distance to the assigned centroid."""
     ref_assign, ref_d2 = unblocked_euclidean(x, c)
     for direct_pairs in DIRECT_PAIRS:
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(kernels, "DIRECT_PAIRS", direct_pairs)
-            assign, d2 = kernels.nearest_centroids(x, c, "euclidean")
+            assign = kernels.nearest_centroids(x, c, "euclidean")
+            d2 = kernels.assigned_distances(x, c, assign, "euclidean")
         assert assign.dtype == np.int64
         assert np.array_equal(assign, ref_assign)
         assert np.array_equal(d2.view(np.int64), ref_d2.view(np.int64))
@@ -183,18 +185,16 @@ def test_euclidean_assignment_memory_is_bounded_when_all_centroids_tie():
 def test_tie_breaks_to_lowest_index():
     x = np.array([[0.5, 0.5]])
     c = np.array([[1.0, 0.0], [1.0, 0.0], [0.0, 1.0]])  # first two identical
-    assign, _ = kernels.nearest_centroids(x, c, "euclidean")
-    assert assign[0] == 0
-    assign, _ = kernels.nearest_centroids(x, c, "cosine")
-    assert assign[0] == 0
+    assert kernels.nearest_centroids(x, c, "euclidean")[0] == 0
+    assert kernels.nearest_centroids(x, c, "cosine")[0] == 0
 
 
 def test_cosine_zero_vector_distance_one():
     x = np.array([[0.0, 0.0]])
     c = np.array([[1.0, 0.0], [0.0, 2.0]])
-    assign, dist = kernels.nearest_centroids(x, c, "cosine")
-    assert dist[0] == 1.0
+    assign = kernels.nearest_centroids(x, c, "cosine")
     assert assign[0] == 0  # all-equal distances fall to the first
+    assert kernels.assigned_distances(x, c, assign, "cosine")[0] == 1.0
 
 
 @pytest.mark.parametrize("budget", BUDGETS)
@@ -206,12 +206,37 @@ def test_cosine_is_one_minus_similarity_up_to_rounding(monkeypatch, budget):
     eps = np.finfo(np.float64).eps
     for x, c in random_instances(seed=4):
         ref = cosine_distances(x, c)
-        assign, dist = kernels.nearest_centroids(x, c, "cosine")
+        assign = kernels.nearest_centroids(x, c, "cosine")
+        dist = kernels.assigned_distances(x, c, assign, "cosine")
         taken = ref[np.arange(len(x)), assign]
         assert np.all(np.abs(dist - taken) <= 4 * eps)
         assert np.all(taken <= ref.min(axis=1) + 8 * eps)
         zero = ~x.any(axis=1)
         assert np.all(dist[zero] == 1.0) and np.all(assign[zero] == 0)
+
+
+def test_assigned_distances_to_any_centroid_match_the_full_matrices():
+    # the distance to a centroid that need not be the nearest: euclidean bit
+    # for bit the full tensor's, cosine within a few eps of 1 - similarity
+    # and exactly 1 for every zero row and every zero centroid (the cases
+    # put one of each in every third instance)
+    rng = np.random.default_rng(7)
+    eps = np.finfo(np.float64).eps
+    zero_rows = zero_centroids = 0
+    for x, c in random_instances(seed=5):
+        assign = rng.integers(0, len(c), size=len(x))
+        rows = np.arange(len(x))
+        diff = x[:, None, :] - c[None, :, :]
+        ref_d2 = np.einsum("ijk,ijk->ij", diff, diff)[rows, assign]
+        d2 = kernels.assigned_distances(x, c, assign, "euclidean")
+        assert d2.tobytes() == ref_d2.tobytes()
+        dist = kernels.assigned_distances(x, c, assign, "cosine")
+        assert np.all(np.abs(dist - cosine_distances(x, c)[rows, assign]) <= 4 * eps)
+        zero = ~x.any(axis=1) | ~c.any(axis=1)[assign]
+        assert np.all(dist[zero] == 1.0)
+        zero_rows += int((~x.any(axis=1)).sum())
+        zero_centroids += int((~c.any(axis=1)[assign]).sum())
+    assert zero_rows and zero_centroids
 
 
 def test_cosine_rows_equal_one_row_calls():
@@ -220,9 +245,11 @@ def test_cosine_rows_equal_one_row_calls():
     # call ranks)
     rng = np.random.default_rng(0)
     x, c = rng.random((3000, 20)), rng.random((50, 20))
-    assign, dist = kernels.nearest_centroids(x, c, "cosine")
+    assign = kernels.nearest_centroids(x, c, "cosine")
+    dist = kernels.assigned_distances(x, c, assign, "cosine")
     for i in range(len(x)):
-        one_assign, one_dist = kernels.nearest_centroids(x[i:i + 1], c, "cosine")
+        one_assign = kernels.nearest_centroids(x[i:i + 1], c, "cosine")
+        one_dist = kernels.assigned_distances(x[i:i + 1], c, one_assign, "cosine")
         assert one_assign[0] == assign[i]
         assert one_dist.tobytes() == dist[i:i + 1].tobytes()
 
@@ -230,31 +257,40 @@ def test_cosine_rows_equal_one_row_calls():
 def test_cosine_zero_centroid_is_at_distance_one_and_loses_ties_to_lower_indices():
     c = np.array([[0.0, 1.0], [0.0, 0.0], [1.0, 0.0], [0.0, 0.0]])
     x = np.array([[2.0, 0.0], [-1.0, 0.0], [0.0, -3.0], [-1.0, -1.0], [0.0, 0.0]])
-    assign, dist = kernels.nearest_centroids(x, c, "cosine")
+    assign = kernels.nearest_centroids(x, c, "cosine")
+    dist = kernels.assigned_distances(x, c, assign, "cosine")
     # [-1, 0] is at 1 from centroids 0, 1 and 3; [0, -3] at 1 from centroids
     # 1-3 and at 2 from centroid 0; [-1, -1] farther than 1 from both
     # nonzero centroids; [0, 0] at 1 from every centroid
     assert assign.tolist() == [2, 0, 1, 1, 0]
     assert dist.tolist() == [0.0, 1.0, 1.0, 1.0, 1.0]
     for i in range(len(x)):
-        one_assign, one_dist = kernels.nearest_centroids(x[i], c, "cosine")
+        one_assign = kernels.nearest_centroids(x[i], c, "cosine")
+        one_dist = kernels.assigned_distances(x[i], c, one_assign, "cosine")
         assert (one_assign[0], one_dist[0]) == (assign[i], dist[i])
-    assign, dist = kernels.nearest_centroids(x, np.zeros((3, 2)), "cosine")
-    assert assign.tolist() == [0] * 5 and dist.tolist() == [1.0] * 5
+    zeros = np.zeros((3, 2))
+    assign = kernels.nearest_centroids(x, zeros, "cosine")
+    assert assign.tolist() == [0] * 5
+    assert kernels.assigned_distances(x, zeros, assign, "cosine").tolist() == [1.0] * 5
 
 
 def test_euclidean_distance_values():
     x = np.array([[0.0, 0.0], [3.0, 4.0]])
     c = np.array([[3.0, 4.0]])
-    _, d2 = kernels.nearest_centroids(x, c, "euclidean")
+    d2 = kernels.assigned_distances(x, c, kernels.nearest_centroids(x, c, "euclidean"), "euclidean")
     assert d2.tolist() == [25.0, 0.0]  # squared distances
 
 
 def test_dimension_mismatch_raises():
+    assign = np.zeros(2, dtype=np.int64)
     with pytest.raises(ValueError):
         kernels.nearest_centroids(np.zeros((2, 3)), np.zeros((1, 2)), "euclidean")
     with pytest.raises(ValueError):
         kernels.nearest_centroids(np.zeros((2, 2)), np.zeros((1, 2)), "manhattan")
+    with pytest.raises(ValueError):
+        kernels.assigned_distances(np.zeros((2, 3)), np.zeros((1, 2)), assign, "euclidean")
+    with pytest.raises(ValueError):
+        kernels.assigned_distances(np.zeros((2, 2)), np.zeros((1, 2)), assign, "manhattan")
 
 
 def test_backend_reports_active_path():

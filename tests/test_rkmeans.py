@@ -24,7 +24,9 @@ from textrkm.rkmeans import (
     pool_labels,
 )
 
-from reference import cluster_class_stats, lloyd_reference, majority_label, relative_percentage
+from reference import (
+    cluster_class_stats, lloyd_objectives, lloyd_reference, majority_label, relative_percentage,
+)
 from synthdata import make_point_cloud
 
 
@@ -74,19 +76,24 @@ def test_kmeans_single_seed_gives_global_mean():
 
 def test_kmeans_against_exhaustive_two_partition_oracle():
     rng = np.random.default_rng(0)
+    iterated = improved = 0
     for _ in range(30):
         n = int(rng.integers(3, 9))
         pts = rng.normal(size=(n, 1))
         seeds = pts[rng.choice(n, size=2, replace=False)]
         res = kmeans(pts, seeds, KMeansConfig())
-        history = res.sse_history
+        history = lloyd_objectives(pts, seeds)
         # monotone non-increasing objective across Lloyd iterations
         assert all(a >= b - 1e-9 for a, b in zip(history, history[1:]))
+        iterated += len(history) >= 2
+        improved += history[-1] < history[0]
         final = partition_sse(pts.tolist(), res.assignments.tolist())
         initial_assign, _ = _nearest_seed_assignment(pts, seeds)
         initial = partition_sse(pts.tolist(), initial_assign)
         best = brute_force_best_two_partition(pts.tolist())
         assert best - 1e-9 <= final <= initial + 1e-9
+    # the monotonicity check compares iterations, and some of them move points
+    assert iterated >= 25 and improved >= 5
 
 
 def _nearest_seed_assignment(pts, seeds):
@@ -176,13 +183,11 @@ def test_kmeans_is_bit_identical_to_the_reference_lloyd_loop():
     for x, seeds, cap in lloyd_cases():
         config = KMeansConfig(max_iterations=cap)
         res = kmeans(x, seeds, config)
-        assign, centroids, counts, n_iter, history = lloyd_reference(
-            x, seeds, cap, CENTROID_SHIFT_TOLERANCE
-        )
+        assign, centroids, counts, n_iter = lloyd_reference(x, seeds, cap, CENTROID_SHIFT_TOLERANCE)
         assert np.array_equal(res.assignments, assign)
         assert res.centroids.tobytes() == centroids.tobytes()
         assert np.array_equal(res.counts, counts)
-        assert (res.n_iter, res.sse_history) == (n_iter, history)
+        assert res.n_iter == n_iter
         capped += n_iter == cap
         reseeded += len(counts) < len(seeds)
         by_column += len(x) >= kernels.COLUMN_SUM_ROWS
@@ -227,7 +232,7 @@ def test_kmeans_calls_each_kernel_once_per_iteration(monkeypatch):
                 assert columns.flags.c_contiguous and np.array_equal(columns, x.T)
             else:
                 assert columns is None
-            for (_, a_args, a_kw, (assign, _)), (_, s_args, s_kw, _) in zip(calls[::2], calls[1::2]):
+            for (_, a_args, a_kw, assign), (_, s_args, s_kw, _) in zip(calls[::2], calls[1::2]):
                 assert a_kw.keys() == {"norms", "units"}
                 assert a_kw["norms"] is norms and a_kw["units"] is units
                 assert s_kw.keys() == {"columns"} and s_kw["columns"] is columns
@@ -237,6 +242,48 @@ def test_kmeans_calls_each_kernel_once_per_iteration(monkeypatch):
                 assert np.array_equal(xa, x) and np.array_equal(xs, x)
                 assert centroids.shape == seeds.shape and metric == distance
                 assert assigned is assign and n_clusters == len(seeds)
+
+
+def test_kmeans_measures_distances_only_where_it_reads_them(monkeypatch):
+    # every exact distance the kernels compute outside the ranking comes
+    # from _squared_distances. A Lloyd iteration measures once, after its
+    # sums, when it leaves a cluster empty and must find the farthest
+    # points; a cosine assignment measures once when its centroids mix zero
+    # and nonzero ones, so that the first zero centroid can take the rows
+    # farther than distance 1 from every other. Nothing else measures.
+    events = []
+
+    def assign(x, centroids, metric, **kwargs):
+        zero = kernels.row_norms(centroids) == 0.0
+        events.append("mixed" if metric == "cosine" and 0 < zero.sum() < zero.size else "assign")
+        return nearest_centroids(x, centroids, metric, **kwargs)
+
+    def sums(*args, **kwargs):
+        out = centroid_sums(*args, **kwargs)
+        events.append("full" if out[1].all() else "emptied")
+        return out
+
+    def distances(*args):
+        events.append("measured")
+        return squared_distances(*args)
+
+    nearest_centroids, centroid_sums = kernels.nearest_centroids, kernels.centroid_sums
+    squared_distances = kernels._squared_distances
+    monkeypatch.setattr(kernels, "nearest_centroids", assign)
+    monkeypatch.setattr(kernels, "centroid_sums", sums)
+    monkeypatch.setattr(kernels, "_squared_distances", distances)
+    clean = reseeding = mixed = 0
+    for distance in kernels.METRICS:
+        for x, seeds, cap in lloyd_cases():
+            events.clear()
+            res = kmeans(x, seeds, KMeansConfig(distance=distance, max_iterations=cap))
+            steps = [e for e in events if e != "measured"]
+            assert len(steps) == 2 * res.n_iter
+            assert events == [m for e in steps for m in (e, "measured")[: 1 + (e in ("mixed", "emptied"))]]
+            clean += "measured" not in events
+            reseeding += "emptied" in steps
+            mixed += "mixed" in steps
+    assert clean >= 2 * 8 and reseeding >= 2 * 2 and mixed >= 1
 
 
 def test_choose_initial_seeds_forced_choice():
