@@ -30,9 +30,7 @@ def classify_batch(
     gets what a one-row call would give it, bit for bit. A row that is not
     finite raises DataError.
     """
-    x = np.asarray(vectors, dtype=np.float64)
-    if x.ndim == 1:
-        x = x.reshape(1, -1)
+    x = kernels.as_points(vectors)
     if x.shape[0] == 0:
         return []
     if model.n_clusters == 0:
@@ -46,8 +44,9 @@ def classify_batch(
     bad = np.flatnonzero(~np.isfinite(x).all(axis=1))
     if bad.size:
         raise DataError(f"document {doc_ids[bad[0]]!r} has a non-finite vector")
-    assign = kernels.nearest_centroids(x, model.centroids, model.distance)
-    dist = kernels.assigned_distances(x, model.centroids, assign, model.distance)
+    units = kernels.unit_rows(x) if model.distance == "cosine" else None
+    assign = kernels.nearest_centroids(x, model.centroids, model.distance, units=units)
+    dist = kernels.assigned_distances(x, model.centroids, assign, model.distance, units=units)
     if model.distance == "euclidean":
         dist = np.sqrt(dist)
     return list(map(Prediction, doc_ids, model.labels[assign].tolist(), assign.tolist(), dist.tolist()))

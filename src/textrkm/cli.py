@@ -7,82 +7,24 @@ from __future__ import annotations
 
 import argparse
 import functools
-import json
 import os
 import sys
 from pathlib import Path
 from typing import Iterable, Iterator
 
 from . import kernels
+from .bundle import load_bundle, save_bundle
 from .classifier import classify_batch
 from .corpus import (
     DocumentReader, TokenizerConfig, load_directory_corpus, mask_labels, replacing, scan_directory,
 )
-from .errors import DataError, InvariantError, json_field
+from .errors import DataError, InvariantError
 from .evaluation import align_labels, confusion, format_report, score
 from .harness import (
     SweepConfig, default_ratio_grid, emit_results, fit, parse_ratio, ratio_str, run_sweep,
 )
-from .representation import TermClassWeights, embed_corpus, weights_from_dict, weights_to_dict
-from .rkmeans import (
-    ClusterModel,
-    KMeansConfig,
-    RecursiveConfig,
-    model_from_dict,
-    model_from_v1_dict,
-    model_from_v3_dict,
-    model_to_dict,
-    pool_labels,
-)
-
-_BUNDLE_FORMAT = "textrkm-bundle"
-_BUNDLE_VERSION = 4
-# the model reader of each bundle version; versions 1-3 also store the
-# training partition, which is checked and dropped
-_MODEL_READERS = {1: model_from_v1_dict, 2: model_from_v3_dict, 3: model_from_v3_dict, 4: model_from_dict}
-
-
-def save_bundle(
-    path: str | Path,
-    model: ClusterModel,
-    weights: TermClassWeights,
-    tokenizer: TokenizerConfig,
-) -> None:
-    """One self-contained JSON file: tokenizer + term/class counts + cluster
-    model, without the training partition. It replaces ``path`` whole
-    (``corpus.replacing``)."""
-    payload = {
-        "format": _BUNDLE_FORMAT,
-        "version": _BUNDLE_VERSION,
-        "tokenizer": tokenizer.to_dict(),
-        "weights": weights_to_dict(weights),
-        "model": model_to_dict(model),
-    }
-    with replacing(Path(path)) as f:
-        f.write(json.dumps(payload))
-
-
-def load_bundle(path: str | Path) -> tuple[ClusterModel, TermClassWeights, TokenizerConfig]:
-    """Read a version-4 bundle, or a version-1 to -3 one; anything else raises DataError."""
-    try:
-        payload = json.loads(Path(path).read_text(encoding="utf-8"))
-    except (OSError, UnicodeDecodeError, ValueError, RecursionError) as exc:
-        # bad JSON, an integer past the int-string limit, or nesting too deep
-        raise DataError(f"cannot read model bundle {path}: {exc}") from exc
-    if not isinstance(payload, dict) or payload.get("format") != _BUNDLE_FORMAT:
-        raise DataError(f"{path} is not a model bundle")
-    version = json_field(payload, "version", int)
-    if version not in _MODEL_READERS:
-        raise DataError(f"{path}: unsupported bundle version {version!r}")
-    try:
-        model = _MODEL_READERS[version](json_field(payload, "model", dict))
-        weights = weights_from_dict(json_field(payload, "weights", dict), version)
-        tokenizer = TokenizerConfig.from_dict(json_field(payload, "tokenizer", dict))
-    except (OverflowError, InvariantError) as exc:  # too large a number; parts that disagree
-        raise DataError(f"malformed model bundle {path}: {exc}") from exc
-    if weights.class_names != model.class_names or len(set(model.class_names)) < model.n_classes:
-        raise DataError(f"{path}: the weights and the model must list the same distinct class names")
-    return model, weights, tokenizer
+from .representation import embed_corpus
+from .rkmeans import KMeansConfig, RecursiveConfig, pool_labels
 
 
 def _tokenizer_from_args(args) -> TokenizerConfig:
@@ -202,7 +144,7 @@ def _input_files(path: Path, out: Path) -> tuple[Path, Iterator[tuple[str, str |
 
 def cmd_classify(args) -> int:
     """Read, embed, classify and write the input one reader batch at a time,
-    each word read straight into its row of the bundle's weights."""
+    each word read straight into its row of the model's weights."""
     _refuse_one_file("--model", args.model, "--out", args.out)
     model, weights, tokenizer = load_bundle(args.model)
     path, out = Path(args.input), Path(args.out)

@@ -312,12 +312,10 @@ def manifest_filename(ratio: tuple[int, int], trial: int) -> str:
 
 def emit_results(table: SweepTable, out_dir: str | Path) -> dict[str, Path]:
     """Write per-trial CSV, aggregate CSV, replay manifests and the config,
-    each replacing its file whole (``corpus.replacing``). ``manifests/``
-    keeps this sweep's manifests only: every other ``ratio_*_trial_*.tsv``
-    in it, an earlier sweep's or that of a trial failed here, is removed.
-    An earlier sweep's config is removed once the new per-trial CSV is in
-    place, and the config is written last: a ``sweep_config.json`` marks
-    a sweep whose files were all written.
+    each replacing its file whole (``corpus.replacing``). Once the new
+    per-trial CSV is in place, an earlier sweep's config and manifests are
+    removed; the config is written last, so it marks a sweep whose files
+    were all written.
 
     Float columns use ``repr`` so parsing them back reproduces the exact
     values.
@@ -336,6 +334,9 @@ def emit_results(table: SweepTable, out_dir: str | Path) -> dict[str, Path]:
         f.write("\n".join(lines) + "\n")
     config_path = out / "sweep_config.json"
     config_path.unlink(missing_ok=True)
+    manifest_dir = out / "manifests"
+    for path in manifest_dir.glob("ratio_*_trial_*.tsv"):
+        path.unlink()
 
     aggregate = out / "aggregate.csv"
     lines = ["ratio,metric,max,min,mean,std"]
@@ -346,16 +347,12 @@ def emit_results(table: SweepTable, out_dir: str | Path) -> dict[str, Path]:
     with replacing(aggregate) as f:
         f.write("\n".join(lines) + "\n")
 
-    manifest_dir = out / "manifests"
     manifest_dir.mkdir(exist_ok=True)
-    written = set()
     for rec in table.records:
         if rec.error is not None:
             continue
-        name = manifest_filename(rec.ratio, rec.trial)
-        written.add(name)
         write_split_manifest(
-            manifest_dir / name,
+            manifest_dir / manifest_filename(rec.ratio, rec.trial),
             table.train_doc_ids,
             table.test_doc_ids,
             rec.labeled_doc_ids,
@@ -365,9 +362,6 @@ def emit_results(table: SweepTable, out_dir: str | Path) -> dict[str, Path]:
                 "seed": str(rec.seed),
             },
         )
-    for path in manifest_dir.glob("ratio_*_trial_*.tsv"):
-        if path.name not in written:
-            path.unlink()
 
     with replacing(config_path) as f:
         f.write(json.dumps(table.config.to_dict(), indent=2))

@@ -5,19 +5,19 @@ whose j-th component is the average relevance of its tokens to class j. The
 relevance table is fitted on labeled documents only: the multinomial
 naive-Bayes estimate ``(tf + s) / (tf.sum(0) + s * V)``, so each class column
 is a probability distribution over the vocabulary. It is a pure function of
-the integer term/class counts and ``s``; a bundle stores the counts.
+the integer term/class counts and ``s``.
 """
 from __future__ import annotations
 
 import sys
 from dataclasses import dataclass
-from itertools import chain, repeat
+from itertools import repeat
 from typing import Sequence
 
 import numpy as np
 
 from .corpus import UNLABELED, Corpus
-from .errors import DataError, json_field, json_fields
+from .errors import DataError
 
 # ``embed_corpus`` stops its per-position loop where finishing the longer
 # documents one by one costs fewer numpy passes, one document counting as
@@ -36,7 +36,7 @@ class TermClassWeights:
     ``weights[t, c]`` is the relevance of vocabulary term t to class c;
     ``oov_weight[c]`` is what an out-of-vocabulary token contributes to
     component c (the smoothed floor). ``counts`` is the (V, K) term/class
-    count matrix they derive from; a version-1 or -2 bundle stored none.
+    count matrix they derive from, or None for a table given without them.
     """
 
     vocabulary: dict[str, int]
@@ -97,8 +97,8 @@ def weights_from_counts(
     vocabulary: dict[str, int], counts: np.ndarray, smoothing: float, class_names: Sequence[str]
 ) -> TermClassWeights:
     """``w[t, c] = (tf[t, c] + s) / (sum_t tf[t, c] + s * V)`` and the OOV
-    floor ``s / (sum_t tf[t, c] + s * V)``: the one formula of the fit and of
-    the bundle reader."""
+    floor ``s / (sum_t tf[t, c] + s * V)``: the one formula of the table,
+    for fitted counts and stored ones alike."""
     smoothing = check_smoothing(smoothing)
     mass = counts.sum(axis=0)
     if not np.all(mass > 0):
@@ -180,64 +180,3 @@ def embed_corpus(corpus: Corpus, w: TermClassWeights) -> tuple[np.ndarray, list[
     matrix[perm] = sums[:, :k]
     return matrix, corpus.doc_ids
 
-
-# ---------------------------------------------------------------------------
-# the weight table's part of the bundle (JSON)
-# ---------------------------------------------------------------------------
-
-def weights_to_dict(w: TermClassWeights) -> dict:
-    """The ``weights`` object of a version-3 or -4 bundle: for each class, the
-    increasing ids of the terms it counts and their integer counts."""
-    if w.counts is None:
-        raise DataError("a weight table read from a version-1 or -2 bundle has no counts")
-    return {
-        "class_names": list(w.class_names),
-        "smoothing": w.smoothing,
-        "terms": sorted(w.vocabulary, key=w.vocabulary.get),
-        "counts": [
-            {"term_ids": ids.tolist(), "counts": w.counts[ids, c].astype(np.int64).tolist()}
-            for c, ids in enumerate(map(np.flatnonzero, w.counts.T))
-        ],
-    }
-
-
-def weights_from_dict(d: dict, version: int = 3) -> TermClassWeights:
-    """Inverse of ``weights_to_dict``: rebuild the counts, derive the table.
-
-    Counts must be integers in ``[1, 2**53)``, which float64 holds exactly.
-    Versions 1 and 2 stored the table itself and no counts. A malformed
-    payload raises ``DataError``, or ``OverflowError`` for an integer past
-    int64, which the bundle loader turns into ``DataError``.
-    """
-    terms = json_field(d, "terms", list[str])
-    class_names = tuple(json_field(d, "class_names", list[str]))
-    smoothing = check_smoothing(json_field(d, "smoothing", float))
-    vocabulary = dict(zip(terms, range(len(terms))))
-    if version < 3:
-        rows = json_field(d, "weights", list[list[float]])
-        if len(rows) != len(terms) or not set(map(len, rows)) <= {len(class_names)}:
-            raise DataError("weight matrix shape does not match vocabulary/classes")
-        weights = np.array(rows, dtype=np.float64).reshape(len(terms), len(class_names))
-        oov = np.array(json_field(d, "oov_weight", list[float]), dtype=np.float64)
-        w = TermClassWeights(vocabulary, weights, oov, smoothing, class_names)
-        w.validate()
-        return w
-    entries = json_field(d, "counts", list[dict])
-    ids, n = json_fields(entries, "term_ids", list[int]), json_fields(entries, "counts", list[int])
-    lengths = list(map(len, ids))
-    if len(entries) != len(class_names) or lengths != list(map(len, n)):
-        raise DataError("one counts entry per class expected, with one count per term id")
-    columns = np.repeat(np.arange(len(class_names)), lengths)
-    ids = np.fromiter(chain.from_iterable(ids), np.int64, len(columns))
-    n = np.fromiter(chain.from_iterable(n), np.int64, len(columns))
-    # within a class, ids increase exactly where these keys do
-    keys = columns * len(terms) + ids
-    if not (
-        np.all((ids >= 0) & (ids < len(terms))) and np.all(np.diff(keys) > 0)
-        and np.all((n >= 1) & (n < 2**53))
-    ):
-        raise DataError(f"term ids must increase in [0, {len(terms)}) within each class, "
-                        "with one count in [1, 2**53) each")
-    counts = np.zeros((len(terms), len(class_names)), dtype=np.float64)
-    counts[ids, columns] = n
-    return weights_from_counts(vocabulary, counts, smoothing, class_names)

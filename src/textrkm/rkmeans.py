@@ -18,14 +18,14 @@ the nearest labeled sibling centroid from the same partition.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import asdict, dataclass, field
-from itertools import chain, compress
-from typing import Sequence, get_type_hints
+from dataclasses import dataclass, field
+from itertools import compress
+from typing import Sequence
 
 import numpy as np
 
 from . import kernels
-from .errors import DataError, InvariantError, json_field, json_fields
+from .errors import DataError, InvariantError
 
 # acceptance reasons recorded on every final cluster
 ACCEPT_PURE = "pure"                 # single labeled class present
@@ -98,7 +98,8 @@ def kmeans(x: np.ndarray, seeds: np.ndarray, config: KMeansConfig) -> KMeansResu
     recompute centroids as member means, and stop when the maximum centroid
     shift drops below ``CENTROID_SHIFT_TOLERANCE`` or ``max_iterations`` is
     hit. An empty cluster is reseeded on the point farthest from its centroid;
-    only an iteration that leaves a cluster empty measures distances.
+    only an iteration that leaves a cluster empty measures distances, and one
+    whose reseeded centroids equal those it started from ends the run.
     """
     x = kernels.as_points(x)
     if x.shape[0] == 0:
@@ -123,7 +124,10 @@ def kmeans(x: np.ndarray, seeds: np.ndarray, config: KMeansConfig) -> KMeansResu
     for n_iter in range(1, config.max_iterations + 1):
         assign = kernels.nearest_centroids(x, centroids, config.distance, norms=norms, units=units)
         sums, counts = kernels.centroid_sums(x, assign, k, columns=columns)
-        if not counts.all():
+        if counts.all():
+            means = sums / counts[:, None]
+            done = np.sqrt(((means - centroids) ** 2).sum(axis=1)).max() < CENTROID_SHIFT_TOLERANCE
+        else:
             # reseed each empty cluster on the most distant point, one
             # point per cluster, lowest cluster index served first; with
             # fewer points than empty clusters the leftovers stay empty
@@ -131,12 +135,10 @@ def kmeans(x: np.ndarray, seeds: np.ndarray, config: KMeansConfig) -> KMeansResu
             means = np.where(counts[:, None] > 0, sums / np.maximum(counts, 1)[:, None], centroids)
             empties = np.flatnonzero(counts == 0)[: x.shape[0]]
             means[empties] = x[np.argsort(-dist, kind="stable")[: empties.size]]
-            centroids = means
-            continue  # geometry changed; always run another assignment pass
-        means = sums / counts[:, None]
-        shift = np.sqrt(((means - centroids) ** 2).sum(axis=1)).max()
+            # the geometry changed, unless to a fixed point that every later pass would repeat
+            done = np.array_equal(means, centroids)
         centroids = means
-        if shift < CENTROID_SHIFT_TOLERANCE:
+        if done:
             break
 
     if counts.all():
@@ -189,9 +191,6 @@ class RunStats:
         return sum(self.fallback_counts.values())
 
 
-_RUN_STATS_TYPES = get_type_hints(RunStats)
-
-
 def _run_stats(th_percent, rng_seed, distance, kmeans_runs, acceptance, max_depth) -> RunStats:
     """The run metadata of ``kmeans_runs`` k-means runs whose final clusters,
     in depth-first order, have these acceptance reasons and reach ``max_depth``.
@@ -209,8 +208,8 @@ class ClusterModel:
 
     On a model ``build_model`` returns, ``cluster_of[i]`` is the cluster of
     training point i, so the final clusters partition the training set. A
-    model read from a bundle knows no training points: its ``cluster_of`` is
-    None.
+    model rebuilt from stored clusters knows no training points: its
+    ``cluster_of`` is None.
     """
 
     centroids: np.ndarray
@@ -370,127 +369,3 @@ def build_model(
     model.validate()
     return model
 
-
-# ---------------------------------------------------------------------------
-# the model's part of the bundle (JSON; float repr round-trips exactly)
-# ---------------------------------------------------------------------------
-
-# each cluster's fields, in the order a version-4 bundle writes them, and their JSON types
-_CLUSTER_FIELDS = dict(label=int, centroid=list[float], acceptance=str, depth=int)
-
-
-def model_to_dict(model: ClusterModel) -> dict:
-    """The ``model`` object of a version-4 bundle: what classification reads,
-    and no training partition."""
-    return {
-        "class_names": list(model.class_names),
-        "distance": model.distance,
-        "clusters": [
-            dict(zip(_CLUSTER_FIELDS, row)) for row in zip(
-                model.labels.tolist(), model.centroids.tolist(), model.acceptance, model.depths.tolist(),
-            )
-        ],
-        "stats": asdict(model.stats),
-    }
-
-
-def model_from_dict(payload: dict) -> ClusterModel:
-    """Inverse of ``model_to_dict``.
-
-    A malformed payload raises ``DataError``, ``InvariantError``, or
-    ``OverflowError`` for a number past int64 or float64; the bundle loader
-    turns the last two into ``DataError``. The run statistics must be those
-    ``build_model`` derives from the clusters, from at least one k-means run
-    per recursion level reached.
-    """
-    rows = json_field(payload, "clusters", list[dict])
-    labels, centroids, acceptance, depths = (
-        json_fields(rows, key, kind) for key, kind in _CLUSTER_FIELDS.items()
-    )
-    if len(set(map(len, centroids))) != 1:
-        raise DataError("a model needs clusters whose centroids share one dimension")
-    stats = json_field(payload, "stats", dict)
-    stats = RunStats(**{name: json_field(stats, name, kind) for name, kind in _RUN_STATS_TYPES.items()})
-    model = ClusterModel(
-        centroids=np.array(centroids, dtype=np.float64),
-        labels=np.array(labels, dtype=np.int64),
-        acceptance=tuple(acceptance),
-        depths=np.array(depths, dtype=np.int64),
-        distance=json_field(payload, "distance", str),
-        class_names=tuple(json_field(payload, "class_names", list[str])),
-        stats=stats,
-    )
-    model.validate()
-    max_depth = int(model.depths.max())
-    derived = asdict(_run_stats(stats.th_percent, stats.rng_seed, model.distance,
-                                stats.kmeans_runs, model.acceptance, max_depth))
-    wrong = [name for name, value in derived.items() if getattr(stats, name) != value]
-    if stats.kmeans_runs <= max_depth:  # each level of a recursion is one more run
-        wrong.append("kmeans_runs")
-    if wrong:
-        raise DataError(f"run statistics {wrong} disagree with the clusters")
-    return model
-
-
-def training_partition(payload: dict) -> tuple[list[str], np.ndarray, np.ndarray]:
-    """The training partition the model of a version-1 to -3 bundle stores:
-    the training doc ids, their labeled flags and each one's cluster.
-
-    Member positions must increase within each cluster and partition the
-    training points, and the labeled mask holds one 0 or 1 per point.
-    """
-    rows = json_field(payload, "clusters", list[dict])
-    members = json_fields(rows, "member_indices", list[int])
-    positions = np.array(list(chain.from_iterable(members)), dtype=np.int64)
-    owners = np.repeat(np.arange(len(rows)), list(map(len, members)))
-    doc_ids = json_field(payload, "training_doc_ids", list[str])
-    n = len(doc_ids)
-    if positions.size != n or np.any(positions < 0) or np.any(positions >= n):
-        raise DataError("final clusters do not partition the training set")
-    # cluster-major keys increase exactly when each cluster's positions do
-    if np.any(np.diff(owners * n + positions) <= 0):
-        raise DataError("member positions must increase within each cluster")
-    cluster_of = np.full(n, -1, dtype=np.int64)
-    cluster_of[positions] = owners
-    if np.any(cluster_of < 0):  # a position listed twice leaves another unlisted
-        raise DataError("final clusters do not partition the training set")
-    flags = json_field(payload, "labeled", list[int])
-    if len(flags) != n or not set(flags) <= {0, 1}:
-        raise DataError("the labeled mask needs one 0 or 1 per training doc")
-    return doc_ids, np.array(flags, dtype=bool), cluster_of
-
-
-def model_from_v3_dict(payload: dict) -> ClusterModel:
-    """``model_from_dict`` for the model of a version-2 or -3 bundle, which
-    also stores the training partition: it is checked, then dropped."""
-    model = model_from_dict(payload)
-    training_partition(payload)
-    return model
-
-
-def model_from_v1_dict(payload: dict) -> ClusterModel:
-    """``model_from_dict`` for the model of a version-1 bundle.
-
-    Version 1 listed each cluster's member doc ids next to its member
-    positions and stored the labels inherited by the unlabeled docs; a doc
-    absent from those labels was labeled. Stored labels that disagree with
-    the clusters raise ``DataError``.
-    """
-    rows = json_field(payload, "clusters", list[dict])
-    positions = json_fields(rows, "member_indices", list[int])
-    doc_ids = json_fields(rows, "member_doc_ids", list[str])
-    if list(map(len, positions)) != list(map(len, doc_ids)):
-        raise DataError("a version-1 cluster lists one doc id per member")
-    members = sorted(zip(chain.from_iterable(positions), chain.from_iterable(doc_ids)))
-    doc_ids = [doc_id for _, doc_id in members]  # in position order; a non-partition is refused
-    assigned = json_field(payload, "training_label_assignments", dict[str, int])
-    payload = {
-        **payload,
-        "training_doc_ids": doc_ids,
-        "labeled": [int(doc_id not in assigned) for doc_id in doc_ids],
-    }
-    model = model_from_dict(payload)
-    doc_ids, labeled, cluster_of = training_partition(payload)
-    if pool_labels(model.labels, cluster_of, doc_ids, labeled) != assigned:
-        raise DataError("training_label_assignments disagree with the clusters")
-    return model

@@ -131,10 +131,11 @@ def lloyd_reference(x, seeds, max_iterations, tolerance):
 
     Assign, move each centroid to its members' mean; an empty cluster is
     reseeded on the farthest point (one point per cluster, lowest cluster
-    index first) and forces another pass; stop when no centroid moves by
-    ``tolerance`` or more. The final means are summed again from the last
-    assignment, and clusters that ended empty are dropped. Returns
-    ``(assignments, centroids, counts, n_iter)``.
+    index first) and forces another pass, unless the centroids came out as
+    they went in; stop when no centroid moves by ``tolerance`` or more.
+    The final means are summed again from the last assignment, and clusters
+    that ended empty are dropped. Returns ``(assignments, centroids, counts,
+    n_iter)``.
     """
     centroids = np.array(seeds, dtype=np.float64)
     k = centroids.shape[0]
@@ -152,6 +153,8 @@ def lloyd_reference(x, seeds, max_iterations, tolerance):
             farthest = np.argsort(-dist, kind="stable")
             for j, i in zip(empties, farthest):
                 means[j] = x[i]
+            if np.array_equal(means, centroids):
+                break
             centroids = means
             continue
         shift = max(np.sqrt(((means[j] - centroids[j]) ** 2).sum()) for j in range(k))

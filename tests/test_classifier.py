@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from textrkm import kernels
 from textrkm.classifier import classify_batch
 from textrkm.errors import DataError
 from textrkm.rkmeans import ClusterModel, RunStats
@@ -81,6 +82,24 @@ def test_batch_fields_are_python_scalars(distance):
     for p in preds:
         assert [type(v) for v in p] == [str, int, int, float]
         assert p._fields == ("doc_id", "label", "cluster", "distance")
+
+
+def test_cosine_batch_scales_its_rows_to_unit_length_once(monkeypatch):
+    # the assignment and the distances read the same unit rows; a zero row
+    # and a zero centroid take the paths that measure distances
+    model = toy_model([[1.0, 0.0], [0.0, 2.0], [0.0, 0.0]], [0, 1, 0], "cosine")
+    x = np.array([[3.0, 1.0], [0.0, 0.0], [1.0, 5.0], [2.0, 2.0]])
+    expected = classify_batch(x, model, list("abcd"))
+    scaled = []
+
+    def counting(a):
+        scaled.append(np.array_equal(a, x))
+        return unit_rows(a)
+
+    unit_rows = kernels.unit_rows
+    monkeypatch.setattr(kernels, "unit_rows", counting)
+    assert classify_batch(x, model, list("abcd")) == expected
+    assert scaled.count(True) == 1
 
 
 def test_batch_empty_and_duplicates():

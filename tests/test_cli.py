@@ -18,12 +18,13 @@ from hypothesis import strategies as st
 import reference
 from textrkm import cli, harness
 from textrkm import corpus as corpus_module
+from textrkm.bundle import training_partition
 from textrkm.cli import load_bundle, main, save_bundle
 from textrkm.corpus import (
     TokenizerConfig, load_directory_corpus, mask_labels, read_split_manifest, scan_directory,
 )
 from textrkm.errors import DataError, InvariantError
-from textrkm.rkmeans import RecursiveConfig, pool_labels, training_partition
+from textrkm.rkmeans import RecursiveConfig, pool_labels
 
 from synthdata import make_text_corpus, mutate_lines, write_corpus_tree
 
@@ -857,8 +858,9 @@ def test_failed_sweep_write_leaves_the_earlier_sweep(tmp_path, corpus_tree, caps
 
 def test_failed_sweep_write_leaves_no_earlier_config_beside_the_new_files(tmp_path, corpus_tree, capsys):
     # a file size limit above the new sweep's CSVs and config but below its
-    # manifest: the write fails once per_trial.csv is replaced, and no
-    # sweep_config.json may then stand for the files beside it
+    # manifest: the write fails once per_trial.csv is replaced, and neither
+    # the earlier sweep_config.json nor its manifests may then stand beside
+    # the new files
     _, tree = corpus_tree
 
     def sweep(ratios, out):
@@ -881,6 +883,7 @@ def test_failed_sweep_write_leaves_no_earlier_config_beside_the_new_files(tmp_pa
     assert capsys.readouterr().err.startswith(f"data error: [Errno {errno.EFBIG}] ")
     assert (out / "per_trial.csv").read_bytes() == (alone / "per_trial.csv").read_bytes()
     assert not (out / "sweep_config.json").exists()
+    assert not list((out / "manifests").glob("ratio_5_45_*"))
 
 
 def test_a_replaced_file_keeps_its_mode(tmp_path, corpus_tree):

@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from textrkm import representation
+from textrkm.bundle import weights_from_dict, weights_to_dict
 from textrkm.cli import load_bundle, save_bundle
 from textrkm.corpus import Corpus, Document, DocumentReader, TokenizerConfig
 from textrkm.errors import DataError
@@ -17,8 +18,6 @@ from textrkm.representation import (
     embed_corpus,
     fit_term_weights,
     term_class_counts,
-    weights_from_dict,
-    weights_to_dict,
 )
 from textrkm.rkmeans import RecursiveConfig
 

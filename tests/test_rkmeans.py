@@ -152,20 +152,26 @@ def test_kmeans_config_validation():
 
 def lloyd_cases():
     """``(points, seeds, max_iterations)``: converging runs, runs that reseed
-    an empty cluster, and runs cut off at ``max_iterations``."""
+    an empty cluster, runs that end where reseeding repeats itself, and runs
+    cut off at ``max_iterations``."""
     x, _, _ = make_point_cloud(n_classes=5, points_per_class=60, dim=6, sigma=3.0, seed=4)
     rng = np.random.default_rng(5)
     for k in (1, 3, 5, 9):
         yield x, x[rng.choice(len(x), k, replace=False)], 100
     for cap in (1, 2, 3):
         yield x, x[:4], cap
-    # two equal seeds: the second cluster empties and is reseeded
+    # two equal seeds: the second cluster empties and is reseeded, and a run
+    # cut off on that pass ends with it empty
     yield x, np.vstack([x[:3], x[:1]]), 100
+    yield x, np.vstack([x[:3], x[:1]]), 1
+    # under cosine the zero point is the farthest from every centroid: the
+    # spare cluster is reseeded on it on every pass, a fixed point by the second
     yield np.array([[0.0], [0.1], [0.2], [10.0]]), np.array([[0.1], [0.1]]), 100
-    # every point equal: the spare cluster empties and is reseeded on every
-    # pass, until max_iterations ends the run with it empty
+    # every point equal: the spare cluster is reseeded on the same point on
+    # every pass, and the second pass, a fixed point, ends the run with it empty
     yield np.ones((3, 2)), np.array([[1.0, 1.0], [5.0, 5.0]]), 7
-    # more seeds than points: the leftover empty clusters stay empty
+    # more seeds than points: the leftover empty clusters stay empty, and the
+    # second pass repeats the first
     yield np.array([[0.0], [1.0]]), np.array([[0.0], [1.0], [2.0], [3.0]]), 100
     # lattice points: exact ties between centroids on every pass
     lattice = rng.integers(-2, 3, size=(400, 3)).astype(float)
@@ -192,6 +198,19 @@ def test_kmeans_is_bit_identical_to_the_reference_lloyd_loop():
         reseeded += len(counts) < len(seeds)
         by_column += len(x) >= kernels.COLUMN_SUM_ROWS
     assert capped >= 5 and reseeded >= 2 and by_column == 2
+
+
+def test_kmeans_ends_where_reseeding_repeats_itself():
+    # each pass reseeds an empty cluster on the same point: the run ends once
+    # a pass gives back the centroids it started from, not at max_iterations
+    cases = [
+        (np.array([[0.0], [0.1], [0.2], [10.0]]), np.array([[0.1], [0.1]]), ("cosine",)),
+        (np.ones((6, 2)), np.ones((2, 2)), kernels.METRICS),
+        (np.array([[0.0], [1.0]]), np.array([[0.0], [1.0], [2.0], [3.0]]), kernels.METRICS),
+    ]
+    for x, seeds, metrics in cases:
+        for distance in metrics:
+            assert kmeans(x, seeds, KMeansConfig(distance)).n_iter <= 2
 
 
 def test_kmeans_calls_each_kernel_once_per_iteration(monkeypatch):
