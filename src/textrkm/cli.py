@@ -27,13 +27,16 @@ from .representation import embed_corpus
 from .rkmeans import KMeansConfig, RecursiveConfig, pool_labels
 
 
-def _tokenizer_from_args(args) -> TokenizerConfig:
+def _config_from_args(args, **sweep) -> SweepConfig:
+    """The settings of ``add_common_training_flags``, and a sweep's own in ``sweep``."""
     words = Path(args.stopwords).read_text(encoding="utf-8").split() if args.stopwords else ()
-    return TokenizerConfig(args.min_token_len, frozenset(w.lower() for w in words))
-
-
-def _recursive_config_from_args(args) -> RecursiveConfig:
-    return RecursiveConfig(th_percent=args.th, kmeans=KMeansConfig(distance=args.distance))
+    return SweepConfig(
+        smoothing=args.smoothing,
+        recursive=RecursiveConfig(th_percent=args.th, kmeans=KMeansConfig(distance=args.distance)),
+        tokenizer=TokenizerConfig(args.min_token_len, frozenset(w.lower() for w in words)),
+        unlabeled_pool_size=args.pool_size,
+        **sweep,
+    )
 
 
 def _refuse_one_file(flag: str, path: str, other_flag: str, other: str | None) -> None:
@@ -51,10 +54,16 @@ def _corpus_dirs(corpus: str) -> list[str]:
     return [os.path.realpath(p) for p in (corpus, *classes)]
 
 
-def _refuse_in_class_dir(flag: str, path: str | None, corpus: str) -> None:
-    """A usage error when ``path`` names a file in a class directory of
-    ``corpus``, which the next load of the corpus would read as a document."""
-    if path is not None and os.path.realpath(Path(path).parent) in _corpus_dirs(corpus)[1:]:
+def _refuse_output(flag: str, path: str | None, corpus: str) -> None:
+    """A data error when the directory of ``path`` does not exist; a usage
+    error when it is a class directory of ``corpus``, whose next load would
+    read the file as a document."""
+    if path is None:
+        return
+    parent = Path(path).parent
+    if not parent.is_dir():
+        raise DataError(f"{flag} {path}: {parent} is not an existing directory")
+    if os.path.realpath(parent) in _corpus_dirs(corpus)[1:]:
         raise _UsageError(f"{flag} {path} is inside a class directory of --corpus {corpus}")
 
 
@@ -74,21 +83,14 @@ def cmd_train(args) -> int:
     if args.seed < 0:  # numpy seeds are non-negative
         raise DataError(f"--seed must be >= 0, got {args.seed}")
     _refuse_one_file("--model-out", args.model_out, "--pool-labels-out", args.pool_labels_out)
-    _refuse_in_class_dir("--model-out", args.model_out, args.corpus)
-    _refuse_in_class_dir("--pool-labels-out", args.pool_labels_out, args.corpus)
-    tokenizer = _tokenizer_from_args(args)
-    corpus = load_directory_corpus(args.corpus, tokenizer)
+    _refuse_output("--model-out", args.model_out, args.corpus)
+    _refuse_output("--pool-labels-out", args.pool_labels_out, args.corpus)
+    config = _config_from_args(args)
+    corpus = load_directory_corpus(args.corpus, config.tokenizer)
     _warn_skipped(Path(args.corpus), corpus.skipped)
     d_labeled, d_unlabeled = mask_labels(corpus, args.labeled_frac, args.seed)
-    weights, model, training = fit(
-        d_labeled,
-        d_unlabeled,
-        args.smoothing,
-        _recursive_config_from_args(args),
-        args.seed,
-        args.pool_size,
-    )
-    save_bundle(args.model_out, model, weights, tokenizer)
+    weights, model, training = fit(d_labeled, d_unlabeled, config, args.seed)
+    save_bundle(args.model_out, model, weights, config.tokenizer)
     n_docs = training.n_docs
     print(
         f"trained on {n_docs} docs "
@@ -217,17 +219,18 @@ def cmd_sweep(args) -> int:
     if any(os.path.commonpath([d, out]) == d for d in _corpus_dirs(args.corpus)):
         raise _UsageError(f"--out {args.out} is at or under --corpus {args.corpus}")
     grid = _parse_ratio_grid(args.ratios) if args.ratios else default_ratio_grid()
-    config = SweepConfig(
+    config = _config_from_args(
+        args,
         ratio_grid=grid,
         trials_per_ratio=args.trials,
         base_seed=args.base_seed,
         test_fraction=args.test_fraction,
-        smoothing=args.smoothing,
-        recursive=_recursive_config_from_args(args),
-        tokenizer=_tokenizer_from_args(args),
-        unlabeled_pool_size=args.pool_size,
         transductive=args.transductive,
     )
+    # emit_results makes the directory and its missing parents
+    made = next(p for p in (Path(args.out), *Path(args.out).parents) if os.path.lexists(p))
+    if not made.is_dir():
+        raise DataError(f"--out {args.out}: {made} is not a directory")
     corpus = load_directory_corpus(args.corpus, config.tokenizer)
     _warn_skipped(Path(args.corpus), corpus.skipped)
     table = run_sweep(corpus, config)

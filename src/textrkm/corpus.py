@@ -396,7 +396,10 @@ def replacing(out: Path) -> Iterator[TextIO]:
     the file it replaces; a file made anew, the umask's default. Every file
     the package writes is written through here."""
     tmp = out.parent / f".{out.name}.{secrets.token_hex(8)}.tmp"
-    fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
+    try:
+        fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
+    except OSError as exc:  # reported against the path asked for, not its hidden temporary file
+        raise OSError(exc.errno, exc.strerror, str(out)) from None
     try:
         with open(fd, "w", encoding="utf-8") as f:
             with suppress(FileNotFoundError):

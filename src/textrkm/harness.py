@@ -160,25 +160,20 @@ class TrialResult:
 
 
 def fit(
-    d_labeled: Corpus,
-    pool: Corpus,
-    smoothing: float,
-    recursive: RecursiveConfig,
-    seed: int,
-    pool_size: int | None = None,
+    d_labeled: Corpus, pool: Corpus, config: SweepConfig, seed: int
 ) -> tuple[TermClassWeights, ClusterModel, Corpus]:
     """The train pipeline of ``textrkm train``, sweep trials and replays.
 
     Draws the unlabeled pool into the training collection, fits the weight
-    table on the labeled documents, embeds the collection and clusters it.
-    ``seed`` drives the pool draw and the k-means seed choice. Returns the
-    weights, the model and the training collection, whose document i is the
-    model's training point i.
+    table on the labeled documents, embeds the collection and clusters it,
+    by the settings of ``config``. ``seed`` drives the pool draw and the
+    k-means seed choice. Returns the weights, the model and the training
+    collection, whose document i is the model's training point i.
     """
-    training = make_training_collection(d_labeled, pool, pool_size, rng_seed=seed)
-    weights = fit_term_weights(d_labeled, smoothing)
+    training = make_training_collection(d_labeled, pool, config.unlabeled_pool_size, rng_seed=seed)
+    weights = fit_term_weights(d_labeled, config.smoothing)
     x, _ = embed_corpus(training, weights)
-    model = build_model(x, training.labels, training.class_names, recursive, seed)
+    model = build_model(x, training.labels, training.class_names, config.recursive, seed)
     return weights, model, training
 
 
@@ -194,9 +189,7 @@ def _run_pipeline(
     pool = d_unlabeled
     if config.transductive:
         pool = concat_corpora(pool, test.subset(range(test.n_docs), drop_labels=True))
-    weights, model, _ = fit(
-        d_labeled, pool, config.smoothing, config.recursive, trial_seed, config.unlabeled_pool_size
-    )
+    weights, model, _ = fit(d_labeled, pool, config, trial_seed)
     test_x, test_ids = embed_corpus(test, weights)
     preds = classify_batch(test_x, model, test_ids)
     report = score(confusion(test.labels, [p.label for p in preds], test.n_classes))

@@ -24,7 +24,7 @@ from textrkm.corpus import (
     TokenizerConfig, load_directory_corpus, mask_labels, read_split_manifest, scan_directory,
 )
 from textrkm.errors import DataError, InvariantError
-from textrkm.rkmeans import RecursiveConfig, pool_labels
+from textrkm.rkmeans import pool_labels
 
 from synthdata import make_text_corpus, mutate_lines, write_corpus_tree
 
@@ -395,6 +395,18 @@ def test_negative_smoothing_exits_two(tmp_path, corpus_tree, capsys, command):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("flag, value, setting", [
+    ("--th", "200", "th_percent"), ("--smoothing", "-1", "smoothing"), ("--pool-size", "-1", "unlabeled_pool_size"),
+])
+def test_train_refuses_a_bad_setting_before_reading_the_corpus(tmp_path, capsys, flag, value, setting):
+    missing, out = tmp_path / "missing", tmp_path / "model.json"
+    argv = ["train", "--corpus", str(missing), "--labeled-frac", "0.3", "--model-out", str(out), flag, value]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"data error: {setting} must be") and str(missing) not in err
+    assert not out.exists()
+
+
 def test_eval_rejects_unknown_predicted_class(tmp_path):
     (tmp_path / "preds.tsv").write_text("doc1\tmystery\t0.5\n")
     (tmp_path / "truth.tsv").write_text("doc1\tknown\n")
@@ -753,7 +765,7 @@ def test_pool_labels_list_the_pool_and_score_as_the_model_labels_it(tmp_path, co
     assert capsys.readouterr().out.endswith(f"pool labels written to {pool}\n")
     corpus = load_directory_corpus(tree)
     d_labeled, d_unlabeled = mask_labels(corpus, 0.3, 2)
-    _, model, training = harness.fit(d_labeled, d_unlabeled, 1.0, RecursiveConfig(), 2)
+    _, model, training = harness.fit(d_labeled, d_unlabeled, harness.SweepConfig(), 2)
     assert np.array_equal(load_bundle(bundle)[0].centroids, model.centroids)  # the model train saved
     rows = [line.split("\t") for line in pool.read_text(encoding="utf-8").splitlines()]
     ids = [doc_id for doc_id, _ in rows]
@@ -791,6 +803,37 @@ def test_train_refuses_one_file_for_the_bundle_and_the_pool_labels(tmp_path, cor
                  "--model-out", "out.tsv", "--pool-labels-out", str(tmp_path / "out.tsv")]) == 1
     assert capsys.readouterr().err == "error: --model-out and --pool-labels-out name one file: out.tsv\n"
     assert not (tmp_path / "out.tsv").exists()
+
+
+@pytest.mark.parametrize("flag", ["--model-out", "--pool-labels-out"])
+def test_train_refuses_an_output_in_a_missing_directory(tmp_path, corpus_tree, capsys, monkeypatch, flag):
+    # refused before any work, so a bundle written before the pool labels is not replaced
+    _, tree = corpus_tree
+    bundle = tmp_path / "model.json"
+    bundle.write_bytes(b"an earlier bundle\n")
+    outputs = {"--model-out": str(bundle), "--pool-labels-out": str(tmp_path / "pool.tsv")}
+    outputs[flag] = str(tmp_path / "missing" / "out")
+    monkeypatch.setattr(cli, "load_directory_corpus", lambda *args: pytest.fail("the corpus was read"))
+    argv = ["train", "--corpus", str(tree), "--labeled-frac", "0.3", *chain.from_iterable(outputs.items())]
+    assert main(argv) == 2
+    assert capsys.readouterr().err == (
+        f"data error: {flag} {outputs[flag]}: {tmp_path / 'missing'} is not an existing directory\n"
+    )
+    assert sorted(os.listdir(tmp_path)) == ["corpus", "model.json"]
+    assert bundle.read_bytes() == b"an earlier bundle\n"
+
+
+@pytest.mark.parametrize("out", ["file", "file/sweep"])
+def test_sweep_refuses_an_out_at_or_under_a_file(tmp_path, corpus_tree, capsys, monkeypatch, out):
+    # emit_results could not make the directory, so no trial runs
+    _, tree = corpus_tree
+    (tmp_path / "file").write_text("not a directory\n")
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setattr(cli, "load_directory_corpus", lambda *args: pytest.fail("the corpus was read"))
+    monkeypatch.setattr(cli, "run_sweep", lambda *args: pytest.fail("a trial ran"))
+    assert main(["sweep", "--corpus", str(tree), "--ratios", "1:1", "--trials", "1", "--out", out]) == 2
+    assert capsys.readouterr().err == f"data error: --out {out}: file is not a directory\n"
+    assert sorted(os.listdir(tmp_path)) == ["corpus", "file"]
 
 
 @pytest.mark.parametrize("existing", [None, b"an earlier result\n"])
@@ -1188,6 +1231,28 @@ def test_every_sweep_config_key_has_a_sweep_flag(tmp_path, corpus_tree, monkeypa
     assert {key for key in default if default[key] == changed[key]} == set(UNFLAGGED_SWEEP_KEYS)
 
 
+def test_train_and_sweep_take_the_same_settings_from_the_same_flags(tmp_path, corpus_tree, monkeypatch):
+    _, tree = corpus_tree
+    configs = {}
+
+    def capture(command, config):
+        configs[command] = config
+        raise DataError("config captured")
+
+    monkeypatch.setattr(cli, "fit", lambda d_labeled, pool, config, seed: capture("train", config))
+    monkeypatch.setattr(cli, "run_sweep", lambda corpus, config: capture("sweep", config))
+    stopwords = tmp_path / "stop.txt"
+    stopwords.write_text("zz\n")
+    shared = ["--th", "7.5", "--distance", "cosine", "--smoothing", "0.5",
+              "--min-token-len", "3", "--stopwords", str(stopwords), "--pool-size", "5"]
+    assert main(["train", "--corpus", str(tree), "--labeled-frac", "0.3",
+                 "--model-out", str(tmp_path / "model.json"), *shared]) == 2
+    assert main(["sweep", "--corpus", str(tree), "--out", str(tmp_path / "sweep"), *shared]) == 2
+    default = harness.SweepConfig()
+    for name in ("smoothing", "recursive", "tokenizer", "unlabeled_pool_size"):
+        assert getattr(configs["train"], name) == getattr(configs["sweep"], name) != getattr(default, name)
+
+
 def test_help_exits_zero(capsys):
     assert main(["--help"]) == 0
     capsys.readouterr()
@@ -1507,6 +1572,15 @@ def test_classify_refuses_its_bundle_as_out(tmp_path, tiny_tree, capsys):
     assert main(["classify", "--model", str(model), "--input", str(tree), "--out", str(model)]) == 1
     assert capsys.readouterr().err == f"error: --model and --out name one file: {model}\n"
     assert model.read_bytes() == bundle.read_bytes()
+
+
+def test_classify_names_its_out_when_its_directory_is_missing(tmp_path, tiny_tree, capsys, monkeypatch):
+    # the error is reported against --out, not against its hidden temporary file
+    tree, bundle, _ = tiny_tree
+    monkeypatch.chdir(tmp_path)
+    assert main(["classify", "--model", str(bundle), "--input", str(tree), "--out", "missing/p.tsv"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("data error: ") and "'missing/p.tsv'" in err and ".tmp" not in err
 
 
 def test_classify_memory_grows_by_the_file_listing_only(tmp_path, tiny_tree, monkeypatch):

@@ -91,7 +91,8 @@ PINNED_BUNDLE = "63f2a586f85e62112e10737f72c9c8fa"
 
 def pinned_bundle_bytes(tmp: Path) -> bytes:
     d_labeled, d_unlabeled = mask_labels(make_text_corpus(**CORPUS), 0.2, 7)
-    weights, model, _ = fit(d_labeled, d_unlabeled, 1.0, RecursiveConfig(max_recursion_depth=3), 7)
+    config = SweepConfig(recursive=RecursiveConfig(max_recursion_depth=3))
+    weights, model, _ = fit(d_labeled, d_unlabeled, config, 7)
     assert model.stats.fallback_counts == {"fallback_size": 9, "fallback_depth": 4}
     assert model.stats.orphan_count == 3
     save_bundle(tmp / "model.json", model, weights, TokenizerConfig())

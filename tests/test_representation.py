@@ -12,14 +12,13 @@ from textrkm.bundle import weights_from_dict, weights_to_dict
 from textrkm.cli import load_bundle, save_bundle
 from textrkm.corpus import Corpus, Document, DocumentReader, TokenizerConfig
 from textrkm.errors import DataError
-from textrkm.harness import fit
+from textrkm.harness import SweepConfig, fit
 from textrkm.representation import (
     TermClassWeights,
     embed_corpus,
     fit_term_weights,
     term_class_counts,
 )
-from textrkm.rkmeans import RecursiveConfig
 
 from reference import embed_tokens
 from synthdata import make_text_corpus
@@ -164,8 +163,7 @@ def test_fit_requires_labels_and_nonempty_vocab():
 def test_save_load_weights_bit_exact(tmp_path):
     # the weight table's file route is the model bundle
     corpus = make_text_corpus(n_classes=4, docs_per_class=7, doc_len=18, seed=8)
-    w, model, _ = fit(corpus, corpus.subset([]), smoothing=0.7,
-                      recursive=RecursiveConfig(), seed=0)
+    w, model, _ = fit(corpus, corpus.subset([]), SweepConfig(smoothing=0.7), seed=0)
     path = tmp_path / "bundle.json"
     save_bundle(path, model, w, TokenizerConfig())
     _, loaded, _ = load_bundle(path)
