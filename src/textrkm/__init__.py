@@ -5,7 +5,7 @@ documents are embedded into one dimension per class, the mixed collection is
 partitioned by k-means recursively until each partition's labeled members
 agree, and unseen documents are classified by nearest cluster centroid.
 """
-from .classifier import Prediction, classify_batch
+from .classifier import Prediction, Predictions, classify_batch
 from .corpus import (
     Corpus,
     Document,
@@ -51,6 +51,7 @@ __all__ = [
     "InvariantError",
     "KMeansConfig",
     "Prediction",
+    "Predictions",
     "RecursiveConfig",
     "SweepConfig",
     "SweepTable",

@@ -1,8 +1,9 @@
 """The model bundle, the one JSON file ``train`` writes and ``classify``
-reads: its writer, ``save_bundle`` (version 4), and the readers of each
-version, 1 to 4, in ``_READERS``. Floats round-trip exactly through ``repr``."""
+reads: its writer, ``save_bundle`` (version 5), and the readers of each
+version, 1 to 5, in ``_READERS``. Floats round-trip exactly through ``repr``."""
 from __future__ import annotations
 
+import base64
 import json
 from dataclasses import asdict
 from itertools import chain
@@ -17,16 +18,16 @@ from .representation import TermClassWeights, check_smoothing, weights_from_coun
 from .rkmeans import ClusterModel, RunStats, _run_stats, pool_labels
 
 _BUNDLE_FORMAT = "textrkm-bundle"
-_BUNDLE_VERSION = 4
+_BUNDLE_VERSION = 5
 
-# each cluster's fields, in the order a version-4 bundle writes them, and their JSON types
+# each cluster's fields, in the order a version-4 or -5 bundle writes them, and their JSON types
 _CLUSTER_FIELDS = dict(label=int, centroid=list[float], acceptance=str, depth=int)
 _RUN_STATS_TYPES = get_type_hints(RunStats)
 
 
 def model_to_dict(model: ClusterModel) -> dict:
-    """The ``model`` object of a version-4 bundle: what classification reads,
-    and no training partition."""
+    """The ``model`` object of a version-4 or -5 bundle: what classification
+    reads, and no training partition."""
     return {
         "class_names": list(model.class_names),
         "distance": model.distance,
@@ -139,23 +140,54 @@ def model_from_v1_dict(payload: dict) -> ClusterModel:
 
 
 def weights_to_dict(w: TermClassWeights) -> dict:
-    """The ``weights`` object of a version-3 or -4 bundle: for each class, the
-    increasing ids of the terms it counts and their integer counts."""
+    """The ``weights`` object of a version-5 bundle: for each class, the
+    increasing ids of the terms it counts and their integer counts, each
+    packed as base64 of little-endian uint32. A count of 2**32 or more
+    raises DataError."""
     if w.counts is None:
         raise DataError("a weight table read from a version-1 or -2 bundle has no counts")
+    if w.counts.max(initial=0) >= 2**32:
+        raise DataError(f"a term count of {w.counts.max():.0f} is past a bundle's 2**32 - 1")
     return {
         "class_names": list(w.class_names),
         "smoothing": w.smoothing,
         "terms": sorted(w.vocabulary, key=w.vocabulary.get),
         "counts": [
-            {"term_ids": ids.tolist(), "counts": w.counts[ids, c].astype(np.int64).tolist()}
+            {"term_ids": _packed(ids), "counts": _packed(w.counts[ids, c])}
             for c, ids in enumerate(map(np.flatnonzero, w.counts.T))
         ],
     }
 
 
+def _packed(values: np.ndarray) -> str:
+    return base64.b64encode(values.astype("<u4").tobytes()).decode("ascii")
+
+
+def _unpacked(text: str) -> np.ndarray:
+    """Inverse of ``_packed``; DataError unless ``text`` is what it writes."""
+    try:  # bad padding or a non-ASCII character raise; the encoding check refuses the rest
+        raw = base64.b64decode(text)
+        if len(raw) % 4 == 0 and base64.b64encode(raw).decode("ascii") == text:
+            return np.frombuffer(raw, "<u4").astype(np.int64)
+    except ValueError:
+        pass
+    raise DataError("packed term ids and counts must be base64 of whole little-endian uint32s")
+
+
 def weights_from_dict(d: dict) -> TermClassWeights:
-    """Inverse of ``weights_to_dict``: rebuild the counts, derive the table.
+    """The ``weights`` object of a version-3 or -4 bundle, which lists each
+    class's term ids and counts as JSON integers."""
+    return _weights_from_class_counts(d, list[int], lambda values: np.array(values, dtype=np.int64))
+
+
+def weights_from_packed_dict(d: dict) -> TermClassWeights:
+    """Inverse of ``weights_to_dict``: the ``weights`` object of a version-5 bundle."""
+    return _weights_from_class_counts(d, str, _unpacked)
+
+
+def _weights_from_class_counts(d: dict, kind, decode) -> TermClassWeights:
+    """Rebuild the counts from each class's term ids and counts, JSON values
+    of ``kind`` that ``decode`` turns into int64 arrays; derive the table.
 
     Counts must be integers in ``[1, 2**53)``, which float64 holds exactly.
     A malformed payload raises ``DataError``, or ``OverflowError`` for an
@@ -165,13 +197,13 @@ def weights_from_dict(d: dict) -> TermClassWeights:
     class_names = tuple(json_field(d, "class_names", list[str]))
     smoothing = check_smoothing(json_field(d, "smoothing", float))
     entries = json_field(d, "counts", list[dict])
-    ids, n = json_fields(entries, "term_ids", list[int]), json_fields(entries, "counts", list[int])
+    ids, n = ([decode(value) for value in json_fields(entries, key, kind)] for key in ("term_ids", "counts"))
     lengths = list(map(len, ids))
     if len(entries) != len(class_names) or lengths != list(map(len, n)):
         raise DataError("one counts entry per class expected, with one count per term id")
     columns = np.repeat(np.arange(len(class_names)), lengths)
-    ids = np.fromiter(chain.from_iterable(ids), np.int64, len(columns))
-    n = np.fromiter(chain.from_iterable(n), np.int64, len(columns))
+    # the empty array joins a list of no classes too
+    ids, n = (np.concatenate([np.empty(0, np.int64), *arrays]) for arrays in (ids, n))
     # within a class, ids increase exactly where these keys do
     keys = columns * len(terms) + ids
     if not (
@@ -202,9 +234,11 @@ def weights_from_v2_dict(d: dict) -> TermClassWeights:
 
 
 # the (model reader, weights reader) of each version: versions 1-3 also store the training
-# partition, which is checked and dropped, and versions 1 and 2 the weight table, not its counts
+# partition, which is checked and dropped, versions 1 and 2 the weight table, not its counts,
+# and versions 3 and 4 the counts as JSON integers
 _READERS = {1: (model_from_v1_dict, weights_from_v2_dict), 2: (model_from_v3_dict, weights_from_v2_dict),
-            3: (model_from_v3_dict, weights_from_dict), 4: (model_from_dict, weights_from_dict)}
+            3: (model_from_v3_dict, weights_from_dict), 4: (model_from_dict, weights_from_dict),
+            5: (model_from_dict, weights_from_packed_dict)}
 
 
 def save_bundle(path: str | Path, model: ClusterModel, weights: TermClassWeights,
@@ -224,7 +258,7 @@ def save_bundle(path: str | Path, model: ClusterModel, weights: TermClassWeights
 
 
 def load_bundle(path: str | Path) -> tuple[ClusterModel, TermClassWeights, TokenizerConfig]:
-    """Read a version-4 bundle, or a version-1 to -3 one; anything else raises DataError."""
+    """Read a version-5 bundle, or a version-1 to -4 one; anything else raises DataError."""
     try:
         payload = json.loads(Path(path).read_text(encoding="utf-8"))
     except (OSError, UnicodeDecodeError, ValueError, RecursionError) as exc:

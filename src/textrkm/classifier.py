@@ -1,7 +1,8 @@
 """Nearest-centroid classification against a trained cluster model."""
 from __future__ import annotations
 
-from typing import NamedTuple, Sequence
+from dataclasses import dataclass
+from typing import Iterator, NamedTuple, Sequence
 
 import numpy as np
 
@@ -17,13 +18,32 @@ class Prediction(NamedTuple):
     distance: float   # distance to the winning centroid under the model metric
 
 
+@dataclass(frozen=True, eq=False)
+class Predictions:
+    """The predictions of one batch as columns, row i for ``doc_ids[i]``.
+    Each pass of an iteration gives one ``Prediction`` of Python scalars per
+    row, in order."""
+
+    doc_ids: Sequence[str]
+    labels: np.ndarray     # int64
+    clusters: np.ndarray   # int64
+    distances: np.ndarray  # float64
+
+    def __len__(self) -> int:
+        return len(self.labels)
+
+    def __iter__(self) -> Iterator[Prediction]:
+        return map(Prediction, self.doc_ids, self.labels.tolist(), self.clusters.tolist(),
+                   self.distances.tolist())
+
+
 def classify_batch(
     vectors: np.ndarray,
     model: ClusterModel,
     doc_ids: Sequence[str],
-) -> list[Prediction]:
+) -> Predictions:
     """Label each vector, the document ``doc_ids`` names at its row, by its
-    nearest cluster centroid.
+    nearest cluster centroid; ``doc_ids`` is kept, not copied.
 
     Distances use the metric the model was trained with; ties go to the
     lowest cluster index. Order-preserving, and under either metric each row
@@ -31,16 +51,14 @@ def classify_batch(
     finite raises DataError.
     """
     x = kernels.as_points(vectors)
-    if x.shape[0] == 0:
-        return []
+    if len(doc_ids) != x.shape[0]:
+        raise DataError("doc_ids and vectors length mismatch")
     if model.n_clusters == 0:
         raise DataError("model has no clusters")
     if x.shape[1] != model.dimension:
         raise DataError(
             f"vector dimension {x.shape[1]} != model dimension {model.dimension}"
         )
-    if len(doc_ids) != x.shape[0]:
-        raise DataError("doc_ids and vectors length mismatch")
     bad = np.flatnonzero(~np.isfinite(x).all(axis=1))
     if bad.size:
         raise DataError(f"document {doc_ids[bad[0]]!r} has a non-finite vector")
@@ -49,4 +67,4 @@ def classify_batch(
     dist = kernels.assigned_distances(x, model.centroids, assign, model.distance, units=units)
     if model.distance == "euclidean":
         dist = np.sqrt(dist)
-    return list(map(Prediction, doc_ids, model.labels[assign].tolist(), assign.tolist(), dist.tolist()))
+    return Predictions(doc_ids, model.labels[assign], assign, dist)

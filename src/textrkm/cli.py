@@ -54,7 +54,7 @@ def _corpus_dirs(corpus: str) -> list[str]:
     return [os.path.realpath(p) for p in (corpus, *classes)]
 
 
-def _refuse_output(flag: str, path: str | None, corpus: str) -> None:
+def _refuse_output(flag: str, path: str | None, corpus: str | None = None) -> None:
     """A data error when the directory of ``path`` does not exist; a usage
     error when it is a class directory of ``corpus``, whose next load would
     read the file as a document."""
@@ -63,7 +63,7 @@ def _refuse_output(flag: str, path: str | None, corpus: str) -> None:
     parent = Path(path).parent
     if not parent.is_dir():
         raise DataError(f"{flag} {path}: {parent} is not an existing directory")
-    if os.path.realpath(parent) in _corpus_dirs(corpus)[1:]:
+    if corpus is not None and os.path.realpath(parent) in _corpus_dirs(corpus)[1:]:
         raise _UsageError(f"{flag} {path} is inside a class directory of --corpus {corpus}")
 
 
@@ -117,10 +117,10 @@ def _input_files(path: Path, out: Path) -> tuple[Path, Iterator[tuple[str, str |
     a regular file has the path None. Every directory is listed here, so no
     file made later, such as the output's temporary file, is an input; nor
     is the entry at ``out``, which the output replaces."""
-    out_dir = os.stat(out.parent) if out.parent.is_dir() else None  # else the write fails
+    out_dir = os.stat(out.parent)
 
     def holds_out(directory) -> bool:  # one stat per directory, none per file
-        return out_dir is not None and os.path.samestat(os.stat(directory), out_dir)
+        return os.path.samestat(os.stat(directory), out_dir)
 
     def scan(directory):
         listing = scan_directory(directory)
@@ -148,6 +148,7 @@ def cmd_classify(args) -> int:
     """Read, embed, classify and write the input one reader batch at a time,
     each word read straight into its row of the model's weights."""
     _refuse_one_file("--model", args.model, "--out", args.out)
+    _refuse_output("--out", args.out)
     model, weights, tokenizer = load_bundle(args.model)
     path, out = Path(args.input), Path(args.out)
     base, files = _input_files(path, out)
@@ -162,7 +163,8 @@ def cmd_classify(args) -> int:
                 continue
             x, doc_ids = embed_corpus(reader.pop(), weights)
             preds = classify_batch(x, model, doc_ids)
-            f.write("".join(f"{p.doc_id}\t{names[p.label]}\t{p.distance!r}\n" for p in preds))
+            rows = zip(doc_ids, map(names.__getitem__, preds.labels.tolist()), preds.distances.tolist())
+            f.write("".join(f"{d}\t{c}\t{r!r}\n" for d, c, r in rows))
             n_preds += len(preds)
         if not n_files:
             raise DataError(f"no input documents under {path}")

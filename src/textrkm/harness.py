@@ -10,6 +10,7 @@ trial writes a split manifest so it can be replayed bit-for-bit.
 from __future__ import annotations
 
 import dataclasses
+import functools
 import json
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -126,10 +127,13 @@ def _flat_fields(config) -> dict:
     return out
 
 
+_field_types = functools.cache(get_type_hints)  # each dataclass's field types, derived once
+
+
 def _flat_kwargs(cls, d: Mapping) -> dict:
     """The arguments of ``cls`` from the keys ``_flat_fields`` writes, typed by ``json_field``."""
     kwargs = {}
-    for name, kind in get_type_hints(cls).items():
+    for name, kind in _field_types(cls).items():
         if kind is TokenizerConfig:
             kwargs[name] = TokenizerConfig.from_dict(json_field(d, name, dict))
         elif dataclasses.is_dataclass(kind):
@@ -192,7 +196,7 @@ def _run_pipeline(
     weights, model, _ = fit(d_labeled, pool, config, trial_seed)
     test_x, test_ids = embed_corpus(test, weights)
     preds = classify_batch(test_x, model, test_ids)
-    report = score(confusion(test.labels, [p.label for p in preds], test.n_classes))
+    report = score(confusion(test.labels, preds.labels, test.n_classes))
     flat = report.to_flat()
     return TrialResult(
         ratio=ratio,

@@ -64,7 +64,8 @@ def embed_tokens(tokens, w: TermClassWeights) -> np.ndarray:
 
 def classify(vector, model, doc_id: str = "") -> Prediction:
     """Reference: ``classify_batch`` of one vector."""
-    return classify_batch(np.asarray(vector, dtype=np.float64).reshape(1, -1), model, [doc_id])[0]
+    (prediction,) = classify_batch(np.asarray(vector, dtype=np.float64).reshape(1, -1), model, [doc_id])
+    return prediction
 
 
 def cmd_classify(args) -> int:

@@ -415,7 +415,7 @@ def test_criterion_6_determinism_and_replay(tmp_path, monkeypatch):
     before = classify_batch(test_x, model, test.doc_ids)
     after = classify_batch(test_x, loaded, test.doc_ids)
     model_exact = (
-        before == after
+        list(before) == list(after)
         and np.array_equal(loaded.centroids, model.centroids)
         and np.array_equal(loaded.labels, model.labels)
         and loaded.acceptance == model.acceptance

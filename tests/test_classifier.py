@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from textrkm import kernels
-from textrkm.classifier import classify_batch
+from textrkm.classifier import Prediction, classify_batch
 from textrkm.errors import DataError
 from textrkm.rkmeans import ClusterModel, RunStats
 
@@ -68,7 +68,7 @@ def test_batch_equals_map_and_preserves_order():
     vecs = rng.normal(size=(10, 3))
     batch = classify_batch(vecs, model, [f"d{i}" for i in range(10)])
     singles = [classify(v, model, f"d{i}") for i, v in enumerate(vecs)]
-    assert batch == singles
+    assert list(batch) == singles
     assert [p.doc_id for p in batch] == [f"d{i}" for i in range(10)]
 
 
@@ -77,8 +77,8 @@ def test_batch_fields_are_python_scalars(distance):
     # numpy scalars would print as np.float64(...) in a classify TSV
     rng = np.random.default_rng(3)
     model = toy_model(rng.random((3, 2)), [0, 1, 0], distance)
-    preds = classify_batch(rng.random((4, 2)), model, [f"d{i}" for i in range(4)])
-    preds += classify_batch(rng.random((2, 2)), model, ["e0", "e1"])
+    preds = [*classify_batch(rng.random((4, 2)), model, [f"d{i}" for i in range(4)]),
+             *classify_batch(rng.random((2, 2)), model, ["e0", "e1"])]
     for p in preds:
         assert [type(v) for v in p] == [str, int, int, float]
         assert p._fields == ("doc_id", "label", "cluster", "distance")
@@ -98,16 +98,49 @@ def test_cosine_batch_scales_its_rows_to_unit_length_once(monkeypatch):
 
     unit_rows = kernels.unit_rows
     monkeypatch.setattr(kernels, "unit_rows", counting)
-    assert classify_batch(x, model, list("abcd")) == expected
+    assert list(classify_batch(x, model, list("abcd"))) == list(expected)
     assert scaled.count(True) == 1
 
 
 def test_batch_empty_and_duplicates():
     model = toy_model([[0.0], [1.0]], [0, 1])
-    assert classify_batch(np.zeros((0, 1)), model, []) == []
-    dup = classify_batch(np.array([[0.2], [0.2]]), model, ["a", "b"])
+    assert list(classify_batch(np.zeros((0, 1)), model, [])) == []
+    dup = list(classify_batch(np.array([[0.2], [0.2]]), model, ["a", "b"]))
     assert (dup[0].cluster, dup[0].distance) == (dup[1].cluster, dup[1].distance)
     assert dup[0].label == dup[1].label
+
+
+@pytest.mark.parametrize("distance", ["euclidean", "cosine"])
+def test_predictions_are_columns_whose_rows_are_the_records(distance):
+    rng = np.random.default_rng(4)
+    model = toy_model(rng.random((5, 3)), [0, 1, 2, 0, 1], distance)
+    doc_ids = [f"d{i}" for i in range(7)]
+    preds = classify_batch(rng.random((7, 3)), model, doc_ids)
+    assert preds.doc_ids is doc_ids  # kept, not copied
+    assert len(preds) == 7
+    assert [(c.dtype, c.shape) for c in (preds.labels, preds.clusters, preds.distances)] == [
+        (np.dtype(np.int64), (7,)), (np.dtype(np.int64), (7,)), (np.dtype(np.float64), (7,))
+    ]
+    records = list(preds)
+    assert list(preds) == records  # every pass gives the same records, in row order
+    assert all(type(p) is Prediction for p in records)
+    assert [p.doc_id for p in records] == doc_ids
+    assert np.array_equal([p.label for p in records], preds.labels)
+    assert np.array_equal([p.cluster for p in records], preds.clusters)
+    assert np.array_equal([p.distance for p in records], preds.distances)
+    assert np.array_equal(preds.labels, model.labels[preds.clusters])
+
+
+@pytest.mark.parametrize("distance", ["euclidean", "cosine"])
+def test_an_empty_batch_is_empty_columns(distance):
+    model = toy_model([[0.0], [1.0]], [0, 1], distance)
+    preds = classify_batch(np.zeros((0, 1)), model, [])
+    assert len(preds) == 0 and list(preds) == [] and list(preds) == []
+    assert [(c.dtype, c.shape) for c in (preds.labels, preds.clusters, preds.distances)] == [
+        (np.dtype(np.int64), (0,)), (np.dtype(np.int64), (0,)), (np.dtype(np.float64), (0,))
+    ]
+    with pytest.raises(DataError, match="length mismatch"):
+        classify_batch(np.zeros((0, 1)), model, ["a"])
 
 
 def test_rescaling_invariance_euclidean():

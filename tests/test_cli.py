@@ -1,3 +1,4 @@
+import base64
 import errno
 import json
 import os
@@ -24,6 +25,7 @@ from textrkm.corpus import (
     TokenizerConfig, load_directory_corpus, mask_labels, read_split_manifest, scan_directory,
 )
 from textrkm.errors import DataError, InvariantError
+from textrkm.representation import weights_from_counts
 from textrkm.rkmeans import pool_labels
 
 from synthdata import make_text_corpus, mutate_lines, write_corpus_tree
@@ -487,6 +489,24 @@ V2_BUNDLE = Path(__file__).parent / "data" / "bundle_v2.json"
 # written by the version-3 writer, the last to store the training partition
 V3_BUNDLE = Path(__file__).parent / "data" / "bundle_v3.json"
 V3_COSINE_BUNDLE = Path(__file__).parent / "data" / "bundle_v3_cosine.json"
+# written by the version-4 writer, the last to store counts as JSON integers
+V4_BUNDLE = Path(__file__).parent / "data" / "bundle_v4.json"
+V4_COSINE_BUNDLE = Path(__file__).parent / "data" / "bundle_v4_cosine.json"
+
+
+def _unpacked(text: str) -> list[int]:
+    """The integers a version-5 bundle packs into ``text``: base64 of little-endian uint32s."""
+    return np.frombuffer(base64.b64decode(text), "<u4").tolist()
+
+
+def _packed(values) -> str:
+    return base64.b64encode(np.array(values, dtype="<u4").tobytes()).decode("ascii")
+
+
+def _as_version_four(b):
+    """Bundle ``b`` with each class's term ids and counts as JSON integers, as version 4 stores them."""
+    counts = [{key: _unpacked(text) for key, text in entry.items()} for entry in b["weights"]["counts"]]
+    return {**b, "version": 4, "weights": {**b["weights"], "counts": counts}}
 
 
 def _as_version_two(b, **weights):
@@ -502,9 +522,32 @@ def _v3(edit):
 
 
 def _edit_first_class(b, key, edit):
+    # the integers of a version-4 bundle
+    b = _as_version_four(b) if b["version"] == 5 else b
     entries = b["weights"]["counts"]
     first = {**entries[0], key: edit(entries[0][key])}
     return {**b, "weights": {**b["weights"], "counts": [first] + entries[1:]}}
+
+
+def _edit_first_packed(b, key, edit):
+    # the packed text of a version-5 bundle
+    entries = b["weights"]["counts"]
+    first = {**entries[0], key: edit(entries[0][key])}
+    return {**b, "weights": {**b["weights"], "counts": [first] + entries[1:]}}
+
+
+def _first_class_with_one_term(b):
+    """Bundle ``b`` with the first class counting its first term only."""
+    b = _edit_first_packed(b, "term_ids", lambda t: _packed(_unpacked(t)[:1]))
+    return _edit_first_packed(b, "counts", lambda n: _packed(_unpacked(n)[:1]))
+
+
+def _with_padding_bit(text: str) -> str:
+    """One packed uint32 encoded with a nonzero unused bit: six characters
+    and two of padding, the sixth holding two data bits and four unused ones."""
+    alphabet = "ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz0123456789+/"
+    assert len(text) == 8 and text.endswith("==")
+    return text[:5] + alphabet[alphabet.index(text[5]) | 1] + text[6:]
 
 
 BROKEN_BUNDLES = {
@@ -533,6 +576,26 @@ BROKEN_BUNDLES = {
     "term id negative": lambda b: _edit_first_class(b, "term_ids", lambda t: [-1] + t[1:]),
     "term ids duplicated": lambda b: _edit_first_class(b, "term_ids", lambda t: t[:1] + t[:-1]),
     "term ids unsorted": lambda b: _edit_first_class(b, "term_ids", lambda t: t[::-1]),
+    "packed term ids not base64": lambda b: _edit_first_packed(b, "term_ids", lambda t: "!" + t[1:]),
+    "packed counts not base64": lambda b: _edit_first_packed(b, "counts", lambda n: n[:-4] + "A=A="),
+    "packed term ids with a space": lambda b: _edit_first_packed(b, "term_ids", lambda t: t[:4] + " " + t[4:]),
+    "packed term ids with a padding bit set": lambda b: _edit_first_packed(
+        _first_class_with_one_term(b), "term_ids", _with_padding_bit
+    ),
+    "packed term ids not whole uint32s": lambda b: _edit_first_packed(
+        b, "term_ids", lambda t: base64.b64encode(base64.b64decode(t)[:-1]).decode()
+    ),
+    "packed counts a number": lambda b: _edit_first_packed(b, "counts", lambda n: 1),
+    "packed counts shorter than term ids": lambda b: _edit_first_packed(
+        b, "counts", lambda n: _packed(_unpacked(n)[:-1])
+    ),
+    "packed term ids not increasing": lambda b: _edit_first_packed(
+        b, "term_ids", lambda t: _packed(_unpacked(t)[:1] + _unpacked(t)[:-1])
+    ),
+    "packed term id past the terms": lambda b: _edit_first_packed(
+        b, "term_ids", lambda t: _packed(_unpacked(t)[:-1] + [len(b["weights"]["terms"])])
+    ),
+    "packed count zero": lambda b: _edit_first_packed(b, "counts", lambda n: _packed([0] + _unpacked(n)[1:])),
     "a class without counts": lambda b: _edit_first_class(
         _edit_first_class(b, "term_ids", lambda t: []), "counts", lambda n: []
     ),
@@ -643,6 +706,47 @@ def test_classify_malformed_bundle_exits_two(tmp_path, capsys, trained_bundle, c
     assert "Traceback" not in err
 
 
+def test_a_packed_case_breaks_nothing_but_its_packing(tmp_path, trained_bundle):
+    # the bundle a padding bit is set in loads, and the bit changes no decoded byte
+    bundle, _ = trained_bundle
+    one = _first_class_with_one_term(bundle)
+    path = tmp_path / "one.json"
+    path.write_text(json.dumps(one))
+    assert load_bundle(path)[1].counts[:, 0].nonzero()[0].size == 1
+    text = one["weights"]["counts"][0]["term_ids"]
+    assert _with_padding_bit(text) != text
+    assert base64.b64decode(_with_padding_bit(text)) == base64.b64decode(text)
+
+
+@pytest.mark.parametrize("count", [2**32 - 1, 2**32])
+def test_a_bundle_holds_counts_below_two_to_the_32(tmp_path, corpus_tree, capsys, monkeypatch, count):
+    # version 5 packs counts as uint32: save_bundle refuses a larger one, so train exits 2
+    _, tree = corpus_tree
+
+    def with_count(weights):
+        counts = weights.counts.copy()
+        counts[0, 0] = count
+        return weights_from_counts(weights.vocabulary, counts, weights.smoothing, weights.class_names)
+
+    def fit_with_count(*args):
+        weights, model, training = fit(*args)
+        return with_count(weights), model, training
+
+    fit = cli.fit
+    monkeypatch.setattr(cli, "fit", fit_with_count)
+    out = tmp_path / "model.json"
+    rc = main(["train", "--corpus", str(tree), "--labeled-frac", "0.3", "--model-out", str(out)])
+    if count < 2**32:
+        assert rc == 0 and load_bundle(out)[1].counts[0, 0] == count
+        return
+    assert rc == 2
+    assert capsys.readouterr().err == f"data error: a term count of {count} is past a bundle's 2**32 - 1\n"
+    assert not out.exists()
+    model, weights, tokenizer = load_bundle(V4_BUNDLE)
+    with pytest.raises(DataError, match="past a bundle's 2"):
+        save_bundle(out, model, with_count(weights), tokenizer)
+
+
 @pytest.mark.parametrize("text", [
     "[" * 100_000 + "]" * 100_000,
     '{"format": "textrkm-bundle", "version": ' + "9" * 5000 + "}",
@@ -693,12 +797,12 @@ def fixture_corpus():
 def test_version_one_bundle_loads_to_the_model_train_writes_today(tmp_path, capsys):
     tree = tmp_path / "corpus"
     write_corpus_tree(fixture_corpus(), tree)
-    v4, pool = tmp_path / "model.json", tmp_path / "pool.tsv"
-    assert main(["train", "--corpus", str(tree), "--labeled-frac", "0.4", "--model-out", str(v4),
+    v5, pool = tmp_path / "model.json", tmp_path / "pool.tsv"
+    assert main(["train", "--corpus", str(tree), "--labeled-frac", "0.4", "--model-out", str(v5),
                  "--pool-labels-out", str(pool)]) == 0
-    assert json.loads(v4.read_text())["version"] == 4
-    new, new_w, _ = load_bundle(v4)
-    for bundle in (V1_BUNDLE, V2_BUNDLE, V3_BUNDLE):
+    assert json.loads(v5.read_text())["version"] == 5
+    new, new_w, _ = load_bundle(v5)
+    for bundle in (V1_BUNDLE, V2_BUNDLE, V3_BUNDLE, V4_BUNDLE):
         old, old_w, old_tokenizer = load_bundle(bundle)
         assert old.cluster_of is None  # the stored partition is checked, then dropped
         assert np.array_equal(old.centroids, new.centroids)
@@ -712,9 +816,9 @@ def test_version_one_bundle_loads_to_the_model_train_writes_today(tmp_path, caps
         assert np.array_equal(old_w.weights.view(np.int64), new_w.weights.view(np.int64))
         assert np.array_equal(old_w.oov_weight.view(np.int64), new_w.oov_weight.view(np.int64))
         rewritten = tmp_path / "rewritten.json"
-        if bundle == V3_BUNDLE:  # the counts are kept: it re-saves to what train writes
+        if bundle in (V3_BUNDLE, V4_BUNDLE):  # the counts are kept: it re-saves to what train writes
             save_bundle(rewritten, old, old_w, old_tokenizer)
-            assert rewritten.read_bytes() == v4.read_bytes()
+            assert rewritten.read_bytes() == v5.read_bytes()
         else:
             with pytest.raises(DataError, match="no counts"):  # versions 1 and 2 stored none
                 save_bundle(rewritten, old, old_w, old_tokenizer)
@@ -729,26 +833,35 @@ def test_version_one_bundle_loads_to_the_model_train_writes_today(tmp_path, caps
         (doc_id, names[c]) for doc_id, c in pool_labels(new.labels, cluster_of, doc_ids, labeled).items()
     ]
     outputs = []
-    for bundle in (V1_BUNDLE, V2_BUNDLE, V3_BUNDLE, v4):
+    for bundle in (V1_BUNDLE, V2_BUNDLE, V3_BUNDLE, V4_BUNDLE, v5):
         out = tmp_path / f"{bundle.stem}.tsv"
         assert main(["classify", "--model", str(bundle), "--input", str(tree), "--out", str(out)]) == 0
         outputs.append(out.read_bytes())
-    assert outputs[0] == outputs[1] == outputs[2] == outputs[3]
+    assert outputs[0] == outputs[1] == outputs[2] == outputs[3] == outputs[4]
     capsys.readouterr()
 
 
-@pytest.mark.parametrize("bundle", [V3_BUNDLE, V3_COSINE_BUNDLE], ids=["euclidean", "cosine"])
-def test_a_version_three_bundle_and_its_version_four_re_save_classify_alike(tmp_path, capsys, bundle):
+@pytest.mark.parametrize("bundle", [V3_BUNDLE, V3_COSINE_BUNDLE, V4_BUNDLE, V4_COSINE_BUNDLE],
+                         ids=["v3-euclidean", "v3-cosine", "v4-euclidean", "v4-cosine"])
+def test_an_older_bundle_and_its_version_five_re_save_classify_alike(tmp_path, capsys, bundle):
+    # and the re-save is the bundle train writes today from the same corpus
     tree = tmp_path / "corpus"
     write_corpus_tree(fixture_corpus(), tree)
-    v4 = tmp_path / "v4.json"
-    save_bundle(v4, *load_bundle(bundle))
-    saved = json.loads(v4.read_text())
-    assert saved["version"] == 4
+    v5, trained = tmp_path / "v5.json", tmp_path / "trained.json"
+    model, weights, tokenizer = load_bundle(bundle)
+    save_bundle(v5, model, weights, tokenizer)
+    saved = json.loads(v5.read_text())
+    assert saved["version"] == 5
     assert saved["model"].keys() == {"class_names", "distance", "clusters", "stats"}
     assert {key for c in saved["model"]["clusters"] for key in c} == {"label", "centroid", "acceptance", "depth"}
+    assert all(type(text) is str for entry in saved["weights"]["counts"] for text in entry.values())
+    # unpacked, the counts are the JSON integers versions 3 and 4 store
+    assert _as_version_four(saved)["weights"] == json.loads(bundle.read_text())["weights"]
+    assert main(["train", "--corpus", str(tree), "--labeled-frac", "0.4", "--distance", model.distance,
+                 "--model-out", str(trained)]) == 0
+    assert v5.read_bytes() == trained.read_bytes()
     outputs = []
-    for path in (bundle, v4):
+    for path in (bundle, v5):
         out = tmp_path / f"{path.stem}.tsv"
         assert main(["classify", "--model", str(path), "--input", str(tree), "--out", str(out)]) == 0
         outputs.append(out.read_bytes())
@@ -1418,8 +1531,9 @@ def classify_bundles(tmp_path_factory):
         weights = payload["weights"]
         n_terms = len(weights["terms"])
         weights["terms"] += EXTRA_TERMS
-        weights["counts"][0]["term_ids"] += range(n_terms, n_terms + len(EXTRA_TERMS))
-        weights["counts"][0]["counts"] += [3] * len(EXTRA_TERMS)
+        first = weights["counts"][0]
+        first["term_ids"] = _packed(_unpacked(first["term_ids"]) + list(range(n_terms, n_terms + len(EXTRA_TERMS))))
+        first["counts"] = _packed(_unpacked(first["counts"]) + [3] * len(EXTRA_TERMS))
         for min_len, stopwords in [(2, []), (1, ["ab", "the"]), (3, ["common1"])]:
             payload["tokenizer"].update(min_token_len=min_len, stopwords=stopwords)
             path = tmp / f"{distance}-{min_len}.json"
@@ -1575,12 +1689,13 @@ def test_classify_refuses_its_bundle_as_out(tmp_path, tiny_tree, capsys):
 
 
 def test_classify_names_its_out_when_its_directory_is_missing(tmp_path, tiny_tree, capsys, monkeypatch):
-    # the error is reported against --out, not against its hidden temporary file
+    # the error is reported against --out, not against its hidden temporary
+    # file, and before the bundle is read
     tree, bundle, _ = tiny_tree
     monkeypatch.chdir(tmp_path)
+    monkeypatch.setattr(cli, "load_bundle", lambda *args: pytest.fail("the bundle was read"))
     assert main(["classify", "--model", str(bundle), "--input", str(tree), "--out", "missing/p.tsv"]) == 2
-    err = capsys.readouterr().err
-    assert err.startswith("data error: ") and "'missing/p.tsv'" in err and ".tmp" not in err
+    assert capsys.readouterr().err == "data error: --out missing/p.tsv: missing is not an existing directory\n"
 
 
 def test_classify_memory_grows_by_the_file_listing_only(tmp_path, tiny_tree, monkeypatch):

@@ -12,14 +12,17 @@ To rewrite the files after a deliberate change of outputs, run
 the pinned bundle's and the cosine sweep's digests, to be copied into
 ``PINNED_BUNDLE`` and ``COSINE_SWEEP``.
 """
+import base64
 import hashlib
 import json
 import sys
 from dataclasses import asdict, replace
 from pathlib import Path
 
+import numpy as np
+
 from textrkm import harness
-from textrkm.cli import save_bundle
+from textrkm.cli import load_bundle, save_bundle
 from textrkm.corpus import TokenizerConfig, mask_labels
 from textrkm.harness import SweepConfig, emit_results, fit, manifest_filename, ratio_str, run_sweep
 from textrkm.rkmeans import KMeansConfig, RecursiveConfig
@@ -81,12 +84,15 @@ def test_sweep_matches_golden_outputs(tmp_path, monkeypatch):
     assert digests == json.loads((GOLDEN / "digests.json").read_text(encoding="utf-8"))
 
 
-# blake2b of the version-4 bundle ``save_bundle`` writes for a model trained
+# blake2b of the version-5 bundle ``save_bundle`` writes for a model trained
 # on CORPUS at one part labeled in five, seed 7, depth limit 3: it recurses,
 # and accepts clusters as orphans and at both the size and the depth limit.
-# ``__main__`` prints it. The reader of the version-3 bundles before it is
-# tested against tests/data/bundle_v3.json.
-PINNED_BUNDLE = "63f2a586f85e62112e10737f72c9c8fa"
+# ``__main__`` prints it. The readers of the bundles before it are tested
+# against the files tests/data/bundle_v*.json.
+PINNED_BUNDLE = "a1057767166886e298629e727aa75a24"
+# blake2b of the version-4 bundle the version-4 writer wrote for that model:
+# the same JSON, with each class's term ids and counts as JSON integers
+PINNED_V4_BUNDLE = "63f2a586f85e62112e10737f72c9c8fa"
 
 
 def pinned_bundle_bytes(tmp: Path) -> bytes:
@@ -101,6 +107,21 @@ def pinned_bundle_bytes(tmp: Path) -> bytes:
 
 def test_bundle_matches_pinned_bytes(tmp_path):
     assert digest(pinned_bundle_bytes(tmp_path)) == PINNED_BUNDLE
+
+
+def test_the_pinned_version_four_bundle_re_saves_to_the_pinned_bundle(tmp_path):
+    v5 = pinned_bundle_bytes(tmp_path)
+    payload = json.loads(v5)
+    payload["version"] = 4
+    payload["weights"]["counts"] = [  # unpacked from base64 of little-endian uint32s
+        {key: np.frombuffer(base64.b64decode(text), "<u4").tolist() for key, text in entry.items()}
+        for entry in payload["weights"]["counts"]
+    ]
+    v4 = json.dumps(payload).encode()
+    assert digest(v4) == PINNED_V4_BUNDLE
+    (tmp_path / "v4.json").write_bytes(v4)
+    save_bundle(tmp_path / "re-saved.json", *load_bundle(tmp_path / "v4.json"))
+    assert (tmp_path / "re-saved.json").read_bytes() == v5
 
 
 # blake2b of the golden sweep run under cosine: its CSV files, the records of

@@ -475,6 +475,20 @@ def test_sweep_config_dict_is_derived_from_every_field():
     assert SweepConfig.from_dict(d) == SweepConfig()
 
 
+def test_sweep_config_derives_its_field_types_once_per_class(monkeypatch):
+    looked_up = []
+
+    def counting_get_type_hints(cls):
+        looked_up.append(cls)
+        return get_type_hints(cls)
+
+    get_type_hints = harness.get_type_hints
+    monkeypatch.setattr(harness, "get_type_hints", counting_get_type_hints)
+    configs = [SweepConfig(), SweepConfig.from_dict(SweepConfig(trials_per_ratio=3).to_dict())]
+    assert configs[1] == SweepConfig(trials_per_ratio=3)
+    assert len(looked_up) == len(set(looked_up)) <= 3  # SweepConfig, RecursiveConfig, KMeansConfig
+
+
 @pytest.mark.parametrize(
     "header, bad",
     [

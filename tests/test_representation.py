@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from textrkm import representation
-from textrkm.bundle import weights_from_dict, weights_to_dict
+from textrkm.bundle import weights_from_packed_dict, weights_to_dict
 from textrkm.cli import load_bundle, save_bundle
 from textrkm.corpus import Corpus, Document, DocumentReader, TokenizerConfig
 from textrkm.errors import DataError
@@ -181,7 +181,7 @@ def test_weights_dict_round_trip():
         w = fit_term_weights(corpus, smoothing=smoothing)
         stored = json.loads(json.dumps(weights_to_dict(w)))
         assert "weights" not in stored and "oov_weight" not in stored
-        back = weights_from_dict(stored)
+        back = weights_from_packed_dict(stored)
         assert back.vocabulary == w.vocabulary
         assert back.class_names == w.class_names
         assert back.smoothing == w.smoothing
