@@ -62,9 +62,12 @@ def classify_batch(
     bad = np.flatnonzero(~np.isfinite(x).all(axis=1))
     if bad.size:
         raise DataError(f"document {doc_ids[bad[0]]!r} has a non-finite vector")
-    units = kernels.unit_rows(x) if model.distance == "cosine" else None
-    assign = kernels.nearest_centroids(x, model.centroids, model.distance, units=units)
-    dist = kernels.assigned_distances(x, model.centroids, assign, model.distance, units=units)
+    units = unit_centroids = None
+    if model.distance == "cosine":  # both kernels read the rows and centroids at unit length
+        units, unit_centroids = kernels.unit_rows(x), kernels.unit_rows(model.centroids)
+    scaled = {"units": units, "unit_centroids": unit_centroids}
+    assign = kernels.nearest_centroids(x, model.centroids, model.distance, **scaled)
+    dist = kernels.assigned_distances(x, model.centroids, assign, model.distance, **scaled)
     if model.distance == "euclidean":
         dist = np.sqrt(dist)
     return Predictions(doc_ids, model.labels[assign], assign, dist)

@@ -63,12 +63,19 @@ class TokenizerConfig:
         return TokenizerConfig(json_field(d, "min_token_len", int), frozenset(stopwords))
 
 
+def id_dtype(n_ids: int) -> np.dtype:
+    """The smallest unsigned integer type that holds the ids 0 .. n_ids - 1."""
+    return np.min_scalar_type(max(n_ids - 1, 0))
+
+
 @dataclass(frozen=True, eq=False)
 class Encoding:
     """Every token of a corpus as an id into one sorted term table.
 
-    Document i's ids are ``ids[starts[i]:starts[i] + lengths[i]]`` (int32, in
-    token order), so ``terms[ids]`` gives its tokens back. A subset or a
+    Document i's ids are ``ids[starts[i]:starts[i] + lengths[i]]`` (in token
+    order), so ``terms[ids]`` gives its tokens back. ``DocumentReader`` stores
+    them in the smallest unsigned type that holds every id (``id_dtype``:
+    uint16 up to 65,536 ids), ``Corpus.from_documents`` as int32. A subset or a
     concatenation of one load is a choice of rows: it has rows of ``starts``
     and ``lengths`` (int64) of its own and shares ``ids`` and ``terms`` (an
     object array of str). An encoding read through a ``vocabulary`` (see
@@ -89,7 +96,8 @@ class Encoding:
     def token_ids(self) -> np.ndarray:
         """The ids of the documents' tokens, one document after another."""
         offsets = np.cumsum(self.lengths) - self.lengths  # of each document in the result
-        positions = np.repeat(self.starts - offsets, self.lengths) + np.arange(self.lengths.sum())
+        positions = np.repeat(self.starts - offsets, self.lengths)
+        positions += np.arange(len(positions))
         return self.ids[positions]
 
 
@@ -364,11 +372,13 @@ class DocumentReader:
         ids, lengths = np.frombuffer(self._ids, dtype=np.intc), np.array(self._lengths, dtype=np.int64)
         starts = np.cumsum(lengths) - lengths
         if self.vocabulary is not None:
-            return Encoding(np.empty(0, dtype=object), ids.copy(), starts, lengths, self.vocabulary)
+            n_ids = len(self.vocabulary) + 1  # the last one out of the vocabulary
+            return Encoding(np.empty(0, dtype=object), ids.astype(id_dtype(n_ids)), starts, lengths,
+                            self.vocabulary)
         kept = self.terms.kept
         order = np.array(sorted(range(len(kept)), key=kept.__getitem__), dtype=np.intp)
-        sorted_id = np.empty(len(order), dtype=np.int32)
-        sorted_id[order] = np.arange(len(order), dtype=np.int32)
+        sorted_id = np.empty(len(order), dtype=id_dtype(len(order)))
+        sorted_id[order] = np.arange(len(order))
         return Encoding(np.array(kept, dtype=object)[order], sorted_id[ids], starts, lengths)
 
 
@@ -450,6 +460,20 @@ def load_directory_corpus(
 # splitting and masking
 # ---------------------------------------------------------------------------
 
+def _class_order(corpus: Corpus) -> np.ndarray:
+    """Every row, grouped by class and in doc id order within a class:
+    independent of the corpus's order. A corpus already in that order, as
+    ``split_train_test`` returns each half, is checked one class at a time
+    and not sorted."""
+    labels, ids = corpus.labels, corpus.doc_ids
+    if not (labels[1:] < labels[:-1]).any():
+        bounds = [0, *(np.flatnonzero(labels[1:] != labels[:-1]) + 1).tolist(), len(ids)]
+        if all(ids[a:b] == sorted(ids[a:b]) for a, b in zip(bounds, bounds[1:])):
+            return np.arange(len(ids))
+    rows = np.array(sorted(range(len(ids)), key=ids.__getitem__), dtype=np.intp)
+    return rows[np.argsort(labels[rows], kind="stable")]
+
+
 def _stratified_draw(
     corpus: Corpus, fraction: float, rng_seed: int, spare: int, too_small: str
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -459,11 +483,7 @@ def _stratified_draw(
     labels = corpus.labels
     if ((labels < 0) | (labels >= corpus.n_classes)).any():
         raise DataError("operation requires a fully labeled corpus, each label a class of its table")
-    # every row, grouped by class and in doc id order within a class:
-    # independent of the corpus's order
-    ids = corpus.doc_ids
-    rows = np.array(sorted(range(len(ids)), key=ids.__getitem__), dtype=np.intp)
-    rows = rows[np.argsort(labels[rows], kind="stable")]
+    rows = _class_order(corpus)
     rng = np.random.default_rng(rng_seed)
     chosen = np.zeros(len(rows), dtype=bool)
     start, sizes = 0, np.bincount(labels, minlength=corpus.n_classes).tolist()

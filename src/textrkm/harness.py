@@ -35,7 +35,14 @@ from .corpus import (
 )
 from .errors import DataError, json_field
 from .evaluation import EvalReport, confusion, score
-from .representation import TermClassWeights, check_smoothing, embed_corpus, fit_term_weights
+from .representation import (
+    TermClassWeights,
+    TokenLayout,
+    check_smoothing,
+    embed_corpus,
+    fit_term_weights,
+    token_layout,
+)
 from .rkmeans import ClusterModel, RecursiveConfig, build_model
 
 SWEEP_METRICS = ("accuracy", "macro_precision", "macro_recall", "macro_f", "micro_f")
@@ -164,19 +171,21 @@ class TrialResult:
 
 
 def fit(
-    d_labeled: Corpus, pool: Corpus, config: SweepConfig, seed: int
+    d_labeled: Corpus, pool: Corpus, config: SweepConfig, seed: int, layout: TokenLayout | None = None
 ) -> tuple[TermClassWeights, ClusterModel, Corpus]:
     """The train pipeline of ``textrkm train``, sweep trials and replays.
 
     Draws the unlabeled pool into the training collection, fits the weight
     table on the labeled documents, embeds the collection and clusters it,
     by the settings of ``config``. ``seed`` drives the pool draw and the
-    k-means seed choice. Returns the weights, the model and the training
+    k-means seed choice. ``layout``, a stored ``token_layout`` that holds
+    every document of the training collection, is passed to
+    ``embed_corpus``. Returns the weights, the model and the training
     collection, whose document i is the model's training point i.
     """
     training = make_training_collection(d_labeled, pool, config.unlabeled_pool_size, rng_seed=seed)
     weights = fit_term_weights(d_labeled, config.smoothing)
-    x, _ = embed_corpus(training, weights)
+    x, _ = embed_corpus(training, weights, layout=layout)
     model = build_model(x, training.labels, training.class_names, config.recursive, seed)
     return weights, model, training
 
@@ -188,13 +197,23 @@ def _run_pipeline(
     ratio: tuple[int, int],
     trial_seed: int,
     config: SweepConfig,
+    layouts: tuple[TokenLayout | None, TokenLayout | None] = (None, None),
 ) -> TrialResult:
-    """The deterministic stages shared by fresh trials and manifest replays."""
+    """The deterministic stages shared by fresh trials and manifest replays.
+
+    ``layouts`` are stored ``token_layout``s of the training half, the
+    labeled and unlabeled documents together, and of ``test``. The first is
+    used only when the training collection is that whole half: with the
+    whole pool and without the test documents.
+    """
+    train_layout, test_layout = layouts
     pool = d_unlabeled
     if config.transductive:
         pool = concat_corpora(pool, test.subset(range(test.n_docs), drop_labels=True))
-    weights, model, _ = fit(d_labeled, pool, config, trial_seed)
-    test_x, test_ids = embed_corpus(test, weights)
+    if config.transductive or config.unlabeled_pool_size is not None:
+        train_layout = None
+    weights, model, _ = fit(d_labeled, pool, config, trial_seed, train_layout)
+    test_x, test_ids = embed_corpus(test, weights, layout=test_layout)
     preds = classify_batch(test_x, model, test_ids)
     report = score(confusion(test.labels, preds.labels, test.n_classes))
     flat = report.to_flat()
@@ -214,11 +233,13 @@ def run_trial(
     ratio: tuple[int, int],
     trial_seed: int,
     config: SweepConfig,
+    layouts: tuple[TokenLayout | None, TokenLayout | None] = (None, None),
 ) -> TrialResult:
-    """Mask the training half at the given ratio, then learn and score."""
+    """Mask the training half at the given ratio, then learn and score;
+    ``layouts`` as ``_run_pipeline`` reads them."""
     labeled_fraction = ratio[0] / (ratio[0] + ratio[1])
     d_labeled, d_unlabeled = mask_labels(train, labeled_fraction, trial_seed)
-    return _run_pipeline(d_labeled, d_unlabeled, test, ratio, trial_seed, config)
+    return _run_pipeline(d_labeled, d_unlabeled, test, ratio, trial_seed, config, layouts)
 
 
 @dataclass
@@ -256,17 +277,19 @@ def aggregate_rows(records: list[TrialResult]) -> list[SweepRow]:
 def run_sweep(corpus: Corpus | str | Path, config: SweepConfig = SweepConfig()) -> SweepTable:
     """Run the full ratio grid. A trial fails when its data do (a
     ``DataError``): it is recorded, not raised. Any other exception is a bug
-    and propagates.
+    and propagates. Each half's token ids are laid out once
+    (``token_layout``), for every trial to embed it from.
     """
     if not isinstance(corpus, Corpus):
         corpus = load_directory_corpus(corpus, config.tokenizer)
     train, test = split_train_test(corpus, config.test_fraction, config.base_seed)
+    layouts = tuple(token_layout(half.encoding, half.n_classes) for half in (train, test))
     records: list[TrialResult] = []
     for ratio in config.ratio_grid:
         for t in range(config.trials_per_ratio):
             seed = config.base_seed + t
             try:
-                result = run_trial(train, test, ratio, seed, config)
+                result = run_trial(train, test, ratio, seed, config, layouts)
             except DataError as exc:  # a failed trial is recorded, never dropped
                 result = TrialResult(ratio=ratio, seed=seed, error=f"{type(exc).__name__}: {exc}")
             result.trial = t

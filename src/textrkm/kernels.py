@@ -218,7 +218,7 @@ def _checked_pair(x, centroids):
     return x, centroids
 
 
-def nearest_centroids(x, centroids, metric, *, norms=None, units=None):
+def nearest_centroids(x, centroids, metric, *, norms=None, units=None, unit_centroids=None):
     """Nearest centroid per row under ``metric``, by ``assign_euclidean``: an
     int64 array of centroid indices, ties to the lowest index.
 
@@ -227,7 +227,8 @@ def nearest_centroids(x, centroids, metric, *, norms=None, units=None):
     ``unit_rows(x)``); a zero row or centroid has similarity 0, so distance
     1. Only a call whose centroids mix zero and nonzero ones computes
     distances: the first zero centroid takes each row farther than 1 from
-    every nonzero one. ``norms`` is ``row_norms`` of the rows measured.
+    every nonzero one. ``norms`` is ``row_norms`` of the rows measured, and
+    ``unit_centroids`` is ``unit_rows(centroids)``.
     """
     x, centroids = _checked_pair(x, centroids)
     if metric == "euclidean":
@@ -240,7 +241,7 @@ def nearest_centroids(x, centroids, metric, *, norms=None, units=None):
     live = np.flatnonzero(lengths)
     assign = np.zeros(x.shape[0], dtype=np.int64)
     if live.size:
-        live_units = unit_rows(centroids[live])
+        live_units = unit_rows(centroids[live]) if unit_centroids is None else unit_centroids[live]
         nearest = assign_euclidean(units, live_units, norms=norms)
         assign = live[nearest]
         if live.size < lengths.size:
@@ -254,13 +255,14 @@ def nearest_centroids(x, centroids, metric, *, norms=None, units=None):
     return assign
 
 
-def assigned_distances(x, centroids, assign, metric, *, units=None):
+def assigned_distances(x, centroids, assign, metric, *, units=None, unit_centroids=None):
     """Each row's exact distance under ``metric`` to centroid ``assign[i]``:
     the distance ``nearest_centroids`` minimises, bit for bit.
 
     Euclidean distances come back squared. A cosine distance is half the
     squared distance between the unit row (``units`` is ``unit_rows(x)``)
-    and the unit centroid, and exactly 1 where either is zero.
+    and the unit centroid (``unit_centroids`` is ``unit_rows(centroids)``),
+    and exactly 1 where either is zero.
     """
     x, centroids = _checked_pair(x, centroids)
     if metric == "euclidean":
@@ -268,7 +270,7 @@ def assigned_distances(x, centroids, assign, metric, *, units=None):
     if metric != "cosine":
         raise ValueError(f"unknown metric {metric!r}, expected one of {METRICS}")
     units = unit_rows(x) if units is None else units
-    unit_centroids = unit_rows(centroids)
+    unit_centroids = unit_rows(centroids) if unit_centroids is None else unit_centroids
     dist = _squared_distances(units, unit_centroids, assign) * 0.5
     dist[~units.any(axis=1) | ~unit_centroids.any(axis=1)[assign]] = 1.0
     return dist

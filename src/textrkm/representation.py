@@ -10,13 +10,14 @@ the integer term/class counts and ``s``.
 from __future__ import annotations
 
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
+from functools import cached_property
 from itertools import repeat
-from typing import Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
-from .corpus import UNLABELED, Corpus
+from .corpus import UNLABELED, Corpus, Encoding, id_dtype
 from .errors import DataError
 
 # ``embed_corpus`` stops its per-position loop where finishing the longer
@@ -37,6 +38,10 @@ class TermClassWeights:
     ``oov_weight[c]`` is what an out-of-vocabulary token contributes to
     component c (the smoothed floor). ``counts`` is the (V, K) term/class
     count matrix they derive from, or None for a table given without them.
+    A table fitted on a load's documents keeps that load's term table,
+    ``terms``, and the id there of each vocabulary term in row order,
+    ``term_ids``: ``embed_corpus`` maps the load's ids to rows through them
+    with no lookup. A table read from a bundle has neither.
     """
 
     vocabulary: dict[str, int]
@@ -45,6 +50,8 @@ class TermClassWeights:
     smoothing: float
     class_names: tuple[str, ...]
     counts: np.ndarray | None = None
+    terms: np.ndarray | None = None
+    term_ids: np.ndarray | None = None
 
     @property
     def n_classes(self) -> int:
@@ -68,10 +75,18 @@ class TermClassWeights:
 
 
 def term_class_counts(corpus: Corpus) -> tuple[dict[str, int], np.ndarray]:
-    """Vocabulary (sorted terms) and the (V, K) token count matrix.
+    """Vocabulary (sorted terms) and the (V, K) token count matrix."""
+    term_ids, counts = _present_term_counts(corpus)
+    return _vocabulary(corpus.encoding.terms, term_ids), counts
+
+
+def _present_term_counts(corpus: Corpus) -> tuple[np.ndarray, np.ndarray]:
+    """The ids, ascending, of the terms of the corpus's term table that
+    occur, and their (V, K) float64 counts.
 
     One ``bincount`` over ``label * G + id`` keys of the corpus's encoding
-    (G terms) counts every class; the vocabulary is the terms that occur.
+    (G terms) counts every class. The ids are added to the label parts in
+    place, so that no more than two int64s per token are held at once.
     """
     labels = corpus.labels
     if np.any(labels == UNLABELED):
@@ -79,11 +94,18 @@ def term_class_counts(corpus: Corpus) -> tuple[dict[str, int], np.ndarray]:
         raise DataError(f"term weights are fitted on labeled documents only: {doc_id!r}")
     enc = corpus.encoding
     g = len(enc.terms)
-    keys = np.repeat(labels * g, enc.lengths) + enc.token_ids()
+    ids = enc.token_ids()
+    keys = np.repeat(labels * g, enc.lengths)
+    keys += ids
+    del ids
     counts = np.bincount(keys, minlength=corpus.n_classes * g).reshape(corpus.n_classes, g)
+    del keys
     present = np.flatnonzero(counts.any(axis=0))
-    vocabulary = {term: i for i, term in enumerate(enc.terms[present].tolist())}
-    return vocabulary, counts[:, present].T.astype(np.float64, order="C")
+    return present, counts[:, present].T.astype(np.float64, order="C")
+
+
+def _vocabulary(terms: np.ndarray, term_ids: np.ndarray) -> dict[str, int]:
+    return {term: i for i, term in enumerate(terms[term_ids].tolist())}
 
 
 def check_smoothing(smoothing: float) -> float:
@@ -119,56 +141,156 @@ def weights_from_counts(
 
 def fit_term_weights(d_labeled: Corpus, smoothing: float = 1.0) -> TermClassWeights:
     """Fit the relevance table (``weights_from_counts``) on a fully labeled corpus."""
-    vocabulary, tf = term_class_counts(d_labeled)
-    return weights_from_counts(vocabulary, tf, smoothing, d_labeled.class_names)
+    term_ids, tf = _present_term_counts(d_labeled)
+    terms = d_labeled.encoding.terms
+    w = weights_from_counts(_vocabulary(terms, term_ids), tf, smoothing, d_labeled.class_names)
+    return replace(w, terms=terms, term_ids=term_ids)
 
 
-def embed_corpus(corpus: Corpus, w: TermClassWeights) -> tuple[np.ndarray, list[str]]:
+@dataclass(frozen=True, eq=False)
+class TokenLayout:
+    """The order in which ``embed_corpus`` adds up the tokens of an encoding.
+
+    The documents go longest first (``perm``, with their ``starts`` and
+    ``lens`` in that order), in blocks of ``block_rows``. For each position p
+    below ``n_pos``, a block adds token p of each of its documents longer
+    than p (``longer[p]`` documents of the whole order are); each document
+    longer than ``n_pos`` then finishes alone. ``ids`` holds the ids the
+    position loop reads, in the order it reads them, in the smallest
+    unsigned dtype that holds every id of the encoding; without it, each
+    step gathers its ids from the encoding.
+    """
+
+    encoding: Encoding
+    perm: np.ndarray
+    starts: np.ndarray
+    lens: np.ndarray
+    longer: np.ndarray
+    n_pos: int
+    block_rows: int
+    ids: np.ndarray | None = None
+
+    def steps(self) -> Iterator[tuple[int, np.ndarray]]:
+        """``(b, ids)`` for each position of each block, in loop order:
+        ``ids`` are the tokens at that position of the ``len(ids)``
+        documents from row ``b`` of the order on."""
+        a = 0
+        rows = self.block_rows
+        for b in range(0, len(self.perm), rows):
+            block_starts = self.starts[b : b + rows]
+            for p, m in enumerate((np.minimum(self.longer[self.longer > b], b + rows) - b).tolist()):
+                if self.ids is None:
+                    yield b, self.encoding.ids.take(block_starts[:m] + p)
+                else:
+                    yield b, self.ids[a : a + m]
+                    a += m
+
+    @cached_property
+    def _by_start(self) -> np.ndarray:
+        return np.argsort(self.starts, kind="stable")
+
+    def rows_of(self, corpus: Corpus) -> np.ndarray:
+        """The row of the order of each of the corpus's documents; DataError
+        for a document the layout lacks."""
+        enc, by_start = corpus.encoding, self._by_start
+        rows = np.zeros(corpus.n_docs, dtype=np.intp)
+        found = np.zeros(corpus.n_docs, dtype=bool)
+        if enc.ids is self.encoding.ids and by_start.size:
+            at = np.searchsorted(self.starts[by_start], enc.starts).clip(max=by_start.size - 1)
+            rows = by_start[at]
+            found = (self.starts[rows] == enc.starts) & (self.lens[rows] == enc.lengths)
+        if not found.all():
+            doc_id = corpus.doc_ids[int(np.argmin(found))]
+            raise DataError(f"document {doc_id!r} is not in the token layout")
+        return rows
+
+
+def token_layout(enc: Encoding, n_classes: int, store: bool = True) -> TokenLayout:
+    """The ``TokenLayout`` of ``enc`` for weights of ``n_classes`` classes,
+    its position loop's ids stored if ``store``. The loop stops where
+    finishing the longer documents one by one costs fewer numpy passes, one
+    document counting as ``EMBED_DOC_COST`` positions; a block holds as many
+    documents' sums as fit in ``EMBED_BLOCK_BYTES``."""
+    perm = np.argsort(-enc.lengths, kind="stable")
+    starts, lens = enc.starts[perm], enc.lengths[perm]
+    rows = max(1, EMBED_BLOCK_BYTES // (8 * (n_classes + 1)))
+    ends = np.append(lens, 0)
+    n_pos = int(ends[np.argmin(ends + EMBED_DOC_COST * np.arange(len(ends)))])
+    longer = np.searchsorted(-lens, -np.arange(n_pos))
+    layout = TokenLayout(enc, perm, starts, lens, longer, n_pos, rows)
+    if not store:
+        return layout
+    n_ids = len(enc.terms) if enc.vocabulary is None else len(enc.vocabulary) + 1
+    ids = np.empty(int(np.minimum(lens, n_pos).sum()), dtype=id_dtype(n_ids))
+    a = 0
+    for _, part in layout.steps():
+        ids[a : a + len(part)] = part
+        a += len(part)
+    return replace(layout, ids=ids)
+
+
+def _id_table(enc: Encoding, w: TermClassWeights) -> np.ndarray:
+    """The weight table indexed by the encoding's ids, one column more: row
+    i holds the weights of the term with id i and 0, or, for a term out of
+    the vocabulary, zeros and 1, which counts the document's OOV tokens."""
+    k, v = w.n_classes, w.vocab_size
+    if enc.vocabulary is w.vocabulary:
+        n_ids, ids, rows = v + 1, slice(v), slice(v)  # the ids are rows already; v is OOV
+    elif enc.vocabulary is not None:
+        raise DataError("the documents were read through another vocabulary than the weights'")
+    elif enc.terms is w.terms:
+        n_ids, ids, rows = len(enc.terms), w.term_ids, slice(v)
+    else:
+        rows = np.fromiter(
+            map(w.vocabulary.get, enc.terms.tolist(), repeat(-1)), dtype=np.intp, count=len(enc.terms)
+        )
+        n_ids, ids = len(enc.terms), np.flatnonzero(rows >= 0)
+        rows = rows[ids]
+    table = np.zeros((n_ids, k + 1), dtype=np.float64)
+    table[:, k] = 1.0
+    table[ids, :k] = w.weights[rows]
+    table[ids, k] = 0.0
+    return table
+
+
+def embed_corpus(
+    corpus: Corpus, w: TermClassWeights, layout: TokenLayout | None = None
+) -> tuple[np.ndarray, list[str]]:
     """Embed every document, preserving order: ``(matrix, corpus.doc_ids)``.
 
     A row is the mean of its document's weight rows, an out-of-vocabulary
     token counting as the OOV floor, and equals bit for bit the per-token
-    sum of ``embed_tokens`` in ``tests/reference.py``: with the documents
-    sorted longest first, position p adds the weight row of token p of every
+    sum of ``embed_tokens`` in ``tests/reference.py``: in the order of a
+    ``TokenLayout``, position p adds the weight row of token p of every
     document longer than p, one block of documents at a time, so each
     document's weights are added in token order from 0.0. The longest
     documents finish one by one with ``np.add.accumulate``, which adds in
-    order too. An encoding read through ``w.vocabulary`` holds the weight
-    rows' ids already; any other is mapped to them through its term table,
-    one position at a time.
+    order too, over one block of rows at a time. The weight table is indexed
+    by the encoding's own ids (``_id_table``).
+
+    Without ``layout``, the call lays the corpus out and gathers each
+    position's ids as it goes. A stored ``token_layout`` of any rows of the
+    corpus's load that hold all its documents gives the same rows bit for
+    bit; a document it lacks is a DataError. A sweep stores one per half
+    and reuses it for every trial's table.
     """
     enc = corpus.encoding
-    k, v = w.n_classes, w.vocab_size
-    # row t holds term t's weights; row v, every out-of-vocabulary term's,
-    # adds 0 to them and 1 to column k, the document's count of OOV tokens
-    table = np.zeros((v + 1, k + 1), dtype=np.float64)
-    table[:v, :k] = w.weights
-    table[v, k] = 1.0
-    if enc.vocabulary is w.vocabulary:
-        rows_of = np.asarray  # the ids are rows already
-    elif enc.vocabulary is None:
-        rows_of = np.fromiter(
-            map(w.vocabulary.get, enc.terms.tolist(), repeat(v)), dtype=np.intp, count=len(enc.terms)
-        ).take
+    k = w.n_classes
+    table = _id_table(enc, w)
+    if layout is None:
+        layout = token_layout(enc, k, store=False)
+        at = np.empty_like(layout.perm)
+        at[layout.perm] = np.arange(len(at))
     else:
-        raise DataError("the documents were read through another vocabulary than the weights'")
-    perm = np.argsort(-enc.lengths, kind="stable")
-    starts, lens = enc.starts[perm], enc.lengths[perm]
-    sums = np.zeros((len(perm), k + 1), dtype=np.float64)
-    rows = max(1, EMBED_BLOCK_BYTES // (8 * (k + 1)))
-    # n_pos loop positions, then the documents longer than n_pos one by one;
-    # longer[p] documents are longer than p
-    ends = np.append(lens, 0)
-    n_pos = int(ends[np.argmin(ends + EMBED_DOC_COST * np.arange(len(ends)))])
-    longer = np.searchsorted(-lens, -np.arange(n_pos))
-    for b in range(0, len(perm), rows):
-        block, block_starts = sums[b : b + rows], starts[b : b + rows]
-        for p, m in enumerate((np.minimum(longer[longer > b], b + rows) - b).tolist()):
-            block[:m] += table.take(rows_of(enc.ids.take(block_starts[:m] + p)), axis=0)
+        at = layout.rows_of(corpus)
+    starts, lens, n_pos, rows = layout.starts, layout.lens, layout.n_pos, layout.block_rows
+    sums = np.zeros((len(lens), k + 1), dtype=np.float64)
+    for b, ids in layout.steps():
+        sums[b : b + len(ids)] += table.take(ids, axis=0)
     for i in range(int(np.count_nonzero(lens > n_pos))):
         end = starts[i] + lens[i]
         for a in range(starts[i] + n_pos, end, rows):
-            chunk = table.take(rows_of(enc.ids[a : min(a + rows, end)]), axis=0)
+            chunk = table.take(enc.ids[a : min(a + rows, end)], axis=0)
             chunk[0] += sums[i]
             sums[i] = np.add.accumulate(chunk, axis=0, out=chunk)[-1]
     # the OOV floor, added after the weight rows as the reference
@@ -176,7 +298,4 @@ def embed_corpus(corpus: Corpus, w: TermClassWeights) -> tuple[np.ndarray, list[
     # changes no sum (a sum from 0.0 is never -0.0)
     sums[:, :k] += sums[:, k, None] * w.oov_weight
     sums[:, :k] /= lens[:, None]
-    matrix = np.empty((len(perm), k), dtype=np.float64)
-    matrix[perm] = sums[:, :k]
-    return matrix, corpus.doc_ids
-
+    return sums[at, :k], corpus.doc_ids

@@ -102,6 +102,22 @@ def test_cosine_batch_scales_its_rows_to_unit_length_once(monkeypatch):
     assert scaled.count(True) == 1
 
 
+def test_cosine_batch_scales_its_centroids_to_unit_length_once(monkeypatch):
+    model = toy_model([[1.0, 0.0], [0.0, 2.0], [0.0, 0.0]], [0, 1, 0], "cosine")
+    x = np.array([[3.0, 1.0], [0.0, 0.0], [1.0, 5.0], [2.0, 2.0]])
+    expected = classify_batch(x, model, list("abcd"))
+    scaled = []
+
+    def counting(a):
+        scaled.append(len(a) != len(x))  # the centroids, or the nonzero ones
+        return unit_rows(a)
+
+    unit_rows = kernels.unit_rows
+    monkeypatch.setattr(kernels, "unit_rows", counting)
+    assert list(classify_batch(x, model, list("abcd"))) == list(expected)
+    assert scaled.count(True) == 1
+
+
 def test_batch_empty_and_duplicates():
     model = toy_model([[0.0], [1.0]], [0, 1])
     assert list(classify_batch(np.zeros((0, 1)), model, [])) == []

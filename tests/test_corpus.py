@@ -22,6 +22,7 @@ from textrkm.corpus import (
     Encoding,
     TokenizerConfig,
     concat_corpora,
+    id_dtype,
     load_directory_corpus,
     make_training_collection,
     mask_from_flags,
@@ -141,9 +142,10 @@ def test_reader_tokens_equal_the_regex_tokenizer_on_latin1_bytes(docs, budget, c
 
 
 def assert_same_encoding(enc, expected):
-    """The same terms, and the same ids in the same rows, as ``expected``."""
+    """The same terms, and the same ids in the same rows, as ``expected``;
+    ``enc``, read from files, holds them in the smallest unsigned type."""
     assert list(enc.terms) == list(expected.terms)
-    assert enc.ids.dtype == np.int32 and np.array_equal(enc.ids, expected.ids)
+    assert enc.ids.dtype == id_dtype(len(expected.terms)) and np.array_equal(enc.ids, expected.ids)
     assert enc.starts.dtype == enc.lengths.dtype == np.int64
     assert np.array_equal(enc.starts, expected.starts) and np.array_equal(enc.lengths, expected.lengths)
 
@@ -238,7 +240,7 @@ def test_a_corpus_read_through_a_vocabulary_cannot_be_decoded(tmp_path):
     reader = DocumentReader(TokenizerConfig(), {"alpha": 0, "gamma": 1})
     assert reader.read(files) == []
     read = reader.pop()
-    assert read.encoding.ids.tolist() == [0, 2, 1]
+    assert read.encoding.ids.tolist() == [0, 2, 1] and read.encoding.ids.dtype == np.uint8
     with pytest.raises(DataError, match="read through a vocabulary keeps no term table"):
         read.documents
     other = Corpus.from_documents([Document("x", ("alpha",))], [None], ())
@@ -627,9 +629,9 @@ def decoded(corpus):
     return [tuple(enc.terms[enc.ids[a : a + n]]) for a, n in zip(enc.starts.tolist(), enc.lengths.tolist())]
 
 
-def assert_encodes(corpus, terms, documents):
+def assert_encodes(corpus, terms, documents, ids_dtype=np.int32):
     assert corpus.encoding.terms is terms
-    assert corpus.encoding.ids.dtype == np.int32
+    assert corpus.encoding.ids.dtype == ids_dtype
     assert corpus.encoding.starts.dtype == corpus.encoding.lengths.dtype == np.int64
     assert decoded(corpus) == [d.tokens for d in documents]
     assert corpus.documents == documents and corpus.doc_ids == [d.doc_id for d in documents]
@@ -693,7 +695,7 @@ def test_loaded_corpus_holds_one_str_per_distinct_term(tmp_path):
     write_corpus_tree(make_text_corpus(n_classes=3, docs_per_class=8, doc_len=20, seed=3), tmp_path)
     corpus = load_directory_corpus(tmp_path)
     terms = corpus.encoding.terms
-    assert_encodes(corpus, terms, corpus.documents)
+    assert_encodes(corpus, terms, corpus.documents, id_dtype(len(terms)))
     tokens = [t for d in corpus.documents for t in d.tokens]
     assert len({id(t) for t in tokens}) == len(terms)
     ids = corpus.encoding.token_ids()

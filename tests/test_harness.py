@@ -261,6 +261,48 @@ def test_replay_returns_every_trial_of_its_sweep(tmp_path):
     assert sorted({r.trial for r in replayed}) == [0, 1, 2]
 
 
+def s1_shaped_corpus():
+    """S1's generator settings (150-token documents) at 4 classes of 30."""
+    return make_text_corpus(n_classes=4, docs_per_class=30, doc_len=150, class_words=200,
+                            shared_words=2000, signal=0.3, seed=1)
+
+
+SWEEP_SETTINGS = [{}, {"transductive": True}, {"unlabeled_pool_size": 30}]
+
+
+@pytest.mark.parametrize("settings", SWEEP_SETTINGS)
+def test_every_trial_of_a_sweep_replays_to_its_record(tmp_path, settings):
+    # a sweep embeds from the halves' stored layouts, a replay per call
+    corpus = s1_shaped_corpus()
+    cfg = SweepConfig(ratio_grid=((1, 49), (5, 45), (20, 30)), trials_per_ratio=2, **settings)
+    table = run_sweep(corpus, cfg)
+    paths = emit_results(table, tmp_path / "out")
+    for rec in table.records:
+        assert rec.error is None
+        replayed = replay_trial(corpus, paths["manifests"] / manifest_filename(rec.ratio, rec.trial), cfg)
+        assert (replayed.metrics, replayed.n_clusters) == (rec.metrics, rec.n_clusters)
+
+
+@pytest.mark.parametrize("settings", SWEEP_SETTINGS)
+def test_a_sweep_embeds_through_the_harness_name_twice_per_trial(monkeypatch, settings):
+    """Tools that time the embedding rebind ``harness.embed_corpus``; every
+    trial reaches it, for the training collection and the test half. The
+    training collection reads the stored layout only when it is the whole
+    training half."""
+    calls = []
+
+    def recording(corpus, w, layout=None):
+        calls.append(layout is not None)
+        return embed_corpus(corpus, w, layout=layout)
+
+    embed_corpus = harness.embed_corpus
+    monkeypatch.setattr(harness, "embed_corpus", recording)
+    cfg = SweepConfig(ratio_grid=((5, 45), (20, 30)), trials_per_ratio=2, **settings)
+    table = run_sweep(s1_shaped_corpus(), cfg)
+    assert all(rec.error is None for rec in table.records)
+    assert calls == [not settings, True] * len(table.records)
+
+
 def test_failed_trials_recorded_not_dropped():
     corpus = make_text_corpus(n_classes=3, docs_per_class=10, seed=12)
     # a fixed oversized pool: fine at 1:49, impossible at 20:30

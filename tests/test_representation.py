@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from textrkm import representation
 from textrkm.bundle import weights_from_packed_dict, weights_to_dict
 from textrkm.cli import load_bundle, save_bundle
-from textrkm.corpus import Corpus, Document, DocumentReader, TokenizerConfig
+from textrkm.corpus import Corpus, Document, DocumentReader, TokenizerConfig, concat_corpora
 from textrkm.errors import DataError
 from textrkm.harness import SweepConfig, fit
 from textrkm.representation import (
@@ -18,6 +18,7 @@ from textrkm.representation import (
     embed_corpus,
     fit_term_weights,
     term_class_counts,
+    token_layout,
 )
 
 from reference import embed_tokens
@@ -332,6 +333,111 @@ def test_counts_and_embedding_match_loops_on_random_corpora(
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(representation, "EMBED_DOC_COST", doc_cost)
         assert_embeds_like_loop(labeled, w, block_rows)
+
+
+# ---------------------------------------------------------------------------
+# a stored token layout, reused over weight tables
+# ---------------------------------------------------------------------------
+
+LAYOUT_WORDS = ["alpha", "beta", "gamma", "delta", "epsilon", "zeta", "neverfit", "unknown"]
+
+
+def mixed_length_corpus():
+    """Three classes of documents of 1-24 tokens and two of 150 and 230,
+    which the position loop leaves to the tail path at the default
+    ``EMBED_DOC_COST``; the last two words occur only where no table is
+    fitted, and two documents hold nothing else."""
+    rng = np.random.default_rng(20)
+    lengths = [*rng.integers(1, 25, size=34).tolist(), 150, 230, 3, 1]
+    documents = []
+    for i, n in enumerate(lengths):
+        words = LAYOUT_WORDS[-2:] if i >= len(lengths) - 2 else LAYOUT_WORDS
+        documents.append(Document(f"d{i:02d}", tuple(words[j] for j in rng.integers(len(words), size=n))))
+    return Corpus.from_documents(documents, [i % 3 for i in range(len(lengths))], ("c0", "c1", "c2"))
+
+
+def fit_without(corpus, smoothing):
+    """A table fitted on the documents free of the last two words."""
+    unseen = [i for i, d in enumerate(corpus.documents) if set(d.tokens) & set(LAYOUT_WORDS[-2:])]
+    return fit_term_weights(corpus.subset(sorted(set(range(corpus.n_docs)) - set(unseen))), smoothing)
+
+
+@pytest.mark.parametrize("doc_cost", [0, 1, 3, representation.EMBED_DOC_COST, 10**9])
+@pytest.mark.parametrize("block_rows", [1, 3, None])
+def test_a_stored_layout_embeds_every_table_like_the_per_token_loop(
+    tmp_path, monkeypatch, doc_cost, block_rows
+):
+    """One layout per encoding, built once, gives ``embed_tokens``'s rows
+    bit for bit for several tables and any choice of its documents: of a
+    load's term table, and read through a vocabulary as ``classify`` reads."""
+    monkeypatch.setattr(representation, "EMBED_DOC_COST", doc_cost)
+    if block_rows is not None:
+        monkeypatch.setattr(representation, "EMBED_BLOCK_BYTES", block_rows * 8 * 4)
+    corpus = mixed_length_corpus()
+    rng = np.random.default_rng(21)
+    layout = token_layout(corpus.encoding, corpus.n_classes)
+    assert layout.ids.dtype == np.uint8 and layout.ids.size == np.minimum(layout.lens, layout.n_pos).sum()
+    tables = [
+        fit_without(corpus, 0.0),  # ids mapped through the table's own term ids
+        fit_without(corpus, 0.7),
+        random_weights(LAYOUT_WORDS[1:6], 3, rng),  # through its vocabulary
+    ]
+    n = corpus.n_docs
+    choices = [
+        corpus,
+        corpus.subset(range(n - 1, -1, -1)),
+        corpus.subset(range(1, n, 3)),
+        # labeled documents, then the rest unlabeled: a sweep's training collection
+        concat_corpora(corpus.subset(range(0, n, 2)), corpus.subset(range(1, n, 2), drop_labels=True)),
+    ]
+    for w in tables:
+        for docs in choices:
+            x, ids = embed_corpus(docs, w, layout=layout)
+            want = loop_embed_corpus(docs, w)
+            assert x.tobytes() == want.tobytes() and ids == docs.doc_ids
+
+    files = []
+    for doc in corpus.documents:
+        files.append((doc.doc_id, tmp_path / doc.doc_id))
+        files[-1][1].write_text(" ".join(doc.tokens))
+    w = tables[0]
+    whole, direct = DocumentReader(TokenizerConfig()), DocumentReader(TokenizerConfig(), w.vocabulary)
+    assert whole.read(files) == direct.read(files) == []
+    whole, direct = whole.pop(), direct.pop()
+    layout = token_layout(direct.encoding, w.n_classes)
+    for v in (w, *(
+        dataclasses.replace(w, weights=rng.random(w.weights.shape), oov_weight=rng.random(3))
+        for _ in range(2)
+    )):
+        for rows in (range(n), range(n - 1, -1, -1), range(0, n, 4)):
+            x, ids = embed_corpus(direct.subset(rows), v, layout=layout)
+            want = loop_embed_corpus(whole.subset(rows), v)
+            assert x.tobytes() == want.tobytes() and ids == [f"d{i:02d}" for i in rows]
+
+
+def test_a_layout_refuses_a_document_it_lacks():
+    corpus = mixed_length_corpus()
+    w = fit_term_weights(corpus)
+    layout = token_layout(corpus.subset(range(0, corpus.n_docs, 2)).encoding, corpus.n_classes)
+    with pytest.raises(DataError, match="'d01' is not in the token layout"):
+        embed_corpus(corpus.subset([0, 1]), w, layout=layout)
+    # the same documents of another load
+    again = Corpus.from_documents(corpus.documents, corpus.labels, corpus.class_names)
+    with pytest.raises(DataError, match="'d00' is not in the token layout"):
+        embed_corpus(again.subset([0]), w, layout=layout)
+    empty = token_layout(corpus.subset([]).encoding, corpus.n_classes)
+    with pytest.raises(DataError, match="'d02' is not in the token layout"):
+        embed_corpus(corpus.subset([2]), w, layout=empty)
+    x, ids = embed_corpus(corpus.subset([]), w, layout=empty)
+    assert x.shape == (0, 3) and ids == []
+
+
+def test_a_layout_stores_ids_in_the_smallest_unsigned_type():
+    for n_terms, dtype in ((256, np.uint8), (257, np.uint16), (2**16 + 1, np.uint32)):
+        terms = [f"t{i}" for i in range(n_terms)]
+        documents = [Document("a", tuple(terms)), Document("b", tuple(terms[:3]))]
+        enc = Corpus.from_documents(documents, [0, 0], ("c",)).encoding
+        assert token_layout(enc, 1).ids.dtype == dtype
 
 
 def _random_documents(n_docs, doc_len, terms, rng):
