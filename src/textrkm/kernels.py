@@ -19,16 +19,15 @@ centroids whose ranking value lies within a proven rounding bound of the
 column minimum. The bound holds for any summation order, with or without
 FMA, on any number of threads, so the exact nearest centroid and every
 centroid tied with it are always candidates. Usually a point has one
-candidate, which is scattered into point order; only a block where some
-point has several sorts them by (point, exact distance, centroid). The
+candidate, which is scattered into point order; a point that kept several
+takes the argmin of its exact distances to every centroid, as calls with at
+most ``DIRECT_PAIRS`` (point, centroid) pairs do for all their points. The
 exact distance is the sum of the squared components of the difference
 vector ``x - c``, and the product never supplies a compared or returned
 value, so the result is the same bit for bit whatever the BLAS does and
 whatever the block size: it equals the argmin over the full
-``(points, centroids)`` matrix of exact distances, which calls with at most
-``DIRECT_PAIRS`` (point, centroid) pairs compute directly from the
-difference tensor. ``assigned_distances`` computes that same exact
-distance, from one gathered difference per row.
+``(points, centroids)`` matrix of exact distances. ``assigned_distances``
+computes that same exact distance, from one gathered difference per row.
 """
 from __future__ import annotations
 
@@ -36,8 +35,8 @@ import numpy as np
 
 # Memory budget for one block of euclidean assignment. Blocks are sized so
 # that even when every centroid is a candidate for every row (all centroids
-# equal, say) the gathered pair arrays stay under it; usually a row has one
-# candidate and a block needs a small fraction of it.
+# equal, say) the exact argmin over the block's tied rows stays under it;
+# usually a row has one candidate and a block needs a small fraction of it.
 ASSIGN_BLOCK_BYTES = 64 * 2**20
 
 # Euclidean calls with at most this many (point, centroid) pairs compute
@@ -101,6 +100,13 @@ def _candidate_slack(x_norm, max_centroid_norm, d):
     return 4.0 * gamma * (r * r) + 8.0 * n * _SMALLEST_SUBNORMAL
 
 
+def _exact_nearest(x, centroids):
+    """Each row's nearest centroid by exact distance, lowest index among
+    equals, from the whole ``(rows, centroids, d)`` difference tensor."""
+    diff = x[:, None, :] - centroids[None, :, :]
+    return np.einsum("ijk,ijk->ij", diff, diff).argmin(axis=1)
+
+
 def _assign_block(x, scaled, centroids, centroid_sq, slack):
     # a function of its own, so that one block's temporaries are freed
     # before the next block allocates its own
@@ -112,20 +118,15 @@ def _assign_block(x, scaled, centroids, centroid_sq, slack):
     keep = rank > rank.min(axis=0) + slack
     del rank
     np.logical_not(keep, out=keep)
-    # centroid-major order: centroid indices ascend along the pairs
     cols, rows = np.divmod(np.flatnonzero(keep), n)
     del keep
-    if rows.size > n:  # some point kept several candidates (each keeps its minimum)
-        diff = x[rows]
-        diff -= centroids[cols]
-        # lexsort is stable, so equal distances stay in centroid order and
-        # the first pair of each point is its lowest-index nearest centroid
-        order = np.lexsort((np.einsum("ij,ij->i", diff, diff), rows))
-        rows, cols = rows[order], cols[order]
-        first = np.r_[True, rows[1:] != rows[:-1]]
-        rows, cols = rows[first], cols[first]
     assign = np.empty(n, dtype=np.int64)
+    # a point with several candidates is written once per candidate, which
+    # leaves numpy's choice among them there; the exact argmin replaces it
     assign[rows] = cols
+    if rows.size > n:  # some point kept several candidates (each keeps its minimum)
+        tied = np.flatnonzero(np.bincount(rows, minlength=n) > 1)
+        assign[tied] = _exact_nearest(x[tied], centroids)
     return assign
 
 
@@ -156,15 +157,14 @@ def assign_euclidean(x, centroids, *, norms=None):
     n, d = x.shape
     m = centroids.shape[0]
     if n * m <= DIRECT_PAIRS:
-        diff = x[:, None, :] - centroids[None, :, :]
-        return np.einsum("ijk,ijk->ij", diff, diff).argmin(axis=1)
+        return _exact_nearest(x, centroids)
     if norms is None:
         norms = row_norms(x)
     centroid_sq = np.einsum("ij,ij->i", centroids, centroids)
     slack = _candidate_slack(norms, np.sqrt(centroid_sq.max()), d)
     scaled = centroids * -2.0
-    # worst case per kept pair: the gathered point and centroid rows, plus
-    # a few per-pair index and distance vectors
+    # worst case per pair, every row of a block tied: its d differences and
+    # distance in ``_exact_nearest`` beside its two candidate index vectors
     pair_bytes = 8 * (2 * d + 4)
     rows = max(1, ASSIGN_BLOCK_BYTES // (m * pair_bytes))
     assign = np.empty(n, dtype=np.int64)

@@ -182,6 +182,65 @@ def test_euclidean_assignment_memory_is_bounded_when_all_centroids_tie():
     assert peak < kernels.ASSIGN_BLOCK_BYTES + 2**20
 
 
+# documents sitting exactly midway between two centroids, and the lower index
+TIED = {10: 4, 2000: 4, 4999: 4, 7: 2, 3333: 2}
+
+
+def few_tied_block():
+    """5000 documents against 20 centroids in one block. The centroids lie
+    on a grid of spacing 4 but for two pairs one unit apart, (4, 11) and
+    (17, 2); the documents in ``TIED`` sit midway between a pair, and every
+    coordinate is dyadic, so both distances are the same double. Every other
+    document lies near one centroid and keeps it as its one candidate."""
+    rng = np.random.default_rng(5)
+    n, m, d = 5000, 20, 20
+    c = 4.0 * rng.integers(-4, 5, size=(m, d))
+    c[11] = c[4]
+    c[11, 0] += 1.0
+    c[2] = c[17]
+    c[2, 1] -= 1.0
+    x = c[rng.integers(m, size=n)] + 0.25 * rng.normal(size=(n, d))
+    partner = {4: 11, 2: 17}
+    for doc, low in TIED.items():
+        x[doc] = (c[low] + c[partner[low]]) / 2
+    return kernels.as_points(x), kernels.as_points(c)
+
+
+@pytest.mark.parametrize("budget", BUDGETS)
+def test_euclidean_resolves_the_few_tied_documents_of_a_block(monkeypatch, budget):
+    x, c = few_tied_block()
+    diff = x[:, None, :] - c[None, :, :]
+    nearest_two = np.sort(np.einsum("ijk,ijk->ij", diff, diff), axis=1)[:, :2]
+    assert np.flatnonzero(nearest_two[:, 0] == nearest_two[:, 1]).tolist() == sorted(TIED)
+    monkeypatch.setattr(kernels, "ASSIGN_BLOCK_BYTES", budget)
+    assert_matches_unblocked(x, c)
+    assign = kernels.nearest_centroids(x, c, "euclidean")
+    assert {doc: int(assign[doc]) for doc in TIED} == TIED
+
+
+def test_euclidean_assignment_memory_of_a_few_tied_documents_is_theirs():
+    # only the tied documents are measured against every centroid; the
+    # others' single candidates are scattered without a gather
+    x, c = few_tied_block()
+    (n, d), m = x.shape, c.shape[0]
+    rank_bytes, keep_bytes = 8 * m * n, m * n
+    per_point_bytes = 8 * 8 * n  # norms, slack, the assignment, index vectors
+    tied_bytes = 4 * 8 * len(TIED) * m * d
+    peak = traced_peak(kernels.nearest_centroids, x, c, "euclidean")
+    assert peak < rank_bytes + keep_bytes + per_point_bytes + tied_bytes
+
+
+@pytest.mark.parametrize("budget", BUDGETS)
+def test_euclidean_with_all_centroids_equal_takes_the_first(monkeypatch, budget):
+    # every point ties with every centroid
+    rng = np.random.default_rng(4)
+    c = np.repeat(rng.normal(size=(1, 6)), 20, axis=0)
+    x = np.vstack([c[:1], rng.normal(size=(300, 6))])
+    monkeypatch.setattr(kernels, "ASSIGN_BLOCK_BYTES", budget)
+    assert_matches_unblocked(x, c)
+    assert not kernels.nearest_centroids(x, c, "euclidean").any()
+
+
 def test_tie_breaks_to_lowest_index():
     x = np.array([[0.5, 0.5]])
     c = np.array([[1.0, 0.0], [1.0, 0.0], [0.0, 1.0]])  # first two identical
