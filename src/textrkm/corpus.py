@@ -462,16 +462,10 @@ def load_directory_corpus(
 
 def _class_order(corpus: Corpus) -> np.ndarray:
     """Every row, grouped by class and in doc id order within a class:
-    independent of the corpus's order. A corpus already in that order, as
-    ``split_train_test`` returns each half, is checked one class at a time
-    and not sorted."""
-    labels, ids = corpus.labels, corpus.doc_ids
-    if not (labels[1:] < labels[:-1]).any():
-        bounds = [0, *(np.flatnonzero(labels[1:] != labels[:-1]) + 1).tolist(), len(ids)]
-        if all(ids[a:b] == sorted(ids[a:b]) for a, b in zip(bounds, bounds[1:])):
-            return np.arange(len(ids))
+    independent of the corpus's order."""
+    ids = corpus.doc_ids
     rows = np.array(sorted(range(len(ids)), key=ids.__getitem__), dtype=np.intp)
-    return rows[np.argsort(labels[rows], kind="stable")]
+    return rows[np.argsort(corpus.labels[rows], kind="stable")]
 
 
 def _stratified_draw(
@@ -563,79 +557,6 @@ def make_training_collection(
         perm = np.random.default_rng(rng_seed).permutation(len(order))
         rows = np.sort(order[perm[:pool_size]])
     return concat_corpora(d_labeled, d_unlabeled.subset(rows, drop_labels=True))
-
-
-# ---------------------------------------------------------------------------
-# split manifests (replayable trials)
-# ---------------------------------------------------------------------------
-
-SIDE_TRAIN = "train"
-SIDE_TEST = "test"
-
-
-def write_split_manifest(
-    path: str | Path,
-    train_ids: Iterable[str],
-    test_ids: Iterable[str],
-    labeled_ids: Iterable[str],
-    meta: Mapping[str, str] | None = None,
-) -> None:
-    """Write ``doc_id<TAB>side<TAB>labeled_flag`` lines, one per document,
-    replacing ``path`` whole.
-
-    ``meta`` entries are recorded as leading ``# key value`` comment lines
-    (trial seed, ratio, ...), which readers surface back as strings.
-    """
-    labeled = set(labeled_ids)
-    lines = []
-    for key, value in (meta or {}).items():
-        lines.append(f"# {key} {value}")
-    for doc_id in train_ids:
-        flag = 1 if doc_id in labeled else 0
-        lines.append(f"{doc_id}\t{SIDE_TRAIN}\t{flag}")
-    for doc_id in test_ids:
-        lines.append(f"{doc_id}\t{SIDE_TEST}\t0")
-    with replacing(Path(path)) as f:
-        f.write("\n".join(lines) + "\n")
-
-
-def read_split_manifest(
-    path: str | Path, corpus: Corpus
-) -> tuple[dict[str, str], Corpus, Corpus, np.ndarray]:
-    """Read a split manifest over a fully labeled corpus in one pass into
-    ``(meta, train, test, labeled)``: the ``# key value`` headers, the rows
-    of each side in manifest order and a bool per train row. Every manifest
-    doc id must exist in the corpus and be listed once."""
-    meta: dict[str, str] = {}
-    row_of = {doc_id: i for i, doc_id in enumerate(corpus.doc_ids)}
-    rows: dict[str, list[int]] = {SIDE_TRAIN: [], SIDE_TEST: []}
-    labeled: list[bool] = []
-    try:
-        text = Path(path).read_text(encoding="utf-8")
-    except UnicodeDecodeError as exc:
-        raise DataError(f"{path} is not UTF-8: {exc}") from exc
-    for lineno, line in enumerate(text.splitlines(), 1):
-        if not line.strip():
-            continue
-        if line.startswith("#"):
-            parts = line[1:].strip().split(None, 1)
-            if len(parts) == 2:
-                meta[parts[0]] = parts[1]
-            continue
-        fields = line.split("\t")
-        if len(fields) != 3 or fields[1] not in rows:
-            raise DataError(f"{path}:{lineno}: malformed manifest line {line!r}")
-        doc_id, side, flag = fields
-        if flag not in ("0", "1"):
-            raise DataError(f"{path}:{lineno}: labeled flag {flag!r} is not 0 or 1")
-        i = row_of.pop(doc_id, None)
-        if i is None:
-            raise DataError(f"manifest doc id {doc_id!r} not present in corpus or listed twice")
-        rows[side].append(i)
-        if side == SIDE_TRAIN:
-            labeled.append(flag == "1")
-    train, test = corpus.subset(rows[SIDE_TRAIN]), corpus.subset(rows[SIDE_TEST])
-    return meta, train, test, np.array(labeled, dtype=bool)
 
 
 def mask_from_flags(train: Corpus, labeled: np.ndarray) -> tuple[Corpus, Corpus]:

@@ -5,7 +5,8 @@ representation on the labeled part, clusters the mixed collection, classifies
 the held-out test half, and scores it. A sweep runs a grid of ratios (default
 1:49 .. 20:30 in steps of one part out of fifty) with a fixed number of
 seeded trials per ratio and aggregates max/min/mean/std per metric. Every
-trial writes a split manifest so it can be replayed bit-for-bit.
+trial writes a split manifest so it can be replayed bit-for-bit; this module
+writes, reads and replays them.
 """
 from __future__ import annotations
 
@@ -14,7 +15,7 @@ import functools
 import json
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Mapping, get_origin, get_type_hints
+from typing import Iterable, Mapping, get_origin, get_type_hints
 
 import numpy as np
 
@@ -28,10 +29,8 @@ from .corpus import (
     make_training_collection,
     mask_from_flags,
     mask_labels,
-    read_split_manifest,
     replacing,
     split_train_test,
-    write_split_manifest,
 )
 from .errors import DataError, json_field
 from .evaluation import EvalReport, confusion, score
@@ -376,11 +375,9 @@ def emit_results(table: SweepTable, out_dir: str | Path) -> dict[str, Path]:
             table.train_doc_ids,
             table.test_doc_ids,
             rec.labeled_doc_ids,
-            meta={
-                "ratio": ratio_str(rec.ratio),
-                "trial": str(rec.trial),
-                "seed": str(rec.seed),
-            },
+            rec.ratio,
+            rec.trial,
+            rec.seed,
         )
 
     with replacing(config_path) as f:
@@ -391,6 +388,93 @@ def emit_results(table: SweepTable, out_dir: str | Path) -> dict[str, Path]:
         "manifests": manifest_dir,
         "config": config_path,
     }
+
+
+# ---------------------------------------------------------------------------
+# split manifests (replayable trials)
+# ---------------------------------------------------------------------------
+
+SIDE_TRAIN = "train"
+SIDE_TEST = "test"
+
+# each header a manifest holds, its parser and the form it must have
+_HEADERS = {
+    "ratio": (parse_ratio, "<labeled>:<unlabeled>"),
+    "trial": (parse_count, "a non-negative integer"),
+    "seed": (parse_count, "a non-negative integer"),  # numpy seeds are non-negative
+}
+
+
+def write_split_manifest(
+    path: str | Path,
+    train_ids: Iterable[str],
+    test_ids: Iterable[str],
+    labeled_ids: Iterable[str],
+    ratio: tuple[int, int],
+    trial: int,
+    seed: int,
+) -> None:
+    """Write ``# ratio``, ``# trial`` and ``# seed`` header lines, then
+    ``doc_id<TAB>side<TAB>labeled_flag`` lines, one per document, replacing
+    ``path`` whole (``corpus.replacing``)."""
+    labeled = set(labeled_ids)
+    lines = [f"# ratio {ratio_str(ratio)}", f"# trial {trial}", f"# seed {seed}"]
+    for doc_id in train_ids:
+        flag = 1 if doc_id in labeled else 0
+        lines.append(f"{doc_id}\t{SIDE_TRAIN}\t{flag}")
+    for doc_id in test_ids:
+        lines.append(f"{doc_id}\t{SIDE_TEST}\t0")
+    with replacing(Path(path)) as f:
+        f.write("\n".join(lines) + "\n")
+
+
+def read_split_manifest(
+    path: str | Path, corpus: Corpus
+) -> tuple[tuple[tuple[int, int], int, int], Corpus, Corpus, np.ndarray]:
+    """Read a split manifest over a fully labeled corpus in one pass into
+    ``((ratio, trial, seed), train, test, labeled)``: the parsed headers,
+    the rows of each side in manifest order and a bool per train row. Every
+    manifest doc id must exist in the corpus and be listed once. A ``#``
+    line other than the three headers is a comment; the headers are checked
+    after every other line, so a malformed line is reported first."""
+    header: dict[str, str] = {}
+    row_of = {doc_id: i for i, doc_id in enumerate(corpus.doc_ids)}
+    rows: dict[str, list[int]] = {SIDE_TRAIN: [], SIDE_TEST: []}
+    labeled: list[bool] = []
+    try:
+        text = Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise DataError(f"{path} is not UTF-8: {exc}") from exc
+    for lineno, line in enumerate(text.splitlines(), 1):
+        if not line.strip():
+            continue
+        if line.startswith("#"):
+            parts = line[1:].strip().split(None, 1)
+            if len(parts) == 2 and parts[0] in _HEADERS:
+                header[parts[0]] = parts[1]
+            continue
+        fields = line.split("\t")
+        if len(fields) != 3 or fields[1] not in rows:
+            raise DataError(f"{path}:{lineno}: malformed manifest line {line!r}")
+        doc_id, side, flag = fields
+        if flag not in ("0", "1"):
+            raise DataError(f"{path}:{lineno}: labeled flag {flag!r} is not 0 or 1")
+        i = row_of.pop(doc_id, None)
+        if i is None:
+            raise DataError(f"manifest doc id {doc_id!r} not present in corpus or listed twice")
+        rows[side].append(i)
+        if side == SIDE_TRAIN:
+            labeled.append(flag == "1")
+    values = []
+    for key, (parse, form) in _HEADERS.items():
+        if key not in header:
+            raise DataError(f"manifest {path} is missing the {key!r} header")
+        try:
+            values.append(parse(header[key]))
+        except ValueError:
+            raise DataError(f"{path}: header '# {key} {header[key]}' is not {form}") from None
+    train, test = corpus.subset(rows[SIDE_TRAIN]), corpus.subset(rows[SIDE_TEST])
+    return tuple(values), train, test, np.array(labeled, dtype=bool)
 
 
 def replay_trial(
@@ -406,20 +490,7 @@ def replay_trial(
     """
     if not isinstance(corpus, Corpus):
         corpus = load_directory_corpus(corpus, config.tokenizer)
-    meta, train, test, labeled = read_split_manifest(manifest_path, corpus)
-    values = []
-    for key, parse, form in (  # each header a replay reads, its parser and the form it must have
-        ("ratio", parse_ratio, "<labeled>:<unlabeled>"),
-        ("trial", parse_count, "a non-negative integer"),
-        ("seed", parse_count, "a non-negative integer"),  # numpy seeds are non-negative
-    ):
-        if key not in meta:
-            raise DataError(f"manifest {manifest_path} is missing the {key!r} header")
-        try:
-            values.append(parse(meta[key]))
-        except ValueError:
-            raise DataError(f"{manifest_path}: header '# {key} {meta[key]}' is not {form}") from None
-    ratio, trial, seed = values
+    (ratio, trial, seed), train, test, labeled = read_split_manifest(manifest_path, corpus)
     d_labeled, d_unlabeled = mask_from_flags(train, labeled)
     result = _run_pipeline(d_labeled, d_unlabeled, test, ratio, seed, config)
     return dataclasses.replace(result, trial=trial)

@@ -74,12 +74,6 @@ class TermClassWeights:
             raise DataError("oov weights must lie in [0, 1]")
 
 
-def term_class_counts(corpus: Corpus) -> tuple[dict[str, int], np.ndarray]:
-    """Vocabulary (sorted terms) and the (V, K) token count matrix."""
-    term_ids, counts = _present_term_counts(corpus)
-    return _vocabulary(corpus.encoding.terms, term_ids), counts
-
-
 def _present_term_counts(corpus: Corpus) -> tuple[np.ndarray, np.ndarray]:
     """The ids, ascending, of the terms of the corpus's term table that
     occur, and their (V, K) float64 counts.

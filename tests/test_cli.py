@@ -22,7 +22,7 @@ from textrkm import corpus as corpus_module
 from textrkm.bundle import training_partition
 from textrkm.cli import load_bundle, main, save_bundle
 from textrkm.corpus import (
-    TokenizerConfig, load_directory_corpus, mask_labels, read_split_manifest, scan_directory,
+    TokenizerConfig, load_directory_corpus, mask_labels, scan_directory,
 )
 from textrkm.errors import DataError, InvariantError
 from textrkm.representation import weights_from_counts
@@ -196,7 +196,7 @@ def test_sweep_skips_a_badly_named_file(tmp_path, corpus_tree, capsys, name):
     assert load_directory_corpus(tree).skipped == ((f"{corpus.class_names[0]}/{name}", "badly named"),)
     (manifest,) = (out_dir / "manifests").iterdir()
     config = harness.SweepConfig.from_dict(json.loads((out_dir / "sweep_config.json").read_text()))
-    _, train, test, _ = read_split_manifest(manifest, load_directory_corpus(tree))
+    _, train, test, _ = harness.read_split_manifest(manifest, load_directory_corpus(tree))
     assert sorted(train.doc_ids + test.doc_ids) == sorted(corpus.doc_ids)
     replayed = harness.replay_trial(tree, manifest, config)
     assert replayed.error is None and replayed.report is not None

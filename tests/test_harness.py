@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from textrkm import harness
-from textrkm.corpus import Corpus, Document, read_split_manifest, split_train_test
+from textrkm.corpus import Corpus, Document, mask_from_flags, mask_labels, split_train_test
 from textrkm.errors import DataError, InvariantError
 from textrkm.harness import (
     SWEEP_METRICS,
@@ -19,9 +19,11 @@ from textrkm.harness import (
     emit_results,
     manifest_filename,
     ratio_str,
+    read_split_manifest,
     replay_trial,
     run_sweep,
     run_trial,
+    write_split_manifest,
 )
 
 from synthdata import make_text_corpus, mutate_lines, write_corpus_tree
@@ -529,6 +531,51 @@ def test_sweep_config_derives_its_field_types_once_per_class(monkeypatch):
     configs = [SweepConfig(), SweepConfig.from_dict(SweepConfig(trials_per_ratio=3).to_dict())]
     assert configs[1] == SweepConfig(trials_per_ratio=3)
     assert len(looked_up) == len(set(looked_up)) <= 3  # SweepConfig, RecursiveConfig, KMeansConfig
+
+
+def test_manifest_round_trip(tmp_path):
+    corpus = make_text_corpus(n_classes=2, docs_per_class=8, seed=8)
+    train, test = split_train_test(corpus, test_fraction=0.5, rng_seed=1)
+    d_l, d_u = mask_labels(train, 0.3, rng_seed=2)
+    path = tmp_path / "split.tsv"
+    write_split_manifest(path, train.doc_ids, test.doc_ids, d_l.doc_ids, (3, 7), 4, 2)
+    header, train2, test2, labeled = read_split_manifest(path, corpus)
+    assert header == ((3, 7), 4, 2)
+    assert train2.doc_ids == train.doc_ids
+    assert test2.doc_ids == test.doc_ids
+    d_l2, d_u2 = mask_from_flags(train2, labeled)
+    assert (d_l2.doc_ids, d_l2.labels.tolist()) == (d_l.doc_ids, d_l.labels.tolist())
+    assert (d_u2.doc_ids, d_u2.labels.tolist()) == (d_u.doc_ids, d_u.labels.tolist())
+
+
+def test_manifest_rejects_unknown_doc(tmp_path):
+    corpus = make_text_corpus(n_classes=2, docs_per_class=3, seed=9)
+    path = tmp_path / "bad.tsv"
+    path.write_text("ghost/doc\ttrain\t1\n")
+    with pytest.raises(DataError):
+        read_split_manifest(path, corpus)
+
+
+def test_manifest_rejects_non_utf8_bytes(tmp_path):
+    path = tmp_path / "bad.tsv"
+    path.write_bytes(b"# seed 1\na\ttrain\t1\xff\n")
+    with pytest.raises(DataError, match=re.escape(f"{path} is not UTF-8")):
+        read_split_manifest(path, make_text_corpus(n_classes=2, docs_per_class=3, seed=9))
+
+
+def test_manifest_rejects_non_integer_flag(tmp_path):
+    path = tmp_path / "bad.tsv"
+    path.write_text("# seed 1\na\ttrain\tx\n")
+    with pytest.raises(DataError, match=re.escape(f"{path}:2: labeled flag 'x'")):
+        read_split_manifest(path, make_text_corpus(n_classes=2, docs_per_class=3, seed=9))
+
+
+@pytest.mark.parametrize("flag", ["2", "-1", "01"])
+def test_manifest_rejects_flag_other_than_zero_or_one(tmp_path, flag):
+    path = tmp_path / "bad.tsv"
+    path.write_text(f"# seed 1\na\ttrain\t{flag}\n")
+    with pytest.raises(DataError, match=re.escape(f"{path}:2: labeled flag '{flag}' is not 0 or 1")):
+        read_split_manifest(path, make_text_corpus(n_classes=2, docs_per_class=3, seed=9))
 
 
 @pytest.mark.parametrize(

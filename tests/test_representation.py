@@ -1,5 +1,6 @@
 import dataclasses
 import json
+import re
 import tracemalloc
 
 import numpy as np
@@ -17,7 +18,6 @@ from textrkm.representation import (
     TermClassWeights,
     embed_corpus,
     fit_term_weights,
-    term_class_counts,
     token_layout,
 )
 
@@ -292,7 +292,8 @@ def test_term_class_counts_match_per_token_loop():
     documents = corpus.documents
     documents[3] = Document(documents[3].doc_id, ("solo",))
     corpus = Corpus.from_documents(documents, corpus.labels, corpus.class_names)
-    vocabulary, tf = term_class_counts(corpus)
+    w = fit_term_weights(corpus)
+    vocabulary, tf = w.vocabulary, w.counts
     want_vocabulary, want_tf = loop_term_class_counts(corpus)
     assert vocabulary == want_vocabulary
     assert list(vocabulary) == sorted(vocabulary)
@@ -324,9 +325,14 @@ def test_counts_and_embedding_match_loops_on_random_corpora(
         labels=[int(c) for c in rng.integers(n_classes, size=n_docs)],
         class_names=tuple(f"c{i}" for i in range(n_classes)),
     )
-    vocabulary, tf = term_class_counts(labeled)
     want_vocabulary, want_tf = loop_term_class_counts(labeled)
-    assert vocabulary == want_vocabulary and np.array_equal(tf, want_tf)
+    missing = [name for name, mass in zip(labeled.class_names, want_tf.sum(axis=0)) if not mass]
+    if missing:  # the table needs a labeled token in every class
+        with pytest.raises(DataError, match=re.escape(f"classes without any labeled token: {missing}")):
+            fit_term_weights(labeled)
+    else:
+        fitted = fit_term_weights(labeled)
+        assert fitted.vocabulary == want_vocabulary and np.array_equal(fitted.counts, want_tf)
 
     terms = [t for t in words if not t.startswith("oov")]
     w = random_weights(terms, n_classes, rng)
