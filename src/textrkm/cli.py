@@ -21,7 +21,7 @@ from .corpus import (
 from .errors import DataError, InvariantError
 from .evaluation import align_labels, confusion, format_report, score
 from .harness import (
-    SweepConfig, default_ratio_grid, emit_results, fit, parse_ratio, ratio_str, run_sweep,
+    SweepConfig, emit_results, fit, parse_ratio, ratio_str, run_sweep,
 )
 from .representation import embed_corpus
 from .rkmeans import KMeansConfig, RecursiveConfig, pool_labels
@@ -29,7 +29,7 @@ from .rkmeans import KMeansConfig, RecursiveConfig, pool_labels
 
 def _config_from_args(args, **sweep) -> SweepConfig:
     """The settings of ``add_common_training_flags``, and a sweep's own in ``sweep``."""
-    words = Path(args.stopwords).read_text(encoding="utf-8").split() if args.stopwords else ()
+    words = () if args.stopwords is None else Path(args.stopwords).read_text(encoding="utf-8").split()
     return SweepConfig(
         smoothing=args.smoothing,
         recursive=RecursiveConfig(th_percent=args.th, kmeans=KMeansConfig(distance=args.distance)),
@@ -202,7 +202,15 @@ def cmd_eval(args) -> int:
     return 0
 
 
+def _path(text: str) -> str:
+    """A path flag's value; an empty one, which would name the current directory, is refused."""
+    if not text:
+        raise argparse.ArgumentTypeError("an empty path names no file")
+    return text
+
+
 def _parse_ratio_grid(text: str) -> tuple[tuple[int, int], ...]:
+    """The ``--ratios`` pairs; a usage error, raised out of ``parse_args``, otherwise."""
     pairs = []
     for part in text.split(","):
         try:
@@ -220,10 +228,9 @@ def cmd_sweep(args) -> int:
     out = os.path.realpath(args.out)
     if any(os.path.commonpath([d, out]) == d for d in _corpus_dirs(args.corpus)):
         raise _UsageError(f"--out {args.out} is at or under --corpus {args.corpus}")
-    grid = _parse_ratio_grid(args.ratios) if args.ratios else default_ratio_grid()
     config = _config_from_args(
         args,
-        ratio_grid=grid,
+        ratio_grid=args.ratios,
         trials_per_ratio=args.trials,
         base_seed=args.base_seed,
         test_fraction=args.test_fraction,
@@ -277,36 +284,36 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--smoothing", type=float, default=sweep.smoothing,
                        help="additive smoothing for term weights (default %(default)s)")
         p.add_argument("--min-token-len", type=int, default=sweep.tokenizer.min_token_len)
-        p.add_argument("--stopwords", default=None, help="optional stopword file")
+        p.add_argument("--stopwords", type=_path, default=None, help="optional stopword file")
         p.add_argument("--pool-size", type=int, default=None,
                        help="unlabeled documents to draw into training (default: all)")
 
     p_train = sub.add_parser("train", help="build a model from a labeled corpus directory")
-    p_train.add_argument("--corpus", required=True)
+    p_train.add_argument("--corpus", type=_path, required=True)
     p_train.add_argument("--labeled-frac", type=float, required=True,
                          help="fraction of documents whose labels the learner may see")
     p_train.add_argument("--seed", type=int, default=0)
-    p_train.add_argument("--model-out", required=True)
-    p_train.add_argument("--pool-labels-out", default=None,
+    p_train.add_argument("--model-out", type=_path, required=True)
+    p_train.add_argument("--pool-labels-out", type=_path, default=None,
                          help="also write doc_id<TAB>class_name for each unlabeled training document")
     add_common_training_flags(p_train)
 
     p_classify = sub.add_parser("classify", help="label documents with a trained model")
-    p_classify.add_argument("--model", required=True)
-    p_classify.add_argument("--input", required=True, help="document file or directory")
-    p_classify.add_argument("--out", required=True)
+    p_classify.add_argument("--model", type=_path, required=True)
+    p_classify.add_argument("--input", type=_path, required=True, help="document file or directory")
+    p_classify.add_argument("--out", type=_path, required=True)
 
     p_eval = sub.add_parser("eval", help="score a predictions file against ground truth")
-    p_eval.add_argument("--predictions", required=True)
-    p_eval.add_argument("--truth", required=True)
+    p_eval.add_argument("--predictions", type=_path, required=True)
+    p_eval.add_argument("--truth", type=_path, required=True)
 
     p_sweep = sub.add_parser("sweep", help="run the labeled:unlabeled ratio sweep")
-    p_sweep.add_argument("--corpus", required=True)
+    p_sweep.add_argument("--corpus", type=_path, required=True)
     p_sweep.add_argument("--trials", type=int, default=sweep.trials_per_ratio)
     p_sweep.add_argument("--base-seed", type=int, default=sweep.base_seed)
-    p_sweep.add_argument("--out", required=True)
-    p_sweep.add_argument("--ratios", default=None,
-                         help='comma-separated pairs like "1:49,10:40" (default full grid)')
+    p_sweep.add_argument("--out", type=_path, required=True)
+    p_sweep.add_argument("--ratios", type=_parse_ratio_grid, default=sweep.ratio_grid,
+                         help='comma-separated pairs like "1:49,10:40" (default 1:49 .. 20:30)')
     p_sweep.add_argument("--test-fraction", type=float, default=sweep.test_fraction)
     p_sweep.add_argument("--transductive", action="store_true",
                          help="include test documents, unlabeled, during training")

@@ -54,15 +54,12 @@ RETIRED_KEYS = {
     "centroid_shift_tolerance": 1e-6,
 }
 
-
-def default_ratio_grid(total: int = 50, first: int = 1, last: int = 20) -> tuple[tuple[int, int], ...]:
-    """Labeled:unlabeled integer pairs over a fixed number of parts."""
-    return tuple((i, total - i) for i in range(first, last + 1))
+DEFAULT_RATIO_GRID = tuple((i, 50 - i) for i in range(1, 21))  # 1:49 .. 20:30
 
 
 @dataclass(frozen=True)
 class SweepConfig:
-    ratio_grid: tuple[tuple[int, int], ...] = default_ratio_grid()
+    ratio_grid: tuple[tuple[int, int], ...] = DEFAULT_RATIO_GRID
     trials_per_ratio: int = 20
     base_seed: int = 0
     test_fraction: float = 0.5
@@ -200,17 +197,14 @@ def _run_pipeline(
 ) -> TrialResult:
     """The deterministic stages shared by fresh trials and manifest replays.
 
-    ``layouts`` are stored ``token_layout``s of the training half, the
-    labeled and unlabeled documents together, and of ``test``. The first is
-    used only when the training collection is that whole half: with the
-    whole pool and without the test documents.
+    ``layouts`` are stored ``token_layout``s, each holding every document
+    of the training collection and of ``test`` in turn, or None for a call
+    that gathers its ids as it goes.
     """
     train_layout, test_layout = layouts
     pool = d_unlabeled
     if config.transductive:
         pool = concat_corpora(pool, test.subset(range(test.n_docs), drop_labels=True))
-    if config.transductive or config.unlabeled_pool_size is not None:
-        train_layout = None
     weights, model, _ = fit(d_labeled, pool, config, trial_seed, train_layout)
     test_x, test_ids = embed_corpus(test, weights, layout=test_layout)
     preds = classify_batch(test_x, model, test_ids)
@@ -276,13 +270,17 @@ def aggregate_rows(records: list[TrialResult]) -> list[SweepRow]:
 def run_sweep(corpus: Corpus | str | Path, config: SweepConfig = SweepConfig()) -> SweepTable:
     """Run the full ratio grid. A trial fails when its data do (a
     ``DataError``): it is recorded, not raised. Any other exception is a bug
-    and propagates. Each half's token ids are laid out once
-    (``token_layout``), for every trial to embed it from.
+    and propagates. Each half that every trial embeds whole is laid out
+    once (``token_layout``): the test half, and the train half when each
+    training collection is that half, with the whole pool and without the
+    test documents.
     """
     if not isinstance(corpus, Corpus):
         corpus = load_directory_corpus(corpus, config.tokenizer)
     train, test = split_train_test(corpus, config.test_fraction, config.base_seed)
-    layouts = tuple(token_layout(half.encoding, half.n_classes) for half in (train, test))
+    whole = config.unlabeled_pool_size is None and not config.transductive
+    train_layout = token_layout(train.encoding, train.n_classes) if whole else None
+    layouts = (train_layout, token_layout(test.encoding, test.n_classes))
     records: list[TrialResult] = []
     for ratio in config.ratio_grid:
         for t in range(config.trials_per_ratio):

@@ -287,15 +287,38 @@ def test_usage_errors_exit_one(capsys):
     capsys.readouterr()
 
 
-# a sign, an underscore, an inner space and Arabic-Indic digits, which int() reads
-@pytest.mark.parametrize("ratios", ["1-49", "1:49,a:b", "+5:45", "1_0:40", "10: 40", "\u0661\u0660:\u0664\u0660"])
-def test_sweep_malformed_ratios_exit_one(tmp_path, corpus_tree, capsys, ratios):
+# a sign, an underscore, an inner space and Arabic-Indic digits, which int()
+# reads, and an empty grid, which is not the default grid
+@pytest.mark.parametrize("ratios", ["1-49", "1:49,a:b", "+5:45", "1_0:40", "10: 40", "\u0661\u0660:\u0664\u0660",
+                                    ""])
+def test_sweep_malformed_ratios_exit_one(tmp_path, corpus_tree, capsys, monkeypatch, ratios):
     _, tree = corpus_tree
+    monkeypatch.setattr(cli, "run_sweep", lambda *args: pytest.fail("the sweep ran"))
     rc = main(["sweep", "--corpus", str(tree), "--ratios", ratios, "--out", str(tmp_path / "s")])
     assert rc == 1
     err = capsys.readouterr().err
     assert err.startswith("error: --ratios")
     assert "Traceback" not in err
+
+
+# each command's path flags, each with a value it is otherwise given
+PATH_FLAGS = {
+    "train": {"--corpus": "c", "--model-out": "m.json", "--pool-labels-out": "p.tsv", "--stopwords": "s.txt"},
+    "classify": {"--model": "m.json", "--input": "c", "--out": "p.tsv"},
+    "eval": {"--predictions": "p.tsv", "--truth": "t.tsv"},
+    "sweep": {"--corpus": "c", "--out": "s", "--stopwords": "s.txt"},
+}
+
+
+@pytest.mark.parametrize("command, flag", [(c, f) for c, flags in PATH_FLAGS.items() for f in flags])
+def test_an_empty_path_is_a_usage_error_naming_its_flag(monkeypatch, capsys, command, flag):
+    # an empty path would name the current directory; nothing is read or written
+    monkeypatch.setattr(cli, f"cmd_{command}", lambda args: pytest.fail("the command ran"))
+    argv = [command, *chain.from_iterable((f, "" if f == flag else v) for f, v in PATH_FLAGS[command].items())]
+    if command == "train":
+        argv += ["--labeled-frac", "0.5"]
+    assert main(argv) == 1
+    assert capsys.readouterr().err.splitlines()[-1] == f"error: argument {flag}: an empty path names no file"
 
 
 def test_data_errors_exit_two(tmp_path):

@@ -12,10 +12,10 @@ from textrkm import harness
 from textrkm.corpus import Corpus, Document, mask_from_flags, mask_labels, split_train_test
 from textrkm.errors import DataError, InvariantError
 from textrkm.harness import (
+    DEFAULT_RATIO_GRID,
     SWEEP_METRICS,
     SweepConfig,
     aggregate_rows,
-    default_ratio_grid,
     emit_results,
     manifest_filename,
     ratio_str,
@@ -46,7 +46,7 @@ def noisy_corpus(seed=13):
 
 
 def test_default_ratio_grid_spans_one_to_twenty_of_fifty():
-    grid = default_ratio_grid()
+    grid = DEFAULT_RATIO_GRID
     assert len(grid) == 20
     assert grid[0] == (1, 49)
     assert grid[-1] == (20, 30)
@@ -137,7 +137,7 @@ def test_transductive_flag_includes_test_pool(monkeypatch):
 
 def test_sweep_row_counts_and_zero_std_single_trial():
     corpus = make_text_corpus(n_classes=3, docs_per_class=16, seed=3)
-    grid = default_ratio_grid()
+    grid = DEFAULT_RATIO_GRID
     cfg = SweepConfig(ratio_grid=grid, trials_per_ratio=1, base_seed=4)
     table = run_sweep(corpus, cfg)
     assert len(table.rows) == len(grid) * len(SWEEP_METRICS) == 100
@@ -290,19 +290,25 @@ def test_a_sweep_embeds_through_the_harness_name_twice_per_trial(monkeypatch, se
     """Tools that time the embedding rebind ``harness.embed_corpus``; every
     trial reaches it, for the training collection and the test half. The
     training collection reads the stored layout only when it is the whole
-    training half."""
-    calls = []
+    training half, and only then is that half laid out."""
+    calls, laid_out = [], []
 
     def recording(corpus, w, layout=None):
         calls.append(layout is not None)
         return embed_corpus(corpus, w, layout=layout)
 
-    embed_corpus = harness.embed_corpus
+    def counting(enc, n_classes):
+        laid_out.append(enc)
+        return token_layout(enc, n_classes)
+
+    embed_corpus, token_layout = harness.embed_corpus, harness.token_layout
     monkeypatch.setattr(harness, "embed_corpus", recording)
+    monkeypatch.setattr(harness, "token_layout", counting)
     cfg = SweepConfig(ratio_grid=((5, 45), (20, 30)), trials_per_ratio=2, **settings)
     table = run_sweep(s1_shaped_corpus(), cfg)
     assert all(rec.error is None for rec in table.records)
     assert calls == [not settings, True] * len(table.records)
+    assert len(laid_out) == (1 if settings else 2)
 
 
 def test_failed_trials_recorded_not_dropped():
@@ -509,7 +515,7 @@ def test_sweep_config_rejects_values_every_trial_would_fail_on(key, value):
 def test_sweep_config_dict_is_derived_from_every_field():
     tokenizer = {"min_token_len": 2, "stopwords": [], "strip_pattern": "[^a-z0-9]+"}
     assert SweepConfig().to_dict() == {
-        "ratio_grid": [list(r) for r in default_ratio_grid()],
+        "ratio_grid": [list(r) for r in DEFAULT_RATIO_GRID],
         "trials_per_ratio": 20, "base_seed": 0, "test_fraction": 0.5, "smoothing": 1.0,
         "th_percent": 5.0, "max_recursion_depth": 16, "distance": "euclidean", "max_iterations": 100,
         "tokenizer": tokenizer, "unlabeled_pool_size": None, "transductive": False,

@@ -1,7 +1,8 @@
 """`train` and `sweep` take their settings from one helper in ``cli.py``, and
 ``harness.fit`` reads them from the config it is handed: a scan of the two
-modules' source for a settings object built elsewhere in ``cli.py``, and for
-a ``fit`` parameter named after a setting."""
+modules' source for a settings object built elsewhere in ``cli.py``, for a
+helper argument that is not a parsed flag, and for a ``fit`` parameter named
+after a setting."""
 import ast
 import dataclasses
 from pathlib import Path
@@ -45,6 +46,18 @@ def _helper_callers(tree: ast.Module) -> list[str]:
             and any(_called(node) == HELPER for node in ast.walk(top))]
 
 
+def _helper_keywords_not_flags(tree: ast.Module) -> list[str]:
+    """``function: keyword`` for each keyword passed to the helper that is
+    not an ``args.<flag>``: a value the parser neither parsed nor defaulted."""
+    found = []
+    for top in tree.body:
+        for node in ast.walk(top):
+            if _called(node) == HELPER:
+                found += [f"{top.name}: {k.arg}" for k in node.keywords if not (
+                    isinstance(k.value, ast.Attribute) and getattr(k.value.value, "id", None) == "args")]
+    return found
+
+
 def _fit_settings(tree: ast.Module) -> list[str]:
     """The parameters of ``fit`` named after a setting."""
     fit = next(top for top in tree.body if isinstance(top, ast.FunctionDef) and top.name == "fit")
@@ -55,6 +68,19 @@ def test_train_and_sweep_build_their_settings_in_one_helper():
     tree = _parse(PACKAGE / "cli.py")
     assert _built_outside_helper(tree) == []
     assert _helper_callers(tree) == ["cmd_train", "cmd_sweep"]
+
+
+def test_train_and_sweep_hand_the_helper_only_parsed_flags():
+    assert _helper_keywords_not_flags(_parse(PACKAGE / "cli.py")) == []
+
+
+def test_the_scan_finds_a_planted_helper_keyword(tmp_path):
+    source = (PACKAGE / "cli.py").read_text(encoding="utf-8")
+    keyword = "ratio_grid=args.ratios,"
+    assert keyword in source
+    cli = tmp_path / "cli.py"
+    cli.write_text(source.replace(keyword, "ratio_grid=args.ratios or ((1, 1),),"), encoding="utf-8")
+    assert _helper_keywords_not_flags(_parse(cli)) == ["cmd_sweep: ratio_grid"]
 
 
 def test_fit_reads_every_setting_from_its_config():
