@@ -9,6 +9,7 @@ the integer term/class counts and ``s``.
 """
 from __future__ import annotations
 
+import math
 import sys
 from dataclasses import dataclass, replace
 from functools import cached_property
@@ -22,12 +23,14 @@ from .errors import DataError
 
 # ``embed_corpus`` stops its per-position loop where finishing the longer
 # documents one by one costs fewer numpy passes, one document counting as
-# EMBED_DOC_COST positions. It works on blocks of rows of EMBED_BLOCK_BYTES
-# each: the position loop on that many documents' sums at a time, which keeps
-# them and one position's gathered rows in cache, and a long document's tail
-# on that many weight rows at a time.
+# EMBED_DOC_COST positions. It works on blocks of as many rows as
+# EMBED_BLOCK_BYTES holds rows of K + 1 float64s: the position loop on that
+# many documents' sums at a time, which keeps them and one position's
+# gathered rows in cache, and a long document's tail on that many table rows
+# at a time. Count sums are narrower: at K = 20 in uint16, 6,241 rows take
+# 250 KB. The float sums of a table without counts fill the budget.
 EMBED_DOC_COST = 4
-EMBED_BLOCK_BYTES = 2**18
+EMBED_BLOCK_BYTES = 2**20
 
 
 @dataclass
@@ -109,6 +112,12 @@ def check_smoothing(smoothing: float) -> float:
     return float(smoothing)
 
 
+def class_denominators(counts: np.ndarray, smoothing: float) -> np.ndarray:
+    """``sum_t tf[t, c] + s * V`` of each class c of the (V, K) counts: the
+    denominator of every weight of the class."""
+    return counts.sum(axis=0) + smoothing * len(counts)
+
+
 def weights_from_counts(
     vocabulary: dict[str, int], counts: np.ndarray, smoothing: float, class_names: Sequence[str]
 ) -> TermClassWeights:
@@ -116,11 +125,11 @@ def weights_from_counts(
     floor ``s / (sum_t tf[t, c] + s * V)``: the one formula of the table,
     for fitted counts and stored ones alike."""
     smoothing = check_smoothing(smoothing)
-    mass = counts.sum(axis=0)
-    if not np.all(mass > 0):
-        missing = [name for name, m in zip(class_names, mass) if not m > 0]
+    present = counts.any(axis=0)
+    if not np.all(present):
+        missing = [name for name, p in zip(class_names, present) if not p]
         raise DataError(f"classes without any labeled token: {missing}")
-    denom = mass + smoothing * len(vocabulary)
+    denom = class_denominators(counts, smoothing)
     w = TermClassWeights(
         vocabulary=vocabulary,
         weights=(counts + smoothing) / denom,
@@ -143,7 +152,7 @@ def fit_term_weights(d_labeled: Corpus, smoothing: float = 1.0) -> TermClassWeig
 
 @dataclass(frozen=True, eq=False)
 class TokenLayout:
-    """The order in which ``embed_corpus`` adds up the tokens of an encoding.
+    """The schedule by which ``embed_corpus`` gathers the tokens of an encoding.
 
     The documents go longest first (``perm``, with their ``starts`` and
     ``lens`` in that order), in blocks of ``block_rows``. For each position p
@@ -204,7 +213,7 @@ def token_layout(enc: Encoding, n_classes: int, store: bool = True) -> TokenLayo
     its position loop's ids stored if ``store``. The loop stops where
     finishing the longer documents one by one costs fewer numpy passes, one
     document counting as ``EMBED_DOC_COST`` positions; a block holds as many
-    documents' sums as fit in ``EMBED_BLOCK_BYTES``."""
+    documents as ``EMBED_BLOCK_BYTES`` holds rows of K + 1 float64s."""
     perm = np.argsort(-enc.lengths, kind="stable")
     starts, lens = enc.starts[perm], enc.lengths[perm]
     rows = max(1, EMBED_BLOCK_BYTES // (8 * (n_classes + 1)))
@@ -223,23 +232,51 @@ def token_layout(enc: Encoding, n_classes: int, store: bool = True) -> TokenLayo
     return replace(layout, ids=ids)
 
 
-def _id_table(enc: Encoding, w: TermClassWeights) -> np.ndarray:
+def _id_rows(enc: Encoding, w: TermClassWeights) -> tuple[int, np.ndarray | slice, np.ndarray | slice]:
+    """``(n_ids, ids, rows)``: the encoding's ids index a table of ``n_ids``
+    rows, whose rows ``ids`` are the vocabulary's rows ``rows``; every other
+    id is out of the vocabulary."""
+    v = w.vocab_size
+    if enc.vocabulary is w.vocabulary:
+        return v + 1, slice(v), slice(v)  # the ids are rows already; v is OOV
+    if enc.vocabulary is not None:
+        raise DataError("the documents were read through another vocabulary than the weights'")
+    if enc.terms is w.terms:
+        return len(enc.terms), w.term_ids, slice(v)
+    rows = np.fromiter(
+        map(w.vocabulary.get, enc.terms.tolist(), repeat(-1)), dtype=np.intp, count=len(enc.terms)
+    )
+    ids = np.flatnonzero(rows >= 0)
+    return len(enc.terms), ids, rows[ids]
+
+
+def _count_table(enc: Encoding, w: TermClassWeights, max_len: int) -> tuple[np.ndarray, np.ndarray]:
+    """The term/class counts indexed by the encoding's ids, an OOV id's row
+    zeros, in the narrowest unsigned type that holds ``max_len`` times the
+    largest count: any document's sums then fit it. Also the class
+    denominators ``D``. DataError where no unsigned type holds the sums, or
+    where the float64 finish could overflow: a numerator ``S[c] + s * n`` is
+    at most its denominator ``n * D[c]``, and twice the largest of those
+    leaves room for rounding."""
+    bound = max_len * int(w.counts.max(initial=0))
+    dtype = np.min_scalar_type(bound)
+    if dtype.kind != "u":
+        raise DataError(f"a document's summed term counts may reach {bound}, past 2**64 - 1")
+    denominators = class_denominators(w.counts, w.smoothing)
+    if not math.isfinite(2.0 * max_len * float(denominators.max())):
+        raise DataError(f"smoothing {w.smoothing} overflows the embedding of a {max_len}-token document")
+    n_ids, ids, rows = _id_rows(enc, w)
+    table = np.zeros((n_ids, w.n_classes), dtype=dtype)
+    table[ids] = w.counts[rows]
+    return table, denominators
+
+
+def _weight_table(enc: Encoding, w: TermClassWeights) -> np.ndarray:
     """The weight table indexed by the encoding's ids, one column more: row
     i holds the weights of the term with id i and 0, or, for a term out of
     the vocabulary, zeros and 1, which counts the document's OOV tokens."""
-    k, v = w.n_classes, w.vocab_size
-    if enc.vocabulary is w.vocabulary:
-        n_ids, ids, rows = v + 1, slice(v), slice(v)  # the ids are rows already; v is OOV
-    elif enc.vocabulary is not None:
-        raise DataError("the documents were read through another vocabulary than the weights'")
-    elif enc.terms is w.terms:
-        n_ids, ids, rows = len(enc.terms), w.term_ids, slice(v)
-    else:
-        rows = np.fromiter(
-            map(w.vocabulary.get, enc.terms.tolist(), repeat(-1)), dtype=np.intp, count=len(enc.terms)
-        )
-        n_ids, ids = len(enc.terms), np.flatnonzero(rows >= 0)
-        rows = rows[ids]
+    k = w.n_classes
+    n_ids, ids, rows = _id_rows(enc, w)
     table = np.zeros((n_ids, k + 1), dtype=np.float64)
     table[:, k] = 1.0
     table[ids, :k] = w.weights[rows]
@@ -253,24 +290,29 @@ def embed_corpus(
     """Embed every document, preserving order: ``(matrix, corpus.doc_ids)``.
 
     A row is the mean of its document's weight rows, an out-of-vocabulary
-    token counting as the OOV floor, and equals bit for bit the per-token
-    sum of ``embed_tokens`` in ``tests/reference.py``: in the order of a
-    ``TokenLayout``, position p adds the weight row of token p of every
-    document longer than p, one block of documents at a time, so each
-    document's weights are added in token order from 0.0. The longest
-    documents finish one by one with ``np.add.accumulate``, which adds in
-    order too, over one block of rows at a time. The weight table is indexed
-    by the encoding's own ids (``_id_table``).
+    token counting as the OOV floor. With counts, every weight of class c is
+    ``(tf[t, c] + s) / D[c]`` (``class_denominators``), so a document of n
+    tokens embeds to ``(S[c] + s * n) / (n * D[c])``. ``S[c]``, the class-c
+    counts of its in-vocabulary tokens, is summed exactly in the narrowest
+    unsigned type that holds it (``_count_table``) and divided once, so a
+    row depends only on the document's bag of words. A table without counts
+    (version-1 or -2 bundles) adds its weight rows in token order from 0.0,
+    the OOV floor after them, and divides by n. Either way a row equals
+    ``embed_tokens`` in ``tests/reference.py`` bit for bit.
 
-    Without ``layout``, the call lays the corpus out and gathers each
-    position's ids as it goes. A stored ``token_layout`` of any rows of the
-    corpus's load that hold all its documents gives the same rows bit for
-    bit; a document it lacks is a DataError. A sweep stores one per half
-    and reuses it for every trial's table.
+    The sums follow a ``TokenLayout``: position p adds the table row of
+    token p of every document longer than p, one block of documents at a
+    time, and the longest documents finish one by one with
+    ``np.add.accumulate``, which adds in order too, over one block of rows
+    at a time. The table is indexed by the encoding's own ids. Without
+    ``layout``, the call lays the corpus out and gathers each position's ids
+    as it goes. A stored ``token_layout`` of any rows of the corpus's load
+    that hold all its documents gives the same rows bit for bit; a document
+    it lacks is a DataError. A sweep stores one per half and reuses it for
+    every trial's table.
     """
     enc = corpus.encoding
     k = w.n_classes
-    table = _id_table(enc, w)
     if layout is None:
         layout = token_layout(enc, k, store=False)
         at = np.empty_like(layout.perm)
@@ -278,7 +320,11 @@ def embed_corpus(
     else:
         at = layout.rows_of(corpus)
     starts, lens, n_pos, rows = layout.starts, layout.lens, layout.n_pos, layout.block_rows
-    sums = np.zeros((len(lens), k + 1), dtype=np.float64)
+    if w.counts is None:
+        table = _weight_table(enc, w)
+    else:
+        table, denominators = _count_table(enc, w, int(lens.max(initial=0)))
+    sums = np.zeros((len(lens), table.shape[1]), dtype=table.dtype)
     for b, ids in layout.steps():
         sums[b : b + len(ids)] += table.take(ids, axis=0)
     for i in range(int(np.count_nonzero(lens > n_pos))):
@@ -287,9 +333,14 @@ def embed_corpus(
             chunk = table.take(enc.ids[a : min(a + rows, end)], axis=0)
             chunk[0] += sums[i]
             sums[i] = np.add.accumulate(chunk, axis=0, out=chunk)[-1]
-    # the OOV floor, added after the weight rows as the reference
-    # ``embed_tokens`` adds it; where there is none this adds 0.0, which
-    # changes no sum (a sum from 0.0 is never -0.0)
-    sums[:, :k] += sums[:, k, None] * w.oov_weight
-    sums[:, :k] /= lens[:, None]
-    return sums[at, :k], corpus.doc_ids
+    if w.counts is None:
+        # the OOV floor, added after the weight rows as the reference
+        # ``embed_tokens`` adds it; where there is none this adds 0.0, which
+        # changes no sum (a sum from 0.0 is never -0.0)
+        sums[:, :k] += sums[:, k, None] * w.oov_weight
+        sums[:, :k] /= lens[:, None]
+        return sums[at, :k], corpus.doc_ids
+    n = lens[at, None]
+    x = sums[at] + w.smoothing * n
+    x /= n * denominators
+    return x, corpus.doc_ids

@@ -45,10 +45,21 @@ def embed_tokens(tokens, w: TermClassWeights) -> np.ndarray:
 
     Out-of-vocabulary tokens contribute the OOV floor and still count in the
     denominator, which keeps the token-count-weighted concatenation identity
-    exact. ``embed_corpus`` reproduces each row bit for bit.
+    exact. For a table with counts, every weight of class c is
+    ``(tf[t, c] + s) / D[c]`` with ``D = sum_t tf + s * V``, so the mean is
+    ``(S[c] + s * n) / (n * D[c])``, ``S[c]`` being the counts of the ``n``
+    tokens summed as Python ints. A table without counts adds the weight
+    rows in token order from 0.0, the OOV floor after them, and divides by
+    ``n``. ``embed_corpus`` reproduces each row bit for bit.
     """
     if not tokens:
         raise DataError("cannot embed a document with zero tokens")
+    if w.counts is not None:
+        n, s = len(tokens), w.smoothing
+        rows = [w.vocabulary[tok] for tok in tokens if tok in w.vocabulary]
+        denominators = w.counts.sum(axis=0) + s * len(w.vocabulary)
+        numerators = [sum(int(w.counts[i, c]) for i in rows) for c in range(w.n_classes)]
+        return np.array([(float(num) + s * n) / (n * d) for num, d in zip(numerators, denominators)])
     vec = np.zeros(w.n_classes, dtype=np.float64)
     n_oov = 0
     for tok in tokens:

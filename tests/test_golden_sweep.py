@@ -8,9 +8,10 @@ assignment runs the exact euclidean kernel on unit vectors, so its bits do
 not depend on the BLAS either.
 
 To rewrite the files after a deliberate change of outputs, run
-``PYTHONPATH=src:tests python tests/test_golden_sweep.py``; it also prints
-the pinned bundle's and the cosine sweep's digests, to be copied into
-``PINNED_BUNDLE`` and ``COSINE_SWEEP``.
+``PYTHONPATH=src:tests python tests/test_golden_sweep.py``. It also prints
+every other pinned value, to be copied where it names: the pinned bundles'
+digests and acceptance counts, the cosine sweep's digest, and the cluster
+counts and CSV digests of the two S2-shaped sweeps of ``test_harness.py``.
 """
 import base64
 import hashlib
@@ -86,38 +87,46 @@ def test_sweep_matches_golden_outputs(tmp_path, monkeypatch):
 
 # blake2b of the version-5 bundle ``save_bundle`` writes for a model trained
 # on CORPUS at one part labeled in five, seed 7, depth limit 3: it recurses,
-# and accepts clusters as orphans and at both the size and the depth limit.
-# ``__main__`` prints it. The readers of the bundles before it are tested
-# against the files tests/data/bundle_v*.json.
-PINNED_BUNDLE = "a1057767166886e298629e727aa75a24"
-# blake2b of the version-4 bundle the version-4 writer wrote for that model:
-# the same JSON, with each class's term ids and counts as JSON integers
-PINNED_V4_BUNDLE = "63f2a586f85e62112e10737f72c9c8fa"
+# and accepts clusters as orphans and at both the size and the depth limit,
+# as often as PINNED_ACCEPTANCE counts. ``__main__`` prints all three. The
+# readers of the bundles before it are tested against the files
+# tests/data/bundle_v*.json.
+PINNED_BUNDLE = "95c05b9b918c10223f0384852fecc48c"
+PINNED_ACCEPTANCE = {"fallback_size": 7, "fallback_depth": 5, "orphans": 2}
+# blake2b of that model's bundle as the version-4 writer writes it: the same
+# JSON, with each class's term ids and counts as JSON integers
+PINNED_V4_BUNDLE = "f9fee3ccf7e931ccb18e6ddc2b7309aa"
 
 
-def pinned_bundle_bytes(tmp: Path) -> bytes:
+def pinned_bundle_bytes(tmp: Path) -> tuple[bytes, dict[str, int]]:
+    """The pinned bundle, and how often its model accepted a cluster at the
+    size limit, at the depth limit and as an orphan."""
     d_labeled, d_unlabeled = mask_labels(make_text_corpus(**CORPUS), 0.2, 7)
     config = SweepConfig(recursive=RecursiveConfig(max_recursion_depth=3))
     weights, model, _ = fit(d_labeled, d_unlabeled, config, 7)
-    assert model.stats.fallback_counts == {"fallback_size": 9, "fallback_depth": 4}
-    assert model.stats.orphan_count == 3
     save_bundle(tmp / "model.json", model, weights, TokenizerConfig())
-    return (tmp / "model.json").read_bytes()
+    return (tmp / "model.json").read_bytes(), {**model.stats.fallback_counts, "orphans": model.stats.orphan_count}
 
 
-def test_bundle_matches_pinned_bytes(tmp_path):
-    assert digest(pinned_bundle_bytes(tmp_path)) == PINNED_BUNDLE
-
-
-def test_the_pinned_version_four_bundle_re_saves_to_the_pinned_bundle(tmp_path):
-    v5 = pinned_bundle_bytes(tmp_path)
+def as_version_four(v5: bytes) -> bytes:
     payload = json.loads(v5)
     payload["version"] = 4
     payload["weights"]["counts"] = [  # unpacked from base64 of little-endian uint32s
         {key: np.frombuffer(base64.b64decode(text), "<u4").tolist() for key, text in entry.items()}
         for entry in payload["weights"]["counts"]
     ]
-    v4 = json.dumps(payload).encode()
+    return json.dumps(payload).encode()
+
+
+def test_bundle_matches_pinned_bytes(tmp_path):
+    v5, acceptance = pinned_bundle_bytes(tmp_path)
+    assert acceptance == PINNED_ACCEPTANCE
+    assert digest(v5) == PINNED_BUNDLE
+
+
+def test_the_pinned_version_four_bundle_re_saves_to_the_pinned_bundle(tmp_path):
+    v5, _ = pinned_bundle_bytes(tmp_path)
+    v4 = as_version_four(v5)
     assert digest(v4) == PINNED_V4_BUNDLE
     (tmp_path / "v4.json").write_bytes(v4)
     save_bundle(tmp_path / "re-saved.json", *load_bundle(tmp_path / "v4.json"))
@@ -126,7 +135,7 @@ def test_the_pinned_version_four_bundle_re_saves_to_the_pinned_bundle(tmp_path):
 
 # blake2b of the golden sweep run under cosine: its CSV files, the records of
 # ``sweep_outputs`` and every test prediction's distance. ``__main__`` prints it.
-COSINE_SWEEP = "627d8248fda3e79097ce1f6dc2f2f11e"
+COSINE_SWEEP = "3ec2b3d1dd417df2180a5ae3ec5e2b69"
 COSINE_CONFIG = replace(CONFIG, recursive=RecursiveConfig(kmeans=KMeansConfig(distance="cosine")))
 
 
@@ -155,15 +164,23 @@ if __name__ == "__main__":
 
     import pytest
 
+    from test_harness import s2_shaped_euclidean_sweep, s2_shaped_transductive_sweep_from_disk
+
     GOLDEN.mkdir(parents=True, exist_ok=True)
     with pytest.MonkeyPatch.context() as mp, tempfile.TemporaryDirectory() as tmp:
         csvs, digests, depth = sweep_outputs(Path(tmp), mp)
-        pin = digest(pinned_bundle_bytes(Path(tmp)))
+        bundle, acceptance = pinned_bundle_bytes(Path(tmp))
     with pytest.MonkeyPatch.context() as mp, tempfile.TemporaryDirectory() as tmp:
         cosine = cosine_sweep_digest(Path(tmp), mp)
     for name, data in csvs.items():
         (GOLDEN / f"{name}.csv").write_bytes(data)
     (GOLDEN / "digests.json").write_text(json.dumps(digests, indent=1) + "\n", encoding="utf-8")
     print(f"wrote {GOLDEN} (deepest recursion level {depth})", file=sys.stderr)
-    print(f'PINNED_BUNDLE = "{pin}"', file=sys.stderr)
+    print(f'PINNED_BUNDLE = "{digest(bundle)}"', file=sys.stderr)
+    print(f"PINNED_ACCEPTANCE = {acceptance}", file=sys.stderr)
+    print(f'PINNED_V4_BUNDLE = "{digest(as_version_four(bundle))}"', file=sys.stderr)
     print(f'COSINE_SWEEP = "{cosine}"', file=sys.stderr)
+    for sweep in (s2_shaped_euclidean_sweep, s2_shaped_transductive_sweep_from_disk):
+        with tempfile.TemporaryDirectory() as tmp:
+            clusters, shas = sweep(Path(tmp))
+        print(f"test_harness.{sweep.__name__}: clusters {clusters}, sha256 {shas}", file=sys.stderr)

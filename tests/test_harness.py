@@ -15,6 +15,7 @@ from textrkm.harness import (
     DEFAULT_RATIO_GRID,
     SWEEP_METRICS,
     SweepConfig,
+    SweepTable,
     aggregate_rows,
     emit_results,
     manifest_filename,
@@ -338,45 +339,55 @@ def test_a_sweep_keeps_only_its_own_manifests(tmp_path):
     assert sorted(p.name for p in paths["manifests"].iterdir()) == ["ratio_1_49_trial_00.tsv"]
 
 
-def test_s2_shaped_euclidean_sweep_outputs_are_pinned(tmp_path):
-    # byte-identity of the whole pipeline: only a deliberate change of the
-    # clustering's draws or arithmetic may move these values
+def _pinned_outputs(table: SweepTable, paths) -> tuple[list[int], dict[str, str]]:
+    """Each trial's cluster count, and the sha256 of each CSV file."""
+    shas = {k: hashlib.sha256(paths[k].read_bytes()).hexdigest() for k in ("per_trial", "aggregate")}
+    return [rec.n_clusters for rec in table.records], shas
+
+
+def s2_shaped_euclidean_sweep(out_dir: Path) -> tuple[list[int], dict[str, str]]:
     corpus = make_text_corpus(
         n_classes=20, docs_per_class=60, doc_len=8, class_words=10, shared_words=40,
         signal=0.2, seed=13,
     )
     table = run_sweep(corpus, SweepConfig(ratio_grid=((20, 30), (5, 45)), trials_per_ratio=2))
-    paths = emit_results(table, tmp_path)
-    assert [rec.n_clusters for rec in table.records] == [174, 174, 48, 37]
-    assert {
-        k: hashlib.sha256(paths[k].read_bytes()).hexdigest() for k in ("per_trial", "aggregate")
-    } == {
-        "per_trial": "9811095bb951573c6803a1a9892cfa64b7787a81c64ec5db1ed52ce2b6d0935c",
-        "aggregate": "53fce4d5a614c8dfbf04b9d13c679c17bfc9415b7179158962963492d373598b",
+    return _pinned_outputs(table, emit_results(table, out_dir))
+
+
+def s2_shaped_transductive_sweep_from_disk(out_dir: Path) -> tuple[list[int], dict[str, str]]:
+    corpus = make_text_corpus(
+        n_classes=20, docs_per_class=100, doc_len=8, class_words=10, shared_words=40,
+        signal=0.2, seed=13,
+    )
+    write_corpus_tree(corpus, out_dir / "tree")
+    config = SweepConfig(
+        ratio_grid=((20, 30), (5, 45)), trials_per_ratio=2, transductive=True,
+        unlabeled_pool_size=1500,
+    )
+    table = run_sweep(out_dir / "tree", config)
+    return _pinned_outputs(table, emit_results(table, out_dir / "out"))
+
+
+# ``python tests/test_golden_sweep.py`` prints both sweeps' values
+def test_s2_shaped_euclidean_sweep_outputs_are_pinned(tmp_path):
+    # byte-identity of the whole pipeline: only a deliberate change of the
+    # clustering's draws or arithmetic may move these values
+    clusters, shas = s2_shaped_euclidean_sweep(tmp_path)
+    assert clusters == [174, 168, 48, 36]
+    assert shas == {
+        "per_trial": "14b924be0e809520ef13b45dfd74046ce4a53bfbd5a79889cc77408490520b4c",
+        "aggregate": "5925cea35547f72268a41629f8ec57c3c6d1250cd3f10902d27f4b42276a0d76",
     }
 
 
 def test_s2_shaped_transductive_sweep_from_disk_is_pinned(tmp_path):
     # the directory route and the encodings carried through subsets,
-    # concat_corpora and make_training_collection; values from the
-    # token-string pipeline that preceded the encoding
-    corpus = make_text_corpus(
-        n_classes=20, docs_per_class=100, doc_len=8, class_words=10, shared_words=40,
-        signal=0.2, seed=13,
-    )
-    write_corpus_tree(corpus, tmp_path / "tree")
-    config = SweepConfig(
-        ratio_grid=((20, 30), (5, 45)), trials_per_ratio=2, transductive=True,
-        unlabeled_pool_size=1500,
-    )
-    table = run_sweep(tmp_path / "tree", config)
-    paths = emit_results(table, tmp_path / "out")
-    assert [rec.n_clusters for rec in table.records] == [332, 333, 80, 74]
-    assert {
-        k: hashlib.sha256(paths[k].read_bytes()).hexdigest() for k in ("per_trial", "aggregate")
-    } == {
-        "per_trial": "ba7a3d6caac8f5391aad0a593c63bdff298c124cbc978f288dea8ce3d6b1bb13",
-        "aggregate": "970d486cf81958e9de52c0828f7744f6eef28c300b19f6311acedc6d94f8eac2",
+    # concat_corpora and make_training_collection
+    clusters, shas = s2_shaped_transductive_sweep_from_disk(tmp_path)
+    assert clusters == [332, 336, 79, 74]
+    assert shas == {
+        "per_trial": "ec07373d8adc57df39c8a300a032ddbc60e7061567fc10d4c1d90e6775526ce2",
+        "aggregate": "de246ae7457ec360c9b91f75f6c866936da7256bc31efda11ce9bd07e75e307c",
     }
 
 

@@ -19,6 +19,7 @@ from textrkm.representation import (
     embed_corpus,
     fit_term_weights,
     token_layout,
+    weights_from_counts,
 )
 
 from reference import embed_tokens
@@ -421,6 +422,52 @@ def test_a_stored_layout_embeds_every_table_like_the_per_token_loop(
             assert x.tobytes() == want.tobytes() and ids == [f"d{i:02d}" for i in rows]
 
 
+def shuffled(corpus, rng):
+    """The corpus's documents, each with its tokens in a random order."""
+    documents = [Document(d.doc_id, tuple(rng.permutation(d.tokens).tolist())) for d in corpus.documents]
+    return Corpus.from_documents(documents, [None] * corpus.n_docs, corpus.class_names)
+
+
+@pytest.mark.parametrize("stored", [False, True], ids=["gathered", "stored layout"])
+def test_a_row_depends_only_on_the_bag_of_words(stored):
+    """Each document's tokens shuffled give the same rows bit for bit, in
+    the position loop and in the tails of the documents longer than it."""
+    corpus = mixed_length_corpus()
+    layout = token_layout(corpus.encoding, corpus.n_classes)
+    assert np.count_nonzero(layout.lens > layout.n_pos) == 2
+    again = shuffled(corpus, np.random.default_rng(22))
+    for w in (fit_without(corpus, 0.0), fit_without(corpus, 0.7)):
+        x, y = (
+            embed_corpus(docs, w, layout=token_layout(docs.encoding, w.n_classes) if stored else None)[0]
+            for docs in (corpus, again)
+        )
+        assert x.tobytes() == y.tobytes()
+        assert x.tobytes() == loop_embed_corpus(again, w).tobytes()
+
+
+# a document of n copies of a term counted ``count`` times in class c0 sums
+# to n * count there: 255 and 256, 65,535 and 65,536, 2**32 - 1 and 2**32
+@pytest.mark.parametrize("n_tokens, count, dtype", [
+    (3, 85, np.uint8), (4, 64, np.uint16), (5, 13107, np.uint16), (4, 2**14, np.uint32),
+    (5, 858993459, np.uint32), (4, 2**30, np.uint64),
+])
+@pytest.mark.parametrize("doc_cost", [0, representation.EMBED_DOC_COST])
+def test_counts_sum_in_the_narrowest_type_that_holds_them(monkeypatch, n_tokens, count, dtype, doc_cost):
+    """Either side of each unsigned type's limit the rows equal the
+    reference bit for bit, in the position loop and in the tails."""
+    monkeypatch.setattr(representation, "EMBED_DOC_COST", doc_cost)
+    documents = [Document("long", ("a",) * n_tokens), Document("mixed", ("b", "a", "oov")),
+                 Document("oov", ("oov",))]
+    corpus = Corpus.from_documents(documents, [None] * 3, ("c0", "c1"))
+    for smoothing in (0.0, 0.5):
+        w = weights_from_counts({"a": 0, "b": 1}, np.array([[count, 1.0], [1.0, 2.0]]), smoothing, ("c0", "c1"))
+        assert representation._count_table(corpus.encoding, w, n_tokens)[0].dtype == dtype
+        want = loop_embed_corpus(corpus, w)
+        for layout in (None, token_layout(corpus.encoding, w.n_classes)):
+            x, _ = embed_corpus(corpus, w, layout=layout)
+            assert x.tobytes() == want.tobytes()
+
+
 def test_a_layout_refuses_a_document_it_lacks():
     corpus = mixed_length_corpus()
     w = fit_term_weights(corpus)
@@ -464,17 +511,21 @@ def test_embed_corpus_memory_is_bounded():
     terms = [f"term{i}" for i in range(3000)]
     w = random_weights(terms[:2500], n_classes, rng)  # the last 500 are OOV
     corpus = _random_corpus(n_docs, doc_len, terms, w.class_names, rng)
-    tracemalloc.start()
-    try:
-        x, _ = embed_corpus(corpus, w)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    # the result, the lookup table with its OOV column, and a few (docs, K+1)
-    # arrays: the sums and one block's gathered rows; nothing per token
-    rows = n_docs * (n_classes + 1) * 8
-    budget = x.nbytes + (w.vocab_size + 1) * (n_classes + 1) * 8 + 2 * rows
-    assert peak < budget + 2**19
+    counts = rng.integers(1000, size=(w.vocab_size, n_classes)).astype(np.float64)
+    for table in (w, weights_from_counts(w.vocabulary, counts, 1.0, w.class_names)):
+        tracemalloc.start()
+        try:
+            x, _ = embed_corpus(corpus, table)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        # the result, the lookup table with its OOV column, and a few (docs,
+        # K+1) float64 arrays: the sums and one block's gathered rows, or the
+        # narrower count sums and the division's one temporary; nothing per
+        # token
+        rows = n_docs * (n_classes + 1) * 8
+        budget = x.nbytes + (w.vocab_size + 1) * (n_classes + 1) * 8 + 2 * rows
+        assert peak < budget + 2**19
 
 
 def test_embed_corpus_memory_is_bounded_on_one_long_document():
